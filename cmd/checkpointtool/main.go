@@ -10,7 +10,8 @@
 // Usage:
 //
 //	checkpointtool info <file>        print the header (add -state to decode
-//	                                  the payload and print the geometry too)
+//	                                  the payload and print the geometry and
+//	                                  each generator's RNG stream position)
 //	checkpointtool ls   <storedir>    list every checkpoint blob in a store
 //
 // ls walks a simstore directory (the -checkpoint-dir of paperfigs, or a simd
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -69,7 +71,7 @@ run "checkpointtool <subcommand> -h" for per-subcommand flags.
 
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	withState := fs.Bool("state", false, "decode the state payload and print the snapshot geometry")
+	withState := fs.Bool("state", false, "decode the state payload and print the snapshot geometry and RNG stream positions")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -121,6 +123,14 @@ func cmdInfo(args []string) error {
 			fmt.Printf("  programs     %d app(s)\n", apps)
 		}
 		fmt.Printf("  reconfigs    %d (%d stall cycles)\n", st.ReconfigCount, st.StallCycles)
+		// One synthetic generator per application; trace players have none.
+		draws, err := workload.StreamPositions(st.Prog)
+		if err != nil {
+			return err
+		}
+		for app, n := range draws {
+			fmt.Printf("  rng stream   generator %d at draw %d\n", app, n)
+		}
 	}
 	return nil
 }

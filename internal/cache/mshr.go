@@ -26,8 +26,12 @@ type MSHRTable[P any] struct {
 	lines    []uint64
 	payloads [][]P
 
-	// freePayloads recycles the per-entry payload backing slices.
+	// freePayloads recycles the per-entry payload backing slices; fresh
+	// ones are made payloadChunk at a time with room for payloadCap payloads
+	// each: 8, or mergeBound once a merge list has outgrown that (see deepen).
 	freePayloads [][]P
+	payloadCap   int
+	mergeBound   int
 
 	// stamp counts structural changes (entry insert/remove/reset); a Probe
 	// taken before such a change cannot be Commit-ed after it.
@@ -51,8 +55,54 @@ func NewMSHRTable[P any](capacity, maxMergedPer int) *MSHRTable[P] {
 		lines:        make([]uint64, 0, capacity),
 		payloads:     make([][]P, 0, capacity),
 		freePayloads: make([][]P, 0, capacity),
+		payloadCap:   8,
 	}
 }
+
+// payloadChunk is how many entries' payload slices one allocation backs.
+const payloadChunk = 4
+
+// ExpectMerges tells the table that at most n requesters ever merge on one
+// line (an L1 merges at most one load per warp), which lets it size merge
+// lists once instead of doubling them (see deepen).
+func (m *MSHRTable[P]) ExpectMerges(n int) { m.mergeBound = n }
+
+// outgrown reports whether a merge list of n payloads no longer fits the
+// table's slices but does fit the bound its owner gave.
+func (m *MSHRTable[P]) outgrown(n int) bool { return n > m.payloadCap && n <= m.mergeBound }
+
+// deepen moves every occupied entry, and a chunk of spares, to slices
+// mergeBound deep in one allocation, and makes fresh slices that deep from
+// now on. Lists that double one by one keep allocating until every recycled
+// slice has met its deepest merge — tens of thousands of cycles on a lockstep
+// workload, where all warps of an SM wait on the same few lines. The first
+// list to outgrow its slice shows the workload merges deeply; one that never
+// does keeps the small slices.
+func (m *MSHRTable[P]) deepen() {
+	c := m.mergeBound
+	block := make([]P, min(len(m.payloads)+payloadChunk, m.capacity)*c)
+	for i, ps := range m.payloads {
+		m.payloads[i] = append(block[:0:c], ps...)
+		block = block[c:]
+	}
+	clear(m.freePayloads)
+	m.freePayloads = m.freePayloads[:0]
+	m.stock(block, c)
+	m.payloadCap = c
+}
+
+// stock cuts block into empty slices of capacity c for the free list.
+func (m *MSHRTable[P]) stock(block []P, c int) {
+	for ; len(block) > 0; block = block[c:] {
+		m.freePayloads = append(m.freePayloads, block[:0:c])
+	}
+}
+
+// Stamp returns the structural-change counter. It moves on every entry
+// insert, Complete of an outstanding line and Reset, and on nothing else:
+// while it holds still, the set of outstanding lines — and with it the
+// answer "the table is full and this line is not in it" — cannot change.
+func (m *MSHRTable[P]) Stamp() uint64 { return m.stamp }
 
 // find returns the packed index of lineAddr, or -1.
 func (m *MSHRTable[P]) find(lineAddr uint64) int {
@@ -160,6 +210,9 @@ func (m *MSHRTable[P]) Commit(p Probe, payload P) (primary bool) {
 		if m.lines[p.idx] != p.lineAddr {
 			panic("cache: MSHR Probe index no longer matches its line")
 		}
+		if m.outgrown(len(m.payloads[p.idx]) + 1) {
+			m.deepen()
+		}
 		m.payloads[p.idx] = append(m.payloads[p.idx], payload)
 		m.merges++
 		return false
@@ -189,18 +242,24 @@ func (m *MSHRTable[P]) Allocate(lineAddr uint64, payload P) (primary, ok bool) {
 	return m.Commit(p, payload), true
 }
 
-// insert adds a new entry for lineAddr, reusing a recycled payload slice.
-func (m *MSHRTable[P]) insert(lineAddr uint64, payload P) {
-	var ps []P
-	if n := len(m.freePayloads); n > 0 {
-		ps = m.freePayloads[n-1][:0]
-		m.freePayloads[n-1] = nil
-		m.freePayloads = m.freePayloads[:n-1]
-	} else {
-		ps = make([]P, 0, 8)
+// takePayload pops an empty payload slice off the free list, backing a few
+// more entries with one allocation when it has run dry.
+func (m *MSHRTable[P]) takePayload() []P {
+	if len(m.freePayloads) == 0 {
+		n := min(payloadChunk, m.capacity-len(m.payloads))
+		m.stock(make([]P, n*m.payloadCap), m.payloadCap)
 	}
+	n := len(m.freePayloads) - 1
+	ps := m.freePayloads[n][:0]
+	m.freePayloads[n] = nil
+	m.freePayloads = m.freePayloads[:n]
+	return ps
+}
+
+// insert adds a new entry for lineAddr on a recycled payload slice.
+func (m *MSHRTable[P]) insert(lineAddr uint64, payload P) {
 	m.lines = append(m.lines, lineAddr)
-	m.payloads = append(m.payloads, append(ps, payload))
+	m.payloads = append(m.payloads, append(m.takePayload(), payload))
 	m.stamp++
 	m.allocations++
 	if len(m.lines) > m.peakOccupancy {

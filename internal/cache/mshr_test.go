@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestMSHRBasicAllocateComplete(t *testing.T) {
 	m := NewMSHRTable[uint64](4, 0)
@@ -174,4 +177,94 @@ func TestMSHRPanicsOnInvalidCapacity(t *testing.T) {
 		}
 	}()
 	NewMSHRTable[uint64](0, 0)
+}
+
+// TestMSHRMergeListsOutgrowTheirSlices drives one line's merge list past
+// the table's initial slices while other entries are occupied and free, on a
+// table that grows lists one by one and on one told its merge bound (which
+// moves every entry to a deeper block at once): contents and arrival order
+// survive, and recycled slices come back empty.
+func TestMSHRMergeListsOutgrowTheirSlices(t *testing.T) {
+	for _, bound := range []int{0, 32} {
+		m := NewMSHRTable[int](4, 0)
+		m.ExpectMerges(bound)
+		m.Allocate(0xA, 100)
+		m.Allocate(0xB, 200)
+		m.Allocate(0xC, 300)
+		m.Complete(0xC) // a free slice that has held a payload
+		for i := 1; i <= 20; i++ {
+			if primary, ok := m.Allocate(0xA, 100+i); primary || !ok {
+				t.Fatalf("bound %d: merge %d into 0xA: primary=%v ok=%v", bound, i, primary, ok)
+			}
+		}
+		m.Allocate(0xD, 400)
+		if got := m.Complete(0xD); len(got) != 1 || got[0] != 400 {
+			t.Errorf("bound %d: 0xD on a recycled slice = %v, want [400]", bound, got)
+		}
+		if got := m.Complete(0xB); len(got) != 1 || got[0] != 200 {
+			t.Errorf("bound %d: 0xB after 0xA outgrew its slice = %v, want [200]", bound, got)
+		}
+		got := m.Complete(0xA)
+		if len(got) != 21 {
+			t.Fatalf("bound %d: 0xA holds %d payloads, want 21", bound, len(got))
+		}
+		for i, v := range got {
+			if v != 100+i {
+				t.Fatalf("bound %d: 0xA payload %d = %d, want %d (arrival order)", bound, i, v, 100+i)
+			}
+		}
+	}
+}
+
+// TestMSHRBoundedTableSizesListsOnce: with the merge bound known a merge
+// list is sized once, not doubled up to its depth; slices made after the
+// first deep merge start out deep; and a restored table is as quiet as the
+// one it was saved from.
+func TestMSHRBoundedTableSizesListsOnce(t *testing.T) {
+	// fill merges 32 payloads on each of 8 lines and returns how many heap
+	// allocations the table made (counted around each call, so the runtime's
+	// own background allocations stay out).
+	fill := func(m *MSHRTable[int]) (mallocs uint64) {
+		var before, after runtime.MemStats
+		for line := uint64(1); line <= 8; line++ {
+			for i := 0; i < 32; i++ {
+				runtime.ReadMemStats(&before)
+				m.Allocate(line, i)
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+			}
+		}
+		return mallocs
+	}
+	drain := func(m *MSHRTable[int]) {
+		for line := uint64(1); line <= 8; line++ {
+			m.Complete(line)
+		}
+	}
+	// A chunk of small slices, the move to deep ones when line 1 outgrows
+	// its slice (with spares for lines 2-5), a chunk of deep ones for lines
+	// 6-8. Doubling would allocate twice per entry.
+	m := NewMSHRTable[int](8, 0)
+	m.ExpectMerges(32)
+	if got := fill(m); got != 3 {
+		t.Errorf("first fill of 8 entries x 32 merges allocated %d times, want 3", got)
+	}
+	st := m.SaveState()
+	drain(m)
+	if got := fill(m); got != 0 {
+		t.Errorf("second fill allocated %d times, want 0", got)
+	}
+
+	fresh := NewMSHRTable[int](8, 0)
+	fresh.ExpectMerges(32)
+	if err := fresh.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Complete(3); len(got) != 32 || got[31] != 31 {
+		t.Errorf("restored line 3 = %d payloads, want 32 in order", len(got))
+	}
+	drain(fresh)
+	if got := fill(fresh); got != 0 {
+		t.Errorf("first fill of the restored table allocated %d times, want 0", got)
+	}
 }

@@ -114,26 +114,19 @@ func (m *MSHRTable[P]) RestoreState(st MSHRState[P]) error {
 		return fmt.Errorf("cache: MSHR snapshot holds %d entries, table capacity is %d", len(st.Lines), m.capacity)
 	}
 	m.Reset()
-	m.lines = append(m.lines[:0], st.Lines...)
-	m.payloads = m.payloads[:0]
+	// A snapshot holding a list deeper than this table's slices makes the
+	// move Commit would have made: lists grown to exact size here would
+	// re-grow on every later merge, and a restored table would keep
+	// allocating long after a cold one went quiet.
 	for _, ps := range st.Payloads {
-		// Fill entries through the same free list insert uses. An exact-size
-		// copy here would poison the recycling pool: capacity-len(ps) slices
-		// re-grow on every later merge, so a restored table would keep
-		// allocating long after a cold one went quiet.
-		var buf []P
-		if n := len(m.freePayloads); n > 0 {
-			buf = m.freePayloads[n-1][:0]
-			m.freePayloads[n-1] = nil
-			m.freePayloads = m.freePayloads[:n-1]
-		} else {
-			c := 8
-			if len(ps) > c {
-				c = len(ps)
-			}
-			buf = make([]P, 0, c)
+		if m.outgrown(len(ps)) {
+			m.deepen()
+			break
 		}
-		m.payloads = append(m.payloads, append(buf, ps...))
+	}
+	m.lines = append(m.lines, st.Lines...)
+	for _, ps := range st.Payloads {
+		m.payloads = append(m.payloads, append(m.takePayload(), ps...))
 	}
 	// Reset already bumped the stamp, invalidating outstanding Probes; no
 	// Probe is ever held across a checkpoint boundary.

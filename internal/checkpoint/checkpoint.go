@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -40,11 +41,13 @@ import (
 
 // FormatVersion versions the snapshot container (magic line, header, payload
 // encoding). Snapshots with a different version are rejected on decode.
-const FormatVersion = 1
+// Version 2: workload.GeneratorState carries the RNG register instead of a
+// draw count to replay.
+const FormatVersion = 2
 
-// magic is the first line of every checkpoint file. It embeds the format
-// version, so a reader knows immediately whether it can parse the rest.
-const magic = "repro-checkpoint/1"
+// magicPrefix plus the format version is the first line of every checkpoint
+// file, so a reader knows immediately whether it can parse the rest.
+const magicPrefix = "repro-checkpoint/"
 
 // Header is the self-describing, uncompressed preamble of a snapshot: one
 // JSON line a tool can read without decoding the (gzip+gob) state payload.
@@ -109,8 +112,7 @@ func Restore(cfg config.Config, prog workload.Program, snap *Snapshot) (*gpu.GPU
 // wins back most of gob's verbosity on the large cache arrays.
 func Encode(snap *Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteString(magic)
-	buf.WriteByte('\n')
+	fmt.Fprintf(&buf, "%s%d\n", magicPrefix, FormatVersion)
 	hdr, err := json.Marshal(snap.Header)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode header: %w", err)
@@ -135,8 +137,12 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if err != nil {
 		return Header{}, fmt.Errorf("checkpoint: read magic: %w", err)
 	}
-	if strings.TrimSuffix(line, "\n") != magic {
+	version, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), magicPrefix)
+	if !ok {
 		return Header{}, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file?)", strings.TrimSpace(line))
+	}
+	if version != strconv.Itoa(FormatVersion) {
+		return Header{}, fmt.Errorf("checkpoint: snapshot format v%s, this simulator reads v%d", version, FormatVersion)
 	}
 	hdrLine, err := br.ReadString('\n')
 	if err != nil {

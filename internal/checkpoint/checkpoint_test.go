@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -179,6 +180,13 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 	}{
 		{"truncated", func(data []byte) []byte { return data[:len(data)/2] }, 1},
 		{"garbage", func(data []byte) []byte { return bytes.Repeat([]byte("junk"), 64) }, 1},
+		// A blob banked by a simulator one container format back (here: the
+		// current payload under a v1 preamble) is dropped on the version
+		// check, never decoded into a mis-shaped generator state.
+		{"format-v1", func(data []byte) []byte {
+			data = bytes.Replace(data, []byte("repro-checkpoint/2\n"), []byte("repro-checkpoint/1\n"), 1)
+			return bytes.Replace(data, []byte(`{"version":2,`), []byte(`{"version":1,`), 1)
+		}, 1},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -312,6 +320,10 @@ func TestEncodeDecodeHeader(t *testing.T) {
 
 	if _, err := Decode([]byte("not a checkpoint\n{}\n")); err == nil {
 		t.Error("bad magic must be rejected")
+	}
+	v1 := append([]byte("repro-checkpoint/1\n"), data[bytes.IndexByte(data, '\n')+1:]...)
+	if _, err := Decode(v1); err == nil || !strings.Contains(err.Error(), "format v1") {
+		t.Errorf("a v1 container must be rejected as a version mismatch, got %v", err)
 	}
 	if _, err := Decode(data[:len(data)-10]); err == nil {
 		t.Error("truncated payload must be rejected")

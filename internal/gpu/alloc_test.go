@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -38,6 +39,40 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			requireAllocFreeLoop(t, g, "steady-state cycle loop")
 
 		})
+	}
+}
+
+// TestEarlyRunMergeListAllocs gates the transient before the steady state:
+// on a lockstep workload the L1 MSHR merge lists keep finding new depths for
+// tens of thousands of cycles, and while they grew by doubling, MM on the
+// private LLC allocated ~60 times per thousand cycles between cycle 8k and
+// 40k — the window short sweep runs spend their whole life in. With merge
+// lists sized once for the SM's merge bound it stays under 10.
+func TestEarlyRunMergeListAllocs(t *testing.T) {
+	spec, ok := workload.ByAbbr("MM")
+	if !ok {
+		t.Fatal("unknown benchmark MM")
+	}
+	cfg := config.Baseline()
+	cfg.LLCMode = config.LLCPrivate
+	gen, err := workload.NewGenerator(spec, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(cfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Warmup(8_000)
+	// 32 kernels of 1 000 cycles: every boundary moves the lockstep frontier
+	// to fresh lines, which is what keeps setting new merge depths.
+	const kcycles = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.runLoop(kcycles*1000, kcycles)
+	runtime.ReadMemStats(&after)
+	if perK := float64(after.Mallocs-before.Mallocs) / kcycles; perK > 10 {
+		t.Errorf("MM/private allocates %.1f times per 1000 cycles between cycle 8k and 40k, want < 10", perK)
 	}
 }
 

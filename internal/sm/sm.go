@@ -69,16 +69,24 @@ func (s *Stats) Add(other Stats) {
 }
 
 type warp struct {
-	readyAt     uint64 // cycle at which the warp becomes ready again (ALU / L1 hit)
-	waitingMem  bool   // blocked on an outstanding load
-	blockedLine uint64 // line address the warp is waiting for
+	blockedLine uint64 // line address the warp is waiting for while asleep
 	// pending holds an operation that could not issue (structural stall) and
 	// must be retried. It is stored by value: a pointer here would force every
 	// operation returned by the workload onto the heap.
 	pending    workload.Op
 	hasPending bool
-	issued     uint64
+	// mshrFull memoises a pending load parked on a full L1 MSHR table: the
+	// table's Stamp()+1 at the stall (0: no memo). Until the stamp moves the
+	// retry can only stall again — the table is as full as it was, and no
+	// line enters the L1 without an MSHR insert. Stamps only grow, so a stale
+	// memo never matches.
+	mshrFull uint64
+	issued   uint64
 }
+
+// asleep is the wake time of a warp blocked on an outstanding load: no cycle
+// reaches it, so readiness is the single comparison cycle >= wake[w].
+const asleep = ^uint64(0)
 
 // SM is one streaming multiprocessor.
 type SM struct {
@@ -89,6 +97,16 @@ type SM struct {
 	l1    *cache.Cache
 	mshrs *cache.MSHRTable[uint64] // payload: merged request IDs
 	warps []warp
+
+	// wake[w] is the cycle from which warp w can issue again (ALU result or
+	// L1 hit due), or asleep while it waits for a load; it is kept apart from
+	// warps so a scheduler's scan reads dense words. earliest[sched] is a
+	// lower bound on the wake times of the scheduler's warps: issuing and
+	// blocking only raise a wake time, so only CompleteLoad and RestoreState
+	// lower the bound, and a pick that finds nothing tightens it to the exact
+	// minimum. While cycle < earliest[sched] the scheduler is idle in O(1).
+	wake     []uint64
+	earliest []uint64
 
 	// current warp per scheduler for GTO scheduling; warps are statically
 	// partitioned across schedulers by slot index modulo scheduler count.
@@ -130,16 +148,20 @@ func New(id, cluster int, cfg config.Config) *SM {
 	for i := range current {
 		current[i] = -1
 	}
+	mshrs := cache.NewMSHRTable[uint64](cfg.L1MSHRs, 0)
+	mshrs.ExpectMerges(cfg.MaxWarpsPerSM) // one blocked load per warp
 	return &SM{
-		id:      id,
-		cluster: cluster,
-		cfg:     cfg,
-		l1:      l1,
-		mshrs:   cache.NewMSHRTable[uint64](cfg.L1MSHRs, 0),
-		warps:   make([]warp, cfg.MaxWarpsPerSM),
-		current: current,
-		outQCap: 8,
-		pool:    &pool.FreeList[mem.Request]{},
+		id:       id,
+		cluster:  cluster,
+		cfg:      cfg,
+		l1:       l1,
+		mshrs:    mshrs,
+		warps:    make([]warp, cfg.MaxWarpsPerSM),
+		wake:     make([]uint64, cfg.MaxWarpsPerSM),
+		earliest: make([]uint64, nSched),
+		current:  current,
+		outQCap:  8,
+		pool:     &pool.FreeList[mem.Request]{},
 	}
 }
 
@@ -214,7 +236,7 @@ func (s *SM) execOp(w int, op workload.Op) {
 			lat = 1
 		}
 		s.retire(w)
-		s.warps[w].readyAt = s.cycle + uint64(lat)
+		s.wake[w] = s.cycle + uint64(lat)
 		return
 	}
 	if op.Write {
@@ -226,7 +248,7 @@ func (s *SM) execOp(w int, op workload.Op) {
 
 // PlanIssue computes this cycle's scheduler picks from pre-tick state,
 // without touching the workload program. It is the first third of Tick,
-// split out for the sharded cycle loop: picks only read state owned by the
+// split out for the sharded cycle loop: picks only touch state owned by the
 // SM (each scheduler owns the warps congruent to its index), so every SM's
 // plan can run concurrently while the workload program — which is not safe
 // for concurrent use and whose op order is part of the determinism
@@ -292,21 +314,25 @@ func (s *SM) TickPlanned() {
 // pickWarp implements greedy-then-oldest selection over the warps owned by
 // scheduler `sched`.
 func (s *SM) pickWarp(sched int) int {
-	nSched := len(s.current)
-	cur := s.current[sched]
-	if cur >= 0 && s.ready(cur) {
+	cycle := s.cycle
+	if cycle < s.earliest[sched] {
+		return -1
+	}
+	wake, stride := s.wake, len(s.current)
+	if cur := s.current[sched]; cur >= 0 && cycle >= wake[cur] {
 		return cur
 	}
-	for w := sched; w < len(s.warps); w += nSched {
-		if s.ready(w) {
+	for w := sched; w < len(wake); w += stride {
+		if cycle >= wake[w] {
 			return w
 		}
 	}
+	first := asleep
+	for w := sched; w < len(wake); w += stride {
+		first = min(first, wake[w])
+	}
+	s.earliest[sched] = first
 	return -1
-}
-
-func (s *SM) ready(w int) bool {
-	return !s.warps[w].waitingMem && s.cycle >= s.warps[w].readyAt
 }
 
 func (s *SM) retire(w int) {
@@ -336,10 +362,14 @@ func (s *SM) issueStore(w int, op workload.Op) {
 	s.retire(w)
 	s.stats.MemInstructions++
 	s.stats.Stores++
-	s.warps[w].readyAt = s.cycle + 1
+	s.wake[w] = s.cycle + 1
 }
 
 func (s *SM) issueLoad(w int, op workload.Op) {
+	if s.warps[w].mshrFull == s.mshrs.Stamp()+1 {
+		s.stats.StallStructural++ // still parked on the unchanged full table
+		return
+	}
 	lineAddr := s.l1.LineAddr(op.Addr)
 
 	// One MSHR lookup answers the merge question, the acceptance question
@@ -363,9 +393,13 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	}
 
 	// A fresh miss needs both an MSHR and request-queue space; check before
-	// touching the tags so a structural stall leaves no side effects.
+	// touching the tags so a structural stall leaves no side effects. Only
+	// the MSHR stall is memoised: the queue drains without moving the stamp.
 	wouldMiss := !s.l1.Probe(op.Addr)
 	if wouldMiss && (!probe.CanAccept() || s.outQ.Len() >= s.outQCap) {
+		if !probe.CanAccept() {
+			s.warps[w].mshrFull = s.mshrs.Stamp() + 1
+		}
 		s.stall(w, op)
 		return
 	}
@@ -376,7 +410,7 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	s.stats.Loads++
 	if res.Hit {
 		s.stats.L1Hits++
-		s.warps[w].readyAt = s.cycle + uint64(s.cfg.L1HitLatency)
+		s.wake[w] = s.cycle + uint64(s.cfg.L1HitLatency)
 		return
 	}
 	s.stats.L1Misses++
@@ -386,7 +420,7 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 }
 
 func (s *SM) blockOnLine(w int, lineAddr uint64) {
-	s.warps[w].waitingMem = true
+	s.wake[w] = asleep
 	s.warps[w].blockedLine = lineAddr
 }
 
@@ -426,10 +460,12 @@ func (s *SM) CompleteLoad(r mem.Reply, cycle uint64) {
 	s.mshrs.Complete(line)
 	s.stats.RepliesReceived++
 	woke := false
-	for w := range s.warps {
-		if s.warps[w].waitingMem && s.warps[w].blockedLine == line {
-			s.warps[w].waitingMem = false
-			s.warps[w].readyAt = cycle + 1
+	for w, at := range s.wake {
+		if at == asleep && s.warps[w].blockedLine == line {
+			s.wake[w] = cycle + 1
+			if sched := w % len(s.current); cycle+1 < s.earliest[sched] {
+				s.earliest[sched] = cycle + 1
+			}
 			woke = true
 			s.stats.LoadsCompleted++
 			if cycle > r.IssuedAt {

@@ -1,10 +1,13 @@
 package sm
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/workload"
 )
 
@@ -183,6 +186,15 @@ func TestStructuralStallOnRequestQueue(t *testing.T) {
 	if st.StallStructural == 0 {
 		t.Error("expected structural stalls once the request queue fills")
 	}
+	// A queue-full stall lifts as soon as the queue drains, with no MSHR
+	// event in between (it must not be memoised on the MSHR stamp).
+	if _, ok := s.PopRequest(); !ok {
+		t.Fatal("expected a queued request")
+	}
+	s.Tick(201, prog)
+	if got := s.Stats().L1Misses; got != st.L1Misses+1 {
+		t.Errorf("L1 misses = %d after one queue slot freed, want %d", got, st.L1Misses+1)
+	}
 	count := 0
 	for {
 		if _, ok := s.PopRequest(); !ok {
@@ -312,4 +324,241 @@ func TestIntegrationWithWorkloadGenerator(t *testing.T) {
 	if st.IPC() < 0.5 {
 		t.Errorf("IPC = %.2f with an ideal memory system; expected near issue limit", st.IPC())
 	}
+}
+
+// refPick is the issue stage's original O(warps) greedy-then-oldest scan,
+// kept as the reference pickWarp's earliest-wake shortcut must equal.
+func refPick(s *SM, sched int) int {
+	ready := func(w int) bool { return s.wake[w] != asleep && s.cycle >= s.wake[w] }
+	if cur := s.current[sched]; cur >= 0 && ready(cur) {
+		return cur
+	}
+	for w := sched; w < len(s.warps); w += len(s.current) {
+		if ready(w) {
+			return w
+		}
+	}
+	return -1
+}
+
+// mixProgram draws a seeded mix of ALU ops of several latencies, loads over
+// a footprint somewhat larger than the L1, and stores.
+type mixProgram struct{ rng *rand.Rand }
+
+func (p *mixProgram) NextOp(sm, warp int) workload.Op {
+	switch r := p.rng.Intn(10); {
+	case r < 7:
+		return workload.Op{ALULatency: 1 + p.rng.Intn(6)}
+	case r < 9:
+		return workload.Op{IsMem: true, Addr: uint64(p.rng.Intn(600)) * 128}
+	default:
+		return workload.Op{IsMem: true, Write: true, Addr: uint64(p.rng.Intn(64)) * 128}
+	}
+}
+func (p *mixProgram) NextKernel() {}
+func (p *mixProgram) Kernel() int { return 0 }
+
+// delayedMemory drains an SM's request queue (at most one request a cycle,
+// and none on some cycles, so the queue backs up) and answers each load
+// after a random delay.
+type delayedMemory struct {
+	rng      *rand.Rand
+	inflight []mem.Reply
+	due      []uint64
+}
+
+func (m *delayedMemory) step(s *SM, cyc uint64) {
+	if m.rng.Intn(4) != 0 {
+		if r, ok := s.PopRequest(); ok {
+			if !r.Write {
+				m.inflight = append(m.inflight, mem.Reply{ReqID: r.ID, Addr: r.Addr, SM: r.SM, Warp: r.Warp, IssuedAt: r.IssuedAt})
+				m.due = append(m.due, cyc+20+uint64(m.rng.Intn(400)))
+			}
+			s.pool.Put(r)
+		}
+	}
+	for i := 0; i < len(m.due); {
+		if m.due[i] > cyc {
+			i++
+			continue
+		}
+		s.CompleteLoad(m.inflight[i], cyc)
+		last := len(m.due) - 1
+		m.inflight[i], m.due[i] = m.inflight[last], m.due[last]
+		m.inflight, m.due = m.inflight[:last], m.due[:last]
+	}
+}
+
+// TestPickWarpMatchesReferenceScan drives two SMs through the same random
+// 20k cycles. On `fast`, every scheduler's pickWarp must equal the reference
+// scan on every cycle. `plain` has its stall memos and earliest-wake bounds
+// wiped before every tick, so it always takes the full path; the two must
+// stay in identical state, including across a mid-run SaveState/RestoreState
+// of `fast` onto a fresh SM.
+func TestPickWarpMatchesReferenceScan(t *testing.T) {
+	cfg := testCfg()
+	// Few warps, fewer MSHRs: schedulers run out of ready warps, and loads
+	// park on a full table, both often.
+	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 12, 6
+	fast, plain := New(3, 0, cfg), New(3, 0, cfg)
+	progFast, progPlain := &mixProgram{rand.New(rand.NewSource(9))}, &mixProgram{rand.New(rand.NewSource(9))}
+	memFast, memPlain := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
+
+	parked := uint64(0)
+	for cyc := uint64(1); cyc <= 20_000; cyc++ {
+		if cyc == 9_000 {
+			// Restore onto a used SM whose warps all sleep on one line: its
+			// earliest-wake bounds say "never" and must not survive.
+			restored := New(3, 0, cfg)
+			oneLine := &scriptProgram{ops: map[[2]int][]workload.Op{}}
+			for w := 0; w < cfg.MaxWarpsPerSM; w++ {
+				oneLine.ops[[2]int{3, w}] = []workload.Op{{IsMem: true, Addr: 0x5000}}
+			}
+			for c := uint64(1); c <= 20; c++ {
+				restored.Tick(c, oneLine)
+			}
+			if err := restored.RestoreState(fast.SaveState()); err != nil {
+				t.Fatal(err)
+			}
+			fast = restored
+		}
+		fast.cycle = cyc
+		for sched := range fast.current {
+			if want, got := refPick(fast, sched), fast.pickWarp(sched); want != got {
+				t.Fatalf("cycle %d scheduler %d: pickWarp = %d, reference scan %d", cyc, sched, got, want)
+			}
+		}
+		for w := range plain.warps {
+			plain.warps[w].mshrFull = 0
+		}
+		clear(plain.earliest)
+
+		fast.Tick(cyc, progFast)
+		plain.Tick(cyc, progPlain)
+		memFast.step(fast, cyc)
+		memPlain.step(plain, cyc)
+		for w := range fast.warps {
+			if fast.warps[w].hasPending && fast.warps[w].mshrFull == fast.mshrs.Stamp()+1 {
+				parked++
+			}
+		}
+		if cyc%1000 == 0 && !reflect.DeepEqual(fast.SaveState(), plain.SaveState()) {
+			t.Fatalf("cycle %d: memoised SM diverged from the full-path SM", cyc)
+		}
+	}
+	st := fast.Stats()
+	if parked == 0 || st.StallNoReadyWarp == 0 || st.L1Hits == 0 || st.Stores == 0 {
+		t.Errorf("drive did not reach every path: %d memoised stall cycles, stats %+v", parked, st)
+
+	}
+}
+
+// parkedLoadSM builds a 4-warp SM with 2 L1 MSHRs and runs two cycles:
+// warps 0 and 1 miss on lines A and B (table full), then warp 2 starts an
+// 8-cycle ALU op and warp 3's load of line C parks on the full table.
+func parkedLoadSM(t *testing.T) (*SM, *scriptProgram) {
+	t.Helper()
+	cfg := testCfg()
+	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 4, 2
+	s := New(0, 0, cfg)
+	prog := &scriptProgram{ops: map[[2]int][]workload.Op{
+		{0, 0}: {{IsMem: true, Addr: 0xA000}},
+		{0, 1}: {{IsMem: true, Addr: 0xB000}},
+		{0, 2}: {{ALULatency: 8}, {IsMem: true, Addr: 0xC000}},
+		{0, 3}: {{IsMem: true, Addr: 0xC000}},
+	}}
+	s.Tick(1, prog)
+	s.Tick(2, prog)
+	if st := s.Stats(); s.OutstandingLoads() != 2 || st.StallStructural != 1 || !s.warps[3].hasPending {
+		t.Fatalf("setup: outstanding %d, stalls %d, warp 3 parked %v", s.OutstandingLoads(), st.StallStructural, s.warps[3].hasPending)
+	}
+	return s, prog
+}
+
+func TestParkedLoadStallsOncePerCycleAndIssuesWhenAnEntryFrees(t *testing.T) {
+	s, prog := parkedLoadSM(t)
+	for cyc := uint64(3); cyc <= 6; cyc++ {
+		s.Tick(cyc, prog)
+		if got, want := s.Stats().StallStructural, cyc-1; got != want {
+			t.Fatalf("cycle %d: %d structural stalls, want exactly one per parked cycle (%d)", cyc, got, want)
+		}
+	}
+	misses := s.Stats().L1Misses
+	s.CompleteLoad(mem.Reply{Addr: 0xB000, IssuedAt: 1}, 6)
+	s.Tick(7, prog)
+	st := s.Stats()
+	if st.StallStructural != 5 || st.L1Misses != misses+1 || s.warps[3].hasPending || s.OutstandingLoads() != 2 {
+		t.Errorf("cycle after the entry freed: stalls %d (want 5), L1 misses %d (want %d), still parked %v, outstanding %d",
+			st.StallStructural, st.L1Misses, misses+1, s.warps[3].hasPending, s.OutstandingLoads())
+	}
+}
+
+func TestParkedLoadMergesWhenItsLineBecomesOutstanding(t *testing.T) {
+	s, prog := parkedLoadSM(t)
+	for cyc := uint64(3); cyc <= 9; cyc++ {
+		s.Tick(cyc, prog)
+	}
+	// Line A returns; on cycle 10 scheduler 0 issues warp 2's load of C
+	// first, re-filling the table, and warp 3 must notice C is now
+	// outstanding and merge rather than stay parked on the full table.
+	s.CompleteLoad(mem.Reply{Addr: 0xA000, IssuedAt: 1}, 9)
+	s.Tick(10, prog)
+	st := s.Stats()
+	if st.StallStructural != 8 || st.L1Misses != 4 || s.warps[3].hasPending || s.wake[3] != asleep {
+		t.Errorf("stalls %d (want 8), L1 misses %d (want 4), warp 3 parked %v asleep %v",
+			st.StallStructural, st.L1Misses, s.warps[3].hasPending, s.wake[3] == asleep)
+	}
+	requests := 0
+	for _, ok := s.PopRequest(); ok; _, ok = s.PopRequest() {
+		requests++
+	}
+	if requests != 3 {
+		t.Errorf("%d requests left the SM, want 3 (A, B and one for C)", requests)
+	}
+	s.CompleteLoad(mem.Reply{Addr: 0xC000, IssuedAt: 10}, 30)
+	if s.wake[2] != 31 || s.wake[3] != 31 {
+		t.Errorf("reply for C woke warps 2/3 at %d/%d, want 31/31", s.wake[2], s.wake[3])
+	}
+}
+
+// BenchmarkSMTick is the SM rung of the measurement ladder: host ns per
+// simulated SM cycle with every scheduler issuing (issue-bound) and with
+// nearly every warp asleep on a 400-cycle memory while the MSHR table is
+// full (memory-bound).
+func BenchmarkSMTick(b *testing.B) {
+	cfg := testCfg()
+	b.Run("issue-bound", func(b *testing.B) {
+		s, prog := New(0, 0, cfg), &aluProgram{lat: 4}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Tick(uint64(i+1), prog)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/SM-cycle")
+	})
+	b.Run("memory-bound", func(b *testing.B) {
+		s, prog := New(0, 0, cfg), &loadProgram{}
+		var replies ring.Deque[mem.Reply] // FIFO: the delay is constant
+		cyc := uint64(0)
+		step := func() {
+			cyc++
+			s.Tick(cyc, prog)
+			if r, ok := s.PopRequest(); ok {
+				replies.PushBack(mem.Reply{Addr: r.Addr, IssuedAt: r.IssuedAt})
+				s.pool.Put(r)
+			}
+			for replies.Len() > 0 && replies.At(0).IssuedAt+400 <= cyc {
+				s.CompleteLoad(replies.PopFront(), cyc)
+			}
+		}
+		for i := 0; i < 5_000; i++ { // fill the MSHRs, grow the queues
+			step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/SM-cycle")
+	})
 }

@@ -49,12 +49,14 @@ func (s *SM) SaveState() State {
 	}
 	for i, w := range s.warps {
 		st.Warps[i] = WarpState{
-			ReadyAt:     w.readyAt,
-			WaitingMem:  w.waitingMem,
+			WaitingMem:  s.wake[i] == asleep,
 			BlockedLine: w.blockedLine,
 			Pending:     w.pending,
 			HasPending:  w.hasPending,
 			Issued:      w.issued,
+		}
+		if s.wake[i] != asleep {
+			st.Warps[i].ReadyAt = s.wake[i]
 		}
 	}
 	for i := 0; i < s.outQ.Len(); i++ {
@@ -80,16 +82,22 @@ func (s *SM) RestoreState(st State) error {
 	if err := s.mshrs.RestoreState(st.MSHRs); err != nil {
 		return fmt.Errorf("sm %d: %w", s.id, err)
 	}
+	// Derived issue-stage state is rebuilt, not restored: stall memos start
+	// empty and the earliest-wake bounds at zero, so the first retry and the
+	// first pick after a restore take the full path and re-derive them.
 	for i, w := range st.Warps {
 		s.warps[i] = warp{
-			readyAt:     w.ReadyAt,
-			waitingMem:  w.WaitingMem,
 			blockedLine: w.BlockedLine,
 			pending:     w.Pending,
 			hasPending:  w.HasPending,
 			issued:      w.Issued,
 		}
+		s.wake[i] = w.ReadyAt
+		if w.WaitingMem {
+			s.wake[i] = asleep
+		}
 	}
+	clear(s.earliest)
 	copy(s.current, st.Current)
 	s.outQ.Clear()
 	for i := range st.OutQ {

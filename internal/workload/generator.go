@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/config"
 )
@@ -54,12 +53,7 @@ type Generator struct {
 	spec Spec
 	cfg  config.Config
 	seed int64
-	rng  *rand.Rand
-	// src counts raw Int63 draws so a checkpoint can fast-forward a fresh
-	// stream to the same position (see state.go). Every Rand method the
-	// generator uses (Float64, Int63n) consumes exactly one Int63 per call to
-	// the underlying source per internal draw, so the count is exact.
-	src *countingSource
+	rng  lfg
 
 	lineBytes   uint64
 	sharedLines uint64
@@ -90,15 +84,13 @@ func NewGenerator(spec Spec, cfg config.Config, seed int64) (*Generator, error) 
 	if cfg.NumSMs <= 0 || cfg.MaxWarpsPerSM <= 0 {
 		return nil, fmt.Errorf("workload: invalid GPU config (SMs=%d warps=%d)", cfg.NumSMs, cfg.MaxWarpsPerSM)
 	}
-	src := &countingSource{src: rand.NewSource(seed)}
 	g := &Generator{
 		spec:      spec,
 		cfg:       cfg,
 		seed:      seed,
-		rng:       rand.New(src),
-		src:       src,
 		lineBytes: uint64(cfg.LLCLineBytes),
 	}
+	g.rng.seed(seed)
 	g.sharedLines = spec.SharedLines(cfg.LLCLineBytes)
 	g.privLines = uint64(spec.PrivateKBPerCTA) * 1024 / g.lineBytes
 	if g.privLines == 0 {
@@ -210,7 +202,7 @@ func (g *Generator) resetSweeps() {
 			ws := &g.warps[s][w]
 			start := uint64(0)
 			if jitter > 0 {
-				start = uint64(g.rng.Int63n(int64(jitter + 1)))
+				start = uint64(g.rng.int63n(int64(jitter + 1)))
 			}
 			// Distributed CTA scheduling keeps adjacent CTAs in one cluster,
 			// which de-phases the clusters slightly and reduces inter-cluster
@@ -242,17 +234,17 @@ func (g *Generator) Kernel() int { return g.kernel }
 func (g *Generator) NextOp(sm, warpSlot int) Op {
 	ws := &g.warps[sm][warpSlot]
 	g.totalOps++
-	if g.rng.Float64() >= g.spec.MemRatio {
+	if g.rng.float64() >= g.spec.MemRatio {
 		return Op{ALULatency: g.spec.ALULatency}
 	}
 	g.totalMemOps++
 
-	if g.rng.Float64() < g.spec.SharedFraction {
+	if g.rng.float64() < g.spec.SharedFraction {
 		g.totalShared++
 		return Op{IsMem: true, Addr: g.sharedAddr(ws, sm)}
 	}
 	g.totalPrivate++
-	write := g.rng.Float64() < g.spec.WriteFraction
+	write := g.rng.float64() < g.spec.WriteFraction
 	return Op{IsMem: true, Write: write, Addr: g.privateAddr(ws)}
 }
 
@@ -271,14 +263,14 @@ func (g *Generator) sharedAddr(ws *warpState, sm int) uint64 {
 		}
 		off := uint64(0)
 		if g.spec.FrontierJitterLines > 0 {
-			off = uint64(g.rng.Int63n(int64(g.spec.FrontierJitterLines + 1)))
+			off = uint64(g.rng.int63n(int64(g.spec.FrontierJitterLines + 1)))
 		}
 		if g.spec.TrailingReuseFraction > 0 && g.spec.TrailingWindowLines > 0 &&
-			g.rng.Float64() < g.spec.TrailingReuseFraction {
+			g.rng.float64() < g.spec.TrailingReuseFraction {
 			// Revisit a recently swept line (re-reading recently used
 			// weights); these re-reads exceed the L1 reach and populate the
 			// LLC with shared lines beyond the narrow frontier.
-			back := uint64(g.rng.Int63n(int64(g.spec.TrailingWindowLines))) + 1
+			back := uint64(g.rng.int63n(int64(g.spec.TrailingWindowLines))) + 1
 			if back > g.globalFrontier {
 				back = g.globalFrontier
 			}
@@ -289,7 +281,7 @@ func (g *Generator) sharedAddr(ws *warpState, sm int) uint64 {
 	default:
 		// Uniform reuse over the whole footprint (also used for the tiny
 		// shared regions of the neutral workloads).
-		line = uint64(g.rng.Int63n(int64(g.sharedLines)))
+		line = uint64(g.rng.int63n(int64(g.sharedLines)))
 	}
 	return g.addrOffset + sharedBase + line*g.lineBytes
 }
@@ -310,7 +302,7 @@ func (g *Generator) privateAddr(ws *warpState) uint64 {
 		if span > 4 {
 			span = 4
 		}
-		line = uint64(g.rng.Int63n(int64(span)))
+		line = uint64(g.rng.int63n(int64(span)))
 	}
 	base := g.addrOffset + privateBase + uint64(ws.ctaID)*g.privStride
 	return base + line*g.lineBytes

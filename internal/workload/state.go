@@ -4,25 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math/rand"
 )
-
-// countingSource wraps a rand.Source and counts Int63 draws. It deliberately
-// does not implement rand.Source64: forcing every Rand method through Int63
-// keeps the draw count an exact measure of stream position, and produces the
-// same value sequence as the bare source for the methods the generator uses
-// (Float64 and Int63n both reduce to Int63 draws).
-type countingSource struct {
-	src   rand.Source
-	draws uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 
 // ProgramState is a serialized snapshot of a Program's execution position.
 // Kind names the concrete implementation, Data its gob-encoded state; Subs
@@ -50,9 +32,14 @@ type GeneratorWarpState struct {
 	StartPos uint64
 }
 
-// GeneratorState is the execution position of a Generator.
+// GeneratorState is the execution position of a Generator. The RNG fields
+// are the lfg's complete state, so restoring is a copy whose cost does not
+// depend on how far the run had progressed.
 type GeneratorState struct {
 	Seed           int64
+	RNGVec         []uint64
+	RNGTap         int
+	RNGFeed        int
 	RNGDraws       uint64
 	Kernel         int
 	GlobalFrontier uint64
@@ -71,7 +58,10 @@ const progKindGenerator = "workload.Generator"
 func (g *Generator) SaveProgState() (ProgramState, error) {
 	st := GeneratorState{
 		Seed:           g.seed,
-		RNGDraws:       g.src.draws,
+		RNGVec:         g.rng.vec[:], // encoded below, before the stream moves on
+		RNGTap:         g.rng.tap,
+		RNGFeed:        g.rng.feed,
+		RNGDraws:       g.rng.draws,
 		Kernel:         g.kernel,
 		GlobalFrontier: g.globalFrontier,
 		SharedCount:    g.sharedCount,
@@ -98,17 +88,46 @@ func (g *Generator) SaveProgState() (ProgramState, error) {
 	return ProgramState{Kind: progKindGenerator, Data: buf.Bytes()}, nil
 }
 
-// RestoreProgState implements Checkpointable. The receiver must be freshly
-// built via NewGenerator with the same spec, config and seed; the RNG is
-// fast-forwarded by discarding draws, which reproduces the exact stream
-// position even through Int63n's rejection sampling.
-func (g *Generator) RestoreProgState(ps ProgramState) error {
-	if ps.Kind != progKindGenerator {
-		return fmt.Errorf("workload: program state kind %q, want %q", ps.Kind, progKindGenerator)
-	}
+// decodeGeneratorState parses the Data of a generator's ProgramState.
+func decodeGeneratorState(ps ProgramState) (GeneratorState, error) {
 	var st GeneratorState
+	if ps.Kind != progKindGenerator {
+		return st, fmt.Errorf("workload: program state kind %q, want %q", ps.Kind, progKindGenerator)
+	}
 	if err := gob.NewDecoder(bytes.NewReader(ps.Data)).Decode(&st); err != nil {
-		return fmt.Errorf("workload: decode generator state: %w", err)
+		return st, fmt.Errorf("workload: decode generator state: %w", err)
+	}
+	return st, nil
+}
+
+// StreamPositions returns the RNG stream position (draws consumed) of every
+// synthetic generator in a program snapshot, in application order; programs
+// of other kinds (trace players) contribute nothing.
+func StreamPositions(ps ProgramState) ([]uint64, error) {
+	var draws []uint64
+	if ps.Kind == progKindGenerator {
+		st, err := decodeGeneratorState(ps)
+		if err != nil {
+			return nil, err
+		}
+		draws = append(draws, st.RNGDraws)
+	}
+	for _, sub := range ps.Subs {
+		d, err := StreamPositions(sub)
+		if err != nil {
+			return nil, err
+		}
+		draws = append(draws, d...)
+	}
+	return draws, nil
+}
+
+// RestoreProgState implements Checkpointable. The receiver must be freshly
+// built via NewGenerator with the same spec, config and seed.
+func (g *Generator) RestoreProgState(ps ProgramState) error {
+	st, err := decodeGeneratorState(ps)
+	if err != nil {
+		return err
 	}
 	if st.Seed != g.seed {
 		return fmt.Errorf("workload: generator state for seed %d restored onto seed %d", st.Seed, g.seed)
@@ -120,11 +139,8 @@ func (g *Generator) RestoreProgState(ps ProgramState) error {
 	if len(st.Warps) != want {
 		return fmt.Errorf("workload: generator state has %d warps, generator has %d", len(st.Warps), want)
 	}
-	if st.RNGDraws < g.src.draws {
-		return fmt.Errorf("workload: generator state predates construction (%d < %d draws)", st.RNGDraws, g.src.draws)
-	}
-	for g.src.draws < st.RNGDraws {
-		g.src.Int63()
+	if err := g.rng.restore(st.RNGVec, st.RNGTap, st.RNGFeed, st.RNGDraws); err != nil {
+		return err
 	}
 	i := 0
 	for s := range g.warps {
