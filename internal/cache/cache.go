@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // WritePolicy selects how stores are handled.
@@ -154,6 +155,13 @@ type Cache struct {
 	clock     uint64
 	stats     Stats
 	lineShift uint
+	// lines backs sets (set-major). touched has a bit per line slot
+	// (set*ways + way), set when a cluster touches the slot and cleared by
+	// ResetSharers: every line with a non-empty sharer set has its bit set,
+	// so the sharing histogram visits what the window touched, not the
+	// whole cache.
+	lines   []line
+	touched []uint64
 }
 
 // New creates a cache. It panics if the configuration is invalid — caches
@@ -165,7 +173,8 @@ func New(cfg Config) *Cache {
 	}
 	nsets := cfg.Sets()
 	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
+	lines := make([]line, nsets*cfg.Ways)
+	backing := lines
 	for i := range sets {
 		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
@@ -173,7 +182,8 @@ func New(cfg Config) *Cache {
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets, lineShift: shift}
+	return &Cache{cfg: cfg, sets: sets, nsets: nsets, lineShift: shift,
+		lines: lines, touched: make([]uint64, (len(lines)+63)/64)}
 }
 
 // Config returns the cache configuration.
@@ -218,7 +228,8 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 	c.clock++
 	lineAddr := c.LineAddr(addr)
 	tag := lineAddr >> c.lineShift
-	set := c.sets[c.setIndex(lineAddr)]
+	si := c.setIndex(lineAddr)
+	set := c.sets[si]
 
 	c.stats.Accesses++
 	if kind == Write {
@@ -233,6 +244,7 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 			c.stats.Hits++
 			set[i].lastUse = c.clock
 			if cluster >= 0 {
+				c.touch(si*c.cfg.Ways + i)
 				set[i].sharers |= 1 << uint(cluster)
 				set[i].lastCluster = cluster
 			}
@@ -275,6 +287,7 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 		lastUse: c.clock,
 	}
 	if cluster >= 0 {
+		c.touch(si*c.cfg.Ways + victim)
 		set[victim].sharers = 1 << uint(cluster)
 		set[victim].lastCluster = cluster
 	}
@@ -338,6 +351,7 @@ func (c *Cache) FlushAll() (valid, dirty int) {
 			c.sets[s][w] = line{}
 		}
 	}
+	clear(c.touched)
 	return valid, dirty
 }
 
@@ -389,14 +403,14 @@ func (c *Cache) findVictim(set []line) int {
 // more). Lines that were not accessed in the window are excluded. It returns
 // the four bucket counts and the total number of lines considered.
 func (c *Cache) SharerHistogram() (one, two, threeFour, fivePlus, total int) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if !c.sets[s][w].valid || c.sets[s][w].sharers == 0 {
-				continue
+	for w, word := range c.touched {
+		for ; word != 0; word &= word - 1 {
+			l := &c.lines[w*64+bits.TrailingZeros64(word)]
+			if !l.valid || l.sharers == 0 {
+				continue // invalidated since it was touched
 			}
 			total++
-			n := popcount(c.sets[s][w].sharers)
-			switch {
+			switch n := bits.OnesCount64(l.sharers); {
 			case n <= 1:
 				one++
 			case n == 2:
@@ -414,18 +428,13 @@ func (c *Cache) SharerHistogram() (one, two, threeFour, fivePlus, total int) {
 // ResetSharers clears the per-line sharer bitmasks (used at the start of
 // each locality-measurement window).
 func (c *Cache) ResetSharers() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].sharers = 0
+	for w, word := range c.touched {
+		for ; word != 0; word &= word - 1 {
+			c.lines[w*64+bits.TrailingZeros64(word)].sharers = 0
 		}
+		c.touched[w] = 0
 	}
 }
 
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
-}
+// touch marks a line slot (set*ways + way) as touched in this window.
+func (c *Cache) touch(slot int) { c.touched[slot>>6] |= 1 << (slot & 63) }

@@ -55,19 +55,18 @@ func (c *Cache) RestoreState(st State) error {
 	if want := c.nsets * c.cfg.Ways; len(st.Lines) != want {
 		return fmt.Errorf("cache: snapshot has %d lines, cache holds %d", len(st.Lines), want)
 	}
-	i := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := st.Lines[i]
-			i++
-			c.sets[s][w] = line{
-				valid:       l.Valid,
-				dirty:       l.Dirty,
-				tag:         l.Tag,
-				lastUse:     l.LastUse,
-				sharers:     l.Sharers,
-				lastCluster: l.LastCluster,
-			}
+	clear(c.touched)
+	for i, l := range st.Lines {
+		c.lines[i] = line{
+			valid:       l.Valid,
+			dirty:       l.Dirty,
+			tag:         l.Tag,
+			lastUse:     l.LastUse,
+			sharers:     l.Sharers,
+			lastCluster: l.LastCluster,
+		}
+		if l.Sharers != 0 {
+			c.touch(i) // the touched set is derived from the sharer sets
 		}
 	}
 	c.clock = st.Clock

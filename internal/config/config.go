@@ -10,6 +10,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // LLCMode selects how the memory-side LLC is organized.
@@ -360,6 +361,12 @@ func (c Config) Validate() error {
 	}
 	check(c.ChannelBytes > 0, "ChannelBytes must be positive")
 	check(c.BanksPerMC > 0 && isPow2(c.BanksPerMC), "BanksPerMC must be a positive power of two, got %d", c.BanksPerMC)
+	// A controller that can queue nothing refuses every request forever and
+	// livelocks the slices behind it; its queue slots are indexed by int32.
+	check(c.MCQueueDepth > 0 && int64(c.MCQueueDepth) <= math.MaxInt32,
+		"MCQueueDepth must be in [1, %d], got %d", math.MaxInt32, c.MCQueueDepth)
+	check(c.L1MSHRs > 0, "L1MSHRs must be positive, got %d", c.L1MSHRs)
+	check(c.LLCMSHRsPerSlice > 0, "LLCMSHRsPerSlice must be positive, got %d", c.LLCMSHRsPerSlice)
 	check(c.ProfileWindowCycles > 0, "ProfileWindowCycles must be positive")
 	check(c.EpochCycles > c.ProfileWindowCycles,
 		"EpochCycles (%d) must exceed ProfileWindowCycles (%d)", c.EpochCycles, c.ProfileWindowCycles)

@@ -118,6 +118,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"cluster mismatch", func(c *Config) { c.NumSMs = 81 }, "divisible"},
 		{"line size mismatch", func(c *Config) { c.L1LineBytes = 64 }, "must equal"},
 		{"non pow2 banks", func(c *Config) { c.BanksPerMC = 12 }, "BanksPerMC"},
+		{"zero MC queue", func(c *Config) { c.MCQueueDepth = 0 }, "MCQueueDepth"},
+		{"negative MC queue", func(c *Config) { c.MCQueueDepth = -4 }, "MCQueueDepth"},
+		{"zero L1 MSHRs", func(c *Config) { c.L1MSHRs = 0 }, "L1MSHRs"},
+		{"negative L1 MSHRs", func(c *Config) { c.L1MSHRs = -1 }, "L1MSHRs"},
+		{"zero LLC MSHRs", func(c *Config) { c.LLCMSHRsPerSlice = 0 }, "LLCMSHRsPerSlice"},
 		{"epoch too short", func(c *Config) { c.EpochCycles = 10 }, "EpochCycles"},
 		{"too many ATD sets", func(c *Config) { c.ATDSampledSets = 1 << 20 }, "ATDSampledSets"},
 		{"bad similarity", func(c *Config) { c.MissRateSimilarity = 1.5 }, "MissRateSimilarity"},
@@ -136,6 +141,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err.Error(), tc.errSub)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsManyBanks: the memory controller keeps one FIFO per
+// bank, so the "oldest request owns its bank" rule holds for any power-of-two
+// bank count (it used to lapse silently from bank 64 up) and none is refused.
+func TestValidateAcceptsManyBanks(t *testing.T) {
+	for _, banks := range []int{1, 64, 128, 1024} {
+		c := Baseline()
+		c.BanksPerMC = banks
+		if err := c.Validate(); err != nil {
+			t.Errorf("BanksPerMC = %d: %v", banks, err)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package dram
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // BankState mirrors one bank's timing state machine for serialization.
 type BankState struct {
@@ -36,12 +40,13 @@ type State struct {
 func (c *Controller) SaveState() State {
 	st := State{
 		Banks:        make([]BankState, len(c.banks)),
-		Queue:        make([]QueuedState, len(c.queue)),
+		Queue:        make([]QueuedState, 0, c.count),
 		BusFreeAt:    c.busFreeAt,
 		LastActCycle: c.lastActCycle,
 		Stats:        c.stats,
 		Cycle:        c.cycle,
 	}
+	live := append(make([]int32, 0, c.count), c.inflight...)
 	for i, b := range c.banks {
 		st.Banks[i] = BankState{
 			OpenRow:      b.openRow,
@@ -50,15 +55,21 @@ func (c *Controller) SaveState() State {
 			PreAllowed:   b.preAllowed,
 			LastActivate: b.lastActivate,
 		}
+		for j := b.head; j >= 0; j = c.slots[j].next {
+			live = append(live, j)
+		}
 	}
-	for i, q := range c.queue {
-		st.Queue[i] = QueuedState{
+	// The queue is saved in arrival order, issued and un-issued interleaved.
+	slices.SortFunc(live, func(a, b int32) int { return cmp.Compare(c.slots[a].seq, c.slots[b].seq) })
+	for _, i := range live {
+		q := &c.slots[i]
+		st.Queue = append(st.Queue, QueuedState{
 			Req:       q.req,
 			Issued:    q.issued,
 			Conflict:  q.conflict,
 			Activated: q.activated,
 			DoneAt:    q.doneAt,
-		}
+		})
 	}
 	return st
 }
@@ -81,19 +92,30 @@ func (c *Controller) RestoreState(st State) error {
 			lastActivate: b.LastActivate,
 		}
 	}
-	c.queue = c.queue[:0]
+	c.clearQueue()
+	c.busFreeAt = st.BusFreeAt
+	c.lastActCycle = st.LastActCycle
+	c.stats = st.Stats
+	c.cycle = st.Cycle
+	// The bank FIFOs, hit counts, in-flight list and both bounds are derived:
+	// re-queue the saved requests in their saved (arrival) order.
 	for _, q := range st.Queue {
-		c.queue = append(c.queue, queued{
+		if q.Req.Bank < 0 || q.Req.Bank >= len(c.banks) {
+			return fmt.Errorf("dram %d: snapshot request for bank %d, controller has %d", c.id, q.Req.Bank, len(c.banks))
+		}
+		i := c.take(queued{
 			req:       q.Req,
 			issued:    q.Issued,
 			conflict:  q.Conflict,
 			activated: q.Activated,
 			doneAt:    q.DoneAt,
 		})
+		if q.Issued {
+			c.fly(i)
+		} else {
+			c.link(i)
+		}
 	}
-	c.busFreeAt = st.BusFreeAt
-	c.lastActCycle = st.LastActCycle
-	c.stats = st.Stats
-	c.cycle = st.Cycle
+	c.idleUntil = 0
 	return nil
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -62,6 +63,20 @@ func TestNewValidation(t *testing.T) {
 	badMode.LLCSlicesPerMC = 4 // violates the co-design requirement
 	if _, err := New(badMode, gen); err == nil {
 		t.Error("private mode without NoC/LLC co-design must be rejected")
+	}
+	// Sizes that used to get past Validate: the first built a GPU whose
+	// slices livelock behind controllers that refuse forever, the others
+	// panicked inside New.
+	for name, mutate := range map[string]func(*config.Config){
+		"MCQueueDepth":     func(c *config.Config) { c.MCQueueDepth = 0 },
+		"L1MSHRs":          func(c *config.Config) { c.L1MSHRs = 0 },
+		"LLCMSHRsPerSlice": func(c *config.Config) { c.LLCMSHRsPerSlice = -1 },
+	} {
+		bad := cfg
+		mutate(&bad)
+		if _, err := New(bad, gen); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: New = %v, want an error naming the field", name, err)
+		}
 	}
 }
 

@@ -208,12 +208,14 @@ func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int
 	g.countLoopCycles(g.cycle - loopStart)
 }
 
-// step advances every component by one cycle.
+// step advances every component by one cycle. There is one cycle definition:
+// with a sharded engine the SM ticks, the LLC-slice ticks and the reply
+// deliveries fan out across its workers, and everything that touches state
+// shared between shards — the workload program, both networks, the memory
+// controllers and the hand-offs into them — runs here, serially, in the same
+// global SM/slice order either way.
 func (g *GPU) step() {
-	if g.eng != nil {
-		g.stepSharded()
-		return
-	}
+	e := g.eng
 	stalled := g.reconfigActive || g.cycle < g.stallUntil
 	if stalled {
 		g.stallCycles++
@@ -222,8 +224,12 @@ func (g *GPU) step() {
 	// 1. SMs issue instructions (unless the GPU is stalled for an LLC
 	//    reconfiguration) and hand their memory requests to the request NoC.
 	if !stalled {
-		for _, s := range g.sms {
-			s.Tick(g.cycle, g.prog)
+		if e != nil {
+			e.tickSMs()
+		} else {
+			for _, s := range g.sms {
+				s.Tick(g.cycle, g.prog)
+			}
 		}
 	}
 	if !g.reconfigActive {
@@ -232,19 +238,26 @@ func (g *GPU) step() {
 		g.injectRequests()
 	}
 
-	// 2. Request network delivers to LLC slices.
+	// 2. Request network delivers to LLC slices (EnqueueRequest is a queue
+	//    push, not worth a barrier).
 	for _, p := range g.reqNet.Tick() {
 		g.slices[p.Dst].EnqueueRequest(p.Req)
 		g.pktPool.Put(p)
 	}
 
 	// 3. LLC slices process requests, talk to DRAM and emit replies.
-	for _, s := range g.slices {
-		s.Tick(g.cycle)
+	if e != nil {
+		e.parallel(e.fnSlices)
+	} else {
+		for _, s := range g.slices {
+			s.Tick(g.cycle)
+		}
 	}
 	g.moveSliceToDRAM()
 
-	// 4. DRAM controllers.
+	// 4. DRAM controllers (serial: DRAMComplete can create same-cycle-ready
+	//    replies, so it must precede reply injection, and it releases
+	//    requests into per-shard pools).
 	for _, mc := range g.mcs {
 		for _, done := range mc.Tick() {
 			if done.Req.Meta.Fill {
@@ -257,41 +270,54 @@ func (g *GPU) step() {
 	g.injectReplies()
 
 	// 6. Reply network delivers to SMs.
-	for _, p := range g.repNet.Tick() {
-		g.sms[p.Dst].CompleteLoad(p.Reply, g.cycle)
-		g.pktPool.Put(p)
+	delivered := g.repNet.Tick()
+	if e != nil {
+		e.deliver(delivered)
+	} else {
+		for _, p := range delivered {
+			g.sms[p.Dst].CompleteLoad(p.Reply, g.cycle)
+			g.pktPool.Put(p)
+		}
 	}
 
 	// 7. Reconfiguration progress.
 	if g.reconfigActive {
 		g.checkDrain()
 	}
+	if e != nil {
+		e.rebalancePools()
+	}
 }
+
+// The three hand-offs below ask the sink before they pop: Accepts refuses,
+// and counts the refusal (InjectStallCycles, StallsFull), exactly where the
+// failed Inject/Enqueue of a popped-and-rebuilt item counted it, so a source
+// waiting on a full sink costs two loads a cycle instead of a pop, an address
+// mapping, a packet or request build and an un-pop. Once a sink has said yes
+// nothing runs before the Inject/Enqueue that could change its answer.
 
 // injectRequests moves memory requests from the SMs into the request NoC.
 func (g *GPU) injectRequests() {
 	reqFlits := g.cfg.RequestFlits()
 	writeFlits := g.cfg.ReplyFlits() // stores carry a cache line of payload
+	observe := g.ctrl != nil && g.mode == config.LLCShared
 	for _, s := range g.sms {
-		for {
-			req, ok := s.PopRequest()
-			if !ok {
-				break
-			}
-			loc := g.mapper.Map(req.Addr)
-			dst := g.sliceFor(req, loc)
+		for req := s.PeekRequest(); req != nil; req = s.PeekRequest() {
 			flits := reqFlits
 			if req.Write {
 				flits = writeFlits
 			}
-			pkt := g.pktPool.Get()
-			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Req = req.ID, req.SM, dst, flits, req
-			if !g.reqNet.Inject(pkt) {
-				g.pktPool.Put(pkt)
-				s.UnpopRequest(req)
+			if !g.reqNet.Accepts(req.SM, flits) {
 				break
 			}
-			if g.ctrl != nil && g.mode == config.LLCShared {
+			s.PopRequest()
+			loc := g.mapper.Map(req.Addr)
+			pkt := g.pktPool.Get()
+			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Req = req.ID, req.SM, g.sliceFor(req, loc), flits, req
+			if !g.reqNet.Inject(pkt) {
+				panic("gpu: request network refused a packet it had accepted")
+			}
+			if observe {
 				sharedSlice := loc.Channel*g.cfg.LLCSlicesPerMC + loc.Slice
 				g.ctrl.ObserveRequest(req.Addr, req.Cluster, loc.Channel, sharedSlice)
 			}
@@ -303,23 +329,18 @@ func (g *GPU) injectRequests() {
 // controllers.
 func (g *GPU) moveSliceToDRAM() {
 	for _, s := range g.slices {
-		for {
-			d, ok := s.PopDRAMRequest()
-			if !ok {
-				break
-			}
-			mcID := s.MC()
+		mc := g.mcs[s.MC()]
+		for s.HasDRAMRequest() && mc.Accepts() {
+			d, _ := s.PopDRAMRequest()
 			loc := g.mapper.Map(d.Addr)
-			req := dram.Request{
+			if !mc.Enqueue(dram.Request{
 				ID:    uint64(s.ID())<<48 | uint64(d.Addr>>7),
 				Bank:  loc.Bank,
 				Row:   loc.Row,
 				Write: d.Write,
 				Meta:  dram.Meta{Slice: s.ID(), Addr: d.Addr, Fill: d.Fill},
-			}
-			if !g.mcs[mcID].Enqueue(req) {
-				s.UnpopDRAMRequest(d)
-				break
+			}) {
+				panic("gpu: memory controller refused a request it had accepted")
 			}
 		}
 	}
@@ -329,17 +350,12 @@ func (g *GPU) moveSliceToDRAM() {
 func (g *GPU) injectReplies() {
 	flits := g.cfg.ReplyFlits()
 	for _, s := range g.slices {
-		for {
-			r, ok := s.PopReply(g.cycle)
-			if !ok {
-				break
-			}
+		for s.HasReply(g.cycle) && g.repNet.Accepts(s.ID(), flits) {
+			r, _ := s.PopReply(g.cycle)
 			pkt := g.pktPool.Get()
 			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Reply = r.ReqID, s.ID(), r.SM, flits, r
 			if !g.repNet.Inject(pkt) {
-				g.pktPool.Put(pkt)
-				s.UnpopReply(r)
-				break
+				panic("gpu: reply network refused a packet it had accepted")
 			}
 		}
 	}

@@ -27,9 +27,8 @@ func shardTestConfig(mode config.LLCMode) config.Config {
 // runMatrixPoint executes one warmup+measured run at the given shard count,
 // capturing RunStats and a gob-encoded State snapshot at every kernel
 // boundary.
-func runMatrixPoint(t *testing.T, cfg config.Config, shards int) (RunStats, [][]byte) {
+func runMatrixPoint(t *testing.T, cfg config.Config, spec workload.Spec, shards int) (RunStats, [][]byte) {
 	t.Helper()
-	spec := stateTestSpec(t)
 	cfg.Shards = shards
 	g, err := New(cfg, workload.MustNewGenerator(spec, cfg, stateSeed))
 	if err != nil {
@@ -55,19 +54,45 @@ func runMatrixPoint(t *testing.T, cfg config.Config, shards int) (RunStats, [][]
 // every LLC organization, running with 2, 3, 5 and GOMAXPROCS shards
 // (including counts that do not divide the SM or slice count) must produce
 // RunStats and kernel-boundary State snapshots byte-identical to the serial
-// loop's.
+// loop's. A last column saturates the memory side (LUD on the shared LLC in
+// front of shallow controller queues), so the snapshots hold full DRAM
+// queues, parked slice heads and refused hand-offs.
 func TestShardedDeterminismMatrix(t *testing.T) {
 	shardCounts := []int{2, 3, 5, runtime.GOMAXPROCS(0)}
+	type column struct {
+		name string
+		cfg  config.Config
+		spec workload.Spec
+	}
+	var columns []column
 	for _, mode := range []config.LLCMode{config.LLCShared, config.LLCPrivate, config.LLCAdaptive} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := shardTestConfig(mode)
-			serialStats, serialSnaps := runMatrixPoint(t, cfg, 1)
+		columns = append(columns, column{mode.String(), shardTestConfig(mode), stateTestSpec(t)})
+	}
+	lud, ok := workload.ByAbbr("LUD")
+	if !ok {
+		t.Fatal("unknown benchmark LUD")
+	}
+	lud.Kernels = stateKernels
+	saturated := shardTestConfig(config.LLCShared)
+	saturated.MCQueueDepth = 8
+	columns = append(columns, column{"saturated-LUD-shared", saturated, lud})
+
+	for _, col := range columns {
+		t.Run(col.name, func(t *testing.T) {
+			cfg := col.cfg
+			serialStats, serialSnaps := runMatrixPoint(t, cfg, col.spec, 1)
 			if len(serialSnaps) != stateKernels-1 {
 				t.Fatalf("expected %d boundary snapshots, got %d", stateKernels-1, len(serialSnaps))
 			}
+			if col.name == "saturated-LUD-shared" {
+				if s := serialStats; s.DRAM.StallsFull == 0 || s.LLC.MSHRStalls == 0 || s.RepNet.InjectStallCycles == 0 {
+					t.Fatalf("the column is not saturated: %d controller refusals, %d MSHR stalls, %d reply-net refusals",
+						s.DRAM.StallsFull, s.LLC.MSHRStalls, s.RepNet.InjectStallCycles)
+				}
+			}
 			for _, n := range shardCounts {
 				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-					stats, snaps := runMatrixPoint(t, cfg, n)
+					stats, snaps := runMatrixPoint(t, cfg, col.spec, n)
 					if !reflect.DeepEqual(serialStats, stats) {
 						t.Errorf("RunStats differ from serial loop:\nserial:  %+v\nsharded: %+v", serialStats, stats)
 					}

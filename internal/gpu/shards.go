@@ -4,23 +4,20 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/config"
-	"repro/internal/dram"
-	"repro/internal/llc"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/pool"
 )
 
-// shardEngine executes the cycle loop across a fixed number of shards, each
-// owning a contiguous range of SMs and LLC slices. Every cycle alternates
-// short parallel phases (per-shard component ticks writing into per-shard
-// staging buffers) with serial merge phases that replay the staged traffic
-// in global SM/slice index order, so the NoCs, the memory controllers, the
-// adaptive controller and the workload program observe exactly the event
-// sequence the serial loop produces — statistics and state snapshots are
-// byte-identical for any shard count (see DESIGN.md "Deterministic parallel
-// cycle loop").
+// shardEngine executes the parallel phases of GPU.step across a fixed number
+// of shards, each owning a contiguous range of SMs and LLC slices. Every
+// cycle alternates short parallel phases (per-shard component ticks, which
+// touch only the shard's own SMs and slices) with the serial phases of step,
+// which move the traffic those ticks queued in global SM/slice index order,
+// so the NoCs, the memory controllers, the adaptive controller and the
+// workload program observe exactly the event sequence the serial loop
+// produces — statistics and state snapshots are byte-identical for any shard
+// count (see DESIGN.md "Deterministic parallel cycle loop").
 //
 // Workers are persistent goroutines synchronized by a generation-counter
 // spin barrier (with runtime.Gosched backoff, so oversubscribed hosts stay
@@ -34,8 +31,7 @@ type shardEngine struct {
 	n int
 
 	// Shard ownership: shard k owns SMs [smLo[k], smHi[k]) and slices
-	// [slLo[k], slHi[k]). Contiguous ranges make the per-shard staging
-	// buffers already globally ordered when merged shard-by-shard.
+	// [slLo[k], slHi[k]).
 	smLo, smHi []int
 	slLo, slHi []int
 	smShard    []int // SM index -> owning shard
@@ -44,10 +40,9 @@ type shardEngine struct {
 	// Per-shard request free-lists (see rebalancePools).
 	reqPools []*pool.FreeList[mem.Request]
 
-	// Per-shard staging buffers, reused across cycles.
-	reqStage  [][]stagedReq
-	dramStage [][]stagedDRAM
-	replyWork [][]*noc.Packet // reply-net deliveries per destination-SM shard
+	// replyWork stages a cycle's reply-net deliveries per destination-SM
+	// shard; reused across cycles.
+	replyWork [][]*noc.Packet
 
 	// Pre-bound phase closures so the hot loop does not allocate.
 	fnPlan    func(int)
@@ -65,28 +60,6 @@ type shardEngine struct {
 	panics  []any
 }
 
-// stagedReq is one SM request captured during the parallel execute phase.
-// Destination slice, flit count and observation coordinates are precomputed
-// in parallel; the serial merge only wraps packets and injects.
-type stagedReq struct {
-	req         *mem.Request
-	dst         int
-	flits       int
-	obsChannel  int
-	obsSliceIdx int // shared-slice index for Controller.ObserveRequest
-}
-
-// stagedDRAM is one LLC->DRAM transaction captured during the parallel
-// slice phase. The original llc.DRAMRequest is kept so a full memory
-// controller can push it back with UnpopDRAMRequest, exactly as the serial
-// loop leaves unaccepted traffic queued in the slice.
-type stagedDRAM struct {
-	slice int
-	mc    int
-	d     llc.DRAMRequest
-	req   dram.Request
-}
-
 func newShardEngine(g *GPU, n int) *shardEngine {
 	e := &shardEngine{
 		g:         g,
@@ -98,8 +71,6 @@ func newShardEngine(g *GPU, n int) *shardEngine {
 		smShard:   make([]int, len(g.sms)),
 		slShard:   make([]int, len(g.slices)),
 		reqPools:  make([]*pool.FreeList[mem.Request], n),
-		reqStage:  make([][]stagedReq, n),
-		dramStage: make([][]stagedDRAM, n),
 		replyWork: make([][]*noc.Packet, n),
 		panics:    make([]any, n),
 	}
@@ -245,131 +216,22 @@ func (e *shardEngine) planShard(k int) {
 	}
 }
 
-// execShard executes the planned issues and drains each SM's outgoing queue
-// into the shard's staging buffer with destination/flits/observation
-// precomputed (phase P2). Staging order is SM index order within the shard,
-// which mergeInject's shard-by-shard sweep turns into global SM order.
+// execShard executes the planned issues (phase P2). The requests the SMs
+// queue are injected afterwards by the serial injectRequests, in global SM
+// order.
 func (e *shardEngine) execShard(k int) {
 	g := e.g
-	reqFlits := g.cfg.RequestFlits()
-	writeFlits := g.cfg.ReplyFlits()
-	stage := e.reqStage[k][:0]
 	for i := e.smLo[k]; i < e.smHi[k]; i++ {
-		s := g.sms[i]
-		s.TickPlanned()
-		for {
-			req, ok := s.PopRequest()
-			if !ok {
-				break
-			}
-			loc := g.mapper.Map(req.Addr)
-			flits := reqFlits
-			if req.Write {
-				flits = writeFlits
-			}
-			stage = append(stage, stagedReq{
-				req:         req,
-				dst:         g.sliceFor(req, loc),
-				flits:       flits,
-				obsChannel:  loc.Channel,
-				obsSliceIdx: loc.Channel*g.cfg.LLCSlicesPerMC + loc.Slice,
-			})
-		}
-	}
-	e.reqStage[k] = stage
-}
-
-// mergeInject injects the staged requests serially in global SM order — the
-// exact sequence the serial loop's injectRequests produces. On an injection
-// failure the failed request and the rest of that SM's staged requests go
-// back to the head of its queue in order, reproducing the serial loop's
-// stop-at-first-failure-per-SM behaviour.
-func (e *shardEngine) mergeInject() {
-	g := e.g
-	observe := g.ctrl != nil && g.mode == config.LLCShared
-	for k := 0; k < e.n; k++ {
-		stage := e.reqStage[k]
-		for i := 0; i < len(stage); {
-			ent := stage[i]
-			pkt := g.pktPool.Get()
-			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Req = ent.req.ID, ent.req.SM, ent.dst, ent.flits, ent.req
-			if !g.reqNet.Inject(pkt) {
-				g.pktPool.Put(pkt)
-				smID := ent.req.SM
-				j := i
-				for j < len(stage) && stage[j].req.SM == smID {
-					j++
-				}
-				for x := j - 1; x >= i; x-- {
-					g.sms[smID].UnpopRequest(stage[x].req)
-				}
-				i = j
-				continue
-			}
-			if observe {
-				g.ctrl.ObserveRequest(ent.req.Addr, ent.req.Cluster, ent.obsChannel, ent.obsSliceIdx)
-			}
-			i++
-		}
-		e.reqStage[k] = stage[:0]
+		g.sms[i].TickPlanned()
 	}
 }
 
-// sliceShard ticks the shard's LLC slices and stages their DRAM traffic
-// with bank/row mapping precomputed (phase P3).
+// sliceShard ticks the shard's LLC slices (phase P3); their DRAM traffic is
+// forwarded afterwards by the serial moveSliceToDRAM, in global slice order.
 func (e *shardEngine) sliceShard(k int) {
 	g := e.g
-	stage := e.dramStage[k][:0]
 	for i := e.slLo[k]; i < e.slHi[k]; i++ {
-		s := g.slices[i]
-		s.Tick(g.cycle)
-		for {
-			d, ok := s.PopDRAMRequest()
-			if !ok {
-				break
-			}
-			loc := g.mapper.Map(d.Addr)
-			stage = append(stage, stagedDRAM{
-				slice: i,
-				mc:    s.MC(),
-				d:     d,
-				req: dram.Request{
-					ID:    uint64(s.ID())<<48 | uint64(d.Addr>>7),
-					Bank:  loc.Bank,
-					Row:   loc.Row,
-					Write: d.Write,
-					Meta:  dram.Meta{Slice: s.ID(), Addr: d.Addr, Fill: d.Fill},
-				},
-			})
-		}
-	}
-	e.dramStage[k] = stage
-}
-
-// mergeDRAM enqueues the staged DRAM traffic serially in global slice
-// order. When a controller queue fills, the remainder of that slice's
-// staged requests go back in order (the serial loop's per-slice
-// stop-at-first-failure), and later slices still get their attempt.
-func (e *shardEngine) mergeDRAM() {
-	g := e.g
-	for k := 0; k < e.n; k++ {
-		stage := e.dramStage[k]
-		for i := 0; i < len(stage); {
-			ent := stage[i]
-			if !g.mcs[ent.mc].Enqueue(ent.req) {
-				j := i
-				for j < len(stage) && stage[j].slice == ent.slice {
-					j++
-				}
-				for x := j - 1; x >= i; x-- {
-					g.slices[ent.slice].UnpopDRAMRequest(stage[x].d)
-				}
-				i = j
-				continue
-			}
-			i++
-		}
-		e.dramStage[k] = stage[:0]
+		g.slices[i].Tick(g.cycle)
 	}
 }
 
@@ -417,97 +279,47 @@ func (e *shardEngine) rebalancePools() {
 	}
 }
 
-// stepSharded is the sharded counterpart of step: identical component and
-// traffic ordering, with the SM and LLC work fanned out across the shards.
-func (g *GPU) stepSharded() {
-	e := g.eng
-	stalled := g.reconfigActive || g.cycle < g.stallUntil
-	if stalled {
-		g.stallCycles++
-	}
-
-	// 1. SMs issue instructions. Three sub-phases: parallel scheduler picks
-	//    (P1), a serial op feed consulting the workload program in global
-	//    SM/scheduler order (the program is not safe for concurrent use and
-	//    its op sequence is part of the determinism contract), and parallel
-	//    execution plus request staging (P2) merged serially into the
-	//    request NoC in global SM order.
-	if !stalled {
-		e.parallel(e.fnPlan)
-		for _, s := range g.sms {
-			for sched := 0; sched < s.Schedulers(); sched++ {
-				if w, need := s.PlanNeedsOp(sched); need {
-					s.SupplyOp(sched, g.prog.NextOp(s.ID(), w))
-				}
-			}
-		}
-		e.parallel(e.fnExec)
-	}
-	if !g.reconfigActive {
-		if stalled {
-			// SMs did not tick; drain already-buffered requests exactly as
-			// the serial loop does.
-			g.injectRequests()
-		} else {
-			e.mergeInject()
-		}
-	}
-
-	// 2. Request network delivers to LLC slices (serial: EnqueueRequest is a
-	//    queue push, not worth a barrier).
-	for _, p := range g.reqNet.Tick() {
-		g.slices[p.Dst].EnqueueRequest(p.Req)
-		g.pktPool.Put(p)
-	}
-
-	// 3. LLC slices process requests (P3) and their DRAM traffic merges
-	//    serially in global slice order.
-	e.parallel(e.fnSlices)
-	e.mergeDRAM()
-
-	// 4. DRAM controllers (serial; DRAMComplete can create same-cycle-ready
-	//    replies, so it must precede reply injection, and it releases
-	//    requests into per-shard pools, which is only safe serially).
-	for _, mc := range g.mcs {
-		for _, done := range mc.Tick() {
-			if done.Req.Meta.Fill {
-				g.slices[done.Req.Meta.Slice].DRAMComplete(done.Req.Meta.Addr)
+// tickSMs issues one cycle of SM instructions in three sub-phases: parallel
+// scheduler picks (P1), a serial op feed consulting the workload program in
+// global SM/scheduler order (the program is not safe for concurrent use and
+// its op sequence is part of the determinism contract), and parallel
+// execution (P2).
+func (e *shardEngine) tickSMs() {
+	g := e.g
+	e.parallel(e.fnPlan)
+	for _, s := range g.sms {
+		for sched := 0; sched < s.Schedulers(); sched++ {
+			if w, need := s.PlanNeedsOp(sched); need {
+				s.SupplyOp(sched, g.prog.NextOp(s.ID(), w))
 			}
 		}
 	}
+	e.parallel(e.fnExec)
+}
 
-	// 5. LLC replies into the reply network (serial, as in step).
-	g.injectReplies()
-
-	// 6. Reply network delivers to SMs: partition by destination shard and
-	//    complete in parallel (P4) — or inline when the cycle delivered too
-	//    few replies to pay for a barrier. Either way each SM sees its
-	//    replies in global delivery order.
-	delivered := g.repNet.Tick()
+// deliver completes a cycle's reply-net deliveries: partitioned by
+// destination shard and completed in parallel (P4) — or inline when the
+// cycle delivered too few replies to pay for a barrier. Either way each SM
+// sees its replies in global delivery order.
+func (e *shardEngine) deliver(delivered []*noc.Packet) {
+	g := e.g
 	if len(delivered) < 2*e.n {
 		for _, p := range delivered {
 			g.sms[p.Dst].CompleteLoad(p.Reply, g.cycle)
 			g.pktPool.Put(p)
 		}
-	} else {
-		for _, p := range delivered {
-			k := e.smShard[p.Dst]
-			e.replyWork[k] = append(e.replyWork[k], p)
-		}
-		e.parallel(e.fnDeliver)
-		for k := 0; k < e.n; k++ {
-			for i, p := range e.replyWork[k] {
-				g.pktPool.Put(p)
-				e.replyWork[k][i] = nil
-			}
-			e.replyWork[k] = e.replyWork[k][:0]
-		}
+		return
 	}
-
-	// 7. Reconfiguration progress.
-	if g.reconfigActive {
-		g.checkDrain()
+	for _, p := range delivered {
+		k := e.smShard[p.Dst]
+		e.replyWork[k] = append(e.replyWork[k], p)
 	}
-
-	e.rebalancePools()
+	e.parallel(e.fnDeliver)
+	for k := 0; k < e.n; k++ {
+		for i, p := range e.replyWork[k] {
+			g.pktPool.Put(p)
+			e.replyWork[k][i] = nil
+		}
+		e.replyWork[k] = e.replyWork[k][:0]
+	}
 }

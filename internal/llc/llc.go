@@ -122,6 +122,14 @@ type Slice struct {
 	// with the SMs (see SM.UseRequestPool).
 	pool *pool.FreeList[mem.Request]
 
+	// parked records that the head of inq is a read that misses the tags and
+	// found the MSHR table full at stamp parkStamp. Until the stamp moves
+	// the answer stands: outstanding lines change only with the stamp, and
+	// the tags only inside process (which does not run while the head is
+	// parked), Flush, SetWritePolicy and RestoreState, which clear the memo.
+	parked    bool
+	parkStamp uint64
+
 	cycle uint64
 	stats Stats
 }
@@ -189,6 +197,7 @@ func (s *Slice) SetWritePolicy(p cache.WritePolicy) {
 	}
 	cfg.Policy = p
 	s.tags = cache.New(cfg)
+	s.parked = false
 }
 
 // WritePolicy returns the current store-handling policy.
@@ -221,6 +230,13 @@ func (s *Slice) Tick(cycle uint64) {
 	s.stats.QueueCycles += uint64(s.inq.Len())
 	if s.inq.Len() == 0 {
 		return
+	}
+	if s.parked {
+		if s.parkStamp == s.mshrs.Stamp() {
+			s.stats.MSHRStalls++ // what re-running process would conclude
+			return
+		}
+		s.parked = false
 	}
 	if !s.process(s.inq.Front()) {
 		return // stalled (MSHRs full); retry next cycle
@@ -257,6 +273,7 @@ func (s *Slice) process(r *mem.Request) bool {
 		// tags (and the statistics) if none is available.
 		if !s.tags.Probe(r.Addr) && !probe.CanAccept() {
 			s.stats.MSHRStalls++
+			s.parked, s.parkStamp = true, s.mshrs.Stamp()
 			return false
 		}
 	}
@@ -351,6 +368,10 @@ func (s *Slice) DRAMComplete(lineAddr uint64) {
 	}
 }
 
+// HasDRAMRequest reports whether PopDRAMRequest would return a request, so
+// the owner can ask the memory controller before popping.
+func (s *Slice) HasDRAMRequest() bool { return s.dramOut.Len() > 0 }
+
 // PopDRAMRequest returns the next DRAM request, if any. The caller must only
 // consume it if the memory controller accepted it; otherwise call
 // UnpopDRAMRequest to retry later.
@@ -366,11 +387,17 @@ func (s *Slice) UnpopDRAMRequest(d DRAMRequest) {
 	s.dramOut.PushFront(d)
 }
 
+// HasReply reports whether PopReply(cycle) would return a reply, so the
+// owner can ask the reply network before popping.
+func (s *Slice) HasReply(cycle uint64) bool {
+	return s.replyOut.Len() > 0 && s.replyOut.Front().readyAt <= cycle
+}
+
 // PopReply returns the next reply whose LLC latency has elapsed. The caller
 // must only consume it if the reply network accepted it; otherwise call
 // UnpopReply.
 func (s *Slice) PopReply(cycle uint64) (mem.Reply, bool) {
-	if s.replyOut.Len() == 0 || s.replyOut.Front().readyAt > cycle {
+	if !s.HasReply(cycle) {
 		return mem.Reply{}, false
 	}
 	pr := s.replyOut.PopFront()
@@ -388,6 +415,7 @@ func (s *Slice) UnpopReply(r mem.Reply) {
 // dirty lines. The caller accounts for the write-back time of dirty lines
 // during reconfiguration.
 func (s *Slice) Flush() (valid, dirty int) {
+	s.parked = false
 	return s.tags.FlushAll()
 }
 

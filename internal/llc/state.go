@@ -116,5 +116,6 @@ func (s *Slice) RestoreState(st SliceState) error {
 	}
 	s.cycle = st.Cycle
 	s.stats = st.Stats
+	s.parked = false // derived: the next Tick asks again
 	return nil
 }

@@ -112,8 +112,14 @@ type Net interface {
 	// Inject attempts to enqueue p at its source endpoint. It returns false
 	// if the injection buffer lacks space; the caller must retry later.
 	Inject(p *Packet) bool
+	// Accepts is the refusing half of Inject on its own: it reports whether
+	// a packet of the given flit count would be accepted at source src now,
+	// and counts a false answer as the InjectStallCycles the failed Inject
+	// would have been. A caller that asks first need not build a packet only
+	// to have it refused.
+	Accepts(src, flits int) bool
 	// CanInject reports whether a packet of the given flit count could be
-	// injected at source src this cycle.
+	// injected at source src this cycle, without counting a refusal.
 	CanInject(src, flits int) bool
 	// Tick advances the network by one cycle and returns packets that
 	// arrived at their destination this cycle.

@@ -185,7 +185,7 @@ func saveXbar(n *xbarNet) NetState {
 			ps := PortState{
 				BusyUntil:  port.busyUntil,
 				Candidates: make([]int, 0, port.candidates.Len()),
-				Inflight:   make([]InflightState, 0, len(port.inflight)),
+				Inflight:   make([]InflightState, 0, port.inflight.Len()),
 			}
 			for i := 0; i < port.candidates.Len(); i++ {
 				cand := port.candidates.At(i)
@@ -201,7 +201,8 @@ func saveXbar(n *xbarNet) NetState {
 				}
 				ps.Candidates = append(ps.Candidates, idx)
 			}
-			for _, f := range port.inflight {
+			for i := 0; i < port.inflight.Len(); i++ {
+				f := port.inflight.At(i)
 				ps.Inflight = append(ps.Inflight, InflightState{Pkt: savePacket(f.p), ArriveAt: f.arriveAt})
 			}
 			rs.Ports[pi] = ps
@@ -248,9 +249,15 @@ func restoreXbar(n *xbarNet, st NetState) error {
 				port.candidates.PushBack(q)
 				q.servedBy = port
 			}
-			port.inflight = port.inflight[:0]
+			port.inflight.Clear()
 			for _, f := range ps.Inflight {
-				port.inflight = append(port.inflight, inflightPkt{p: restorePacket(f.Pkt, n.restorePkts, n.restoreReqs), arriveAt: f.ArriveAt})
+				port.inflight.PushBack(inflightPkt{p: restorePacket(f.Pkt, n.restorePkts, n.restoreReqs), arriveAt: f.ArriveAt})
+			}
+			// The active set is derived: a port is in it while it holds a
+			// candidate or a packet in flight.
+			r.active[pi/64] &^= 1 << (pi % 64)
+			if port.candidates.Len() > 0 || port.inflight.Len() > 0 {
+				r.setActive(port)
 			}
 		}
 	}

@@ -154,7 +154,7 @@ func newSingleStage(p Params, dir Direction, concentration int) *xbarNet {
 		n.injQ[s] = r.inQs[s/concentration]
 		n.injLong[s] = true
 	}
-	return n
+	return n.wired()
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ func newHXbarRequest(p Params) *xbarNet {
 			mr.gated = enable
 		}
 	}
-	return n
+	return n.wired()
 }
 
 func newHXbarReply(p Params) *xbarNet {
@@ -342,7 +342,7 @@ func newHXbarReply(p Params) *xbarNet {
 			mr.gated = enable
 		}
 	}
-	return n
+	return n.wired()
 }
 
 // ---------------------------------------------------------------------------
@@ -394,6 +394,8 @@ func (n *idealNet) Inject(p *Packet) bool {
 	n.inflight = append(n.inflight, inflightPkt{p: p, arriveAt: n.cycle + n.latency})
 	return true
 }
+
+func (n *idealNet) Accepts(src, flits int) bool { return true }
 
 func (n *idealNet) CanInject(src, flits int) bool { return true }
 

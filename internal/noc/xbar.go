@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/pool"
@@ -65,7 +66,12 @@ type outPort struct {
 
 	busyUntil  uint64
 	candidates ring.Deque[*inQueue] // FIFO of input queues whose head packet routes here
-	inflight   []inflightPkt
+	// inflight holds the packets on the link, in transmission order. A port
+	// serializes its packets and its link and pipeline delays are constant
+	// while anything is in flight, so arrival times increase strictly along
+	// the queue: only its head can be due.
+	inflight ring.Deque[inflightPkt]
+	index    int // position in router.outPorts
 }
 
 type inflightPkt struct {
@@ -81,7 +87,25 @@ type router struct {
 	outPorts []*outPort
 	route    func(p *Packet) int
 	gated    bool
+	// active has a bit per output port, set while the port has a candidate
+	// registered or a packet in flight — the only ports a cycle can change.
+	// Derived state: rebuilt by RestoreState.
+	active []uint64
 }
+
+// wired finishes a net whose routers are in place: it numbers every
+// router's ports and sizes its active set.
+func (n *xbarNet) wired() *xbarNet {
+	for _, r := range n.routers {
+		for i, port := range r.outPorts {
+			port.index = i
+		}
+		r.active = make([]uint64, (len(r.outPorts)+63)/64)
+	}
+	return n
+}
+
+func (r *router) setActive(port *outPort) { r.active[port.index/64] |= 1 << (port.index % 64) }
 
 // registerHead places q in the candidate list of the output port its head
 // packet routes to.
@@ -97,6 +121,7 @@ func (r *router) registerHead(q *inQueue, net *xbarNet) {
 	port := r.outPorts[idx]
 	port.candidates.PushBack(q)
 	q.servedBy = port
+	r.setActive(port)
 }
 
 // xbarNet is the shared engine behind all crossbar topologies.
@@ -132,11 +157,10 @@ func (n *xbarNet) Inject(p *Packet) bool {
 	if p.Src < 0 || p.Src >= n.numSrc || p.Dst < 0 || p.Dst >= n.numDst {
 		panic(fmt.Sprintf("noc %s: endpoint out of range src=%d dst=%d", n.name, p.Src, p.Dst))
 	}
-	q := n.injQ[p.Src]
-	if q.freeFlits() < p.Flits || n.cycle < q.injBusyUntil {
-		n.stats.InjectStallCycles++
+	if !n.Accepts(p.Src, p.Flits) {
 		return false
 	}
+	q := n.injQ[p.Src]
 	p.InjectedAt = n.cycle
 	q.reserve(p.Flits)
 	q.pushReserved(p)
@@ -152,6 +176,16 @@ func (n *xbarNet) Inject(p *Packet) bool {
 	}
 	n.inflightCount++
 	return true
+}
+
+// Accepts implements Net.
+func (n *xbarNet) Accepts(src, flits int) bool {
+	q := n.injQ[src]
+	if q.freeFlits() >= flits && n.cycle >= q.injBusyUntil {
+		return true
+	}
+	n.stats.InjectStallCycles++
+	return false
 }
 
 // CanInject implements Net.
@@ -194,7 +228,10 @@ func (n *xbarNet) SetBypass(enabled bool) error {
 	return nil
 }
 
-// Tick implements Net.
+// Tick implements Net. Only active ports are visited, in port order, and the
+// set is re-read after every port: a transmission can register a new head on
+// a later port of the same router, which then starts it this same cycle, as
+// it would if every port were visited.
 func (n *xbarNet) Tick() []*Packet {
 	n.cycle++
 	n.delivered = n.delivered[:0]
@@ -205,28 +242,32 @@ func (n *xbarNet) Tick() []*Packet {
 		} else {
 			n.stats.RouterCycles++
 		}
-		for _, port := range r.outPorts {
-			n.tickPort(r, port)
+		for w := range r.active {
+			for rest := r.active[w]; rest != 0; {
+				bit := bits.TrailingZeros64(rest)
+				port := r.outPorts[w*64+bit]
+				n.tickPort(r, port)
+				if port.inflight.Len() == 0 && port.candidates.Len() == 0 {
+					r.active[w] &^= 1 << bit
+				}
+				rest = r.active[w] &^ (2<<bit - 1)
+			}
 		}
 	}
 	return n.delivered
 }
 
 func (n *xbarNet) tickPort(r *router, port *outPort) {
-	// 1. Land in-flight packets whose link/pipeline delay elapsed.
-	if len(port.inflight) > 0 {
-		remaining := port.inflight[:0]
-		for _, f := range port.inflight {
-			if n.cycle >= f.arriveAt {
-				n.arrive(port, f.p)
-			} else {
-				remaining = append(remaining, f)
-			}
-		}
-		port.inflight = remaining
+	// 1. Land the in-flight packet whose link/pipeline delay elapsed.
+	if port.inflight.Len() > 0 && n.cycle >= port.inflight.Front().arriveAt {
+		n.arrive(port, port.inflight.PopFront().p)
 	}
+	n.transmit(r, port)
+}
 
-	// 2. Start a new transmission if the port is free and a candidate waits.
+// transmit starts a new transmission if the port is free and a candidate
+// waits.
+func (n *xbarNet) transmit(r *router, port *outPort) {
 	if n.cycle < port.busyUntil || port.candidates.Len() == 0 {
 		return
 	}
@@ -268,7 +309,7 @@ func (n *xbarNet) tickPort(r *router, port *outPort) {
 	if port.downstream != nil {
 		port.downstream.reserve(p.Flits)
 	}
-	port.inflight = append(port.inflight, inflightPkt{p: p, arriveAt: arrive})
+	port.inflight.PushBack(inflightPkt{p: p, arriveAt: arrive})
 }
 
 // arrive lands packet p at the far end of port's link.

@@ -438,6 +438,15 @@ func (s *SM) newRequest(addr uint64, write bool, warpSlot int) *mem.Request {
 	return r
 }
 
+// PeekRequest returns the next outgoing memory request without removing it
+// (nil when there is none), so the owner can ask the NoC before popping.
+func (s *SM) PeekRequest() *mem.Request {
+	if s.outQ.Len() == 0 {
+		return nil
+	}
+	return s.outQ.Front()
+}
+
 // PopRequest removes and returns the next outgoing memory request, if any.
 // If the caller fails to inject it into the NoC it must call UnpopRequest.
 func (s *SM) PopRequest() (*mem.Request, bool) {

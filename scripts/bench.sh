@@ -3,9 +3,14 @@
 # snapshot of ns/op, B/op, allocs/op and the custom figure metrics, so the
 # repository's performance trajectory is tracked in version control.
 #
-# Usage: scripts/bench.sh [--shard-scaling] [label]
+# Usage: scripts/bench.sh [--shard-scaling | --layers] [label]
 #
 #   label               tag stored with the run (default: "snapshot")
+#   --layers            run the per-layer microbenchmarks that live next to
+#                       the code (go test -bench . ./internal/...: sm, workload,
+#                       dram, llc, noc ticks in ns per component-cycle) and
+#                       write them to BENCH_<YYYY-MM-DD>-layers.json, every
+#                       entry tagged with its package and the host's CPU count
 #   --shard-scaling     run only the shard-scaling sweep (the Figure 11
 #                       experiment at 1/2/4/8 cycle-loop shards per run) and
 #                       write it to BENCH_<YYYY-MM-DD>-shards.json, keeping
@@ -14,7 +19,8 @@
 #
 # Environment overrides:
 #   BENCH_RE=regex      which benchmarks to run (default: all, -bench .)
-#   BENCHTIME=value     -benchtime per benchmark (default: 1x)
+#   BENCHTIME=value     -benchtime per benchmark (default: 1x; --layers: 1s,
+#                       a single iteration of a nanosecond-scale tick says nothing)
 #   OUT=path            output file (default: BENCH_<YYYY-MM-DD>.json)
 #
 # If OUT already exists, the new run is appended to its "runs" array, so
@@ -34,30 +40,42 @@ command -v jq >/dev/null || { echo "bench.sh: jq is required" >&2; exit 1; }
 
 default_re="."
 default_out="BENCH_$(date +%Y-%m-%d).json"
-if [ "${1:-}" = "--shard-scaling" ]; then
+default_benchtime="1x"
+pkgs="."
+case "${1:-}" in
+--shard-scaling)
 	shift
 	default_re="BenchmarkShardScaling_Figure11"
 	default_out="BENCH_$(date +%Y-%m-%d)-shards.json"
-fi
+	;;
+--layers)
+	shift
+	default_out="BENCH_$(date +%Y-%m-%d)-layers.json"
+	default_benchtime="1s"
+	pkgs="./internal/..."
+	;;
+esac
 
 label="${1:-snapshot}"
 bench_re="${BENCH_RE:-$default_re}"
-benchtime="${BENCHTIME:-1x}"
+benchtime="${BENCHTIME:-$default_benchtime}"
 out="${OUT:-$default_out}"
+host_cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc)"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench.sh: go test -bench '$bench_re' -benchtime $benchtime ..." >&2
-go test -run '^$' -bench "$bench_re" -benchmem -benchtime "$benchtime" . | tee "$raw" >&2
+echo "bench.sh: go test -bench '$bench_re' -benchtime $benchtime $pkgs ..." >&2
+go test -run '^$' -bench "$bench_re" -benchmem -benchtime "$benchtime" "$pkgs" | tee "$raw" >&2
 
 # Benchmark lines are: name, iteration count, then value/unit pairs
 # (ns/op, B/op, allocs/op, and any b.ReportMetric custom metrics).
-run_json=$(awk '
+run_json=$(awk -v cpus="$host_cpus" '
+	/^pkg: / { pkg = $2 }
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix
-		printf "{\"name\":\"%s\",\"iterations\":%s,\"metrics\":{", name, $2
+		printf "{\"name\":\"%s\",\"package\":\"%s\",\"host_cpus\":%d,\"iterations\":%s,\"metrics\":{", name, pkg, cpus, $2
 		sep = ""
 		for (i = 3; i + 1 <= NF; i += 2) {
 			printf "%s\"%s\":%s", sep, $(i+1), $i
@@ -70,7 +88,8 @@ run_json=$(awk '
 	--arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	--arg go "$(go version | sed 's/^go version //')" \
 	--arg benchtime "$benchtime" \
-	'{"label": $runlabel, "date": $date, "go": $go, "benchtime": $benchtime, "benchmarks": .}')
+	--argjson cpus "$host_cpus" \
+	'{"label": $runlabel, "date": $date, "go": $go, "benchtime": $benchtime, "host_cpus": $cpus, "benchmarks": .}')
 
 if [ "$(echo "$run_json" | jq '.benchmarks | length')" -eq 0 ]; then
 	echo "bench.sh: no benchmarks matched '$bench_re'" >&2
