@@ -508,7 +508,7 @@ func writeChromeTrace(path string, traces *obs.TraceSet) error {
 }
 
 // progressLine is the one in-place stderr progress format, shared by local
-// sweeps and the remote SSE stream so the two modes stay visually identical.
+// sweeps and polled remote jobs so the two modes stay visually identical.
 func progressLine(done, total int, key string) {
 	fmt.Fprintf(os.Stderr, "\r  [%3d/%3d] %-40s", done, total, key)
 	if done == total {
@@ -517,8 +517,8 @@ func progressLine(done, total int, key string) {
 }
 
 // remoteFigure generates one figure on the cluster with live progress
-// (client.Pool owns the routing, SSE streaming, polling fallback and peer
-// failover) and formats the outcome the way the local path does.
+// (client.Pool owns the routing, job polling and peer failover) and formats
+// the outcome the way the local path does.
 func remoteFigure(ctx context.Context, pool *client.Pool, key string, opts api.FigureOptions, progress func(*api.Progress)) (text, remark string, err error) {
 	st, peer, err := pool.FigureStream(ctx, key, opts, progress)
 	if err != nil {

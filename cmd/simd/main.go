@@ -21,25 +21,18 @@
 //	simd -addr 127.0.0.1:8405 -store store-b -seeds http://127.0.0.1:8404
 //	simd -addr 127.0.0.1:8406 -store store-c -seeds http://127.0.0.1:8404
 //
-// The legacy static mode still works: share one -peers list (every member's
-// full set of base URLs, each daemon included) and skip -seeds. Static
-// clusters have no failure detection or replication — membership is exactly
-// the list.
-//
-//	simd -addr 127.0.0.1:8404 -store store-a -peers http://127.0.0.1:8404,http://127.0.0.1:8405
-//	simd -addr 127.0.0.1:8405 -store store-b -peers http://127.0.0.1:8404,http://127.0.0.1:8405
-//
-// Try it:
+// Try it (scripts/simd_run.sh is submit-then-poll: POST /v1/runs answers a
+// miss with a job ID, GET /v1/runs/{id} is polled until it is done; no
+// request blocks on a simulation):
 //
 //	curl -s localhost:8404/healthz
-//	curl -s -X POST localhost:8404/v1/runs?wait=1 \
-//	     -d '{"benchmarks":["VA"],"measure_cycles":20000}'
+//	scripts/simd_run.sh localhost:8404 '{"benchmarks":["VA"],"measure_cycles":20000}'
 //	curl -s localhost:8404/v1/figures/2?quick=1
 //	curl -s localhost:8404/v1/cluster
 //	curl -s localhost:8404/metrics
 //
-// The second identical POST returns "cached": true with byte-identical
-// statistics, without simulating. cmd/paperfigs -server farms whole figures
+// The second identical submission returns "cached": true with byte-identical
+// statistics inline, without simulating. cmd/paperfigs -server farms whole figures
 // to a running daemon (or a comma-separated list of them).
 package main
 
@@ -74,13 +67,11 @@ func run() int {
 		ckptFlag    = flag.Bool("checkpoints", false, "bank GPU state snapshots (warmup end, kernel boundaries) in the store and resume runs from matching prefixes; statistics stay byte-identical, only wall-clock time changes")
 		jobTTLFlag  = flag.Duration("job-ttl", server.DefaultJobTTL, "how long finished jobs stay pollable in memory (0 = forever; results persist in the store regardless)")
 		maxJobsFlag = flag.Int("max-jobs", server.DefaultMaxJobs, "max finished jobs retained in memory (0 = unbounded)")
-		peersFlag   = flag.String("peers", "", "comma-separated base URLs of every cluster member, this daemon included (static membership; mutually exclusive with -seeds)")
 		seedsFlag   = flag.String("seeds", "", "comma-separated base URLs of running cluster members to join through (gossip membership; pass -seeds \"\" to bootstrap the first daemon)")
-		replFlag    = flag.Int("replicas", 2, "replication factor under gossip membership: each stored record and checkpoint blob is pushed to the top-K rendezvous-ranked members (<=1 disables replication)")
+		replFlag    = flag.Int("replicas", 2, "replication factor in a cluster: each stored record and checkpoint blob is pushed to the top-K rendezvous-ranked members (<=1 disables replication)")
 		hbFlag      = flag.Duration("heartbeat", time.Second, "gossip heartbeat period; suspicion and death verdicts scale from it (4x and 12x)")
 		selfFlag    = flag.String("self", "", "this daemon's advertised base URL within the cluster (default: http://<resolved listen address>)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this separate address (e.g. 127.0.0.1:6060); empty disables them")
-		compatFlag  = flag.Bool("metrics-compat", false, "additionally export pre-rename metric series (simd_checkpoint_hits and friends without the _total suffix) for unmigrated dashboards")
 		logFormat   = flag.String("log-format", "text", "structured access-log format on stderr: text, json, or off")
 	)
 	flag.Parse()
@@ -114,36 +105,29 @@ func run() int {
 	if self == "" {
 		self = "http://" + ln.Addr().String()
 	}
-	peers := cluster.ParsePeers(*peersFlag)
 	seeds := cluster.ParsePeers(*seedsFlag)
 	// -seeds "" (explicitly set but empty) bootstraps a gossip cluster of
-	// one; an unset -seeds with no -peers is plain single-node operation.
-	gossip := len(seeds) > 0
+	// one; an unset -seeds is plain single-node operation.
+	gossip := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seeds" {
 			gossip = true
 		}
 	})
-	if gossip && len(peers) > 0 {
-		fmt.Fprintln(os.Stderr, "simd: -peers (static membership) and -seeds (gossip membership) are mutually exclusive")
-		return 1
-	}
 
 	srv, err := server.New(server.Config{
-		Store:         store,
-		Workers:       *workersFlag,
-		Shards:        *shardsFlag,
-		JobTTL:        *jobTTLFlag,
-		MaxJobs:       *maxJobsFlag,
-		Checkpoints:   *ckptFlag,
-		Self:          self,
-		Peers:         peers,
-		Seeds:         seeds,
-		Gossip:        gossip,
-		Replicas:      *replFlag,
-		Heartbeat:     *hbFlag,
-		MetricsCompat: *compatFlag,
-		Logger:        logger,
+		Store:       store,
+		Workers:     *workersFlag,
+		Shards:      *shardsFlag,
+		JobTTL:      *jobTTLFlag,
+		MaxJobs:     *maxJobsFlag,
+		Checkpoints: *ckptFlag,
+		Self:        self,
+		Seeds:       seeds,
+		Gossip:      gossip,
+		Replicas:    *replFlag,
+		Heartbeat:   *hbFlag,
+		Logger:      logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simd: %v\n", err)
@@ -154,11 +138,8 @@ func run() int {
 	// The startup line is machine-readable: scripts extract the URL to
 	// support -addr :0 (the CI smoke job does).
 	clusterNote := ""
-	switch {
-	case gossip:
+	if gossip {
 		clusterNote = fmt.Sprintf(", gossip cluster as %s (%d seeds, %d replicas)", srv.Self(), len(seeds), *replFlag)
-	case len(peers) > 0:
-		clusterNote = fmt.Sprintf(", cluster of %d as %s", len(peers), srv.Self())
 	}
 	fmt.Printf("simd: listening on http://%s (store %s, %d entries, %d workers%s)\n",
 		ln.Addr(), store.Dir(), store.Len(), srv.Workers(), clusterNote)

@@ -16,7 +16,6 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -38,7 +37,7 @@ func Normalize(peer string) string {
 	return p
 }
 
-// ParsePeers splits a comma-separated peer list (the -peers flag syntax)
+// ParsePeers splits a comma-separated peer list (the -seeds flag syntax)
 // into normalized, deduplicated base URLs, preserving first-seen order.
 func ParsePeers(list string) []string {
 	var peers []string
@@ -93,58 +92,3 @@ func Ranked(fp [32]byte, peers []string) []string {
 func RankedKey(key string, peers []string) []string {
 	return Ranked(sha256.Sum256([]byte(key)), peers)
 }
-
-// Membership is one daemon's view of the cluster: the full (normalized,
-// sorted, deduplicated) member list and which member this daemon is.
-type Membership struct {
-	self  string
-	peers []string
-}
-
-// New validates a membership: self must appear in peers (every daemon must
-// be told the same complete member list, itself included — a daemon that is
-// not in its own list would disagree with every other member about
-// placement). Peers are normalized and deduplicated; order does not matter.
-func New(self string, peers []string) (*Membership, error) {
-	self = Normalize(self)
-	if self == "" {
-		return nil, fmt.Errorf("cluster: empty self address")
-	}
-	seen := map[string]bool{}
-	var norm []string
-	for _, p := range peers {
-		n := Normalize(p)
-		if n == "" || seen[n] {
-			continue
-		}
-		seen[n] = true
-		norm = append(norm, n)
-	}
-	if len(norm) == 0 {
-		return nil, fmt.Errorf("cluster: empty peer list")
-	}
-	if !seen[self] {
-		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v (every member must appear in its own -peers; use -self if the advertised address differs from the listen address)", self, norm)
-	}
-	sort.Strings(norm)
-	return &Membership{self: self, peers: norm}, nil
-}
-
-// Self returns this daemon's normalized address.
-func (m *Membership) Self() string { return m.self }
-
-// Peers returns the full member list (normalized, sorted; includes self).
-// The caller must not modify the returned slice.
-func (m *Membership) Peers() []string { return m.peers }
-
-// Len returns the member count.
-func (m *Membership) Len() int { return len(m.peers) }
-
-// Owner returns the member that owns fp.
-func (m *Membership) Owner(fp [32]byte) string { return Ranked(fp, m.peers)[0] }
-
-// IsOwner reports whether this daemon owns fp.
-func (m *Membership) IsOwner(fp [32]byte) bool { return m.Owner(fp) == m.self }
-
-// Ranked returns the full failover order for fp (owner first).
-func (m *Membership) Ranked(fp [32]byte) []string { return Ranked(fp, m.peers) }

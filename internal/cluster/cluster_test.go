@@ -38,7 +38,7 @@ func TestNormalize(t *testing.T) {
 }
 
 // TestRankedDeterministicAndOrderInsensitive: every member must compute the
-// same owner regardless of the order its -peers flag listed the members in.
+// same owner regardless of the order its member list arrives in.
 func TestRankedDeterministicAndOrderInsensitive(t *testing.T) {
 	shuffled := []string{threePeers[2], threePeers[0], threePeers[1]}
 	for i := 0; i < 200; i++ {
@@ -98,42 +98,6 @@ func TestRankedBalance(t *testing.T) {
 		if c := counts[p]; c < n/6 || c > n/2 {
 			t.Errorf("peer %s owns %d/%d runs, want roughly %d", p, c, n, n/3)
 		}
-	}
-}
-
-func TestMembership(t *testing.T) {
-	m, err := New("127.0.0.1:8405/", threePeers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Self() != "http://127.0.0.1:8405" {
-		t.Errorf("self = %q", m.Self())
-	}
-	if m.Len() != 3 {
-		t.Errorf("len = %d, want 3", m.Len())
-	}
-	owned := 0
-	for i := 0; i < 300; i++ {
-		fp := fpOf(i)
-		if got, want := m.Owner(fp), Ranked(fp, threePeers)[0]; got != want {
-			t.Fatalf("owner mismatch: %s vs %s", got, want)
-		}
-		if m.IsOwner(fp) {
-			owned++
-		}
-	}
-	if owned == 0 || owned == 300 {
-		t.Errorf("self owns %d/300 runs, want a proper subset", owned)
-	}
-
-	if _, err := New("http://10.0.0.1:1", threePeers); err == nil {
-		t.Error("self outside the peer list was accepted")
-	}
-	if _, err := New("", threePeers); err == nil {
-		t.Error("empty self was accepted")
-	}
-	if _, err := New("http://a:1", nil); err == nil {
-		t.Error("empty peer list was accepted")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -68,9 +67,8 @@ type View struct {
 	Members []Member `json:"members"`
 }
 
-// NodeConfig configures a gossip node. Exactly one of Seeds (dynamic
-// membership) or Static (fixed -peers list, no gossip) should be set; both
-// empty yields a single-member cluster that still accepts joins.
+// NodeConfig configures a gossip node. With no Seeds it is a single-member
+// cluster that still accepts joins (the first daemon of a new cluster).
 type NodeConfig struct {
 	// Self is this daemon's advertised base URL.
 	Self string
@@ -78,9 +76,6 @@ type NodeConfig struct {
 	// are gossip targets until absorbed into the view, and remain fallback
 	// targets so an isolated node can rejoin after a partition.
 	Seeds []string
-	// Static pins membership to a fixed list (the legacy -peers mode):
-	// no gossip rounds, no suspicion, epoch constant. Self must be listed.
-	Static []string
 
 	// HeartbeatEvery is the gossip period (default 1s). SuspectAfter and
 	// DeadAfter are how long a member may stay silent before being demoted
@@ -110,7 +105,6 @@ type memberState struct {
 // over the current ACTIVE set. All methods are safe for concurrent use.
 type Node struct {
 	self    string
-	static  bool
 	seeds   []string
 	hb      time.Duration
 	suspect time.Duration
@@ -129,14 +123,11 @@ type Node struct {
 	wg      sync.WaitGroup
 }
 
-// NewNode builds a node; Start begins gossiping (a no-op in static mode).
+// NewNode builds a node; Start begins gossiping.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	self := Normalize(cfg.Self)
 	if self == "" {
 		return nil, errors.New("cluster: node needs a self address")
-	}
-	if len(cfg.Seeds) > 0 && len(cfg.Static) > 0 {
-		return nil, errors.New("cluster: Seeds and Static are mutually exclusive")
 	}
 	hb := cfg.HeartbeatEvery
 	if hb <= 0 {
@@ -160,7 +151,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		self:    self,
-		static:  len(cfg.Static) > 0,
 		hb:      hb,
 		suspect: sus,
 		dead:    dead,
@@ -171,44 +161,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		epoch:   1,
 		quit:    make(chan struct{}),
 	}
+	// Incarnation is the startup wall-clock so a restarted daemon's fresh
+	// entry always beats its own stale pre-crash entry.
 	now := time.Now()
-	if n.static {
-		found := false
-		for _, p := range cfg.Static {
-			p = Normalize(p)
-			if p == "" {
-				continue
-			}
-			if p == self {
-				found = true
-			}
-			if _, ok := n.members[p]; !ok {
-				n.members[p] = &memberState{Member: Member{Addr: p, Status: StatusAlive}, lastOK: now}
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cluster: self %s is not in the static peer list", self)
-		}
-	} else {
-		// Incarnation is the startup wall-clock so a restarted daemon's
-		// fresh entry always beats its own stale pre-crash entry.
-		n.members[self] = &memberState{
-			Member: Member{Addr: self, Incarnation: now.UnixNano(), Status: StatusAlive},
-			lastOK: now,
-		}
-		for _, s := range cfg.Seeds {
-			s = Normalize(s)
-			if s != "" && s != self {
-				n.seeds = append(n.seeds, s)
-			}
+	n.members[self] = &memberState{
+		Member: Member{Addr: self, Incarnation: now.UnixNano(), Status: StatusAlive},
+		lastOK: now,
+	}
+	for _, s := range cfg.Seeds {
+		s = Normalize(s)
+		if s != "" && s != self {
+			n.seeds = append(n.seeds, s)
 		}
 	}
 	n.active = n.activeLocked()
 	return n, nil
 }
-
-// Static reports whether membership is pinned (legacy -peers mode).
-func (n *Node) Static() bool { return n.static }
 
 // Self returns this node's advertised address.
 func (n *Node) Self() string { return n.self }
@@ -249,23 +217,9 @@ func (n *Node) Len() int {
 	return len(n.active)
 }
 
-// Owner returns the rendezvous owner of fp among the ACTIVE members.
-func (n *Node) Owner(fp [32]byte) string {
-	if r := n.Ranked(fp); len(r) > 0 {
-		return r[0]
-	}
-	return n.self
-}
-
-// IsOwner reports whether this node owns fp.
-func (n *Node) IsOwner(fp [32]byte) bool { return n.Owner(fp) == n.self }
-
 // Ranked returns the ACTIVE members ordered by rendezvous weight for fp
 // (owner first) — the probe/replication/failover order.
 func (n *Node) Ranked(fp [32]byte) []string { return Ranked(fp, n.Members()) }
-
-// RankedKey ranks the ACTIVE members for an arbitrary string key.
-func (n *Node) RankedKey(key string) []string { return RankedKey(key, n.Members()) }
 
 // activeLocked recomputes the sorted ACTIVE set. Callers hold n.mu.
 func (n *Node) activeLocked() []string {
@@ -390,9 +344,6 @@ func (n *Node) view() View {
 // is reachable, which clears a local suspicion without an incarnation
 // round-trip).
 func (n *Node) absorb(v View, direct bool) {
-	if n.static {
-		return
-	}
 	now := time.Now()
 	n.mu.Lock()
 	for _, m := range v.Members {
@@ -458,9 +409,6 @@ func (n *Node) gossipTargets() []string {
 // It is the body of the heartbeat loop, exported so tests and servers can
 // force convergence.
 func (n *Node) Sync(ctx context.Context) {
-	if n.static {
-		return
-	}
 	targets := n.gossipTargets()
 	var wg sync.WaitGroup
 	for _, t := range targets {
@@ -519,12 +467,12 @@ func (n *Node) exchange(ctx context.Context, addr string) {
 	n.absorb(v, false)
 }
 
-// Start launches the heartbeat loop (no-op in static mode). The first
+// Start launches the heartbeat loop. The first
 // round fires immediately so a joining daemon is absorbed within one RTT
 // of startup, not one heartbeat.
 func (n *Node) Start() {
 	n.mu.Lock()
-	if n.started || n.static {
+	if n.started {
 		n.mu.Unlock()
 		return
 	}
@@ -578,12 +526,10 @@ func (n *Node) Stop(ctx context.Context) {
 	}
 	n.leaving = true
 	wasStarted := n.started
-	if !n.static {
-		ms := n.members[n.self]
-		ms.Incarnation++
-		ms.Status = StatusLeft
-		ms.downAt = time.Now()
-	}
+	ms := n.members[n.self]
+	ms.Incarnation++
+	ms.Status = StatusLeft
+	ms.downAt = time.Now()
 	cb := n.refreshLocked()
 	n.mu.Unlock()
 	if cb != nil {
@@ -592,9 +538,6 @@ func (n *Node) Stop(ctx context.Context) {
 	if wasStarted {
 		close(n.quit)
 		n.wg.Wait()
-	}
-	if n.static {
-		return
 	}
 	// Farewell push: best effort, bounded by ctx.
 	var wg sync.WaitGroup

@@ -73,8 +73,8 @@ func TestJoinViaSeed(t *testing.T) {
 	if len(wantMembers) != 2 || !slicesEqual(wantMembers, gotMembers) {
 		t.Errorf("views diverge: a=%v b=%v", wantMembers, gotMembers)
 	}
-	if !a.IsOwner([32]byte{1}) && !b.IsOwner([32]byte{1}) {
-		t.Error("no member owns a fingerprint")
+	if ra, rb := a.Ranked([32]byte{1}), b.Ranked([32]byte{1}); !slicesEqual(ra, rb) {
+		t.Errorf("members rank a fingerprint differently: a=%v b=%v", ra, rb)
 	}
 }
 
@@ -238,42 +238,6 @@ func TestEpochStableWithoutChurn(t *testing.T) {
 	}
 	if a.Epoch() != e {
 		t.Errorf("epoch moved %d -> %d with a stable membership", e, a.Epoch())
-	}
-}
-
-// TestStaticMode pins membership: no gossip merges, constant epoch, and
-// the placement API matches the legacy Membership ranking.
-func TestStaticMode(t *testing.T) {
-	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	n, err := NewNode(NodeConfig{Self: "http://a:1", Static: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Static() || n.Len() != 3 || n.Epoch() != 1 {
-		t.Fatalf("static node: static=%v len=%d epoch=%d", n.Static(), n.Len(), n.Epoch())
-	}
-	// Gossip about a fourth member must be ignored.
-	n.absorb(View{From: "http://d:4", Members: []Member{{Addr: "http://d:4", Status: StatusAlive}}}, true)
-	if n.Len() != 3 || n.Epoch() != 1 {
-		t.Fatalf("static membership moved: len=%d epoch=%d", n.Len(), n.Epoch())
-	}
-	fp := [32]byte{42}
-	want := Ranked(fp, peers)
-	got := n.Ranked(fp)
-	if !slicesEqual(want, got) {
-		t.Errorf("static ranking diverges from Ranked: %v vs %v", got, want)
-	}
-	// Self must be a member.
-	if _, err := NewNode(NodeConfig{Self: "http://x:9", Static: peers}); err == nil {
-		t.Error("NewNode accepted a self outside the static list")
-	}
-}
-
-// TestSeedsAndStaticExclusive guards the config surface.
-func TestSeedsAndStaticExclusive(t *testing.T) {
-	_, err := NewNode(NodeConfig{Self: "http://a:1", Seeds: []string{"http://b:2"}, Static: []string{"http://a:1"}})
-	if err == nil {
-		t.Fatal("NewNode accepted Seeds and Static together")
 	}
 }
 

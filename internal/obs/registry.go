@@ -36,7 +36,6 @@ const (
 	typeCounter   = "counter"
 	typeGauge     = "gauge"
 	typeHistogram = "histogram"
-	typeUntyped   = "untyped"
 )
 
 var (
@@ -355,14 +354,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return &Histogram{f: v.f, s: v.f.child(values)}
 }
 
-// Untyped registers a legacy series rendered with TYPE untyped; the
-// -metrics-compat flag uses it to keep renamed series available one release
-// under their old names.
-func (r *Registry) Untyped(name, help string, fn func() float64) {
-	f := r.newFamily(name, help, typeUntyped, nil)
-	f.child(nil).fn = fn
-}
-
 // FamilyNames returns every registered metric name, sorted. The Grafana
 // dashboard test uses it to assert the dashboard only references exported
 // series.
@@ -419,7 +410,7 @@ func (f *family) render(b *strings.Builder) {
 			f.renderHistogram(b, s)
 		default:
 			v := math.Float64frombits(s.gauge.Load())
-			if f.typ == typeCounter || f.typ == typeUntyped {
+			if f.typ == typeCounter {
 				v = float64(s.count.Load())
 			}
 			if s.fn != nil {

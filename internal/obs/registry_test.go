@@ -94,10 +94,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	got := r.Exposition()
 	for _, want := range []string{
-		`simd_lat_seconds_bucket{le="0.1"} 1`,   // 0.1 exactly
-		`simd_lat_seconds_bucket{le="0.5"} 3`,   // + 0.10001, 0.5
-		`simd_lat_seconds_bucket{le="1"} 5`,     // + 0.7, 1
-		`simd_lat_seconds_bucket{le="+Inf"} 7`,  // + 2, 50
+		`simd_lat_seconds_bucket{le="0.1"} 1`,  // 0.1 exactly
+		`simd_lat_seconds_bucket{le="0.5"} 3`,  // + 0.10001, 0.5
+		`simd_lat_seconds_bucket{le="1"} 5`,    // + 0.7, 1
+		`simd_lat_seconds_bucket{le="+Inf"} 7`, // + 2, 50
 		`simd_lat_seconds_count 7`,
 	} {
 		if !strings.Contains(got, want) {
@@ -193,7 +193,6 @@ func TestRegistryExpositionLintsClean(t *testing.T) {
 	h.Observe(0.003)
 	h.Observe(700) // beyond last bucket: +Inf only
 	r.CounterVec("simd_d_total", "d", "k").With("v1").Inc()
-	r.Untyped("simd_legacy", "old name", func() float64 { return 3 })
 	if errs := Lint(r.Exposition()); errs != nil {
 		t.Fatalf("registry output must lint clean:\n%v\n%s", errs, r.Exposition())
 	}

@@ -174,7 +174,7 @@ func IsTerminal(status string) bool {
 
 // RunResult is the per-spec outcome in a RunResponse. A store hit carries
 // Status "done", Cached true and the statistics inline; a miss carries the
-// job ID executing it (and, with ?wait=1, its final state and statistics).
+// job ID executing it, to poll on GET /v1/runs/{id}.
 type RunResult struct {
 	Key         string        `json:"key,omitempty"`
 	Fingerprint string        `json:"fingerprint"`
@@ -202,8 +202,8 @@ type Progress struct {
 	Key   string `json:"key,omitempty"`
 }
 
-// JobStatus is the body of GET /v1/runs/{id} (and the payload of SSE status
-// events). Run jobs carry Stats when done; figure jobs carry FigureText.
+// JobStatus is the body of GET /v1/runs/{id}. Run jobs carry Stats when
+// done; figure jobs carry FigureText, and Progress while their runs complete.
 type JobStatus struct {
 	ID          string        `json:"id"`
 	Kind        string        `json:"kind"` // "run" or "figure"
@@ -222,8 +222,8 @@ type JobStatus struct {
 	CachedRuns   int `json:"cached_runs,omitempty"`
 	ExecutedRuns int `json:"executed_runs,omitempty"`
 	// Peer is the cluster member the job lives on (set when answering
-	// through a cluster daemon; empty single-node). Poll, stream or cancel
-	// against any member — lookups for forwarded jobs are proxied.
+	// through a cluster daemon; empty single-node). Poll or cancel against
+	// any member — lookups for forwarded jobs are proxied.
 	Peer string `json:"peer,omitempty"`
 }
 
@@ -238,15 +238,6 @@ type JobTimeline struct {
 	Key    string          `json:"key,omitempty"`
 	Peer   string          `json:"peer,omitempty"`
 	Spans  []*obs.SpanJSON `json:"spans"`
-}
-
-// Event is one SSE message on GET /v1/jobs/{id}/events. Type "status"
-// carries the full job snapshot; type "progress" carries one per-run
-// progress tick of a figure job.
-type Event struct {
-	Type     string     `json:"type"`
-	Job      *JobStatus `json:"job,omitempty"`
-	Progress *Progress  `json:"progress,omitempty"`
 }
 
 // FigureOptions scale a figure request, mirroring the paperfigs flags: zero
@@ -360,7 +351,7 @@ type Health struct {
 // ClusterPeer is one member's entry in a ClusterStatus: its address plus a
 // live health probe (Health is nil, and Error set, when the probe failed).
 // Status is the answering daemon's gossip view of the member (alive,
-// suspect, dead, left; empty on static or single-node clusters).
+// suspect, dead, left; empty single-node).
 type ClusterPeer struct {
 	URL     string  `json:"url"`
 	Self    bool    `json:"self,omitempty"`
@@ -383,7 +374,7 @@ type ClusterStatus struct {
 
 // MemberEntry is one member in a MembershipView: its address and the
 // answering daemon's gossip verdict on it (alive, suspect, dead, left;
-// empty on static or single-node clusters).
+// empty single-node).
 type MemberEntry struct {
 	Addr   string `json:"addr"`
 	Status string `json:"status,omitempty"`

@@ -4,7 +4,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -122,17 +121,28 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 	return &h, nil
 }
 
-// Runs submits a batch of runs. With wait set, the response carries final
-// statuses and statistics for every spec; otherwise misses come back as
-// queued job IDs to poll via Job/WaitJob.
+// Runs submits a batch of runs: store hits come back inline, misses as
+// queued job IDs. With wait set, every open job handle is then polled
+// (WaitJob) so the response carries final statuses and statistics for every
+// spec; the daemon itself never blocks a request on a simulation.
 func (c *Client) Runs(ctx context.Context, req api.RunRequest, wait bool) (*api.RunResponse, error) {
-	path := "/v1/runs"
-	if wait {
-		path += "?wait=1"
-	}
 	var resp api.RunResponse
-	if err := c.do(ctx, http.MethodPost, path, req, &resp, nil); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/runs", req, &resp, nil); err != nil {
 		return nil, err
+	}
+	if !wait {
+		return &resp, nil
+	}
+	for i := range resp.Results {
+		r := &resp.Results[i]
+		if api.IsTerminal(r.Status) || r.JobID == "" {
+			continue
+		}
+		st, err := c.WaitJob(ctx, r.JobID, 0)
+		if err != nil {
+			return nil, err
+		}
+		r.Status, r.Stats, r.Error = st.Status, st.Stats, st.Error
 	}
 	return &resp, nil
 }
@@ -157,6 +167,12 @@ func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) 
 
 // WaitJob polls until the job reaches a terminal state (or ctx expires).
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*api.JobStatus, error) {
+	return c.waitJob(ctx, id, poll, nil)
+}
+
+// waitJob is WaitJob with an observer: onStatus (may be nil) sees every
+// polled snapshot, the terminal one included — how figure progress is read.
+func (c *Client) waitJob(ctx context.Context, id string, poll time.Duration, onStatus func(*api.JobStatus)) (*api.JobStatus, error) {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
 	}
@@ -167,8 +183,10 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*a
 		if err != nil {
 			return nil, err
 		}
-		switch st.Status {
-		case api.StatusDone, api.StatusFailed, api.StatusCancelled:
+		if onStatus != nil {
+			onStatus(st)
+		}
+		if api.IsTerminal(st.Status) {
 			return st, nil
 		}
 		select {
@@ -205,14 +223,10 @@ func (c *Client) ForwardCancel(ctx context.Context, id string) (*api.JobStatus, 
 // ForwardRuns submits a batch marked as cluster-forwarded: the receiving
 // daemon executes the specs itself instead of routing them onward. Used by
 // the server's cluster layer, not by ordinary clients.
-func (c *Client) ForwardRuns(ctx context.Context, req api.RunRequest, wait bool) (*api.RunResponse, error) {
-	path := "/v1/runs"
-	if wait {
-		path += "?wait=1"
-	}
+func (c *Client) ForwardRuns(ctx context.Context, req api.RunRequest) (*api.RunResponse, error) {
 	var resp api.RunResponse
 	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	if err := c.do(ctx, http.MethodPost, path, req, &resp, hdr); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/runs", req, &resp, hdr); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -258,7 +272,8 @@ func (c *Client) Figure(ctx context.Context, key string, opt api.FigureOptions) 
 }
 
 // FigureAsync starts a figure job on the daemon and returns its job ID
-// without waiting. Pair with JobEvents (live progress) or WaitJob (polling).
+// without waiting; poll it with WaitJob (JobStatus.Progress carries the
+// per-run progress).
 func (c *Client) FigureAsync(ctx context.Context, key string, opt api.FigureOptions) (string, error) {
 	q := opt.Query()
 	q.Set("async", "1")
@@ -271,49 +286,4 @@ func (c *Client) FigureAsync(ctx context.Context, key string, opt api.FigureOpti
 		return "", fmt.Errorf("client: async figure %s returned no job ID", key)
 	}
 	return resp.JobID, nil
-}
-
-// JobEvents consumes a job's SSE stream, invoking fn for every event until
-// fn returns false (a clean stop, returning nil) or the stream ends. A
-// stream that ends before fn stopped it — the server restarted, a proxy cut
-// the connection — returns an error so callers can fall back to polling.
-func (c *Client) JobEvents(ctx context.Context, id string, fn func(api.Event) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/jobs/"+url.PathEscape(id)+"/events", nil)
-	if err != nil {
-		return fmt.Errorf("client: job events %s: %w", id, err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("client: job events %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		se := &StatusError{Code: resp.StatusCode}
-		var apiErr api.Error
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			se.Msg = apiErr.Error
-		}
-		return fmt.Errorf("client: job events %s: %w", id, se)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20) // figure text rides in status events
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			return fmt.Errorf("client: job events %s: bad payload: %w", id, err)
-		}
-		if !fn(ev) {
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: job events %s: %w", id, err)
-	}
-	return fmt.Errorf("client: job events %s: stream ended before a terminal event", id)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/gpu"
 	"repro/internal/server/api"
 	"repro/internal/simstore"
 )
@@ -51,6 +52,47 @@ func TestWaitJobCancelMidPoll(t *testing.T) {
 	}
 	if polls.Load() < 2 {
 		t.Errorf("server saw %d polls, want at least 2", polls.Load())
+	}
+}
+
+// TestRunsWaitsByPollingHandles: a waited Runs is submit + poll. The POST
+// carries no wait parameter, inline store hits are taken as they are, and
+// every open job handle is polled on GET /v1/runs/{id} until terminal.
+func TestRunsWaitsByPollingHandles(t *testing.T) {
+	var polls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Has("wait") {
+			t.Errorf("Runs sent query %q; waiting is client-side only", r.URL.RawQuery)
+		}
+		json.NewEncoder(w).Encode(api.RunResponse{Results: []api.RunResult{
+			{Key: "hit", Status: api.StatusDone, Cached: true, Stats: &gpu.RunStats{Cycles: 1}},
+			{Key: "miss", Status: api.StatusQueued, JobID: "job-1"},
+		}})
+	})
+	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st := api.JobStatus{ID: r.PathValue("id"), Kind: "run", Status: api.StatusRunning}
+		if polls.Add(1) >= 2 {
+			st.Status, st.Stats = api.StatusDone, &gpu.RunStats{Cycles: 2}
+		}
+		json.NewEncoder(w).Encode(st)
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+
+	resp, err := New(hs.URL).Runs(context.Background(), api.RunRequest{Specs: make([]api.Spec, 2)}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, miss := resp.Results[0], resp.Results[1]
+	if !hit.Cached || hit.Stats == nil || hit.Stats.Cycles != 1 {
+		t.Errorf("inline hit = %+v, want it untouched", hit)
+	}
+	if miss.Status != api.StatusDone || miss.Stats == nil || miss.Stats.Cycles != 2 {
+		t.Errorf("polled miss = %+v, want done with the job's statistics", miss)
+	}
+	if got := polls.Load(); got != 2 {
+		t.Errorf("job handle polled %d times, want 2 (the hit needs none)", got)
 	}
 }
 
@@ -226,8 +268,8 @@ func TestPoolRunsPollsJobHandle(t *testing.T) {
 		json.NewEncoder(w).Encode(api.Health{Status: "ok"})
 	})
 	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("wait") == "1" {
-			t.Error("pool submitted with wait=1; handle-based forwarding must not")
+		if r.URL.Query().Has("wait") {
+			t.Error("pool submitted with a wait parameter; submission never blocks server-side")
 		}
 		json.NewEncoder(w).Encode(api.RunResponse{Results: []api.RunResult{
 			{Key: "h", Status: api.StatusQueued, JobID: "job-1"},

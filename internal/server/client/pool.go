@@ -41,13 +41,11 @@ type Pool struct {
 	HealthTTL time.Duration
 
 	// MembershipTTL is how often the live member list is refreshed from the
-	// cluster (GET /v1/cluster/membership). Zero means 10 seconds; negative
-	// disables refresh — the pool then routes over its seed list forever,
-	// the pre-gossip behavior.
+	// cluster (GET /v1/cluster/membership); the zero value means 10 seconds.
 	MembershipTTL time.Duration
 
-	// PollInterval is the job-handle poll period for waited runs; the zero
-	// value means 150 milliseconds.
+	// PollInterval is the job-handle poll period for waited runs and
+	// figure jobs; the zero value means 150 milliseconds.
 	PollInterval time.Duration
 
 	mu          sync.Mutex
@@ -94,7 +92,7 @@ func (p *Pool) Peers() []string {
 }
 
 // Epoch returns the membership epoch of the last successful refresh (0
-// before the first one, and always 0 for static/single-node clusters).
+// before the first one, and always 0 against a single-node daemon).
 func (p *Pool) Epoch() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -144,10 +142,7 @@ func (p *Pool) pollInterval() time.Duration {
 // the endpoint) keeps the current set and retries next TTL.
 func (p *Pool) maybeRefresh(ctx context.Context) {
 	ttl := p.MembershipTTL
-	if ttl < 0 {
-		return
-	}
-	if ttl == 0 {
+	if ttl <= 0 {
 		ttl = 10 * time.Second
 	}
 	p.mu.Lock()
@@ -473,36 +468,19 @@ func (p *Pool) tryPeers(ctx context.Context, label string, peers []string, attem
 	return fmt.Errorf("client: %s: every peer failed: %w", label, lastErr)
 }
 
-// Figure regenerates a figure on the cluster: the rendezvous-preferred
-// member first, failing over on transport errors. Daemon-answered errors
-// (unknown figure, failed figure) return immediately.
-func (p *Pool) Figure(ctx context.Context, key string, opt api.FigureOptions) (*api.FigureResponse, error) {
-	p.maybeRefresh(ctx)
-	var resp *api.FigureResponse
-	err := p.tryPeers(ctx, "figure "+key, p.RankedFigurePeers(ctx, key), func(peer string) error {
-		var perr error
-		resp, perr = p.clientFor(peer).Figure(ctx, key, opt)
-		return perr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// FigureStream generates a figure with live progress: the job runs
-// asynchronously on the rendezvous-preferred member and its SSE event
-// stream drives onProgress (may be nil); a dropped stream degrades to
-// polling the same job, and a dead peer fails over to the next-ranked one.
-// Returns the terminal job status and the peer that served it. Like
-// Figure, daemon-answered errors return immediately without failover.
+// FigureStream generates a figure on the cluster with live progress: the
+// job runs asynchronously on the rendezvous-preferred member and is polled
+// to completion, each change of its JobStatus.Progress driving onProgress
+// (may be nil); a dead peer fails over to the next-ranked one. Returns the
+// terminal job status and the peer that served it. Daemon-answered errors
+// (unknown figure, failed figure) return immediately without failover.
 func (p *Pool) FigureStream(ctx context.Context, key string, opt api.FigureOptions, onProgress func(*api.Progress)) (*api.JobStatus, string, error) {
 	p.maybeRefresh(ctx)
 	var st *api.JobStatus
 	var served string
 	err := p.tryPeers(ctx, "figure "+key, p.RankedFigurePeers(ctx, key), func(peer string) error {
 		var perr error
-		st, perr = figureStreamOn(ctx, p.clientFor(peer), key, opt, onProgress)
+		st, perr = figureStreamOn(ctx, p.clientFor(peer), key, opt, p.pollInterval(), onProgress)
 		if perr == nil {
 			served = peer
 		}
@@ -514,40 +492,20 @@ func (p *Pool) FigureStream(ctx context.Context, key string, opt api.FigureOptio
 	return st, served, nil
 }
 
-// figureStreamOn runs one async figure job on one daemon, consuming its SSE
-// stream for progress; if the stream drops mid-job it polls the job status
-// instead of failing (the job keeps running on the daemon either way).
-func figureStreamOn(ctx context.Context, c *Client, key string, opt api.FigureOptions, onProgress func(*api.Progress)) (*api.JobStatus, error) {
+// figureStreamOn runs one async figure job on one daemon and polls it to a
+// terminal status, reporting each progress change.
+func figureStreamOn(ctx context.Context, c *Client, key string, opt api.FigureOptions, poll time.Duration, onProgress func(*api.Progress)) (*api.JobStatus, error) {
 	id, err := c.FigureAsync(ctx, key, opt)
 	if err != nil {
 		return nil, err
 	}
-	var final *api.JobStatus
-	streamErr := c.JobEvents(ctx, id, func(ev api.Event) bool {
-		switch ev.Type {
-		case "progress":
-			if onProgress != nil && ev.Progress != nil {
-				onProgress(ev.Progress)
-			}
-		case "status":
-			if ev.Job != nil && api.IsTerminal(ev.Job.Status) {
-				final = ev.Job
-				return false
-			}
+	reported := -1
+	return c.waitJob(ctx, id, poll, func(st *api.JobStatus) {
+		if onProgress != nil && st.Progress != nil && st.Progress.Done != reported {
+			reported = st.Progress.Done
+			onProgress(st.Progress)
 		}
-		return true
 	})
-	if final != nil {
-		return final, nil
-	}
-	st, pollErr := c.WaitJob(ctx, id, 500*time.Millisecond)
-	if pollErr != nil {
-		if streamErr != nil {
-			return nil, fmt.Errorf("%w (stream also failed: %v)", pollErr, streamErr)
-		}
-		return nil, pollErr
-	}
-	return st, nil
 }
 
 // retriable reports whether err might succeed on a different member:
@@ -560,17 +518,4 @@ func retriable(err error) bool {
 		return se.Code >= 500
 	}
 	return true
-}
-
-// Cluster fetches the cluster status from the first healthy member.
-func (p *Pool) Cluster(ctx context.Context) (*api.ClusterStatus, error) {
-	p.maybeRefresh(ctx)
-	var st api.ClusterStatus
-	err := p.tryPeers(ctx, "cluster status", p.healthyRanked(ctx, p.Peers()), func(peer string) error {
-		return p.clientFor(peer).do(ctx, http.MethodGet, "/v1/cluster", nil, &st, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
 }

@@ -1,18 +1,15 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
@@ -21,7 +18,7 @@ import (
 )
 
 // testCluster is an in-process simd cluster: n daemons with separate stores
-// sharing one membership list.
+// joined through seed gossip (newDynamicCluster builds one).
 type testCluster struct {
 	urls    []string
 	servers []*Server
@@ -29,48 +26,7 @@ type testCluster struct {
 	https   []*http.Server
 }
 
-// newTestCluster spins up n daemons. Listeners are opened first so the full
-// membership (which every member needs at construction) is known up front.
-func newTestCluster(t *testing.T, n int) *testCluster {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	tc := &testCluster{}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		tc.urls = append(tc.urls, "http://"+ln.Addr().String())
-	}
-	for i := 0; i < n; i++ {
-		store, err := simstore.Open(t.TempDir(), simstore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(Config{
-			Store: store, Workers: 2,
-			Self: tc.urls[i], Peers: tc.urls,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(lns[i])
-		tc.servers = append(tc.servers, srv)
-		tc.stores = append(tc.stores, store)
-		tc.https = append(tc.https, hs)
-	}
-	t.Cleanup(func() {
-		for i := range tc.https {
-			tc.https[i].Close()
-			tc.servers[i].Close()
-		}
-	})
-	return tc
-}
-
-// kill shuts daemon i down (HTTP and queue), simulating a dead peer.
+// kill shuts daemon i down gracefully (HTTP, queue, and a gossiped leave).
 func (tc *testCluster) kill(i int) {
 	tc.https[i].Close()
 	tc.servers[i].Close()
@@ -79,22 +35,7 @@ func (tc *testCluster) kill(i int) {
 // ownerIndex resolves which daemon owns a wire spec.
 func (tc *testCluster) ownerIndex(t *testing.T, spec api.Spec) int {
 	t.Helper()
-	rs, err := spec.ToRunSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := simstore.Fingerprint(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := cluster.Ranked(fp, tc.urls)[0]
-	for i, u := range tc.urls {
-		if u == owner {
-			return i
-		}
-	}
-	t.Fatalf("owner %s not in cluster %v", owner, tc.urls)
-	return -1
+	return tc.indexOf(t, tc.servers[0].node.Ranked(specFP(t, spec))[0])
 }
 
 func executedCounts(tc *testCluster) []uint64 {
@@ -109,7 +50,7 @@ func executedCounts(tc *testCluster) []uint64 {
 // once, on its rendezvous owner, and repeat submissions through any member
 // are forwarded byte-identical store hits.
 func TestClusterForwardsToOwner(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	spec := tinySpec("routed", 11)
@@ -170,7 +111,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
 
@@ -185,12 +126,12 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := pool.Figure(ctx, "3", wireOpts)
+	resp, _, err := pool.FigureStream(ctx, "3", wireOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Text != local {
-		t.Errorf("cluster figure text differs from single-daemon output:\n--- cluster\n%s\n--- local\n%s", resp.Text, local)
+	if resp.FigureText != local {
+		t.Errorf("cluster figure text differs from single-daemon output:\n--- cluster\n%s\n--- local\n%s", resp.FigureText, local)
 	}
 	if resp.ExecutedRuns == 0 {
 		t.Error("first cluster generation executed no runs")
@@ -217,7 +158,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 			}
 			var fp [32]byte
 			copy(fp[:], raw)
-			if owner := cluster.Ranked(fp, tc.urls)[0]; owner != tc.urls[i] {
+			if owner := tc.servers[0].node.Ranked(fp)[0]; owner != tc.urls[i] {
 				t.Errorf("record %s stored on %s but owned by %s", hexFP[:12], tc.urls[i], owner)
 			}
 		}
@@ -246,7 +187,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 // TestClusterFailover: with a spec's owner dead, both entry paths — a POST
 // to a surviving daemon and a Pool submission — still complete the request.
 func TestClusterFailover(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	// Find a spec owned by daemon 2 so we can kill it.
@@ -260,7 +201,7 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatal("no spec owned by daemon 2 in 200 seeds")
 		}
 	}
-	tc.kill(2)
+	tc.crash(2) // silently: the survivors still rank the dead owner first
 
 	// Server-side failover: the entry daemon cannot reach the dead owner
 	// and walks down the ranking — the run executes exactly once, on some
@@ -294,7 +235,7 @@ func TestClusterFailover(t *testing.T) {
 // TestClusterEndpoint: GET /v1/cluster reports full membership with health,
 // marks the answering daemon, and flags dead members as unhealthy.
 func TestClusterEndpoint(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	var st api.ClusterStatus
 	get := func() {
 		t.Helper()
@@ -346,18 +287,23 @@ func TestClusterEndpoint(t *testing.T) {
 // TestForwardedHeaderStopsRouting: a forwarded submission executes where it
 // lands even on a non-owner, bounding every request to one hop.
 func TestForwardedHeaderStopsRouting(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	spec := tinySpec("hop", 21)
 	owner := tc.ownerIndex(t, spec)
 	entry := (owner + 1) % 3
 
-	resp, err := client.New(tc.urls[entry]).ForwardRuns(context.Background(),
-		api.RunRequest{Specs: []api.Spec{spec}}, true)
+	ctx := context.Background()
+	entryClient := client.New(tc.urls[entry])
+	resp, err := entryClient.ForwardRuns(ctx, api.RunRequest{Specs: []api.Spec{spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := resp.Results[0]; r.Status != api.StatusDone {
-		t.Fatalf("forwarded run: status=%s error=%q", r.Status, r.Error)
+	st, err := entryClient.WaitJob(ctx, resp.Results[0].JobID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != api.StatusDone {
+		t.Fatalf("forwarded run: status=%s error=%q", st.Status, st.Error)
 	}
 	if got := tc.servers[entry].queue.Stats().Executed; got != 1 {
 		t.Errorf("forwarded-to daemon executed %d runs, want 1 (no second hop)", got)
@@ -413,11 +359,11 @@ func exputedSpecs(t *testing.T) []sweep.RunSpec {
 }
 
 // TestClusterJobLookupProxied: a forwarded async submission returns a job
-// ID living on the owner — polling, streaming and cancelling that ID
-// against the entry daemon must still work (proxied one hop), keeping
+// ID living on the owner — polling and cancelling that ID against the
+// entry daemon must still work (proxied one hop), keeping
 // every member a valid entry point for the whole job lifecycle.
 func TestClusterJobLookupProxied(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	spec := tinySpec("proxied", 31)
@@ -446,33 +392,6 @@ func TestClusterJobLookupProxied(t *testing.T) {
 		t.Errorf("proxied status peer = %q, want %q", st.Peer, tc.urls[owner])
 	}
 
-	// The SSE stream redirects to the owner (http.Get follows the 307) and
-	// still delivers a terminal status event.
-	evResp, err := http.Get(tc.urls[entry] + "/v1/jobs/" + r.JobID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer evResp.Body.Close()
-	sawTerminal := false
-	sc := bufio.NewScanner(evResp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Type == "status" && ev.Job != nil && terminal(ev.Job.Status) {
-			sawTerminal = true
-			break
-		}
-	}
-	if !sawTerminal {
-		t.Error("redirected SSE stream delivered no terminal status event")
-	}
-
 	// Cancel of a terminal job reports its (terminal) state — via the entry
 	// daemon it exercises the cancel proxy.
 	cst, err := entryClient.Cancel(ctx, r.JobID)
@@ -486,17 +405,5 @@ func TestClusterJobLookupProxied(t *testing.T) {
 	// A genuinely unknown ID still 404s everywhere.
 	if _, err := entryClient.Job(ctx, "j999999"); err == nil {
 		t.Error("unknown job did not 404 through the proxy path")
-	}
-}
-
-// TestClusterSelfMustBeMember: misconfigured membership fails fast.
-func TestClusterSelfMustBeMember(t *testing.T) {
-	store, err := simstore.Open(t.TempDir(), simstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = New(Config{Store: store, Self: "http://10.9.9.9:1",
-		Peers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}}); err == nil {
-		t.Fatal("server accepted a self address outside its peer list")
 	}
 }

@@ -63,7 +63,6 @@ type Job struct {
 
 	// done is closed on entry to any terminal state.
 	done chan struct{}
-	subs map[chan api.Event]struct{}
 }
 
 func terminal(state string) bool { return api.IsTerminal(state) }
@@ -89,7 +88,7 @@ type Queue struct {
 	store   *simstore.Store
 	cp      sweep.Checkpointer // nil = cold execution only
 	workers int
-	shards  int // per-run cycle-loop goroutines; <=1 serial
+	shards  int           // per-run cycle-loop goroutines; <=1 serial
 	ttl     time.Duration // evict terminal jobs older than this (0 = keep)
 	maxJobs int           // hard cap on retained jobs (0 = unbounded)
 	idBase  string        // per-queue random prefix making job IDs cluster-unique
@@ -132,12 +131,12 @@ func (q *Queue) Instrument(queueWait, runDuration, storeWrite *obs.Histogram) {
 }
 
 // NewQueue starts a queue with the given simulation worker count (0 uses
-// GOMAXPROCS) and finished-job retention policy: terminal jobs with no
-// subscribers are evicted once older than ttl, and whenever the job map
-// exceeds maxJobs (oldest-finished first). Zero disables the respective
-// bound; in-flight and subscribed jobs are never evicted. A non-nil cp makes
-// every executed run checkpoint-assisted (resumed from stored state prefixes
-// where possible; statistics are unaffected). shards > 1 runs each
+// GOMAXPROCS) and finished-job retention policy: terminal jobs are evicted
+// once older than ttl, and whenever the job map exceeds maxJobs
+// (oldest-finished first). Zero disables the respective bound; in-flight
+// jobs are never evicted. A non-nil cp makes every executed run
+// checkpoint-assisted (resumed from stored state prefixes where possible;
+// statistics are unaffected). shards > 1 runs each
 // simulation's cycle loop on that many goroutines (byte-identical
 // statistics, so cache entries are shared with serial execution; it
 // multiplies with workers, so size shards*workers against the core count).
@@ -184,10 +183,9 @@ func NewQueue(store *simstore.Store, workers, shards int, ttl time.Duration, max
 	return q
 }
 
-// Close stops the workers after their current runs finish and closes every
-// subscriber channel (exactly once — unsubscribe never closes, it only
-// detaches). Queued jobs stay queued (a restarted daemon re-resolves them
-// from the store or re-runs). Close is idempotent.
+// Close stops the workers after their current runs finish. Queued jobs stay
+// queued (a restarted daemon re-resolves them from the store or re-runs).
+// Close is idempotent.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	if q.closed {
@@ -195,15 +193,6 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	// Detach-and-close all subscribers under the lock: publishes after this
-	// point see empty subscriber sets, so nothing ever sends on a closed
-	// channel, and late unsubscribes only delete from an empty map.
-	for _, j := range q.jobs {
-		for ch := range j.subs {
-			close(ch)
-		}
-		j.subs = make(map[chan api.Event]struct{})
-	}
 	q.mu.Unlock()
 	close(q.quit)
 	q.wg.Wait()
@@ -226,14 +215,13 @@ func (q *Queue) gcLoop(interval time.Duration) {
 }
 
 // gcLocked evicts finished jobs per the retention policy. Only terminal
-// jobs with zero subscribers are candidates: in-flight jobs and jobs with an
-// attached SSE stream always survive, and waiters holding a *Job pointer are
-// unaffected by eviction (they never go back through the map). Callers hold
-// q.mu.
+// jobs are candidates: in-flight jobs always survive, and waiters holding a
+// *Job pointer are unaffected by eviction (they never go back through the
+// map). Callers hold q.mu.
 func (q *Queue) gcLocked(now time.Time) {
 	var victims []*Job
 	for _, j := range q.jobs {
-		if terminal(j.state) && len(j.subs) == 0 {
+		if terminal(j.state) {
 			victims = append(victims, j)
 		}
 	}
@@ -285,7 +273,6 @@ func (q *Queue) newJobLocked(kind string) *Job {
 		Kind:  kind,
 		state: api.StatusQueued,
 		done:  make(chan struct{}),
-		subs:  make(map[chan api.Event]struct{}),
 	}
 	q.jobs[j.ID] = j
 	return j
@@ -470,7 +457,6 @@ func (q *Queue) begin(j *Job) bool {
 	j.spQueue.End()
 	q.queueWait.Observe(time.Since(j.created).Seconds())
 	q.stats.Running++
-	q.publishStatusLocked(j)
 	return true
 }
 
@@ -492,7 +478,6 @@ func (q *Queue) finishRun(j *Job, stats gpu.RunStats, err error) {
 		q.stats.Completed++
 	}
 	delete(q.inflight, simstore.Hex(j.fp))
-	q.publishStatusLocked(j)
 	close(j.done)
 	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
 		q.gcLocked(time.Now())
@@ -521,7 +506,6 @@ func (q *Queue) finishFigure(j *Job, text string, ex *storeExec, err error) {
 		q.stats.Completed++
 	}
 	j.cachedRuns, j.executedRuns = ex.cachedRuns, ex.executedRuns
-	q.publishStatusLocked(j)
 	close(j.done)
 	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
 		q.gcLocked(time.Now())
@@ -531,9 +515,7 @@ func (q *Queue) finishFigure(j *Job, text string, ex *storeExec, err error) {
 func (q *Queue) setProgress(j *Job, p sweep.Progress) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	prog := &api.Progress{Done: p.Done, Total: p.Total, Key: p.Key}
-	j.progress = prog
-	q.publishLocked(j, api.Event{Type: "progress", Progress: prog})
+	j.progress = &api.Progress{Done: p.Done, Total: p.Total, Key: p.Key}
 }
 
 // Cancel requests cancellation of a job. A queued run job is terminated
@@ -554,7 +536,6 @@ func (q *Queue) Cancel(id string) (api.JobStatus, bool) {
 		j.finished = time.Now()
 		q.stats.Cancelled++
 		delete(q.inflight, simstore.Hex(j.fp))
-		q.publishStatusLocked(j)
 		close(j.done)
 	case j.state == api.StatusRunning && j.cancel != nil:
 		j.cancel()
@@ -593,7 +574,8 @@ func (q *Queue) Job(id string) (api.JobStatus, bool) {
 }
 
 // Wait blocks until the job reaches a terminal state or ctx is done, and
-// returns the (then-current) status.
+// returns the (then-current) status. It reads the job by pointer, so it
+// works after the retention policy evicted the job from the ID map.
 func (q *Queue) Wait(ctx context.Context, j *Job) api.JobStatus {
 	select {
 	case <-j.done:
@@ -629,65 +611,6 @@ func (q *Queue) statusLocked(j *Job) api.JobStatus {
 		}
 	}
 	return st
-}
-
-// Status returns a job's status snapshot by pointer. Unlike Job it works
-// after the retention policy evicted the job from the ID map, so holders of
-// a *Job (waiters, figure executors) are immune to eviction races.
-func (q *Queue) Status(j *Job) api.JobStatus {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.statusLocked(j)
-}
-
-// Subscribe attaches an event channel to a job. The current status is
-// delivered first, so a late subscriber still observes a terminal event.
-// The returned func detaches (idempotent; it never closes the channel —
-// only Close does, exactly once). Subscribing to an unknown, retention-
-// evicted or closed-down job returns ok=false, never a dangling channel.
-func (q *Queue) Subscribe(id string) (<-chan api.Event, func(), bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok || q.closed {
-		return nil, nil, false
-	}
-	ch := make(chan api.Event, 256)
-	st := q.statusLocked(j)
-	ch <- api.Event{Type: "status", Job: &st}
-	j.subs[ch] = struct{}{}
-	unsub := func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		delete(j.subs, ch)
-	}
-	return ch, unsub, true
-}
-
-func (q *Queue) publishStatusLocked(j *Job) {
-	st := q.statusLocked(j)
-	q.publishLocked(j, api.Event{Type: "status", Job: &st})
-}
-
-func (q *Queue) publishLocked(j *Job, ev api.Event) {
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Slow subscriber: drop the oldest buffered event rather than
-			// block the queue. Keeping the *newest* events matters — the SSE
-			// handler terminates on the final status event, which must never
-			// be the one discarded.
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
-	}
 }
 
 // Stats returns a snapshot of the queue counters.
@@ -807,14 +730,12 @@ func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Res
 		}
 	}
 	for _, w := range waits {
-		select {
-		case <-w.job.done:
-		case <-ctx.Done():
+		// Wait reads the status by pointer, not ID: the retention GC may
+		// have already dropped a just-finished job from the ID map.
+		st := e.q.Wait(ctx, w.job)
+		if !terminal(st.Status) {
 			return results, ctx.Err()
 		}
-		// Look the status up by pointer, not ID: the retention GC may have
-		// already dropped a just-finished job from the ID map.
-		st := e.q.Status(w.job)
 		switch st.Status {
 		case api.StatusDone:
 			results[w.idx].Stats = *st.Stats

@@ -39,10 +39,8 @@ const (
 	failoverCancelled   = "owner_cancelled"
 )
 
-// newServerMetrics builds the registry for one Server. compat additionally
-// re-exports the pre-rename checkpoint series (simd_checkpoint_hits etc.,
-// now *_total) under their old names for one release.
-func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
+// newServerMetrics builds the registry for one Server.
+func newServerMetrics(s *Server, shards int) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg}
 
@@ -122,16 +120,10 @@ func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
 		})
 	reg.CounterFunc("simd_cluster_forwarded_total", "Runs forwarded to a rendezvous-ranked member.",
 		func() float64 { return float64(atomic.LoadUint64(&s.forwarded)) })
-	// Failovers are labeled by cause; the unlabeled aggregate rides behind
-	// -metrics-compat for dashboards that still query the old name.
 	m.failoverReasons = reg.CounterVec("simd_cluster_failovers_total",
 		"Forwards that fell back down the ranking, by cause.", "reason")
 	for _, reason := range []string{failoverUnreachable, failoverBadAnswer, failoverCancelled} {
 		m.failoverReasons.With(reason) // pre-seed so every series renders from 0
-	}
-	if compat {
-		reg.Untyped("simd_cluster_failovers", "Deprecated: use simd_cluster_failovers_total{reason}.",
-			func() float64 { return float64(atomic.LoadUint64(&s.failovers)) })
 	}
 	m.forward = reg.HistogramVec("simd_cluster_forward_seconds",
 		"Round-trip time of forwarding runs to a peer (submit only; simulation time is spent polling the returned job handle).",
@@ -151,8 +143,6 @@ func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
 	m.replLag = reg.Histogram("simd_replication_lag_seconds",
 		"Lag between a local store write and each replica's acknowledgement.", nil)
 
-	// Checkpoint manager: renamed to counter convention (*_total); the old
-	// suffix-less names ride behind -metrics-compat for one release.
 	if s.ckpt != nil {
 		reg.CounterFunc("simd_checkpoint_hits_total", "Runs resumed from a stored state prefix.",
 			func() float64 { return float64(s.ckpt.ManagerStats().Hits) })
@@ -163,16 +153,6 @@ func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
 		reg.CounterFunc("simd_checkpoint_errors_total", "Checkpoint failures swallowed (degraded to cold execution).",
 			func() float64 { return float64(s.ckpt.ManagerStats().Errors) })
 		s.ckpt.Instrument(reg)
-		if compat {
-			reg.Untyped("simd_checkpoint_hits", "Deprecated: use simd_checkpoint_hits_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Hits) })
-			reg.Untyped("simd_checkpoint_saves", "Deprecated: use simd_checkpoint_saves_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Saves) })
-			reg.Untyped("simd_checkpoint_bytes", "Deprecated: use simd_checkpoint_bytes_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Bytes) })
-			reg.Untyped("simd_checkpoint_errors", "Deprecated: use simd_checkpoint_errors_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Errors) })
-		}
 	}
 
 	// GPU engine telemetry: process-wide pre-allocated atomics sampled here
@@ -215,9 +195,7 @@ func newRequestID() string {
 	return hex.EncodeToString(b)
 }
 
-// statusRecorder captures the response code for metrics and access logs
-// while passing Flush through, so SSE streaming keeps working behind the
-// middleware.
+// statusRecorder captures the response code for metrics and access logs.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -235,12 +213,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 		r.code = http.StatusOK
 	}
 	return r.ResponseWriter.Write(b)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // withTelemetry wraps the mux with per-request observability: request

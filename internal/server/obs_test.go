@@ -45,7 +45,7 @@ func newObsServer(t *testing.T, cfg Config) (*Server, *client.Client, string) {
 // HELP/TYPE header, counters *_total and non-negative, histograms
 // cumulative with a +Inf bucket matching _count.
 func TestMetricsExpositionLints(t *testing.T) {
-	_, c, base := newObsServer(t, Config{Workers: 2, Shards: 2, Checkpoints: true, MetricsCompat: true})
+	_, c, base := newObsServer(t, Config{Workers: 2, Shards: 2, Checkpoints: true})
 	ctx := context.Background()
 
 	if _, err := c.Runs(ctx, api.RunRequest{Specs: []api.Spec{tinySpec("obs", 7)}}, true); err != nil {
@@ -85,12 +85,13 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"simd_gpu_cycles_total{loop=\"serial\"}",
 		"simd_gpu_shard_barrier_spins_total{shard=\"1\"}",
 		"simd_cluster_peers 0",
-		// -metrics-compat keeps the pre-rename checkpoint names alive.
-		"simd_checkpoint_hits ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(text, " untyped\n") {
+		t.Error("exposition carries an untyped family; every series is a counter, gauge or histogram")
 	}
 	if !strings.Contains(text, `route="unmatched"`) {
 		t.Error("404 on an unregistered path not counted under route=\"unmatched\"")

@@ -11,24 +11,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/gpu"
 	"repro/internal/server/api"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
 )
 
-// Replication: with Config.Replicas = K > 1, every result record and
-// checkpoint blob written to a member's store is pushed asynchronously to
-// the top-K rendezvous-ranked members for its fingerprint (the owner is
-// rank 0 and counts as one copy). Reads never trust ownership alone — the
-// path is local store, then a record probe across the top K+1 ranked
-// members (one rank of headroom so a single membership shift between
-// write and read still finds the warm copy), then forward-to-execute.
-// A record found off-owner is read-repaired back onto the current top-K,
-// so churn-displaced records migrate to their new owners lazily, on the
-// read path, instead of via a rebalancing scan. Everything is best-effort:
-// a lost replica costs a byte-identical re-execution, never wrongness.
+// Replication, the write side: with Config.Replicas = K > 1, every result
+// record and checkpoint blob written to a member's store is pushed
+// asynchronously to the top-K rendezvous-ranked members for its fingerprint
+// (the owner is rank 0 and counts as one copy). The read side — probe,
+// replica hits, and when a read repair fires — is routing.go.
 
 // parseHexFP decodes the wire form of a store fingerprint.
 func parseHexFP(s string) ([32]byte, error) {
@@ -44,198 +37,33 @@ func parseHexFP(s string) ([32]byte, error) {
 	return fp, nil
 }
 
-// probeWidth is how deep a read probes the ranking: the replication
-// factor plus one rank of churn headroom, capped by the member count.
-func (s *Server) probeWidth(members int) int {
-	w := s.replicas + 1
-	if w > members {
-		w = members
-	}
-	return w
-}
-
-// replicaRecord is a looked-up record in resolved (non-wire) form.
-type replicaRecord struct {
-	fp    [32]byte
-	key   string
-	spec  sweep.RunSpec
-	stats gpu.RunStats
-}
-
-// probeReplicas batch-probes the ranked members' local stores for every
-// unhandled fingerprintable spec, answering hits inline. A hit below rank
-// 0 is a replica hit and triggers an async read repair. Mutates handled
-// and results; no-op unless replication is on.
-func (s *Server) probeReplicas(ctx context.Context, wire []api.Spec, specs []sweep.RunSpec,
-	fps [][32]byte, haveFP, handled []bool, results []api.RunResult, members []string) {
-	if s.replicas <= 1 || len(members) <= 1 {
-		return
-	}
-	width := s.probeWidth(len(members))
-	self := s.node.Self()
-	type target struct{ idx, pos int }
-	peerFPs := map[string][]string{}
-	peerTargets := map[string][]target{}
-	for i := range specs {
-		if handled[i] || !haveFP[i] {
-			continue
-		}
-		ranked := cluster.Ranked(fps[i], members)
-		for pos, p := range ranked[:width] {
-			if p == self {
-				continue
-			}
-			peerFPs[p] = append(peerFPs[p], simstore.Hex(fps[i]))
-			peerTargets[p] = append(peerTargets[p], target{i, pos})
-		}
-	}
-	if len(peerFPs) == 0 {
-		return
-	}
-
-	type hit struct {
-		pos  int
-		peer string
-		rec  api.StoredRecord
-	}
-	var mu sync.Mutex
-	best := map[int]hit{}
-	var wg sync.WaitGroup
-	for peer, hexes := range peerFPs {
-		wg.Add(1)
-		go func(peer string, hexes []string, targets []target) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			resp, err := s.peerClient(peer).LookupRecords(pctx, api.LookupRequest{Fingerprints: hexes})
-			if err != nil {
-				return // probe misses are free; the forward walk covers it
-			}
-			found := make(map[string]api.StoredRecord, len(resp.Records))
-			for _, rec := range resp.Records {
-				found[rec.Fingerprint] = rec
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, t := range targets {
-				rec, ok := found[simstore.Hex(fps[t.idx])]
-				if !ok {
-					continue
-				}
-				if b, dup := best[t.idx]; !dup || t.pos < b.pos {
-					best[t.idx] = hit{t.pos, peer, rec}
-				}
-			}
-		}(peer, hexes, peerTargets[peer])
-	}
-	wg.Wait()
-
-	for i, h := range best {
-		stats := h.rec.Stats
-		results[i] = api.RunResult{
-			Key: wire[i].Key, Fingerprint: simstore.Hex(fps[i]),
-			Cached: true, Status: api.StatusDone, Stats: &stats, Peer: h.peer,
-		}
-		handled[i] = true
-		if h.pos > 0 {
-			atomic.AddUint64(&s.replicaHits, 1)
-			if spec, err := h.rec.Spec.ToRunSpec(); err == nil {
-				go s.readRepair(fps[i], replicaRecord{fps[i], h.rec.Key, spec, h.rec.Stats}, h.peer)
-			}
-		}
-	}
-}
-
-// lookupReplica is the single-spec probe used by figure routing: ask the
-// top-ranked members (minus self) for fp, favouring the lowest rank.
-func (s *Server) lookupReplica(ctx context.Context, fp [32]byte, ranked []string) (replicaRecord, int, bool) {
-	if s.replicas <= 1 || len(ranked) <= 1 {
-		return replicaRecord{}, 0, false
-	}
-	width := s.probeWidth(len(ranked))
-	self := s.node.Self()
-	hexFP := simstore.Hex(fp)
-	type hit struct {
-		pos int
-		rec api.StoredRecord
-	}
-	hits := make(chan hit, width)
-	var wg sync.WaitGroup
-	for pos, peer := range ranked[:width] {
-		if peer == self {
-			continue
-		}
-		wg.Add(1)
-		go func(pos int, peer string) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			resp, err := s.peerClient(peer).LookupRecords(pctx, api.LookupRequest{Fingerprints: []string{hexFP}})
-			if err != nil || len(resp.Records) == 0 {
-				return
-			}
-			if resp.Records[0].Fingerprint == hexFP {
-				hits <- hit{pos, resp.Records[0]}
-			}
-		}(pos, peer)
-	}
-	wg.Wait()
-	close(hits)
-	bestPos, found := -1, false
-	var bestRec api.StoredRecord
-	for h := range hits {
-		if !found || h.pos < bestPos {
-			bestPos, bestRec, found = h.pos, h.rec, true
-		}
-	}
-	if !found {
-		return replicaRecord{}, 0, false
-	}
-	spec, err := bestRec.Spec.ToRunSpec()
-	if err != nil {
-		spec = sweep.RunSpec{} // still servable; repair is skipped upstream
-	}
-	return replicaRecord{fp, bestRec.Key, spec, bestRec.Stats}, bestPos, true
-}
-
-// readRepair pushes a record found off-owner back onto the current top-K
-// ranked members (storing locally if this daemon is one of them), so
-// churn-displaced records migrate to their new owners on the read path.
-func (s *Server) readRepair(fp [32]byte, rec replicaRecord, source string) {
-	if s.node == nil || s.replicas <= 1 {
-		return
-	}
+// readRepair pushes a record a read found off-owner (on source) back onto
+// targets — the top-K of the ranking that read used — storing it locally if
+// this daemon is one of them, so churn-displaced records migrate to their
+// new owners on the read path.
+func (s *Server) readRepair(fp [32]byte, rec api.StoredRecord, source string, targets []string) {
 	// Never repair with a record whose spec does not hash to its claimed
 	// fingerprint (e.g. a lookup answer whose spec failed to parse).
-	if computed, err := simstore.Fingerprint(rec.spec.Canonical()); err != nil || computed != fp {
+	spec, err := rec.Spec.ToRunSpec()
+	if err != nil {
 		return
 	}
-	members := s.node.Members()
-	ranked := cluster.Ranked(fp, members)
-	k := s.replicas
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	self := s.node.Self()
-	wire := api.StoredRecord{
-		Fingerprint: simstore.Hex(fp),
-		Key:         rec.key,
-		Spec:        api.FromRunSpec(rec.spec.Canonical()),
-		Stats:       rec.stats,
+	if computed, err := simstore.Fingerprint(spec); err != nil || computed != fp {
+		return
 	}
 	repaired := false
-	for _, t := range ranked[:k] {
+	for _, t := range targets {
 		switch t {
-		case self:
+		case s.node.Self():
 			if _, ok := s.store.Get(fp); !ok {
-				s.store.Put(fp, rec.key, rec.spec.Canonical(), rec.stats)
+				s.store.Put(fp, rec.Key, spec.Canonical(), rec.Stats)
 				repaired = true
 			}
 		case source:
 			// The member we read it from has it by definition.
 		default:
 			repaired = true
-			s.pushReplicas([]string{t}, api.ReplicateRequest{Records: []api.StoredRecord{wire}}, time.Now())
+			s.pushReplicas([]string{t}, api.ReplicateRequest{Records: []api.StoredRecord{rec}}, time.Now())
 		}
 	}
 	if repaired {
@@ -282,19 +110,9 @@ func (s *Server) replicaTargets(fp [32]byte) []string {
 	if s.node == nil || s.replicas <= 1 {
 		return nil
 	}
-	members := s.node.Members()
-	if len(members) <= 1 {
-		return nil
-	}
-	ranked := cluster.Ranked(fp, members)
-	k := s.replicas
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	self := s.node.Self()
 	var out []string
-	for _, t := range ranked[:k] {
-		if t != self {
+	for _, t := range s.topK(s.node.Ranked(fp)) {
+		if t != s.node.Self() {
 			out = append(out, t)
 		}
 	}

@@ -6,10 +6,9 @@
 // Endpoints (all JSON unless noted):
 //
 //	POST /v1/runs            submit one spec or a batch; cached results are
-//	                         returned inline, misses get job IDs (?wait=1
-//	                         blocks until every job finishes)
-//	GET  /v1/runs/{id}       job status + statistics when done
-//	GET  /v1/jobs/{id}/events  SSE stream of status/progress events
+//	                         returned inline, misses get job IDs to poll
+//	GET  /v1/runs/{id}       job status (figure jobs: per-run progress) +
+//	                         statistics when done; the one way to wait
 //	GET  /v1/jobs/{id}/timeline  span tree of the job's lifecycle phases
 //	                         (queue wait, checkpoint probe/restore, warmup,
 //	                         kernel segments, measure window)
@@ -35,17 +34,17 @@
 // In cluster mode daemons shard the result store by run fingerprint using
 // rendezvous hashing (internal/cluster): any daemon accepts any request,
 // but each spec executes — and its record is stored — on its
-// hash-designated owner. Membership is either a static list (Config.Peers)
-// or gossip-based with seed-node bootstrap (Config.Seeds/Gossip): daemons
-// join and leave without restarting the others, and routing re-ranks on
-// every membership epoch. With Config.Replicas > 1 each stored record and
-// checkpoint blob is pushed to the top-K ranked members, so a killed
-// owner's results are served byte-identical from a warm replica instead of
-// re-executed; reads check the local store, then probe the ranked members
-// (POST /v1/records/lookup), then forward. Cross-owner forwarding is
-// handle-based: the forwarder submits without waiting, gets the owner's
-// job ID back immediately, and polls it — a hop never pins an HTTP
-// connection for the length of a simulation. Finished jobs are retained in
+// hash-designated owner. Membership is gossip-based with seed-node bootstrap
+// (Config.Seeds/Gossip): daemons join and leave without restarting the
+// others, and routing re-ranks on every membership epoch. With
+// Config.Replicas > 1 each stored record and checkpoint blob is pushed to
+// the top-K ranked members, so a killed owner's results are served
+// byte-identical from a warm replica instead of re-executed; reads check
+// the local store, then probe the ranked members (POST /v1/records/lookup),
+// then forward (routing.go is that one read path). Cross-owner forwarding
+// is handle-based: the forwarder gets the owner's job ID back immediately
+// and hands it on (or, for a figure's runs, polls it) — no request ever
+// blocks for the length of a simulation. Finished jobs are retained in
 // memory only per the Config.JobTTL/MaxJobs policy; evicted job IDs answer
 // 404 while their statistics remain in the store.
 package server
@@ -64,7 +63,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/exp"
-	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/server/api"
@@ -76,9 +74,9 @@ import (
 // Default finished-job retention policy (the cmd/simd flag defaults).
 // Finished jobs are kept in memory so clients can poll their results; an
 // unbounded map is a memory leak under sustained traffic, so the daemon
-// evicts terminal, unsubscribed jobs after DefaultJobTTL and whenever more
-// than DefaultMaxJobs are retained. The statistics themselves live on in
-// the content-addressed store — eviction only forgets the job ID.
+// evicts terminal jobs after DefaultJobTTL and whenever more than
+// DefaultMaxJobs are retained. The statistics themselves live on in the
+// content-addressed store — eviction only forgets the job ID.
 const (
 	DefaultJobTTL  = 15 * time.Minute
 	DefaultMaxJobs = 1000
@@ -110,19 +108,16 @@ type Config struct {
 	// changes wall-clock time and store disk usage.
 	Checkpoints bool
 
-	// Self and Peers enable static cluster mode: Peers is the full member
-	// list (base URLs, including this daemon) and Self is this daemon's
-	// entry in it. Every member must be configured with the same Peers set.
-	// Empty Peers (and no Seeds/Gossip) means single-node operation.
-	Self  string
-	Peers []string
+	// Self is this daemon's advertised base URL (the address other members
+	// and clients reach it at).
+	Self string
 
-	// Seeds enables dynamic gossip membership instead: the daemon
+	// Seeds enables cluster mode through gossip membership: the daemon
 	// bootstraps by contacting any live seed and thereafter tracks the
 	// cluster through heartbeats (join/leave/suspicion, no restarts).
-	// Gossip forces dynamic mode even with no seeds — the first daemon of
-	// a new cluster, which others will point their -seeds at. Mutually
-	// exclusive with Peers.
+	// Gossip enables it with no seeds — the first daemon of a new cluster,
+	// which others will point their -seeds at. Neither means single-node
+	// operation.
 	Seeds  []string
 	Gossip bool
 
@@ -134,7 +129,7 @@ type Config struct {
 	Replicas int
 
 	// Heartbeat is the gossip period (default 1s); SuspectAfter/DeadAfter
-	// default to 4x/12x of it. Only meaningful in dynamic mode.
+	// default to 4x/12x of it. Only meaningful in cluster mode.
 	Heartbeat    time.Duration
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
@@ -142,11 +137,6 @@ type Config struct {
 	// RemotePoll is how often forwarded job handles are polled for
 	// completion (default 150ms).
 	RemotePoll time.Duration
-
-	// MetricsCompat additionally exports the pre-rename metric series
-	// (simd_checkpoint_hits and friends, without the _total counter suffix)
-	// under their old names, for dashboards that have not migrated yet.
-	MetricsCompat bool
 
 	// Logger, when non-nil, receives one structured access-log line per HTTP
 	// request (request ID, route pattern, status, duration). nil disables
@@ -175,7 +165,6 @@ type Server struct {
 	logger  *slog.Logger
 
 	forwarded   uint64 // atomic: specs sent to another ranked member
-	failovers   uint64 // atomic: forwards that fell back down the ranking
 	replicaHits uint64 // atomic: reads served from a non-owner's warm copy
 	remotePolls uint64 // atomic: job-handle poll round-trips
 	replPushed  uint64 // atomic: records+blobs pushed to replicas
@@ -207,22 +196,13 @@ func New(cfg Config) (*Server, error) {
 		cp = s.ckpt
 	}
 	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.Shards, cfg.JobTTL, cfg.MaxJobs, cp)
-	dynamic := len(cfg.Seeds) > 0 || cfg.Gossip
-	if len(cfg.Peers) > 0 && dynamic {
-		s.queue.Close()
-		return nil, fmt.Errorf("server: static Peers and dynamic Seeds/Gossip are mutually exclusive")
-	}
-	if len(cfg.Peers) > 0 || dynamic {
+	if len(cfg.Seeds) > 0 || cfg.Gossip {
 		ncfg := cluster.NodeConfig{
 			Self:           cfg.Self,
+			Seeds:          cfg.Seeds,
 			HeartbeatEvery: cfg.Heartbeat,
 			SuspectAfter:   cfg.SuspectAfter,
 			DeadAfter:      cfg.DeadAfter,
-		}
-		if dynamic {
-			ncfg.Seeds = cfg.Seeds
-		} else {
-			ncfg.Static = cfg.Peers
 		}
 		if cfg.Logger != nil {
 			log := cfg.Logger
@@ -249,7 +229,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/replicate", s.handleReplicate)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleJobTimeline)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/figures/{key}", s.handleFigure)
@@ -262,10 +241,10 @@ func New(cfg Config) (*Server, error) {
 	// Built last: the registry's sampling funcs close over the queue, the
 	// cluster view and the checkpoint manager assembled above.
 	s.logger = cfg.Logger
-	s.metrics = newServerMetrics(s, cfg.Shards, cfg.MetricsCompat)
+	s.metrics = newServerMetrics(s, cfg.Shards)
 	s.queue.Instrument(s.metrics.queueWait, s.metrics.runDuration, s.metrics.storeWrite)
 	if s.node != nil {
-		s.node.Start() // no-op in static mode
+		s.node.Start()
 	}
 	return s, nil
 }
@@ -279,8 +258,8 @@ func (s *Server) Self() string {
 }
 
 // peerClient returns (lazily building) the typed client for a member.
-// Members come and go under dynamic membership, so the map grows on
-// demand; stale entries are harmless.
+// Members come and go, so the map grows on demand; stale entries are
+// harmless.
 func (s *Server) peerClient(addr string) *client.Client {
 	s.pcMu.RLock()
 	c := s.peerClients[addr]
@@ -311,14 +290,6 @@ func (s *Server) otherMembers() []string {
 		}
 	}
 	return out
-}
-
-// failover counts one ranked-walk fallback, by cause.
-func (s *Server) failover(reason string, n int) {
-	atomic.AddUint64(&s.failovers, uint64(n))
-	if s.metrics != nil && s.metrics.failoverReasons != nil {
-		s.metrics.failoverReasons.With(reason).Add(uint64(n))
-	}
 }
 
 // Handler returns the HTTP handler: the API mux wrapped in the telemetry
@@ -359,13 +330,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // maxRequestBytes bounds request bodies; batch specs are small.
 const maxRequestBytes = 16 << 20
 
-// handleRuns implements POST /v1/runs: resolve every spec, route each to
-// its cluster owner (forwarded transparently; any daemon is a valid entry
-// point), serve store hits inline, enqueue misses (deduplicated against
-// in-flight jobs), and — with ?wait=1 — block until the enqueued jobs
-// finish so the response carries every result. An unreachable owner fails
-// over to local execution: determinism makes the duplicate harmless, and
-// the request is never lost.
+// handleRuns implements POST /v1/runs: resolve every spec, answer what the
+// cluster read path (routing.go) can — store hits inline, forwarded misses
+// as job handles on their owners; any daemon is a valid entry point — and
+// enqueue the rest here (deduplicated against in-flight jobs). The response
+// never waits for a simulation: misses carry job IDs to poll.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
 	if err != nil {
@@ -393,142 +362,25 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	// Resolve and validate the whole batch before enqueueing anything: a bad
 	// spec at the end of the list must not leave the earlier ones already
 	// simulating against an error response that references no jobs.
-	specs := make([]sweep.RunSpec, len(req.Specs))
+	batch := make([]routedSpec, len(req.Specs))
 	for i, wireSpec := range req.Specs {
 		spec, err := wireSpec.ToRunSpec()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return
 		}
-		specs[i] = spec
+		batch[i] = s.newRouted(wireSpec, spec)
 	}
 
-	// Cluster routing: forwarded requests are always executed here (at most
-	// one hop). Otherwise each fingerprintable spec takes the replicated
-	// read path — local store (owner copy or warm replica), then a record
-	// probe across the top-ranked members, then a handle-based forward walk
-	// down the ranking. Forwards happen before any local enqueue, so a
-	// spec whose every remote candidate fails cleanly falls back to the
-	// local path below.
-	clustered := s.node != nil && r.Header.Get(api.ForwardedHeader) == ""
-	fps := make([][32]byte, len(req.Specs))
-	haveFP := make([]bool, len(req.Specs))
-	if s.node != nil {
-		for i := range specs {
-			fp, err := simstore.Fingerprint(specs[i])
-			if err != nil {
-				continue // local; SubmitRun reports the error properly
-			}
-			fps[i], haveFP[i] = fp, true
-		}
-	}
-	wantWait := r.URL.Query().Get("wait") == "1"
-
-	results := make([]api.RunResult, len(req.Specs))
-	handled := make([]bool, len(req.Specs))
-	type remoteHandle struct{ peer, id string }
-	remotes := make(map[int]remoteHandle)
-
-	if clustered {
-		members := s.node.Members()
-		// Local store first: the owner's copy or a warm replica answers
-		// without touching the network.
-		for i := range specs {
-			if !haveFP[i] {
-				continue
-			}
-			if rec, ok := s.store.Get(fps[i]); ok {
-				stats := rec.Stats
-				results[i] = api.RunResult{
-					Key: req.Specs[i].Key, Fingerprint: simstore.Hex(fps[i]),
-					Cached: true, Status: api.StatusDone, Stats: &stats, Peer: s.Self(),
-				}
-				handled[i] = true
-				if len(members) > 1 && cluster.Ranked(fps[i], members)[0] != s.node.Self() {
-					atomic.AddUint64(&s.replicaHits, 1)
-				}
-			}
-		}
-		// Probe the ranked members for records before forwarding anything
-		// to execute: after membership churn the current owner may not
-		// hold a record a demoted replica still has.
-		s.probeReplicas(r.Context(), req.Specs, specs, fps, haveFP, handled, results, members)
-
-		// Ranked forward walk: offer each unhandled spec to its ranked
-		// members in order, submitting without wait so a hop costs one
-		// round-trip, never a pinned connection. Reaching self (or
-		// exhausting the ranking) drops the spec to the local path.
-		next := make([]int, len(specs))
-		ranked := make([][]string, len(specs))
-		for i := range specs {
-			if haveFP[i] && !handled[i] {
-				ranked[i] = cluster.Ranked(fps[i], members)
-			}
-		}
-		for {
-			groups := map[string][]int{}
-			for i := range specs {
-				if handled[i] || ranked[i] == nil || next[i] < 0 {
-					continue
-				}
-				if next[i] >= len(ranked[i]) || ranked[i][next[i]] == s.node.Self() {
-					next[i] = -1 // local execution below
-					continue
-				}
-				cand := ranked[i][next[i]]
-				groups[cand] = append(groups[cand], i)
-			}
-			if len(groups) == 0 {
-				break
-			}
-			// Candidate groups are disjoint; forward them concurrently.
-			var fwdWG sync.WaitGroup
-			for cand, idxs := range groups {
-				fwdWG.Add(1)
-				go func(cand string, idxs []int) {
-					defer fwdWG.Done()
-					sub := api.RunRequest{Specs: make([]api.Spec, len(idxs))}
-					for k, i := range idxs {
-						sub.Specs[k] = req.Specs[i]
-					}
-					fwdStart := time.Now()
-					resp, err := s.peerClient(cand).ForwardRuns(r.Context(), sub, false)
-					if err != nil || len(resp.Results) != len(idxs) {
-						if r.Context().Err() != nil {
-							return // client hung up; the walk loop exits below
-						}
-						reason := failoverUnreachable
-						if err == nil || client.IsStatusError(err) {
-							reason = failoverBadAnswer
-						}
-						s.failover(reason, len(idxs))
-						for _, i := range idxs {
-							next[i]++
-						}
-						return
-					}
-					atomic.AddUint64(&s.forwarded, uint64(len(idxs)))
-					s.metrics.forward.With(cand).Observe(time.Since(fwdStart).Seconds())
-					for k, i := range idxs {
-						results[i] = resp.Results[k]
-						if results[i].Peer == "" {
-							results[i].Peer = cand
-						}
-						handled[i] = true
-						if !api.IsTerminal(results[i].Status) && results[i].JobID != "" {
-							remotes[i] = remoteHandle{cand, results[i].JobID}
-						}
-					}
-				}(cand, idxs)
-			}
-			fwdWG.Wait()
-			if r.Context().Err() != nil {
-				return // disconnected mid-forward; the response has no reader
-			}
+	// Forwarded requests are always executed here (at most one hop).
+	// Forwards happen before any local enqueue, so a spec whose every
+	// remote candidate fails cleanly falls back to the local path below.
+	if s.node != nil && r.Header.Get(api.ForwardedHeader) == "" {
+		if s.resolve(r.Context(), batch) != nil {
+			return // disconnected mid-forward; the response has no reader
 		}
 	}
 
-	jobs := make([]*Job, len(req.Specs))
 	// Jobs this request created (not dedup-shared ones owned by earlier
 	// submitters): cancelled if a later spec fails to enqueue, so an error
 	// response never leaves orphaned simulations behind — including jobs
@@ -538,30 +390,32 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		for _, j := range ownJobs {
 			s.queue.Cancel(j.ID)
 		}
-		for i, h := range remotes {
-			if !results[i].Cached && h.id != "" {
-				s.peerClient(h.peer).ForwardCancel(r.Context(), h.id)
+		for i := range batch {
+			if it := &batch[i]; it.remote != "" {
+				s.peerClient(it.remote).ForwardCancel(r.Context(), it.res.JobID)
 			}
 		}
 	}
-	for i, wireSpec := range req.Specs {
-		if handled[i] {
-			continue // answered by the local store or a ranked member above
+	results := make([]api.RunResult, len(batch))
+	for i := range batch {
+		it := &batch[i]
+		if it.handled {
+			results[i] = it.res // answered by a store or a ranked member
+			continue
 		}
-		res := api.RunResult{Key: wireSpec.Key, Peer: s.Self()}
 		var sub Submitted
 		var err error
-		if haveFP[i] {
-			sub, err = s.queue.SubmitRunFP(wireSpec.Key, specs[i], fps[i])
+		if it.haveFP {
+			sub, err = s.queue.SubmitRunFP(it.wire.Key, it.spec, it.fp)
 		} else {
-			sub, err = s.queue.SubmitRun(wireSpec.Key, specs[i])
+			sub, err = s.queue.SubmitRun(it.wire.Key, it.spec)
 		}
 		if err != nil {
 			cancelOwn()
 			writeError(w, http.StatusServiceUnavailable, "spec %d: %v", i, err)
 			return
 		}
-		res.Fingerprint = sub.Fingerprint
+		res := api.RunResult{Key: it.wire.Key, Fingerprint: sub.Fingerprint, Peer: s.Self()}
 		if sub.Cached {
 			res.Cached = true
 			res.Status = api.StatusDone
@@ -570,191 +424,13 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		} else {
 			res.Status = api.StatusQueued
 			res.JobID = sub.Job.ID
-			jobs[i] = sub.Job
 			if !sub.Shared {
 				ownJobs = append(ownJobs, sub.Job)
 			}
 		}
 		results[i] = res
 	}
-
-	if wantWait {
-		// Local jobs block on the queue; remote handles are polled
-		// concurrently (each poll is one bounded round-trip, so a slow
-		// simulation never pins a connection to its owner).
-		var remWG sync.WaitGroup
-		for i, h := range remotes {
-			remWG.Add(1)
-			go func(i int, h remoteHandle) {
-				defer remWG.Done()
-				st, err := s.waitRemoteJob(r.Context(), h.peer, h.id)
-				if err != nil {
-					if r.Context().Err() != nil {
-						return // nobody is reading the response
-					}
-					// The member vanished mid-run: re-execute locally —
-					// determinism makes the duplicate byte-identical.
-					s.failover(failoverUnreachable, 1)
-					sub, serr := s.queue.SubmitRunFP(req.Specs[i].Key, specs[i], fps[i])
-					if serr != nil {
-						results[i].Status = api.StatusFailed
-						results[i].Error = serr.Error()
-						return
-					}
-					results[i].Peer = s.Self()
-					if sub.Cached {
-						results[i].Status = api.StatusDone
-						stats := sub.Stats
-						results[i].Stats = &stats
-						results[i].Cached = true
-						return
-					}
-					results[i].JobID = sub.Job.ID
-					lst := s.queue.Wait(r.Context(), sub.Job)
-					results[i].Status = lst.Status
-					results[i].Stats = lst.Stats
-					results[i].Error = lst.Error
-					return
-				}
-				results[i].Status = st.Status
-				results[i].Stats = st.Stats
-				results[i].Error = st.Error
-			}(i, h)
-		}
-		for i, j := range jobs {
-			if j == nil {
-				continue
-			}
-			st := s.queue.Wait(r.Context(), j)
-			results[i].Status = st.Status
-			results[i].Stats = st.Stats
-			results[i].Error = st.Error
-		}
-		remWG.Wait()
-		if r.Context().Err() != nil {
-			return
-		}
-	}
 	writeJSON(w, http.StatusOK, api.RunResponse{Results: results})
-}
-
-// waitRemoteJob polls a forwarded job handle on its member until it turns
-// terminal. Each poll is an independent, timeout-bounded round-trip.
-func (s *Server) waitRemoteJob(ctx context.Context, peer, id string) (*api.JobStatus, error) {
-	cl := s.peerClient(peer)
-	t := time.NewTicker(s.remotePoll)
-	defer t.Stop()
-	for {
-		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		st, err := cl.ForwardJob(pctx, id)
-		cancel()
-		atomic.AddUint64(&s.remotePolls, 1)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, err
-		}
-		if api.IsTerminal(st.Status) {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-// routeRun is the RouteFunc wired into figure jobs: it places each of a
-// figure's runs on its rendezvous-ranked member so figure generation
-// caches every run on the hash-designated daemon. The read path mirrors
-// handleRuns — local store (owner copy or replica), ranked record probe,
-// then a handle-based forward walk. handled=false falls through to local
-// execution — this daemon owns the spec, there is no cluster,
-// fingerprinting failed, or every remote candidate failed over.
-func (s *Server) routeRun(ctx context.Context, key string, spec sweep.RunSpec) (gpu.RunStats, bool, bool, error) {
-	if s.node == nil {
-		return gpu.RunStats{}, false, false, nil
-	}
-	fp, err := simstore.Fingerprint(spec)
-	if err != nil {
-		return gpu.RunStats{}, false, false, nil
-	}
-	members := s.node.Members()
-	self := s.node.Self()
-	if rec, ok := s.store.Get(fp); ok {
-		if len(members) > 1 && cluster.Ranked(fp, members)[0] != self {
-			atomic.AddUint64(&s.replicaHits, 1)
-		}
-		return rec.Stats, true, true, nil
-	}
-	ranked := cluster.Ranked(fp, members)
-	if rec, pos, ok := s.lookupReplica(ctx, fp, ranked); ok {
-		if pos > 0 {
-			atomic.AddUint64(&s.replicaHits, 1)
-			go s.readRepair(fp, rec, ranked[pos])
-		}
-		return rec.stats, true, true, nil
-	}
-	wire := api.FromRunSpec(spec)
-	wire.Key = key
-	for _, cand := range ranked {
-		if cand == self {
-			return gpu.RunStats{}, false, false, nil // execute locally
-		}
-		fwdStart := time.Now()
-		resp, err := s.peerClient(cand).ForwardRuns(ctx, api.RunRequest{Specs: []api.Spec{wire}}, false)
-		if err != nil || len(resp.Results) != 1 {
-			if ctx.Err() != nil {
-				return gpu.RunStats{}, false, true, ctx.Err()
-			}
-			reason := failoverUnreachable
-			if err == nil || client.IsStatusError(err) {
-				reason = failoverBadAnswer
-			}
-			s.failover(reason, 1)
-			continue
-		}
-		atomic.AddUint64(&s.forwarded, 1)
-		s.metrics.forward.With(cand).Observe(time.Since(fwdStart).Seconds())
-		r := resp.Results[0]
-		if !api.IsTerminal(r.Status) && r.JobID != "" {
-			st, werr := s.waitRemoteJob(ctx, cand, r.JobID)
-			if werr != nil {
-				if ctx.Err() != nil {
-					return gpu.RunStats{}, false, true, ctx.Err()
-				}
-				// The member vanished mid-run; walk on (or fall back to
-				// local execution at self's rank).
-				s.failover(failoverUnreachable, 1)
-				continue
-			}
-			r.Status = st.Status
-			r.Stats = st.Stats
-			r.Error = st.Error
-		}
-		switch {
-		case r.Status == api.StatusDone && r.Stats != nil:
-			return *r.Stats, r.Cached, true, nil
-		case r.Status == api.StatusFailed:
-			// The member ran the spec and it genuinely failed
-			// (deterministic — re-executing here would fail identically);
-			// report, don't retry.
-			msg := r.Error
-			if msg == "" {
-				msg = fmt.Sprintf("member %s answered status failed", cand)
-			}
-			return gpu.RunStats{}, false, true, fmt.Errorf("%s", msg)
-		default:
-			// Cancelled (someone cancelled the member's shared job) or any
-			// other non-answer: not a property of the spec, so fall back
-			// rather than failing the figure.
-			s.failover(failoverCancelled, 1)
-			return gpu.RunStats{}, false, false, nil
-		}
-	}
-	return gpu.RunStats{}, false, false, nil
 }
 
 // findRemoteJob asks every other member for a job unknown locally (each
@@ -779,7 +455,9 @@ func (s *Server) findRemoteJob(ctx context.Context, id string) (*api.JobStatus, 
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 			defer cancel()
-			if st, err := cl.ForwardJob(pctx, id); err == nil {
+			st, err := cl.ForwardJob(pctx, id)
+			atomic.AddUint64(&s.remotePolls, 1)
+			if err == nil {
 				hits <- hit{st, peer}
 			}
 		}(peer, s.peerClient(peer))
@@ -835,59 +513,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeError(w, http.StatusNotFound, "no job %q", id)
-}
-
-// handleJobEvents streams a job's lifecycle as server-sent events: a
-// "status" event with the current snapshot immediately, then status
-// transitions and (for figure jobs) per-run "progress" events, ending when
-// the job reaches a terminal state.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	events, unsubscribe, ok := s.queue.Subscribe(id)
-	if !ok {
-		// A forwarded submission's job lives on its owner: redirect the
-		// stream there rather than proxying event-by-event.
-		if r.Header.Get(api.ForwardedHeader) == "" {
-			if _, peer, found := s.findRemoteJob(r.Context(), id); found {
-				http.Redirect(w, r, peer+"/v1/jobs/"+id+"/events", http.StatusTemporaryRedirect)
-				return
-			}
-		}
-		writeError(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	defer unsubscribe()
-
-	flusher, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				// Queue shut down: the channel was closed (exactly once, by
-				// Queue.Close); end the stream instead of spinning on zero
-				// values.
-				return
-			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-				return
-			}
-			if canFlush {
-				flusher.Flush()
-			}
-			if ev.Type == "status" && ev.Job != nil && terminal(ev.Job.Status) {
-				return
-			}
-		}
-	}
 }
 
 // expOptions maps wire figure options to harness options exactly like the
@@ -1038,9 +663,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCluster implements GET /v1/cluster: the membership view with a live
-// health probe (2-second bound) and store/queue stats per member, plus —
-// under gossip membership — each member's liveness status and the local
-// membership epoch (clients re-rank peers when it moves). A single-node
+// health probe (2-second bound) and store/queue stats per member, plus
+// each member's gossip liveness status and the local membership epoch (clients re-rank peers when it moves). A single-node
 // daemon reports itself as the only member.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	st := api.ClusterStatus{Self: s.Self()}
@@ -1059,10 +683,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	// once, not once per dead member.
 	var wg sync.WaitGroup
 	for i, m := range entries {
-		entry := api.ClusterPeer{URL: m.Addr, Self: m.Addr == s.node.Self()}
-		if !s.node.Static() {
-			entry.Status = string(m.Status)
-		}
+		entry := api.ClusterPeer{URL: m.Addr, Self: m.Addr == s.node.Self(), Status: string(m.Status)}
 		if entry.Self {
 			h := s.healthSnapshot()
 			entry.Healthy, entry.Health = true, &h
@@ -1102,11 +723,9 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	}
 	view.Epoch = s.node.Epoch()
 	for _, m := range s.node.MemberEntries() {
-		entry := api.MemberEntry{Addr: m.Addr, Self: m.Addr == s.node.Self()}
-		if !s.node.Static() {
-			entry.Status = string(m.Status)
-		}
-		view.Members = append(view.Members, entry)
+		view.Members = append(view.Members, api.MemberEntry{
+			Addr: m.Addr, Self: m.Addr == s.node.Self(), Status: string(m.Status),
+		})
 	}
 	writeJSON(w, http.StatusOK, view)
 }
@@ -1122,7 +741,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleJobTimeline implements GET /v1/jobs/{id}/timeline: the span tree a
 // job's trace recorded (queue wait, checkpoint probe/restore, warmup,
 // kernel segments, measure window). Jobs living on another member redirect
-// to their owner, mirroring the events endpoint.
+// to their owner rather than proxying the span tree.
 func (s *Server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if tl, ok := s.queue.Timeline(id); ok {

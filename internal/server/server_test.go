@@ -134,8 +134,8 @@ func TestBatchDedupSharesExecution(t *testing.T) {
 	}
 }
 
-// TestJobStatusAndEvents covers GET /v1/runs/{id} and the SSE stream.
-func TestJobStatusAndEvents(t *testing.T) {
+// TestJobStatus covers GET /v1/runs/{id}.
+func TestJobStatus(t *testing.T) {
 	_, c := newTestServer(t, 1)
 	ctx := context.Background()
 
@@ -146,35 +146,6 @@ func TestJobStatusAndEvents(t *testing.T) {
 	id := resp.Results[0].JobID
 	if id == "" {
 		t.Fatal("miss did not return a job ID")
-	}
-
-	// The SSE stream must deliver a terminal status event.
-	sseResp, err := http.Get(c.BaseURL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sseResp.Body.Close()
-	if ct := sseResp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		t.Fatalf("events content-type = %q", ct)
-	}
-	var sawDone bool
-	sc := bufio.NewScanner(sseResp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
-		}
-		if ev.Type == "status" && ev.Job != nil && ev.Job.Status == api.StatusDone {
-			sawDone = true
-			break
-		}
-	}
-	if !sawDone {
-		t.Fatal("SSE stream ended without a done status event")
 	}
 
 	st, err := c.WaitJob(ctx, id, 10*time.Millisecond)
@@ -348,51 +319,23 @@ func TestFigureMatchesLocalAndCaches(t *testing.T) {
 			again.ExecutedRuns, again.CachedRuns, remote.ExecutedRuns)
 	}
 
-	// Async mode + SSE: a warm-store figure job still streams progress
-	// events for every run and ends done.
-	sseResp, err := http.Get(c.BaseURL + "/v1/figures/3?async=1&" + wireOpts.Query().Encode())
+	// Async mode: a warm-store figure job's polled status carries the final
+	// progress and the same text.
+	jobID, err := c.FigureAsync(ctx, "3", wireOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var async api.FigureResponse
-	if err := json.NewDecoder(sseResp.Body).Decode(&async); err != nil {
-		t.Fatal(err)
-	}
-	sseResp.Body.Close()
-	if async.JobID == "" {
-		t.Fatal("async figure request returned no job ID")
-	}
-	ev, err := http.Get(c.BaseURL + "/v1/jobs/" + async.JobID + "/events")
+	final, err := c.WaitJob(ctx, jobID, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ev.Body.Close()
-	finalStatus := ""
-	sc := bufio.NewScanner(ev.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
-			t.Fatal(err)
-		}
-		// A warm store can finish the job before this subscription attaches;
-		// the first snapshot is then already terminal, carrying the final
-		// progress — so assert on the snapshot, not on streamed ticks.
-		if e.Type == "status" && e.Job != nil && terminal(e.Job.Status) {
-			finalStatus = e.Job.Status
-			if e.Job.FigureText != remote.Text {
-				t.Error("async figure text not byte-identical to sync text")
-			}
-			if e.Job.Progress == nil || e.Job.Progress.Done != e.Job.Progress.Total || e.Job.Progress.Total == 0 {
-				t.Errorf("figure job progress = %+v, want done == total > 0", e.Job.Progress)
-			}
-			break
-		}
+	if final.Status != api.StatusDone {
+		t.Fatalf("async figure job ended %q, want done", final.Status)
 	}
-	if finalStatus != api.StatusDone {
-		t.Fatalf("async figure job ended %q, want done", finalStatus)
+	if final.FigureText != remote.Text {
+		t.Error("async figure text not byte-identical to sync text")
+	}
+	if final.Progress == nil || final.Progress.Done != final.Progress.Total || final.Progress.Total == 0 {
+		t.Errorf("figure job progress = %+v, want done == total > 0", final.Progress)
 	}
 }

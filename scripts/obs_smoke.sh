@@ -25,7 +25,7 @@ go build -o "$out/metricslint" ./cmd/metricslint
 go build -o "$out/paperfigs" ./cmd/paperfigs
 
 "$out/simd" -addr 127.0.0.1:0 -store "$out/store" -checkpoints -shards 2 \
-  -metrics-compat -log-format json > "$out/simd.log" 2> "$out/simd.access.log" &
+  -log-format json > "$out/simd.log" 2> "$out/simd.access.log" &
 simd_pid=$!
 trap 'kill "$simd_pid" 2>/dev/null || true' EXIT
 
@@ -46,8 +46,8 @@ jq -e '.ok == true' "$out/scenario.json" >/dev/null \
 echo "=== checkpoint-resumed run and its timeline ==="
 spec_a='{"benchmarks":["VA"],"measure_cycles":6000,"warmup_cycles":3000}'
 spec_b='{"benchmarks":["VA"],"measure_cycles":8000,"warmup_cycles":3000}'
-curl -sf -X POST "$url/v1/runs?wait=1" -d "$spec_a" > /dev/null  # banks the warmup
-curl -sf -X POST "$url/v1/runs?wait=1" -d "$spec_b" > "$out/resumed.json"
+scripts/simd_run.sh "$url" "$spec_a" > /dev/null  # banks the warmup
+scripts/simd_run.sh "$url" "$spec_b" > "$out/resumed.json"
 job="$(jq -r '.results[0].job_id' "$out/resumed.json")"
 [ -n "$job" ] && [ "$job" != "null" ] \
   || { echo "resumed run has no job id:"; cat "$out/resumed.json"; exit 1; }

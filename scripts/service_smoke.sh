@@ -6,12 +6,16 @@
 # DESIGN.md "Determinism-based result caching"). A quick figure is fetched
 # twice as well, asserting the repeat is fully cache-served.
 #
-# Phase 2 starts a two-daemon static cluster (-peers), POSTs the same spec
-# to both members, and asserts exactly one of them executed it — the other
-# answer is a forwarded, byte-identical cache hit from the rendezvous owner.
+# Every run is submitted and waited for through scripts/simd_run.sh (POST,
+# then poll the job handle): no request blocks on a simulation.
 #
-# Phase 3 is the kill-the-owner drill on a gossip cluster (-seeds): a spec
-# is forwarded handle-based (the hop polls, it never pins a connection), the
+# Phase 2 starts a two-daemon cluster (-seeds, -replicas 1), POSTs the same
+# spec to both members, and asserts exactly one of them executed it — the
+# other answer is a forwarded, byte-identical cache hit from the rendezvous
+# owner.
+#
+# Phase 3 is the kill-the-owner drill on a replicated cluster: a spec is
+# forwarded handle-based (the hop is polled, it never pins a connection), the
 # record replicates to a warm peer, a 4th daemon joins mid-run without
 # restarting anyone, and after the owner is killed -9 a survivor serves the
 # record byte-identical from the replica with zero re-executions.
@@ -66,12 +70,12 @@ echo "simd up at $url"
 curl -sf "$url/healthz" | jq -e '.status == "ok"' >/dev/null
 
 echo "POST run (miss, simulates)"
-curl -sf -X POST "$url/v1/runs?wait=1" -d "$spec" > "$scratch/first.json"
+scripts/simd_run.sh "$url" "$spec" > "$scratch/first.json"
 jq -e '.results[0].cached == false and .results[0].status == "done"' "$scratch/first.json" >/dev/null \
   || { echo "first response wrong:"; cat "$scratch/first.json"; exit 1; }
 
 echo "POST identical run (must be a store hit)"
-curl -sf -X POST "$url/v1/runs?wait=1" -d "$spec" > "$scratch/second.json"
+scripts/simd_run.sh "$url" "$spec" > "$scratch/second.json"
 jq -e '.results[0].cached == true and .results[0].status == "done"' "$scratch/second.json" >/dev/null \
   || { echo "second response not served from cache:"; cat "$scratch/second.json"; exit 1; }
 
@@ -100,43 +104,35 @@ wait "${pids[0]}" 2>/dev/null || true
 echo
 echo "=== cluster phase: two daemons, one owner per spec ==="
 
-# Rendezvous membership must be known before either daemon starts, so pick
-# two free ports up front (bind-test via /dev/tcp; connection refused =
-# free). The tiny window between picking and listening is acceptable for a
-# smoke test.
-freeport() {
-  local p
-  while :; do
-    p=$(( (RANDOM % 20000) + 20000 ))
-    if ! (exec 3<>"/dev/tcp/127.0.0.1/$p") 2>/dev/null; then
-      echo "$p"
-      return
-    fi
-    exec 3>&- 2>/dev/null || true
-  done
+# members URL: count of members the daemon's gossip view considers routable.
+members() {
+  curl -sf "$1/v1/cluster/membership" \
+    | jq '[.members[] | select(.status == "alive" or .status == "suspect")] | length'
 }
-pa=$(freeport)
-pb=$(freeport)
-while [ "$pb" = "$pa" ]; do pb=$(freeport); done
-url_a="http://127.0.0.1:$pa"
-url_b="http://127.0.0.1:$pb"
-peers="$url_a,$url_b"
+wait_members() {
+  local want=$1; shift
+  for _ in $(seq 1 100); do
+    local ok=1
+    for u in "$@"; do
+      [ "$(members "$u" 2>/dev/null || echo 0)" = "$want" ] || { ok=""; break; }
+    done
+    [ -n "$ok" ] && return 0
+    sleep 0.1
+  done
+  echo "membership never converged to $want members" >&2
+  for u in "$@"; do curl -s "$u/v1/cluster/membership" >&2 || true; echo >&2; done
+  return 1
+}
 
 # -replicas 1: with replication on, the second member would hold a warm
 # copy and answer locally — this phase asserts the *forwarding* path.
-./smoke-simd -addr "127.0.0.1:$pa" -store "$store/cluster-a" -peers "$peers" -replicas 1 > "$scratch/simd-a.log" 2>&1 &
+./smoke-simd -addr 127.0.0.1:0 -store "$store/cluster-a" -seeds "" -replicas 1 -heartbeat 100ms > "$scratch/simd-a.log" 2>&1 &
 pid_a=$!; pids+=($pid_a)
-./smoke-simd -addr "127.0.0.1:$pb" -store "$store/cluster-b" -peers "$peers" -replicas 1 > "$scratch/simd-b.log" 2>&1 &
+url_a="$(wait_url "$scratch/simd-a.log")"
+./smoke-simd -addr 127.0.0.1:0 -store "$store/cluster-b" -seeds "$url_a" -replicas 1 -heartbeat 100ms > "$scratch/simd-b.log" 2>&1 &
 pid_b=$!; pids+=($pid_b)
-
-for member in "$url_a" "$url_b"; do
-  up=""
-  for _ in $(seq 1 50); do
-    curl -sf "$member/healthz" >/dev/null 2>&1 && { up=1; break; }
-    sleep 0.2
-  done
-  [ -n "$up" ] || { echo "cluster member $member never came up"; cat "$scratch/simd-a.log" "$scratch/simd-b.log"; exit 1; }
-done
+url_b="$(wait_url "$scratch/simd-b.log")"
+wait_members 2 "$url_a" "$url_b"
 echo "cluster up at $url_a + $url_b"
 
 curl -sf "$url_a/v1/cluster" | jq -e '[.peers[] | select(.healthy)] | length == 2' >/dev/null \
@@ -146,12 +142,12 @@ curl -sf "$url_a/v1/cluster" | jq -e '[.peers[] | select(.healthy)] | length == 
 cspec='{"benchmarks":["VA"],"measure_cycles":22000,"warmup_cycles":8000}'
 
 echo "POST spec to member A"
-curl -sf -X POST "$url_a/v1/runs?wait=1" -d "$cspec" > "$scratch/cl-a.json"
+scripts/simd_run.sh "$url_a" "$cspec" > "$scratch/cl-a.json"
 jq -e '.results[0].status == "done"' "$scratch/cl-a.json" >/dev/null \
   || { echo "member A response wrong:"; cat "$scratch/cl-a.json"; exit 1; }
 
 echo "POST same spec to member B"
-curl -sf -X POST "$url_b/v1/runs?wait=1" -d "$cspec" > "$scratch/cl-b.json"
+scripts/simd_run.sh "$url_b" "$cspec" > "$scratch/cl-b.json"
 jq -e '.results[0].status == "done" and .results[0].cached == true' "$scratch/cl-b.json" >/dev/null \
   || { echo "second member's answer not a forwarded cache hit:"; cat "$scratch/cl-b.json"; exit 1; }
 
@@ -210,25 +206,6 @@ url_2="$(wait_url "$scratch/seed-2.log")"
 pid_3=$!; pids+=($pid_3)
 url_3="$(wait_url "$scratch/seed-3.log")"
 
-# members URL: count of members the daemon's gossip view considers routable.
-members() {
-  curl -sf "$1/v1/cluster/membership" \
-    | jq '[.members[] | select(.status == "alive" or .status == "suspect" or .status == "")] | length'
-}
-wait_members() {
-  local want=$1; shift
-  for _ in $(seq 1 100); do
-    local ok=1
-    for u in "$@"; do
-      [ "$(members "$u" 2>/dev/null || echo 0)" = "$want" ] || { ok=""; break; }
-    done
-    [ -n "$ok" ] && return 0
-    sleep 0.1
-  done
-  echo "membership never converged to $want members" >&2
-  for u in "$@"; do curl -s "$u/v1/cluster/membership" >&2 || true; echo >&2; done
-  return 1
-}
 wait_members 3 "$url_1" "$url_2" "$url_3"
 echo "gossip cluster converged: 3 members, epoch $(curl -sf "$url_1/v1/cluster/membership" | jq .epoch)"
 
@@ -239,7 +216,7 @@ owner_url=""
 dspec=""
 for seedval in $(seq 1 12); do
   try="{\"benchmarks\":[\"VA\"],\"measure_cycles\":24000,\"warmup_cycles\":8000,\"seed\":$seedval}"
-  curl -sf -X POST "$url_1/v1/runs?wait=1" -d "$try" > "$scratch/drill.json"
+  scripts/simd_run.sh "$url_1" "$try" > "$scratch/drill.json"
   jq -e '.results[0].status == "done"' "$scratch/drill.json" >/dev/null \
     || { echo "drill POST failed:"; cat "$scratch/drill.json"; exit 1; }
   peer="$(jq -r '.results[0].peer' "$scratch/drill.json")"
@@ -285,7 +262,7 @@ echo "kill the owner (no graceful leave) and re-request through a survivor"
 if [ "$owner_url" = "$url_2" ]; then owner_pid=$pid_2; else owner_pid=$pid_3; fi
 ex_before=$(( $(msum "${survivors[0]}" simd_runs_executed_total) + $(msum "${survivors[1]}" simd_runs_executed_total) + $(msum "$url_4" simd_runs_executed_total) ))
 kill -9 "$owner_pid"
-curl -sf -X POST "${survivors[1]}/v1/runs?wait=1" -d "$dspec" > "$scratch/after.json"
+scripts/simd_run.sh "${survivors[1]}" "$dspec" > "$scratch/after.json"
 jq -e '.results[0].status == "done" and .results[0].cached == true' "$scratch/after.json" >/dev/null \
   || { echo "post-kill answer not served from a store:"; cat "$scratch/after.json"; exit 1; }
 jq -cS '.results[0].stats' "$scratch/after.json" > "$scratch/after.stats"
