@@ -10,16 +10,12 @@ package repro_test
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/gpu"
-	"repro/internal/simstore"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -220,93 +216,6 @@ func BenchmarkShardScaling_Figure11(b *testing.B) {
 			reportRatio(b, "host-cpus", float64(runtime.NumCPU()))
 		})
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint benchmarks (cold vs resumed execution of the same sweep)
-// ---------------------------------------------------------------------------
-
-// checkpointSweepSpecs builds a small Figure-11-style sweep: a handful of
-// workloads under every LLC organization, all opted into checkpointing.
-func checkpointSweepSpecs(b *testing.B) []sweep.RunSpec {
-	b.Helper()
-	var specs []sweep.RunSpec
-	for _, abbr := range []string{"MM", "GEMM", "VA"} {
-		w, ok := workload.ByAbbr(abbr)
-		if !ok {
-			b.Fatalf("unknown benchmark %s", abbr)
-		}
-		for _, mode := range []config.LLCMode{config.LLCShared, config.LLCPrivate, config.LLCAdaptive} {
-			cfg := config.Baseline()
-			cfg.LLCMode = mode
-			specs = append(specs, sweep.RunSpec{
-				Key:           abbr + "/" + mode.String(),
-				Workloads:     []workload.Spec{w},
-				Config:        cfg,
-				Seed:          1,
-				MeasureCycles: 15_000,
-				WarmupCycles:  6_000,
-				Checkpoint:    true,
-			})
-		}
-	}
-	return specs
-}
-
-// BenchmarkCheckpoint_ColdSweep is the baseline for the checkpoint
-// subsystem: the sweep below, simulated from cycle 0 every time. Compare its
-// ns/op against BenchmarkCheckpoint_ResumedSweep.
-func BenchmarkCheckpoint_ColdSweep(b *testing.B) {
-	specs := checkpointSweepSpecs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range specs {
-			if _, err := sweep.Execute(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkCheckpoint_ResumedSweep re-executes the same sweep against a
-// pre-banked checkpoint store, so every run resumes from its furthest stored
-// kernel boundary instead of simulating from cycle 0. The banking pass runs
-// outside the timer and is verified byte-identical to cold execution.
-func BenchmarkCheckpoint_ResumedSweep(b *testing.B) {
-	specs := checkpointSweepSpecs(b)
-	store, err := simstore.Open(b.TempDir(), simstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mgr := checkpoint.NewManager(store)
-	for _, s := range specs {
-		cold, err := sweep.Execute(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		banked, err := sweep.ExecuteWith(s, mgr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !reflect.DeepEqual(cold, banked) {
-			b.Fatalf("run %s: banking pass changed the statistics", s.Key)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range specs {
-			if _, err := sweep.ExecuteWith(s, mgr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	ms := mgr.ManagerStats()
-	if ms.Hits == 0 {
-		b.Fatal("resumed sweep never restored a snapshot")
-	}
-	reportRatio(b, "resumes", float64(ms.Hits))
-	reportRatio(b, "store-MB", float64(ms.Bytes)/(1<<20))
 }
 
 // ---------------------------------------------------------------------------

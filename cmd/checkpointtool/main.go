@@ -4,14 +4,16 @@
 // A checkpoint banks the complete simulator state at a run prefix boundary —
 // warmup end or a kernel boundary — so later runs sharing that prefix resume
 // instead of re-simulating it. Files are self-describing: a magic line and a
-// JSON header precede the compressed state payload, so info answers from the
-// preamble alone without decoding the state.
+// JSON header precede the checksummed binary state payload, so info answers
+// from the preamble alone without decoding the state.
 //
 // Usage:
 //
-//	checkpointtool info <file>        print the header (add -state to decode
-//	                                  the payload and print the geometry and
-//	                                  each generator's RNG stream position)
+//	checkpointtool info <file>        print the header (add -state to verify
+//	                                  the checksum, decode the payload and
+//	                                  print the geometry, the bytes each
+//	                                  section of the state takes, and each
+//	                                  generator's RNG stream position)
 //	checkpointtool ls   <storedir>    list every checkpoint blob in a store
 //
 // ls walks a simstore directory (the -checkpoint-dir of paperfigs, or a simd
@@ -71,7 +73,7 @@ run "checkpointtool <subcommand> -h" for per-subcommand flags.
 
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	withState := fs.Bool("state", false, "decode the state payload and print the snapshot geometry and RNG stream positions")
+	withState := fs.Bool("state", false, "verify the checksum, decode the state payload and print the snapshot geometry, per-section sizes and RNG stream positions")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -116,6 +118,16 @@ func cmdInfo(args []string) error {
 			return err
 		}
 		st := snap.State
+		// Decode verifies length and checksum before it reads the payload.
+		fmt.Printf("  checksum     ok\n")
+		sections, payload := st.Sections(), 0
+		for _, sec := range sections {
+			payload += sec.Bytes
+		}
+		fmt.Printf("  payload      %.1f KB\n", float64(payload)/1024)
+		for _, sec := range sections {
+			fmt.Printf("    %-10s %8.1f KB  %4.1f%%\n", sec.Name, float64(sec.Bytes)/1024, 100*float64(sec.Bytes)/float64(payload))
+		}
 		fmt.Printf("  llc mode     %s\n", st.Mode)
 		fmt.Printf("  geometry     %d SMs, %d LLC slices, %d MCs\n", len(st.SMs), len(st.Slices), len(st.MCs))
 		// AppModes is only populated for multi-program runs with per-app views.

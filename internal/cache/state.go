@@ -1,77 +1,200 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/wire"
+)
 
 // This file exports the mutable state of the package's structures for the
-// checkpoint subsystem (internal/checkpoint). Every type here is a plain
-// exported mirror of the corresponding unexported runtime state, safe to
-// serialize with encoding/gob and complete enough that RestoreState produces
-// a structure whose future behaviour is byte-identical to the original's.
+// checkpoint subsystem (internal/checkpoint). Every State type here is a
+// plain exported value, complete enough that RestoreState produces a
+// structure whose future behaviour is byte-identical to the original's, with
+// a hand-written wire form (AppendTo / ReadFrom over internal/wire) that is
+// the bytes a checkpoint store holds.
 
-// LineState mirrors one cache line for serialization.
-type LineState struct {
-	Valid       bool
-	Dirty       bool
-	Tag         uint64
-	LastUse     uint64
-	Sharers     uint64
-	LastCluster int
-}
-
-// State is a complete snapshot of a Cache: its resident lines (row-major,
-// nsets*ways), the LRU clock, and the access statistics.
+// State is a complete snapshot of a Cache: the LRU clock, the access
+// statistics and the resident lines as packed columns. Valid has a bit per
+// line slot (set-major, set*ways + way, Slots of them); every other column
+// has one entry per valid slot, in slot order — Dirty a bit, the rest a
+// word. Invalid slots carry no state — the cache keeps them zeroed — so a
+// snapshot costs what the cache holds, not what it could hold.
 type State struct {
-	Lines []LineState
-	Clock uint64
-	Stats Stats
+	Slots       int
+	Valid       []uint64
+	Dirty       []uint64
+	Tags        []uint64
+	LastUse     []uint64
+	Sharers     []uint64
+	LastCluster []int
+	Clock       uint64
+	Stats       Stats
 }
 
 // SaveState captures the cache's mutable state.
 func (c *Cache) SaveState() State {
-	st := State{
-		Lines: make([]LineState, 0, c.nsets*c.cfg.Ways),
-		Clock: c.clock,
-		Stats: c.stats,
-	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := c.sets[s][w]
-			st.Lines = append(st.Lines, LineState{
-				Valid:       l.valid,
-				Dirty:       l.dirty,
-				Tag:         l.tag,
-				LastUse:     l.lastUse,
-				Sharers:     l.sharers,
-				LastCluster: l.lastCluster,
-			})
+	var st State
+	c.SaveStateInto(&st)
+	return st
+}
+
+// SaveStateInto is SaveState reusing the backing arrays st already has. It
+// marks the valid slots first, so the columns are sized once and the second
+// pass visits resident lines only.
+func (c *Cache) SaveStateInto(st *State) {
+	st.Slots = len(c.lines)
+	st.Valid = wire.Resize(st.Valid, wire.BitWords(len(c.lines)))
+	clear(st.Valid)
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].valid {
+			st.Valid[i>>6] |= 1 << (i & 63)
+			n++
 		}
 	}
-	return st
+	st.Dirty = wire.Resize(st.Dirty, wire.BitWords(n))
+	clear(st.Dirty)
+	st.Tags = wire.Resize(st.Tags, n)
+	st.LastUse = wire.Resize(st.LastUse, n)
+	st.Sharers = wire.Resize(st.Sharers, n)
+	st.LastCluster = wire.Resize(st.LastCluster, n)
+	k := 0
+	for w, word := range st.Valid {
+		for ; word != 0; word &= word - 1 {
+			l := &c.lines[w*64+bits.TrailingZeros64(word)]
+			if l.dirty {
+				st.Dirty[k>>6] |= 1 << (k & 63)
+			}
+			st.Tags[k] = l.tag
+			st.LastUse[k] = l.lastUse
+			st.Sharers[k] = l.sharers
+			st.LastCluster[k] = l.lastCluster
+			k++
+		}
+	}
+	st.Clock = c.clock
+	st.Stats = c.stats
 }
 
 // RestoreState overwrites the cache's mutable state with a snapshot taken
 // from a cache of the same geometry.
 func (c *Cache) RestoreState(st State) error {
-	if want := c.nsets * c.cfg.Ways; len(st.Lines) != want {
-		return fmt.Errorf("cache: snapshot has %d lines, cache holds %d", len(st.Lines), want)
+	if st.Slots != len(c.lines) {
+		return fmt.Errorf("cache: snapshot has %d lines, cache holds %d", st.Slots, len(c.lines))
 	}
+	words := wire.BitWords(st.Slots)
+	if len(st.Valid) != words {
+		return fmt.Errorf("cache: snapshot valid set holds %d words, %d lines take %d", len(st.Valid), st.Slots, words)
+	}
+	if st.Slots%64 != 0 && st.Valid[words-1]>>(st.Slots%64) != 0 {
+		return fmt.Errorf("cache: snapshot marks lines valid beyond the %d it holds", st.Slots)
+	}
+	valid := 0
+	for _, word := range st.Valid {
+		valid += bits.OnesCount64(word)
+	}
+	if len(st.Dirty) != wire.BitWords(valid) || len(st.Tags) != valid || len(st.LastUse) != valid ||
+		len(st.Sharers) != valid || len(st.LastCluster) != valid {
+		return fmt.Errorf("cache: snapshot columns do not match its %d valid lines", valid)
+	}
+	clear(c.lines)
 	clear(c.touched)
-	for i, l := range st.Lines {
-		c.lines[i] = line{
-			valid:       l.Valid,
-			dirty:       l.Dirty,
-			tag:         l.Tag,
-			lastUse:     l.LastUse,
-			sharers:     l.Sharers,
-			lastCluster: l.LastCluster,
-		}
-		if l.Sharers != 0 {
-			c.touch(i) // the touched set is derived from the sharer sets
+	k := 0
+	for w, word := range st.Valid {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			c.lines[i] = line{
+				valid:       true,
+				dirty:       st.Dirty[k>>6]>>(k&63)&1 != 0,
+				tag:         st.Tags[k],
+				lastUse:     st.LastUse[k],
+				sharers:     st.Sharers[k],
+				lastCluster: st.LastCluster[k],
+			}
+			if st.Sharers[k] != 0 {
+				c.touch(i) // the touched set is derived from the sharer sets
+			}
+			k++
 		}
 	}
 	c.clock = st.Clock
 	c.stats = st.Stats
 	return nil
+}
+
+// AppendTo appends the state's wire form: slot count, the valid set, the
+// clock, then per valid line the dirty bit, the tag and the LRU age (Clock -
+// LastUse, small where LastUse is not) as columns, the Sharers / LastCluster
+// columns behind a presence flag — a cache accessed without cluster identity
+// (every L1) leaves both all zero and omits them — and the statistics.
+func (st *State) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(st.Slots))
+	b = wire.AppendBits(b, st.Valid, st.Slots)
+	b = wire.AppendUvarint(b, st.Clock)
+	b = wire.AppendBits(b, st.Dirty, len(st.Tags))
+	b = wire.AppendUvarints(b, st.Tags)
+	for _, u := range st.LastUse {
+		b = wire.AppendUvarint(b, st.Clock-u)
+	}
+	clusters := false
+	for i := range st.Sharers {
+		if st.Sharers[i] != 0 || st.LastCluster[i] != 0 {
+			clusters = true
+			break
+		}
+	}
+	b = wire.AppendBool(b, clusters)
+	if clusters {
+		b = wire.AppendUvarints(b, st.Sharers)
+		b = wire.AppendInts(b, st.LastCluster)
+	}
+	for _, p := range st.Stats.counters() {
+		b = wire.AppendUvarint(b, *p)
+	}
+	return b
+}
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// arrays it already has.
+func (st *State) ReadFrom(r *wire.Reader) {
+	st.Slots = r.BitCount()
+	st.Valid = r.Bits(st.Valid, st.Slots)
+	st.Clock = r.Uvarint()
+	n := 0
+	for _, w := range st.Valid {
+		n += bits.OnesCount64(w)
+	}
+	if !r.Need(n, 2) {
+		n = 0
+	}
+	st.Dirty = r.Bits(st.Dirty, n)
+	st.Tags = r.Uvarints(st.Tags, n)
+	st.LastUse = r.Uvarints(st.LastUse, n)
+	for i, age := range st.LastUse {
+		st.LastUse[i] = st.Clock - age
+	}
+	st.Sharers = wire.Resize(st.Sharers, n)
+	st.LastCluster = wire.Resize(st.LastCluster, n)
+	if r.Bool() {
+		if !r.Need(n, 2) {
+			n = 0
+		}
+		st.Sharers = r.Uvarints(st.Sharers, n)
+		st.LastCluster = r.Ints(st.LastCluster, n)
+	} else {
+		clear(st.Sharers)
+		clear(st.LastCluster)
+	}
+	for _, p := range st.Stats.counters() {
+		*p = r.Uvarint()
+	}
+}
+
+// counters lists the statistics in wire order.
+func (s *Stats) counters() [9]*uint64 {
+	return [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.Reads, &s.Writes,
+		&s.ReadMisses, &s.WriteMisses, &s.Evictions, &s.Writebacks}
 }
 
 // MSHRState is a complete snapshot of an MSHRTable, generic over the same
@@ -89,18 +212,66 @@ type MSHRState[P any] struct {
 // SaveState captures the table's entries and statistics. Payload slices are
 // deep-copied: the table recycles its backing arrays.
 func (m *MSHRTable[P]) SaveState() MSHRState[P] {
-	st := MSHRState[P]{
-		Lines:         append([]uint64(nil), m.lines...),
-		Payloads:      make([][]P, len(m.payloads)),
-		PeakOccupancy: m.peakOccupancy,
-		Allocations:   m.allocations,
-		Merges:        m.merges,
-		FullStalls:    m.fullStalls,
-	}
-	for i, ps := range m.payloads {
-		st.Payloads[i] = append([]P(nil), ps...)
-	}
+	var st MSHRState[P]
+	SaveMSHRs(m, &st, func(p P) P { return p })
 	return st
+}
+
+// SaveMSHRs captures m into st, reusing the backing arrays st already has
+// and storing each payload as conv gives it: the LLC's tables hold
+// *mem.Request and snapshot the requests by value.
+func SaveMSHRs[P, S any](m *MSHRTable[P], st *MSHRState[S], conv func(P) S) {
+	st.Lines = append(st.Lines[:0], m.lines...)
+	st.Payloads = wire.Resize(st.Payloads, len(m.payloads))
+	for i, ps := range m.payloads {
+		out := st.Payloads[i][:0]
+		for _, p := range ps {
+			out = append(out, conv(p))
+		}
+		st.Payloads[i] = out
+	}
+	st.PeakOccupancy = m.peakOccupancy
+	st.Allocations = m.allocations
+	st.Merges = m.merges
+	st.FullStalls = m.fullStalls
+}
+
+// AppendTo appends the state's wire form — per entry its line and its
+// counted payloads, each written by elem — then the counters. Lines and
+// Payloads must be parallel, as SaveState and ReadFrom leave them.
+func (st *MSHRState[P]) AppendTo(b []byte, elem func(*P, []byte) []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(st.Lines)))
+	for i, line := range st.Lines {
+		b = wire.AppendUvarint(b, line)
+		b = wire.AppendUvarint(b, uint64(len(st.Payloads[i])))
+		for j := range st.Payloads[i] {
+			b = elem(&st.Payloads[i][j], b)
+		}
+	}
+	b = wire.AppendInt(b, st.PeakOccupancy)
+	b = wire.AppendUvarint(b, st.Allocations)
+	b = wire.AppendUvarint(b, st.Merges)
+	return wire.AppendUvarint(b, st.FullStalls)
+}
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// arrays it already has; elem reads one payload of at least elemMin bytes.
+func (st *MSHRState[P]) ReadFrom(r *wire.Reader, elemMin int, elem func(*P, *wire.Reader)) {
+	n := r.Count(2)
+	st.Lines = wire.Resize(st.Lines, n)
+	st.Payloads = wire.Resize(st.Payloads, n)
+	for i := range st.Lines {
+		st.Lines[i] = r.Uvarint()
+		ps := wire.Resize(st.Payloads[i], r.Count(elemMin))
+		for j := range ps {
+			elem(&ps[j], r)
+		}
+		st.Payloads[i] = ps
+	}
+	st.PeakOccupancy = r.Int()
+	st.Allocations = r.Uvarint()
+	st.Merges = r.Uvarint()
+	st.FullStalls = r.Uvarint()
 }
 
 // RestoreState overwrites the table's entries and statistics. The counters
@@ -155,16 +326,16 @@ type ATDState struct {
 
 // SaveState captures the ATD's sampled sets and counters.
 func (a *ATD) SaveState() ATDState {
-	st := ATDState{
-		Entries:     make([]ATDEntryState, 0, a.sampledSets*a.ways),
-		Clock:       a.clock,
-		Accesses:    a.accesses,
-		SharedHits:  a.sharedHits,
-		PrivateHits: a.privateHits,
-	}
+	var st ATDState
+	a.SaveStateInto(&st)
+	return st
+}
+
+// SaveStateInto is SaveState reusing the backing array st already has.
+func (a *ATD) SaveStateInto(st *ATDState) {
+	st.Entries = st.Entries[:0]
 	for s := range a.sets {
-		for w := range a.sets[s] {
-			e := a.sets[s][w]
+		for _, e := range a.sets[s] {
 			st.Entries = append(st.Entries, ATDEntryState{
 				Valid:       e.valid,
 				Tag:         e.tag,
@@ -173,7 +344,43 @@ func (a *ATD) SaveState() ATDState {
 			})
 		}
 	}
-	return st
+	st.Clock = a.clock
+	st.Accesses = a.accesses
+	st.SharedHits = a.sharedHits
+	st.PrivateHits = a.privateHits
+}
+
+// AppendTo appends the state's wire form: the counted entries, then the
+// clock and counters.
+func (st *ATDState) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(st.Entries)))
+	for _, e := range st.Entries {
+		b = wire.AppendBool(b, e.Valid)
+		b = wire.AppendUvarint(b, e.Tag)
+		b = wire.AppendUvarint(b, e.LastUse)
+		b = wire.AppendInt(b, e.LastCluster)
+	}
+	b = wire.AppendUvarint(b, st.Clock)
+	b = wire.AppendUvarint(b, st.Accesses)
+	b = wire.AppendUvarint(b, st.SharedHits)
+	return wire.AppendUvarint(b, st.PrivateHits)
+}
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// array it already has.
+func (st *ATDState) ReadFrom(r *wire.Reader) {
+	st.Entries = wire.Resize(st.Entries, r.Count(4))
+	for i := range st.Entries {
+		e := &st.Entries[i]
+		e.Valid = r.Bool()
+		e.Tag = r.Uvarint()
+		e.LastUse = r.Uvarint()
+		e.LastCluster = r.Int()
+	}
+	st.Clock = r.Uvarint()
+	st.Accesses = r.Uvarint()
+	st.SharedHits = r.Uvarint()
+	st.PrivateHits = r.Uvarint()
 }
 
 // RestoreState overwrites the ATD's state with a snapshot taken from an ATD

@@ -24,10 +24,10 @@ package checkpoint
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strconv"
 	"strings"
@@ -36,21 +36,41 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/simstore"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// FormatVersion versions the snapshot container (magic line, header, payload
-// encoding). Snapshots with a different version are rejected on decode.
-// Version 2: workload.GeneratorState carries the RNG register instead of a
-// draw count to replay.
-const FormatVersion = 2
+// FormatVersion versions the snapshot file: the frame below and the wire
+// form of gpu.State inside it. Any change to either — a field added to a
+// State type's AppendTo, a different column order — bumps it; snapshots with
+// another version are rejected on decode (the store drops them and the run
+// falls back to a shorter prefix or cold execution), and no reader for old
+// versions is kept.
+// Version 3: the hand-written binary state codec under a CRC-32C, replacing
+// gob + gzip.
+const FormatVersion = 3
 
-// magicPrefix plus the format version is the first line of every checkpoint
-// file, so a reader knows immediately whether it can parse the rest.
-const magicPrefix = "repro-checkpoint/"
+// A checkpoint file is
+//
+//	repro-checkpoint/3\n            magic line with the format version
+//	{"version":3,...}\n             Header as one JSON line
+//	<8 bytes>                       payload length, little-endian
+//	<4 bytes>                       CRC-32C, little-endian
+//	<payload>                       gpu.State.AppendTo
+//
+// The two text lines make a file self-describing (`checkpointtool info`
+// reads them alone). The checksum covers everything between the magic line
+// and the end of the file except itself — header line, length and payload —
+// and is verified, with the length, before a payload byte is interpreted.
+const (
+	magicPrefix = "repro-checkpoint/"
+	frameBytes  = 8 + 4
+)
 
-// Header is the self-describing, uncompressed preamble of a snapshot: one
-// JSON line a tool can read without decoding the (gzip+gob) state payload.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Header is the self-describing preamble of a snapshot: one JSON line a tool
+// can read without decoding the state payload.
 type Header struct {
 	Version    int    `json:"version"`
 	SimVersion string `json:"sim_version"`
@@ -75,19 +95,25 @@ type Snapshot struct {
 // workload program driving g does not support checkpointing (every program in
 // this repository does).
 func Save(g *gpu.GPU) (*Snapshot, error) {
-	st, err := g.SaveState()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+	snap := new(Snapshot)
+	if err := saveInto(g, snap); err != nil {
+		return nil, err
 	}
-	return &Snapshot{
-		Header: Header{
-			Version:     FormatVersion,
-			SimVersion:  simstore.SimVersion,
-			Cycle:       st.Cycle,
-			SavedAtUnix: time.Now().Unix(),
-		},
-		State: st,
-	}, nil
+	return snap, nil
+}
+
+// saveInto is Save reusing the backing arrays snap.State already has.
+func saveInto(g *gpu.GPU, snap *Snapshot) error {
+	if err := g.SaveStateInto(&snap.State); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	snap.Header = Header{
+		Version:     FormatVersion,
+		SimVersion:  simstore.SimVersion,
+		Cycle:       snap.State.Cycle,
+		SavedAtUnix: time.Now().Unix(),
+	}
+	return nil
 }
 
 // Restore builds a GPU from cfg and prog — which must be freshly constructed
@@ -105,51 +131,69 @@ func Restore(cfg config.Config, prog workload.Program, snap *Snapshot) (*gpu.GPU
 	return g, nil
 }
 
-// Encode serializes a snapshot: the magic line, the JSON header line, then
-// the gob-encoded GPU state compressed with gzip. The two text lines make a
-// checkpoint file self-describing (`checkpointtool info` reads them alone);
-// gob handles the deeply nested state struct without per-field code; gzip
-// wins back most of gob's verbosity on the large cache arrays.
+// Encode serializes a snapshot into a checkpoint file. The bytes are a pure
+// function of the header and the state.
 func Encode(snap *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s%d\n", magicPrefix, FormatVersion)
+	return appendSnapshot(nil, snap)
+}
+
+// appendSnapshot is Encode appending to b.
+func appendSnapshot(b []byte, snap *Snapshot) ([]byte, error) {
 	hdr, err := json.Marshal(snap.Header)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode header: %w", err)
 	}
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(snap.State); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode state: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode state: %w", err)
-	}
-	return buf.Bytes(), nil
+	b = append(b, magicPrefix...)
+	b = strconv.AppendInt(b, FormatVersion, 10)
+	b = append(b, '\n')
+	covered := len(b)
+	b = append(b, hdr...)
+	b = append(b, '\n')
+	frame := len(b)
+	b = append(b, make([]byte, frameBytes)...)
+	b = snap.State.AppendTo(b)
+	binary.LittleEndian.PutUint64(b[frame:], uint64(len(b)-frame-frameBytes))
+	sum := crc32.Update(0, castagnoli, b[covered:frame+8])
+	sum = crc32.Update(sum, castagnoli, b[frame+frameBytes:])
+	binary.LittleEndian.PutUint32(b[frame+8:], sum)
+	return b, nil
 }
 
 // ReadHeader parses the self-describing preamble of a checkpoint stream
-// without touching the state payload.
+// without touching the state payload (and so without verifying the
+// checksum, which needs all of it).
 func ReadHeader(r io.Reader) (Header, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadString('\n')
 	if err != nil {
 		return Header{}, fmt.Errorf("checkpoint: read magic: %w", err)
 	}
-	version, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), magicPrefix)
-	if !ok {
-		return Header{}, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file?)", strings.TrimSpace(line))
-	}
-	if version != strconv.Itoa(FormatVersion) {
-		return Header{}, fmt.Errorf("checkpoint: snapshot format v%s, this simulator reads v%d", version, FormatVersion)
+	if err := checkMagic(line); err != nil {
+		return Header{}, err
 	}
 	hdrLine, err := br.ReadString('\n')
 	if err != nil {
 		return Header{}, fmt.Errorf("checkpoint: read header: %w", err)
 	}
+	return parseHeader([]byte(hdrLine))
+}
+
+// checkMagic validates the first line of a checkpoint file (with its
+// newline): the magic prefix and this simulator's format version.
+func checkMagic(line string) error {
+	version, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), magicPrefix)
+	if !ok {
+		return fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file?)", strings.TrimSpace(line))
+	}
+	if version != strconv.Itoa(FormatVersion) {
+		return fmt.Errorf("checkpoint: snapshot format v%s, this simulator reads v%d", version, FormatVersion)
+	}
+	return nil
+}
+
+func parseHeader(line []byte) (Header, error) {
 	var hdr Header
-	if err := json.Unmarshal([]byte(hdrLine), &hdr); err != nil {
+	if err := json.Unmarshal(line, &hdr); err != nil {
 		return Header{}, fmt.Errorf("checkpoint: parse header: %w", err)
 	}
 	if hdr.Version != FormatVersion {
@@ -158,35 +202,64 @@ func ReadHeader(r io.Reader) (Header, error) {
 	return hdr, nil
 }
 
-// Decode parses an encoded snapshot. Any malformation — bad magic, version
-// skew, truncated or corrupted payload — is an error; callers holding the
-// blob in a store drop it and fall back to cold execution.
+// Decode parses a checkpoint file. Any malformation — bad magic, version
+// skew, a length or checksum that does not match, a payload that does not
+// parse — is an error; callers holding the blob in a store drop it and fall
+// back to cold execution.
 func Decode(data []byte) (*Snapshot, error) {
-	r := bytes.NewReader(data)
-	hdr, err := ReadHeader(r)
-	if err != nil {
+	snap := new(Snapshot)
+	if err := decodeInto(data, snap); err != nil {
 		return nil, err
 	}
-	// ReadHeader consumed through its bufio wrapper; re-locate the payload by
-	// scanning past the two text lines directly.
-	payload := data
-	for i := 0; i < 2; i++ {
-		nl := bytes.IndexByte(payload, '\n')
-		if nl < 0 {
-			return nil, fmt.Errorf("checkpoint: truncated preamble")
-		}
-		payload = payload[nl+1:]
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
-	}
-	snap := &Snapshot{Header: hdr}
-	if err := gob.NewDecoder(zr).Decode(&snap.State); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
-	}
 	return snap, nil
+}
+
+// decodeInto is Decode reusing the backing arrays snap.State already has.
+// On error snap holds nothing usable.
+func decodeInto(data []byte, snap *Snapshot) error {
+	hdr, payload, err := openFrame(data)
+	if err != nil {
+		return err
+	}
+	r := wire.NewReader(payload)
+	snap.State.ReadFrom(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("checkpoint: decode state: %w", err)
+	}
+	snap.Header = hdr
+	return nil
+}
+
+// openFrame validates everything around the payload — magic, header, length
+// and checksum — and returns the header and the verified payload bytes.
+func openFrame(data []byte) (Header, []byte, error) {
+	magicEnd := bytes.IndexByte(data, '\n') + 1
+	if magicEnd == 0 {
+		return Header{}, nil, fmt.Errorf("checkpoint: read magic: no newline in %d bytes", len(data))
+	}
+	if err := checkMagic(string(data[:magicEnd])); err != nil {
+		return Header{}, nil, err
+	}
+	hdrEnd := bytes.IndexByte(data[magicEnd:], '\n') + 1
+	if hdrEnd == 0 {
+		return Header{}, nil, fmt.Errorf("checkpoint: read header: truncated preamble")
+	}
+	hdrEnd += magicEnd
+	hdr, err := parseHeader(data[magicEnd:hdrEnd])
+	if err != nil {
+		return Header{}, nil, err
+	}
+	if len(data)-hdrEnd < frameBytes {
+		return Header{}, nil, fmt.Errorf("checkpoint: truncated frame")
+	}
+	payload := data[hdrEnd+frameBytes:]
+	if n := binary.LittleEndian.Uint64(data[hdrEnd:]); n != uint64(len(payload)) {
+		return Header{}, nil, fmt.Errorf("checkpoint: payload is %d bytes, frame says %d (truncated?)", len(payload), n)
+	}
+	sum := crc32.Update(0, castagnoli, data[magicEnd:hdrEnd+8])
+	sum = crc32.Update(sum, castagnoli, payload)
+	if want := binary.LittleEndian.Uint32(data[hdrEnd+8:]); sum != want {
+		return Header{}, nil, fmt.Errorf("checkpoint: checksum mismatch (computed %08x, stored %08x): corrupt snapshot", sum, want)
+	}
+	return hdr, payload, nil
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,25 +169,38 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCorruptBlobSelfHeals covers the satellite requirement: a truncated or
-// garbage checkpoint blob is skipped and deleted, the run falls back to a
-// shorter prefix (or cold execution) with identical statistics, and the blob
-// is re-banked as the run passes the boundary again.
+// TestCorruptBlobSelfHeals covers the satellite requirement: a truncated,
+// garbage, stale-format or bit-flipped checkpoint blob is skipped and
+// deleted, the run falls back to a shorter prefix (or cold execution) with
+// identical statistics, and the blob is re-banked as the run passes the
+// boundary again.
 func TestCorruptBlobSelfHeals(t *testing.T) {
+	flips := 1000
+	if testing.Short() {
+		flips = 100
+	}
 	corruptions := []struct {
-		name    string
-		mangle  func(data []byte) []byte
-		corrupt int // store-level corrupt count per healed blob
+		name   string
+		rounds int // manglings to try, each on the freshly re-banked blob
+		mangle func(data []byte, rng *rand.Rand) []byte
 	}{
-		{"truncated", func(data []byte) []byte { return data[:len(data)/2] }, 1},
-		{"garbage", func(data []byte) []byte { return bytes.Repeat([]byte("junk"), 64) }, 1},
-		// A blob banked by a simulator one container format back (here: the
-		// current payload under a v1 preamble) is dropped on the version
-		// check, never decoded into a mis-shaped generator state.
-		{"format-v1", func(data []byte) []byte {
-			data = bytes.Replace(data, []byte("repro-checkpoint/2\n"), []byte("repro-checkpoint/1\n"), 1)
-			return bytes.Replace(data, []byte(`{"version":2,`), []byte(`{"version":1,`), 1)
-		}, 1},
+		{"truncated", 1, func(data []byte, _ *rand.Rand) []byte { return data[:len(data)/2] }},
+		{"garbage", 1, func([]byte, *rand.Rand) []byte { return bytes.Repeat([]byte("junk"), 64) }},
+		// A blob banked by a simulator one container format back (here:
+		// today's payload under the v2 preamble) is dropped on the version
+		// check, never handed to the state decoder.
+		{"format-v2", 1, func(data []byte, _ *rand.Rand) []byte {
+			data = bytes.Replace(data, []byte("repro-checkpoint/3\n"), []byte("repro-checkpoint/2\n"), 1)
+			return bytes.Replace(data, []byte(`{"version":3,`), []byte(`{"version":2,`), 1)
+		}},
+		// One flipped bit anywhere after the magic line — header, length,
+		// checksum or payload — is caught by the frame, every time.
+		{"bit-flip", flips, func(data []byte, rng *rand.Rand) []byte {
+			after := bytes.IndexByte(data, '\n') + 1
+			bit := rng.IntN(8 * (len(data) - after))
+			data[after+bit/8] ^= 1 << (bit % 8)
+			return data
+		}},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -200,39 +214,40 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 			if _, err := sweep.ExecuteWith(spec, mgr); err != nil {
 				t.Fatal(err)
 			}
-
-			// Mangle the furthest boundary's blob on disk.
+			// The furthest boundary's blob is the one mangled on disk.
 			key, err := KernelKey(spec, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			path := blobPath(store.Dir(), key)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("expected blob at %s: %v", path, err)
-			}
-			if err := os.WriteFile(path, c.mangle(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
 
-			resumed, err := sweep.ExecuteWith(spec, mgr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireEqualStats(t, cold, resumed, "resume past corrupt blob")
-			st := mgr.ManagerStats()
-			if st.Errors == 0 {
-				t.Error("corrupt blob was not detected")
-			}
-			if st.Hits != 1 {
-				t.Errorf("expected the fallback prefix to hit, got %d hits", st.Hits)
-			}
-			if ss := store.StoreStats(); ss.Corrupt == 0 {
-				t.Error("store did not count the dropped blob as corrupt")
-			}
-			// Passing boundary 2 again re-banked the healed blob.
-			if !store.HasBlob(key) {
-				t.Error("corrupt blob was not re-banked by the resumed run")
+			rng := rand.New(rand.NewPCG(18, 3))
+			for round := 1; round <= c.rounds; round++ {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("expected blob at %s: %v", path, err)
+				}
+				if err := os.WriteFile(path, c.mangle(data, rng), 0o644); err != nil {
+					t.Fatal(err)
+				}
+
+				resumed, err := sweep.ExecuteWith(spec, mgr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireEqualStats(t, cold, resumed, "resume past corrupt blob")
+				if st := mgr.ManagerStats(); st.Errors != uint64(round) {
+					t.Fatalf("round %d: %d errors counted, want one per corrupt blob", round, st.Errors)
+				} else if st.Hits != uint64(round) {
+					t.Fatalf("round %d: expected the fallback prefix to hit, got %d hits", round, st.Hits)
+				}
+				if ss := store.StoreStats(); ss.Corrupt != uint64(round) {
+					t.Fatalf("round %d: store counted %d dropped blobs as corrupt", round, ss.Corrupt)
+				}
+				// Passing boundary 2 again re-banked the healed blob.
+				if !store.HasBlob(key) {
+					t.Fatalf("round %d: corrupt blob was not re-banked by the resumed run", round)
+				}
 			}
 		})
 	}
@@ -305,9 +320,8 @@ func TestEncodeDecodeHeader(t *testing.T) {
 		t.Errorf("header round-trip mismatch: %+v", hdr)
 	}
 
-	// Gob legitimately drops zero-valued fields (an empty slice decodes as
-	// nil), so the fidelity check is behavioural: a GPU restored from the
-	// decoded state must run identically to the original.
+	// The fidelity check is behavioural: a GPU restored from the decoded
+	// state must run identically to the original.
 	decoded, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +335,9 @@ func TestEncodeDecodeHeader(t *testing.T) {
 	if _, err := Decode([]byte("not a checkpoint\n{}\n")); err == nil {
 		t.Error("bad magic must be rejected")
 	}
-	v1 := append([]byte("repro-checkpoint/1\n"), data[bytes.IndexByte(data, '\n')+1:]...)
-	if _, err := Decode(v1); err == nil || !strings.Contains(err.Error(), "format v1") {
-		t.Errorf("a v1 container must be rejected as a version mismatch, got %v", err)
+	v2 := append([]byte("repro-checkpoint/2\n"), data[bytes.IndexByte(data, '\n')+1:]...)
+	if _, err := Decode(v2); err == nil || !strings.Contains(err.Error(), "format v2") {
+		t.Errorf("a v2 container must be rejected as a version mismatch, got %v", err)
 	}
 	if _, err := Decode(data[:len(data)-10]); err == nil {
 		t.Error("truncated payload must be rejected")

@@ -51,5 +51,11 @@ func KernelKey(spec sweep.RunSpec, m int) ([32]byte, error) {
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return sha256.Sum256(fmt.Appendf(nil, "repro-checkpoint/kernel|%s|%d", simstore.Hex(fp), m)), nil
+	return kernelKey(fp, m), nil
+}
+
+// kernelKey derives a kernel-boundary key from the run fingerprint, for
+// callers that need several boundaries of one spec and fingerprint it once.
+func kernelKey(fp [32]byte, m int) [32]byte {
+	return sha256.Sum256(fmt.Appendf(nil, "repro-checkpoint/kernel|%s|%d", simstore.Hex(fp), m))
 }

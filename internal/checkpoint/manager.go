@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,6 +39,17 @@ type Manager struct {
 	// onSave, if set via OnSave, fires after every banked snapshot with
 	// the blob key and encoded bytes (the cluster replication hook).
 	onSave func(key [32]byte, data []byte)
+
+	// scratch recycles the snapshot and the encode buffer a Checkpoint or a
+	// Resume works in (*scratch): the sweep worker pool shares one manager,
+	// and a State's backing arrays are worth more than the bytes they hold.
+	scratch sync.Pool
+}
+
+// scratch is one worker's reusable snapshot and encode buffer.
+type scratch struct {
+	snap Snapshot
+	buf  []byte
 }
 
 // OnSave registers a post-save hook. Set before the manager is handed to
@@ -50,7 +63,7 @@ var (
 
 // NewManager wraps a store with checkpoint semantics.
 func NewManager(store *simstore.Store) *Manager {
-	return &Manager{store: store}
+	return &Manager{store: store, scratch: sync.Pool{New: func() any { return new(scratch) }}}
 }
 
 // Stats reports the manager's counters: resumed runs, stored snapshots, blob
@@ -97,12 +110,14 @@ func (m *Manager) candidates(spec sweep.RunSpec) ([]candidate, error) {
 	// the spec alone (trace replays may defer it to the trace header; those
 	// runs still share warmup prefixes).
 	if kernels := spec.Canonical().Kernels; kernels > 1 {
+		// One fingerprint serves every boundary: it walks the spec and, for
+		// a trace replay, hashes the whole trace file.
+		fp, err := simstore.Fingerprint(spec)
+		if err != nil {
+			return nil, err
+		}
 		for k := kernels - 1; k >= 1; k-- {
-			key, err := KernelKey(spec, k)
-			if err != nil {
-				return nil, err
-			}
-			cands = append(cands, candidate{key: key, atKernel: k})
+			cands = append(cands, candidate{key: kernelKey(fp, k), atKernel: k})
 		}
 	}
 	if spec.WarmupCycles > 0 {
@@ -146,13 +161,16 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 		endProbe(false)
 		return nil, nil, 0, false
 	}
+	// RestoreState copies out of the snapshot, so the scratch it was decoded
+	// into goes back to the pool whichever way this returns.
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
 	for _, c := range cands {
 		data, ok := m.store.GetBlob(c.key)
 		if !ok {
 			continue
 		}
-		snap, err := Decode(data)
-		if err != nil {
+		if err := decodeInto(data, &sc.snap); err != nil {
 			// Corrupt or truncated blob: self-heal and keep probing shorter
 			// prefixes.
 			m.store.DropBlob(c.key)
@@ -173,7 +191,7 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 			m.restoreSeconds.ObserveSince(restoreStart)
 			return nil, nil, 0, false
 		}
-		g, err := Restore(spec.Config, prog, snap)
+		g, err := Restore(spec.Config, prog, &sc.snap)
 		if err != nil {
 			// A decodable snapshot that does not fit the freshly built run
 			// (stale geometry under a key collision, a partially restored
@@ -213,24 +231,26 @@ func (m *Manager) Checkpoint(spec sweep.RunSpec, g *gpu.GPU, atKernel int) {
 		return
 	}
 	// Deterministic execution means an existing blob under this key is
-	// byte-equivalent state; skip the save (and its gob+gzip cost).
+	// byte-equivalent state; skip the save.
 	if m.store.HasBlob(key) {
 		return
 	}
 	saveStart := time.Now()
 	defer func() { m.saveSeconds.ObserveSince(saveStart) }()
-	snap, err := Save(g)
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
+	if err := saveInto(g, &sc.snap); err != nil {
+		m.errors.Add(1)
+		return
+	}
+	sc.snap.Header.Key = spec.Key
+	sc.snap.Header.AtKernel = atKernel
+	data, err := appendSnapshot(sc.buf[:0], &sc.snap)
 	if err != nil {
 		m.errors.Add(1)
 		return
 	}
-	snap.Header.Key = spec.Key
-	snap.Header.AtKernel = atKernel
-	data, err := Encode(snap)
-	if err != nil {
-		m.errors.Add(1)
-		return
-	}
+	sc.buf = data
 	if err := m.store.PutBlob(key, data); err != nil {
 		m.errors.Add(1)
 		return
@@ -238,6 +258,8 @@ func (m *Manager) Checkpoint(spec sweep.RunSpec, g *gpu.GPU, atKernel int) {
 	m.saves.Add(1)
 	m.bytes.Add(uint64(len(data)))
 	if m.onSave != nil {
-		m.onSave(key, data)
+		// The hook keeps the bytes (replication pushes them from another
+		// goroutine); the buffer is about to be reused.
+		m.onSave(key, bytes.Clone(data))
 	}
 }

@@ -159,7 +159,7 @@ func (c *refController) issueColumn(q *QueuedState, b *BankState) {
 func (c *refController) SaveState() State {
 	return State{
 		Banks:        append([]BankState{}, c.banks...),
-		Queue:        append([]QueuedState{}, c.queue...),
+		Queue:        append([]QueuedState(nil), c.queue...), // nil when empty, as the controller saves it
 		BusFreeAt:    c.busFreeAt,
 		LastActCycle: c.lastActCycle,
 		Stats:        c.stats,

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"repro/internal/wire"
 )
 
 // BankState mirrors one bank's timing state machine for serialization.
@@ -38,14 +40,19 @@ type State struct {
 
 // SaveState captures the controller's mutable state.
 func (c *Controller) SaveState() State {
-	st := State{
-		Banks:        make([]BankState, len(c.banks)),
-		Queue:        make([]QueuedState, 0, c.count),
-		BusFreeAt:    c.busFreeAt,
-		LastActCycle: c.lastActCycle,
-		Stats:        c.stats,
-		Cycle:        c.cycle,
-	}
+	var st State
+	c.SaveStateInto(&st)
+	return st
+}
+
+// SaveStateInto is SaveState reusing the backing arrays st already has.
+func (c *Controller) SaveStateInto(st *State) {
+	st.Banks = wire.Resize(st.Banks, len(c.banks))
+	st.Queue = st.Queue[:0]
+	st.BusFreeAt = c.busFreeAt
+	st.LastActCycle = c.lastActCycle
+	st.Stats = c.stats
+	st.Cycle = c.cycle
 	live := append(make([]int32, 0, c.count), c.inflight...)
 	for i, b := range c.banks {
 		st.Banks[i] = BankState{
@@ -71,7 +78,84 @@ func (c *Controller) SaveState() State {
 			DoneAt:    q.doneAt,
 		})
 	}
-	return st
+}
+
+// AppendTo appends the state's wire form: the counted banks, the counted
+// queue, then the scalars and statistics.
+func (st *State) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(st.Banks)))
+	for _, k := range st.Banks {
+		b = wire.AppendUvarint(b, uint64(k.OpenRow+1)) // -1, no row open, is a zero byte
+		b = wire.AppendUvarint(b, k.ReadyAt)
+		b = wire.AppendUvarint(b, k.ActAllowed)
+		b = wire.AppendUvarint(b, k.PreAllowed)
+		b = wire.AppendUvarint(b, k.LastActivate)
+	}
+	b = wire.AppendUvarint(b, uint64(len(st.Queue)))
+	for _, q := range st.Queue {
+		b = wire.AppendUvarint(b, q.Req.ID)
+		b = wire.AppendInt(b, q.Req.Bank)
+		b = wire.AppendUvarint(b, q.Req.Row)
+		b = wire.AppendBool(b, q.Req.Write)
+		b = wire.AppendUvarint(b, q.Req.Arrival)
+		b = wire.AppendInt(b, q.Req.Meta.Slice)
+		b = wire.AppendUvarint(b, q.Req.Meta.Addr)
+		b = wire.AppendBool(b, q.Req.Meta.Fill)
+		b = wire.AppendBool(b, q.Issued)
+		b = wire.AppendBool(b, q.Conflict)
+		b = wire.AppendBool(b, q.Activated)
+		b = wire.AppendUvarint(b, q.DoneAt)
+	}
+	b = wire.AppendUvarint(b, st.BusFreeAt)
+	b = wire.AppendUvarint(b, st.LastActCycle)
+	b = wire.AppendUvarint(b, st.Cycle)
+	for _, p := range st.Stats.counters() {
+		b = wire.AppendUvarint(b, *p)
+	}
+	return b
+}
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// arrays it already has.
+func (st *State) ReadFrom(r *wire.Reader) {
+	st.Banks = wire.Resize(st.Banks, r.Count(5))
+	for i := range st.Banks {
+		st.Banks[i] = BankState{
+			OpenRow:      int64(r.Uvarint()) - 1,
+			ReadyAt:      r.Uvarint(),
+			ActAllowed:   r.Uvarint(),
+			PreAllowed:   r.Uvarint(),
+			LastActivate: r.Uvarint(),
+		}
+	}
+	st.Queue = wire.Resize(st.Queue, r.Count(12))
+	for i := range st.Queue {
+		q := &st.Queue[i]
+		q.Req.ID = r.Uvarint()
+		q.Req.Bank = r.Int()
+		q.Req.Row = r.Uvarint()
+		q.Req.Write = r.Bool()
+		q.Req.Arrival = r.Uvarint()
+		q.Req.Meta.Slice = r.Int()
+		q.Req.Meta.Addr = r.Uvarint()
+		q.Req.Meta.Fill = r.Bool()
+		q.Issued = r.Bool()
+		q.Conflict = r.Bool()
+		q.Activated = r.Bool()
+		q.DoneAt = r.Uvarint()
+	}
+	st.BusFreeAt = r.Uvarint()
+	st.LastActCycle = r.Uvarint()
+	st.Cycle = r.Uvarint()
+	for _, p := range st.Stats.counters() {
+		*p = r.Uvarint()
+	}
+}
+
+// counters lists the statistics in wire order.
+func (s *Stats) counters() [11]*uint64 {
+	return [...]*uint64{&s.Requests, &s.Reads, &s.Writes, &s.RowHits, &s.RowMisses,
+		&s.RowConflicts, &s.BytesMoved, &s.BusyCycles, &s.TotalQueueing, &s.Completed, &s.StallsFull}
 }
 
 // RestoreState overwrites the controller's mutable state with a snapshot

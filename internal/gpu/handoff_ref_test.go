@@ -195,7 +195,7 @@ func TestParentStyleSnapshotResumesIdentically(t *testing.T) {
 	})
 	rewritten := 0
 	for _, st := range snaps {
-		st = gobRoundTrip(t, st) // a private copy to rewrite
+		st = wireRoundTrip(t, st) // a private copy to rewrite
 		for i := range st.Slices {
 			for j := range st.Slices[i].ReplyOut {
 				if r := &st.Slices[i].ReplyOut[j]; r.ReadyAt != 0 && r.ReadyAt <= st.Cycle {

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -25,7 +24,7 @@ func shardTestConfig(mode config.LLCMode) config.Config {
 }
 
 // runMatrixPoint executes one warmup+measured run at the given shard count,
-// capturing RunStats and a gob-encoded State snapshot at every kernel
+// capturing RunStats and a wire-encoded State snapshot at every kernel
 // boundary.
 func runMatrixPoint(t *testing.T, cfg config.Config, spec workload.Spec, shards int) (RunStats, [][]byte) {
 	t.Helper()
@@ -41,11 +40,7 @@ func runMatrixPoint(t *testing.T, cfg config.Config, spec workload.Spec, shards 
 		if err != nil {
 			t.Fatalf("boundary %d: %v", m, err)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-			t.Fatalf("boundary %d: %v", m, err)
-		}
-		snaps = append(snaps, buf.Bytes())
+		snaps = append(snaps, st.AppendTo(nil))
 	})
 	return stats, snaps
 }
@@ -189,7 +184,7 @@ func TestShardedCheckpointRoundTrip(t *testing.T) {
 	resumeCfg := cfg
 	resumeCfg.Shards = 2
 	for i, st := range snaps {
-		resumed, err := Restore(resumeCfg, workload.MustNewGenerator(spec, resumeCfg, stateSeed), gobRoundTrip(t, st))
+		resumed, err := Restore(resumeCfg, workload.MustNewGenerator(spec, resumeCfg, stateSeed), wireRoundTrip(t, st))
 		if err != nil {
 			t.Fatalf("boundary %d: %v", i+1, err)
 		}

@@ -1,12 +1,11 @@
 package gpu
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -50,16 +49,15 @@ func stateTestSpec(t *testing.T) workload.Spec {
 	return spec
 }
 
-// gobRoundTrip pushes a snapshot through its wire encoding, so the tests
-// prove serialization fidelity and not just in-memory copying.
-func gobRoundTrip(t *testing.T, st State) State {
+// wireRoundTrip pushes a snapshot through its wire form — the payload bytes a
+// checkpoint store holds — so the tests prove serialization fidelity and not
+// just in-memory copying.
+func wireRoundTrip(t *testing.T, st State) State {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatalf("encode snapshot: %v", err)
-	}
+	r := wire.NewReader(st.AppendTo(nil))
 	var out State
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
+	out.ReadFrom(r)
+	if err := r.Done(); err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
 	return out
@@ -92,7 +90,7 @@ func TestWarmupCheckpointRoundTrip(t *testing.T) {
 			}
 			coldStats := cold.Run(stateMeasure, stateKernels)
 
-			resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), gobRoundTrip(t, st))
+			resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), wireRoundTrip(t, st))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +126,7 @@ func TestMidRunCheckpointRoundTrip(t *testing.T) {
 			}
 
 			for i, st := range snaps {
-				resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), gobRoundTrip(t, st))
+				resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), wireRoundTrip(t, st))
 				if err != nil {
 					t.Fatalf("boundary %d: %v", i+1, err)
 				}
@@ -176,7 +174,7 @@ func TestMultiProgramCheckpointRoundTrip(t *testing.T) {
 
 	// The restored GPU never sees SetAppModes: the snapshot must carry it.
 	resumed := build()
-	if err := resumed.RestoreState(gobRoundTrip(t, st)); err != nil {
+	if err := resumed.RestoreState(wireRoundTrip(t, st)); err != nil {
 		t.Fatal(err)
 	}
 	requireSameStats(t, coldStats, resumed.Run(stateMeasure, stateKernels))

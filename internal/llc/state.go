@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // PendingReplyState mirrors one latency-pending reply for serialization.
@@ -30,30 +31,17 @@ type SliceState struct {
 
 // SaveState captures the slice's mutable state.
 func (s *Slice) SaveState() SliceState {
-	mshrs := s.mshrs.SaveState()
-	flat := cache.MSHRState[mem.Request]{
-		Lines:         mshrs.Lines,
-		Payloads:      make([][]mem.Request, len(mshrs.Payloads)),
-		PeakOccupancy: mshrs.PeakOccupancy,
-		Allocations:   mshrs.Allocations,
-		Merges:        mshrs.Merges,
-		FullStalls:    mshrs.FullStalls,
-	}
-	for i, ps := range mshrs.Payloads {
-		flat.Payloads[i] = make([]mem.Request, len(ps))
-		for j, r := range ps {
-			flat.Payloads[i][j] = *r
-		}
-	}
-	st := SliceState{
-		Policy:  s.tags.Config().Policy,
-		Tags:    s.tags.SaveState(),
-		MSHRs:   flat,
-		InQ:     make([]mem.Request, 0, s.inq.Len()),
-		DRAMOut: make([]DRAMRequest, 0, s.dramOut.Len()),
-		Cycle:   s.cycle,
-		Stats:   s.stats,
-	}
+	var st SliceState
+	s.SaveStateInto(&st)
+	return st
+}
+
+// SaveStateInto is SaveState reusing the backing arrays st already has.
+func (s *Slice) SaveStateInto(st *SliceState) {
+	st.Policy = s.tags.Config().Policy
+	s.tags.SaveStateInto(&st.Tags)
+	cache.SaveMSHRs(s.mshrs, &st.MSHRs, func(r *mem.Request) mem.Request { return *r })
+	st.InQ, st.DRAMOut, st.ReplyOut = st.InQ[:0], st.DRAMOut[:0], st.ReplyOut[:0]
 	for i := 0; i < s.inq.Len(); i++ {
 		st.InQ = append(st.InQ, *s.inq.At(i))
 	}
@@ -64,17 +52,75 @@ func (s *Slice) SaveState() SliceState {
 		pr := s.replyOut.At(i)
 		st.ReplyOut = append(st.ReplyOut, PendingReplyState{Reply: pr.reply, ReadyAt: pr.readyAt})
 	}
-	return st
+	st.Cycle = s.cycle
+	st.Stats = s.stats
+}
+
+// AppendTo appends the state's wire form: write policy, tag store, MSHRs,
+// the three queues, the cycle and the statistics.
+func (st *SliceState) AppendTo(b []byte) []byte {
+	b = wire.AppendInt(b, int(st.Policy))
+	b = st.Tags.AppendTo(b)
+	b = st.MSHRs.AppendTo(b, (*mem.Request).AppendTo)
+	b = mem.AppendRequests(b, st.InQ)
+	b = wire.AppendUvarint(b, uint64(len(st.DRAMOut)))
+	for _, d := range st.DRAMOut {
+		b = wire.AppendUvarint(b, d.Addr)
+		b = wire.AppendBool(b, d.Write)
+		b = wire.AppendBool(b, d.Fill)
+	}
+	b = wire.AppendUvarint(b, uint64(len(st.ReplyOut)))
+	for i := range st.ReplyOut {
+		b = st.ReplyOut[i].Reply.AppendTo(b)
+		b = wire.AppendUvarint(b, st.ReplyOut[i].ReadyAt)
+	}
+	b = wire.AppendUvarint(b, st.Cycle)
+	for _, p := range st.Stats.counters() {
+		b = wire.AppendUvarint(b, *p)
+	}
+	return wire.AppendInt(b, st.Stats.PeakQueue)
+}
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// arrays it already has.
+func (st *SliceState) ReadFrom(r *wire.Reader) {
+	st.Policy = cache.WritePolicy(r.Int())
+	st.Tags.ReadFrom(r)
+	st.MSHRs.ReadFrom(r, mem.RequestWireMin, (*mem.Request).ReadFrom)
+	st.InQ = mem.ReadRequests(r, st.InQ)
+	st.DRAMOut = wire.Resize(st.DRAMOut, r.Count(3))
+	for i := range st.DRAMOut {
+		st.DRAMOut[i] = DRAMRequest{Addr: r.Uvarint(), Write: r.Bool(), Fill: r.Bool()}
+	}
+	st.ReplyOut = wire.Resize(st.ReplyOut, r.Count(mem.ReplyWireMin+1))
+	for i := range st.ReplyOut {
+		st.ReplyOut[i].Reply.ReadFrom(r)
+		st.ReplyOut[i].ReadyAt = r.Uvarint()
+	}
+	st.Cycle = r.Uvarint()
+	for _, p := range st.Stats.counters() {
+		*p = r.Uvarint()
+	}
+	st.Stats.PeakQueue = r.Int()
+}
+
+// counters lists the uint64 statistics in wire order (PeakQueue, an int,
+// follows them).
+func (s *Stats) counters() [11]*uint64 {
+	return [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.MergedMisses, &s.Reads, &s.Writes, &s.Fills,
+		&s.Writebacks, &s.RepliesSent, &s.MSHRStalls, &s.QueueCycles}
 }
 
 // RestoreState overwrites the slice's mutable state with a snapshot taken
-// from a slice built under the same configuration. The tag store is rebuilt
-// with the snapshot's write policy (SetWritePolicy's flushed-slice guard
-// does not apply to a wholesale state overwrite).
+// from a slice built under the same configuration. A tag store under another
+// write policy than the snapshot's is rebuilt with it (SetWritePolicy's
+// flushed-slice guard does not apply to a wholesale state overwrite).
 func (s *Slice) RestoreState(st SliceState) error {
-	tagCfg := s.tags.Config()
-	tagCfg.Policy = st.Policy
-	tags := cache.New(tagCfg)
+	tags := s.tags
+	if tagCfg := tags.Config(); tagCfg.Policy != st.Policy {
+		tagCfg.Policy = st.Policy
+		tags = cache.New(tagCfg)
+	}
 	if err := tags.RestoreState(st.Tags); err != nil {
 		return fmt.Errorf("llc slice %d: %w", s.id, err)
 	}

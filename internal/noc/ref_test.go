@@ -138,13 +138,17 @@ func TestActivePortTickMatchesReference(t *testing.T) {
 					t.Fatalf("cycle %d: stats\n got %+v\nwant %+v", cyc, got.Stats(), ref.Stats())
 				}
 				if cyc%1999 == 0 || cyc == cycles/2 {
-					if a, b := saveXbar(got), saveXbar(ref); !reflect.DeepEqual(a, b) {
+					var a, b NetState
+					saveXbar(got, &a)
+					saveXbar(ref, &b)
+					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("cycle %d: snapshots differ", cyc)
 					}
 				}
 				if cyc == cycles/2 {
 					drain(t, used, 100000)
-					st := saveXbar(got)
+					var st NetState
+					saveXbar(got, &st)
 					if err := restoreXbar(used, st); err != nil {
 						t.Fatal(err)
 					}

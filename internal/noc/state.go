@@ -2,9 +2,11 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 // UseRestorePools directs RestoreState to acquire packets and their carried
@@ -54,6 +56,58 @@ func savePacket(p *Packet) PacketState {
 		st.Req = *p.Req
 	}
 	return st
+}
+
+// packetWireMin is the fewest bytes a PacketState encodes to.
+const packetWireMin = 8 + mem.ReplyWireMin
+
+func (st *PacketState) appendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, st.ID)
+	b = wire.AppendInt(b, st.Src)
+	b = wire.AppendInt(b, st.Dst)
+	b = wire.AppendInt(b, st.Flits)
+	b = wire.AppendUvarint(b, st.InjectedAt)
+	b = wire.AppendUvarint(b, st.DeliveredAt)
+	b = wire.AppendInt(b, st.Hops)
+	b = wire.AppendBool(b, st.HasReq)
+	if st.HasReq {
+		b = st.Req.AppendTo(b)
+	}
+	return st.Reply.AppendTo(b)
+}
+
+func (st *PacketState) readFrom(r *wire.Reader) {
+	st.ID = r.Uvarint()
+	st.Src = r.Int()
+	st.Dst = r.Int()
+	st.Flits = r.Int()
+	st.InjectedAt = r.Uvarint()
+	st.DeliveredAt = r.Uvarint()
+	st.Hops = r.Int()
+	st.HasReq = r.Bool()
+	st.Req = mem.Request{}
+	if st.HasReq {
+		st.Req.ReadFrom(r)
+	}
+	st.Reply.ReadFrom(r)
+}
+
+func appendInflight(b []byte, fs []InflightState) []byte {
+	b = wire.AppendUvarint(b, uint64(len(fs)))
+	for i := range fs {
+		b = fs[i].Pkt.appendTo(b)
+		b = wire.AppendUvarint(b, fs[i].ArriveAt)
+	}
+	return b
+}
+
+func readInflight(r *wire.Reader, fs []InflightState) []InflightState {
+	fs = wire.Resize(fs, r.Count(packetWireMin+1))
+	for i := range fs {
+		fs[i].Pkt.readFrom(r)
+		fs[i].ArriveAt = r.Uvarint()
+	}
+	return fs
 }
 
 func restorePacket(st PacketState, pkts *pool.FreeList[Packet], reqs *pool.FreeList[mem.Request]) *Packet {
@@ -131,14 +185,99 @@ type NetState struct {
 // (router wiring, injection mapping) is not saved: it is a pure function of
 // the construction parameters plus the bypass flag.
 func SaveState(n Net) (NetState, error) {
+	var st NetState
+	err := SaveStateInto(n, &st)
+	return st, err
+}
+
+// SaveStateInto is SaveState reusing the backing arrays st already has.
+func SaveStateInto(n Net, st *NetState) error {
 	switch net := n.(type) {
 	case *xbarNet:
-		return saveXbar(net), nil
+		saveXbar(net, st)
 	case *idealNet:
-		return saveIdeal(net), nil
+		saveIdeal(net, st)
 	default:
-		return NetState{}, fmt.Errorf("noc: cannot snapshot network of type %T", n)
+		return fmt.Errorf("noc: cannot snapshot network of type %T", n)
 	}
+	return nil
+}
+
+// counters lists the statistics in wire order.
+func (s *Stats) counters() [14]*uint64 {
+	return [...]*uint64{&s.Injected, &s.Delivered, &s.TotalLatency, &s.TotalHops, &s.FlitsInjected, &s.FlitsDelivered,
+		&s.BufferWrites, &s.BufferReads, &s.CrossbarFlits, &s.ShortLinkFlits, &s.LongLinkFlits,
+		&s.InjectStallCycles, &s.RouterCycles, &s.GatedRouterCycles}
+}
+
+// AppendTo appends the state's wire form: kind and scalars, the statistics,
+// the counted routers (each its counted queues, then its counted ports),
+// then the ideal network's counted packets in flight.
+func (st *NetState) AppendTo(b []byte) []byte {
+	b = wire.AppendString(b, st.Kind)
+	b = wire.AppendUvarint(b, st.Cycle)
+	b = wire.AppendBool(b, st.Bypassed)
+	b = wire.AppendInt(b, st.InflightCount)
+	for _, p := range st.Stats.counters() {
+		b = wire.AppendUvarint(b, *p)
+	}
+	b = wire.AppendUvarint(b, uint64(len(st.Routers)))
+	for ri := range st.Routers {
+		rs := &st.Routers[ri]
+		b = wire.AppendUvarint(b, uint64(len(rs.Queues)))
+		for qi := range rs.Queues {
+			qs := &rs.Queues[qi]
+			b = wire.AppendUvarint(b, uint64(len(qs.Packets)))
+			for i := range qs.Packets {
+				b = qs.Packets[i].appendTo(b)
+			}
+			b = wire.AppendInt(b, qs.UsedFlits)
+			b = wire.AppendUvarint(b, qs.InjBusyUntil)
+		}
+		b = wire.AppendUvarint(b, uint64(len(rs.Ports)))
+		for pi := range rs.Ports {
+			ps := &rs.Ports[pi]
+			b = wire.AppendUvarint(b, ps.BusyUntil)
+			b = wire.AppendUvarint(b, uint64(len(ps.Candidates)))
+			b = wire.AppendInts(b, ps.Candidates)
+			b = appendInflight(b, ps.Inflight)
+		}
+	}
+	return appendInflight(b, st.Inflight)
+}
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// arrays it already has.
+func (st *NetState) ReadFrom(r *wire.Reader) {
+	st.Kind = r.String()
+	st.Cycle = r.Uvarint()
+	st.Bypassed = r.Bool()
+	st.InflightCount = r.Int()
+	for _, p := range st.Stats.counters() {
+		*p = r.Uvarint()
+	}
+	st.Routers = wire.Resize(st.Routers, r.Count(2))
+	for ri := range st.Routers {
+		rs := &st.Routers[ri]
+		rs.Queues = wire.Resize(rs.Queues, r.Count(3))
+		for qi := range rs.Queues {
+			qs := &rs.Queues[qi]
+			qs.Packets = wire.Resize(qs.Packets, r.Count(packetWireMin))
+			for i := range qs.Packets {
+				qs.Packets[i].readFrom(r)
+			}
+			qs.UsedFlits = r.Int()
+			qs.InjBusyUntil = r.Uvarint()
+		}
+		rs.Ports = wire.Resize(rs.Ports, r.Count(3))
+		for pi := range rs.Ports {
+			ps := &rs.Ports[pi]
+			ps.BusyUntil = r.Uvarint()
+			ps.Candidates = r.Ints(ps.Candidates, r.Count(1))
+			ps.Inflight = readInflight(r, ps.Inflight)
+		}
+	}
+	st.Inflight = readInflight(r, st.Inflight)
 }
 
 // RestoreState overwrites n's mutable state with a snapshot taken from a net
@@ -156,46 +295,33 @@ func RestoreState(n Net, st NetState) error {
 	}
 }
 
-func saveXbar(n *xbarNet) NetState {
-	st := NetState{
-		Kind:          "xbar",
-		Cycle:         n.cycle,
-		Stats:         n.stats,
-		Bypassed:      n.bypassed,
-		InflightCount: n.inflightCount,
-		Routers:       make([]RouterState, len(n.routers)),
-	}
+func saveXbar(n *xbarNet, st *NetState) {
+	st.Kind = "xbar"
+	st.Cycle = n.cycle
+	st.Stats = n.stats
+	st.Bypassed = n.bypassed
+	st.InflightCount = n.inflightCount
+	st.Inflight = st.Inflight[:0]
+	st.Routers = wire.Resize(st.Routers, len(n.routers))
 	for ri, r := range n.routers {
-		rs := RouterState{
-			Queues: make([]QueueState, len(r.inQs)),
-			Ports:  make([]PortState, len(r.outPorts)),
-		}
+		rs := &st.Routers[ri]
+		rs.Queues = wire.Resize(rs.Queues, len(r.inQs))
+		rs.Ports = wire.Resize(rs.Ports, len(r.outPorts))
 		for qi, q := range r.inQs {
-			qs := QueueState{
-				Packets:      make([]PacketState, 0, q.packets.Len()),
-				UsedFlits:    q.usedFlits,
-				InjBusyUntil: q.injBusyUntil,
-			}
+			qs := &rs.Queues[qi]
+			qs.Packets = qs.Packets[:0]
 			for i := 0; i < q.packets.Len(); i++ {
 				qs.Packets = append(qs.Packets, savePacket(q.packets.At(i)))
 			}
-			rs.Queues[qi] = qs
+			qs.UsedFlits = q.usedFlits
+			qs.InjBusyUntil = q.injBusyUntil
 		}
 		for pi, port := range r.outPorts {
-			ps := PortState{
-				BusyUntil:  port.busyUntil,
-				Candidates: make([]int, 0, port.candidates.Len()),
-				Inflight:   make([]InflightState, 0, port.inflight.Len()),
-			}
+			ps := &rs.Ports[pi]
+			ps.BusyUntil = port.busyUntil
+			ps.Candidates, ps.Inflight = ps.Candidates[:0], ps.Inflight[:0]
 			for i := 0; i < port.candidates.Len(); i++ {
-				cand := port.candidates.At(i)
-				idx := -1
-				for qi, q := range r.inQs {
-					if q == cand {
-						idx = qi
-						break
-					}
-				}
+				idx := slices.Index(r.inQs, port.candidates.At(i))
 				if idx < 0 {
 					panic(fmt.Sprintf("noc %s: candidate queue not owned by its router", n.name))
 				}
@@ -205,11 +331,8 @@ func saveXbar(n *xbarNet) NetState {
 				f := port.inflight.At(i)
 				ps.Inflight = append(ps.Inflight, InflightState{Pkt: savePacket(f.p), ArriveAt: f.arriveAt})
 			}
-			rs.Ports[pi] = ps
 		}
-		st.Routers[ri] = rs
 	}
-	return st
 }
 
 func restoreXbar(n *xbarNet, st NetState) error {
@@ -267,18 +390,17 @@ func restoreXbar(n *xbarNet, st NetState) error {
 	return nil
 }
 
-func saveIdeal(n *idealNet) NetState {
-	st := NetState{
-		Kind:          "ideal",
-		Cycle:         n.cycle,
-		Stats:         n.stats,
-		InflightCount: len(n.inflight),
-		Inflight:      make([]InflightState, 0, len(n.inflight)),
-	}
+func saveIdeal(n *idealNet, st *NetState) {
+	st.Kind = "ideal"
+	st.Cycle = n.cycle
+	st.Stats = n.stats
+	st.Bypassed = false
+	st.InflightCount = len(n.inflight)
+	st.Routers = st.Routers[:0]
+	st.Inflight = st.Inflight[:0]
 	for _, f := range n.inflight {
 		st.Inflight = append(st.Inflight, InflightState{Pkt: savePacket(f.p), ArriveAt: f.arriveAt})
 	}
-	return st
 }
 
 func restoreIdeal(n *idealNet, st NetState) error {

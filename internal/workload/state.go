@@ -1,18 +1,67 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // ProgramState is a serialized snapshot of a Program's execution position.
-// Kind names the concrete implementation, Data its gob-encoded state; Subs
-// carries the children of composite programs.
+// Kind names the concrete implementation, Data its state in that
+// implementation's wire form; Subs carries the children of composite
+// programs.
 type ProgramState struct {
 	Kind string
 	Data []byte
 	Subs []ProgramState
+}
+
+// AppendTo appends the state's wire form: kind, data, the counted children.
+func (ps *ProgramState) AppendTo(b []byte) []byte {
+	b = wire.AppendString(b, ps.Kind)
+	b = wire.AppendBytes(b, ps.Data)
+	b = wire.AppendUvarint(b, uint64(len(ps.Subs)))
+	for i := range ps.Subs {
+		b = ps.Subs[i].AppendTo(b)
+	}
+	return b
+}
+
+// maxProgramDepth bounds the nesting ReadFrom follows; real programs nest
+// one level (a MultiProgram of generators or players).
+const maxProgramDepth = 4
+
+// ReadFrom overwrites the state with the next one in r, reusing the backing
+// arrays it already has.
+func (ps *ProgramState) ReadFrom(r *wire.Reader) { ps.readFrom(r, maxProgramDepth) }
+
+func (ps *ProgramState) readFrom(r *wire.Reader, depth int) {
+	if depth == 0 {
+		r.Fail("workload: program state nests deeper than %d", maxProgramDepth)
+		return
+	}
+	ps.Kind = r.String()
+	ps.Data = r.Bytes(ps.Data)
+	ps.Subs = wire.Resize(ps.Subs, r.Count(3))
+	for i := range ps.Subs {
+		ps.Subs[i].readFrom(r, depth-1)
+	}
+}
+
+// AppendTo appends the operation's wire form to b.
+func (o *Op) AppendTo(b []byte) []byte {
+	b = wire.AppendBool(b, o.IsMem)
+	b = wire.AppendBool(b, o.Write)
+	b = wire.AppendUvarint(b, o.Addr)
+	return wire.AppendInt(b, o.ALULatency)
+}
+
+// ReadFrom overwrites the operation with the next one in r.
+func (o *Op) ReadFrom(r *wire.Reader) {
+	o.IsMem = r.Bool()
+	o.Write = r.Bool()
+	o.Addr = r.Uvarint()
+	o.ALULatency = r.Int()
 }
 
 // Checkpointable is implemented by programs that can be snapshotted and
@@ -24,80 +73,58 @@ type Checkpointable interface {
 	RestoreProgState(st ProgramState) error
 }
 
-// GeneratorWarpState mirrors one warp's sweep position (the CTA identity is
-// re-derived by construction).
-type GeneratorWarpState struct {
-	SweepPos uint64
-	PrivPos  uint64
-	StartPos uint64
-}
-
-// GeneratorState is the execution position of a Generator. The RNG fields
-// are the lfg's complete state, so restoring is a copy whose cost does not
-// depend on how far the run had progressed.
-type GeneratorState struct {
-	Seed           int64
-	RNGVec         []uint64
-	RNGTap         int
-	RNGFeed        int
-	RNGDraws       uint64
-	Kernel         int
-	GlobalFrontier uint64
-	SharedCount    uint64
-	AppID          int
-	TotalOps       uint64
-	TotalMemOps    uint64
-	TotalShared    uint64
-	TotalPrivate   uint64
-	Warps          []GeneratorWarpState
-}
-
 const progKindGenerator = "workload.Generator"
+
+// A Generator's execution position goes on the wire straight from its
+// fields, with no mirror struct between: the RNG stream position first (so
+// StreamPositions reads it and stops), the seed and the scalars, the RNG
+// register as a flat run of fixed words — random bits gain nothing from
+// varints, and storing the register whole makes restoring a copy whose cost
+// does not depend on how far the run had progressed — then every warp's
+// sweep, private and kernel-start positions as three varint columns (the
+// CTA identity is re-derived by construction).
 
 // SaveProgState implements Checkpointable.
 func (g *Generator) SaveProgState() (ProgramState, error) {
-	st := GeneratorState{
-		Seed:           g.seed,
-		RNGVec:         g.rng.vec[:], // encoded below, before the stream moves on
-		RNGTap:         g.rng.tap,
-		RNGFeed:        g.rng.feed,
-		RNGDraws:       g.rng.draws,
-		Kernel:         g.kernel,
-		GlobalFrontier: g.globalFrontier,
-		SharedCount:    g.sharedCount,
-		AppID:          g.appID,
-		TotalOps:       g.totalOps,
-		TotalMemOps:    g.totalMemOps,
-		TotalShared:    g.totalShared,
-		TotalPrivate:   g.totalPrivate,
+	// Room for the register and four bytes a warp; positions are small.
+	b := make([]byte, 0, 128+8*lfgLen+4*g.warpCount())
+	b = wire.AppendUvarint(b, g.rng.draws)
+	b = wire.AppendUvarint(b, uint64(g.seed))
+	b = wire.AppendInt(b, g.rng.tap)
+	b = wire.AppendInt(b, g.rng.feed)
+	b = wire.AppendInt(b, g.kernel)
+	b = wire.AppendUvarint(b, g.globalFrontier)
+	b = wire.AppendUvarint(b, g.sharedCount)
+	b = wire.AppendInt(b, g.appID)
+	b = wire.AppendUvarint(b, g.totalOps)
+	b = wire.AppendUvarint(b, g.totalMemOps)
+	b = wire.AppendUvarint(b, g.totalShared)
+	b = wire.AppendUvarint(b, g.totalPrivate)
+	for _, w := range g.rng.vec {
+		b = wire.AppendUint64(b, w)
 	}
-	for s := range g.warps {
-		for w := range g.warps[s] {
-			ws := g.warps[s][w]
-			st.Warps = append(st.Warps, GeneratorWarpState{
-				SweepPos: ws.sweepPos,
-				PrivPos:  ws.privPos,
-				StartPos: ws.startPos,
-			})
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return ProgramState{}, fmt.Errorf("workload: encode generator state: %w", err)
-	}
-	return ProgramState{Kind: progKindGenerator, Data: buf.Bytes()}, nil
+	b = wire.AppendUvarint(b, uint64(g.warpCount()))
+	g.eachWarp(func(ws *warpState) { b = wire.AppendUvarint(b, ws.sweepPos) })
+	g.eachWarp(func(ws *warpState) { b = wire.AppendUvarint(b, ws.privPos) })
+	g.eachWarp(func(ws *warpState) { b = wire.AppendUvarint(b, ws.startPos) })
+	return ProgramState{Kind: progKindGenerator, Data: b}, nil
 }
 
-// decodeGeneratorState parses the Data of a generator's ProgramState.
-func decodeGeneratorState(ps ProgramState) (GeneratorState, error) {
-	var st GeneratorState
-	if ps.Kind != progKindGenerator {
-		return st, fmt.Errorf("workload: program state kind %q, want %q", ps.Kind, progKindGenerator)
+// warpColumns is how many per-warp columns a snapshot carries.
+const warpColumns = 3
+
+func (g *Generator) eachWarp(fn func(*warpState)) {
+	for s := range g.warps {
+		for w := range g.warps[s] {
+			fn(&g.warps[s][w])
+		}
 	}
-	if err := gob.NewDecoder(bytes.NewReader(ps.Data)).Decode(&st); err != nil {
-		return st, fmt.Errorf("workload: decode generator state: %w", err)
-	}
-	return st, nil
+}
+
+func (g *Generator) warpCount() int {
+	n := 0
+	g.eachWarp(func(*warpState) { n++ })
+	return n
 }
 
 // StreamPositions returns the RNG stream position (draws consumed) of every
@@ -106,11 +133,11 @@ func decodeGeneratorState(ps ProgramState) (GeneratorState, error) {
 func StreamPositions(ps ProgramState) ([]uint64, error) {
 	var draws []uint64
 	if ps.Kind == progKindGenerator {
-		st, err := decodeGeneratorState(ps)
-		if err != nil {
-			return nil, err
+		r := wire.NewReader(ps.Data)
+		draws = append(draws, r.Uvarint())
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("workload: decode generator state: %w", err)
 		}
-		draws = append(draws, st.RNGDraws)
 	}
 	for _, sub := range ps.Subs {
 		d, err := StreamPositions(sub)
@@ -123,43 +150,52 @@ func StreamPositions(ps ProgramState) ([]uint64, error) {
 }
 
 // RestoreProgState implements Checkpointable. The receiver must be freshly
-// built via NewGenerator with the same spec, config and seed.
+// built via NewGenerator with the same spec, config and seed; a state from
+// another seed or geometry is refused before anything is overwritten, and a
+// generator whose restore failed any later must be discarded.
 func (g *Generator) RestoreProgState(ps ProgramState) error {
-	st, err := decodeGeneratorState(ps)
-	if err != nil {
+	if ps.Kind != progKindGenerator {
+		return fmt.Errorf("workload: program state kind %q, want %q", ps.Kind, progKindGenerator)
+	}
+	r := wire.NewReader(ps.Data)
+	draws := r.Uvarint()
+	seed := int64(r.Uvarint())
+	tap, feed := r.Int(), r.Int()
+	kernel := r.Int()
+	frontier, sharedCount := r.Uvarint(), r.Uvarint()
+	appID := r.Int()
+	ops, memOps, shared, private := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	var vec [lfgLen]uint64
+	for i := range vec {
+		vec[i] = r.Uint64()
+	}
+	warps := r.Count(warpColumns)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("workload: decode generator state: %w", err)
+	}
+	if seed != g.seed {
+		return fmt.Errorf("workload: generator state for seed %d restored onto seed %d", seed, g.seed)
+	}
+	if want := g.warpCount(); warps != want {
+		return fmt.Errorf("workload: generator state has %d warps, generator has %d", warps, want)
+	}
+	if err := g.rng.restore(vec[:], tap, feed, draws); err != nil {
 		return err
 	}
-	if st.Seed != g.seed {
-		return fmt.Errorf("workload: generator state for seed %d restored onto seed %d", st.Seed, g.seed)
+	g.eachWarp(func(ws *warpState) { ws.sweepPos = r.Uvarint() })
+	g.eachWarp(func(ws *warpState) { ws.privPos = r.Uvarint() })
+	g.eachWarp(func(ws *warpState) { ws.startPos = r.Uvarint() })
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("workload: decode generator state: %w", err)
 	}
-	want := 0
-	for s := range g.warps {
-		want += len(g.warps[s])
-	}
-	if len(st.Warps) != want {
-		return fmt.Errorf("workload: generator state has %d warps, generator has %d", len(st.Warps), want)
-	}
-	if err := g.rng.restore(st.RNGVec, st.RNGTap, st.RNGFeed, st.RNGDraws); err != nil {
-		return err
-	}
-	i := 0
-	for s := range g.warps {
-		for w := range g.warps[s] {
-			ws := st.Warps[i]
-			i++
-			g.warps[s][w].sweepPos = ws.SweepPos
-			g.warps[s][w].privPos = ws.PrivPos
-			g.warps[s][w].startPos = ws.StartPos
-		}
-	}
-	g.kernel = st.Kernel
-	g.globalFrontier = st.GlobalFrontier
-	g.sharedCount = st.SharedCount
-	g.SetApp(st.AppID)
-	g.totalOps = st.TotalOps
-	g.totalMemOps = st.TotalMemOps
-	g.totalShared = st.TotalShared
-	g.totalPrivate = st.TotalPrivate
+	g.kernel = kernel
+	g.globalFrontier = frontier
+	g.sharedCount = sharedCount
+	g.SetApp(appID)
+	g.totalOps = ops
+	g.totalMemOps = memOps
+	g.totalShared = shared
+	g.totalPrivate = private
 	return nil
 }
 

@@ -8,7 +8,8 @@
 #   label               tag stored with the run (default: "snapshot")
 #   --layers            run the per-layer microbenchmarks that live next to
 #                       the code (go test -bench . ./internal/...: sm, workload,
-#                       dram, llc, noc ticks in ns per component-cycle) and
+#                       dram, llc, noc ticks in ns per component-cycle, and
+#                       checkpoint save/encode/decode/restore per snapshot) and
 #                       write them to BENCH_<YYYY-MM-DD>-layers.json, every
 #                       entry tagged with its package and the host's CPU count
 #   --shard-scaling     run only the shard-scaling sweep (the Figure 11
