@@ -9,8 +9,6 @@
 package repro_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -192,29 +190,6 @@ func BenchmarkFigure16_Sensitivity(b *testing.B) {
 				reportRatio(b, "adaptive-speedup-"+row.Point, row.NormAdaptive)
 			}
 		}
-	}
-}
-
-// BenchmarkShardScaling_Figure11 measures the deterministic sharded cycle
-// loop's wall-clock scaling on the Figure 11 sweep: the identical work at
-// 1, 2, 4 and 8 shards per run. Statistics are byte-identical across the
-// sub-benchmarks (the determinism matrix in internal/gpu gates that), so
-// ns/op is the only meaningful difference; host-cpus records how many cores
-// the measurement actually had to scale onto.
-func BenchmarkShardScaling_Figure11(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			o := benchOptions()
-			o.Shards = shards
-			for i := 0; i < b.N; i++ {
-				res, err := exp.Figure11(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportRatio(b, "adaptive-speedup-private-friendly", res.HM[workload.PrivateFriendly].Adaptive)
-			}
-			reportRatio(b, "host-cpus", float64(runtime.NumCPU()))
-		})
 	}
 }
 

@@ -35,6 +35,13 @@ func main() {
 		verboseFlag = flag.Bool("verbose", false, "print extended statistics")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops parsing at the first non-flag, so everything after a
+		// stray argument would be silently ignored.
+		fmt.Fprintf(os.Stderr, "adaptivesim: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *listFlag {
 		listBenchmarks()

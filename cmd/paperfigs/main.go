@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -64,7 +62,6 @@ func run() int {
 		quickFlag      = flag.Bool("quick", false, "use the reduced quick-run scale")
 		parallelFlag   = flag.Bool("parallel", false, "fan each figure's runs across all CPU cores")
 		workersFlag    = flag.Int("workers", 0, "exact worker-pool size (implies -parallel; 0 = serial unless -parallel)")
-		shardsFlag     = flag.Int("shards", runtime.GOMAXPROCS(0), "worker goroutines per individual run's cycle loop: SMs and LLC slices are partitioned deterministically, so statistics are byte-identical to -shards=1 and only wall-clock time changes (default GOMAXPROCS)")
 		progressFlag   = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
 		memProfile     = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
@@ -77,6 +74,13 @@ func run() int {
 		scenarioMatrix = flag.Bool("scenario-matrix", false, "print the generated scenario × figure support matrix and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops parsing at the first non-flag, so everything after a
+		// stray argument would be silently ignored.
+		fmt.Fprintf(os.Stderr, "paperfigs: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		return 2
+	}
 
 	if *listScenarios {
 		for _, sc := range scenario.Catalog() {
@@ -163,7 +167,6 @@ func run() int {
 		workers = *workersFlag
 	}
 	opt.Workers = workers
-	opt.Shards = *shardsFlag
 
 	if showProgress {
 		opt.Progress = func(p sweep.Progress) {
@@ -176,7 +179,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "paperfigs: -scenarios runs locally; use the simd /v1/scenarios endpoint for remote execution")
 			return 1
 		}
-		return runScenarios(*scenariosFlag, workers, *shardsFlag, *cyclesFlag, *warmupFlag, *seedFlag, showProgress)
+		return runScenarios(*scenariosFlag, workers, *cyclesFlag, *warmupFlag, *seedFlag, showProgress)
 	}
 
 	// Run-lifecycle tracing wraps the local executor; with -server the
@@ -268,15 +271,6 @@ func run() int {
 		remote = pool
 	}
 
-	// Serial-baseline bookkeeping for the sharded-speedup summary: figure
-	// generations at -shards=1 record their wall-clock time keyed by figure
-	// and scale, and later sharded generations of the same work report their
-	// speedup against it.
-	shards := *shardsFlag
-	baselines := loadShardBaselines(shardBaselinePath)
-	baselinesDirty := false
-	var speedups []float64
-
 	failed := 0
 	totalStart := time.Now()
 	for _, key := range selected {
@@ -317,59 +311,20 @@ func run() int {
 			failed++
 			continue
 		}
-		elapsed := time.Since(start).Seconds()
-		if remote == nil {
-			bkey := shardBaselineKey(key, opt, ckptMgr != nil)
-			if shards <= 1 {
-				baselines[bkey] = elapsed
-				baselinesDirty = true
-			} else if base, ok := baselines[bkey]; ok && elapsed > 0 {
-				sp := base / elapsed
-				speedups = append(speedups, sp)
-				remark += fmt.Sprintf(", %.2fx vs serial baseline", sp)
-			}
-		}
 		fmt.Println(out)
-		fmt.Printf("[%s regenerated in %.1fs%s]\n\n", j.Name, elapsed, remark)
+		fmt.Printf("[%s regenerated in %.1fs%s]\n\n", j.Name, time.Since(start).Seconds(), remark)
 	}
 	mode := "serial"
 	if remote != nil {
 		mode = "server " + *serverFlag
-	} else {
-		if workers > 1 {
-			mode = fmt.Sprintf("%d workers", workers)
-		}
-		if shards > 1 {
-			mode += fmt.Sprintf(", %d shards/run", shards)
-		}
+	} else if workers > 1 {
+		mode = fmt.Sprintf("%d workers", workers)
 	}
 	fmt.Printf("[total: %.1fs, %s]\n", time.Since(totalStart).Seconds(), mode)
 	if ckptMgr != nil {
 		cs := ckptMgr.ManagerStats()
 		fmt.Printf("[checkpoints: %d runs resumed, %d snapshots saved, %.1f MiB written]\n",
 			cs.Hits, cs.Saves, float64(cs.Bytes)/(1<<20))
-	}
-	if remote == nil && shards > 1 {
-		// The engine caps a run's shard count at its SM count; report the
-		// cap that applies to the baseline geometry.
-		effective := shards
-		if nsm := config.Baseline().NumSMs; effective > nsm {
-			effective = nsm
-		}
-		if len(speedups) > 0 {
-			var sum float64
-			for _, s := range speedups {
-				sum += s
-			}
-			fmt.Printf("[shards: %d effective per run on %d CPUs; mean speedup vs recorded serial baseline: %.2fx over %d figures]\n",
-				effective, runtime.NumCPU(), sum/float64(len(speedups)), len(speedups))
-		} else {
-			fmt.Printf("[shards: %d effective per run on %d CPUs; no serial baseline for this scale — run once with -shards=1 to enable speedup reporting]\n",
-				effective, runtime.NumCPU())
-		}
-	}
-	if baselinesDirty {
-		saveShardBaselines(shardBaselinePath, baselines)
 	}
 	if traces != nil {
 		if err := writeChromeTrace(*traceOut, traces); err != nil {
@@ -390,7 +345,7 @@ func run() int {
 // executes each recipe with the determinism gate on. Violations are printed
 // per scenario and make the exit status non-zero; -cycles/-warmup/-seed
 // override the level-derived scale.
-func runScenarios(sel string, workers, shards int, cycles, warmup uint64, seed int64, showProgress bool) int {
+func runScenarios(sel string, workers int, cycles, warmup uint64, seed int64, showProgress bool) int {
 	var list []scenario.Scenario
 	if sel == "all" {
 		list = scenario.Catalog()
@@ -427,7 +382,6 @@ func runScenarios(sel string, workers, shards int, cycles, warmup uint64, seed i
 		}
 		opts := scenario.RunOptions{
 			Workers:         workers,
-			Shards:          shards,
 			Scale:           &scale,
 			DeterminismGate: true,
 		}
@@ -456,41 +410,6 @@ func runScenarios(sel string, workers, shards int, cycles, warmup uint64, seed i
 		return 1
 	}
 	return 0
-}
-
-// shardBaselinePath is where serial (-shards=1) figure generations record
-// their wall-clock time so later sharded generations can report speedup.
-const shardBaselinePath = ".repro-shard-baselines.json"
-
-// shardBaselineKey identifies one figure generation for wall-clock
-// comparison across -shards values: everything that changes the amount of
-// simulated work or the host-side parallelism outside the cycle loop is in
-// the key; the shard count deliberately is not.
-func shardBaselineKey(fig string, o exp.Options, checkpoints bool) string {
-	return fmt.Sprintf("%s|cycles=%d|warmup=%d|seed=%d|workers=%d|ckpt=%t",
-		fig, o.MeasureCycles, o.WarmupCycles, o.Seed, o.Workers, checkpoints)
-}
-
-// loadShardBaselines reads the recorded serial wall-clock times; a missing
-// or corrupt file is an empty baseline set, never an error.
-func loadShardBaselines(path string) map[string]float64 {
-	m := map[string]float64{}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return m
-	}
-	_ = json.Unmarshal(b, &m)
-	return m
-}
-
-// saveShardBaselines persists the baseline set; failures are ignored (the
-// summary is best-effort reporting, not simulation output).
-func saveShardBaselines(path string, m map[string]float64) {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // writeChromeTrace renders the collected run traces as Chrome trace-event

@@ -61,7 +61,6 @@ func run() int {
 		addrFlag    = flag.String("addr", "127.0.0.1:8404", "listen address (host:port; port 0 picks a free port)")
 		storeFlag   = flag.String("store", "simstore", "result store directory (created if missing)")
 		workersFlag = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		shardsFlag  = flag.Int("shards", 1, "goroutines per simulation's cycle loop (deterministic SM/LLC sharding, byte-identical statistics); multiplies with -workers, so size shards*workers against the core count")
 		maxFlag     = flag.Int("max-entries", 0, "LRU bound on stored results and checkpoint blobs together (0 = unbounded)")
 		maxBytes    = flag.Int64("max-store-bytes", 0, "LRU bound on total store bytes, results plus checkpoint blobs (0 = unbounded)")
 		ckptFlag    = flag.Bool("checkpoints", false, "bank GPU state snapshots (warmup end, kernel boundaries) in the store and resume runs from matching prefixes; statistics stay byte-identical, only wall-clock time changes")
@@ -75,6 +74,13 @@ func run() int {
 		logFormat   = flag.String("log-format", "text", "structured access-log format on stderr: text, json, or off")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops parsing at the first non-flag, so everything after a
+		// stray argument would be silently ignored.
+		fmt.Fprintf(os.Stderr, "simd: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		return 2
+	}
 
 	var logger *slog.Logger
 	switch *logFormat {
@@ -118,7 +124,6 @@ func run() int {
 	srv, err := server.New(server.Config{
 		Store:       store,
 		Workers:     *workersFlag,
-		Shards:      *shardsFlag,
 		JobTTL:      *jobTTLFlag,
 		MaxJobs:     *maxJobsFlag,
 		Checkpoints: *ckptFlag,

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -166,6 +167,41 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 				t.Fatalf("warmup resume: stats %+v, want 2 hits, 0 errors", st)
 			}
 		})
+	}
+}
+
+// TestSpecWithRemovedConfigKeyResumes: a spec serialized while config.Config
+// still had its Shards field (a stored record's spec, an older client's POST
+// body) decodes with the key ignored, so it derives the checkpoint keys the
+// plain spec does and resumes from the blobs banked under them.
+func TestSpecWithRemovedConfigKeyResumes(t *testing.T) {
+	spec := genRunSpec(t, config.LLCAdaptive)
+	spec.Checkpoint = true
+	mgr, _ := newManager(t)
+	banked, err := sweep.ExecuteWith(spec, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"Config":{`), []byte(`"Config":{"Shards":4,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("spec JSON has no Config object to rewrite")
+	}
+	var decoded sweep.RunSpec
+	if err := json.Unmarshal(old, &decoded); err != nil {
+		t.Fatalf("spec with a Shards key in its config does not decode: %v", err)
+	}
+	resumed, err := sweep.ExecuteWith(decoded, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualStats(t, banked, resumed, "resume of the decoded spec")
+	if st := mgr.ManagerStats(); st.Hits != 1 || st.Errors != 0 {
+		t.Fatalf("stats %+v, want 1 hit, 0 errors", st)
 	}
 }
 

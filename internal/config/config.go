@@ -202,14 +202,6 @@ type Config struct {
 	MissRateSimilarity  float64 // Rule #1 threshold (0.02 == within 2%)
 	ReconfigDrainCheck  int     // cycles between drain-completion checks
 	PowerGateCycles     int     // cycles to power-gate / wake the MC-routers
-
-	// --- Execution (host-side, not simulated architecture) ---
-	// Shards partitions the SMs and LLC slices of one run across worker
-	// goroutines with a deterministic per-cycle barrier. It changes only
-	// wall-clock time, never statistics: sweep.RunSpec.Canonical() erases it,
-	// so result-store fingerprints and checkpoint keys are shard-blind.
-	// 0 or 1 selects the serial cycle loop.
-	Shards int
 }
 
 // Baseline returns the paper's Table 1 configuration.
@@ -377,7 +369,6 @@ func (c Config) Validate() error {
 	}
 	check(c.MissRateSimilarity >= 0 && c.MissRateSimilarity < 1,
 		"MissRateSimilarity must be in [0,1), got %f", c.MissRateSimilarity)
-	check(c.Shards >= 0, "Shards must be non-negative, got %d", c.Shards)
 	if c.NoC == NoCConcentrated {
 		check(c.Concentration > 0, "Concentration must be positive for C-Xbar")
 		if c.Concentration > 0 {

@@ -52,15 +52,6 @@ type Options struct {
 	// serial execution. Per-run seeding makes parallel results identical to
 	// serial ones, so this only affects wall-clock time.
 	Workers int
-	// Shards partitions each individual run's SMs and LLC slices across
-	// worker goroutines (config.Config.Shards). Like Workers it only
-	// affects wall-clock time: the sharded cycle loop is byte-identical to
-	// the serial one, and result-store fingerprints erase the knob. The two
-	// compose — a sweep of 4 runs with Workers=2, Shards=4 keeps 8 cores
-	// busy — but for sweeps wider than the core count, Workers alone
-	// parallelizes with less synchronization overhead. 0 leaves each run's
-	// configured (usually serial) loop in place.
-	Shards int
 	// Progress, when non-nil, is called after every completed run of a
 	// figure's sweep (used by paperfigs for progress reporting).
 	Progress func(sweep.Progress)
@@ -146,12 +137,6 @@ func modeKey(abbr string, mode config.LLCMode) string {
 // and returns the statistics keyed by RunSpec.Key. This is the single
 // execution path shared by every figure: declare []RunSpec, runAll, collect.
 func (o Options) runAll(specs []sweep.RunSpec) (map[string]gpu.RunStats, error) {
-	if o.Shards != 0 {
-		specs = append([]sweep.RunSpec(nil), specs...)
-		for i := range specs {
-			specs[i].Config.Shards = o.Shards
-		}
-	}
 	exec := o.Exec
 	if exec == nil {
 		if o.Checkpointer != nil {

@@ -157,38 +157,3 @@ func requireAllocFreeLoop(t *testing.T, g *GPU, what string) {
 			what, perCycle, avg, cyclesPerRun)
 	}
 }
-
-// TestShardedSteadyStateCycleAllocs extends the allocation gate to the
-// sharded loop: once the per-shard staging buffers, reply partitions and
-// free lists have grown to their high-water marks, the parallel cycle loop
-// must not allocate either (the per-cycle pool rebalance moves pointers
-// between existing free lists; it never news requests).
-func TestShardedSteadyStateCycleAllocs(t *testing.T) {
-	spec, ok := workload.ByAbbr("GEMM")
-	if !ok {
-		t.Fatal("unknown benchmark GEMM")
-	}
-	cfg := config.Baseline()
-	cfg.Shards = 4
-	gen, err := workload.NewGenerator(spec, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := New(cfg, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Warmup(30_000)
-
-	// The worker goroutines are started once per runLoop call; keep the runs
-	// long so that fixed cost stays far below the per-cycle budget.
-	const cyclesPerRun = 2000
-	avg := testing.AllocsPerRun(5, func() {
-		g.runLoop(cyclesPerRun, 1)
-	})
-	perCycle := avg / cyclesPerRun
-	if perCycle > 0.01 {
-		t.Errorf("sharded cycle loop allocates %.4f times per cycle (%.1f per %d-cycle run), want ~0",
-			perCycle, avg, cyclesPerRun)
-	}
-}

@@ -79,14 +79,9 @@ type GPU struct {
 
 	// Free-list pools shared by the whole GPU: SMs acquire requests that the
 	// LLC slices release once answered, and the injection paths recycle NoC
-	// packets after delivery. Under sharded execution the request pool is
-	// split per shard (see shardEngine); reqPool remains the serial/global
-	// pool and the restore-path source.
+	// packets after delivery.
 	reqPool *pool.FreeList[mem.Request]
 	pktPool pool.FreeList[noc.Packet]
-
-	// eng is the sharded cycle-loop engine; nil selects the serial loop.
-	eng *shardEngine
 
 	// Collectors.
 	gatedCycles      uint64
@@ -193,40 +188,7 @@ func New(cfg config.Config, prog workload.Program) (*GPU, error) {
 	}
 	noc.UseRestorePools(g.reqNet, &g.pktPool, g.reqPool)
 	noc.UseRestorePools(g.repNet, &g.pktPool, g.reqPool)
-	g.SetShards(cfg.Shards)
 	return g, nil
-}
-
-// SetShards selects how many worker shards execute the cycle loop: the SMs
-// and LLC slices are partitioned into n contiguous shards ticked by a
-// persistent worker pool with a deterministic per-cycle barrier. Statistics
-// and state snapshots are byte-identical for every n — sharding changes
-// wall-clock time only. n <= 1 selects the serial loop. Must not be called
-// while a run loop is in progress.
-func (g *GPU) SetShards(n int) {
-	if n <= 1 || (len(g.sms) < 2 && len(g.slices) < 2) {
-		g.eng = nil
-		for _, s := range g.sms {
-			s.UseRequestPool(g.reqPool)
-		}
-		for _, s := range g.slices {
-			s.UseRequestPool(g.reqPool)
-		}
-		return
-	}
-	if max := len(g.sms); n > max {
-		// More shards than SMs just adds empty shards and barrier cost.
-		n = max
-	}
-	g.eng = newShardEngine(g, n)
-}
-
-// Shards returns the effective shard count of the cycle loop (1 = serial).
-func (g *GPU) Shards() int {
-	if g.eng == nil {
-		return 1
-	}
-	return g.eng.n
 }
 
 // Config returns the GPU configuration.

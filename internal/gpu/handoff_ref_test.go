@@ -173,7 +173,8 @@ func TestPeekingHandoffsMatchPopAndUnpop(t *testing.T) {
 // same, so a snapshot rewritten the old way must resume to the statistics of
 // the uninterrupted run.
 func TestParentStyleSnapshotResumesIdentically(t *testing.T) {
-	cfg := shardTestConfig(config.LLCShared)
+	cfg := stateTestConfig(config.LLCShared)
+	cfg.NumSMs, cfg.NumClusters, cfg.SchedulersPerSM = 8, 2, 2
 	cfg.MCQueueDepth = 8
 	spec, ok := workload.ByAbbr("LUD")
 	if !ok {

@@ -151,13 +151,6 @@ func (g *GPU) runLoop(cycles uint64, kernels int) {
 // the schedule given by kernelLen/nextKernel (relative to g.runStart).
 func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int)) {
 	loopStart := g.cycle
-	if g.eng != nil {
-		// The sharded engine's workers live for the duration of the loop:
-		// spawned once here, synchronized per cycle by a spin barrier, and
-		// stopped on exit so idle GPUs hold no goroutines.
-		g.eng.start()
-		defer g.eng.stop()
-	}
 	for g.cycle < end {
 		g.cycle++
 		g.modeCycles[g.mode]++
@@ -205,17 +198,11 @@ func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int
 	}
 	// One atomic add per loop entry, not per cycle: the cycle-throughput
 	// telemetry costs nothing on the hot path and never touches RunStats.
-	g.countLoopCycles(g.cycle - loopStart)
+	cyclesCount.Add(g.cycle - loopStart)
 }
 
-// step advances every component by one cycle. There is one cycle definition:
-// with a sharded engine the SM ticks, the LLC-slice ticks and the reply
-// deliveries fan out across its workers, and everything that touches state
-// shared between shards — the workload program, both networks, the memory
-// controllers and the hand-offs into them — runs here, serially, in the same
-// global SM/slice order either way.
+// step advances every component by one cycle, in global SM/slice order.
 func (g *GPU) step() {
-	e := g.eng
 	stalled := g.reconfigActive || g.cycle < g.stallUntil
 	if stalled {
 		g.stallCycles++
@@ -224,12 +211,8 @@ func (g *GPU) step() {
 	// 1. SMs issue instructions (unless the GPU is stalled for an LLC
 	//    reconfiguration) and hand their memory requests to the request NoC.
 	if !stalled {
-		if e != nil {
-			e.tickSMs()
-		} else {
-			for _, s := range g.sms {
-				s.Tick(g.cycle, g.prog)
-			}
+		for _, s := range g.sms {
+			s.Tick(g.cycle, g.prog)
 		}
 	}
 	if !g.reconfigActive {
@@ -238,26 +221,20 @@ func (g *GPU) step() {
 		g.injectRequests()
 	}
 
-	// 2. Request network delivers to LLC slices (EnqueueRequest is a queue
-	//    push, not worth a barrier).
+	// 2. Request network delivers to LLC slices.
 	for _, p := range g.reqNet.Tick() {
 		g.slices[p.Dst].EnqueueRequest(p.Req)
 		g.pktPool.Put(p)
 	}
 
 	// 3. LLC slices process requests, talk to DRAM and emit replies.
-	if e != nil {
-		e.parallel(e.fnSlices)
-	} else {
-		for _, s := range g.slices {
-			s.Tick(g.cycle)
-		}
+	for _, s := range g.slices {
+		s.Tick(g.cycle)
 	}
 	g.moveSliceToDRAM()
 
-	// 4. DRAM controllers (serial: DRAMComplete can create same-cycle-ready
-	//    replies, so it must precede reply injection, and it releases
-	//    requests into per-shard pools).
+	// 4. DRAM controllers (DRAMComplete can create same-cycle-ready replies,
+	//    so it must precede reply injection).
 	for _, mc := range g.mcs {
 		for _, done := range mc.Tick() {
 			if done.Req.Meta.Fill {
@@ -270,22 +247,14 @@ func (g *GPU) step() {
 	g.injectReplies()
 
 	// 6. Reply network delivers to SMs.
-	delivered := g.repNet.Tick()
-	if e != nil {
-		e.deliver(delivered)
-	} else {
-		for _, p := range delivered {
-			g.sms[p.Dst].CompleteLoad(p.Reply, g.cycle)
-			g.pktPool.Put(p)
-		}
+	for _, p := range g.repNet.Tick() {
+		g.sms[p.Dst].CompleteLoad(p.Reply, g.cycle)
+		g.pktPool.Put(p)
 	}
 
 	// 7. Reconfiguration progress.
 	if g.reconfigActive {
 		g.checkDrain()
-	}
-	if e != nil {
-		e.rebalancePools()
 	}
 }
 

@@ -2,67 +2,27 @@ package gpu
 
 import "sync/atomic"
 
-// Process-wide execution telemetry, pre-allocated so the cycle loop's
-// instrumentation cost is fixed and allocation-free: one atomic add per
-// loopUntil call for cycle counts, one atomic add per barrier crossing for
-// spin counts. Readers (the simd /metrics endpoint) sample these outside
-// the hot path — the counters never feed RunStats, which stay byte-
-// identical with telemetry enabled (the determinism contract).
+// Process-wide execution telemetry: one atomic add per loopUntil call, so
+// the cycle loop's instrumentation cost is fixed and allocation-free.
+// Readers (the simd /metrics endpoint) sample it outside the hot path — the
+// counter never feeds RunStats, which stay byte-identical with telemetry
+// enabled (the determinism contract).
 //
-// The counters are package-level rather than per-GPU on purpose: a server
+// The counter is package-level rather than per-GPU on purpose: a server
 // process runs many short-lived GPU instances concurrently, and the
-// interesting signals (aggregate cycles/sec throughput, barrier skew per
-// shard slot) are per-process. Shard slot k aggregates across every
-// concurrently-running sharded engine's shard k.
-
-// MaxTelemetryShards bounds the per-shard spin counters; shard indexes
-// wrap above it (cfg.Shards is validated far below this in practice).
-const MaxTelemetryShards = 64
-
-// paddedCounter keeps each shard's spin counter on its own cache line so
-// worker k's barrier-exit add never contends with worker k+1's.
-type paddedCounter struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-var (
-	serialCyclesCount  atomic.Uint64
-	shardedCyclesCount atomic.Uint64
-	barrierSpins       [MaxTelemetryShards]paddedCounter
-)
+// interesting signal (aggregate cycles/sec throughput) is per-process.
+var cyclesCount atomic.Uint64
 
 // Telemetry is a point-in-time snapshot of the process-wide counters.
 type Telemetry struct {
-	// SerialCycles / ShardedCycles count simulated cycles advanced by the
-	// serial and sharded loop variants since process start.
-	SerialCycles  uint64
+	// SerialCycles counts simulated cycles advanced by the cycle loop since
+	// process start.
+	SerialCycles uint64
+	// ShardedCycles is always zero; delete with bench/simbench/shards.go.
 	ShardedCycles uint64
 }
 
-// ReadTelemetry samples the cycle counters.
+// ReadTelemetry samples the cycle counter.
 func ReadTelemetry() Telemetry {
-	return Telemetry{
-		SerialCycles:  serialCyclesCount.Load(),
-		ShardedCycles: shardedCyclesCount.Load(),
-	}
-}
-
-// BarrierSpins reports the cumulative spin-barrier wait iterations of shard
-// slot k (worker k's awaitGen spins, plus the coordinator's awaitPending
-// spins for slot 0). The ratio of a slot's spins to sharded cycles is the
-// per-shard load-imbalance signal.
-func BarrierSpins(k int) uint64 {
-	return barrierSpins[k%MaxTelemetryShards].v.Load()
-}
-
-func (g *GPU) countLoopCycles(delta uint64) {
-	if delta == 0 {
-		return
-	}
-	if g.eng != nil {
-		shardedCyclesCount.Add(delta)
-	} else {
-		serialCyclesCount.Add(delta)
-	}
+	return Telemetry{SerialCycles: cyclesCount.Load()}
 }

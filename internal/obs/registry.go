@@ -6,8 +6,8 @@
 // Design constraints (see DESIGN.md "Observability"):
 //
 //   - stdlib only, so every subsystem (queue, store, checkpoint manager,
-//     cluster forwarder, shard engine) can report into it without pulling a
-//     client library into the simulator.
+//     cluster forwarder) can report into it without pulling a client
+//     library into the simulator.
 //   - Instruments are nil-safe: a nil *Counter/*Gauge/*Histogram/*Span
 //     no-ops, so components can be instrumented unconditionally and pay one
 //     pointer check when telemetry is not wired up.
@@ -285,15 +285,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return &Counter{s: v.f.child(values)}
-}
-
-// AttachFunc registers a sampling-func series under the given label values
-// (e.g. per-shard counters maintained as atomics elsewhere).
-func (v *CounterVec) AttachFunc(fn func() float64, values ...string) {
-	if v == nil {
-		return
-	}
-	v.f.child(values).fn = fn
 }
 
 // Gauge registers an unlabeled gauge.

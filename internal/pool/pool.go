@@ -50,25 +50,3 @@ func (p *FreeList[T]) Put(x *T) {
 // FreeLen reports how many retired objects are currently pooled (exported
 // for tests).
 func (p *FreeList[T]) FreeLen() int { return len(p.free) }
-
-// MoveTo transfers up to n retired objects from p to dst and reports how
-// many moved. The sharded cycle loop uses it to rebalance the per-shard
-// request pools each cycle: requests retire into the pool of the slice's
-// shard but are re-acquired by the pool of the issuing SM's shard, so
-// without rebalancing a one-way traffic pattern would drain one pool (and
-// grow it by chunk allocations) while another accumulates.
-func (p *FreeList[T]) MoveTo(dst *FreeList[T], n int) int {
-	if n > len(p.free) {
-		n = len(p.free)
-	}
-	if n <= 0 || dst == p {
-		return 0
-	}
-	cut := len(p.free) - n
-	dst.free = append(dst.free, p.free[cut:]...)
-	for i := cut; i < len(p.free); i++ {
-		p.free[i] = nil
-	}
-	p.free = p.free[:cut]
-	return n
-}

@@ -18,12 +18,6 @@ type RunOptions struct {
 	Exec sweep.Executor
 	// Workers sizes the default local pool when Exec is nil; 0 means serial.
 	Workers int
-	// Shards partitions each run's SMs and LLC slices across worker
-	// goroutines (config.Config.Shards). Statistics — and therefore every
-	// invariant and the determinism gate — are byte-identical to the serial
-	// loop; only wall-clock time changes. 0 keeps the scenario's own
-	// configuration.
-	Shards int
 	// Scale overrides the level-derived run length when non-nil.
 	Scale *Scale
 	// Dir is the base directory for scratch traces (defaults to the OS temp
@@ -108,11 +102,6 @@ func (sc Scenario) Run(ctx context.Context, opts RunOptions) (Report, error) {
 		}
 	}
 	specs := sc.Specs(env)
-	if opts.Shards != 0 {
-		for i := range specs {
-			specs[i].Config.Shards = opts.Shards
-		}
-	}
 	rep.Runs = len(specs)
 	if len(specs) == 0 {
 		return rep, fmt.Errorf("scenario %s: declares no runs", sc.Name)

@@ -88,7 +88,6 @@ type Queue struct {
 	store   *simstore.Store
 	cp      sweep.Checkpointer // nil = cold execution only
 	workers int
-	shards  int           // per-run cycle-loop goroutines; <=1 serial
 	ttl     time.Duration // evict terminal jobs older than this (0 = keep)
 	maxJobs int           // hard cap on retained jobs (0 = unbounded)
 	idBase  string        // per-queue random prefix making job IDs cluster-unique
@@ -136,11 +135,8 @@ func (q *Queue) Instrument(queueWait, runDuration, storeWrite *obs.Histogram) {
 // (oldest-finished first). Zero disables the respective bound; in-flight
 // jobs are never evicted. A non-nil cp makes every executed run
 // checkpoint-assisted (resumed from stored state prefixes where possible;
-// statistics are unaffected). shards > 1 runs each
-// simulation's cycle loop on that many goroutines (byte-identical
-// statistics, so cache entries are shared with serial execution; it
-// multiplies with workers, so size shards*workers against the core count).
-func NewQueue(store *simstore.Store, workers, shards int, ttl time.Duration, maxJobs int, cp sweep.Checkpointer) *Queue {
+// statistics are unaffected).
+func NewQueue(store *simstore.Store, workers int, ttl time.Duration, maxJobs int, cp sweep.Checkpointer) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -154,7 +150,6 @@ func NewQueue(store *simstore.Store, workers, shards int, ttl time.Duration, max
 		store:    store,
 		cp:       cp,
 		workers:  workers,
-		shards:   shards,
 		ttl:      ttl,
 		maxJobs:  maxJobs,
 		idBase:   "j" + hex.EncodeToString(token),
@@ -418,15 +413,8 @@ func (q *Queue) worker() {
 			if !q.begin(j) {
 				continue // cancelled while queued
 			}
-			// Shard the cycle loop on a local copy only: j.spec stays
-			// canonical (shard-blind), matching the fingerprint the store
-			// entry is filed under.
-			spec := j.spec
-			if q.shards > 1 {
-				spec.Config.Shards = q.shards
-			}
 			runSp := j.trace.Start("run")
-			stats, err := executeSafely(spec, q.cp, runSp)
+			stats, err := executeSafely(j.spec, q.cp, runSp)
 			runSp.End()
 			if err == nil {
 				// A store write failure degrades caching, not correctness:

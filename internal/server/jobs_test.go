@@ -16,7 +16,7 @@ func newTestQueue(t *testing.T, workers int, ttl time.Duration, maxJobs int) *Qu
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueue(store, workers, 1, ttl, maxJobs, nil)
+	q := NewQueue(store, workers, ttl, maxJobs, nil)
 	t.Cleanup(q.Close)
 	return q
 }

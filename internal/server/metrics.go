@@ -40,7 +40,7 @@ const (
 )
 
 // newServerMetrics builds the registry for one Server.
-func newServerMetrics(s *Server, shards int) *serverMetrics {
+func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg}
 
@@ -155,24 +155,11 @@ func newServerMetrics(s *Server, shards int) *serverMetrics {
 		s.ckpt.Instrument(reg)
 	}
 
-	// GPU engine telemetry: process-wide pre-allocated atomics sampled here
-	// at scrape time (see internal/gpu/telemetry.go). rate() over the cycle
-	// counters is the simulator's cycles/sec throughput.
-	cycles := reg.CounterVec("simd_gpu_cycles_total",
-		"Simulated cycles advanced, by cycle-loop variant.", "loop")
-	cycles.AttachFunc(func() float64 { return float64(gpu.ReadTelemetry().SerialCycles) }, "serial")
-	cycles.AttachFunc(func() float64 { return float64(gpu.ReadTelemetry().ShardedCycles) }, "sharded")
-	if shards > 1 {
-		spins := reg.CounterVec("simd_gpu_shard_barrier_spins_total",
-			"Spin-barrier wait iterations per shard slot (load-imbalance signal).", "shard")
-		if shards > gpu.MaxTelemetryShards {
-			shards = gpu.MaxTelemetryShards
-		}
-		for k := 0; k < shards; k++ {
-			k := k
-			spins.AttachFunc(func() float64 { return float64(gpu.BarrierSpins(k)) }, strconv.Itoa(k))
-		}
-	}
+	// GPU engine telemetry: a process-wide atomic sampled here at scrape time
+	// (see internal/gpu/telemetry.go). rate() over it is the simulator's
+	// cycles/sec throughput.
+	reg.CounterFunc("simd_gpu_cycles_total", "Simulated cycles advanced.",
+		func() float64 { return float64(gpu.ReadTelemetry().SerialCycles) })
 
 	// Request-path instruments, written by the middleware and the queue.
 	m.httpRequests = reg.CounterVec("simd_http_requests_total",

@@ -88,12 +88,6 @@ type Config struct {
 	Store *simstore.Store
 	// Workers bounds concurrent simulations; 0 uses GOMAXPROCS.
 	Workers int
-	// Shards runs each simulation's cycle loop on this many goroutines
-	// (deterministic SM/LLC partitioning; statistics are byte-identical to
-	// serial execution, so shard count never enters cache identity). It
-	// multiplies with Workers — size Shards*Workers against the core count.
-	// 0 or 1 keeps each run serial.
-	Shards int
 
 	// JobTTL evicts finished jobs older than this (0 keeps them forever);
 	// MaxJobs caps the retained job count (0 = unbounded). cmd/simd passes
@@ -195,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 		s.ckpt = checkpoint.NewManager(cfg.Store)
 		cp = s.ckpt
 	}
-	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.Shards, cfg.JobTTL, cfg.MaxJobs, cp)
+	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.JobTTL, cfg.MaxJobs, cp)
 	if len(cfg.Seeds) > 0 || cfg.Gossip {
 		ncfg := cluster.NodeConfig{
 			Self:           cfg.Self,
@@ -241,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 	// Built last: the registry's sampling funcs close over the queue, the
 	// cluster view and the checkpoint manager assembled above.
 	s.logger = cfg.Logger
-	s.metrics = newServerMetrics(s, cfg.Shards)
+	s.metrics = newServerMetrics(s)
 	s.queue.Instrument(s.metrics.queueWait, s.metrics.runDuration, s.metrics.storeWrite)
 	if s.node != nil {
 		s.node.Start()

@@ -139,7 +139,6 @@ func TestFingerprintInsensitivity(t *testing.T) {
 	b.Key = "another-name"
 	b.Kernels = base.Workloads[0].Kernels // explicit default
 	b.Config = b.Config.Normalize()       // derived fields spelled out
-	b.Config.Shards = 8                   // host-side execution knob, byte-identical stats
 
 	fpA, err := Fingerprint(a)
 	if err != nil {

@@ -1,6 +1,7 @@
 package simstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -267,5 +268,52 @@ func TestStoreCorruptRecord(t *testing.T) {
 	}
 	if _, ok := st.Get(fp); ok {
 		t.Error("version-skewed record served as a hit")
+	}
+}
+
+// TestRecordWithRemovedConfigKeyHits: every record written while
+// config.Config still had its Shards field carries a "Shards" key in its
+// spec (the field had no omitempty). Decoding ignores unknown keys, so a
+// store full of such records must keep serving them, and the spec read back
+// must still fingerprint to the address it is filed under.
+func TestRecordWithRemovedConfigKeyHits(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specFor(t, "VA", 1)
+	fp := mustFP(t, spec)
+	stats := sampleStats(3)
+	if err := st.Put(fp, "va-run", spec, stats); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, Hex(fp)[:2], Hex(fp)+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"Config": {`), []byte(`"Config": {"Shards": 4,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("record has no spec Config object to rewrite")
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := reopened.Get(fp)
+	if !ok {
+		t.Fatalf("record with a Shards key in its config is a miss (corrupt = %d)", reopened.StoreStats().Corrupt)
+	}
+	if !reflect.DeepEqual(rec.Stats, stats) {
+		t.Errorf("stats changed:\nput %+v\ngot %+v", stats, rec.Stats)
+	}
+	if mustFP(t, rec.Spec) != fp {
+		t.Error("the spec read back no longer fingerprints to the record's address")
 	}
 }

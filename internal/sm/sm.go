@@ -115,12 +115,6 @@ type SM struct {
 	outQ    ring.Deque[*mem.Request]
 	outQCap int
 
-	// Planned-issue scratch for the sharded cycle loop (see PlanIssue): one
-	// slot per scheduler, allocated lazily on the first planned tick.
-	planPick []int // picked warp slot, or -1
-	planNeed []bool
-	planOp   []workload.Op
-
 	// pool recycles retired requests. It is shared with the LLC slices (which
 	// release requests once answered) via UseRequestPool, so the steady-state
 	// issue path allocates nothing.
@@ -227,8 +221,7 @@ func (s *SM) issueOne(sched int, prog workload.Program) {
 	s.execOp(w, op)
 }
 
-// execOp executes one picked instruction on warp w — the tail of issueOne,
-// shared with the planned-issue path so both produce identical behaviour.
+// execOp executes one picked instruction on warp w — the tail of issueOne.
 func (s *SM) execOp(w int, op workload.Op) {
 	if !op.IsMem {
 		lat := op.ALULatency
@@ -244,71 +237,6 @@ func (s *SM) execOp(w int, op workload.Op) {
 		return
 	}
 	s.issueLoad(w, op)
-}
-
-// PlanIssue computes this cycle's scheduler picks from pre-tick state,
-// without touching the workload program. It is the first third of Tick,
-// split out for the sharded cycle loop: picks only touch state owned by the
-// SM (each scheduler owns the warps congruent to its index), so every SM's
-// plan can run concurrently while the workload program — which is not safe
-// for concurrent use and whose op order is part of the determinism
-// contract — is consulted afterwards in serial SM/scheduler order via
-// PlanNeedsOp/SupplyOp. TickPlanned then executes the plan. The sequence
-// PlanIssue; feed; TickPlanned is behaviourally identical to Tick: a pick
-// depends only on the picking scheduler's own warps and its `current`
-// pointer, neither of which another scheduler's same-cycle issue can touch.
-func (s *SM) PlanIssue(cycle uint64) {
-	s.cycle = cycle
-	if s.planPick == nil {
-		n := len(s.current)
-		s.planPick = make([]int, n)
-		s.planNeed = make([]bool, n)
-		s.planOp = make([]workload.Op, n)
-	}
-	for sched := range s.current {
-		w := s.pickWarp(sched)
-		s.planPick[sched] = w
-		s.planNeed[sched] = false
-		if w < 0 {
-			continue
-		}
-		s.current[sched] = w
-		if s.warps[w].hasPending {
-			s.planOp[sched] = s.warps[w].pending
-		} else {
-			s.planNeed[sched] = true
-		}
-	}
-}
-
-// Schedulers returns the number of warp schedulers.
-func (s *SM) Schedulers() int { return len(s.current) }
-
-// PlanNeedsOp reports whether scheduler `sched`'s planned pick needs a
-// fresh op from the workload program this cycle, and for which warp slot.
-// Valid after PlanIssue.
-func (s *SM) PlanNeedsOp(sched int) (warp int, need bool) {
-	return s.planPick[sched], s.planNeed[sched]
-}
-
-// SupplyOp provides the fresh op PlanNeedsOp asked for.
-func (s *SM) SupplyOp(sched int, op workload.Op) {
-	s.planOp[sched] = op
-	s.planNeed[sched] = false
-}
-
-// TickPlanned executes the plan computed by PlanIssue (with all demanded
-// ops supplied), completing the cycle exactly as Tick would have.
-func (s *SM) TickPlanned() {
-	s.stats.Cycles++
-	for sched := range s.current {
-		w := s.planPick[sched]
-		if w < 0 {
-			s.stats.StallNoReadyWarp++
-			continue
-		}
-		s.execOp(w, s.planOp[sched])
-	}
 }
 
 // pickWarp implements greedy-then-oldest selection over the warps owned by

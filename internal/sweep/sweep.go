@@ -119,10 +119,6 @@ func (s RunSpec) Canonical() RunSpec {
 	s.RecordPath = ""
 	s.Checkpoint = false
 	s.Config = s.Config.Normalize()
-	// Shard count is a host-side execution knob: a run computed with 8
-	// shards is the same run. Erasing it keeps fingerprints (and the
-	// checkpoint keys derived from them) shard-blind.
-	s.Config.Shards = 0
 	if s.Kernels == 0 && len(s.Workloads) > 0 {
 		s.Kernels = s.kernels()
 	}

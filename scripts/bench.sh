@@ -3,7 +3,7 @@
 # snapshot of ns/op, B/op, allocs/op and the custom figure metrics, so the
 # repository's performance trajectory is tracked in version control.
 #
-# Usage: scripts/bench.sh [--shard-scaling | --layers] [label]
+# Usage: scripts/bench.sh [--layers] [label]
 #
 #   label               tag stored with the run (default: "snapshot")
 #   --layers            run the per-layer microbenchmarks that live next to
@@ -12,11 +12,6 @@
 #                       checkpoint save/encode/decode/restore per snapshot) and
 #                       write them to BENCH_<YYYY-MM-DD>-layers.json, every
 #                       entry tagged with its package and the host's CPU count
-#   --shard-scaling     run only the shard-scaling sweep (the Figure 11
-#                       experiment at 1/2/4/8 cycle-loop shards per run) and
-#                       write it to BENCH_<YYYY-MM-DD>-shards.json, keeping
-#                       parallel-speedup snapshots separate from the serial
-#                       performance trajectory
 #
 # Environment overrides:
 #   BENCH_RE=regex      which benchmarks to run (default: all, -bench .)
@@ -44,11 +39,6 @@ default_out="BENCH_$(date +%Y-%m-%d).json"
 default_benchtime="1x"
 pkgs="."
 case "${1:-}" in
---shard-scaling)
-	shift
-	default_re="BenchmarkShardScaling_Figure11"
-	default_out="BENCH_$(date +%Y-%m-%d)-shards.json"
-	;;
 --layers)
 	shift
 	default_out="BENCH_$(date +%Y-%m-%d)-layers.json"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # obs_smoke.sh — end-to-end smoke test of the observability surfaces:
-# start simd (checkpoints + sharding on), run a level-1 scenario and some
+# start simd (checkpoints on), run a level-1 scenario and some
 # runs through it, scrape /metrics through the exposition validator
 # (cmd/metricslint), fetch a checkpoint-resumed job's timeline and assert
 # its span tree shows distinct probe/restore/measure phases, and generate
@@ -24,8 +24,8 @@ go build -o "$out/simd" ./cmd/simd
 go build -o "$out/metricslint" ./cmd/metricslint
 go build -o "$out/paperfigs" ./cmd/paperfigs
 
-"$out/simd" -addr 127.0.0.1:0 -store "$out/store" -checkpoints -shards 2 \
-  -log-format json > "$out/simd.log" 2> "$out/simd.access.log" &
+"$out/simd" -addr 127.0.0.1:0 -store "$out/store" -checkpoints -log-format json \
+  > "$out/simd.log" 2> "$out/simd.access.log" &
 simd_pid=$!
 trap 'kill "$simd_pid" 2>/dev/null || true' EXIT
 
