@@ -56,18 +56,53 @@ func BenchmarkTable2_Workloads(b *testing.B) {
 	}
 }
 
+// figureTable regenerates one registry entry the way cmd/paperfigs does and
+// returns its table; the benchmarks read their headline numbers out of it by
+// row, column and statistic name.
+func figureTable(b *testing.B, key string, o exp.Options) exp.Table {
+	b.Helper()
+	fig, ok := exp.FigureByKey(key)
+	if !ok {
+		b.Fatalf("unknown figure %q", key)
+	}
+	var table exp.Table
+	exp.Regenerate([]exp.FigureJob{fig}, o, func(_ exp.FigureJob, t exp.Table, _, _ int, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		table = t
+	})
+	return table
+}
+
+// stat and cell read a number that must exist in the table.
+func stat(b *testing.B, t exp.Table, name string) float64 {
+	b.Helper()
+	v, ok := t.Stat(name)
+	if !ok {
+		b.Fatalf("no statistic %q", name)
+	}
+	return v
+}
+
+func cell(b *testing.B, t exp.Table, row, column string) float64 {
+	b.Helper()
+	v, ok := t.Value(row, column)
+	if !ok {
+		b.Fatalf("no value at row %q, column %q", row, column)
+	}
+	return v
+}
+
 // BenchmarkFigure2_SharedVsPrivate reproduces Figure 2: private-vs-shared
 // normalized performance per workload class.
 func BenchmarkFigure2_SharedVsPrivate(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure2(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "private-friendly-speedup", res.ClassHM[workload.PrivateFriendly])
-		reportRatio(b, "shared-friendly-slowdown", res.ClassHM[workload.SharedFriendly])
-		reportRatio(b, "neutral-ratio", res.ClassHM[workload.Neutral])
+		res := figureTable(b, "2", o)
+		reportRatio(b, "private-friendly-speedup", stat(b, res, "hm/private-friendly"))
+		reportRatio(b, "shared-friendly-slowdown", stat(b, res, "hm/shared-friendly"))
+		reportRatio(b, "neutral-ratio", stat(b, res, "hm/neutral"))
 	}
 }
 
@@ -76,12 +111,9 @@ func BenchmarkFigure2_SharedVsPrivate(b *testing.B) {
 func BenchmarkFigure3_InterClusterLocality(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure3(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "multi-cluster-private-friendly", res.MultiClusterByClass[workload.PrivateFriendly])
-		reportRatio(b, "multi-cluster-neutral", res.MultiClusterByClass[workload.Neutral])
+		res := figureTable(b, "3", o)
+		reportRatio(b, "multi-cluster-private-friendly", stat(b, res, "multi-cluster/private-friendly"))
+		reportRatio(b, "multi-cluster-neutral", stat(b, res, "multi-cluster/neutral"))
 	}
 }
 
@@ -90,14 +122,11 @@ func BenchmarkFigure3_InterClusterLocality(b *testing.B) {
 func BenchmarkFigure7_NoCDesignSpace(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure7(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Row 1 is the H-Xbar at the full crossbar's bisection bandwidth.
-		reportRatio(b, "hxbar-vs-full-ipc", res.Rows[1].NormalizedIPC)
-		reportRatio(b, "hxbar-vs-full-area", res.Rows[1].Area.Total()/res.Rows[0].Area.Total())
-		reportRatio(b, "hxbar-vs-full-power", res.Rows[1].NormalizedPower)
+		res := figureTable(b, "7", o)
+		// BW/H-Xbar is the H-Xbar at the full crossbar's bisection bandwidth.
+		reportRatio(b, "hxbar-vs-full-ipc", cell(b, res, "BW/H-Xbar", "norm. IPC"))
+		reportRatio(b, "hxbar-vs-full-area", cell(b, res, "BW/H-Xbar", "area (mm²)")/cell(b, res, "BW/Full Xbar", "area (mm²)"))
+		reportRatio(b, "hxbar-vs-full-power", cell(b, res, "BW/H-Xbar", "norm. power"))
 	}
 }
 
@@ -106,13 +135,10 @@ func BenchmarkFigure7_NoCDesignSpace(b *testing.B) {
 func BenchmarkFigure11_AdaptivePerformance(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "adaptive-speedup-private-friendly", res.HM[workload.PrivateFriendly].Adaptive)
-		reportRatio(b, "adaptive-vs-shared-sharedfriendly", res.HM[workload.SharedFriendly].Adaptive)
-		reportRatio(b, "adaptive-vs-shared-neutral", res.HM[workload.Neutral].Adaptive)
+		res := figureTable(b, "11", o)
+		reportRatio(b, "adaptive-speedup-private-friendly", stat(b, res, "hm-adaptive/private-friendly"))
+		reportRatio(b, "adaptive-vs-shared-sharedfriendly", stat(b, res, "hm-adaptive/shared-friendly"))
+		reportRatio(b, "adaptive-vs-shared-neutral", stat(b, res, "hm-adaptive/neutral"))
 	}
 }
 
@@ -121,11 +147,8 @@ func BenchmarkFigure11_AdaptivePerformance(b *testing.B) {
 func BenchmarkFigure12_LLCResponseRate(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure12(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "response-rate-gain", res.HM.Private/res.HM.Shared)
+		res := figureTable(b, "12", o)
+		reportRatio(b, "response-rate-gain", stat(b, res, "hm-private")/stat(b, res, "hm-shared"))
 	}
 }
 
@@ -134,12 +157,9 @@ func BenchmarkFigure12_LLCResponseRate(b *testing.B) {
 func BenchmarkFigure13_LLCMissRate(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure13(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "miss-rate-increase-pp", (res.Avg.Private-res.Avg.Shared)*100)
-		reportRatio(b, "adaptive-tracks-shared-pp", (res.Avg.Adaptive-res.Avg.Shared)*100)
+		res := figureTable(b, "13", o)
+		reportRatio(b, "miss-rate-increase-pp", stat(b, res, "private-increase-pp"))
+		reportRatio(b, "adaptive-tracks-shared-pp", (stat(b, res, "avg-adaptive")-stat(b, res, "avg-shared"))*100)
 	}
 }
 
@@ -148,12 +168,9 @@ func BenchmarkFigure13_LLCMissRate(b *testing.B) {
 func BenchmarkFigure14_NoCEnergy(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure14(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "noc-energy-saving-pct", (1-res.AvgNoC)*100)
-		reportRatio(b, "system-energy-saving-pct", (1-res.AvgSystem)*100)
+		res := figureTable(b, "14", o)
+		reportRatio(b, "noc-energy-saving-pct", stat(b, res, "noc-saving-pct"))
+		reportRatio(b, "system-energy-saving-pct", stat(b, res, "system-saving-pct"))
 	}
 }
 
@@ -162,11 +179,8 @@ func BenchmarkFigure14_NoCEnergy(b *testing.B) {
 func BenchmarkFigure15_MultiProgram(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure15(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRatio(b, "stp-speedup", res.AvgSpeedup)
+		res := figureTable(b, "15", o)
+		reportRatio(b, "stp-speedup", stat(b, res, "avg-speedup"))
 	}
 }
 
@@ -181,14 +195,10 @@ func BenchmarkFigure16_Sensitivity(b *testing.B) {
 	o.MeasureCycles = 8_000
 	o.WarmupCycles = 3_000
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure16(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Category == "address mapping" {
-				reportRatio(b, "adaptive-speedup-"+row.Point, row.NormAdaptive)
-			}
+		res := figureTable(b, "16", o)
+		for _, point := range []string{"PAE", "Hynix"} {
+			reportRatio(b, "adaptive-speedup-"+point,
+				cell(b, res, "address mapping/"+point, "adaptive vs shared (HM over private-friendly apps)"))
 		}
 	}
 }

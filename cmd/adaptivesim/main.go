@@ -16,7 +16,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/config"
-	"repro/internal/gpu"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -87,18 +87,19 @@ func main() {
 	cfg.ProfileWindowCycles = *profileFlag
 	cfg.EpochCycles = *epochFlag
 
-	gen, err := workload.NewGenerator(spec, cfg, *seedFlag)
+	// The same declarative run the figure harness executes, so everything a
+	// run can report reaches this tool and paperfigs through one function.
+	rs, err := sweep.Execute(sweep.RunSpec{
+		Key:           spec.Abbr,
+		Workloads:     []workload.Spec{spec},
+		Config:        cfg,
+		Seed:          *seedFlag,
+		MeasureCycles: *cyclesFlag,
+		WarmupCycles:  *warmupFlag,
+	})
 	if err != nil {
-		fatalf("workload: %v", err)
+		fatalf("%v", err)
 	}
-	g, err := gpu.New(cfg, gen)
-	if err != nil {
-		fatalf("gpu: %v", err)
-	}
-	if *warmupFlag > 0 {
-		g.Warmup(*warmupFlag)
-	}
-	rs := g.Run(*cyclesFlag, spec.Kernels)
 
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "benchmark\t%s (%s, %s)\n", spec.Abbr, spec.Name, spec.Class)

@@ -65,7 +65,7 @@ func run() int {
 		progressFlag   = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
 		memProfile     = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
-		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); requests route to each run's cluster owner and fail over past dead peers; -parallel/-workers then apply server-side")
+		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); requests route to each run's cluster owner and fail over past dead peers; the daemons' parallelism is simd -workers, so -parallel/-workers are rejected")
 		checkpointsOn  = flag.Bool("checkpoints", false, "resume runs from checkpointed state prefixes (shared warmups, kernel boundaries) stored under -checkpoint-dir, and bank new ones; output is byte-identical, only wall-clock time changes")
 		checkpointDir  = flag.String("checkpoint-dir", ".repro-checkpoints", "directory of the checkpoint store used by -checkpoints")
 		traceOut       = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's lifecycle phases (checkpoint probe, warmup, kernel segments, measure) to this file; load it in Perfetto or chrome://tracing. Local execution only")
@@ -133,16 +133,13 @@ func run() int {
 		}()
 	}
 
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+
 	// In-place \r progress lines garble captured logs, so unless -progress
 	// was set explicitly, emit them only when stderr is a terminal.
-	progressSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "progress" {
-			progressSet = true
-		}
-	})
 	showProgress := *progressFlag
-	if !progressSet {
+	if !explicit["progress"] {
 		st, err := os.Stderr.Stat()
 		showProgress = err == nil && st.Mode()&os.ModeCharDevice != 0
 	}
@@ -180,6 +177,13 @@ func run() int {
 			return 1
 		}
 		return runScenarios(*scenariosFlag, workers, *cyclesFlag, *warmupFlag, *seedFlag, showProgress)
+	}
+
+	// api.FigureOptions carries no worker count: a daemon simulates with the
+	// pool it was started with.
+	if *serverFlag != "" && (explicit["parallel"] || explicit["workers"]) {
+		fmt.Fprintln(os.Stderr, "paperfigs: -parallel/-workers apply to local execution; a daemon's parallelism is set by simd -workers")
+		return 1
 	}
 
 	// Run-lifecycle tracing wraps the local executor; with -server the
@@ -242,9 +246,11 @@ func run() int {
 	// Validate the whole selection before simulating anything: a typo or a
 	// duplicate at the end of the list must not cost the runtime of the
 	// figures before it.
+	var figs []exp.FigureJob
 	seen := map[string]bool{}
 	for _, key := range selected {
-		if _, ok := exp.FigureByKey(key); !ok {
+		j, ok := exp.FigureByKey(key)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", key)
 			return 1
 		}
@@ -253,6 +259,7 @@ func run() int {
 			return 1
 		}
 		seen[key] = true
+		figs = append(figs, j)
 	}
 
 	// In -server mode every figure is generated by the daemon(s); verify at
@@ -271,35 +278,11 @@ func run() int {
 		remote = pool
 	}
 
+	// Figures print one by one, each followed by its own timing line.
 	failed := 0
 	totalStart := time.Now()
-	for _, key := range selected {
-		j, _ := exp.FigureByKey(key)
-		start := time.Now()
-		var (
-			out    string
-			err    error
-			remark string
-		)
-		if remote != nil {
-			// Seed is sent unconditionally (the local path applies the flag
-			// unconditionally too, and 0 is a legal seed).
-			opts := api.FigureOptions{
-				Quick:  *quickFlag,
-				Cycles: *cyclesFlag,
-				Warmup: *warmupFlag,
-				Seed:   seedFlag,
-			}
-			var progress func(*api.Progress)
-			if showProgress {
-				progress = func(p *api.Progress) {
-					progressLine(p.Done, p.Total, p.Key)
-				}
-			}
-			out, remark, err = remoteFigure(context.Background(), remote, key, opts, progress)
-		} else {
-			out, err = j.Run(opt)
-		}
+	start := totalStart
+	report := func(j exp.FigureJob, out, remark string, err error) {
 		if err != nil {
 			if showProgress {
 				// An aborted sweep leaves the in-place progress line behind.
@@ -309,10 +292,37 @@ func run() int {
 			// remaining ones, but the exit code stays non-zero.
 			fmt.Fprintf(os.Stderr, "paperfigs: %s: %v\n", j.Name, err)
 			failed++
-			continue
+		} else {
+			fmt.Println(out)
+			fmt.Printf("[%s regenerated in %.1fs%s]\n\n", j.Name, time.Since(start).Seconds(), remark)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s regenerated in %.1fs%s]\n\n", j.Name, time.Since(start).Seconds(), remark)
+		start = time.Now()
+	}
+	if remote != nil {
+		// Seed is sent unconditionally (the local path applies the flag
+		// unconditionally too, and 0 is a legal seed).
+		opts := api.FigureOptions{
+			Quick:  *quickFlag,
+			Cycles: *cyclesFlag,
+			Warmup: *warmupFlag,
+			Seed:   seedFlag,
+		}
+		var progress func(*api.Progress)
+		if showProgress {
+			progress = func(p *api.Progress) {
+				progressLine(p.Done, p.Total, p.Key)
+			}
+		}
+		for _, j := range figs {
+			out, remark, err := remoteFigure(context.Background(), remote, j.Key, opts, progress)
+			report(j, out, remark, err)
+		}
+	} else {
+		// The selection regenerates over one run set: a run an earlier figure
+		// already simulated is reused, never simulated again.
+		exp.Regenerate(figs, opt, func(j exp.FigureJob, t exp.Table, reused, simulated int, err error) {
+			report(j, t.Format(), fmt.Sprintf(" (%d reused, %d simulated runs)", reused, simulated), err)
+		})
 	}
 	mode := "serial"
 	if remote != nil {

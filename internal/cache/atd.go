@@ -160,12 +160,6 @@ func (a *ATD) PrivateMissRate() float64 {
 	return 1 - float64(a.privateHits)/float64(a.accesses)
 }
 
-// PrivateHitRate returns 1 - PrivateMissRate.
-func (a *ATD) PrivateHitRate() float64 { return 1 - a.PrivateMissRate() }
-
-// SharedHitRate returns 1 - SharedMissRate.
-func (a *ATD) SharedHitRate() float64 { return 1 - a.SharedMissRate() }
-
 // Reset clears the ATD contents and counters for a new profiling window.
 func (a *ATD) Reset() {
 	for s := range a.sets {

@@ -1,18 +1,20 @@
 // Package exp contains the experiment harness that regenerates every table
 // and figure of the paper's evaluation (Section 6) on the simulated GPU.
 //
-// Each FigureN function runs the required simulations and returns a
-// structured result plus a Format method that prints the same rows/series
-// the paper reports. Absolute values differ from the paper (the substrate is
-// a from-scratch simulator, not GPGPU-Sim on the authors' traces), but the
-// shape of every result — which organization wins, by roughly what factor,
-// and where the crossovers lie — is expected to match.
+// The evaluation is one grid of runs that its figures slice, and the package
+// is shaped the same way: every registry entry (FigureJob) declares the runs
+// it needs as sweep.RunSpec values and builds one Table over their
+// statistics; Table.Format prints the rows/series the paper reports, and
+// Regenerate produces a selection of figures over one run set, simulating
+// each distinct run once. Absolute values differ from the paper (the
+// substrate is a from-scratch simulator, not GPGPU-Sim on the authors'
+// traces), but the shape of every result — which organization wins, by
+// roughly what factor, and where the crossovers lie — is expected to match.
 package exp
 
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
@@ -133,10 +135,10 @@ func modeKey(abbr string, mode config.LLCMode) string {
 	return abbr + "/" + mode.String()
 }
 
-// runAll executes a figure's declared runs with the configured parallelism
-// and returns the statistics keyed by RunSpec.Key. This is the single
-// execution path shared by every figure: declare []RunSpec, runAll, collect.
-func (o Options) runAll(specs []sweep.RunSpec) (map[string]gpu.RunStats, error) {
+// runAll executes declared runs with the configured parallelism and returns
+// their statistics positionally (results[i] belongs to specs[i]). It is the
+// single way a declared batch reaches an executor.
+func (o Options) runAll(specs []sweep.RunSpec) ([]gpu.RunStats, error) {
 	exec := o.Exec
 	if exec == nil {
 		if o.Checkpointer != nil {
@@ -151,64 +153,14 @@ func (o Options) runAll(specs []sweep.RunSpec) (map[string]gpu.RunStats, error) 
 	if err != nil {
 		return nil, err
 	}
-	stats := make(map[string]gpu.RunStats, len(results))
-	for _, res := range results {
-		if _, dup := stats[res.Key]; dup {
-			// A key collision would silently overwrite one run's statistics
-			// with another's and render plausible but wrong figures.
-			return nil, fmt.Errorf("exp: duplicate run key %q", res.Key)
-		}
-		stats[res.Key] = res.Stats
+	if len(results) != len(specs) {
+		return nil, fmt.Errorf("exp: executor returned %d results for %d runs", len(results), len(specs))
+	}
+	stats := make([]gpu.RunStats, len(results))
+	for i, res := range results {
+		stats[i] = res.Stats
 	}
 	return stats, nil
-}
-
-// Run executes one benchmark on one configuration and returns the run
-// statistics. It is the serial building block underlying every figure.
-func (o Options) Run(spec workload.Spec, cfg config.Config) (gpu.RunStats, error) {
-	return sweep.Execute(o.runSpec(spec.Abbr, cfg, spec))
-}
-
-// RunMode is a convenience wrapper around Run for a plain baseline
-// configuration with the given LLC mode.
-func (o Options) RunMode(spec workload.Spec, mode config.LLCMode) (gpu.RunStats, error) {
-	return o.Run(spec, o.baseConfig(mode))
-}
-
-// RecordRun executes one benchmark like Run while capturing its per-warp op
-// stream to a trace file at path (see internal/trace). The returned
-// statistics are identical to an unrecorded run; the trace replays to the
-// same statistics via ReplayTrace under the same configuration.
-func (o Options) RecordRun(spec workload.Spec, cfg config.Config, path string) (gpu.RunStats, error) {
-	rs := o.runSpec(spec.Abbr, cfg, spec)
-	rs.RecordPath = path
-	return sweep.Execute(rs)
-}
-
-// ReplayTrace replays a recorded memory trace under the given configuration
-// instead of a synthetic workload. The kernel count defaults to the one in
-// the trace header; loop selects the end-of-trace policy (false drains
-// exhausted warps, true rewinds and replays).
-func (o Options) ReplayTrace(path string, cfg config.Config, loop bool) (gpu.RunStats, error) {
-	return sweep.Execute(sweep.RunSpec{
-		Key:           "trace:" + path,
-		TracePath:     path,
-		TraceLoop:     loop,
-		Config:        cfg,
-		Seed:          o.Seed,
-		MeasureCycles: o.MeasureCycles,
-		WarmupCycles:  o.WarmupCycles,
-	})
-}
-
-// classAbbrs returns the benchmark abbreviations of one class, in catalog
-// order.
-func classAbbrs(c workload.Class) []string {
-	var out []string
-	for _, s := range workload.ByClass(c) {
-		out = append(out, s.Abbr)
-	}
-	return out
 }
 
 // hmean is a harmonic mean that tolerates empty input (returns 0).
@@ -220,39 +172,10 @@ func hmean(vals []float64) float64 {
 	return m
 }
 
-// formatTable renders rows of columns with a header using a fixed-width
-// layout (the experiment binaries write these tables to stdout and to
-// EXPERIMENTS.md).
-func formatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
+// norm returns v/base, or 0 when the base is 0.
+func norm(v, base float64) float64 {
+	if base == 0 {
+		return 0
 	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cols []string) {
-		for i, c := range cols {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	writeRow(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
+	return v / base
 }

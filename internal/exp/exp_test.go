@@ -3,7 +3,9 @@ package exp
 import (
 	"context"
 	"errors"
-	"reflect"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,6 +13,8 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/figures-tiny.golden")
 
 // tinyOptions keeps the harness tests fast; the figure-level assertions here
 // are structural (row counts, formatting, orderings that hold even at small
@@ -47,26 +51,82 @@ func TestOptionsAndHelpers(t *testing.T) {
 	if got := norm(3, 0); got != 0 {
 		t.Errorf("norm by zero = %v", got)
 	}
-	if n := len(classAbbrs(workload.PrivateFriendly)); n != 5 {
-		t.Errorf("classAbbrs = %d entries, want 5", n)
+}
+
+// TestTableShape: a Table that could not render, or whose accessors could
+// not tell two rows or statistics apart, is an error at construction.
+func TestTableShape(t *testing.T) {
+	cols := []column{{"name", ""}, {"kind", ""}, {"x", "%.1f"}}
+	hm := line("HM: %.2f", stat{"hm", 1.5})
+	tbl, err := newTable("T", 2, cols, [][]any{{"a", "k", 1.25}, {"a", "l", 2.0}}, hm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tbl := formatTable([]string{"a", "b"}, [][]string{{"1", "22"}})
-	if !strings.Contains(tbl, "a") || !strings.Contains(tbl, "22") {
-		t.Errorf("formatTable output missing content:\n%s", tbl)
+	want := "T\nname  kind  x  \n----  ----  ---\na     k     1.2\na     l     2.0\nHM: 1.50\n"
+	if got := tbl.Format(); got != want {
+		t.Errorf("Format = %q, want %q", got, want)
+	}
+	if v, ok := tbl.Value("a/k", "x"); !ok || v != 1.25 {
+		t.Errorf("Value(a/k, x) = %v, %v; want the unrounded 1.25", v, ok)
+	}
+	if v, ok := tbl.Stat("hm"); !ok || v != 1.5 {
+		t.Errorf("Stat(hm) = %v, %v", v, ok)
+	}
+	for _, miss := range [][2]string{{"a", "x"}, {"a/k", "y"}, {"a/k", "kind"}} {
+		if _, ok := tbl.Value(miss[0], miss[1]); ok {
+			t.Errorf("Value(%q, %q) found a number", miss[0], miss[1])
+		}
+	}
+	if _, ok := tbl.Stat("nope"); ok {
+		t.Error("Stat accepted an unknown name")
+	}
+
+	for name, bad := range map[string]struct {
+		keys    int
+		rows    [][]any
+		summary []summaryLine
+	}{
+		"row wider than the header": {1, [][]any{{"a", "k", 1.0, 2.0}}, nil},
+		"row narrower":              {1, [][]any{{"a", "k"}}, nil},
+		"label under a verb":        {1, [][]any{{"a", "k", "1.0"}}, nil},
+		"int under a verb":          {1, [][]any{{"a", "k", 1}}, nil},
+		"number under a label":      {1, [][]any{{"a", 2.0, 1.0}}, nil},
+		"numeric key column":        {3, nil, nil},
+		"no key column":             {0, nil, nil},
+		"duplicate row key":         {1, [][]any{{"a", "k", 1.0}, {"a", "l", 2.0}}, nil},
+		"duplicate statistic":       {1, nil, []summaryLine{hm, hm}},
+	} {
+		if _, err := newTable("T", bad.keys, cols, bad.rows, bad.summary...); err == nil {
+			t.Errorf("%s: newTable accepted it", name)
+		}
 	}
 }
 
-// recordingExec counts executor invocations without simulating anything.
+// recordingExec records what reaches the executor without simulating
+// anything: every declared spec gets zero statistics (or err).
 type recordingExec struct {
-	calls int
-	specs int
-	err   error
+	batches []int
+	err     error
 }
 
 func (e *recordingExec) Run(_ context.Context, specs []sweep.RunSpec) ([]sweep.Result, error) {
-	e.calls++
-	e.specs += len(specs)
-	return nil, e.err
+	e.batches = append(e.batches, len(specs))
+	if e.err != nil {
+		return nil, e.err
+	}
+	results := make([]sweep.Result, len(specs))
+	for i, s := range specs {
+		results[i] = sweep.Result{Index: i, Key: s.Key}
+	}
+	return results, nil
+}
+
+func (e *recordingExec) specs() int {
+	n := 0
+	for _, b := range e.batches {
+		n += b
+	}
+	return n
 }
 
 // TestInjectedExecutor checks that a figure's declared runs are handed to
@@ -75,15 +135,101 @@ func TestInjectedExecutor(t *testing.T) {
 	exec := &recordingExec{err: errors.New("remote backend unavailable")}
 	o := tinyOptions()
 	o.Exec = exec
-	if _, err := Figure3(o); err == nil || !strings.Contains(err.Error(), "remote backend unavailable") {
-		t.Fatalf("Figure3 error = %v, want the injected executor's error", err)
+	fig, _ := FigureByKey("3")
+	if _, err := fig.Run(o); err == nil || !strings.Contains(err.Error(), "remote backend unavailable") {
+		t.Fatalf("Figure 3 error = %v, want the injected executor's error", err)
 	}
-	if exec.calls != 1 {
-		t.Errorf("executor invoked %d times, want 1", exec.calls)
+	if len(exec.batches) != 1 || exec.batches[0] != len(workload.Catalog()) {
+		t.Errorf("executor received batches %v, want one of %d specs (one per benchmark)",
+			exec.batches, len(workload.Catalog()))
 	}
-	if exec.specs != len(workload.Catalog()) {
-		t.Errorf("executor received %d specs, want %d (one per benchmark)",
-			exec.specs, len(workload.Catalog()))
+}
+
+// regenerateRecorded regenerates a selection over a recording executor and
+// returns the number of specs each figure handed it.
+func regenerateRecorded(t *testing.T, keys ...string) (perFigure []int, total int) {
+	t.Helper()
+	exec := &recordingExec{}
+	o := tinyOptions()
+	o.Exec = exec
+	var figs []FigureJob
+	for _, key := range keys {
+		f, ok := FigureByKey(key)
+		if !ok {
+			t.Fatalf("unknown figure %q", key)
+		}
+		figs = append(figs, f)
+	}
+	Regenerate(figs, o, func(f FigureJob, _ Table, reused, simulated int, _ error) {
+		// Zero statistics make some tables fail (STP of an idle run); the
+		// census is about what was declared and what reached the executor.
+		declared := 0
+		if f.Specs != nil {
+			declared = len(f.Specs(o))
+		}
+		if reused+simulated != declared {
+			t.Errorf("%s: %d reused + %d simulated, %d declared", f.Name, reused, simulated, declared)
+		}
+		perFigure = append(perFigure, simulated)
+	})
+	for _, b := range exec.batches {
+		if b == 0 {
+			t.Error("the executor was called with an empty batch")
+		}
+	}
+	return perFigure, exec.specs()
+}
+
+// TestRegenerateOneRunSet pins the run census: the figures slice one grid of
+// runs, so a selection regenerated together simulates each distinct
+// fingerprint once, and nothing outlives the call.
+func TestRegenerateOneRunSet(t *testing.T) {
+	// Figures 3, 12, 13 and 14 declare nothing Figures 2 and 11 have not run;
+	// stand-alone, the six declare 34+17+51+15+18+22 = 157.
+	perFigure, total := regenerateRecorded(t, "2", "3", "11", "12", "13", "14")
+	want := []int{34, 0, 17, 0, 0, 0}
+	if len(perFigure) != len(want) {
+		t.Fatalf("emitted %d figures, want %d", len(perFigure), len(want))
+	}
+	for i := range want {
+		if perFigure[i] != want[i] {
+			t.Errorf("executor received %v specs per figure, want %v", perFigure, want)
+			break
+		}
+	}
+	if total != 51 {
+		t.Errorf("executor received %d specs, want 51", total)
+	}
+
+	var all []string
+	declared := 0
+	for _, f := range Figures() {
+		all = append(all, f.Key)
+		if f.Specs != nil {
+			declared += len(f.Specs(tinyOptions()))
+		}
+	}
+	if declared != 410 {
+		t.Errorf("the registry declares %d runs, want 410", declared)
+	}
+	if _, total := regenerateRecorded(t, all...); total != 237 {
+		t.Errorf("regenerating every entry handed the executor %d specs, want 237 unique", total)
+	}
+
+	// The run set is scoped to the call: two calls share nothing, and a
+	// figure on its own (FigureJob.Run, the daemon's path) is not filtered.
+	if _, total := regenerateRecorded(t, "12"); total != 15 {
+		t.Errorf("a second call for Figure 12 simulated %d runs, want all 15 again", total)
+	}
+	exec := &recordingExec{}
+	o := tinyOptions()
+	o.Exec = exec
+	fig, _ := FigureByKey("16")
+	if _, err := fig.Run(o); err != nil {
+		t.Fatal(err)
+	}
+	if exec.specs() != 150 {
+		t.Errorf("FigureJob.Run handed the executor %d specs, want all 150 declared", exec.specs())
 	}
 }
 
@@ -97,7 +243,7 @@ func TestFigureRegistry(t *testing.T) {
 		if figs[i].Key != want {
 			t.Errorf("registry[%d].Key = %q, want %q", i, figs[i].Key, want)
 		}
-		if figs[i].Name == "" || figs[i].Run == nil {
+		if figs[i].Name == "" || figs[i].Table == nil || (figs[i].Specs == nil) != (want == "tables") {
 			t.Errorf("registry entry %q incomplete", figs[i].Key)
 		}
 	}
@@ -115,33 +261,101 @@ func TestFigureRegistry(t *testing.T) {
 }
 
 func TestTables(t *testing.T) {
-	t1 := Table1()
-	for _, want := range []string{"80 SMs", "1400 MHz", "FR-FCFS", "6 MB"} {
-		if !strings.Contains(t1, want) {
-			t.Errorf("Table1 missing %q", want)
-		}
-	}
-	t2 := Table2()
-	for _, want := range []string{"AlexNet", "GEMM", "Vector Add", "private-friendly"} {
-		if !strings.Contains(t2, want) {
-			t.Errorf("Table2 missing %q", want)
-		}
-	}
-}
-
-func TestRunModeSmoke(t *testing.T) {
-	o := tinyOptions()
-	spec, _ := workload.ByAbbr("VA")
-	rs, err := o.RunMode(spec, config.LLCShared)
+	tbl, err := tables(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Instructions == 0 {
-		t.Error("run made no progress")
+	text := tbl.Format()
+	for _, want := range []string{"80 SMs", "1400 MHz", "FR-FCFS", "6 MB",
+		"\n\nTable 2", "AlexNet", "GEMM", "Vector Add", "private-friendly"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("tables missing %q", want)
+		}
 	}
-	if _, err := o.Run(spec, config.Config{}); err == nil {
-		t.Error("invalid config must fail")
+	if v, ok := tbl.next.Value("LU Decomposition", "kernels"); !ok || v != 3 {
+		t.Errorf("Table 2 LUD kernels = %v, %v", v, ok)
 	}
+}
+
+const goldenPath = "testdata/figures-tiny.golden"
+
+// figureBlocks splits the golden format ("### <key>", the figure's text, a
+// blank line) into per-figure text, keyed like the registry.
+func figureBlocks(data string) map[string]string {
+	blocks := map[string]string{}
+	for _, block := range strings.Split(data, "### ")[1:] {
+		key, text, _ := strings.Cut(block, "\n")
+		blocks[key] = strings.TrimSuffix(text, "\n")
+	}
+	return blocks
+}
+
+func goldenFigures(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.FromSlash(goldenPath))
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	return figureBlocks(string(data))
+}
+
+// TestGoldenFigureText pins the contract of the harness: the text of every
+// registry entry at tinyOptions, regenerated as one selection over one run
+// set, against a file generated before the figures became tables.
+func TestGoldenFigureText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow full-GPU simulation; skipped in -short mode")
+	}
+	var b strings.Builder
+	Regenerate(Figures(), tinyOptions(), func(f FigureJob, tbl Table, _, _ int, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		b.WriteString("### " + f.Key + "\n" + tbl.Format() + "\n")
+	})
+	if *update {
+		if err := os.WriteFile(filepath.FromSlash(goldenPath), []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenPath)
+		return
+	}
+	want, got := goldenFigures(t), figureBlocks(b.String())
+	for _, f := range Figures() {
+		if got[f.Key] != want[f.Key] {
+			t.Errorf("%s text changed:\n--- golden\n%s\n--- got\n%s\n"+
+				"figure text is the harness's contract: a change that alters simulated statistics must bump "+
+				"simstore.SimVersion and regenerate the golden file (-update); a refactor must not change it",
+				f.Name, want[f.Key], got[f.Key])
+		}
+	}
+	if len(want) != len(Figures()) {
+		t.Errorf("golden file has %d blocks, the registry %d entries; regenerate with -update", len(want), len(Figures()))
+	}
+}
+
+// figureTable regenerates one registry entry on its own and returns its table.
+func figureTable(t *testing.T, key string, o Options) Table {
+	t.Helper()
+	f, ok := FigureByKey(key)
+	if !ok {
+		t.Fatalf("unknown figure %q", key)
+	}
+	tbl, err := f.tabulate(o, o.runAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// value reads a cell that must exist.
+func value(t *testing.T, tbl Table, row, column string) float64 {
+	t.Helper()
+	v, ok := tbl.Value(row, column)
+	if !ok {
+		t.Fatalf("%s: no value at row %q, column %q", tbl.title, row, column)
+	}
+	return v
 }
 
 func TestFigure12And13Structure(t *testing.T) {
@@ -149,27 +363,23 @@ func TestFigure12And13Structure(t *testing.T) {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	o := tinyOptions()
-	f12, err := Figure12(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f12.Rows) != 5 {
-		t.Errorf("Figure 12 rows = %d, want 5 (private-friendly apps)", len(f12.Rows))
+	f12 := figureTable(t, "12", o)
+	if len(f12.rows) != 5 {
+		t.Errorf("Figure 12 rows = %d, want 5 (private-friendly apps)", len(f12.rows))
 	}
 	if !strings.Contains(f12.Format(), "response rate") {
 		t.Error("Figure 12 format missing title")
 	}
 
-	f13, err := Figure13(o)
-	if err != nil {
-		t.Fatal(err)
+	f13 := figureTable(t, "13", o)
+	if len(f13.rows) != 6 {
+		t.Errorf("Figure 13 rows = %d, want 6 (shared-friendly apps)", len(f13.rows))
 	}
-	if len(f13.Rows) != 6 {
-		t.Errorf("Figure 13 rows = %d, want 6 (shared-friendly apps)", len(f13.Rows))
-	}
-	if f13.Avg.Private <= f13.Avg.Shared {
+	private, _ := f13.Stat("avg-private")
+	shared, ok := f13.Stat("avg-shared")
+	if !ok || private <= shared {
 		t.Errorf("Figure 13: private miss rate (%.3f) should exceed shared (%.3f) even at small scale",
-			f13.Avg.Private, f13.Avg.Shared)
+			private, shared)
 	}
 	if !strings.Contains(f13.Format(), "miss rate") {
 		t.Error("Figure 13 format missing title")
@@ -177,8 +387,10 @@ func TestFigure12And13Structure(t *testing.T) {
 }
 
 // TestFigureParallelDeterminism checks the figure harness end to end on the
-// sweep engine: the same figure regenerated serially and with a worker pool
-// must produce identical rows and aggregates.
+// sweep engine: the same figure regenerated on its own serially and with a
+// worker pool must produce identical text — and the text the golden file
+// holds for it, which was regenerated over a shared run set (reuse changes
+// what is simulated, never what is printed).
 func TestFigureParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
@@ -188,19 +400,20 @@ func TestFigureParallelDeterminism(t *testing.T) {
 	parallel := tinyOptions()
 	parallel.Workers = 4
 
-	a, err := Figure12(serial)
+	fig, _ := FigureByKey("12")
+	a, err := fig.Run(serial)
 	if err != nil {
-		t.Fatalf("serial Figure12: %v", err)
+		t.Fatalf("serial Figure 12: %v", err)
 	}
-	b, err := Figure12(parallel)
+	b, err := fig.Run(parallel)
 	if err != nil {
-		t.Fatalf("parallel Figure12: %v", err)
+		t.Fatalf("parallel Figure 12: %v", err)
 	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Errorf("parallel Figure12 rows differ from serial:\nserial:   %+v\nparallel: %+v", a.Rows, b.Rows)
+	if a != b {
+		t.Errorf("parallel Figure 12 differs from serial:\nserial:\n%s\nparallel:\n%s", a, b)
 	}
-	if a.HM != b.HM {
-		t.Errorf("parallel Figure12 HM differs: serial %+v, parallel %+v", a.HM, b.HM)
+	if want := goldenFigures(t)["12"]; a != want {
+		t.Errorf("stand-alone Figure 12 differs from the golden block:\n--- golden\n%s\n--- got\n%s", want, a)
 	}
 }
 
@@ -208,23 +421,18 @@ func TestFigure7Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	o := tinyOptions()
-	res, err := Figure7(o)
-	if err != nil {
-		t.Fatal(err)
+	res := figureTable(t, "7", tinyOptions())
+	if len(res.rows) != 8 {
+		t.Fatalf("Figure 7 rows = %d, want 8 design points", len(res.rows))
 	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("Figure 7 rows = %d, want 8 design points", len(res.Rows))
-	}
-	if res.Rows[0].NormalizedIPC != 1 || res.Rows[0].NormalizedPower != 1 {
+	if value(t, res, "BW/Full Xbar", "norm. IPC") != 1 || value(t, res, "BW/Full Xbar", "norm. power") != 1 {
 		t.Error("the full crossbar anchors the normalization")
 	}
 	// H-Xbar at the same bisection bandwidth must be smaller than the full
 	// crossbar (the area conclusion holds at any simulation scale because it
 	// is structural).
-	if res.Rows[1].Area.Total() >= res.Rows[0].Area.Total() {
-		t.Errorf("H-Xbar area (%.2f) should be below the full crossbar (%.2f)",
-			res.Rows[1].Area.Total(), res.Rows[0].Area.Total())
+	if hx, full := value(t, res, "BW/H-Xbar", "area (mm²)"), value(t, res, "BW/Full Xbar", "area (mm²)"); hx >= full {
+		t.Errorf("H-Xbar area (%.2f) should be below the full crossbar (%.2f)", hx, full)
 	}
 	if !strings.Contains(res.Format(), "design space") {
 		t.Error("Figure 7 format missing title")
@@ -235,33 +443,27 @@ func TestFigure16SensitivityStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	o := tinyOptions()
-	// Restrict to a single category by checking the full sweep's row count
-	// would be too slow here; instead run the address-mapping points only by
-	// reusing the public API at the smallest scale.
-	res, err := Figure16(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 15 {
-		t.Errorf("Figure 16 rows = %d, want 15 design points", len(res.Rows))
+	res := figureTable(t, "16", tinyOptions())
+	if len(res.rows) != 15 {
+		t.Errorf("Figure 16 rows = %d, want 15 design points", len(res.rows))
 	}
 	categories := map[string]bool{}
 	positive := 0
-	for _, r := range res.Rows {
-		categories[r.Category] = true
-		if r.NormAdaptive < 0 {
-			t.Errorf("%s/%s: negative speedup", r.Category, r.Point)
+	for _, r := range res.rows {
+		categories[r[0].(string)] = true
+		v := r[2].(float64)
+		if v < 0 {
+			t.Errorf("%s: negative speedup", res.rowKey(r))
 		}
-		if r.NormAdaptive > 0 {
+		if v > 0 {
 			positive++
 		}
 	}
 	// At this deliberately tiny scale a point can degenerate (the whole
 	// measurement window swallowed by reconfiguration stalls), but the large
 	// majority of design points must produce meaningful speedups.
-	if positive < len(res.Rows)-2 {
-		t.Errorf("only %d/%d sensitivity points produced a positive speedup", positive, len(res.Rows))
+	if positive < len(res.rows)-2 {
+		t.Errorf("only %d/%d sensitivity points produced a positive speedup", positive, len(res.rows))
 	}
 	for _, want := range []string{"address mapping", "channel width", "SM count", "L1 size", "CTA scheduling"} {
 		if !categories[want] {

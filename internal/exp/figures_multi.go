@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -12,25 +13,6 @@ import (
 // ---------------------------------------------------------------------------
 // Figure 15 — multi-program workloads
 // ---------------------------------------------------------------------------
-
-// Figure15Row is one two-program combination: a shared-cache-friendly
-// application co-running with a private-cache-friendly one. STP is reported
-// for a conventional shared LLC and for adaptive caching, which serves each
-// application with its preferred organization simultaneously (Figure 9).
-type Figure15Row struct {
-	SharedApp   string
-	PrivateApp  string
-	SharedSTP   float64
-	AdaptiveSTP float64
-	Speedup     float64
-}
-
-// Figure15Result holds all pairs, sorted by adaptive STP as in the paper.
-type Figure15Result struct {
-	Rows       []Figure15Row
-	AvgSpeedup float64
-	Options    Options
-}
 
 // pairKey identifies one co-execution run inside Figure 15's sweep.
 func pairKey(sharedAbbr, privAbbr, variant string) string {
@@ -53,11 +35,10 @@ func (o Options) pairSpec(sharedSpec, privSpec workload.Spec, adaptive bool) swe
 	return s
 }
 
-// Figure15 evaluates all shared-friendly x private-friendly two-program
-// combinations. The single-program "alone" baselines and all pair runs are
-// independent, so the whole figure is declared as one sweep; the STP
-// arithmetic happens at collection time.
-func Figure15(o Options) (*Figure15Result, error) {
+// figure15Specs declares the single-program "alone" baselines and every
+// shared-friendly x private-friendly two-program combination under a shared
+// LLC and under adaptive caching; all are independent runs.
+func figure15Specs(o Options) []sweep.RunSpec {
 	var specs []sweep.RunSpec
 	for _, w := range workload.Catalog() {
 		if w.Class == workload.Neutral {
@@ -72,80 +53,48 @@ func Figure15(o Options) (*Figure15Result, error) {
 				o.pairSpec(sharedSpec, privSpec, true))
 		}
 	}
-	stats, err := o.runAll(specs)
-	if err != nil {
-		return nil, fmt.Errorf("figure15: %w", err)
-	}
+	return specs
+}
 
-	res := &Figure15Result{Options: o}
-	var sum float64
+// figure15Table is one row per two-program combination — a
+// shared-cache-friendly application co-running with a private-cache-friendly
+// one — in catalog order (the paper sorts its bars by adaptive STP; the rows
+// here are not sorted). STP is reported for a conventional shared LLC and for
+// adaptive caching, which serves each application with its preferred
+// organization simultaneously (Figure 9).
+func figure15Table(_ Options, stats map[string]gpu.RunStats) (Table, error) {
+	var rows [][]any
+	var speedups []float64
 	for _, sharedSpec := range workload.ByClass(workload.SharedFriendly) {
 		for _, privSpec := range workload.ByClass(workload.PrivateFriendly) {
 			alone := []float64{
 				stats["alone/"+sharedSpec.Abbr].IPC,
 				stats["alone/"+privSpec.Abbr].IPC,
 			}
-			sharedSTP, err := metrics.STP(stats[pairKey(sharedSpec.Abbr, privSpec.Abbr, "shared")].AppIPC, alone)
-			if err != nil {
-				return nil, fmt.Errorf("figure15 pair %s+%s: %w", sharedSpec.Abbr, privSpec.Abbr, err)
+			var stp [2]float64
+			for i, variant := range []string{"shared", "adaptive"} {
+				var err error
+				stp[i], err = metrics.STP(stats[pairKey(sharedSpec.Abbr, privSpec.Abbr, variant)].AppIPC, alone)
+				if err != nil {
+					return Table{}, fmt.Errorf("figure15 pair %s+%s: %w", sharedSpec.Abbr, privSpec.Abbr, err)
+				}
 			}
-			adaptiveSTP, err := metrics.STP(stats[pairKey(sharedSpec.Abbr, privSpec.Abbr, "adaptive")].AppIPC, alone)
-			if err != nil {
-				return nil, fmt.Errorf("figure15 pair %s+%s: %w", sharedSpec.Abbr, privSpec.Abbr, err)
-			}
-			row := Figure15Row{
-				SharedApp:   sharedSpec.Abbr,
-				PrivateApp:  privSpec.Abbr,
-				SharedSTP:   sharedSTP,
-				AdaptiveSTP: adaptiveSTP,
-				Speedup:     norm(adaptiveSTP, sharedSTP),
-			}
-			res.Rows = append(res.Rows, row)
-			sum += row.Speedup
+			speedup := norm(stp[1], stp[0])
+			rows = append(rows, []any{sharedSpec.Abbr, privSpec.Abbr, stp[0], stp[1], speedup})
+			speedups = append(speedups, speedup)
 		}
 	}
-	if len(res.Rows) > 0 {
-		res.AvgSpeedup = sum / float64(len(res.Rows))
-	}
-	return res, nil
-}
-
-// Format renders the figure as a table, sorted by adaptive STP.
-func (r *Figure15Result) Format() string {
-	header := []string{"shared app", "private app", "STP shared LLC", "STP adaptive LLC", "speedup"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.SharedApp, row.PrivateApp,
-			fmt.Sprintf("%.3f", row.SharedSTP),
-			fmt.Sprintf("%.3f", row.AdaptiveSTP),
-			fmt.Sprintf("%.3f", row.Speedup),
-		})
-	}
-	out := "Figure 15: multi-program system throughput (two-program combinations)\n"
-	out += formatTable(header, rows)
-	out += fmt.Sprintf("AVG STP speedup of adaptive over shared: %.3f (%.1f%%)\n", r.AvgSpeedup, (r.AvgSpeedup-1)*100)
-	return out
+	avg := metrics.ArithmeticMean(speedups)
+	return newTable("Figure 15: multi-program system throughput (two-program combinations)", 2,
+		[]column{{"shared app", ""}, {"private app", ""}, {"STP shared LLC", "%.3f"}, {"STP adaptive LLC", "%.3f"}, {"speedup", "%.3f"}},
+		rows,
+		line("AVG STP speedup of adaptive over shared: %.3f (%.1f%%)",
+			stat{"avg-speedup", avg}, stat{"avg-speedup-pct", (avg - 1) * 100}))
 }
 
 // ---------------------------------------------------------------------------
 // Figure 16 — sensitivity analyses
 // ---------------------------------------------------------------------------
-
-// Figure16Row is one sensitivity design point: the average normalized IPC of
-// the adaptive LLC relative to a shared LLC over the private-cache-friendly
-// workloads.
-type Figure16Row struct {
-	Category     string
-	Point        string
-	NormAdaptive float64
-}
-
-// Figure16Result holds all sensitivity sweeps.
-type Figure16Result struct {
-	Rows    []Figure16Row
-	Options Options
-}
 
 // figure16Workloads returns the workload set used for the sensitivity study
 // (the private-cache-friendly applications, as in the paper).
@@ -185,11 +134,11 @@ func figure16Variants() []figure16Variant {
 	}
 }
 
-// Figure16 sweeps address mapping, NoC channel width, SM count, L1 size and
-// CTA scheduling policy, reporting the adaptive LLC's average speedup over
-// the shared LLC for each design point. All 15 variants x 5 workloads x 2
-// organizations (150 runs) execute as a single parallel sweep.
-func Figure16(o Options) (*Figure16Result, error) {
+// figure16Specs sweeps address mapping, NoC channel width, SM count, L1 size
+// and CTA scheduling policy: 15 variants x 5 workloads x 2 organizations.
+// Five of the variants spell out the baseline's own value, so 40 of the 150
+// declared runs repeat another's fingerprint.
+func figure16Specs(o Options) []sweep.RunSpec {
 	var specs []sweep.RunSpec
 	for _, v := range figure16Variants() {
 		for _, mode := range []config.LLCMode{config.LLCShared, config.LLCAdaptive} {
@@ -200,12 +149,14 @@ func Figure16(o Options) (*Figure16Result, error) {
 			}
 		}
 	}
-	stats, err := o.runAll(specs)
-	if err != nil {
-		return nil, fmt.Errorf("figure16: %w", err)
-	}
+	return specs
+}
 
-	res := &Figure16Result{Options: o}
+// figure16Table reports, per design point, the harmonic mean over the
+// private-cache-friendly workloads of the adaptive LLC's IPC normalized to a
+// shared LLC.
+func figure16Table(_ Options, stats map[string]gpu.RunStats) (Table, error) {
+	var rows [][]any
 	for _, v := range figure16Variants() {
 		var ratios []float64
 		for _, w := range figure16Workloads() {
@@ -213,13 +164,11 @@ func Figure16(o Options) (*Figure16Result, error) {
 			adaptive := stats[v.key(w.Abbr, config.LLCAdaptive)]
 			ratios = append(ratios, norm(adaptive.IPC, shared.IPC))
 		}
-		res.Rows = append(res.Rows, Figure16Row{
-			Category:     v.category,
-			Point:        v.point,
-			NormAdaptive: hmean(ratios),
-		})
+		rows = append(rows, []any{v.category, v.point, hmean(ratios)})
 	}
-	return res, nil
+	return newTable("Figure 16: sensitivity analyses (adaptive LLC speedup over shared LLC)", 2,
+		[]column{{"category", ""}, {"design point", ""}, {"adaptive vs shared (HM over private-friendly apps)", "%.3f"}},
+		rows)
 }
 
 // scaleSMs changes the SM count while keeping 10 SMs per cluster and the
@@ -239,27 +188,15 @@ func setL1(c *config.Config, bytes, ways int) {
 	c.L1Ways = ways
 }
 
-// Format renders the figure as a table.
-func (r *Figure16Result) Format() string {
-	header := []string{"category", "design point", "adaptive vs shared (HM over private-friendly apps)"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Category, row.Point, fmt.Sprintf("%.3f", row.NormAdaptive),
-		})
-	}
-	return "Figure 16: sensitivity analyses (adaptive LLC speedup over shared LLC)\n" + formatTable(header, rows)
-}
-
 // ---------------------------------------------------------------------------
 // Tables 1 and 2
 // ---------------------------------------------------------------------------
 
-// Table1 renders the baseline architecture configuration.
-func Table1() string {
+// tables is the registry entry for Tables 1 and 2: the baseline architecture
+// followed by the benchmark catalog.
+func tables(Options, map[string]gpu.RunStats) (Table, error) {
 	c := config.Baseline().Normalize()
-	header := []string{"parameter", "value"}
-	rows := [][]string{
+	t1, err := newTable("Table 1: baseline GPU architecture", 1, []column{{"parameter", ""}, {"value", ""}}, [][]any{
 		{"Streaming Multiprocessors", fmt.Sprintf("%d SMs, %d MHz", c.NumSMs, c.CoreClockMHz)},
 		{"Warp size", fmt.Sprintf("%d", c.WarpSize)},
 		{"Schedulers / SM", fmt.Sprintf("%d (GTO)", c.SchedulersPerSM)},
@@ -272,18 +209,19 @@ func Table1() string {
 		{"DRAM", fmt.Sprintf("FR-FCFS, %d banks/MC, %.0f GB/s", c.BanksPerMC, c.DRAMBandwidthGBs)},
 		{"GDDR5 timing", fmt.Sprintf("tCL=%d tRP=%d tRC=%d tRAS=%d tRCD=%d tRRD=%d tCCD=%d tWR=%d",
 			c.Timing.TCL, c.Timing.TRP, c.Timing.TRC, c.Timing.TRAS, c.Timing.TRCD, c.Timing.TRRD, c.Timing.TCCD, c.Timing.TWR)},
+	})
+	if err != nil {
+		return Table{}, err
 	}
-	return "Table 1: baseline GPU architecture\n" + formatTable(header, rows)
-}
-
-// Table2 renders the benchmark catalog.
-func Table2() string {
-	header := []string{"benchmark", "abbr", "shared data (MB)", "kernels", "class"}
-	var rows [][]string
+	var rows [][]any
 	for _, s := range workload.Catalog() {
-		rows = append(rows, []string{
-			s.Name, s.Abbr, fmt.Sprintf("%.3f", s.SharedDataMB), fmt.Sprintf("%d", s.Kernels), s.Class.String(),
-		})
+		rows = append(rows, []any{s.Name, s.Abbr, s.SharedDataMB, float64(s.Kernels), s.Class.String()})
 	}
-	return "Table 2: GPU benchmarks\n" + formatTable(header, rows)
+	t2, err := newTable("Table 2: GPU benchmarks", 1,
+		[]column{{"benchmark", ""}, {"abbr", ""}, {"shared data (MB)", "%.3f"}, {"kernels", "%.0f"}, {"class", ""}}, rows)
+	if err != nil {
+		return Table{}, err
+	}
+	t1.next = &t2
+	return t1, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/metrics"
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/sweep"
@@ -59,186 +60,115 @@ func figure7DesignPoints() []nocDesignPoint {
 	}
 }
 
-// Figure7Row is one design point with its measured performance, area and
-// power.
-type Figure7Row struct {
-	Name            string
-	Group           string
-	NormalizedIPC   float64 // relative to the full crossbar
-	Area            power.Breakdown
-	NormalizedPower float64 // relative to the full crossbar
-	Power           power.Breakdown
-}
-
-// Figure7Result holds the design-space exploration results.
-type Figure7Result struct {
-	Rows    []Figure7Row
-	Options Options
-}
-
 // figure7Workloads is the benchmark subset used for the design-space sweep
 // (one representative per class keeps the sweep affordable).
-func figure7Workloads() []string { return []string{"MM", "GEMM", "VA", "NN"} }
-
-// Figure7 explores the crossbar design space: performance from timing
-// simulation, area and power from the DSENT-style model fed with the
-// simulated activity factors. All 8 design points x 4 benchmarks run as one
-// parallel sweep; the power models are evaluated at collection time.
-func Figure7(o Options) (*Figure7Result, error) {
-	var specs []sweep.RunSpec
-	for _, dp := range figure7DesignPoints() {
-		cfg := dp.config(o)
-		for _, abbr := range figure7Workloads() {
-			w, ok := workload.ByAbbr(abbr)
-			if !ok {
-				return nil, fmt.Errorf("figure7: unknown benchmark %s", abbr)
-			}
-			specs = append(specs, o.runSpec(dp.key(abbr), cfg, w))
+func figure7Workloads() []workload.Spec {
+	var ws []workload.Spec
+	for _, abbr := range []string{"MM", "GEMM", "VA", "NN"} {
+		if w, ok := workload.ByAbbr(abbr); ok {
+			ws = append(ws, w)
 		}
 	}
-	stats, err := o.runAll(specs)
-	if err != nil {
-		return nil, fmt.Errorf("figure7: %w", err)
-	}
+	return ws
+}
 
-	res := &Figure7Result{Options: o}
-	type measured struct {
-		ipc    float64
-		energy power.Breakdown
-		area   power.Breakdown
-	}
-	var baseline *measured
+// figure7Specs declares all 8 design points x 4 benchmarks.
+func figure7Specs(o Options) []sweep.RunSpec {
+	var specs []sweep.RunSpec
+	ws := figure7Workloads()
 	for _, dp := range figure7DesignPoints() {
+		cfg := dp.config(o)
+		for _, w := range ws {
+			specs = append(specs, o.runSpec(dp.key(w.Abbr), cfg, w))
+		}
+	}
+	return specs
+}
+
+// figure7Table explores the crossbar design space: performance from timing
+// simulation, area and power from the DSENT-style model fed with the
+// simulated activity factors, IPC and power normalized to the full crossbar
+// (the first design point).
+func figure7Table(o Options, stats map[string]gpu.RunStats) (Table, error) {
+	var rows [][]any
+	var baseIPC, basePower float64
+	ws := figure7Workloads()
+	for i, dp := range figure7DesignPoints() {
 		design, err := power.NewNoCDesign(dp.config(o))
 		if err != nil {
-			return nil, fmt.Errorf("figure7 %s: %w", dp.Name, err)
+			return Table{}, fmt.Errorf("figure7 %s: %w", dp.Name, err)
 		}
 		var ipcSum float64
 		var activity noc.Stats
 		var cycles uint64
-		for _, abbr := range figure7Workloads() {
-			rs := stats[dp.key(abbr)]
+		for _, w := range ws {
+			rs := stats[dp.key(w.Abbr)]
 			ipcSum += rs.IPC
 			activity.Add(rs.NoC)
 			cycles += rs.Cycles
 		}
-		m := measured{
-			ipc:    ipcSum / float64(len(figure7Workloads())),
-			energy: design.Energy(activity, cycles, 0),
-			area:   design.Area(),
+		ipc := ipcSum / float64(len(ws))
+		energy := design.Energy(activity, cycles, 0).Total()
+		if i == 0 {
+			baseIPC, basePower = ipc, energy
 		}
-		if baseline == nil {
-			b := m
-			baseline = &b
-		}
-		res.Rows = append(res.Rows, Figure7Row{
-			Name:            dp.Name,
-			Group:           dp.Group,
-			NormalizedIPC:   norm(m.ipc, baseline.ipc),
-			Area:            m.area,
-			Power:           m.energy,
-			NormalizedPower: norm(m.energy.Total(), baseline.energy.Total()),
-		})
+		area := design.Area()
+		rows = append(rows, []any{dp.Group, dp.Name, norm(ipc, baseIPC),
+			area.Total(), area.Buffer, area.Crossbar, area.Links, area.Other, norm(energy, basePower)})
 	}
-	return res, nil
-}
-
-// Format renders Figure 7's three panels as one table.
-func (r *Figure7Result) Format() string {
-	header := []string{"group", "design", "norm. IPC", "area (mm²)", "buffer", "crossbar", "links", "other", "norm. power"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Group, row.Name,
-			fmt.Sprintf("%.3f", row.NormalizedIPC),
-			fmt.Sprintf("%.2f", row.Area.Total()),
-			fmt.Sprintf("%.2f", row.Area.Buffer),
-			fmt.Sprintf("%.2f", row.Area.Crossbar),
-			fmt.Sprintf("%.2f", row.Area.Links),
-			fmt.Sprintf("%.2f", row.Area.Other),
-			fmt.Sprintf("%.3f", row.NormalizedPower),
-		})
-	}
-	return "Figure 7: NoC design space (performance, active silicon area, power)\n" + formatTable(header, rows)
+	return newTable("Figure 7: NoC design space (performance, active silicon area, power)", 2,
+		[]column{{"group", ""}, {"design", ""}, {"norm. IPC", "%.3f"}, {"area (mm²)", "%.2f"}, {"buffer", "%.2f"},
+			{"crossbar", "%.2f"}, {"links", "%.2f"}, {"other", "%.2f"}, {"norm. power", "%.3f"}},
+		rows)
 }
 
 // ---------------------------------------------------------------------------
 // Figure 14 — NoC energy under adaptive caching (+ total system energy, §6.2)
 // ---------------------------------------------------------------------------
 
-// Figure14Row is the NoC energy of one benchmark under the adaptive LLC
-// normalized to the shared-LLC baseline, with the component breakdown, plus
-// the total system energy ratio.
-type Figure14Row struct {
-	Abbr                 string
-	Class                workload.Class
-	SharedNoCEnergy      power.Breakdown
-	AdaptiveNoCEnergy    power.Breakdown
-	NormalizedNoC        float64
-	SharedSystemEnergy   power.SystemEnergy
-	AdaptiveSystemEnergy power.SystemEnergy
-	NormalizedSystem     float64
-	GatedFraction        float64
+// figure14Workloads is the private-friendly and neutral classes: the ones for
+// which the adaptive LLC selects the private organization and power-gates the
+// MC-routers.
+func figure14Workloads() []workload.Spec {
+	return append(workload.ByClass(workload.PrivateFriendly), workload.ByClass(workload.Neutral)...)
 }
 
-// Figure14Result holds the energy comparison for the private-friendly and
-// neutral workloads (the classes for which the adaptive LLC selects the
-// private organization and power-gates the MC-routers).
-type Figure14Result struct {
-	Rows      []Figure14Row
-	AvgNoC    float64
-	AvgSystem float64
-	Options   Options
+func figure14Specs(o Options) []sweep.RunSpec {
+	return o.modeSpecs(figure14Workloads(), config.LLCShared, config.LLCAdaptive)
 }
 
-// Figure14 compares NoC and total system energy between the shared baseline
-// and the adaptive LLC.
-func Figure14(o Options) (*Figure14Result, error) {
+// figure14Table is the NoC energy of each benchmark under the adaptive LLC
+// normalized to the shared-LLC baseline, with the component breakdown as
+// fractions of the shared total, plus the total system energy ratio.
+func figure14Table(o Options, stats map[string]gpu.RunStats) (Table, error) {
 	model, err := power.NewSystemModel(o.baseConfig(config.LLCShared))
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	design := model.NoCDesign()
 
-	workloads := append(workload.ByClass(workload.PrivateFriendly), workload.ByClass(workload.Neutral)...)
-	var specs []sweep.RunSpec
-	for _, w := range workloads {
-		specs = append(specs,
-			o.modeSpec(w, config.LLCShared),
-			o.modeSpec(w, config.LLCAdaptive))
-	}
-	stats, err := o.runAll(specs)
-	if err != nil {
-		return nil, fmt.Errorf("figure14: %w", err)
-	}
-
-	res := &Figure14Result{Options: o}
-	var sumNoC, sumSys float64
-	for _, w := range workloads {
+	var rows [][]any
+	var nocs, systems []float64
+	for _, w := range figure14Workloads() {
 		shared := stats[modeKey(w.Abbr, config.LLCShared)]
 		adaptive := stats[modeKey(w.Abbr, config.LLCAdaptive)]
-		sharedNoC := design.Energy(shared.NoC, shared.Cycles, 0)
-		adaptiveNoC := design.Energy(adaptive.NoC, adaptive.Cycles, adaptive.GatedFraction)
-		sharedSys := model.Energy(systemActivity(shared))
-		adaptiveSys := model.Energy(systemActivity(adaptive))
-		row := Figure14Row{
-			Abbr: w.Abbr, Class: w.Class,
-			SharedNoCEnergy: sharedNoC, AdaptiveNoCEnergy: adaptiveNoC,
-			NormalizedNoC:        norm(adaptiveNoC.Total(), sharedNoC.Total()),
-			SharedSystemEnergy:   sharedSys,
-			AdaptiveSystemEnergy: adaptiveSys,
-			NormalizedSystem:     norm(adaptiveSys.Total(), sharedSys.Total()),
-			GatedFraction:        adaptive.GatedFraction,
-		}
-		res.Rows = append(res.Rows, row)
-		sumNoC += row.NormalizedNoC
-		sumSys += row.NormalizedSystem
+		tot := design.Energy(shared.NoC, shared.Cycles, 0).Total()
+		e := design.Energy(adaptive.NoC, adaptive.Cycles, adaptive.GatedFraction)
+		normNoC := norm(e.Total(), tot)
+		normSys := norm(model.Energy(systemActivity(adaptive)).Total(), model.Energy(systemActivity(shared)).Total())
+		rows = append(rows, []any{w.Abbr, w.Class.String(), adaptive.GatedFraction, normNoC,
+			norm(e.Buffer, tot), norm(e.Crossbar, tot), norm(e.Links, tot), norm(e.Other, tot), normSys})
+		nocs = append(nocs, normNoC)
+		systems = append(systems, normSys)
 	}
-	if len(res.Rows) > 0 {
-		res.AvgNoC = sumNoC / float64(len(res.Rows))
-		res.AvgSystem = sumSys / float64(len(res.Rows))
-	}
-	return res, nil
+	avgNoC, avgSys := metrics.ArithmeticMean(nocs), metrics.ArithmeticMean(systems)
+	return newTable("Figure 14: NoC energy under adaptive caching, normalized to a shared LLC (plus total system energy, §6.2)", 1,
+		[]column{{"benchmark", ""}, {"class", ""}, {"gated frac", "%.2f"}, {"NoC energy (norm.)", "%.3f"}, {"buffer", "%.2f"},
+			{"crossbar", "%.2f"}, {"links", "%.2f"}, {"other", "%.2f"}, {"system energy (norm.)", "%.3f"}},
+		rows,
+		line("AVG: NoC energy %.3f (%.1f%% saving), system energy %.3f (%.1f%% saving)",
+			stat{"avg-noc", avgNoC}, stat{"noc-saving-pct", (1 - avgNoC) * 100},
+			stat{"avg-system", avgSys}, stat{"system-saving-pct", (1 - avgSys) * 100}))
 }
 
 // systemActivity converts run statistics into the power model's activity
@@ -253,35 +183,4 @@ func systemActivity(rs gpu.RunStats) power.SystemActivity {
 		NoC:           rs.NoC,
 		GatedFraction: rs.GatedFraction,
 	}
-}
-
-// Format renders the figure as a table.
-func (r *Figure14Result) Format() string {
-	header := []string{"benchmark", "class", "gated frac", "NoC energy (norm.)", "buffer", "crossbar", "links", "other", "system energy (norm.)"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		tot := row.SharedNoCEnergy.Total()
-		rows = append(rows, []string{
-			row.Abbr, row.Class.String(),
-			fmt.Sprintf("%.2f", row.GatedFraction),
-			fmt.Sprintf("%.3f", row.NormalizedNoC),
-			fmt.Sprintf("%.2f", safeDiv(row.AdaptiveNoCEnergy.Buffer, tot)),
-			fmt.Sprintf("%.2f", safeDiv(row.AdaptiveNoCEnergy.Crossbar, tot)),
-			fmt.Sprintf("%.2f", safeDiv(row.AdaptiveNoCEnergy.Links, tot)),
-			fmt.Sprintf("%.2f", safeDiv(row.AdaptiveNoCEnergy.Other, tot)),
-			fmt.Sprintf("%.3f", row.NormalizedSystem),
-		})
-	}
-	out := "Figure 14: NoC energy under adaptive caching, normalized to a shared LLC (plus total system energy, §6.2)\n"
-	out += formatTable(header, rows)
-	out += fmt.Sprintf("AVG: NoC energy %.3f (%.1f%% saving), system energy %.3f (%.1f%% saving)\n",
-		r.AvgNoC, (1-r.AvgNoC)*100, r.AvgSystem, (1-r.AvgSystem)*100)
-	return out
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -484,17 +484,6 @@ func (g *GPU) collect(cycles uint64) RunStats {
 	return rs
 }
 
-// L1AccessCount returns the total number of L1 accesses across all SMs
-// (used by the system energy model).
-func (g *GPU) L1AccessCount() uint64 {
-	var total uint64
-	for _, s := range g.sms {
-		st := s.Stats()
-		total += st.L1Hits + st.L1Misses
-	}
-	return total
-}
-
 // SliceWritePolicy reports the current write policy of slice 0 (all slices
 // share the same policy); exported for tests.
 func (g *GPU) SliceWritePolicy() cache.WritePolicy {

@@ -418,6 +418,3 @@ func (s *Slice) Flush() (valid, dirty int) {
 	s.parked = false
 	return s.tags.FlushAll()
 }
-
-// TagStats returns the tag-store statistics (used for miss-rate reporting).
-func (s *Slice) TagStats() cache.Stats { return s.tags.Stats() }

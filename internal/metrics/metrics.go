@@ -4,11 +4,7 @@
 // rate.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // IPC computes instructions per cycle.
 func IPC(instructions, cycles uint64) float64 {
@@ -42,21 +38,6 @@ func HarmonicMean(values []float64) (float64, error) {
 	return float64(len(values)) / sum, nil
 }
 
-// GeometricMean returns the geometric mean of the values.
-func GeometricMean(values []float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, fmt.Errorf("metrics: geometric mean of no values")
-	}
-	var logSum float64
-	for _, v := range values {
-		if v <= 0 {
-			return 0, fmt.Errorf("metrics: geometric mean undefined for non-positive value %v", v)
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(values))), nil
-}
-
 // ArithmeticMean returns the arithmetic mean of the values (0 for empty).
 func ArithmeticMean(values []float64) float64 {
 	if len(values) == 0 {
@@ -67,34 +48,6 @@ func ArithmeticMean(values []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(values))
-}
-
-// Max returns the maximum of the values (0 for empty).
-func Max(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of the values (0 for empty).
-func Min(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // STP computes system throughput for a multi-program workload following
@@ -115,22 +68,6 @@ func STP(multiIPC, aloneIPC []float64) (float64, error) {
 	return stp, nil
 }
 
-// ANTT computes the average normalized turnaround time: the arithmetic mean
-// over applications of IPC_alone / IPC_multiprogram (lower is better).
-func ANTT(multiIPC, aloneIPC []float64) (float64, error) {
-	if len(multiIPC) != len(aloneIPC) || len(multiIPC) == 0 {
-		return 0, fmt.Errorf("metrics: ANTT needs matching non-empty IPC vectors")
-	}
-	var sum float64
-	for i := range multiIPC {
-		if multiIPC[i] <= 0 {
-			return 0, fmt.Errorf("metrics: ANTT undefined for non-positive multi-program IPC %v", multiIPC[i])
-		}
-		sum += aloneIPC[i] / multiIPC[i]
-	}
-	return sum / float64(len(multiIPC)), nil
-}
-
 // ResponseRate computes the LLC response rate in flits per cycle: the total
 // number of reply flits injected by all LLC slices divided by cycles
 // (paper Figure 12).
@@ -139,30 +76,4 @@ func ResponseRate(replyFlits, cycles uint64) float64 {
 		return 0
 	}
 	return float64(replyFlits) / float64(cycles)
-}
-
-// LSP computes LLC Slice Parallelism exactly as defined in §4.4 of the
-// paper: the sum of per-slice access counts divided by the maximum
-// per-slice access count. It is 0 for an idle LLC, 1 when all accesses hit
-// one slice, and the slice count when accesses are perfectly balanced.
-func LSP(sliceAccesses []uint64) float64 {
-	var sum, max uint64
-	for _, a := range sliceAccesses {
-		sum += a
-		if a > max {
-			max = a
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	return float64(sum) / float64(max)
-}
-
-// SortedCopy returns an ascending copy of the values (used for reporting
-// sorted multi-program results as in Figure 15).
-func SortedCopy(values []float64) []float64 {
-	out := append([]float64(nil), values...)
-	sort.Float64s(out)
-	return out
 }

@@ -31,24 +31,8 @@ func TestMeans(t *testing.T) {
 	if _, err := HarmonicMean([]float64{1, 0}); err == nil {
 		t.Error("harmonic mean with zero should error")
 	}
-	gm, err := GeometricMean([]float64{1, 4})
-	if err != nil || !approx(gm, 2) {
-		t.Errorf("GeometricMean = %v, %v", gm, err)
-	}
-	if _, err := GeometricMean([]float64{-1}); err == nil {
-		t.Error("geometric mean with negative should error")
-	}
-	if _, err := GeometricMean(nil); err == nil {
-		t.Error("empty geometric mean should error")
-	}
 	if ArithmeticMean([]float64{1, 2, 3}) != 2 || ArithmeticMean(nil) != 0 {
 		t.Error("ArithmeticMean mismatch")
-	}
-	if Max([]float64{1, 5, 3}) != 5 || Min([]float64{4, 2, 9}) != 2 {
-		t.Error("Max/Min mismatch")
-	}
-	if Max(nil) != 0 || Min(nil) != 0 {
-		t.Error("Max/Min of empty should be 0")
 	}
 }
 
@@ -77,16 +61,6 @@ func TestSTPAndANTT(t *testing.T) {
 	if _, err := STP([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero alone-IPC should error")
 	}
-	antt, err := ANTT([]float64{0.5, 1.0}, []float64{1.0, 1.0})
-	if err != nil || !approx(antt, 1.5) {
-		t.Errorf("ANTT = %v, %v", antt, err)
-	}
-	if _, err := ANTT([]float64{0}, []float64{1}); err == nil {
-		t.Error("zero multi-IPC should error in ANTT")
-	}
-	if _, err := ANTT(nil, nil); err == nil {
-		t.Error("empty ANTT should error")
-	}
 }
 
 func TestResponseRate(t *testing.T) {
@@ -95,55 +69,5 @@ func TestResponseRate(t *testing.T) {
 	}
 	if ResponseRate(1, 0) != 0 {
 		t.Error("zero cycles should give 0")
-	}
-}
-
-func TestLSP(t *testing.T) {
-	// All accesses to one slice: LSP = 1.
-	if got := LSP([]uint64{100, 0, 0, 0}); got != 1 {
-		t.Errorf("LSP hotspot = %v, want 1", got)
-	}
-	// Perfectly balanced: LSP = number of slices.
-	if got := LSP([]uint64{50, 50, 50, 50}); got != 4 {
-		t.Errorf("LSP balanced = %v, want 4", got)
-	}
-	// Idle LLC.
-	if got := LSP([]uint64{0, 0}); got != 0 {
-		t.Errorf("LSP idle = %v, want 0", got)
-	}
-	// Intermediate case is between 1 and N.
-	got := LSP([]uint64{100, 50, 25, 25})
-	if got <= 1 || got >= 4 {
-		t.Errorf("LSP intermediate = %v, want in (1,4)", got)
-	}
-}
-
-// Property: 1 <= LSP <= len(slices) whenever any slice has traffic.
-func TestLSPBoundsProperty(t *testing.T) {
-	f := func(a, b, c, d uint16) bool {
-		counts := []uint64{uint64(a), uint64(b), uint64(c), uint64(d)}
-		lsp := LSP(counts)
-		var total uint64
-		for _, v := range counts {
-			total += v
-		}
-		if total == 0 {
-			return lsp == 0
-		}
-		return lsp >= 1 && lsp <= float64(len(counts))+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSortedCopy(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Errorf("SortedCopy = %v", out)
-	}
-	if in[0] != 3 {
-		t.Error("SortedCopy must not mutate the input")
 	}
 }
