@@ -26,7 +26,6 @@ var deadExportAllowlist = map[string]string{
 
 	// Probes of simulator state that only tests read.
 	"internal/cache.(*ATD).Sampled":           "test probe: which sets the ATD samples",
-	"internal/cache.(*Cache).DirtyLines":      "test probe: write-back/flush assertions in cache, llc and gpu tests",
 	"internal/cache.(*Cache).Invalidate":      "test probe: sharer-tracking and eviction tests",
 	"internal/cache.(*MSHRTable).Allocate":    "reference path: the one-call Probe+Commit the MSHR unit tests drive; hot paths call the pair",
 	"internal/cache.(*MSHRTable).Capacity":    "test probe",

@@ -51,14 +51,14 @@ func (k AccessKind) String() string {
 	return "read"
 }
 
-// Result describes the outcome of a cache access.
+// Result describes the outcome of a cache access; a miss always allocates.
+// Four fields is the most the compiler keeps in registers: a fifth sends
+// every access's result through the stack.
 type Result struct {
 	Hit          bool
 	Evicted      bool   // a valid line was evicted to make room
 	WritebackReq bool   // the evicted line was dirty and must be written back
 	EvictedAddr  uint64 // line-aligned address of the evicted line (valid if Evicted)
-	Insertion    bool   // the access allocated a new line
-	Dirty        bool   // line is dirty after the access
 }
 
 // Stats accumulates access statistics.
@@ -103,17 +103,16 @@ func (s *Stats) Add(other Stats) {
 	s.Writebacks += other.Writebacks
 }
 
-type line struct {
-	valid   bool
-	dirty   bool
-	tag     uint64
+// lineMeta is what a resident line holds besides its tag word.
+type lineMeta struct {
 	lastUse uint64 // LRU timestamp
 	// sharers is a bitmask of cluster IDs that accessed this line while it
 	// was resident; used for the inter-cluster locality characterization
 	// (paper Figure 3).
 	sharers uint64
 	// lastCluster is the cluster that most recently touched the line.
-	lastCluster int
+	lastCluster int32
+	dirty       bool
 }
 
 // Config describes one cache structure.
@@ -149,18 +148,27 @@ func (c Config) Validate() error {
 // Cache is a set-associative, LRU tag store. It is not safe for concurrent
 // use; each cache instance belongs to exactly one simulated component.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
-	nsets     int
+	cfg   Config
+	nsets uint64
+	ways  int
+	// pow2: the set count is a power of two (the L1's 64 sets) and a set
+	// index is an AND; the 48-set LLC slices take the modulo.
+	pow2      bool
 	clock     uint64
 	stats     Stats
 	lineShift uint
-	// lines backs sets (set-major). touched has a bit per line slot
-	// (set*ways + way), set when a cluster touches the slot and cleared by
-	// ResetSharers: every line with a non-empty sharer set has its bit set,
-	// so the sharing histogram visits what the window touched, not the
-	// whole cache.
-	lines   []line
+	// tags holds one dense row of ways words per set (slot = set*ways + way):
+	// the line number plus one, so zero is an invalid way and a lookup is one
+	// compare per way over adjacent words. Every line number but the all-ones
+	// one is representable — any address at LineBytes >= 2, multi-program
+	// appID<<40 offsets included. meta is parallel to tags; the entry of an
+	// invalid way is zero.
+	tags []uint64
+	meta []lineMeta
+	// touched has a bit per slot, set when a cluster touches the slot and
+	// cleared by ResetSharers: every line with a non-empty sharer set has its
+	// bit set, so the sharing histogram visits what the window touched, not
+	// the whole cache.
 	touched []uint64
 }
 
@@ -172,25 +180,18 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	sets := make([][]line, nsets)
-	lines := make([]line, nsets*cfg.Ways)
-	backing := lines
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	shift := uint(0)
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		shift++
-	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets, lineShift: shift,
-		lines: lines, touched: make([]uint64, (len(lines)+63)/64)}
+	slots := nsets * cfg.Ways
+	return &Cache{cfg: cfg, nsets: uint64(nsets), ways: cfg.Ways, pow2: nsets&(nsets-1) == 0,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tags:      make([]uint64, slots), meta: make([]lineMeta, slots),
+		touched: make([]uint64, (slots+63)/64)}
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.nsets }
+func (c *Cache) Sets() int { return int(c.nsets) }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -203,34 +204,65 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
 }
 
-// setIndex maps a line address to a set using multiplicative hashing.
-// Hashing decorrelates the set index from the address bits the memory-side
-// interleaving (channel/slice selection) already consumed; with a plain
-// modulo index, the lines homed on one LLC slice would cluster in a handful
-// of its sets and waste most of its capacity. Non-power-of-two set counts
-// (the paper's 48-set slices) are supported naturally.
-func (c *Cache) setIndex(lineAddr uint64) int {
-	return SetIndex(lineAddr>>c.lineShift, c.nsets)
+// SetIndex hashes a line number into one of nsets cache sets using
+// multiplicative hashing. Hashing decorrelates the set index from the address
+// bits the memory-side interleaving (channel/slice selection) already
+// consumed; with a plain modulo index, the lines homed on one LLC slice would
+// cluster in a handful of its sets and waste most of its capacity.
+// Non-power-of-two set counts (the paper's 48-set slices) are supported
+// naturally. It is shared by the Cache and the ATD so that set sampling
+// observes the same sets the real slice uses.
+func SetIndex(lineNumber uint64, nsets int) int {
+	return int(hashLine(lineNumber) % uint64(nsets))
 }
 
-// SetIndex hashes a line number into one of nsets cache sets. It is shared
-// by the Cache and the ATD so that set sampling observes the same sets the
-// real slice uses.
-func SetIndex(lineNumber uint64, nsets int) int {
-	h := lineNumber * 0x9E3779B97F4A7C15
-	return int((h >> 24) % uint64(nsets))
+func hashLine(lineNumber uint64) uint64 { return lineNumber * 0x9E3779B97F4A7C15 >> 24 }
+
+// Slot is the outcome of one tag lookup: the way holding an address's line,
+// or on a miss the set the line would be inserted into. It stands until the
+// cache's contents next change.
+type Slot struct {
+	key uint64 // the tag word looked for
+	// at is the slot of the line, or on a miss ^(first slot of its set): two
+	// words, and Find stays within what the compiler inlines.
+	at int
+}
+
+// Hit reports whether the lookup found the line resident.
+func (s Slot) Hit() bool { return s.at >= 0 }
+
+// Find looks addr's line up without updating LRU state or statistics. It is
+// the only tag scan: a caller that must decide something between looking and
+// touching (the SM's and the LLC slice's stall-before-side-effects checks)
+// hands the Slot to AccessAt instead of paying for a second one.
+func (c *Cache) Find(addr uint64) Slot {
+	tag := addr >> c.lineShift
+	set := hashLine(tag)
+	if c.pow2 {
+		set &= c.nsets - 1
+	} else {
+		set %= c.nsets
+	}
+	tag++ // the tag word: zero is an invalid way
+	base := int(set) * c.ways
+	for i, word := range c.tags[base : base+c.ways] {
+		if word == tag {
+			return Slot{tag, base + i}
+		}
+	}
+	return Slot{tag, ^base}
 }
 
 // Access performs a read or write access by the given cluster and returns
 // the outcome. `cluster` may be -1 when sharer tracking is not meaningful
 // (e.g. for L1 caches).
 func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
-	c.clock++
-	lineAddr := c.LineAddr(addr)
-	tag := lineAddr >> c.lineShift
-	si := c.setIndex(lineAddr)
-	set := c.sets[si]
+	return c.AccessAt(c.Find(addr), kind, cluster)
+}
 
+// AccessAt is Access of the address `found` was found for.
+func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) Result {
+	c.clock++
 	c.stats.Accesses++
 	if kind == Write {
 		c.stats.Writes++
@@ -238,28 +270,24 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 		c.stats.Reads++
 	}
 
-	// Hit path.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.stats.Hits++
-			set[i].lastUse = c.clock
-			if cluster >= 0 {
-				c.touch(si*c.cfg.Ways + i)
-				set[i].sharers |= 1 << uint(cluster)
-				set[i].lastCluster = cluster
-			}
-			res := Result{Hit: true}
-			if kind == Write {
-				if c.cfg.Policy == WriteBack {
-					set[i].dirty = true
-				}
-				res.Dirty = set[i].dirty
-				if c.cfg.Policy == WriteThrough {
-					res.WritebackReq = true // forwarded to next level immediately
-				}
-			}
-			return res
+	if found.Hit() {
+		c.stats.Hits++
+		m := &c.meta[found.at]
+		m.lastUse = c.clock
+		if cluster >= 0 {
+			c.touch(found.at)
+			m.sharers |= 1 << uint(cluster)
+			m.lastCluster = int32(cluster)
 		}
+		res := Result{Hit: true}
+		if kind == Write {
+			if c.cfg.Policy == WriteBack {
+				m.dirty = true
+			} else {
+				res.WritebackReq = true // forwarded to next level immediately
+			}
+		}
+		return res
 	}
 
 	// Miss path.
@@ -270,31 +298,28 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 		c.stats.ReadMisses++
 	}
 
-	victim := c.findVictim(set)
-	res := Result{Insertion: true}
-	if set[victim].valid {
+	victim := c.findVictim(^found.at)
+	m := &c.meta[victim]
+	var res Result
+	if old := c.tags[victim]; old != 0 {
 		c.stats.Evictions++
 		res.Evicted = true
-		res.EvictedAddr = set[victim].tag << c.lineShift
-		if set[victim].dirty {
+		res.EvictedAddr = (old - 1) << c.lineShift
+		if m.dirty {
 			c.stats.Writebacks++
 			res.WritebackReq = true
 		}
 	}
-	set[victim] = line{
-		valid:   true,
-		tag:     tag,
-		lastUse: c.clock,
-	}
+	c.tags[victim] = found.key
+	*m = lineMeta{lastUse: c.clock}
 	if cluster >= 0 {
-		c.touch(si*c.cfg.Ways + victim)
-		set[victim].sharers = 1 << uint(cluster)
-		set[victim].lastCluster = cluster
+		c.touch(victim)
+		m.sharers = 1 << uint(cluster)
+		m.lastCluster = int32(cluster)
 	}
 	if kind == Write {
 		if c.cfg.Policy == WriteBack {
-			set[victim].dirty = true
-			res.Dirty = true
+			m.dirty = true
 		} else {
 			// Write-through, write-allocate: line is inserted clean, the
 			// store itself is forwarded to the next level by the caller.
@@ -304,34 +329,16 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 	return res
 }
 
-// Probe reports whether addr currently hits without updating LRU state or
-// statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	lineAddr := c.LineAddr(addr)
-	tag := lineAddr >> c.lineShift
-	set := c.sets[c.setIndex(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate removes the line containing addr, returning whether it was
 // present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	lineAddr := c.LineAddr(addr)
-	tag := lineAddr >> c.lineShift
-	set := c.sets[c.setIndex(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			present, dirty = true, set[i].dirty
-			set[i] = line{}
-			return
-		}
+	found := c.Find(addr)
+	if !found.Hit() {
+		return false, false
 	}
-	return false, false
+	dirty = c.meta[found.at].dirty
+	c.tags[found.at], c.meta[found.at] = 0, lineMeta{}
+	return true, dirty
 }
 
 // FlushAll invalidates every line and returns the number of valid lines
@@ -340,17 +347,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // operation performed when the LLC transitions between shared and private
 // organizations.
 func (c *Cache) FlushAll() (valid, dirty int) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				valid++
-				if c.sets[s][w].dirty {
-					dirty++
-				}
-			}
-			c.sets[s][w] = line{}
-		}
-	}
+	valid, dirty = c.ValidLines(), c.DirtyLines()
+	clear(c.tags)
+	clear(c.meta)
 	clear(c.touched)
 	return valid, dirty
 }
@@ -358,11 +357,9 @@ func (c *Cache) FlushAll() (valid, dirty int) {
 // DirtyLines returns the number of dirty lines currently resident.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid && c.sets[s][w].dirty {
-				n++
-			}
+	for i := range c.meta {
+		if c.meta[i].dirty {
+			n++
 		}
 	}
 	return n
@@ -371,26 +368,25 @@ func (c *Cache) DirtyLines() int {
 // ValidLines returns the number of valid lines currently resident.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				n++
-			}
+	for _, word := range c.tags {
+		if word != 0 {
+			n++
 		}
 	}
 	return n
 }
 
-// findVictim returns the way index of the LRU victim, preferring invalid ways.
-func (c *Cache) findVictim(set []line) int {
-	victim := 0
+// findVictim returns the slot of the LRU victim of the set starting at base,
+// preferring invalid ways.
+func (c *Cache) findVictim(base int) int {
+	victim := base
 	var oldest uint64 = ^uint64(0)
-	for i := range set {
-		if !set[i].valid {
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == 0 {
 			return i
 		}
-		if set[i].lastUse < oldest {
-			oldest = set[i].lastUse
+		if c.meta[i].lastUse < oldest {
+			oldest = c.meta[i].lastUse
 			victim = i
 		}
 	}
@@ -405,12 +401,12 @@ func (c *Cache) findVictim(set []line) int {
 func (c *Cache) SharerHistogram() (one, two, threeFour, fivePlus, total int) {
 	for w, word := range c.touched {
 		for ; word != 0; word &= word - 1 {
-			l := &c.lines[w*64+bits.TrailingZeros64(word)]
-			if !l.valid || l.sharers == 0 {
+			sharers := c.meta[w*64+bits.TrailingZeros64(word)].sharers
+			if sharers == 0 {
 				continue // invalidated since it was touched
 			}
 			total++
-			switch n := bits.OnesCount64(l.sharers); {
+			switch n := bits.OnesCount64(sharers); {
 			case n <= 1:
 				one++
 			case n == 2:
@@ -430,7 +426,7 @@ func (c *Cache) SharerHistogram() (one, two, threeFour, fivePlus, total int) {
 func (c *Cache) ResetSharers() {
 	for w, word := range c.touched {
 		for ; word != 0; word &= word - 1 {
-			c.lines[w*64+bits.TrailingZeros64(word)].sharers = 0
+			c.meta[w*64+bits.TrailingZeros64(word)].sharers = 0
 		}
 		c.touched[w] = 0
 	}

@@ -42,7 +42,7 @@ func TestBasicHitMiss(t *testing.T) {
 	if r.Hit {
 		t.Error("first access should miss")
 	}
-	if !r.Insertion {
+	if c.ValidLines() != 1 {
 		t.Error("miss should insert")
 	}
 	r = c.Access(0x1000, Read, 0)
@@ -83,7 +83,7 @@ func TestLRUEviction(t *testing.T) {
 	if r.EvictedAddr != 128 {
 		t.Errorf("evicted %#x, want 0x80 (LRU)", r.EvictedAddr)
 	}
-	if !c.Probe(0) || c.Probe(128) || !c.Probe(512) {
+	if !c.Find(0).Hit() || c.Find(128).Hit() || !c.Find(512).Hit() {
 		t.Error("post-eviction residency mismatch")
 	}
 }
@@ -216,7 +216,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				kind = Write
 			}
 			c.Access(addr, kind, rng.Intn(8))
-			if !c.Probe(addr) {
+			if !c.Find(addr).Hit() {
 				return false
 			}
 		}

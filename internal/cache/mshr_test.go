@@ -2,6 +2,7 @@ package cache
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -221,9 +222,13 @@ func TestMSHRMergeListsOutgrowTheirSlices(t *testing.T) {
 // first deep merge start out deep; and a restored table is as quiet as the
 // one it was saved from.
 func TestMSHRBoundedTableSizesListsOnce(t *testing.T) {
+	// MemStats.Mallocs is process-wide: park the collector, whose background
+	// workers allocate, for as long as the test counts.
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
 	// fill merges 32 payloads on each of 8 lines and returns how many heap
-	// allocations the table made (counted around each call, so the runtime's
-	// own background allocations stay out).
+	// allocations the table made (counted around each call, so the test's
+	// own stay out).
 	fill := func(m *MSHRTable[int]) (mallocs uint64) {
 		var before, after runtime.MemStats
 		for line := uint64(1); line <= 8; line++ {

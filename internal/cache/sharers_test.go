@@ -8,8 +8,8 @@ import (
 // scanSharerHistogram is SharerHistogram as it was: a walk over every line
 // of the cache. The touched list must reproduce it exactly.
 func scanSharerHistogram(c *Cache) (h [5]int) {
-	for _, l := range c.lines {
-		if !l.valid || l.sharers == 0 {
+	for i, l := range c.meta {
+		if c.tags[i] == 0 || l.sharers == 0 {
 			continue
 		}
 		h[4]++
@@ -49,7 +49,7 @@ func TestTouchedSetMatchesFullScan(t *testing.T) {
 		if got, want := [5]int{one, two, threeFour, fivePlus, total}, scanSharerHistogram(c); got != want {
 			t.Fatalf("step %d after %s: histogram %v, full scan %v", step, what, got, want)
 		}
-		for i, l := range c.lines {
+		for i, l := range c.meta {
 			if l.sharers != 0 && c.touched[i/64]>>(i%64)&1 == 0 {
 				t.Fatalf("step %d after %s: slot %d has sharers %b but is not in the touched set", step, what, i, l.sharers)
 			}
@@ -71,7 +71,7 @@ func TestTouchedSetMatchesFullScan(t *testing.T) {
 		case k < 990:
 			what = "reset"
 			c.ResetSharers()
-			for i, l := range c.lines {
+			for i, l := range c.meta {
 				if l.sharers != 0 {
 					t.Fatalf("step %d: ResetSharers left sharers on slot %d", step, i)
 				}

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -43,12 +44,12 @@ func (c *Cache) SaveState() State {
 // marks the valid slots first, so the columns are sized once and the second
 // pass visits resident lines only.
 func (c *Cache) SaveStateInto(st *State) {
-	st.Slots = len(c.lines)
-	st.Valid = wire.Resize(st.Valid, wire.BitWords(len(c.lines)))
+	st.Slots = len(c.tags)
+	st.Valid = wire.Resize(st.Valid, wire.BitWords(len(c.tags)))
 	clear(st.Valid)
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for i, word := range c.tags {
+		if word != 0 {
 			st.Valid[i>>6] |= 1 << (i & 63)
 			n++
 		}
@@ -62,14 +63,15 @@ func (c *Cache) SaveStateInto(st *State) {
 	k := 0
 	for w, word := range st.Valid {
 		for ; word != 0; word &= word - 1 {
-			l := &c.lines[w*64+bits.TrailingZeros64(word)]
-			if l.dirty {
+			i := w*64 + bits.TrailingZeros64(word)
+			m := &c.meta[i]
+			if m.dirty {
 				st.Dirty[k>>6] |= 1 << (k & 63)
 			}
-			st.Tags[k] = l.tag
-			st.LastUse[k] = l.lastUse
-			st.Sharers[k] = l.sharers
-			st.LastCluster[k] = l.lastCluster
+			st.Tags[k] = c.tags[i] - 1
+			st.LastUse[k] = m.lastUse
+			st.Sharers[k] = m.sharers
+			st.LastCluster[k] = int(m.lastCluster)
 			k++
 		}
 	}
@@ -80,8 +82,8 @@ func (c *Cache) SaveStateInto(st *State) {
 // RestoreState overwrites the cache's mutable state with a snapshot taken
 // from a cache of the same geometry.
 func (c *Cache) RestoreState(st State) error {
-	if st.Slots != len(c.lines) {
-		return fmt.Errorf("cache: snapshot has %d lines, cache holds %d", st.Slots, len(c.lines))
+	if st.Slots != len(c.tags) {
+		return fmt.Errorf("cache: snapshot has %d lines, cache holds %d", st.Slots, len(c.tags))
 	}
 	words := wire.BitWords(st.Slots)
 	if len(st.Valid) != words {
@@ -98,19 +100,22 @@ func (c *Cache) RestoreState(st State) error {
 		len(st.Sharers) != valid || len(st.LastCluster) != valid {
 		return fmt.Errorf("cache: snapshot columns do not match its %d valid lines", valid)
 	}
-	clear(c.lines)
+	if slices.Contains(st.Tags, ^uint64(0)) {
+		return fmt.Errorf("cache: snapshot holds line number %#x, which a tag word cannot", ^uint64(0))
+	}
+	clear(c.tags)
+	clear(c.meta)
 	clear(c.touched)
 	k := 0
 	for w, word := range st.Valid {
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
-			c.lines[i] = line{
-				valid:       true,
-				dirty:       st.Dirty[k>>6]>>(k&63)&1 != 0,
-				tag:         st.Tags[k],
+			c.tags[i] = st.Tags[k] + 1
+			c.meta[i] = lineMeta{
 				lastUse:     st.LastUse[k],
 				sharers:     st.Sharers[k],
-				lastCluster: st.LastCluster[k],
+				lastCluster: int32(st.LastCluster[k]),
+				dirty:       st.Dirty[k>>6]>>(k&63)&1 != 0,
 			}
 			if st.Sharers[k] != 0 {
 				c.touch(i) // the touched set is derived from the sharer sets

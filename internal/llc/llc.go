@@ -269,20 +269,21 @@ func (s *Slice) process(r *mem.Request) bool {
 			s.stats.MergedMisses++
 			return true
 		}
-		// A read that would miss needs an MSHR; stall before touching the
-		// tags (and the statistics) if none is available.
-		if !s.tags.Probe(r.Addr) && !probe.CanAccept() {
-			s.stats.MSHRStalls++
-			s.parked, s.parkStamp = true, s.mshrs.Stamp()
-			return false
-		}
+	}
+	// A read that would miss needs an MSHR; stall before touching the tags
+	// (and the statistics) if none is available.
+	found := s.tags.Find(r.Addr)
+	if !r.Write && !found.Hit() && !probe.CanAccept() {
+		s.stats.MSHRStalls++
+		s.parked, s.parkStamp = true, s.mshrs.Stamp()
+		return false
 	}
 
 	kind := cache.Read
 	if r.Write {
 		kind = cache.Write
 	}
-	res := s.tags.Access(r.Addr, kind, r.Cluster)
+	res := s.tags.AccessAt(found, kind, r.Cluster)
 
 	s.stats.Accesses++
 	if r.Write {

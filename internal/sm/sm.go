@@ -2,12 +2,14 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/pool"
 	"repro/internal/ring"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -85,8 +87,12 @@ type warp struct {
 }
 
 // asleep is the wake time of a warp blocked on an outstanding load: no cycle
-// reaches it, so readiness is the single comparison cycle >= wake[w].
+// reaches it.
 const asleep = ^uint64(0)
+
+// horizon is how far ahead of the SM's cycle the wake calendar files a warp:
+// its 64 slots hold wake times cycle+1 .. cycle+horizon, one time per slot.
+const horizon = 63
 
 // SM is one streaming multiprocessor.
 type SM struct {
@@ -99,14 +105,20 @@ type SM struct {
 	warps []warp
 
 	// wake[w] is the cycle from which warp w can issue again (ALU result or
-	// L1 hit due), or asleep while it waits for a load; it is kept apart from
-	// warps so a scheduler's scan reads dense words. earliest[sched] is a
-	// lower bound on the wake times of the scheduler's warps: issuing and
-	// blocking only raise a wake time, so only CompleteLoad and RestoreState
-	// lower the bound, and a pick that finds nothing tightens it to the exact
-	// minimum. While cycle < earliest[sched] the scheduler is idle in O(1).
-	wake     []uint64
-	earliest []uint64
+	// L1 hit due), or asleep while it waits for a load. The rest is derived
+	// from wake and cycle (rebuild), never serialised, and keeps the issue
+	// stage from scanning wake: a warp with wake <= cycle is in ready, one
+	// that wakes within the horizon is in the calendar slot of its wake time,
+	// and farMin is the earliest wake time beyond it (asleep: none), there to
+	// say when to look again. Bitsets are words long; cal is 64 slots of
+	// words, slot t&63 holding the warps that wake at t; schedMask is one
+	// bitset per scheduler of the warps it owns.
+	wake      []uint64
+	words     int
+	ready     []uint64
+	cal       []uint64
+	farMin    uint64
+	schedMask []uint64
 
 	// current warp per scheduler for GTO scheduling; warps are statically
 	// partitioned across schedulers by slot index modulo scheduler count.
@@ -144,19 +156,30 @@ func New(id, cluster int, cfg config.Config) *SM {
 	}
 	mshrs := cache.NewMSHRTable[uint64](cfg.L1MSHRs, 0)
 	mshrs.ExpectMerges(cfg.MaxWarpsPerSM) // one blocked load per warp
-	return &SM{
-		id:       id,
-		cluster:  cluster,
-		cfg:      cfg,
-		l1:       l1,
-		mshrs:    mshrs,
-		warps:    make([]warp, cfg.MaxWarpsPerSM),
-		wake:     make([]uint64, cfg.MaxWarpsPerSM),
-		earliest: make([]uint64, nSched),
-		current:  current,
-		outQCap:  8,
-		pool:     &pool.FreeList[mem.Request]{},
+	words := wire.BitWords(cfg.MaxWarpsPerSM)
+	// One backing array: ready, the scheduler masks, the calendar.
+	sets := make([]uint64, (1+nSched+64)*words)
+	s := &SM{
+		id:        id,
+		cluster:   cluster,
+		cfg:       cfg,
+		l1:        l1,
+		mshrs:     mshrs,
+		warps:     make([]warp, cfg.MaxWarpsPerSM),
+		wake:      make([]uint64, cfg.MaxWarpsPerSM),
+		words:     words,
+		ready:     sets[:words],
+		schedMask: sets[words : (1+nSched)*words],
+		cal:       sets[(1+nSched)*words:],
+		current:   current,
+		outQCap:   8,
+		pool:      &pool.FreeList[mem.Request]{},
 	}
+	for w := range s.wake {
+		s.schedMask[w%nSched*words+w>>6] |= 1 << (w & 63)
+	}
+	s.rebuild()
+	return s
 }
 
 // UseRequestPool replaces the SM's request pool. The GPU shares one pool
@@ -196,7 +219,7 @@ func (s *SM) Pending() bool { return s.mshrs.Occupancy() > 0 || s.outQ.Len() > 0
 
 // Tick advances the SM by one cycle, pulling instructions from prog.
 func (s *SM) Tick(cycle uint64, prog workload.Program) {
-	s.cycle = cycle
+	s.advance(cycle)
 	s.stats.Cycles++
 	for sched := range s.current {
 		s.issueOne(sched, prog)
@@ -229,7 +252,7 @@ func (s *SM) execOp(w int, op workload.Op) {
 			lat = 1
 		}
 		s.retire(w)
-		s.wake[w] = s.cycle + uint64(lat)
+		s.sleepUntil(w, s.cycle+uint64(lat))
 		return
 	}
 	if op.Write {
@@ -240,27 +263,73 @@ func (s *SM) execOp(w int, op workload.Op) {
 }
 
 // pickWarp implements greedy-then-oldest selection over the warps owned by
-// scheduler `sched`.
+// scheduler `sched`: the current warp if it is ready, else the lowest ready
+// slot the scheduler owns.
 func (s *SM) pickWarp(sched int) int {
-	cycle := s.cycle
-	if cycle < s.earliest[sched] {
-		return -1
-	}
-	wake, stride := s.wake, len(s.current)
-	if cur := s.current[sched]; cur >= 0 && cycle >= wake[cur] {
+	if cur := s.current[sched]; cur >= 0 && s.ready[cur>>6]>>(cur&63)&1 != 0 {
 		return cur
 	}
-	for w := sched; w < len(wake); w += stride {
-		if cycle >= wake[w] {
-			return w
+	mask := s.schedMask[sched*s.words:]
+	for k, word := range s.ready {
+		if word &= mask[k]; word != 0 {
+			return k<<6 + bits.TrailingZeros64(word)
 		}
 	}
-	first := asleep
-	for w := sched; w < len(wake); w += stride {
-		first = min(first, wake[w])
-	}
-	s.earliest[sched] = first
 	return -1
+}
+
+// advance moves the SM to cycle `to`, making ready the warps whose wake time
+// it reaches. Nothing files a warp more than horizon cycles ahead, so on the
+// way a slot holds one wake time only and is drained when the cycle gets
+// there — late after a stall's gap, never early. A gap the calendar cannot
+// span (or a clock set back), and a wake time beyond the horizon coming
+// within it, rebuild the sets from wake.
+func (s *SM) advance(to uint64) {
+	from := s.cycle
+	s.cycle = to
+	if to-from > horizon || s.farMin <= to+horizon {
+		s.rebuild()
+		return
+	}
+	for t := from + 1; t <= to; t++ {
+		slot := s.cal[int(t&63)*s.words:][:s.words]
+		for k, word := range slot {
+			s.ready[k] |= word
+			slot[k] = 0
+		}
+	}
+}
+
+// rebuild derives the ready set, the calendar and farMin from wake and cycle.
+func (s *SM) rebuild() {
+	clear(s.ready)
+	clear(s.cal)
+	s.farMin = asleep
+	for w, at := range s.wake {
+		if at != asleep {
+			s.file(w, at)
+		}
+	}
+}
+
+// file enters warp w, in neither set, where its wake time `at` (not asleep)
+// puts it.
+func (s *SM) file(w int, at uint64) {
+	switch bit := uint64(1) << (w & 63); {
+	case at <= s.cycle:
+		s.ready[w>>6] |= bit
+	case at-s.cycle <= horizon:
+		s.cal[int(at&63)*s.words+w>>6] |= bit
+	default:
+		s.farMin = min(s.farMin, at)
+	}
+}
+
+// sleepUntil takes the ready warp w out of issue until cycle `at`.
+func (s *SM) sleepUntil(w int, at uint64) {
+	s.wake[w] = at
+	s.ready[w>>6] &^= 1 << (w & 63)
+	s.file(w, at)
 }
 
 func (s *SM) retire(w int) {
@@ -283,14 +352,14 @@ func (s *SM) issueStore(w int, op workload.Op) {
 	}
 	// Write-through, no-allocate L1: update the line if present, always
 	// forward the store; the warp does not wait for completion.
-	if s.l1.Probe(op.Addr) {
-		s.l1.Access(op.Addr, cache.Write, -1)
+	if found := s.l1.Find(op.Addr); found.Hit() {
+		s.l1.AccessAt(found, cache.Write, -1)
 	}
 	s.outQ.PushBack(s.newRequest(op.Addr, true, w))
 	s.retire(w)
 	s.stats.MemInstructions++
 	s.stats.Stores++
-	s.wake[w] = s.cycle + 1
+	s.sleepUntil(w, s.cycle+1)
 }
 
 func (s *SM) issueLoad(w int, op workload.Op) {
@@ -323,8 +392,8 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	// A fresh miss needs both an MSHR and request-queue space; check before
 	// touching the tags so a structural stall leaves no side effects. Only
 	// the MSHR stall is memoised: the queue drains without moving the stamp.
-	wouldMiss := !s.l1.Probe(op.Addr)
-	if wouldMiss && (!probe.CanAccept() || s.outQ.Len() >= s.outQCap) {
+	found := s.l1.Find(op.Addr)
+	if !found.Hit() && (!probe.CanAccept() || s.outQ.Len() >= s.outQCap) {
 		if !probe.CanAccept() {
 			s.warps[w].mshrFull = s.mshrs.Stamp() + 1
 		}
@@ -332,13 +401,13 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 		return
 	}
 
-	res := s.l1.Access(op.Addr, cache.Read, -1)
+	s.l1.AccessAt(found, cache.Read, -1)
 	s.retire(w)
 	s.stats.MemInstructions++
 	s.stats.Loads++
-	if res.Hit {
+	if found.Hit() {
 		s.stats.L1Hits++
-		s.wake[w] = s.cycle + uint64(s.cfg.L1HitLatency)
+		s.sleepUntil(w, s.cycle+uint64(s.cfg.L1HitLatency))
 		return
 	}
 	s.stats.L1Misses++
@@ -347,8 +416,11 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	s.blockOnLine(w, lineAddr)
 }
 
+// blockOnLine takes the ready warp w out of issue until lineAddr's reply: an
+// asleep warp is in neither set.
 func (s *SM) blockOnLine(w int, lineAddr uint64) {
 	s.wake[w] = asleep
+	s.ready[w>>6] &^= 1 << (w & 63)
 	s.warps[w].blockedLine = lineAddr
 }
 
@@ -400,9 +472,7 @@ func (s *SM) CompleteLoad(r mem.Reply, cycle uint64) {
 	for w, at := range s.wake {
 		if at == asleep && s.warps[w].blockedLine == line {
 			s.wake[w] = cycle + 1
-			if sched := w % len(s.current); cycle+1 < s.earliest[sched] {
-				s.earliest[sched] = cycle + 1
-			}
+			s.file(w, cycle+1)
 			woke = true
 			s.stats.LoadsCompleted++
 			if cycle > r.IssuedAt {

@@ -1,8 +1,11 @@
 package sm
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -327,7 +330,7 @@ func TestIntegrationWithWorkloadGenerator(t *testing.T) {
 }
 
 // refPick is the issue stage's original O(warps) greedy-then-oldest scan,
-// kept as the reference pickWarp's earliest-wake shortcut must equal.
+// kept as the reference the ready-mask pick must equal.
 func refPick(s *SM, sched int) int {
 	ready := func(w int) bool { return s.wake[w] != asleep && s.cycle >= s.wake[w] }
 	if cur := s.current[sched]; cur >= 0 && ready(cur) {
@@ -341,13 +344,19 @@ func refPick(s *SM, sched int) int {
 	return -1
 }
 
-// mixProgram draws a seeded mix of ALU ops of several latencies, loads over
-// a footprint somewhat larger than the L1, and stores.
-type mixProgram struct{ rng *rand.Rand }
+// mixProgram draws a seeded mix of ALU ops (latency 1-6, or one of lats when
+// set), loads over a footprint somewhat larger than the L1, and stores.
+type mixProgram struct {
+	rng  *rand.Rand
+	lats []int
+}
 
 func (p *mixProgram) NextOp(sm, warp int) workload.Op {
 	switch r := p.rng.Intn(10); {
 	case r < 7:
+		if p.lats != nil {
+			return workload.Op{ALULatency: p.lats[p.rng.Intn(len(p.lats))]}
+		}
 		return workload.Op{ALULatency: 1 + p.rng.Intn(6)}
 	case r < 9:
 		return workload.Op{IsMem: true, Addr: uint64(p.rng.Intn(600)) * 128}
@@ -358,98 +367,208 @@ func (p *mixProgram) NextOp(sm, warp int) workload.Op {
 func (p *mixProgram) NextKernel() {}
 func (p *mixProgram) Kernel() int { return 0 }
 
-// delayedMemory drains an SM's request queue (at most one request a cycle,
-// and none on some cycles, so the queue backs up) and answers each load
-// after a random delay.
+// delayedMemory drains an SM's request queue (at most one request a tick,
+// and none on some ticks, so the queue backs up) and answers each load after
+// a random delay, at the cycle it falls due — inside the gap when the next
+// tick is further away than that.
 type delayedMemory struct {
 	rng      *rand.Rand
 	inflight []mem.Reply
 	due      []uint64
 }
 
-func (m *delayedMemory) step(s *SM, cyc uint64) {
-	if m.rng.Intn(4) != 0 {
-		if r, ok := s.PopRequest(); ok {
-			if !r.Write {
-				m.inflight = append(m.inflight, mem.Reply{ReqID: r.ID, Addr: r.Addr, SM: r.SM, Warp: r.Warp, IssuedAt: r.IssuedAt})
-				m.due = append(m.due, cyc+20+uint64(m.rng.Intn(400)))
-			}
-			s.pool.Put(r)
-		}
+func (m *delayedMemory) take(s *SM, cyc uint64) {
+	if m.rng.Intn(4) == 0 {
+		return
 	}
+	if r, ok := s.PopRequest(); ok {
+		if !r.Write {
+			m.inflight = append(m.inflight, mem.Reply{ReqID: r.ID, Addr: r.Addr, SM: r.SM, Warp: r.Warp, IssuedAt: r.IssuedAt})
+			m.due = append(m.due, cyc+20+uint64(m.rng.Intn(400)))
+		}
+		s.pool.Put(r)
+	}
+}
+
+func (m *delayedMemory) deliver(s *SM, upTo uint64) {
 	for i := 0; i < len(m.due); {
-		if m.due[i] > cyc {
+		if m.due[i] > upTo {
 			i++
 			continue
 		}
-		s.CompleteLoad(m.inflight[i], cyc)
+		s.CompleteLoad(m.inflight[i], m.due[i])
 		last := len(m.due) - 1
 		m.inflight[i], m.due[i] = m.inflight[last], m.due[last]
 		m.inflight, m.due = m.inflight[:last], m.due[:last]
 	}
 }
 
-// TestPickWarpMatchesReferenceScan drives two SMs through the same random
-// 20k cycles. On `fast`, every scheduler's pickWarp must equal the reference
-// scan on every cycle. `plain` has its stall memos and earliest-wake bounds
-// wiped before every tick, so it always takes the full path; the two must
-// stay in identical state, including across a mid-run SaveState/RestoreState
-// of `fast` onto a fresh SM.
-func TestPickWarpMatchesReferenceScan(t *testing.T) {
-	cfg := testCfg()
-	// Few warps, fewer MSHRs: schedulers run out of ready warps, and loads
-	// park on a full table, both often.
-	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 12, 6
-	fast, plain := New(3, 0, cfg), New(3, 0, cfg)
-	progFast, progPlain := &mixProgram{rand.New(rand.NewSource(9))}, &mixProgram{rand.New(rand.NewSource(9))}
-	memFast, memPlain := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
+// pickDrive is one differential run of the issue stage: `ticks` ticks of a
+// seeded mixProgram over ALU latencies lats against a delayedMemory, tick i
+// gap(i) cycles after the one before.
+type pickDrive struct {
+	cfg       config.Config
+	ticks     int
+	lats      []int
+	gap       func(i int) uint64 // nil: every cycle is ticked
+	restoreAt int                // tick before which fast moves onto a used SM (0: never)
+}
 
-	parked := uint64(0)
-	for cyc := uint64(1); cyc <= 20_000; cyc++ {
-		if cyc == 9_000 {
-			// Restore onto a used SM whose warps all sleep on one line: its
-			// earliest-wake bounds say "never" and must not survive.
+// run drives two SMs through the same ticks. On `fast`, every scheduler's
+// pickWarp must equal the reference scan at every tick. `plain` has its
+// stall memos wiped and its ready set, calendar and far bound rebuilt from the
+// wake times before every tick, so it never relies on what earlier cycles
+// filed; the two must stay in identical state, derived sets included. It
+// returns fast's statistics and how many warp-ticks sat on a memoised stall.
+func (d pickDrive) run(t *testing.T) (Stats, uint64) {
+	t.Helper()
+	cfg := d.cfg
+	fast, plain := New(3, 0, cfg), New(3, 0, cfg)
+	progFast, progPlain := &mixProgram{rand.New(rand.NewSource(9)), d.lats}, &mixProgram{rand.New(rand.NewSource(9)), d.lats}
+	memFast, memPlain := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
+	digest := func(s *SM) []byte { st := s.SaveState(); return st.AppendTo(nil) }
+
+	parked, cyc := uint64(0), uint64(0)
+	for i := 1; i <= d.ticks; i++ {
+		if i == d.restoreAt {
+			// Restore onto a used SM whose warps all wake far beyond the
+			// horizon: none of its ready set, calendar and far bound may
+			// survive.
 			restored := New(3, 0, cfg)
 			oneLine := &scriptProgram{ops: map[[2]int][]workload.Op{}}
 			for w := 0; w < cfg.MaxWarpsPerSM; w++ {
-				oneLine.ops[[2]int{3, w}] = []workload.Op{{IsMem: true, Addr: 0x5000}}
+				oneLine.ops[[2]int{3, w}] = []workload.Op{{IsMem: true, Addr: 0x5000}, {ALULatency: 1 << 20}}
 			}
 			for c := uint64(1); c <= 20; c++ {
 				restored.Tick(c, oneLine)
 			}
+			restored.CompleteLoad(mem.Reply{Addr: 0x5000, IssuedAt: 1}, 21)
+			restored.Tick(22, oneLine) // every warp now parked for 1<<20 cycles
+			before := digest(fast)
 			if err := restored.RestoreState(fast.SaveState()); err != nil {
 				t.Fatal(err)
 			}
+			if !bytes.Equal(before, digest(restored)) {
+				t.Fatalf("tick %d: wire form differs across a restore", i)
+			}
 			fast = restored
 		}
-		fast.cycle = cyc
+		if d.gap != nil {
+			cyc += d.gap(i)
+		} else {
+			cyc++
+		}
+		memFast.deliver(fast, cyc-1)
+		memPlain.deliver(plain, cyc-1)
+
+		fast.advance(cyc)
 		for sched := range fast.current {
 			if want, got := refPick(fast, sched), fast.pickWarp(sched); want != got {
-				t.Fatalf("cycle %d scheduler %d: pickWarp = %d, reference scan %d", cyc, sched, got, want)
+				t.Fatalf("tick %d cycle %d scheduler %d: pickWarp = %d, reference scan %d", i, cyc, sched, got, want)
 			}
 		}
 		for w := range plain.warps {
 			plain.warps[w].mshrFull = 0
 		}
-		clear(plain.earliest)
+		plain.cycle = cyc
+		plain.rebuild()
 
 		fast.Tick(cyc, progFast)
 		plain.Tick(cyc, progPlain)
-		memFast.step(fast, cyc)
-		memPlain.step(plain, cyc)
+		memFast.take(fast, cyc)
+		memPlain.take(plain, cyc)
+		memFast.deliver(fast, cyc)
+		memPlain.deliver(plain, cyc)
 		for w := range fast.warps {
 			if fast.warps[w].hasPending && fast.warps[w].mshrFull == fast.mshrs.Stamp()+1 {
 				parked++
 			}
 		}
-		if cyc%1000 == 0 && !reflect.DeepEqual(fast.SaveState(), plain.SaveState()) {
-			t.Fatalf("cycle %d: memoised SM diverged from the full-path SM", cyc)
+		if !slices.Equal(fast.ready, plain.ready) || !slices.Equal(fast.cal, plain.cal) || fast.farMin != plain.farMin {
+			t.Fatalf("tick %d cycle %d: incrementally filed sets differ from rebuilt ones", i, cyc)
+		}
+		if i%1000 == 0 && !reflect.DeepEqual(fast.SaveState(), plain.SaveState()) {
+			t.Fatalf("tick %d: memoised SM diverged from the full-path SM", i)
 		}
 	}
-	st := fast.Stats()
+	if !bytes.Equal(digest(fast), digest(plain)) {
+		t.Fatal("final wire forms differ")
+	}
+	return fast.Stats(), parked
+}
+
+// TestPickWarpMatchesReferenceScan is the 20k-cycle drive, with a mid-run
+// SaveState/RestoreState of `fast` onto a used SM.
+func TestPickWarpMatchesReferenceScan(t *testing.T) {
+	cfg := testCfg()
+	// Few warps, fewer MSHRs: schedulers run out of ready warps, and loads
+	// park on a full table, both often.
+	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 12, 6
+	st, parked := pickDrive{cfg: cfg, ticks: 20_000, restoreAt: 9_000}.run(t)
 	if parked == 0 || st.StallNoReadyWarp == 0 || st.L1Hits == 0 || st.Stores == 0 {
 		t.Errorf("drive did not reach every path: %d memoised stall cycles, stats %+v", parked, st)
+	}
+}
 
+// TestPickWarpAcrossTheCalendarHorizon repeats the drive where the calendar
+// has edges: wake latencies at and beyond its 63-cycle horizon (1<<20 being
+// the trace player's drain latency), an L1 hit latency beyond it,
+// and tick gaps a reconfiguration stall leaves — short of, at and past the
+// 64 slots — with replies arriving inside the gap.
+func TestPickWarpAcrossTheCalendarHorizon(t *testing.T) {
+	cfg := testCfg()
+	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 12, 6
+	sometimes := func(g uint64) func(int) uint64 {
+		rng := rand.New(rand.NewSource(int64(g)))
+		return func(int) uint64 {
+			if rng.Intn(8) == 0 {
+				return g
+			}
+			return 1
+		}
+	}
+	for _, lat := range []int{63, 64, 65, 1 << 20} {
+		t.Run(fmt.Sprintf("latency-%d", lat), func(t *testing.T) {
+			d := pickDrive{cfg: cfg, ticks: 6_000, lats: []int{1, 3, lat}, restoreAt: 2_500}
+			if lat == 1<<20 {
+				d.gap = sometimes(10_000) // or no warp would ever come back
+			}
+			if st, _ := d.run(t); st.StallNoReadyWarp == 0 || st.Instructions < 300 {
+				t.Errorf("drive did not exercise the pick: %+v", st)
+			}
+		})
+	}
+	t.Run("l1-hit-latency-100", func(t *testing.T) {
+		far := cfg
+		far.L1HitLatency = 100
+		if st, _ := (pickDrive{cfg: far, ticks: 6_000}).run(t); st.L1Hits == 0 {
+			t.Errorf("no L1 hit: %+v", st)
+		}
+	})
+	for _, g := range []uint64{1, 63, 64, 65, 10_000} {
+		t.Run(fmt.Sprintf("gap-%d", g), func(t *testing.T) {
+			d := pickDrive{cfg: cfg, ticks: 6_000, lats: []int{1, 2, 6, 40, 70}, gap: sometimes(g), restoreAt: 2_500}
+			if st, _ := d.run(t); st.LoadsCompleted == 0 || st.StallNoReadyWarp == 0 {
+				t.Errorf("drive did not exercise the pick: %+v", st)
+			}
+		})
+	}
+}
+
+// TestPickWarpGeometries repeats the drive over warp counts below, at and
+// above one mask word and over scheduler counts that do and do not divide it.
+func TestPickWarpGeometries(t *testing.T) {
+	for _, warps := range []int{12, 64, 96} {
+		for _, scheds := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%d-warps-%d-schedulers", warps, scheds), func(t *testing.T) {
+				cfg := testCfg()
+				cfg.MaxWarpsPerSM, cfg.SchedulersPerSM, cfg.L1MSHRs = warps, scheds, warps/2
+				d := pickDrive{cfg: cfg, ticks: 4_000, lats: []int{1, 4, 30, 64, 200}, restoreAt: 1_500}
+				if st, _ := d.run(t); st.Instructions < 300 || st.LoadsCompleted == 0 {
+					t.Errorf("drive did not exercise the pick: %+v", st)
+				}
+			})
+		}
 	}
 }
 
@@ -522,9 +641,12 @@ func TestParkedLoadMergesWhenItsLineBecomesOutstanding(t *testing.T) {
 }
 
 // BenchmarkSMTick is the SM rung of the measurement ladder: host ns per
-// simulated SM cycle with every scheduler issuing (issue-bound) and with
-// nearly every warp asleep on a 400-cycle memory while the MSHR table is
-// full (memory-bound).
+// simulated SM cycle with every scheduler issuing (issue-bound), with nearly
+// every warp asleep on a 400-cycle memory while the MSHR table is full
+// (memory-bound), and for the GPU's 80 SMs ticked in turn on an MM-shaped
+// program against a 300-cycle memory (gpu-sweep) — the one whose working set
+// (80 L1 tag stores, warp tables and calendars) does not fit the host's L1d,
+// as it does not in the cycle loop.
 func BenchmarkSMTick(b *testing.B) {
 	cfg := testCfg()
 	b.Run("issue-bound", func(b *testing.B) {
@@ -560,5 +682,41 @@ func BenchmarkSMTick(b *testing.B) {
 			step()
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/SM-cycle")
+	})
+	b.Run("gpu-sweep", func(b *testing.B) {
+		spec, _ := workload.ByAbbr("MM")
+		prog := workload.MustNewGenerator(spec, cfg, 1)
+		sms := make([]*SM, cfg.NumSMs)
+		for i := range sms {
+			sms[i] = New(i, i/cfg.SMsPerCluster(), cfg)
+			sms[i].UseRequestPool(sms[0].pool)
+		}
+		var replies ring.Deque[mem.Reply] // FIFO: the delay is constant
+		cyc := uint64(0)
+		sweep := func() {
+			cyc++
+			for _, s := range sms {
+				s.Tick(cyc, prog)
+				for r, ok := s.PopRequest(); ok; r, ok = s.PopRequest() {
+					if !r.Write {
+						replies.PushBack(mem.Reply{Addr: r.Addr, SM: r.SM, IssuedAt: r.IssuedAt})
+					}
+					s.pool.Put(r)
+				}
+			}
+			for replies.Len() > 0 && replies.At(0).IssuedAt+300 <= cyc {
+				r := replies.PopFront()
+				sms[r.SM].CompleteLoad(r, cyc)
+			}
+		}
+		for i := 0; i < 3_000; i++ { // fill the L1s, grow the queues and merge lists
+			sweep()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sms)), "ns/SM-cycle")
 	})
 }

@@ -111,8 +111,8 @@ func (s *SM) RestoreState(st State) error {
 		return fmt.Errorf("sm %d: %w", s.id, err)
 	}
 	// Derived issue-stage state is rebuilt, not restored: stall memos start
-	// empty and the earliest-wake bounds at zero, so the first retry and the
-	// first pick after a restore take the full path and re-derive them.
+	// empty, so the first retry after a restore takes the full path, and the
+	// ready set and the calendar are refiled from Wake and Cycle.
 	copy(s.wake, st.Wake)
 	blocked := st.Blocked
 	for i := range s.warps {
@@ -124,7 +124,6 @@ func (s *SM) RestoreState(st State) error {
 	for _, p := range st.Pending {
 		s.warps[p.Warp].pending, s.warps[p.Warp].hasPending = p.Op, true
 	}
-	clear(s.earliest)
 	copy(s.current, st.Current)
 	s.outQ.Clear()
 	for i := range st.OutQ {
@@ -134,6 +133,7 @@ func (s *SM) RestoreState(st State) error {
 	}
 	s.reqCounter = st.ReqCounter
 	s.cycle = st.Cycle
+	s.rebuild()
 	s.stats = st.Stats
 	s.appID = st.AppID
 	return nil

@@ -57,10 +57,13 @@ type Generator struct {
 
 	lineBytes   uint64
 	sharedLines uint64
-	privLines   uint64 // lines per CTA private region
-	privStride  uint64 // bytes reserved per CTA private region
-	warps       [][]warpState
+	privLines   uint64      // lines per CTA private region
+	privStride  uint64      // bytes reserved per CTA private region
+	warps       []warpState // slot sm*MaxWarpsPerSM + warp
 	kernel      int
+	// The bounds the stream draws below: frontier jitter, trailing window,
+	// shared footprint, private tile.
+	jitterMod, trailMod, sharedMod, tileMod modulus
 	// Global lockstep frontier (PatternLockstepSweep): all warps read lines
 	// near this position, which advances once every advanceEvery shared
 	// accesses (about one access per warp in the GPU per line).
@@ -100,10 +103,11 @@ func NewGenerator(spec Spec, cfg config.Config, seed int64) (*Generator, error) 
 	// regions do not all alias onto the same handful of cache sets (a
 	// power-of-two stride would make every region start at set 0).
 	g.privStride = (g.privLines + 5) * g.lineBytes
-	g.warps = make([][]warpState, cfg.NumSMs)
-	for s := range g.warps {
-		g.warps[s] = make([]warpState, cfg.MaxWarpsPerSM)
-	}
+	g.jitterMod = newModulus(int64(spec.FrontierJitterLines) + 1)
+	g.trailMod = newModulus(int64(spec.TrailingWindowLines))
+	g.sharedMod = newModulus(int64(g.sharedLines))
+	g.tileMod = newModulus(int64(min(g.privLines, 4)))
+	g.warps = make([]warpState, cfg.NumSMs*cfg.MaxWarpsPerSM)
 	g.advanceEvery = uint64(cfg.NumSMs * cfg.MaxWarpsPerSM)
 	if g.advanceEvery == 0 {
 		g.advanceEvery = 1
@@ -184,8 +188,8 @@ func (g *Generator) assignCTAs() {
 }
 
 func (g *Generator) setCTA(sm, ctaSlot, warpsPerCTA, ctaID int) {
-	for w := ctaSlot * warpsPerCTA; w < (ctaSlot+1)*warpsPerCTA && w < len(g.warps[sm]); w++ {
-		g.warps[sm][w].ctaID = ctaID
+	for w := ctaSlot * warpsPerCTA; w < (ctaSlot+1)*warpsPerCTA && w < g.cfg.MaxWarpsPerSM; w++ {
+		g.warp(sm, w).ctaID = ctaID
 	}
 }
 
@@ -193,16 +197,16 @@ func (g *Generator) setCTA(sm, ctaSlot, warpsPerCTA, ctaID int) {
 // implicitly at kernel boundaries.
 func (g *Generator) resetSweeps() {
 	jitter := uint64(g.spec.FrontierJitterLines)
-	for s := range g.warps {
+	for s := 0; s < g.cfg.NumSMs; s++ {
 		cluster := 0
 		if g.cfg.SMsPerCluster() > 0 {
 			cluster = s / g.cfg.SMsPerCluster()
 		}
-		for w := range g.warps[s] {
-			ws := &g.warps[s][w]
+		for w := 0; w < g.cfg.MaxWarpsPerSM; w++ {
+			ws := g.warp(s, w)
 			start := uint64(0)
 			if jitter > 0 {
-				start = uint64(g.rng.int63n(int64(jitter + 1)))
+				start = uint64(g.rng.below(g.jitterMod))
 			}
 			// Distributed CTA scheduling keeps adjacent CTAs in one cluster,
 			// which de-phases the clusters slightly and reduces inter-cluster
@@ -232,7 +236,7 @@ func (g *Generator) Kernel() int { return g.kernel }
 
 // NextOp implements Program.
 func (g *Generator) NextOp(sm, warpSlot int) Op {
-	ws := &g.warps[sm][warpSlot]
+	ws := g.warp(sm, warpSlot)
 	g.totalOps++
 	if g.rng.float64() >= g.spec.MemRatio {
 		return Op{ALULatency: g.spec.ALULatency}
@@ -263,14 +267,14 @@ func (g *Generator) sharedAddr(ws *warpState, sm int) uint64 {
 		}
 		off := uint64(0)
 		if g.spec.FrontierJitterLines > 0 {
-			off = uint64(g.rng.int63n(int64(g.spec.FrontierJitterLines + 1)))
+			off = uint64(g.rng.below(g.jitterMod))
 		}
 		if g.spec.TrailingReuseFraction > 0 && g.spec.TrailingWindowLines > 0 &&
 			g.rng.float64() < g.spec.TrailingReuseFraction {
 			// Revisit a recently swept line (re-reading recently used
 			// weights); these re-reads exceed the L1 reach and populate the
 			// LLC with shared lines beyond the narrow frontier.
-			back := uint64(g.rng.int63n(int64(g.spec.TrailingWindowLines))) + 1
+			back := uint64(g.rng.below(g.trailMod)) + 1
 			if back > g.globalFrontier {
 				back = g.globalFrontier
 			}
@@ -281,7 +285,7 @@ func (g *Generator) sharedAddr(ws *warpState, sm int) uint64 {
 	default:
 		// Uniform reuse over the whole footprint (also used for the tiny
 		// shared regions of the neutral workloads).
-		line = uint64(g.rng.int63n(int64(g.sharedLines)))
+		line = uint64(g.rng.below(g.sharedMod))
 	}
 	return g.addrOffset + sharedBase + line*g.lineBytes
 }
@@ -298,11 +302,7 @@ func (g *Generator) privateAddr(ws *warpState) uint64 {
 		// of the CTA's private region. The tiny footprint keeps this data
 		// L1-resident, so it adds realism (stores, occasional misses) without
 		// drowning the LLC in unshared streaming traffic.
-		span := g.privLines
-		if span > 4 {
-			span = 4
-		}
-		line = uint64(g.rng.int63n(int64(span)))
+		line = uint64(g.rng.below(g.tileMod))
 	}
 	base := g.addrOffset + privateBase + uint64(ws.ctaID)*g.privStride
 	return base + line*g.lineBytes
@@ -316,5 +316,9 @@ func (g *Generator) OpCounts() (total, mem, shared, private uint64) {
 // CTAOf returns the CTA identity assigned to a warp (exported for tests and
 // for the CTA-scheduling sensitivity analysis).
 func (g *Generator) CTAOf(sm, warpSlot int) int {
-	return g.warps[sm][warpSlot].ctaID
+	return g.warp(sm, warpSlot).ctaID
+}
+
+func (g *Generator) warp(sm, warpSlot int) *warpState {
+	return &g.warps[sm*g.cfg.MaxWarpsPerSM+warpSlot]
 }

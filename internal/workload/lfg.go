@@ -10,7 +10,7 @@ import (
 // generator draws from it without an interface hop, and its whole state —
 // the 607-word feedback register and the two cursors — is plain data, so a
 // checkpoint restores a stream position by copying it. After seed(s) that
-// state equals rand.NewSource(s)'s, so float64/int63n reproduce
+// state equals rand.NewSource(s)'s, so float64/below reproduce
 // rand.New(rand.NewSource(s)).Float64/Int63n draw for draw (TestLFGMatchesMathRand).
 type lfg struct {
 	vec       [lfgLen]uint64
@@ -67,21 +67,32 @@ func (r *lfg) float64() float64 {
 	}
 }
 
-// int63n is rand.Rand.Int63n: a mask for powers of two, otherwise rejection
-// sampling below the largest multiple of n.
-func (r *lfg) int63n(n int64) int64 {
+// modulus is an Int63n bound with the rejection limit rand.Rand.Int63n works
+// out on every call — a 64-bit divide — worked out once: the generator draws
+// below a handful of bounds fixed for its life.
+type modulus struct{ n, limit int64 }
+
+func newModulus(n int64) modulus {
 	if n <= 0 {
-		panic("workload: invalid argument to int63n")
+		return modulus{n: n} // a draw below it panics, as Int63n does
 	}
-	if n&(n-1) == 0 {
-		return r.int63() & (n - 1)
+	return modulus{n: n, limit: int64((1 << 63) - 1 - (1<<63)%uint64(n))}
+}
+
+// below is rand.Rand.Int63n(m.n): a mask for powers of two, otherwise
+// rejection sampling below the largest multiple of n.
+func (r *lfg) below(m modulus) int64 {
+	if m.n <= 0 {
+		panic("workload: draw below a non-positive bound")
 	}
-	limit := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	if m.n&(m.n-1) == 0 {
+		return r.int63() & (m.n - 1)
+	}
 	v := r.int63()
-	for v > limit {
+	for v > m.limit {
 		v = r.int63()
 	}
-	return v % n
+	return v % m.n
 }
 
 // restore overwrites the stream position with a snapshotted one, rejecting

@@ -30,7 +30,7 @@ func TestLFGMatchesMathRand(t *testing.T) {
 				continue
 			}
 			n := bounds[i%len(bounds)]
-			if w, g := want.Int63n(n), got.int63n(n); w != g {
+			if w, g := want.Int63n(n), got.below(newModulus(n)); w != g {
 				t.Fatalf("seed %d draw %d: Int63n(%d) = %d, math/rand %d", seed, i, n, g, w)
 			}
 		}

@@ -114,18 +114,12 @@ func (g *Generator) SaveProgState() (ProgramState, error) {
 const warpColumns = 3
 
 func (g *Generator) eachWarp(fn func(*warpState)) {
-	for s := range g.warps {
-		for w := range g.warps[s] {
-			fn(&g.warps[s][w])
-		}
+	for i := range g.warps {
+		fn(&g.warps[i])
 	}
 }
 
-func (g *Generator) warpCount() int {
-	n := 0
-	g.eachWarp(func(*warpState) { n++ })
-	return n
-}
+func (g *Generator) warpCount() int { return len(g.warps) }
 
 // StreamPositions returns the RNG stream position (draws consumed) of every
 // synthetic generator in a program snapshot, in application order; programs

@@ -8,8 +8,10 @@
 #   label               tag stored with the run (default: "snapshot")
 #   --layers            run the per-layer microbenchmarks that live next to
 #                       the code (go test -bench . ./internal/...: sm, workload,
-#                       dram, llc, noc ticks in ns per component-cycle, and
-#                       checkpoint save/encode/decode/restore per snapshot) and
+#                       dram, llc, noc ticks in ns per component-cycle — the
+#                       sm ones include the 80-SM gpu-sweep —, cache accesses
+#                       on the L1 and LLC-slice geometries, and checkpoint
+#                       save/encode/decode/restore per snapshot) and
 #                       write them to BENCH_<YYYY-MM-DD>-layers.json, every
 #                       entry tagged with its package and the host's CPU count
 #
