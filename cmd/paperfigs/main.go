@@ -446,8 +446,9 @@ func progressLine(done, total int, key string) {
 }
 
 // remoteFigure generates one figure on the cluster with live progress
-// (client.Pool owns the routing, job polling and peer failover) and formats
-// the outcome the way the local path does.
+// (client.Pool picks the entry daemon, polls the job and fails over between
+// peers; placing the runs is the cluster's job) and formats the outcome the
+// way the local path does.
 func remoteFigure(ctx context.Context, pool *client.Pool, key string, opts api.FigureOptions, progress func(*api.Progress)) (text, remark string, err error) {
 	st, peer, err := pool.FigureStream(ctx, key, opts, progress)
 	if err != nil {

@@ -28,7 +28,7 @@
 //	curl -s localhost:8404/healthz
 //	scripts/simd_run.sh localhost:8404 '{"benchmarks":["VA"],"measure_cycles":20000}'
 //	curl -s localhost:8404/v1/figures/2?quick=1
-//	curl -s localhost:8404/v1/cluster
+//	curl -s localhost:8404/v1/cluster/membership
 //	curl -s localhost:8404/metrics
 //
 // The second identical submission returns "cached": true with byte-identical

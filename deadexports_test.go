@@ -48,15 +48,15 @@ var deadExportAllowlist = map[string]string{
 	"internal/scenario.(Scenario).HasAxis":    "test probe: catalog coverage",
 	"internal/scenario.ByLevel":               "test probe: catalog coverage",
 
-	// Owned by ROADMAP's service-layer item.
-	"internal/cluster.(*Node).Crash":          "service-layer item: fault injection of the replica drill tests",
-	"internal/server.(*Queue).JobCount":       "service-layer item",
-	"internal/server/client.(*Client).Figure": "service-layer item: the blocking figure call, superseded by Pool.FigureStream outside tests",
+	"internal/cluster.(*Node).Crash": "fault injection: the replica drills and the one-hop job lookup tests crash a member without a farewell",
 }
 
 // TestNoDeadExports is a go/parser name scan, deliberately conservative: a
 // declaration counts as used when its bare name appears anywhere in a
 // non-test file other than at its own declaration, whatever it resolves to.
+// That is also its blind spot: a dead method that shares its bare name with a
+// live one (client.Pool.Runs hid behind client.Client.Runs until PR 23) is
+// invisible to it, so a review of a type's surface checks methods by receiver.
 func TestNoDeadExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var declared []struct{ qualified, name string }

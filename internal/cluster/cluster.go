@@ -9,8 +9,8 @@
 //
 // The package is deliberately dependency-free (stdlib only): the server
 // (internal/server) uses it to decide whether to execute or forward a
-// submission, and the client pool (internal/server/client) uses the same
-// ranking to route requests to owners directly.
+// submission. Clients place nothing; the client pool (internal/server/client)
+// only orders the member URLs to pick a figure's entry point.
 package cluster
 
 import (

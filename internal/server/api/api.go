@@ -223,7 +223,8 @@ type JobStatus struct {
 	ExecutedRuns int `json:"executed_runs,omitempty"`
 	// Peer is the cluster member the job lives on (set when answering
 	// through a cluster daemon; empty single-node). Poll or cancel against
-	// any member — lookups for forwarded jobs are proxied.
+	// any member — the job ID names its owner, so a lookup elsewhere is
+	// proxied there in one hop.
 	Peer string `json:"peer,omitempty"`
 }
 
@@ -348,30 +349,6 @@ type Health struct {
 	Self string `json:"self,omitempty"`
 }
 
-// ClusterPeer is one member's entry in a ClusterStatus: its address plus a
-// live health probe (Health is nil, and Error set, when the probe failed).
-// Status is the answering daemon's gossip view of the member (alive,
-// suspect, dead, left; empty single-node).
-type ClusterPeer struct {
-	URL     string  `json:"url"`
-	Self    bool    `json:"self,omitempty"`
-	Healthy bool    `json:"healthy"`
-	Status  string  `json:"status,omitempty"`
-	Error   string  `json:"error,omitempty"`
-	Health  *Health `json:"health,omitempty"`
-}
-
-// ClusterStatus is the body of GET /v1/cluster: the answering daemon's
-// membership view with per-peer store/queue stats. A single-node daemon
-// reports itself as the only member. Epoch is the answering daemon's local
-// membership epoch — it bumps exactly when the active member set changes,
-// so clients re-rank peers when they see it move (0 when not clustered).
-type ClusterStatus struct {
-	Self  string        `json:"self,omitempty"`
-	Epoch uint64        `json:"epoch,omitempty"`
-	Peers []ClusterPeer `json:"peers"`
-}
-
 // MemberEntry is one member in a MembershipView: its address and the
 // answering daemon's gossip verdict on it (alive, suspect, dead, left;
 // empty single-node).
@@ -381,10 +358,11 @@ type MemberEntry struct {
 	Self   bool   `json:"self,omitempty"`
 }
 
-// MembershipView is the body of GET /v1/cluster/membership: the raw
-// membership view with no health probes attached — cheap enough for
-// clients to poll and re-rank on. Epoch bumps exactly when the active
-// member set changes (0 when not clustered).
+// MembershipView is the body of GET /v1/cluster/membership: the answering
+// daemon's gossip view, no cross-member round-trips — cheap enough for
+// clients to poll (each member's own /healthz carries its store and queue
+// summary). A single-node daemon reports itself as the only member. Epoch
+// bumps exactly when the active member set changes (0 when not clustered).
 type MembershipView struct {
 	Epoch   uint64        `json:"epoch"`
 	Members []MemberEntry `json:"members"`

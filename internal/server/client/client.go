@@ -198,9 +198,9 @@ func (c *Client) waitJob(ctx context.Context, id string, poll time.Duration, onS
 }
 
 // ForwardJob fetches a job's status marked as cluster-internal: the peer
-// answers from its own queue only (no cross-member lookup), bounding the
-// cluster's job-proxy fan-out to one hop. Used by the server, not by
-// ordinary clients (Job already benefits from the server-side proxy).
+// answers from its own queue only, so a lookup proxied to the job's owner
+// stops there. Used by the server, not by ordinary clients (Job already
+// benefits from the server-side proxy).
 func (c *Client) ForwardJob(ctx context.Context, id string) (*api.JobStatus, error) {
 	var st api.JobStatus
 	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
@@ -251,21 +251,6 @@ func (c *Client) Replicate(ctx context.Context, req api.ReplicateRequest) (*api.
 	var resp api.ReplicateResponse
 	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
 	if err := c.do(ctx, http.MethodPost, "/v1/replicate", req, &resp, hdr); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Figure regenerates one paper figure on the daemon and returns its
-// formatted text (byte-identical to local paperfigs output for the same
-// options) plus cache statistics.
-func (c *Client) Figure(ctx context.Context, key string, opt api.FigureOptions) (*api.FigureResponse, error) {
-	path := "/v1/figures/" + url.PathEscape(key)
-	if q := opt.Query().Encode(); q != "" {
-		path += "?" + q
-	}
-	var resp api.FigureResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &resp, nil); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gpu"
 	"repro/internal/server/api"
-	"repro/internal/simstore"
 )
 
 // TestWaitJobCancelMidPoll: cancelling the context between polls must stop
@@ -113,102 +113,134 @@ func TestStatusErrorClassification(t *testing.T) {
 	}
 }
 
-// fakeDaemon is a minimal simd stand-in for pool routing tests: it answers
-// /healthz and records every spec POSTed to /v1/runs.
+// fakeDaemon is a minimal simd stand-in for pool tests: it answers /healthz
+// and runs figure "3" as an async job that reports one progress step and
+// finishes on its second poll with text naming the figure (every daemon
+// produces the same text, as determinism guarantees of real ones). Any other
+// figure is unknown. starts counts the figure jobs it was asked to start.
 func fakeDaemon(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
-	var runs atomic.Int64
+	var starts, polls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(api.Health{Status: "ok"})
 	})
-	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		var req api.RunRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		resp := api.RunResponse{Results: make([]api.RunResult, len(req.Specs))}
-		for i, s := range req.Specs {
-			runs.Add(1)
-			resp.Results[i] = api.RunResult{Key: s.Key, Status: api.StatusDone}
+	mux.HandleFunc("GET /v1/figures/{key}", func(w http.ResponseWriter, r *http.Request) {
+		starts.Add(1)
+		if r.PathValue("key") != "3" {
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(api.Error{Error: "unknown figure"})
+			return
 		}
-		json.NewEncoder(w).Encode(resp)
+		if r.URL.Query().Get("async") != "1" {
+			t.Error("pool asked for a blocking figure; figure jobs are submit-then-poll")
+		}
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(api.FigureResponse{Key: "3", JobID: "fig-1"})
+	})
+	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st := api.JobStatus{ID: r.PathValue("id"), Kind: "figure", Status: api.StatusRunning,
+			Progress: &api.Progress{Done: 1, Total: 2}}
+		if polls.Add(1)%2 == 0 {
+			st.Status, st.FigureText = api.StatusDone, "figure 3 text"
+			st.Progress = &api.Progress{Done: 2, Total: 2}
+		}
+		json.NewEncoder(w).Encode(st)
 	})
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
-	return hs, &runs
+	return hs, &starts
 }
 
-// TestPoolRoutesToOwnerAndFailsOver: every spec goes to its rendezvous
-// owner while all peers are healthy; with the owner dead, the request lands
-// on the next-ranked peer instead of failing.
-func TestPoolRoutesToOwnerAndFailsOver(t *testing.T) {
-	a, runsA := fakeDaemon(t)
-	b, runsB := fakeDaemon(t)
+// TestPoolFigureStreamFailsOver: a figure goes to its first-ranked member
+// while that member answers; with it dead, the same request is served by the
+// next one with the same text instead of failing.
+func TestPoolFigureStreamFailsOver(t *testing.T) {
+	a, startsA := fakeDaemon(t)
+	b, startsB := fakeDaemon(t)
 	pool, err := NewPool([]string{a.URL, b.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	spec := api.Spec{Key: "r", Benchmarks: []string{"VA"}, MeasureCycles: 3000, Seed: 1}
-	ranked := pool.rankedForSpec(spec)
-	if len(ranked) != 2 {
-		t.Fatalf("ranked %d peers, want 2", len(ranked))
+	order := cluster.RankedKey("figure/3", pool.Peers())
+	first, firstStarts, otherStarts := a, startsA, startsB
+	if order[0] == cluster.Normalize(b.URL) {
+		first, firstStarts, otherStarts = b, startsB, startsA
 	}
-	resp, err := pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{spec}}, true)
+
+	st, served, err := pool.FigureStream(context.Background(), "3", api.FigureOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Results[0].Peer; got != ranked[0] {
-		t.Errorf("spec answered by %s, want owner %s", got, ranked[0])
+	if served != order[0] || firstStarts.Load() != 1 || otherStarts.Load() != 0 {
+		t.Errorf("figure served by %s (starts %d/%d), want the first-ranked %s alone",
+			served, firstStarts.Load(), otherStarts.Load(), order[0])
 	}
-	ownerRuns, otherRuns := runsA, runsB
-	if ranked[0] == cluster.Normalize(b.URL) {
-		ownerRuns, otherRuns = runsB, runsA
-	}
-	if ownerRuns.Load() != 1 || otherRuns.Load() != 0 {
-		t.Errorf("owner ran %d specs, other %d; want 1/0", ownerRuns.Load(), otherRuns.Load())
-	}
+	want := st.FigureText
 
-	// Kill the owner: the same spec must fail over to the survivor.
-	if ranked[0] == cluster.Normalize(a.URL) {
-		a.Close()
-	} else {
-		b.Close()
-	}
-	pool.HealthTTL = time.Nanosecond // forget the cached good probe
-	resp, err = pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{spec}}, true)
+	first.Close()
+	st, served, err = pool.FigureStream(context.Background(), "3", api.FigureOptions{}, nil)
 	if err != nil {
 		t.Fatalf("failover request failed: %v", err)
 	}
-	if got := resp.Results[0].Peer; got != ranked[1] {
-		t.Errorf("after owner death spec answered by %s, want runner-up %s", got, ranked[1])
+	if served != order[1] {
+		t.Errorf("after the first-ranked member died the figure was served by %s, want %s", served, order[1])
+	}
+	if st.Status != api.StatusDone || st.FigureText != want {
+		t.Errorf("failover answer = %s %q, want done %q", st.Status, st.FigureText, want)
 	}
 }
 
-// TestPoolRankingMatchesCluster: the pool and the daemons must agree on
-// ownership (both defer to internal/cluster over the normalized peer list).
-func TestPoolRankingMatchesCluster(t *testing.T) {
-	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
-	pool, err := NewPool(peers)
+// TestPoolFigureStreamStopsOn4xx: a daemon-answered 4xx is the request's own
+// fault — every member would answer alike — so it returns at once without
+// trying other peers.
+func TestPoolFigureStreamStopsOn4xx(t *testing.T) {
+	a, startsA := fakeDaemon(t)
+	b, startsB := fakeDaemon(t)
+	pool, err := NewPool([]string{a.URL, b.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := api.Spec{Benchmarks: []string{"VA"}, MeasureCycles: 5000, Seed: 9}
-	rs, err := spec.ToRunSpec()
+	_, _, err = pool.FigureStream(context.Background(), "99", api.FigureOptions{}, nil)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("unknown figure error = %v, want the daemon's HTTP 404", err)
+	}
+	if got := startsA.Load() + startsB.Load(); got != 1 {
+		t.Errorf("unknown figure was asked of %d peers, want 1", got)
+	}
+}
+
+// TestPoolFigureStreamPollsJobHandle: a figure is submit-then-poll — the job
+// starts asynchronously and its handle is polled to completion, each change
+// of progress reported once.
+func TestPoolFigureStreamPollsJobHandle(t *testing.T) {
+	hs, starts := fakeDaemon(t)
+	pool, err := NewPool([]string{hs.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := simstore.Fingerprint(rs)
+	var seen []int
+	st, served, err := pool.FigureStream(context.Background(), "3", api.FigureOptions{}, func(p *api.Progress) {
+		seen = append(seen, p.Done)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pool.rankedForSpec(spec), cluster.Ranked(fp, peers); !reflect.DeepEqual(got, want) {
-		t.Errorf("pool ranking %v != cluster ranking %v", got, want)
+	if st.Status != api.StatusDone || st.FigureText == "" || served != cluster.Normalize(hs.URL) {
+		t.Errorf("figure = %s %q via %s, want done with text via %s", st.Status, st.FigureText, served, hs.URL)
+	}
+	if starts.Load() != 1 {
+		t.Errorf("figure job started %d times, want 1", starts.Load())
+	}
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Errorf("progress reports = %v, want [1 2]", seen)
 	}
 }
 
 // TestPoolMembershipRefresh: a pool seeded with one daemon adopts the full
-// member list from GET /v1/cluster/membership once the TTL lapses, drops
-// dead/left members, and records the epoch.
+// member list from GET /v1/cluster/membership — a member that joined after
+// the pool was built is used, dead/left ones are dropped.
 func TestPoolMembershipRefresh(t *testing.T) {
 	a, _ := fakeDaemon(t)
 	b, _ := fakeDaemon(t)
@@ -233,71 +265,31 @@ func TestPoolMembershipRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.MembershipTTL = time.Nanosecond
-	pool.maybeRefresh(context.Background())
-
+	// The first request refreshes (nothing was fetched yet), so the figure is
+	// served by a member the pool was never told about; the seed itself
+	// serves no figures.
+	_, served, err := pool.FigureStream(context.Background(), "3", api.FigureOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []string{cluster.Normalize(a.URL), cluster.Normalize(b.URL)}
-	got := pool.Peers()
-	if len(got) != 2 || (got[0] != want[0] && got[0] != want[1]) {
+	sort.Strings(want)
+	if got := pool.Peers(); !reflect.DeepEqual(got, want) {
 		t.Errorf("pool peers after refresh = %v, want %v (alive + suspect only)", got, want)
 	}
-	if pool.Epoch() != 7 {
-		t.Errorf("pool epoch = %d, want 7", pool.Epoch())
+	if served != want[0] && served != want[1] {
+		t.Errorf("figure served by %s, want one of the adopted members %v", served, want)
 	}
 
-	// A later view with nothing routable must not wipe the pool.
+	// A later view with nothing usable must not wipe the pool.
 	view.Store(&api.MembershipView{Epoch: 8, Members: []api.MemberEntry{{Addr: "http://127.0.0.1:1", Status: "dead"}}})
 	pool.mu.Lock()
 	pool.lastRefresh = time.Time{}
 	pool.mu.Unlock()
-	// The seed is no longer in the routing set, so refresh goes through a
-	// member; neither serves the endpoint, so the old set must survive.
+	// The seed is no longer in the member list, so refresh goes through a
+	// member; neither serves the endpoint, so the old list must survive.
 	pool.maybeRefresh(context.Background())
 	if got := pool.Peers(); len(got) != 2 {
 		t.Errorf("pool peers after failed refresh = %v, want the previous 2", got)
-	}
-}
-
-// TestPoolRunsPollsJobHandle: a waited Runs call submits without waiting
-// and polls the returned job handle to completion — the /v1/runs request
-// itself never blocks for the simulation.
-func TestPoolRunsPollsJobHandle(t *testing.T) {
-	var polls atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(api.Health{Status: "ok"})
-	})
-	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Has("wait") {
-			t.Error("pool submitted with a wait parameter; submission never blocks server-side")
-		}
-		json.NewEncoder(w).Encode(api.RunResponse{Results: []api.RunResult{
-			{Key: "h", Status: api.StatusQueued, JobID: "job-1"},
-		}})
-	})
-	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st := api.JobStatus{ID: r.PathValue("id"), Status: api.StatusRunning}
-		if polls.Add(1) >= 2 {
-			st.Status = api.StatusDone
-		}
-		json.NewEncoder(w).Encode(st)
-	})
-	hs := httptest.NewServer(mux)
-	t.Cleanup(hs.Close)
-
-	pool, err := NewPool([]string{hs.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.PollInterval = time.Millisecond
-	resp, err := pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{{Key: "h", Benchmarks: []string{"VA"}, MeasureCycles: 3000}}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Status != api.StatusDone {
-		t.Errorf("result status = %s, want done", resp.Results[0].Status)
-	}
-	if polls.Load() < 2 {
-		t.Errorf("job handle polled %d times, want >= 2", polls.Load())
 	}
 }

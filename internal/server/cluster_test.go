@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,7 +175,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 
 	// Regeneration through a different entry point: fully cache-served,
 	// still byte-identical.
-	again, err := client.New(tc.urls[1]).Figure(ctx, "3", wireOpts)
+	again, err := figureSync(tc.urls[1], "3", wireOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +187,8 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 	}
 }
 
-// TestClusterFailover: with a spec's owner dead, both entry paths — a POST
-// to a surviving daemon and a Pool submission — still complete the request.
+// TestClusterFailover: with a spec's owner dead, a POST to a surviving daemon
+// still completes the request.
 func TestClusterFailover(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
@@ -216,71 +219,58 @@ func TestClusterFailover(t *testing.T) {
 	if got := executedCounts(tc); got[0]+got[1] != 1 || got[2] != 0 {
 		t.Errorf("survivor executions = %v, want exactly one total on daemons 0/1", got)
 	}
-
-	// Client-side failover: the pool skips the dead owner and the request
-	// completes on a survivor (a cache hit via daemon 0's store or a rerun).
-	pool, err := client.NewPool(tc.urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp, err := pool.Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, true)
-	if err != nil {
-		t.Fatalf("pool failover failed: %v", err)
-	}
-	if r := presp.Results[0]; r.Status != api.StatusDone || r.Stats == nil {
-		t.Fatalf("pool failover run: status=%s error=%q", r.Status, r.Error)
-	}
 }
 
-// TestClusterEndpoint: GET /v1/cluster reports full membership with health,
-// marks the answering daemon, and flags dead members as unhealthy.
+// TestClusterEndpoint: GET /v1/cluster/membership reports the full
+// membership and marks the answering daemon, every live member's own /healthz
+// carries its store and queue summary, and a departed member shows as such.
 func TestClusterEndpoint(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 1)
-	var st api.ClusterStatus
+	ctx := context.Background()
+	var view api.MembershipView
 	get := func() {
 		t.Helper()
-		resp, err := http.Get(tc.urls[0] + "/v1/cluster")
+		resp, err := http.Get(tc.urls[0] + "/v1/cluster/membership")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		view = api.MembershipView{}
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 			t.Fatal(err)
 		}
 	}
 	get()
-	if st.Self != tc.urls[0] {
-		t.Errorf("cluster self = %q, want %q", st.Self, tc.urls[0])
+	if len(view.Members) != 3 || view.Epoch == 0 {
+		t.Fatalf("membership reports %d members at epoch %d, want 3 at a live epoch", len(view.Members), view.Epoch)
 	}
-	if len(st.Peers) != 3 {
-		t.Fatalf("cluster reports %d peers, want 3", len(st.Peers))
-	}
-	selfSeen := false
-	for _, p := range st.Peers {
-		if !p.Healthy || p.Health == nil {
-			t.Errorf("peer %s unhealthy in a live cluster: %s", p.URL, p.Error)
+	for _, m := range view.Members {
+		if m.Status != "alive" {
+			t.Errorf("member %s is %q in a live cluster", m.Addr, m.Status)
 		}
-		if p.Self {
-			selfSeen = true
-			if p.URL != tc.urls[0] {
-				t.Errorf("self entry is %s, want %s", p.URL, tc.urls[0])
-			}
+		if m.Self != (m.Addr == tc.urls[0]) {
+			t.Errorf("member %s self = %v, answering daemon is %s", m.Addr, m.Self, tc.urls[0])
 		}
-	}
-	if !selfSeen {
-		t.Error("no peer marked as self")
+		h, err := client.New(m.Addr).Health(ctx)
+		if err != nil || h.Status != "ok" || h.Self != m.Addr || h.Workers != 2 {
+			t.Errorf("member %s /healthz = %+v, %v", m.Addr, h, err)
+		}
 	}
 
 	tc.kill(1)
+	tc.waitMembers(t, 2, 0, 2)
 	get()
-	for _, p := range st.Peers {
-		if p.URL == tc.urls[1] {
-			if p.Healthy || p.Error == "" {
-				t.Errorf("dead peer reported healthy: %+v", p)
-			}
-		} else if !p.Healthy {
-			t.Errorf("live peer %s reported unhealthy: %s", p.URL, p.Error)
+	for _, m := range view.Members {
+		want := "alive"
+		if m.Addr == tc.urls[1] {
+			want = "left"
 		}
+		if m.Status != want {
+			t.Errorf("after daemon 1 left, member %s is %q, want %q", m.Addr, m.Status, want)
+		}
+	}
+	if _, err := client.New(tc.urls[1]).Health(ctx); err == nil {
+		t.Error("departed member still answers /healthz")
 	}
 }
 
@@ -358,17 +348,37 @@ func exputedSpecs(t *testing.T) []sweep.RunSpec {
 	return out
 }
 
-// TestClusterJobLookupProxied: a forwarded async submission returns a job
-// ID living on the owner — polling and cancelling that ID against the
-// entry daemon must still work (proxied one hop), keeping
-// every member a valid entry point for the whole job lifecycle.
+// jobHits reads, per daemon, how many job status / cancel / timeline requests
+// it has served (the per-route request counter behind /metrics). The tests
+// below send their own requests to one entry daemon, so whatever moves on the
+// others is cluster-internal traffic.
+func (tc *testCluster) jobHits() []uint64 {
+	hits := make([]uint64, len(tc.servers))
+	for i, s := range tc.servers {
+		for _, route := range [][2]string{
+			{"GET /v1/runs/{id}", "GET"}, {"POST /v1/jobs/{id}/cancel", "POST"}, {"GET /v1/jobs/{id}/timeline", "GET"},
+		} {
+			for _, code := range []string{"200", "307", "404"} {
+				hits[i] += s.metrics.httpRequests.With(route[0], route[1], code).Value()
+			}
+		}
+	}
+	return hits
+}
+
+// TestClusterJobLookupProxied: a forwarded async submission returns a job ID
+// living on the owner — polling, cancelling and asking for the timeline of
+// that ID at the entry daemon must still work, keeping every member a valid
+// entry point for the whole job lifecycle — and because the ID names its
+// owner, each costs one request to the owner and none to anyone else (the
+// timeline: a redirect and no request at all).
 func TestClusterJobLookupProxied(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	spec := tinySpec("proxied", 31)
 	owner := tc.ownerIndex(t, spec)
-	entry := (owner + 1) % 3
+	entry, third := (owner+1)%3, (owner+2)%3
 
 	entryClient := client.New(tc.urls[entry])
 	resp, err := entryClient.Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, false)
@@ -380,30 +390,193 @@ func TestClusterJobLookupProxied(t *testing.T) {
 		t.Fatalf("async forwarded miss: job=%q peer=%q, want owner %s", r.JobID, r.Peer, tc.urls[owner])
 	}
 
+	// oneHop runs one request against the entry daemon and asserts what it
+	// cost inside the cluster.
+	oneHop := func(what string, wantOwner uint64, do func()) {
+		t.Helper()
+		before := tc.jobHits()
+		do()
+		after := tc.jobHits()
+		if d := after[owner] - before[owner]; d != wantOwner {
+			t.Errorf("%s via a non-owner cost the owner %d requests, want %d", what, d, wantOwner)
+		}
+		if d := after[third] - before[third]; d != 0 {
+			t.Errorf("%s via a non-owner cost a bystander %d requests, want 0", what, d)
+		}
+	}
+
 	// Poll the owner's job ID via the entry daemon: proxied, not 404.
+	polls0 := atomic.LoadUint64(&tc.servers[entry].remotePolls)
+	oneHop("a status poll", 1, func() {
+		st, err := entryClient.Job(ctx, r.JobID)
+		if err != nil {
+			t.Fatalf("polling a forwarded job via the entry daemon failed: %v", err)
+		}
+		if st.ID != r.JobID || st.Peer != tc.urls[owner] {
+			t.Errorf("proxied status = job %q on %q, want %q on %q", st.ID, st.Peer, r.JobID, tc.urls[owner])
+		}
+	})
+	if d := atomic.LoadUint64(&tc.servers[entry].remotePolls) - polls0; d != 1 {
+		t.Errorf("entry counted %d remote polls for one proxied status, want 1", d)
+	}
 	st, err := entryClient.WaitJob(ctx, r.JobID, 10*time.Millisecond)
 	if err != nil {
-		t.Fatalf("polling a forwarded job via the entry daemon failed: %v", err)
+		t.Fatal(err)
 	}
 	if st.Status != api.StatusDone || st.Stats == nil {
 		t.Fatalf("proxied job status = %+v, want done with stats", st)
 	}
-	if st.Peer != tc.urls[owner] {
-		t.Errorf("proxied status peer = %q, want %q", st.Peer, tc.urls[owner])
-	}
 
 	// Cancel of a terminal job reports its (terminal) state — via the entry
 	// daemon it exercises the cancel proxy.
-	cst, err := entryClient.Cancel(ctx, r.JobID)
+	oneHop("a cancel", 1, func() {
+		cst, err := entryClient.Cancel(ctx, r.JobID)
+		if err != nil {
+			t.Fatalf("cancelling a forwarded job via the entry daemon failed: %v", err)
+		}
+		if cst.Status != api.StatusDone {
+			t.Errorf("proxied cancel of a done job reports %q, want done", cst.Status)
+		}
+	})
+
+	// The timeline redirects to the owner without asking it anything.
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	path := "/v1/jobs/" + r.JobID + "/timeline"
+	oneHop("a timeline request", 0, func() {
+		resp, err := noFollow.Get(tc.urls[entry] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != tc.urls[owner]+path {
+			t.Errorf("timeline via a non-owner = HTTP %d to %q, want a 307 to %s", resp.StatusCode, loc, tc.urls[owner]+path)
+		}
+	})
+	tresp, err := http.Get(tc.urls[entry] + path) // following the redirect
 	if err != nil {
-		t.Fatalf("cancelling a forwarded job via the entry daemon failed: %v", err)
+		t.Fatal(err)
 	}
-	if cst.Status != api.StatusDone {
-		t.Errorf("proxied cancel of a done job reports %q, want done", cst.Status)
+	defer tresp.Body.Close()
+	var tl api.JobTimeline
+	if err := json.NewDecoder(tresp.Body).Decode(&tl); err != nil || tl.ID != r.JobID || len(tl.Spans) == 0 {
+		t.Errorf("redirected timeline = %+v (%v), want the job's span tree", tl, err)
+	}
+}
+
+// TestUnknownJobIsNotSearchedFor: an ID nobody can hold — minted by no
+// current member, or evicted by the member that minted it — answers 404 at
+// no cluster-internal request, and with a member crashed an ID that member
+// minted fails as fast as its refused connection (no per-dead-peer probe
+// timeout to wait out).
+func TestUnknownJobIsNotSearchedFor(t *testing.T) {
+	tc := newDynamicCluster(t, 3, 1)
+	ctx := context.Background()
+
+	// A finished job on daemon 0, then forgotten the way retention forgets.
+	c0 := client.New(tc.urls[0])
+	resp, err := c0.ForwardRuns(ctx, api.RunRequest{Specs: []api.Spec{tinySpec("evicted", 41)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted := resp.Results[0].JobID
+	if _, err := c0.WaitJob(ctx, evicted, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	q := tc.servers[0].queue
+	q.mu.Lock()
+	delete(q.jobs, evicted)
+	q.mu.Unlock()
+
+	crashedID := tc.servers[2].queue.idBase + "-000001"
+	tc.crash(2) // silently: the survivors still list it as a member
+
+	for _, c := range []struct {
+		what  string
+		entry int
+		id    string
+		moved bool // the dead member's refused connection is not countable
+	}{
+		{"a malformed ID", 1, "j999999", false},
+		{"an ID no member minted", 1, "j00000000ffffffff-000001", false},
+		{"an evicted ID, at its owner", 0, evicted, false},
+		{"an ID the crashed member minted", 1, crashedID, true},
+	} {
+		before := tc.jobHits()
+		start := time.Now()
+		_, err := client.New(tc.urls[c.entry]).Job(ctx, c.id)
+		elapsed := time.Since(start)
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+			t.Errorf("%s: err = %v, want HTTP 404", c.what, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s took %v to 404, want well under the old 2s dead-peer probe", c.what, elapsed)
+		}
+		after := tc.jobHits()
+		after[c.entry]-- // the test's own request
+		if !c.moved && !reflect.DeepEqual(before, after) {
+			t.Errorf("%s cost cluster-internal requests: per-daemon job hits %v -> %v", c.what, before, after)
+		}
+	}
+}
+
+// TestFigureResolvesAsOneBatch pins the figure read path to the batch one
+// POST /v1/runs takes: on a cold replicated cluster one figure job costs each
+// other member at most one record lookup and one forwarded submission, however
+// many runs the figure declares. The text stays byte-identical to
+// single-daemon output and every record lands on its rendezvous owner.
+func TestFigureResolvesAsOneBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow full-GPU simulation; skipped in -short mode")
+	}
+	tc := newDynamicCluster(t, 3, 2)
+	ctx := context.Background()
+	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	fig, _ := exp.FigureByKey("3")
+	local, err := fig.Run(expOptions(wireOpts))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// A genuinely unknown ID still 404s everywhere.
-	if _, err := entryClient.Job(ctx, "j999999"); err == nil {
-		t.Error("unknown job did not 404 through the proxy path")
+	const entry = 0
+	c := client.New(tc.urls[entry])
+	id, err := c.FigureAsync(ctx, "3", wireOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.WaitJob(ctx, id, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != api.StatusDone || st.FigureText != local {
+		t.Errorf("cluster figure = %s, text differs from single-daemon output:\n--- cluster\n%s\n--- local\n%s", st.Status, st.FigureText, local)
+	}
+
+	forwards := uint64(0)
+	for i, s := range tc.servers {
+		if i == entry {
+			continue
+		}
+		lookups := s.metrics.httpRequests.With("POST /v1/records/lookup", "POST", "200").Value()
+		runs := s.metrics.httpRequests.With("POST /v1/runs", "POST", "200").Value()
+		if lookups > 1 || runs > 1 {
+			t.Errorf("daemon %d served %d record lookups and %d forwarded submissions for one %d-run figure, want at most one of each",
+				i, lookups, runs, st.CachedRuns+st.ExecutedRuns)
+		}
+		forwards += runs
+	}
+	if forwards == 0 {
+		t.Error("the figure forwarded nothing; the batch bound was not exercised")
+	}
+
+	for _, spec := range fig.Specs(expOptions(wireOpts)) {
+		fp, err := simstore.Fingerprint(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := tc.indexOf(t, tc.servers[0].node.Ranked(fp)[0])
+		if _, ok := tc.stores[owner].Get(fp); !ok {
+			t.Errorf("run %s is not stored on its rendezvous owner (daemon %d); holders: %v", spec.Key, owner, tc.holders(fp))
+		}
 	}
 }

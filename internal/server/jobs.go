@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -90,7 +91,7 @@ type Queue struct {
 	workers int
 	ttl     time.Duration // evict terminal jobs older than this (0 = keep)
 	maxJobs int           // hard cap on retained jobs (0 = unbounded)
-	idBase  string        // per-queue random prefix making job IDs cluster-unique
+	idBase  string        // job-ID prefix: cluster-unique, names this daemon (jobIDBase)
 
 	mu       sync.Mutex
 	closed   bool
@@ -129,30 +130,52 @@ func (q *Queue) Instrument(queueWait, runDuration, storeWrite *obs.Histogram) {
 	q.storeWrite = storeWrite
 }
 
+// ownerTag is the part of a job ID that names the daemon that minted it:
+// eight hex digits of its advertised address's hash.
+func ownerTag(addr string) string {
+	sum := sha256.Sum256([]byte(addr))
+	return hex.EncodeToString(sum[:4])
+}
+
+// jobIDBase mints a queue's job-ID prefix. Job IDs must be unique across a
+// cluster, not just within one daemon — forwarded submissions hand their
+// owner's IDs to clients, who may poll any member — and they name their
+// owner, so a member that does not hold a job finds the one that does
+// without asking around (Server.jobOwners):
+//
+//	j <ownerTag(self)> <nonce> - <sequence>
+//
+// The nonce (eight hex digits, random per process) keeps a restarted
+// daemon's IDs apart from the ones it handed out before. A daemon with no
+// advertised address has nobody to be found by and gets a random tag alone.
+func jobIDBase(self string) string {
+	nonce := make([]byte, 4)
+	rand.Read(nonce)
+	if self == "" {
+		return "j" + hex.EncodeToString(nonce)
+	}
+	return "j" + ownerTag(self) + hex.EncodeToString(nonce)
+}
+
 // NewQueue starts a queue with the given simulation worker count (0 uses
 // GOMAXPROCS) and finished-job retention policy: terminal jobs are evicted
 // once older than ttl, and whenever the job map exceeds maxJobs
 // (oldest-finished first). Zero disables the respective bound; in-flight
 // jobs are never evicted. A non-nil cp makes every executed run
 // checkpoint-assisted (resumed from stored state prefixes where possible;
-// statistics are unaffected).
-func NewQueue(store *simstore.Store, workers int, ttl time.Duration, maxJobs int, cp sweep.Checkpointer) *Queue {
+// statistics are unaffected). self is the daemon's advertised address ("" if
+// it has none), which the job IDs carry.
+func NewQueue(store *simstore.Store, workers int, ttl time.Duration, maxJobs int, cp sweep.Checkpointer, self string) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Job IDs must be unique across a cluster, not just within one daemon:
-	// forwarded submissions hand their owner's IDs to clients, who may poll
-	// any member — a bare per-daemon counter would collide with that
-	// member's own jobs and answer (or cancel) the wrong one.
-	token := make([]byte, 4)
-	rand.Read(token)
 	q := &Queue{
 		store:    store,
 		cp:       cp,
 		workers:  workers,
 		ttl:      ttl,
 		maxJobs:  maxJobs,
-		idBase:   "j" + hex.EncodeToString(token),
+		idBase:   jobIDBase(self),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		pending:  make(chan *Job, 4096),
@@ -248,13 +271,6 @@ func (q *Queue) gcLocked(now time.Time) {
 	}
 }
 
-// JobCount returns the number of jobs currently retained in memory.
-func (q *Queue) JobCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.jobs)
-}
-
 func (q *Queue) newJobLocked(kind string) *Job {
 	// finishRun/finishFigure keep the map at the cap in the steady state,
 	// so this fires only when terminal jobs accumulated without a finish
@@ -287,20 +303,10 @@ type Submitted struct {
 
 // SubmitRun routes one run through the cache: a store hit returns
 // immediately, a miss is enqueued, and a spec already queued or running —
-// no matter who submitted it — is shared rather than re-enqueued.
-func (q *Queue) SubmitRun(key string, spec sweep.RunSpec) (Submitted, error) {
-	fp, err := simstore.Fingerprint(spec)
-	if err != nil {
-		return Submitted{}, err
-	}
-	return q.SubmitRunFP(key, spec, fp)
-}
-
-// SubmitRunFP is SubmitRun with a precomputed fingerprint: callers that
-// already fingerprinted the spec for cluster routing skip re-hashing it
-// (for trace replays that means re-reading and re-digesting the whole
-// trace file).
-func (q *Queue) SubmitRunFP(key string, spec sweep.RunSpec, fp [32]byte) (Submitted, error) {
+// no matter who submitted it — is shared rather than re-enqueued. fp is the
+// spec's simstore.Fingerprint, computed once by the caller (for trace
+// replays hashing means re-reading and re-digesting the whole trace file).
+func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitted, error) {
 	canon := spec.Canonical()
 	hexFP := simstore.Hex(fp)
 	if rec, ok := q.store.Get(fp); ok {
@@ -348,13 +354,15 @@ func (q *Queue) SubmitRunFP(key string, spec sweep.RunSpec, fp [32]byte) (Submit
 	return Submitted{Fingerprint: hexFP, Job: j}, nil
 }
 
-// SubmitFigure starts a whole-figure orchestration as a job. The figure's
-// runs go through the route hook (cluster-owner forwarding; may be nil) and
-// then SubmitRun, so they hit the store, share in-flight executions, and
-// respect the simulation worker bound; the orchestration itself runs on its
-// own goroutine (it would deadlock the pool its runs need). Cancellation
-// stops it at the next run boundary.
-func (q *Queue) SubmitFigure(fig exp.FigureJob, opt exp.Options, route RouteFunc) *Job {
+// submitFigure starts a whole-figure orchestration as a job. The figure's
+// runs resolve as one batch down the read path (routing.go) and what that
+// leaves to this daemon goes through SubmitRun, so they hit the stores, share
+// in-flight executions, and respect the simulation worker bound; the
+// orchestration itself runs on its own goroutine (it would deadlock the pool
+// its runs need). Cancellation stops it, and cancels the runs only it is
+// waiting for.
+func (s *Server) submitFigure(fig exp.FigureJob, opt exp.Options) *Job {
+	q := s.queue
 	q.mu.Lock()
 	j := q.newJobLocked("figure")
 	j.FigureKey = fig.Key
@@ -370,7 +378,7 @@ func (q *Queue) SubmitFigure(fig exp.FigureJob, opt exp.Options, route RouteFunc
 	q.mu.Unlock()
 
 	go func() {
-		ex := &storeExec{q: q, ctx: j.ctx, route: route, onProgress: func(p sweep.Progress) {
+		ex := &storeExec{s: s, ctx: j.ctx, onProgress: func(p sweep.Progress) {
 			q.setProgress(j, p)
 		}}
 		opt.Exec = ex
@@ -508,8 +516,8 @@ func (q *Queue) setProgress(j *Job, p sweep.Progress) {
 
 // Cancel requests cancellation of a job. A queued run job is terminated
 // immediately (note: a job shared by deduplicated submissions is cancelled
-// for all of them); a running figure job stops at its next run boundary; a
-// running run job cannot be preempted (the simulator has no internal
+// for all of them); a running figure job stops waiting and cancels the queued
+// runs that are its alone (storeExec); a running run job cannot be preempted (the simulator has no internal
 // preemption points) and reports its current state.
 func (q *Queue) Cancel(id string) (api.JobStatus, bool) {
 	q.mu.Lock()
@@ -612,27 +620,22 @@ func (q *Queue) Stats() QueueStats {
 	return st
 }
 
-// RouteFunc lets the cluster layer intercept a figure's runs: it returns
-// (stats, cached, true, nil) when another daemon answered the spec,
-// (zero, false, true, err) when the owning daemon reported a genuine run
-// failure, and handled=false when the spec should execute locally (this
-// daemon owns it, no cluster is configured, or forwarding failed and local
-// execution is the failover).
-type RouteFunc func(ctx context.Context, key string, spec sweep.RunSpec) (stats gpu.RunStats, cached, handled bool, err error)
-
-// storeExec is the sweep.Executor injected into figure harnesses: every
-// declared run goes through SubmitRun (store hit, in-flight dedup, or a new
-// job on the bounded pool), and completions are reported through the
-// harness's progress hook. In cluster mode the route hook first offers each
-// run to its rendezvous owner, so a figure's runs land on (and warm the
-// stores of) the hash-designated daemons. It mirrors the Runner contract:
+// storeExec is the sweep.Executor injected into figure and scenario
+// harnesses: a declared batch of runs resolves in one pass down the cluster
+// read path (routing.go) — the same pass POST /v1/runs makes — and what that
+// leaves to this daemon goes through SubmitRun (store hit, in-flight dedup,
+// or a new job on the bounded pool), so a figure's runs land on (and warm
+// the stores of) their hash-designated daemons. Completions are reported
+// through the harness's progress hook. It mirrors the Runner contract:
 // positional results, partial results plus the lowest-index error on
 // failure.
 type storeExec struct {
-	q          *Queue
+	s          *Server
 	ctx        context.Context
 	onProgress func(sweep.Progress)
-	route      RouteFunc
+	// local keeps every run on this daemon (scenario runs: their scratch
+	// traces exist on this filesystem only).
+	local bool
 
 	cachedRuns   int
 	executedRuns int
@@ -642,98 +645,94 @@ func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Res
 	if e.ctx != nil {
 		ctx = e.ctx
 	}
+	s := e.s
+	routed := !e.local && s.node != nil
 	results := make([]sweep.Result, len(specs))
+	batch := make([]routedSpec, len(specs))
+	for i, spec := range specs {
+		results[i] = sweep.Result{Index: i, Key: spec.Key}
+		wire := api.Spec{Key: spec.Key}
+		if routed {
+			wire = api.FromRunSpec(spec) // what a forward sends
+		}
+		var err error
+		if batch[i], err = newRouted(wire, spec); err != nil {
+			batch[i].fail(err)
+		}
+	}
+	if routed {
+		s.resolve(ctx, batch)
+	}
+	if err := ctx.Err(); err != nil {
+		s.cancelOwn(batch)
+		return results, err
+	}
+
 	done := 0
-	report := func(key string) {
+	// record turns a spec's terminal answer into its positional result.
+	record := func(i int) {
+		r := batch[i].res
+		switch {
+		case r.Status == api.StatusDone && r.Stats != nil:
+			results[i].Stats = *r.Stats
+			if r.Cached {
+				e.cachedRuns++
+			} else {
+				e.executedRuns++
+			}
+		case r.Status == api.StatusCancelled:
+			results[i].Err = fmt.Errorf("sweep: run %q: job %s cancelled", specs[i].Key, r.JobID)
+		default:
+			results[i].Err = fmt.Errorf("sweep: run %q: %s", specs[i].Key, r.Error)
+		}
 		done++
 		if e.onProgress != nil {
-			e.onProgress(sweep.Progress{Done: done, Total: len(specs), Key: key})
+			e.onProgress(sweep.Progress{Done: done, Total: len(specs), Key: specs[i].Key})
 		}
 	}
 
-	type pending struct {
-		idx int
-		job *Job
-	}
-	var waits []pending
-	// In cluster mode, offer every spec to its remote owner concurrently
-	// up front: routing is handle-based (submit, then poll), so a routed
-	// run costs poll round-trips rather than a pinned connection, and the
-	// owners' own worker pools bound actual simulation load.
-	type routedResult struct {
-		stats   gpu.RunStats
-		cached  bool
-		handled bool
-		err     error
-	}
-	var routed []routedResult
-	if e.route != nil {
-		routed = make([]routedResult, len(specs))
-		var wg sync.WaitGroup
-		for i, s := range specs {
-			wg.Add(1)
-			go func(i int, s sweep.RunSpec) {
-				defer wg.Done()
-				if ctx.Err() != nil {
-					return // unhandled; the loop below reports ctx.Err
-				}
-				var r routedResult
-				r.stats, r.cached, r.handled, r.err = e.route(ctx, s.Key, s)
-				routed[i] = r
-			}(i, s)
-		}
-		wg.Wait()
-	}
-
-	for i, s := range specs {
-		results[i] = sweep.Result{Index: i, Key: s.Key}
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-		if routed != nil && routed[i].handled {
-			if err := routed[i].err; err != nil {
-				results[i].Err = fmt.Errorf("sweep: run %q: %w", s.Key, err)
-			} else {
-				results[i].Stats = routed[i].stats
-				if routed[i].cached {
-					e.cachedRuns++
-				} else {
-					e.executedRuns++
-				}
+	// Enqueue here what no store or member answered. Open handles on other
+	// members are then polled concurrently — each goroutine owns its spec's
+	// slot until it sends the index — while this goroutine waits for the local
+	// jobs in order; only this goroutine records and reports.
+	settled := make(chan int, len(batch))
+	var locals []int
+	remotes := 0
+	for i := range batch {
+		it := &batch[i]
+		if !it.handled {
+			if err := s.enqueue(it); err != nil {
+				it.fail(err)
 			}
-			report(s.Key)
-			continue
 		}
-		sub, err := e.q.SubmitRun(s.Key, s)
 		switch {
-		case err != nil:
-			results[i].Err = fmt.Errorf("sweep: run %q: %w", s.Key, err)
-			report(s.Key)
-		case sub.Cached:
-			results[i].Stats = sub.Stats
-			e.cachedRuns++
-			report(s.Key)
+		case it.remote != "":
+			remotes++
+			go func() {
+				s.await(ctx, it)
+				settled <- i
+			}()
+		case it.job != nil:
+			locals = append(locals, i)
 		default:
-			waits = append(waits, pending{idx: i, job: sub.Job})
+			record(i)
 		}
 	}
-	for _, w := range waits {
-		// Wait reads the status by pointer, not ID: the retention GC may
-		// have already dropped a just-finished job from the ID map.
-		st := e.q.Wait(ctx, w.job)
-		if !terminal(st.Status) {
-			return results, ctx.Err()
+	for _, i := range locals {
+		if s.await(ctx, &batch[i]); ctx.Err() != nil {
+			break
 		}
-		switch st.Status {
-		case api.StatusDone:
-			results[w.idx].Stats = *st.Stats
-			e.executedRuns++
-		case api.StatusCancelled:
-			results[w.idx].Err = fmt.Errorf("sweep: run %q: job %s cancelled", specs[w.idx].Key, w.job.ID)
-		default:
-			results[w.idx].Err = fmt.Errorf("sweep: run %q: %s", specs[w.idx].Key, st.Error)
+		record(i)
+	}
+	for ; remotes > 0; remotes-- {
+		if i := <-settled; ctx.Err() == nil {
+			record(i)
 		}
-		report(specs[w.idx].Key)
+	}
+	if err := ctx.Err(); err != nil {
+		// Nobody will read the rest: stop simulating it.
+		s.cancelOwn(batch)
+		return results, err
 	}
 	for i := range results {
 		if results[i].Err != nil {

@@ -84,6 +84,14 @@ func newDynamicCluster(t *testing.T, n, replicas int) *testCluster {
 		tc.addDynamic(t, replicas)
 	}
 	tc.waitMembers(t, n)
+	// A job ID names its owner by address tag; the fixtures rely on one hop.
+	tags := map[string]string{}
+	for _, u := range tc.urls {
+		if other, dup := tags[ownerTag(u)]; dup {
+			t.Fatalf("members %s and %s share the job-ID owner tag %s", other, u, ownerTag(u))
+		}
+		tags[ownerTag(u)] = u
+	}
 	return tc
 }
 
@@ -399,7 +407,7 @@ func TestClusterMembershipChurn(t *testing.T) {
 	tc.crash(victim)
 
 	entry := (victim + 1) % 3
-	resp, err := client.New(tc.urls[entry]).Figure(ctx, "3", wireOpts)
+	resp, err := figureSync(tc.urls[entry], "3", wireOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

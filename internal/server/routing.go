@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +22,10 @@ import (
 // onto the current top-K, so churn-displaced records migrate lazily, on the
 // read path, instead of via a rebalancing scan), else by a handle-based
 // forward walk down the ranking — and what is left when the walk reaches
-// this daemon (or exhausts the ranking) executes here. POST /v1/runs
-// resolves its whole batch at once; figure routing resolves a batch of one.
-// Everything is best-effort: a lost replica or an unreachable owner costs a
+// this daemon (or exhausts the ranking) executes here. POST /v1/runs and a
+// figure's executor (storeExec) both hand resolve their whole batch: one
+// record lookup and one forward per member, however many specs. Everything
+// is best-effort: a lost replica or an unreachable owner costs a
 // byte-identical re-execution, never wrongness.
 
 // routedSpec is one spec's state on the read path.
@@ -33,30 +33,26 @@ type routedSpec struct {
 	wire api.Spec // what a forward sends; its Key names the spec in answers
 	spec sweep.RunSpec
 	fp   [32]byte
-	// haveFP is false single-node and when fingerprinting failed; such a
-	// spec is never routed (the local submit reports the error properly).
-	haveFP bool
 
 	ranked []string // rendezvous order over the members, computed at most once
 	next   int      // forward-walk position in ranked; -1 once the walk ended
 
-	// res is the answer once handled: a store or replica hit, or a member's
-	// reply to a forward. remote names that member while the reply is an
-	// open job handle (res.JobID lives there).
+	// res is the answer once handled: a store or replica hit, a member's
+	// reply to a forward, or this daemon's own enqueue. While res is an open
+	// job handle, remote names the member it lives on, or job is the local
+	// job — own unless an earlier submission created it (a dedup share).
 	res     api.RunResult
 	handled bool
 	remote  string
+	job     *Job
+	own     bool
 }
 
-// newRouted fingerprints a validated spec for routing (cluster mode only:
-// single-node submission fingerprints on its own).
-func (s *Server) newRouted(wire api.Spec, spec sweep.RunSpec) routedSpec {
-	it := routedSpec{wire: wire, spec: spec}
-	if s.node != nil {
-		fp, err := simstore.Fingerprint(spec)
-		it.fp, it.haveFP = fp, err == nil
-	}
-	return it
+// newRouted fingerprints a validated spec: the one simstore.Fingerprint of
+// its submission, whichever path it then takes.
+func newRouted(wire api.Spec, spec sweep.RunSpec) (routedSpec, error) {
+	fp, err := simstore.Fingerprint(spec)
+	return routedSpec{wire: wire, spec: spec, fp: fp}, err
 }
 
 // answer records a store hit served by peer.
@@ -68,6 +64,49 @@ func (it *routedSpec) answer(stats gpu.RunStats, peer string) {
 	it.handled = true
 }
 
+// fail settles a spec that could not be submitted at all.
+func (it *routedSpec) fail(err error) {
+	it.res = api.RunResult{Key: it.wire.Key, Status: api.StatusFailed, Error: err.Error()}
+	it.handled = true
+}
+
+// enqueue executes here a spec the read path left to this daemon: a store
+// hit is answered, a miss becomes a (new or shared) job on the local queue.
+func (s *Server) enqueue(it *routedSpec) error {
+	sub, err := s.queue.SubmitRun(it.wire.Key, it.spec, it.fp)
+	if err != nil {
+		return err
+	}
+	if sub.Cached {
+		it.answer(sub.Stats, s.Self())
+		return nil
+	}
+	it.res = api.RunResult{
+		Key: it.wire.Key, Fingerprint: sub.Fingerprint,
+		Status: api.StatusQueued, JobID: sub.Job.ID, Peer: s.Self(),
+	}
+	it.job, it.own, it.handled = sub.Job, !sub.Shared, true
+	return nil
+}
+
+// cancelOwn cancels the simulations one submission started and nobody else
+// is waiting for — its own local jobs (not dedup-shared ones, which belong to
+// earlier submitters) and the handles its forwards opened on other members —
+// so an error answer or an abandoned figure leaves no orphans behind. Jobs
+// already running finish: the simulator has no preemption point.
+func (s *Server) cancelOwn(batch []routedSpec) {
+	ctx, cancel := context.WithTimeout(context.Background(), hopTimeout)
+	defer cancel()
+	for i := range batch {
+		switch it := &batch[i]; {
+		case it.remote != "":
+			s.peerClient(it.remote).ForwardCancel(ctx, it.res.JobID) // best effort
+		case it.own:
+			s.queue.Cancel(it.job.ID)
+		}
+	}
+}
+
 // resolver walks one batch down the read path against one membership
 // snapshot.
 type resolver struct {
@@ -77,13 +116,17 @@ type resolver struct {
 	batch   []routedSpec
 }
 
-// resolve runs the read path over batch (cluster mode only). Specs it leaves
-// unhandled are the caller's to execute locally. The only error is ctx's.
-func (s *Server) resolve(ctx context.Context, batch []routedSpec) error {
+// resolve runs the read path over batch (a no-op single-node). Specs it
+// leaves unhandled are the caller's to enqueue here. Only ctx ending cuts it
+// short, which the caller reads off ctx.
+func (s *Server) resolve(ctx context.Context, batch []routedSpec) {
+	if s.node == nil {
+		return
+	}
 	rv := resolver{s: s, members: s.node.Members(), self: s.node.Self(), batch: batch}
 	rv.localStore()
 	rv.probe(ctx)
-	return rv.forward(ctx)
+	rv.forward(ctx)
 }
 
 // rank orders the members for one spec, once per resolution.
@@ -99,7 +142,7 @@ func (rv *resolver) rank(it *routedSpec) []string {
 func (rv *resolver) localStore() {
 	for i := range rv.batch {
 		it := &rv.batch[i]
-		if !it.haveFP {
+		if it.handled {
 			continue
 		}
 		rec, ok := rv.s.store.Get(it.fp)
@@ -129,7 +172,7 @@ func (rv *resolver) probe(ctx context.Context) {
 	targets := map[string][]target{}
 	for i := range rv.batch {
 		it := &rv.batch[i]
-		if it.handled || !it.haveFP {
+		if it.handled {
 			continue
 		}
 		for pos, p := range rv.rank(it)[:width] {
@@ -197,12 +240,12 @@ func (rv *resolver) probe(ctx context.Context) {
 // submitting so a hop costs one round-trip and yields a job handle, never a
 // pinned connection. Reaching self (or exhausting the ranking) ends a
 // spec's walk unhandled.
-func (rv *resolver) forward(ctx context.Context) error {
-	for {
+func (rv *resolver) forward(ctx context.Context) {
+	for ctx.Err() == nil {
 		groups := map[string][]int{}
 		for i := range rv.batch {
 			it := &rv.batch[i]
-			if it.handled || !it.haveFP || it.next < 0 {
+			if it.handled || it.next < 0 {
 				continue
 			}
 			ranked := rv.rank(it)
@@ -213,7 +256,7 @@ func (rv *resolver) forward(ctx context.Context) error {
 			groups[ranked[it.next]] = append(groups[ranked[it.next]], i)
 		}
 		if len(groups) == 0 {
-			return nil
+			return
 		}
 		// Candidate groups hold disjoint spec indices, and each goroutine
 		// writes only its own specs' slots; forward them concurrently.
@@ -226,9 +269,6 @@ func (rv *resolver) forward(ctx context.Context) error {
 			}()
 		}
 		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 	}
 }
 
@@ -282,6 +322,9 @@ func (s *Server) failover(reason string, n int) {
 	s.metrics.failoverReasons.With(reason).Add(uint64(n))
 }
 
+// hopTimeout bounds one cluster-internal job status or cancel round-trip.
+const hopTimeout = 5 * time.Second
+
 // waitRemoteJob polls a forwarded job handle on its member until it turns
 // terminal. Each poll is an independent, timeout-bounded round-trip.
 func (s *Server) waitRemoteJob(ctx context.Context, peer, id string) (*api.JobStatus, error) {
@@ -289,7 +332,7 @@ func (s *Server) waitRemoteJob(ctx context.Context, peer, id string) (*api.JobSt
 	t := time.NewTicker(s.remotePoll)
 	defer t.Stop()
 	for {
-		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		pctx, cancel := context.WithTimeout(ctx, hopTimeout)
 		st, err := cl.ForwardJob(pctx, id)
 		cancel()
 		atomic.AddUint64(&s.remotePolls, 1)
@@ -310,56 +353,35 @@ func (s *Server) waitRemoteJob(ctx context.Context, peer, id string) (*api.JobSt
 	}
 }
 
-// routeRun is the RouteFunc wired into figure jobs: it resolves each of a
-// figure's runs as a batch of one, so figure generation caches every run on
-// its hash-designated daemon, then polls the handle a forward returned.
-// handled=false falls through to local execution — this daemon owns the
-// spec, there is no cluster, fingerprinting failed, or every remote
-// candidate failed over.
-func (s *Server) routeRun(ctx context.Context, key string, spec sweep.RunSpec) (gpu.RunStats, bool, bool, error) {
-	if s.node == nil {
-		return gpu.RunStats{}, false, false, nil
-	}
-	wire := api.FromRunSpec(spec)
-	wire.Key = key
-	batch := []routedSpec{s.newRouted(wire, spec)}
-	if err := s.resolve(ctx, batch); err != nil {
-		return gpu.RunStats{}, false, true, err
-	}
-	it := &batch[0]
-	if !it.handled {
-		return gpu.RunStats{}, false, false, nil
-	}
-	r := it.res
+// await blocks until the spec's open handle — a job on another member, or a
+// local one — is terminal (or ctx ends) and folds its status into the spec's
+// answer. If the member vanishes mid-run, or someone cancelled its (shared)
+// job, the spec re-executes here: neither is a property of the spec, and
+// determinism makes the duplicate byte-identical. A run the member reports
+// failed did fail, and would fail here identically.
+func (s *Server) await(ctx context.Context, it *routedSpec) {
 	if it.remote != "" {
-		st, err := s.waitRemoteJob(ctx, it.remote, r.JobID)
-		if err != nil {
-			if ctx.Err() != nil {
-				return gpu.RunStats{}, false, true, ctx.Err()
-			}
-			// The member vanished mid-run: re-execute locally —
-			// determinism makes the duplicate byte-identical.
+		st, err := s.waitRemoteJob(ctx, it.remote, it.res.JobID)
+		switch {
+		case ctx.Err() != nil:
+			return
+		case err != nil:
 			s.failover(failoverUnreachable, 1)
-			return gpu.RunStats{}, false, false, nil
+		case st.Status == api.StatusCancelled:
+			s.failover(failoverCancelled, 1)
+		default:
+			it.res.Status, it.res.Stats, it.res.Error = st.Status, st.Stats, st.Error
+			return
 		}
-		r.Status, r.Stats, r.Error = st.Status, st.Stats, st.Error
+		it.remote = ""
+		if err := s.enqueue(it); err != nil {
+			it.fail(err)
+		}
 	}
-	switch {
-	case r.Status == api.StatusDone && r.Stats != nil:
-		return *r.Stats, r.Cached, true, nil
-	case r.Status == api.StatusFailed:
-		// The member ran the spec and it genuinely failed (deterministic —
-		// re-executing here would fail identically); report, don't retry.
-		msg := r.Error
-		if msg == "" {
-			msg = fmt.Sprintf("member %s answered status failed", r.Peer)
-		}
-		return gpu.RunStats{}, false, true, fmt.Errorf("%s", msg)
-	default:
-		// Cancelled (someone cancelled the member's shared job) or any
-		// other non-answer: not a property of the spec, so fall back
-		// rather than failing the figure.
-		s.failover(failoverCancelled, 1)
-		return gpu.RunStats{}, false, false, nil
+	if it.job != nil {
+		// Wait reads the job by pointer, not ID: the retention GC may have
+		// already dropped a just-finished job from the ID map.
+		st := s.queue.Wait(ctx, it.job)
+		it.res.Status, it.res.Stats, it.res.Error = st.Status, st.Stats, st.Error
 	}
 }

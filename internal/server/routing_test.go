@@ -57,7 +57,7 @@ func TestBatchForwardSpansOwners(t *testing.T) {
 }
 
 // TestResolverOutcomes drives the read path's four outcomes through both of
-// its entry points — POST /v1/runs and figure routing — and asserts the same
+// its entry points — POST /v1/runs and a figure's executor — and asserts the same
 // observable result for each: what was answered, who executed, and which
 // cluster counters moved on the entry daemon.
 func TestResolverOutcomes(t *testing.T) {
@@ -86,8 +86,7 @@ func TestResolverOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := tc.servers[entry]
-			ex := &storeExec{q: srv.queue, route: srv.routeRun}
+			ex := &storeExec{s: tc.servers[entry]}
 			results, err := ex.Run(ctx, []sweep.RunSpec{rs})
 			if err != nil {
 				t.Fatal(err)

@@ -20,11 +20,9 @@
 //	POST /v1/scenarios/{name}/run  execute one catalog scenario against the
 //	                         store and report its invariant violations
 //	                         (?cycles=&warmup=&seed= rescale the recipe)
-//	GET  /v1/cluster         membership view with per-peer health and
-//	                         store/queue stats
-//	GET  /v1/cluster/membership  raw gossip view (epoch + member statuses),
-//	                         no health probes — cheap to poll
-//	GET  /healthz            liveness + store/queue summary
+//	GET  /v1/cluster/membership  this daemon's gossip view (epoch + member
+//	                         statuses), no cross-member round-trips
+//	GET  /healthz            liveness + this daemon's store/queue summary
 //	GET  /metrics            Prometheus text exposition (internal/obs)
 //
 // Determinism makes the cache exact, not approximate: a spec's fingerprint
@@ -41,12 +39,17 @@
 // the top-K ranked members, so a killed owner's results are served
 // byte-identical from a warm replica instead of re-executed; reads check
 // the local store, then probe the ranked members (POST /v1/records/lookup),
-// then forward (routing.go is that one read path). Cross-owner forwarding
-// is handle-based: the forwarder gets the owner's job ID back immediately
-// and hands it on (or, for a figure's runs, polls it) — no request ever
-// blocks for the length of a simulation. Finished jobs are retained in
-// memory only per the Config.JobTTL/MaxJobs policy; evicted job IDs answer
-// 404 while their statistics remain in the store.
+// then forward. routing.go is that one read path and the only code that
+// knows how a spec finds its owner: POST /v1/runs and a figure's executor
+// both hand it their whole batch, and clients route nothing — any member is
+// a valid entry point for any request, one hop from the answer. Cross-owner
+// forwarding is handle-based: the forwarder gets the owner's job ID back
+// immediately and hands it on (or, for a figure's runs, polls it) — no
+// request ever blocks for the length of a simulation. A job ID names the
+// member that minted it, so status, cancel and timeline requests that land
+// elsewhere reach the owner in one hop as well. Finished jobs are retained
+// in memory only per the Config.JobTTL/MaxJobs policy; evicted job IDs
+// answer 404 while their statistics remain in the store.
 package server
 
 import (
@@ -189,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 		s.ckpt = checkpoint.NewManager(cfg.Store)
 		cp = s.ckpt
 	}
-	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.JobTTL, cfg.MaxJobs, cp)
+	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.JobTTL, cfg.MaxJobs, cp, s.selfAddr)
 	if len(cfg.Seeds) > 0 || cfg.Gossip {
 		ncfg := cluster.NodeConfig{
 			Self:           cfg.Self,
@@ -222,13 +225,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/records/lookup", s.handleRecordLookup)
 	s.mux.HandleFunc("POST /v1/replicate", s.handleReplicate)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleJobTimeline)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/figures/{key}", s.handleFigure)
 	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	s.mux.HandleFunc("POST /v1/scenarios/{name}/run", s.handleScenarioRun)
-	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /v1/cluster/membership", s.handleMembership)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -269,21 +270,6 @@ func (s *Server) peerClient(addr string) *client.Client {
 	c = client.New(addr)
 	s.peerClients[addr] = c
 	return c
-}
-
-// otherMembers lists the current ACTIVE members excluding this daemon.
-func (s *Server) otherMembers() []string {
-	if s.node == nil {
-		return nil
-	}
-	members := s.node.Members()
-	out := make([]string, 0, len(members))
-	for _, m := range members {
-		if m != s.node.Self() {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Handler returns the HTTP handler: the API mux wrapped in the telemetry
@@ -363,150 +349,96 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return
 		}
-		batch[i] = s.newRouted(wireSpec, spec)
+		if batch[i], err = newRouted(wireSpec, spec); err != nil {
+			writeError(w, http.StatusServiceUnavailable, "spec %d: %v", i, err)
+			return
+		}
 	}
 
 	// Forwarded requests are always executed here (at most one hop).
 	// Forwards happen before any local enqueue, so a spec whose every
 	// remote candidate fails cleanly falls back to the local path below.
-	if s.node != nil && r.Header.Get(api.ForwardedHeader) == "" {
-		if s.resolve(r.Context(), batch) != nil {
+	if r.Header.Get(api.ForwardedHeader) == "" {
+		if s.resolve(r.Context(), batch); r.Context().Err() != nil {
+			s.cancelOwn(batch)
 			return // disconnected mid-forward; the response has no reader
 		}
 	}
 
-	// Jobs this request created (not dedup-shared ones owned by earlier
-	// submitters): cancelled if a later spec fails to enqueue, so an error
-	// response never leaves orphaned simulations behind — including jobs
-	// the forwarding pass already created on remote members.
-	var ownJobs []*Job
-	cancelOwn := func() {
-		for _, j := range ownJobs {
-			s.queue.Cancel(j.ID)
-		}
-		for i := range batch {
-			if it := &batch[i]; it.remote != "" {
-				s.peerClient(it.remote).ForwardCancel(r.Context(), it.res.JobID)
-			}
-		}
-	}
 	results := make([]api.RunResult, len(batch))
 	for i := range batch {
 		it := &batch[i]
-		if it.handled {
-			results[i] = it.res // answered by a store or a ranked member
-			continue
-		}
-		var sub Submitted
-		var err error
-		if it.haveFP {
-			sub, err = s.queue.SubmitRunFP(it.wire.Key, it.spec, it.fp)
-		} else {
-			sub, err = s.queue.SubmitRun(it.wire.Key, it.spec)
-		}
-		if err != nil {
-			cancelOwn()
-			writeError(w, http.StatusServiceUnavailable, "spec %d: %v", i, err)
-			return
-		}
-		res := api.RunResult{Key: it.wire.Key, Fingerprint: sub.Fingerprint, Peer: s.Self()}
-		if sub.Cached {
-			res.Cached = true
-			res.Status = api.StatusDone
-			stats := sub.Stats
-			res.Stats = &stats
-		} else {
-			res.Status = api.StatusQueued
-			res.JobID = sub.Job.ID
-			if !sub.Shared {
-				ownJobs = append(ownJobs, sub.Job)
+		if !it.handled { // else answered by a store or a ranked member
+			if err := s.enqueue(it); err != nil {
+				// An error response must not leave orphaned simulations
+				// behind, here or on the members the forwards reached.
+				s.cancelOwn(batch)
+				writeError(w, http.StatusServiceUnavailable, "spec %d: %v", i, err)
+				return
 			}
 		}
-		results[i] = res
+		results[i] = it.res
 	}
 	writeJSON(w, http.StatusOK, api.RunResponse{Results: results})
 }
 
-// findRemoteJob asks every other member for a job unknown locally (each
-// lookup is marked forwarded, so peers answer from their own queue only —
-// one hop, no recursive fan-out). Forwarded submissions hand out job IDs
-// that live on the owner daemon; proxying keeps every daemon a valid entry
-// point for polling them.
-func (s *Server) findRemoteJob(ctx context.Context, id string) (*api.JobStatus, string, bool) {
-	if s.node == nil {
-		return nil, "", false
+// jobOwners lists the members whose tag a job ID carries (jobIDBase): where
+// a job this daemon does not hold lives, if it lives anywhere. Normally one
+// member or none; two members whose address hashes collide in the tag are
+// both candidates, which costs a second hop, never a wrong answer. Empty
+// single-node, for IDs no current member minted, and for a forwarded request
+// — the one hop has been made.
+func (s *Server) jobOwners(r *http.Request, id string) []string {
+	if s.node == nil || len(id) < 9 || id[0] != 'j' || r.Header.Get(api.ForwardedHeader) != "" {
+		return nil
 	}
-	others := s.otherMembers()
-	type hit struct {
-		st   *api.JobStatus
-		peer string
-	}
-	hits := make(chan hit, len(others))
-	var wg sync.WaitGroup
-	for _, peer := range others {
-		wg.Add(1)
-		go func(peer string, cl *client.Client) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			st, err := cl.ForwardJob(pctx, id)
-			atomic.AddUint64(&s.remotePolls, 1)
-			if err == nil {
-				hits <- hit{st, peer}
-			}
-		}(peer, s.peerClient(peer))
-	}
-	// Answer on the first hit: at most one member holds any job ID, so a
-	// slow or dead peer must not delay a lookup the owner already answered.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case h := <-hits:
-		return h.st, h.peer, true
-	case <-done:
-		select { // a hit can race the close; drain before declaring a miss
-		case h := <-hits:
-			return h.st, h.peer, true
-		default:
-			return nil, "", false
+	var owners []string
+	for _, m := range s.node.Members() {
+		if m != s.node.Self() && ownerTag(m) == id[1:9] {
+			owners = append(owners, m)
 		}
+	}
+	return owners
+}
+
+// askOwner proxies a status or cancel request for a job unknown locally to
+// the member its ID names, marked forwarded so that the owner answers from
+// its own queue only. Forwarded submissions hand out job IDs that live on
+// the owner daemon; proxying keeps every daemon a valid entry point for them.
+func (s *Server) askOwner(r *http.Request, id string, ask func(*client.Client, context.Context, string) (*api.JobStatus, error)) (*api.JobStatus, bool) {
+	for _, owner := range s.jobOwners(r, id) {
+		ctx, cancel := context.WithTimeout(r.Context(), hopTimeout)
+		st, err := ask(s.peerClient(owner), ctx, id)
+		cancel()
+		atomic.AddUint64(&s.remotePolls, 1)
+		if err == nil {
+			st.Peer = owner
+			return st, true
+		}
+	}
+	return nil, false
+}
+
+// serveJob answers a status or cancel request from the local queue, or else
+// from the job's owner.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, local func(string) (api.JobStatus, bool), ask func(*client.Client, context.Context, string) (*api.JobStatus, error)) {
+	id := r.PathValue("id")
+	if st, ok := local(id); ok {
+		st.Peer = s.Self()
+		writeJSON(w, http.StatusOK, st)
+	} else if st, ok := s.askOwner(r, id, ask); ok {
+		writeJSON(w, http.StatusOK, st)
+	} else {
+		writeError(w, http.StatusNotFound, "no job %q", id)
 	}
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if st, ok := s.queue.Job(id); ok {
-		st.Peer = s.Self()
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-	if r.Header.Get(api.ForwardedHeader) == "" {
-		if st, peer, ok := s.findRemoteJob(r.Context(), id); ok {
-			st.Peer = peer
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-	}
-	writeError(w, http.StatusNotFound, "no job %q", id)
+	s.serveJob(w, r, s.queue.Job, (*client.Client).ForwardJob)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if st, ok := s.queue.Cancel(id); ok {
-		st.Peer = s.Self()
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-	if r.Header.Get(api.ForwardedHeader) == "" {
-		if _, peer, ok := s.findRemoteJob(r.Context(), id); ok {
-			if st, err := s.peerClient(peer).ForwardCancel(r.Context(), id); err == nil {
-				st.Peer = peer
-				writeJSON(w, http.StatusOK, st)
-				return
-			}
-		}
-	}
-	writeError(w, http.StatusNotFound, "no job %q", id)
+	s.serveJob(w, r, s.queue.Cancel, (*client.Client).ForwardCancel)
 }
 
 // expOptions maps wire figure options to harness options exactly like the
@@ -542,7 +474,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.queue.SubmitFigure(fig, expOptions(wireOpts), s.routeRun)
+	j := s.submitFigure(fig, expOptions(wireOpts))
 	if r.URL.Query().Get("async") == "1" {
 		writeJSON(w, http.StatusAccepted, api.FigureResponse{Key: fig.Key, Name: fig.Name, JobID: j.ID})
 		return
@@ -618,7 +550,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		scale.Seed = *wireOpts.Seed
 	}
 
-	ex := &storeExec{q: s.queue, ctx: r.Context()}
+	ex := &storeExec{s: s, ctx: r.Context(), local: true}
 	rep, err := sc.Run(r.Context(), scenario.RunOptions{Exec: ex, Scale: &scale})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "scenario %s: %v", name, err)
@@ -636,10 +568,9 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// healthSnapshot is the /healthz body, shared with /v1/cluster's self entry.
-func (s *Server) healthSnapshot() api.Health {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	qs := s.queue.Stats()
-	return api.Health{
+	writeJSON(w, http.StatusOK, api.Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		StoreDir:      s.store.Dir(),
@@ -649,63 +580,14 @@ func (s *Server) healthSnapshot() api.Health {
 		Running:       qs.Running,
 		JobsTracked:   qs.Tracked,
 		Self:          s.Self(),
-	}
+	})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthSnapshot())
-}
-
-// handleCluster implements GET /v1/cluster: the membership view with a live
-// health probe (2-second bound) and store/queue stats per member, plus
-// each member's gossip liveness status and the local membership epoch (clients re-rank peers when it moves). A single-node
-// daemon reports itself as the only member.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	st := api.ClusterStatus{Self: s.Self()}
-	if s.node == nil {
-		h := s.healthSnapshot()
-		// selfAddr is known whenever cmd/simd started us (it always derives
-		// an advertised URL); library embedders without one report "".
-		st.Peers = []api.ClusterPeer{{URL: s.selfAddr, Self: true, Healthy: true, Health: &h}}
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-	st.Epoch = s.node.Epoch()
-	entries := s.node.MemberEntries()
-	st.Peers = make([]api.ClusterPeer, len(entries))
-	// Probe peers concurrently: a dead member costs its 2-second timeout
-	// once, not once per dead member.
-	var wg sync.WaitGroup
-	for i, m := range entries {
-		entry := api.ClusterPeer{URL: m.Addr, Self: m.Addr == s.node.Self(), Status: string(m.Status)}
-		if entry.Self {
-			h := s.healthSnapshot()
-			entry.Healthy, entry.Health = true, &h
-			st.Peers[i] = entry
-			continue
-		}
-		wg.Add(1)
-		go func(i int, entry api.ClusterPeer) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-			defer cancel()
-			h, err := s.peerClient(entry.URL).Health(ctx)
-			if err != nil {
-				entry.Error = err.Error()
-			} else {
-				entry.Healthy, entry.Health = true, h
-			}
-			st.Peers[i] = entry
-		}(i, entry)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleMembership implements GET /v1/cluster/membership: the raw gossip
-// view with no health probes — cheap enough for client pools to poll on a
-// short TTL and re-rank when the epoch moves. Unlike /v1/cluster it costs
-// no cross-member round-trips.
+// handleMembership implements GET /v1/cluster/membership: this daemon's
+// gossip view, at no cross-member round-trips — cheap enough for client pools
+// to poll on a short TTL. A single-node daemon reports itself as the only
+// member (selfAddr is known whenever cmd/simd started us: it always derives
+// an advertised URL; library embedders without one report no members).
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	view := api.MembershipView{}
 	if s.node == nil {
@@ -734,8 +616,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTimeline implements GET /v1/jobs/{id}/timeline: the span tree a
 // job's trace recorded (queue wait, checkpoint probe/restore, warmup,
-// kernel segments, measure window). Jobs living on another member redirect
-// to their owner rather than proxying the span tree.
+// kernel segments, measure window). A job living on another member redirects
+// to the owner its ID names rather than proxying the span tree — at no
+// cluster-internal request.
 func (s *Server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if tl, ok := s.queue.Timeline(id); ok {
@@ -743,11 +626,14 @@ func (s *Server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, tl)
 		return
 	}
-	if r.Header.Get(api.ForwardedHeader) == "" {
-		if _, peer, found := s.findRemoteJob(r.Context(), id); found {
-			http.Redirect(w, r, peer+"/v1/jobs/"+id+"/timeline", http.StatusTemporaryRedirect)
-			return
-		}
+	if owners := s.jobOwners(r, id); len(owners) == 1 {
+		http.Redirect(w, r, owners[0]+"/v1/jobs/"+id+"/timeline", http.StatusTemporaryRedirect)
+		return
+	}
+	// Colliding owner tags: ask which of the candidates holds the job.
+	if st, ok := s.askOwner(r, id, (*client.Client).ForwardJob); ok {
+		http.Redirect(w, r, st.Peer+"/v1/jobs/"+id+"/timeline", http.StatusTemporaryRedirect)
+		return
 	}
 	writeError(w, http.StatusNotFound, "no job %q", id)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -35,6 +36,21 @@ func newTestServer(t *testing.T, workers int) (*Server, *client.Client) {
 		srv.Close()
 	})
 	return srv, client.New(hs.URL)
+}
+
+// figureSync is the blocking GET /v1/figures/{key}: the daemon holds the
+// request until the figure job is terminal.
+func figureSync(base, key string, opt api.FigureOptions) (*api.FigureResponse, error) {
+	resp, err := http.Get(base + "/v1/figures/" + key + "?" + opt.Query().Encode())
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET figure %s: HTTP %d", key, resp.StatusCode)
+	}
+	var fr api.FigureResponse
+	return &fr, json.NewDecoder(resp.Body).Decode(&fr)
 }
 
 func tinySpec(key string, seed int64) api.Spec {
@@ -222,7 +238,7 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("bad spec %d: err = %v, want HTTP 400", i, err)
 		}
 	}
-	if _, err := c.Figure(ctx, "99", api.FigureOptions{}); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := figureSync(c.BaseURL, "99", api.FigureOptions{}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown figure err = %v, want HTTP 404", err)
 	}
 }
@@ -294,7 +310,7 @@ func TestFigureMatchesLocalAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	remote, err := c.Figure(ctx, "3", wireOpts)
+	remote, err := figureSync(c.BaseURL, "3", wireOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +323,7 @@ func TestFigureMatchesLocalAndCaches(t *testing.T) {
 	}
 
 	// Second generation: the store answers every run.
-	again, err := c.Figure(ctx, "3", wireOpts)
+	again, err := figureSync(c.BaseURL, "3", wireOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,14 @@ url_b="$(wait_url "$scratch/simd-b.log")"
 wait_members 2 "$url_a" "$url_b"
 echo "cluster up at $url_a + $url_b"
 
-curl -sf "$url_a/v1/cluster" | jq -e '[.peers[] | select(.healthy)] | length == 2' >/dev/null \
-  || { echo "cluster endpoint does not report 2 healthy peers"; curl -s "$url_a/v1/cluster"; exit 1; }
+# Two live members: the gossip view names both alive, and each answers its
+# own /healthz (the store/queue summary lives there, per member).
+curl -sf "$url_a/v1/cluster/membership" | jq -e '[.members[] | select(.status == "alive")] | length == 2' >/dev/null \
+  || { echo "membership does not report 2 alive members"; curl -s "$url_a/v1/cluster/membership"; exit 1; }
+for u in "$url_a" "$url_b"; do
+  curl -sf "$u/healthz" | jq -e --arg u "$u" '.status == "ok" and .self == $u' >/dev/null \
+    || { echo "member $u is not healthy:"; curl -s "$u/healthz"; exit 1; }
+done
 
 # A spec distinct from the single-daemon phase, so it is a genuine miss.
 cspec='{"benchmarks":["VA"],"measure_cycles":22000,"warmup_cycles":8000}'
