@@ -54,35 +54,15 @@ func main() {
 	}
 
 	cfg := config.Baseline()
-	switch *modeFlag {
-	case "shared":
-		cfg.LLCMode = config.LLCShared
-	case "private":
-		cfg.LLCMode = config.LLCPrivate
-	case "adaptive":
-		cfg.LLCMode = config.LLCAdaptive
-	default:
-		fatalf("unknown mode %q", *modeFlag)
+	var err error
+	if cfg.LLCMode, err = config.ParseLLCMode(*modeFlag); err != nil {
+		fatalf("%v", err)
 	}
-	switch *nocFlag {
-	case "h-xbar":
-		cfg.NoC = config.NoCHierarchical
-	case "full-xbar":
-		cfg.NoC = config.NoCFull
-	case "c-xbar":
-		cfg.NoC = config.NoCConcentrated
-	case "ideal":
-		cfg.NoC = config.NoCIdeal
-	default:
-		fatalf("unknown NoC topology %q", *nocFlag)
+	if cfg.NoC, err = config.ParseNoCTopology(*nocFlag); err != nil {
+		fatalf("%v", err)
 	}
-	switch *mappingFlag {
-	case "pae":
-		cfg.Mapping = config.MappingPAE
-	case "hynix":
-		cfg.Mapping = config.MappingHynix
-	default:
-		fatalf("unknown address mapping %q", *mappingFlag)
+	if cfg.Mapping, err = config.ParseAddressMapping(*mappingFlag); err != nil {
+		fatalf("%v", err)
 	}
 	cfg.ProfileWindowCycles = *profileFlag
 	cfg.EpochCycles = *epochFlag

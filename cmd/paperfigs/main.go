@@ -16,7 +16,7 @@
 //
 //	paperfigs -figure all
 //	paperfigs -figure all -parallel
-//	paperfigs -figures 11,12,13 -workers 4
+//	paperfigs -figure 11,12,13 -workers 4
 //	paperfigs -figure 7 -cycles 40000
 //	paperfigs -figure tables
 //	paperfigs -figure all -server http://127.0.0.1:8404
@@ -54,8 +54,7 @@ func main() { os.Exit(run()) }
 // every exit path, including errors; os.Exit would skip them.
 func run() int {
 	var (
-		figureFlag     = flag.String("figure", "all", "which figure to regenerate: 2, 3, 7, 11, 12, 13, 14, 15, 16, tables, all")
-		figuresFlag    = flag.String("figures", "", "comma-separated list of figures to regenerate (overrides -figure)")
+		figureFlag     = flag.String("figure", "all", "which figures to regenerate, comma-separated: 2, 3, 7, 11, 12, 13, 14, 15, 16, tables, or all")
 		cyclesFlag     = flag.Uint64("cycles", 0, "override measured cycles per run (0 = default)")
 		warmupFlag     = flag.Uint64("warmup", 0, "override warm-up cycles per run (0 = default)")
 		seedFlag       = flag.Int64("seed", 1, "workload generator seed")
@@ -144,56 +143,54 @@ func run() int {
 		showProgress = err == nil && st.Mode()&os.ModeCharDevice != 0
 	}
 
-	opt := exp.DefaultOptions()
-	if *quickFlag {
-		opt = exp.QuickOptions()
+	// One description of the requested scale, resolved by the same two
+	// functions whether figures or scenarios run here or on a daemon. Seed is
+	// sent unconditionally: 0 is a legal seed.
+	scale := api.FigureOptions{
+		Quick:  *quickFlag,
+		Cycles: *cyclesFlag,
+		Warmup: *warmupFlag,
+		Seed:   seedFlag,
 	}
-	if *cyclesFlag > 0 {
-		opt.MeasureCycles = *cyclesFlag
-	}
-	if *warmupFlag > 0 {
-		opt.WarmupCycles = *warmupFlag
-	}
-	opt.Seed = *seedFlag
 
-	workers := 1
-	if *parallelFlag {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if *workersFlag > 0 {
-		workers = *workersFlag
-	}
-	opt.Workers = workers
-
-	if showProgress {
-		opt.Progress = func(p sweep.Progress) {
-			progressLine(p.Done, p.Total, p.Key)
+	// A flag the chosen mode would silently ignore is an error instead: a
+	// daemon simulates with its own pool, checkpoint store and timelines
+	// (api.FigureOptions carries none of them), and a recipe's level is its
+	// scale.
+	reject := func(mode, why string, names ...string) bool {
+		for _, name := range names {
+			if explicit[name] {
+				fmt.Fprintf(os.Stderr, "paperfigs: -%s does not apply with %s: %s\n", name, mode, why)
+				return true
+			}
 		}
+		return false
 	}
-
-	if *scenariosFlag != "" {
-		if *serverFlag != "" {
-			fmt.Fprintln(os.Stderr, "paperfigs: -scenarios runs locally; use the simd /v1/scenarios endpoint for remote execution")
-			return 1
-		}
-		return runScenarios(*scenariosFlag, workers, *cyclesFlag, *warmupFlag, *seedFlag, showProgress)
+	if *serverFlag != "" && reject("-server", "the daemon executes (simd -workers, its own checkpoint store, /v1/jobs/{id}/timeline, POST /v1/scenarios/{name}/run)",
+		"parallel", "workers", "trace-out", "checkpoints", "scenarios") {
+		return 1
 	}
-
-	// api.FigureOptions carries no worker count: a daemon simulates with the
-	// pool it was started with.
-	if *serverFlag != "" && (explicit["parallel"] || explicit["workers"]) {
-		fmt.Fprintln(os.Stderr, "paperfigs: -parallel/-workers apply to local execution; a daemon's parallelism is set by simd -workers")
+	if *scenariosFlag != "" && reject("-scenarios", "a recipe's level sets its scale and the selection names recipes (-cycles/-warmup/-seed rescale)",
+		"quick", "figure") {
 		return 1
 	}
 
-	// Run-lifecycle tracing wraps the local executor; with -server the
-	// daemon executes and serves per-job timelines itself.
+	// The one local engine: every flag about how runs execute lands on this
+	// Runner, and figures and scenarios are handed the same value.
+	runner := &sweep.Runner{Workers: 1}
+	if *parallelFlag {
+		runner.Workers = runtime.GOMAXPROCS(0)
+	}
+	if *workersFlag > 0 {
+		runner.Workers = *workersFlag
+	}
+	if showProgress {
+		runner.OnProgress = func(p sweep.Progress) {
+			progressLine(p.Done, p.Total, p.Key)
+		}
+	}
 	var traces *obs.TraceSet
 	if *traceOut != "" {
-		if *serverFlag != "" {
-			fmt.Fprintln(os.Stderr, "paperfigs: -trace-out applies to local execution; use the simd /v1/jobs/{id}/timeline endpoint for remote runs")
-			return 1
-		}
 		// Open up front so a bad path fails before hours of simulation.
 		probe, err := os.Create(*traceOut)
 		if err != nil {
@@ -202,46 +199,57 @@ func run() int {
 		}
 		probe.Close()
 		traces = obs.NewTraceSet()
-		opt.TraceFor = func(key string) *obs.Span {
+		runner.TraceFor = func(key string) *obs.Span {
 			return traces.New(key).Start("run")
 		}
 	}
-
-	// Checkpointing accelerates the local executor; with -server the daemon
-	// owns execution (and its own checkpoint store).
 	var ckptMgr *checkpoint.Manager
 	if *checkpointsOn {
-		if *serverFlag != "" {
-			fmt.Fprintln(os.Stderr, "paperfigs: -checkpoints applies to local execution; the simd daemon manages its own checkpoint store")
-			return 1
-		}
 		store, err := simstore.Open(*checkpointDir, simstore.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paperfigs: -checkpoints: %v\n", err)
 			return 1
 		}
 		ckptMgr = checkpoint.NewManager(store)
-		opt.Checkpointer = ckptMgr
+		runner.Checkpointer = ckptMgr
+	}
+	// finish prints what the engine's attachments collected and folds their
+	// failures into the exit code.
+	finish := func(code int) int {
+		if ckptMgr != nil {
+			cs := ckptMgr.ManagerStats()
+			fmt.Printf("[checkpoints: %d runs resumed, %d snapshots saved, %.1f MiB written]\n",
+				cs.Hits, cs.Saves, float64(cs.Bytes)/(1<<20))
+		}
+		if traces != nil {
+			if err := writeChromeTrace(*traceOut, traces); err != nil {
+				fmt.Fprintf(os.Stderr, "paperfigs: -trace-out: %v\n", err)
+				return 1
+			}
+			fmt.Printf("[trace: %d runs written to %s]\n", traces.Len(), *traceOut)
+		}
+		return code
 	}
 
-	selected := []string{*figureFlag}
-	if *figureFlag == "all" {
-		selected = nil
-		for _, f := range exp.Figures() {
-			selected = append(selected, f.Key)
+	if *scenariosFlag != "" {
+		return finish(runScenarios(*scenariosFlag, runner, scale, showProgress))
+	}
+
+	var selected []string
+	for _, key := range strings.Split(*figureFlag, ",") {
+		switch key = strings.TrimSpace(key); key {
+		case "":
+		case "all":
+			for _, f := range exp.Figures() {
+				selected = append(selected, f.Key)
+			}
+		default:
+			selected = append(selected, key)
 		}
 	}
-	if *figuresFlag != "" {
-		selected = nil
-		for _, key := range strings.Split(*figuresFlag, ",") {
-			if key = strings.TrimSpace(key); key != "" {
-				selected = append(selected, key)
-			}
-		}
-		if len(selected) == 0 {
-			fmt.Fprintf(os.Stderr, "paperfigs: -figures %q selects no figures\n", *figuresFlag)
-			return 1
-		}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "paperfigs: -figure %q selects no figures\n", *figureFlag)
+		return 1
 	}
 	// Validate the whole selection before simulating anything: a typo or a
 	// duplicate at the end of the list must not cost the runtime of the
@@ -299,14 +307,6 @@ func run() int {
 		start = time.Now()
 	}
 	if remote != nil {
-		// Seed is sent unconditionally (the local path applies the flag
-		// unconditionally too, and 0 is a legal seed).
-		opts := api.FigureOptions{
-			Quick:  *quickFlag,
-			Cycles: *cyclesFlag,
-			Warmup: *warmupFlag,
-			Seed:   seedFlag,
-		}
 		var progress func(*api.Progress)
 		if showProgress {
 			progress = func(p *api.Progress) {
@@ -314,12 +314,14 @@ func run() int {
 			}
 		}
 		for _, j := range figs {
-			out, remark, err := remoteFigure(context.Background(), remote, j.Key, opts, progress)
+			out, remark, err := remoteFigure(context.Background(), remote, j.Key, scale, progress)
 			report(j, out, remark, err)
 		}
 	} else {
 		// The selection regenerates over one run set: a run an earlier figure
 		// already simulated is reused, never simulated again.
+		opt := scale.Options()
+		opt.Exec = runner
 		exp.Regenerate(figs, opt, func(j exp.FigureJob, t exp.Table, reused, simulated int, err error) {
 			report(j, t.Format(), fmt.Sprintf(" (%d reused, %d simulated runs)", reused, simulated), err)
 		})
@@ -327,35 +329,22 @@ func run() int {
 	mode := "serial"
 	if remote != nil {
 		mode = "server " + *serverFlag
-	} else if workers > 1 {
-		mode = fmt.Sprintf("%d workers", workers)
+	} else if runner.Workers > 1 {
+		mode = fmt.Sprintf("%d workers", runner.Workers)
 	}
 	fmt.Printf("[total: %.1fs, %s]\n", time.Since(totalStart).Seconds(), mode)
-	if ckptMgr != nil {
-		cs := ckptMgr.ManagerStats()
-		fmt.Printf("[checkpoints: %d runs resumed, %d snapshots saved, %.1f MiB written]\n",
-			cs.Hits, cs.Saves, float64(cs.Bytes)/(1<<20))
-	}
-	if traces != nil {
-		if err := writeChromeTrace(*traceOut, traces); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: -trace-out: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("[trace: %d runs written to %s]\n", traces.Len(), *traceOut)
-		}
-	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "paperfigs: %d of %d requested figures failed\n", failed, len(selected))
-		return 1
+		return finish(1)
 	}
-	return 0
+	return finish(0)
 }
 
 // runScenarios resolves a -scenarios selection (a level, "all", or names) and
-// executes each recipe with the determinism gate on. Violations are printed
-// per scenario and make the exit status non-zero; -cycles/-warmup/-seed
-// override the level-derived scale.
-func runScenarios(sel string, workers int, cycles, warmup uint64, seed int64, showProgress bool) int {
+// executes each recipe on the given engine with the determinism gate on.
+// Violations are printed per scenario and make the exit status non-zero;
+// scale (-cycles/-warmup/-seed) rescales the level-derived run length.
+func runScenarios(sel string, exec sweep.Executor, scale api.FigureOptions, showProgress bool) int {
 	var list []scenario.Scenario
 	if sel == "all" {
 		list = scenario.Catalog()
@@ -382,25 +371,8 @@ func runScenarios(sel string, workers int, cycles, warmup uint64, seed int64, sh
 	failed := 0
 	start := time.Now()
 	for _, sc := range list {
-		scale := sc.Level.Scale()
-		scale.Seed = seed
-		if cycles > 0 {
-			scale.MeasureCycles = cycles
-		}
-		if warmup > 0 {
-			scale.WarmupCycles = warmup
-		}
-		opts := scenario.RunOptions{
-			Workers:         workers,
-			Scale:           &scale,
-			DeterminismGate: true,
-		}
-		if showProgress {
-			opts.Progress = func(p sweep.Progress) {
-				progressLine(p.Done, p.Total, p.Key)
-			}
-		}
-		rep, err := sc.Run(context.Background(), opts)
+		rescaled := scale.Rescale(sc.Level.Scale())
+		rep, err := sc.Run(context.Background(), scenario.RunOptions{Exec: exec, Scale: &rescaled, DeterminismGate: true})
 		if err != nil {
 			if showProgress {
 				fmt.Fprintf(os.Stderr, "\r%-56s\r", "")

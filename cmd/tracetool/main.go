@@ -103,20 +103,6 @@ func parseMixed(fs *flag.FlagSet, args []string, want int) ([]string, error) {
 	return pos, nil
 }
 
-// parseMode maps a -mode flag value onto an LLC organization.
-func parseMode(s string) (config.LLCMode, error) {
-	switch strings.ToLower(s) {
-	case "shared":
-		return config.LLCShared, nil
-	case "private":
-		return config.LLCPrivate, nil
-	case "adaptive":
-		return config.LLCAdaptive, nil
-	default:
-		return 0, fmt.Errorf("unknown LLC mode %q (want shared, private or adaptive)", s)
-	}
-}
-
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	var (
@@ -136,7 +122,7 @@ func cmdRecord(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("record: -w and -o are required")
 	}
-	m, err := parseMode(*mode)
+	m, err := config.ParseLLCMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -231,7 +217,7 @@ func cmdReplay(args []string) error {
 		modeStr = *mode
 	}
 	if modeStr != "" {
-		m, err := parseMode(modeStr)
+		m, err := config.ParseLLCMode(modeStr)
 		if err != nil {
 			return err
 		}

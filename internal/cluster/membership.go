@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -79,21 +80,19 @@ type NodeConfig struct {
 
 	// HeartbeatEvery is the gossip period (default 1s). SuspectAfter and
 	// DeadAfter are how long a member may stay silent before being demoted
-	// (defaults 4x and 12x the heartbeat); TombstoneAfter is how long dead/
-	// left entries are remembered so they cannot be resurrected by stale
-	// gossip (default 60x the heartbeat).
+	// (defaults 4x and 12x the heartbeat).
 	HeartbeatEvery time.Duration
 	SuspectAfter   time.Duration
 	DeadAfter      time.Duration
-	TombstoneAfter time.Duration
 
 	// OnChange, if set, fires after every active-set change with the new
 	// epoch and sorted active member list. Called outside internal locks.
 	OnChange func(epoch uint64, members []string)
-
-	// HTTPClient overrides the gossip transport (tests).
-	HTTPClient *http.Client
 }
+
+// tombstoneBeats is how many heartbeats dead/left entries are remembered, so
+// that stale gossip cannot resurrect them.
+const tombstoneBeats = 60
 
 type memberState struct {
 	Member
@@ -109,7 +108,6 @@ type Node struct {
 	hb      time.Duration
 	suspect time.Duration
 	dead    time.Duration
-	tomb    time.Duration
 	onChg   func(uint64, []string)
 	httpc   *http.Client
 
@@ -141,22 +139,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if dead <= 0 {
 		dead = 12 * hb
 	}
-	tomb := cfg.TombstoneAfter
-	if tomb <= 0 {
-		tomb = 60 * hb
-	}
-	httpc := cfg.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{Timeout: 2 * hb}
-	}
 	n := &Node{
 		self:    self,
 		hb:      hb,
 		suspect: sus,
 		dead:    dead,
-		tomb:    tomb,
 		onChg:   cfg.OnChange,
-		httpc:   httpc,
+		httpc:   &http.Client{Timeout: 2 * hb},
 		members: make(map[string]*memberState),
 		epoch:   1,
 		quit:    make(chan struct{}),
@@ -238,7 +227,7 @@ func (n *Node) activeLocked() []string {
 // when nothing changed).
 func (n *Node) refreshLocked() func() {
 	act := n.activeLocked()
-	if slicesEqual(act, n.active) {
+	if slices.Equal(act, n.active) {
 		return nil
 	}
 	n.active = act
@@ -248,18 +237,6 @@ func (n *Node) refreshLocked() func() {
 	}
 	epoch, snap, cb := n.epoch, append([]string(nil), act...), n.onChg
 	return func() { cb(epoch, snap) }
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeLocked folds one gossiped row into the table. Higher incarnation
@@ -320,7 +297,7 @@ func (n *Node) sweepLocked(now time.Time) {
 				ms.downAt = now
 			}
 		case StatusDead, StatusLeft:
-			if now.Sub(ms.downAt) > n.tomb {
+			if now.Sub(ms.downAt) > tombstoneBeats*n.hb {
 				delete(n.members, addr)
 			}
 		}

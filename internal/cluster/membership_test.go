@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -70,10 +71,10 @@ func TestJoinViaSeed(t *testing.T) {
 	}
 	wantMembers := a.Members()
 	gotMembers := b.Members()
-	if len(wantMembers) != 2 || !slicesEqual(wantMembers, gotMembers) {
+	if len(wantMembers) != 2 || !slices.Equal(wantMembers, gotMembers) {
 		t.Errorf("views diverge: a=%v b=%v", wantMembers, gotMembers)
 	}
-	if ra, rb := a.Ranked([32]byte{1}), b.Ranked([32]byte{1}); !slicesEqual(ra, rb) {
+	if ra, rb := a.Ranked([32]byte{1}), b.Ranked([32]byte{1}); !slices.Equal(ra, rb) {
 		t.Errorf("members rank a fingerprint differently: a=%v b=%v", ra, rb)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // LLCMode selects how the memory-side LLC is organized.
@@ -39,6 +40,27 @@ func (m LLCMode) String() string {
 	default:
 		return fmt.Sprintf("LLCMode(%d)", int(m))
 	}
+}
+
+// ParseLLCMode is the inverse of LLCMode.String.
+func ParseLLCMode(s string) (LLCMode, error) {
+	return parseEnum("LLC mode", s, LLCShared, LLCPrivate, LLCAdaptive)
+}
+
+// parseEnum inverts String over an enum's values, so a name parses exactly
+// where it prints; an unknown name is rejected with the accepted list.
+func parseEnum[T fmt.Stringer](what, s string, values ...T) (T, error) {
+	for _, v := range values {
+		if v.String() == s {
+			return v, nil
+		}
+	}
+	names := make([]string, len(values))
+	for i, v := range values {
+		names[i] = v.String()
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q (want %s)", what, s, strings.Join(names, ", "))
 }
 
 // NoCTopology selects the interconnect between SM clusters and LLC slices.
@@ -75,6 +97,11 @@ func (t NoCTopology) String() string {
 	}
 }
 
+// ParseNoCTopology is the inverse of NoCTopology.String.
+func ParseNoCTopology(s string) (NoCTopology, error) {
+	return parseEnum("NoC topology", s, NoCHierarchical, NoCFull, NoCConcentrated, NoCIdeal)
+}
+
 // AddressMapping selects how physical addresses map to memory controllers,
 // LLC slices, banks and rows.
 type AddressMapping int
@@ -99,6 +126,11 @@ func (a AddressMapping) String() string {
 	default:
 		return fmt.Sprintf("AddressMapping(%d)", int(a))
 	}
+}
+
+// ParseAddressMapping is the inverse of AddressMapping.String.
+func ParseAddressMapping(s string) (AddressMapping, error) {
+	return parseEnum("address mapping", s, MappingPAE, MappingHynix)
 }
 
 // CTASchedulerKind selects the CTA-to-SM assignment policy.

@@ -176,3 +176,37 @@ func TestEnumStrings(t *testing.T) {
 		t.Error("unknown enum values should still stringify")
 	}
 }
+
+// TestEnumNamesParseWhereTheyPrint: for every value of every enum with a
+// parser, Parse(v.String()) == v; an unknown name (including another case of
+// a known one) is rejected with the accepted list.
+func TestEnumNamesParseWhereTheyPrint(t *testing.T) {
+	for _, v := range []LLCMode{LLCShared, LLCPrivate, LLCAdaptive} {
+		if got, err := ParseLLCMode(v.String()); err != nil || got != v {
+			t.Errorf("ParseLLCMode(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, v := range []NoCTopology{NoCHierarchical, NoCFull, NoCConcentrated, NoCIdeal} {
+		if got, err := ParseNoCTopology(v.String()); err != nil || got != v {
+			t.Errorf("ParseNoCTopology(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, v := range []AddressMapping{MappingPAE, MappingHynix} {
+		if got, err := ParseAddressMapping(v.String()); err != nil || got != v {
+			t.Errorf("ParseAddressMapping(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, tc := range []struct {
+		parse func(string) error
+		bad   string
+		want  string
+	}{
+		{func(s string) error { _, err := ParseLLCMode(s); return err }, "Shared", "shared, private, adaptive"},
+		{func(s string) error { _, err := ParseNoCTopology(s); return err }, "mesh", "h-xbar, full-xbar, c-xbar, ideal"},
+		{func(s string) error { _, err := ParseAddressMapping(s); return err }, "", "pae, hynix"},
+	} {
+		if err := tc.parse(tc.bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parsing %q: err = %v, want a rejection listing %q", tc.bad, err, tc.want)
+		}
+	}
+}

@@ -19,12 +19,12 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
-// Options controls the scale and the execution strategy of the experiments.
+// Options controls the scale of the experiments and names the engine that
+// executes them.
 //
 // Scaling vs. the paper: the paper simulates billion-instruction benchmark
 // traces with a 50K-cycle profiling window and 1M-cycle epochs for the
@@ -49,38 +49,12 @@ type Options struct {
 	ProfileWindowCycles int
 	EpochCycles         int
 
-	// Workers is the number of parallel simulation workers the figure
-	// harness fans independent runs across: 0 uses GOMAXPROCS, 1 forces
-	// serial execution. Per-run seeding makes parallel results identical to
-	// serial ones, so this only affects wall-clock time.
-	Workers int
-	// Progress, when non-nil, is called after every completed run of a
-	// figure's sweep (used by paperfigs for progress reporting).
-	Progress func(sweep.Progress)
-
-	// Exec, when non-nil, replaces the local worker-pool Runner as the
-	// engine that executes a figure's declared runs. The simd server injects
-	// a store-backed executor here so every run first consults the
-	// content-addressed result cache and misses share one execution across
-	// concurrent figure requests. Implementations must honor the
-	// sweep.Executor contract (positional results, identical results for
-	// identical specs); Workers and Progress are ignored when Exec is set —
-	// the executor owns its own parallelism and progress delivery.
+	// Exec executes a figure's declared runs; nil means the zero
+	// sweep.Runner (see sweep.Executor). cmd/paperfigs hands in the one
+	// Runner its flags describe, the simd server a store-backed executor.
+	// Execution never changes figure text: per-run seeding makes every
+	// engine's statistics identical.
 	Exec sweep.Executor
-
-	// Checkpointer, when non-nil (and Exec is unset), opts every declared
-	// run into checkpoint-assisted execution: runs resume from stored state
-	// prefixes (shared warmups, kernel boundaries) and bank new ones. The
-	// statistics are byte-identical to cold execution, so figures are
-	// unaffected; only wall-clock time changes. cmd/paperfigs wires this to
-	// a directory store via -checkpoints.
-	Checkpointer sweep.Checkpointer
-
-	// TraceFor, when non-nil (and Exec is unset), is asked for a parent
-	// span per declared run; the sweep engine records each run's lifecycle
-	// phases under it. cmd/paperfigs wires this to an obs.TraceSet via
-	// -trace-out. Must be safe for concurrent calls.
-	TraceFor func(key string) *obs.Span
 }
 
 // DefaultOptions returns the scale used by the committed experiment results.
@@ -135,19 +109,13 @@ func modeKey(abbr string, mode config.LLCMode) string {
 	return abbr + "/" + mode.String()
 }
 
-// runAll executes declared runs with the configured parallelism and returns
-// their statistics positionally (results[i] belongs to specs[i]). It is the
-// single way a declared batch reaches an executor.
+// runAll hands declared runs to the executor and returns their statistics
+// positionally (results[i] belongs to specs[i]). It is the single way a
+// declared batch reaches an engine.
 func (o Options) runAll(specs []sweep.RunSpec) ([]gpu.RunStats, error) {
 	exec := o.Exec
 	if exec == nil {
-		if o.Checkpointer != nil {
-			specs = append([]sweep.RunSpec(nil), specs...)
-			for i := range specs {
-				specs[i].Checkpoint = true
-			}
-		}
-		exec = &sweep.Runner{Workers: o.Workers, OnProgress: o.Progress, Checkpointer: o.Checkpointer, TraceFor: o.TraceFor}
+		exec = &sweep.Runner{}
 	}
 	results, err := exec.Run(context.Background(), specs)
 	if err != nil {

@@ -396,9 +396,9 @@ func TestFigureParallelDeterminism(t *testing.T) {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	serial := tinyOptions()
-	serial.Workers = 1
+	serial.Exec = &sweep.Runner{Workers: 1}
 	parallel := tinyOptions()
-	parallel.Workers = 4
+	parallel.Exec = &sweep.Runner{Workers: 4}
 
 	fig, _ := FigureByKey("12")
 	a, err := fig.Run(serial)

@@ -12,12 +12,9 @@ import (
 
 // RunOptions controls one scenario execution.
 type RunOptions struct {
-	// Exec executes the declared batch; nil uses a local worker pool of
-	// Workers goroutines (sweep.Runner semantics: 0 = GOMAXPROCS serialized
-	// to 1 worker here for the smallest default footprint).
+	// Exec executes the declared batch; nil means the zero sweep.Runner
+	// (see sweep.Executor).
 	Exec sweep.Executor
-	// Workers sizes the default local pool when Exec is nil; 0 means serial.
-	Workers int
 	// Scale overrides the level-derived run length when non-nil.
 	Scale *Scale
 	// Dir is the base directory for scratch traces (defaults to the OS temp
@@ -29,9 +26,6 @@ type RunOptions struct {
 	// answered from cache, so the gate is only meaningful on a computing
 	// executor.
 	DeterminismGate bool
-	// Progress, when non-nil, receives per-run completion events from the
-	// default local executor (ignored when Exec is set).
-	Progress func(sweep.Progress)
 }
 
 // Report is the outcome of one scenario run.
@@ -116,11 +110,7 @@ func (sc Scenario) Run(ctx context.Context, opts RunOptions) (Report, error) {
 
 	exec := opts.Exec
 	if exec == nil {
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		exec = &sweep.Runner{Workers: workers, OnProgress: opts.Progress}
+		exec = &sweep.Runner{}
 	}
 	results, err := exec.Run(ctx, specs)
 	if err != nil {

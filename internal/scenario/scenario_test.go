@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/gpu"
 	"repro/internal/sweep"
 )
 
@@ -167,6 +168,68 @@ func TestRunRejectsDuplicateKeys(t *testing.T) {
 	}
 	if _, err := sc.Run(context.Background(), RunOptions{Dir: t.TempDir()}); err == nil {
 		t.Fatal("duplicate run keys must be rejected")
+	}
+}
+
+// recordingExec answers every batch with sentinel statistics and records the
+// batches it was handed, simulating nothing.
+type recordingExec struct{ batches [][]sweep.RunSpec }
+
+func (r *recordingExec) Run(_ context.Context, specs []sweep.RunSpec) ([]sweep.Result, error) {
+	r.batches = append(r.batches, specs)
+	out := make([]sweep.Result, len(specs))
+	for i, s := range specs {
+		out[i] = sweep.Result{Index: i, Key: s.Key, Stats: gpu.RunStats{Cycles: 42}}
+	}
+	return out, nil
+}
+
+// TestRunUsesOnlyTheGivenExecutor: RunOptions.Exec is the one seam to an
+// engine. The executor handed in sees the declared batch once — twice under
+// the determinism gate — and every result the Check hook sees came from it,
+// so no local Runner ran beside it.
+func TestRunUsesOnlyTheGivenExecutor(t *testing.T) {
+	fromExec := 0
+	sc := Scenario{
+		Name: "l1-seam", Description: "executor seam", Level: Level1,
+		Axes: []Axis{AxisSharing},
+		Specs: func(e *Env) []sweep.RunSpec {
+			return []sweep.RunSpec{
+				catalogSpec("a", SmokeConfig(0), e.Scale, mustByAbbr("VA")),
+				catalogSpec("b", SmokeConfig(0), e.Scale, mustByAbbr("MM")),
+			}
+		},
+		Check: func(_ *Env, results []sweep.Result) []string {
+			for _, res := range results {
+				if res.Stats.Cycles == 42 {
+					fromExec++
+				}
+			}
+			return nil
+		},
+	}
+	for _, gate := range []bool{false, true} {
+		rec := &recordingExec{}
+		fromExec = 0
+		rep, err := sc.Run(context.Background(), RunOptions{Exec: rec, Dir: t.TempDir(), DeterminismGate: gate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if gate {
+			want = 2
+		}
+		if len(rec.batches) != want || rep.DeterminismChecked != gate {
+			t.Errorf("gate=%v: executor saw %d batches (determinism-checked %v), want %d", gate, len(rec.batches), rep.DeterminismChecked, want)
+		}
+		for _, b := range rec.batches {
+			if len(b) != 2 || b[0].Key != "a" || b[1].Key != "b" {
+				t.Errorf("gate=%v: executor saw batch %v, want the declared specs a, b", gate, b)
+			}
+		}
+		if fromExec != rep.Runs {
+			t.Errorf("gate=%v: %d of %d results came from the given executor", gate, fromExec, rep.Runs)
+		}
 	}
 }
 

@@ -11,8 +11,10 @@ import (
 	"strconv"
 
 	"repro/internal/config"
+	"repro/internal/exp"
 	"repro/internal/gpu"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -54,16 +56,6 @@ type Spec struct {
 	TraceLoop bool   `json:"trace_loop,omitempty"`
 }
 
-// ParseLLCMode maps the wire names to config.LLCMode.
-func ParseLLCMode(s string) (config.LLCMode, error) {
-	for _, m := range []config.LLCMode{config.LLCShared, config.LLCPrivate, config.LLCAdaptive} {
-		if s == m.String() {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown LLC mode %q (want shared, private or adaptive)", s)
-}
-
 // ToRunSpec resolves the wire spec into the engine's RunSpec. Errors are
 // client errors (unknown benchmark, bad mode, invalid configuration).
 func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
@@ -90,7 +82,7 @@ func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 		cfg = *s.Config
 	}
 	if s.Mode != "" {
-		mode, err := ParseLLCMode(s.Mode)
+		mode, err := config.ParseLLCMode(s.Mode)
 		if err != nil {
 			return rs, err
 		}
@@ -99,7 +91,7 @@ func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 	rs.Config = cfg
 
 	for _, name := range s.AppModes {
-		mode, err := ParseLLCMode(name)
+		mode, err := config.ParseLLCMode(name)
 		if err != nil {
 			return rs, fmt.Errorf("app_modes: %w", err)
 		}
@@ -241,15 +233,53 @@ type JobTimeline struct {
 	Spans  []*obs.SpanJSON `json:"spans"`
 }
 
-// FigureOptions scale a figure request, mirroring the paperfigs flags: zero
-// values mean the server's defaults (exp.DefaultOptions, or QuickOptions
-// with Quick set). Seed is a pointer because 0 is a legal seed distinct
-// from "use the default": nil keeps the server's default seed.
+// FigureOptions is the one description of a requested scale: the paperfigs
+// flags fill it in, Query / ParseFigureOptions carry it over the wire, and
+// Options and Rescale are the only code that turns it into harness scale —
+// which is why figure text is byte-identical whichever front door asked.
+// Zero values keep the defaults. Seed is a pointer because 0 is a legal seed
+// distinct from "use the default": nil keeps the default seed.
 type FigureOptions struct {
 	Quick  bool
 	Cycles uint64
 	Warmup uint64
 	Seed   *int64
+}
+
+// Options resolves the figure harness scale: exp.DefaultOptions (or
+// QuickOptions with Quick set) with the non-zero fields applied on top. The
+// caller adds the engine (exp.Options.Exec).
+func (o FigureOptions) Options() exp.Options {
+	opt := exp.DefaultOptions()
+	if o.Quick {
+		opt = exp.QuickOptions()
+	}
+	if o.Cycles > 0 {
+		opt.MeasureCycles = o.Cycles
+	}
+	if o.Warmup > 0 {
+		opt.WarmupCycles = o.Warmup
+	}
+	if o.Seed != nil {
+		opt.Seed = *o.Seed
+	}
+	return opt
+}
+
+// Rescale applies the non-zero fields on top of a scenario's level-derived
+// scale. Quick has no meaning for a recipe — its level is its scale — and is
+// not consulted.
+func (o FigureOptions) Rescale(s scenario.Scale) scenario.Scale {
+	if o.Cycles > 0 {
+		s.MeasureCycles = o.Cycles
+	}
+	if o.Warmup > 0 {
+		s.WarmupCycles = o.Warmup
+	}
+	if o.Seed != nil {
+		s.Seed = *o.Seed
+	}
+	return s
 }
 
 // Query encodes the options as URL query parameters.

@@ -120,7 +120,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 
 	// Single-daemon (== local harness) reference text.
 	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(expOptions(wireOpts))
+	local, err := fig.Run(wireOpts.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestFigureResolvesAsOneBatch(t *testing.T) {
 	ctx := context.Background()
 	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
 	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(expOptions(wireOpts))
+	local, err := fig.Run(wireOpts.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestFigureResolvesAsOneBatch(t *testing.T) {
 		t.Error("the figure forwarded nothing; the batch bound was not exercised")
 	}
 
-	for _, spec := range fig.Specs(expOptions(wireOpts)) {
+	for _, spec := range fig.Specs(wireOpts.Options()) {
 		fp, err := simstore.Fingerprint(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func TestCancelledFigureStopsSimulating(t *testing.T) {
 	ctx := context.Background()
 	wireOpts := api.FigureOptions{Quick: true, Cycles: 20_000, Warmup: 2_000}
 	fig, _ := exp.FigureByKey("3")
-	specs := fig.Specs(expOptions(wireOpts))
+	specs := fig.Specs(wireOpts.Options())
 
 	// Somebody else wants the figure's last run; it takes the only worker.
 	wire := api.FromRunSpec(specs[len(specs)-1])

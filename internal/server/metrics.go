@@ -97,13 +97,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// Cluster routing and membership. Registered unconditionally so the
 	// exported schema does not depend on deployment shape; single-node
 	// daemons report 0.
-	reg.GaugeFunc("simd_cluster_peers", "Cluster member count (0 = single-node).",
-		func() float64 {
-			if s.node == nil {
-				return 0
-			}
-			return float64(s.node.Len())
-		})
 	reg.GaugeFunc("simd_membership_size", "ACTIVE cluster members in the local gossip view (0 = single-node).",
 		func() float64 {
 			if s.node == nil {

@@ -83,7 +83,6 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"simd_job_queue_wait_seconds_count 1",
 		"simd_run_duration_seconds_count 1",
 		"simd_gpu_cycles_total ",
-		"simd_cluster_peers 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

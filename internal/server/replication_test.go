@@ -317,7 +317,7 @@ func TestClusterMembershipChurn(t *testing.T) {
 
 	// Single-daemon (== local harness) reference text.
 	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(expOptions(wireOpts))
+	local, err := fig.Run(wireOpts.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

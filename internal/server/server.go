@@ -441,26 +441,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	s.serveJob(w, r, s.queue.Cancel, (*client.Client).ForwardCancel)
 }
 
-// expOptions maps wire figure options to harness options exactly like the
-// paperfigs flags do, so server-generated figure text is byte-identical to
-// local output for the same settings.
-func expOptions(o api.FigureOptions) exp.Options {
-	opt := exp.DefaultOptions()
-	if o.Quick {
-		opt = exp.QuickOptions()
-	}
-	if o.Cycles > 0 {
-		opt.MeasureCycles = o.Cycles
-	}
-	if o.Warmup > 0 {
-		opt.WarmupCycles = o.Warmup
-	}
-	if o.Seed != nil {
-		opt.Seed = *o.Seed
-	}
-	return opt
-}
-
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	fig, ok := exp.FigureByKey(key)
@@ -474,7 +454,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.submitFigure(fig, expOptions(wireOpts))
+	j := s.submitFigure(fig, wireOpts.Options())
 	if r.URL.Query().Get("async") == "1" {
 		writeJSON(w, http.StatusAccepted, api.FigureResponse{Key: fig.Key, Name: fig.Name, JobID: j.ID})
 		return
@@ -539,16 +519,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	scale := sc.Level.Scale()
-	if wireOpts.Cycles > 0 {
-		scale.MeasureCycles = wireOpts.Cycles
-	}
-	if wireOpts.Warmup > 0 {
-		scale.WarmupCycles = wireOpts.Warmup
-	}
-	if wireOpts.Seed != nil {
-		scale.Seed = *wireOpts.Seed
-	}
+	scale := wireOpts.Rescale(sc.Level.Scale())
 
 	ex := &storeExec{s: s, ctx: r.Context(), local: true}
 	rep, err := sc.Run(r.Context(), scenario.RunOptions{Exec: ex, Scale: &scale})

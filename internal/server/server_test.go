@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -243,27 +242,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestFigureOptionsSeedRoundTrip: seed 0 is a legal seed distinct from
-// "server default" — it must survive the wire and override the default,
-// while an absent seed must not.
-func TestFigureOptionsSeedRoundTrip(t *testing.T) {
-	zero := int64(0)
-	parsed, err := api.ParseFigureOptions(api.FigureOptions{Seed: &zero}.Query())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := expOptions(parsed).Seed; got != 0 {
-		t.Errorf("explicit seed 0 resolved to %d server-side, want 0", got)
-	}
-	parsed, err = api.ParseFigureOptions(url.Values{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := expOptions(parsed).Seed, exp.DefaultOptions().Seed; got != want {
-		t.Errorf("absent seed resolved to %d, want default %d", got, want)
-	}
-}
-
 func TestHealthzAndMetrics(t *testing.T) {
 	_, c := newTestServer(t, 3)
 	h, err := c.Health(context.Background())
@@ -305,7 +283,7 @@ func TestFigureMatchesLocalAndCaches(t *testing.T) {
 
 	// Local reference, exactly as cmd/paperfigs would produce it.
 	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(expOptions(wireOpts))
+	local, err := fig.Run(wireOpts.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,13 +84,15 @@ type RunSpec struct {
 	// trace file that can later be replayed via TracePath.
 	RecordPath string
 
-	// Checkpoint opts the run into checkpoint-assisted execution: when the
-	// executor has a Checkpointer, the run resumes from the longest stored
-	// state prefix (warmup end or a later kernel boundary) and emits
-	// checkpoints at those points for future runs. Checkpointing never
-	// changes the measured statistics — a resumed run is byte-identical to a
-	// cold one — so Canonical clears this flag. Ignored while recording a
-	// trace (a resumed run could not re-record its skipped prefix).
+	// Checkpoint opts a run handed to ExecuteWith / ExecuteSpanned into
+	// checkpoint-assisted execution: with a Checkpointer, the run resumes
+	// from the longest stored state prefix (warmup end or a later kernel
+	// boundary) and emits checkpoints at those points for future runs. A
+	// Runner sets it for its whole batch from its own Checkpointer.
+	// Checkpointing never changes the measured statistics — a resumed run is
+	// byte-identical to a cold one — so Canonical clears this flag. Ignored
+	// while recording a trace (a resumed run could not re-record its skipped
+	// prefix).
 	Checkpoint bool
 }
 
@@ -428,6 +430,12 @@ type Progress struct {
 // internal/exp — run unchanged on either engine. Implementations must honor
 // the Runner contract: results are positional, partial results are returned
 // on failure, and equal spec batches produce identical results.
+//
+// Executor is the one seam between a harness and an engine: exp.Options and
+// scenario.RunOptions carry an Exec field and nothing else about execution.
+// A nil Exec there means the zero Runner (&Runner{}: GOMAXPROCS workers, no
+// progress, no checkpoints, no tracing); anything else about how a batch is
+// simulated is configured on the Runner (or other Executor) handed in.
 type Executor interface {
 	Run(ctx context.Context, specs []RunSpec) ([]Result, error)
 }
@@ -439,8 +447,10 @@ type Runner struct {
 	Workers int
 	// OnProgress, when non-nil, is invoked after every completed run.
 	OnProgress func(Progress)
-	// Checkpointer, when non-nil, lets runs that set RunSpec.Checkpoint
-	// resume from stored state prefixes and bank new ones.
+	// Checkpointer, when non-nil, opts the whole batch into
+	// checkpoint-assisted execution: every run resumes from stored state
+	// prefixes and banks new ones, whatever its RunSpec.Checkpoint says. A
+	// Runner without one ignores the flag.
 	Checkpointer Checkpointer
 	// TraceFor, when non-nil, is asked for a parent span per run (keyed by
 	// RunSpec.Key); the run's lifecycle phases are recorded as children and
@@ -509,12 +519,14 @@ func (r *Runner) Run(ctx context.Context, specs []RunSpec) ([]Result, error) {
 				if runCtx.Err() != nil {
 					continue
 				}
-				res := Result{Index: i, Key: specs[i].Key}
+				spec := specs[i]
+				spec.Checkpoint = r.Checkpointer != nil
+				res := Result{Index: i, Key: spec.Key}
 				var sp *obs.Span
 				if r.TraceFor != nil {
-					sp = r.TraceFor(specs[i].Key)
+					sp = r.TraceFor(spec.Key)
 				}
-				res.Stats, res.Err = ExecuteSpanned(specs[i], r.Checkpointer, sp)
+				res.Stats, res.Err = ExecuteSpanned(spec, r.Checkpointer, sp)
 				sp.End()
 				if res.Err != nil {
 					cancel()

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/gpu"
 	"repro/internal/workload"
 )
 
@@ -279,6 +281,63 @@ func TestCanonical(t *testing.T) {
 	tr := RunSpec{TracePath: "t.trace", Config: tinyCfg(config.LLCShared)}
 	if got := tr.Canonical().Kernels; got != 0 {
 		t.Errorf("trace spec Kernels resolved to %d, want 0", got)
+	}
+}
+
+// probeCounter is a Checkpointer that never has a prefix to offer and counts
+// how often the engine asks it to resume and to bank.
+type probeCounter struct {
+	mu            sync.Mutex
+	probes, saves int
+}
+
+func (c *probeCounter) Resume(RunSpec, func() (workload.Program, error)) (*gpu.GPU, workload.Program, int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.probes++
+	return nil, nil, 0, false
+}
+
+func (c *probeCounter) Checkpoint(RunSpec, *gpu.GPU, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.saves++
+}
+
+// TestRunnerCheckpointerOptsBatchIn: holding a Checkpointer is what opts a
+// Runner's batch into checkpoint-assisted execution — specs that left
+// RunSpec.Checkpoint false are probed and banked all the same, and a Runner
+// without one runs a flagged batch cold. Statistics are identical either way.
+func TestRunnerCheckpointerOptsBatchIn(t *testing.T) {
+	specs := figureSpecs(1_000, 500)[:4]
+	plain, err := (&Runner{Workers: 2}).Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cp := &probeCounter{}
+	assisted, err := (&Runner{Workers: 2, Checkpointer: cp}).Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.probes != len(specs) || cp.saves < len(specs) {
+		t.Errorf("Runner with a Checkpointer: %d resume probes, %d saves for %d unflagged specs; want every spec probed and its warmup banked",
+			cp.probes, cp.saves, len(specs))
+	}
+
+	flagged := append([]RunSpec(nil), specs...)
+	for i := range flagged {
+		flagged[i].Checkpoint = true
+	}
+	cold, err := (&Runner{Workers: 2}).Run(context.Background(), flagged)
+	if err != nil {
+		t.Fatalf("Runner without a Checkpointer must ignore RunSpec.Checkpoint: %v", err)
+	}
+	if !reflect.DeepEqual(plain, assisted) || !reflect.DeepEqual(plain, cold) {
+		t.Error("checkpoint opt-in changed the statistics")
+	}
+	if specs[0].Checkpoint {
+		t.Error("Runner.Run wrote the opt-in back into the caller's specs")
 	}
 }
 
