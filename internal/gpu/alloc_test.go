@@ -14,9 +14,10 @@ import (
 // free-list pools grown to their steady-state depth), advancing the
 // simulation must not allocate. Every queue push/pop, memory request, NoC
 // packet, MSHR entry and DRAM transaction is recycled; a regression here
-// means a per-cycle allocation crept back in.
+// means a per-cycle allocation crept back in. LUD is the memory-saturated
+// case, where SMs freeze and thaw and the active sets flip every cycle.
 func TestSteadyStateCycleAllocs(t *testing.T) {
-	for _, abbr := range []string{"MM", "GEMM"} { // private- and shared-friendly traffic
+	for _, abbr := range []string{"MM", "GEMM", "LUD"} { // private-friendly, shared-friendly, memory-bound traffic
 		t.Run(abbr, func(t *testing.T) {
 			spec, ok := workload.ByAbbr(abbr)
 			if !ok {

@@ -83,6 +83,9 @@ type GPU struct {
 	reqPool *pool.FreeList[mem.Request]
 	pktPool pool.FreeList[noc.Packet]
 
+	// act is which components the next cycle visits (active.go).
+	act activity
+
 	// Collectors.
 	gatedCycles      uint64
 	stallCycles      uint64
@@ -188,6 +191,7 @@ func New(cfg config.Config, prog workload.Program) (*GPU, error) {
 	}
 	noc.UseRestorePools(g.reqNet, &g.pktPool, g.reqPool)
 	noc.UseRestorePools(g.repNet, &g.pktPool, g.reqPool)
+	g.activateAll()
 	return g, nil
 }
 

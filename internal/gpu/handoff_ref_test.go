@@ -9,12 +9,13 @@ import (
 	"repro/internal/workload"
 )
 
-// refStep is the serial cycle with the three hand-offs as they were before
-// they asked the sink first: pop the item, map its address, build the packet
-// or request, offer it, and on refusal put everything back. The refusal is
-// counted by the failed Inject/Enqueue. It is the definition the peeking
-// hand-offs must reproduce counter for counter.
-func refStep(g *GPU) {
+// popUnpopStep is the serial cycle with the three hand-offs as they were
+// before they asked the sink first: pop the item, map its address, build the
+// packet or request, offer it, and on refusal put everything back. The
+// refusal is counted by the failed Inject/Enqueue. It is the definition the
+// peeking hand-offs must reproduce counter for counter. It knows nothing of
+// reconfiguration stalls: static LLC organizations only.
+func popUnpopStep(g *GPU) {
 	for _, s := range g.sms {
 		s.Tick(g.cycle, g.prog)
 	}
@@ -94,26 +95,6 @@ func refStep(g *GPU) {
 	}
 }
 
-// refRun is Run for one kernel on a static LLC organization, stepping with
-// refStep.
-func refRun(g *GPU, cycles uint64) RunStats {
-	g.runStart = g.cycle
-	g.sharerWindowEnd = g.cycle + sharingWindowCycles
-	for end := g.cycle + cycles; g.cycle < end; {
-		g.cycle++
-		g.modeCycles[g.mode]++
-		if g.mode == config.LLCPrivate && g.reqNet.Bypassed() {
-			g.gatedCycles++
-		}
-		refStep(g)
-		if g.cycle >= g.sharerWindowEnd {
-			g.collectSharing()
-			g.sharerWindowEnd = g.cycle + sharingWindowCycles
-		}
-	}
-	return g.collect(cycles)
-}
-
 // TestPeekingHandoffsMatchPopAndUnpop runs the full-size GPU from cold on a
 // memory-saturated workload (LUD, shared LLC) and a compute-bound one (MM,
 // private LLC) twice — once with the hand-offs that ask first, once with the
@@ -143,7 +124,7 @@ func TestPeekingHandoffsMatchPopAndUnpop(t *testing.T) {
 				}
 				return g
 			}
-			got, want := build().Run(cycles, 1), refRun(build(), cycles)
+			got, want := build().Run(cycles, 1), refRun(build(), popUnpopStep, cycles, 1, nil)
 			if got.DRAM.StallsFull != want.DRAM.StallsFull ||
 				got.ReqNet.InjectStallCycles != want.ReqNet.InjectStallCycles ||
 				got.RepNet.InjectStallCycles != want.RepNet.InjectStallCycles ||

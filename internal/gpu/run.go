@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -68,6 +70,7 @@ func (g *GPU) Warmup(cycles uint64) {
 
 // resetMeasurement clears all statistics gathered so far.
 func (g *GPU) resetMeasurement() {
+	g.settleSMs(g.cycle)
 	for _, s := range g.sms {
 		s.ResetStats()
 	}
@@ -201,19 +204,19 @@ func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int
 	cyclesCount.Add(g.cycle - loopStart)
 }
 
-// step advances every component by one cycle, in global SM/slice order.
+// step advances every component by one cycle, in global SM/slice order. It
+// visits only the components act marks active; what it skips would have
+// done nothing or, for a frozen SM, exactly what it did the tick before.
 func (g *GPU) step() {
 	stalled := g.reconfigActive || g.cycle < g.stallUntil
-	if stalled {
-		g.stallCycles++
-	}
 
 	// 1. SMs issue instructions (unless the GPU is stalled for an LLC
 	//    reconfiguration) and hand their memory requests to the request NoC.
-	if !stalled {
-		for _, s := range g.sms {
-			s.Tick(g.cycle, g.prog)
-		}
+	if stalled {
+		g.stallCycles++
+		g.settleSMs(g.cycle - 1) // no skip may span a stall
+	} else {
+		g.tickSMs()
 	}
 	if !g.reconfigActive {
 		// While draining we stop injecting so the network empties; requests
@@ -224,13 +227,12 @@ func (g *GPU) step() {
 	// 2. Request network delivers to LLC slices.
 	for _, p := range g.reqNet.Tick() {
 		g.slices[p.Dst].EnqueueRequest(p.Req)
+		setBit(g.act.sliceIn, p.Dst)
 		g.pktPool.Put(p)
 	}
 
 	// 3. LLC slices process requests, talk to DRAM and emit replies.
-	for _, s := range g.slices {
-		s.Tick(g.cycle)
-	}
+	g.tickSlices()
 	g.moveSliceToDRAM()
 
 	// 4. DRAM controllers (DRAMComplete can create same-cycle-ready replies,
@@ -238,7 +240,10 @@ func (g *GPU) step() {
 	for _, mc := range g.mcs {
 		for _, done := range mc.Tick() {
 			if done.Req.Meta.Fill {
-				g.slices[done.Req.Meta.Slice].DRAMComplete(done.Req.Meta.Addr)
+				i := done.Req.Meta.Slice
+				g.slices[i].SetCycle(g.cycle) // its tick may have been skipped
+				g.slices[i].DRAMComplete(done.Req.Meta.Addr)
+				setBit(g.act.sliceReply, i)
 			}
 		}
 	}
@@ -246,9 +251,11 @@ func (g *GPU) step() {
 	// 5. LLC replies into the reply network.
 	g.injectReplies()
 
-	// 6. Reply network delivers to SMs.
+	// 6. Reply network delivers to SMs; a reply wakes a frozen SM for the
+	//    next cycle.
 	for _, p := range g.repNet.Tick() {
 		g.sms[p.Dst].CompleteLoad(p.Reply, g.cycle)
+		setBit(g.act.smDue, p.Dst)
 		g.pktPool.Put(p)
 	}
 
@@ -258,37 +265,94 @@ func (g *GPU) step() {
 	}
 }
 
+// tickSMs ticks the due SMs. One that comes out of its tick frozen leaves
+// the due set until its next wake time or a reply; its ticks until then are
+// credited, not run (SkipTo).
+func (g *GPU) tickSMs() {
+	a := &g.act
+	g.wakeSMs()
+	for w, word := range a.smDue {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			s := g.sms[i]
+			s.SkipTo(g.cycle - 1)
+			s.Tick(g.cycle, g.prog)
+			a.ticks++
+			if s.PeekRequest() != nil {
+				setBit(a.smOut, i)
+			}
+			if s.Frozen() {
+				g.freeze(i)
+			}
+		}
+	}
+}
+
+// tickSlices ticks the slices with a queued request: to one whose queue is
+// empty a tick does nothing but move its clock, which SetCycle does where
+// the clock is read.
+func (g *GPU) tickSlices() {
+	a := &g.act
+	for w, word := range a.sliceIn {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			s := g.slices[i]
+			s.Tick(g.cycle)
+			if s.QueueLen() == 0 {
+				a.sliceIn[w] &^= 1 << (i & 63)
+			}
+			if s.HasDRAMRequest() {
+				setBit(a.sliceDRAM, i)
+			}
+			if s.ReplyQueueLen() > 0 {
+				setBit(a.sliceReply, i)
+			}
+		}
+	}
+}
+
 // The three hand-offs below ask the sink before they pop: Accepts refuses,
 // and counts the refusal (InjectStallCycles, StallsFull), exactly where the
 // failed Inject/Enqueue of a popped-and-rebuilt item counted it, so a source
 // waiting on a full sink costs two loads a cycle instead of a pop, an address
 // mapping, a packet or request build and an un-pop. Once a sink has said yes
-// nothing runs before the Inject/Enqueue that could change its answer.
+// nothing runs before the Inject/Enqueue that could change its answer. Each
+// visits only the sources with something queued, which are the only ones
+// that ever asked.
 
 // injectRequests moves memory requests from the SMs into the request NoC.
 func (g *GPU) injectRequests() {
 	reqFlits := g.cfg.RequestFlits()
 	writeFlits := g.cfg.ReplyFlits() // stores carry a cache line of payload
 	observe := g.ctrl != nil && g.mode == config.LLCShared
-	for _, s := range g.sms {
-		for req := s.PeekRequest(); req != nil; req = s.PeekRequest() {
-			flits := reqFlits
-			if req.Write {
-				flits = writeFlits
+	a := &g.act
+	for w, word := range a.smOut {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			s := g.sms[i]
+			req := s.PeekRequest()
+			for ; req != nil; req = s.PeekRequest() {
+				flits := reqFlits
+				if req.Write {
+					flits = writeFlits
+				}
+				if !g.reqNet.Accepts(req.SM, flits) {
+					break
+				}
+				s.PopRequest()
+				loc := g.mapper.Map(req.Addr)
+				pkt := g.pktPool.Get()
+				pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Req = req.ID, req.SM, g.sliceFor(req, loc), flits, req
+				if !g.reqNet.Inject(pkt) {
+					panic("gpu: request network refused a packet it had accepted")
+				}
+				if observe {
+					sharedSlice := loc.Channel*g.cfg.LLCSlicesPerMC + loc.Slice
+					g.ctrl.ObserveRequest(req.Addr, req.Cluster, loc.Channel, sharedSlice)
+				}
 			}
-			if !g.reqNet.Accepts(req.SM, flits) {
-				break
-			}
-			s.PopRequest()
-			loc := g.mapper.Map(req.Addr)
-			pkt := g.pktPool.Get()
-			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Req = req.ID, req.SM, g.sliceFor(req, loc), flits, req
-			if !g.reqNet.Inject(pkt) {
-				panic("gpu: request network refused a packet it had accepted")
-			}
-			if observe {
-				sharedSlice := loc.Channel*g.cfg.LLCSlicesPerMC + loc.Slice
-				g.ctrl.ObserveRequest(req.Addr, req.Cluster, loc.Channel, sharedSlice)
+			if req == nil {
+				a.smOut[w] &^= 1 << (i & 63)
 			}
 		}
 	}
@@ -297,19 +361,27 @@ func (g *GPU) injectRequests() {
 // moveSliceToDRAM forwards LLC miss traffic and write-backs to the memory
 // controllers.
 func (g *GPU) moveSliceToDRAM() {
-	for _, s := range g.slices {
-		mc := g.mcs[s.MC()]
-		for s.HasDRAMRequest() && mc.Accepts() {
-			d, _ := s.PopDRAMRequest()
-			loc := g.mapper.Map(d.Addr)
-			if !mc.Enqueue(dram.Request{
-				ID:    uint64(s.ID())<<48 | uint64(d.Addr>>7),
-				Bank:  loc.Bank,
-				Row:   loc.Row,
-				Write: d.Write,
-				Meta:  dram.Meta{Slice: s.ID(), Addr: d.Addr, Fill: d.Fill},
-			}) {
-				panic("gpu: memory controller refused a request it had accepted")
+	a := &g.act
+	for w, word := range a.sliceDRAM {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			s := g.slices[i]
+			mc := g.mcs[s.MC()]
+			for s.HasDRAMRequest() && mc.Accepts() {
+				d, _ := s.PopDRAMRequest()
+				loc := g.mapper.Map(d.Addr)
+				if !mc.Enqueue(dram.Request{
+					ID:    uint64(s.ID())<<48 | uint64(d.Addr>>7),
+					Bank:  loc.Bank,
+					Row:   loc.Row,
+					Write: d.Write,
+					Meta:  dram.Meta{Slice: s.ID(), Addr: d.Addr, Fill: d.Fill},
+				}) {
+					panic("gpu: memory controller refused a request it had accepted")
+				}
+			}
+			if !s.HasDRAMRequest() {
+				a.sliceDRAM[w] &^= 1 << (i & 63)
 			}
 		}
 	}
@@ -318,13 +390,21 @@ func (g *GPU) moveSliceToDRAM() {
 // injectReplies moves matured LLC replies into the reply network.
 func (g *GPU) injectReplies() {
 	flits := g.cfg.ReplyFlits()
-	for _, s := range g.slices {
-		for s.HasReply(g.cycle) && g.repNet.Accepts(s.ID(), flits) {
-			r, _ := s.PopReply(g.cycle)
-			pkt := g.pktPool.Get()
-			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Reply = r.ReqID, s.ID(), r.SM, flits, r
-			if !g.repNet.Inject(pkt) {
-				panic("gpu: reply network refused a packet it had accepted")
+	a := &g.act
+	for w, word := range a.sliceReply {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			s := g.slices[i]
+			for s.HasReply(g.cycle) && g.repNet.Accepts(s.ID(), flits) {
+				r, _ := s.PopReply(g.cycle)
+				pkt := g.pktPool.Get()
+				pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Reply = r.ReqID, s.ID(), r.SM, flits, r
+				if !g.repNet.Inject(pkt) {
+					panic("gpu: reply network refused a packet it had accepted")
+				}
+			}
+			if s.ReplyQueueLen() == 0 {
+				a.sliceReply[w] &^= 1 << (i & 63)
 			}
 		}
 	}
@@ -401,6 +481,7 @@ func (g *GPU) collectSharing() {
 
 // collect builds the RunStats snapshot.
 func (g *GPU) collect(cycles uint64) RunStats {
+	g.settleSMs(g.cycle)
 	modeCycles := make(map[config.LLCMode]uint64)
 	for m, c := range g.modeCycles {
 		if c > 0 {

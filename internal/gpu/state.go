@@ -81,6 +81,11 @@ func (g *GPU) SaveStateInto(st *State) error {
 		return fmt.Errorf("gpu: %w", err)
 	}
 
+	// What ticking every SM and slice every cycle would have left.
+	g.settleSMs(g.cycle)
+	for _, s := range g.slices {
+		s.SetCycle(g.cycle)
+	}
 	st.Cycle = g.cycle
 	st.RunStart = g.runStart
 	st.Mode = g.mode
@@ -369,6 +374,7 @@ func (g *GPU) RestoreState(st State) error {
 	g.sharerWindowEnd = st.SharerWindowEnd
 	g.kernelBoundaries = append([]uint64(nil), st.KernelBoundaries...)
 	g.modeCycles = st.ModeCycles
+	g.activateAll()
 	return nil
 }
 

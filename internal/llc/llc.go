@@ -206,6 +206,16 @@ func (s *Slice) WritePolicy() cache.WritePolicy { return s.tags.Config().Policy 
 // QueueLen returns the current request queue occupancy.
 func (s *Slice) QueueLen() int { return s.inq.Len() }
 
+// ReplyQueueLen returns the number of replies waiting to leave the slice,
+// matured or not.
+func (s *Slice) ReplyQueueLen() int { return s.replyOut.Len() }
+
+// SetCycle moves the slice's clock to cycle without a Tick, which is all a
+// Tick does to a slice whose request queue is empty: an owner that skips
+// those ticks sets the clock before DRAMComplete stamps replies with it and
+// before SaveState records it.
+func (s *Slice) SetCycle(cycle uint64) { s.cycle = cycle }
+
 // Pending reports whether the slice still has queued requests, outstanding
 // misses or unemitted output.
 func (s *Slice) Pending() bool {

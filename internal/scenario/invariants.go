@@ -55,6 +55,20 @@ func Invariants(spec sweep.RunSpec, s gpu.RunStats) []string {
 		fail("L1MissRate = %v, want recomputed %v", s.L1MissRate, want)
 	}
 
+	// Scheduler-slot conservation: every SM ticks in every cycle the GPU is
+	// not stalled for a reconfiguration, and every tick gives each scheduler
+	// exactly one outcome — the counts a skipped tick must be credited with.
+	if s.ReconfigStall > s.Cycles {
+		fail("ReconfigStall (%d) > Cycles (%d)", s.ReconfigStall, s.Cycles)
+	} else if want := uint64(spec.Config.NumSMs) * (s.Cycles - s.ReconfigStall); s.SM.Cycles != want {
+		fail("SM.Cycles = %d, want NumSMs (%d) × (Cycles − ReconfigStall) = %d",
+			s.SM.Cycles, spec.Config.NumSMs, want)
+	}
+	if slots := s.SM.Cycles * uint64(max(1, spec.Config.SchedulersPerSM)); s.SM.Instructions+s.SM.StallNoReadyWarp+s.SM.StallStructural != slots {
+		fail("SM.Instructions (%d) + SM.StallNoReadyWarp (%d) + SM.StallStructural (%d) != SM.Cycles × SchedulersPerSM = %d",
+			s.SM.Instructions, s.SM.StallNoReadyWarp, s.SM.StallStructural, slots)
+	}
+
 	// LLC-side conservation. Merged misses are counted as hits (GPGPU-Sim's
 	// "hit reserved"), so hits + misses covers every access exactly.
 	if s.LLC.Hits+s.LLC.Misses != s.LLC.Accesses {

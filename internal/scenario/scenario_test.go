@@ -295,3 +295,29 @@ func TestMatrixShape(t *testing.T) {
 		}
 	}
 }
+
+// TestInvariantsPinSchedulerSlots: a real result (LUD on the smoke GPU,
+// memory-bound, so most scheduler slots stall) keeps scheduler-slot
+// conservation, and an SM tick lost, or credited without its stall
+// outcomes, breaks it.
+func TestInvariantsPinSchedulerSlots(t *testing.T) {
+	spec := catalogSpec("slots", SmokeConfig(0), Level1.Scale(), mustByAbbr("LUD"))
+	st, err := sweep.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Invariants(spec, st); len(v) != 0 {
+		t.Fatalf("a real run violates invariants: %v", v)
+	}
+	lost := st
+	lost.SM.Cycles--
+	lost.SM.StallNoReadyWarp -= uint64(spec.Config.SchedulersPerSM)
+	if v := Invariants(spec, lost); len(v) != 1 || !strings.Contains(v[0], "SM.Cycles =") {
+		t.Errorf("a lost tick: violations %v, want the SM.Cycles one", v)
+	}
+	uncredited := st
+	uncredited.SM.StallStructural--
+	if v := Invariants(spec, uncredited); len(v) != 1 || !strings.Contains(v[0], "SM.StallStructural") {
+		t.Errorf("a tick credited without its stall: violations %v, want the slot one", v)
+	}
+}

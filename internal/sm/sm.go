@@ -117,8 +117,18 @@ type SM struct {
 	words     int
 	ready     []uint64
 	cal       []uint64
+	calBusy   uint64 // bit t&63: slot t&63 of cal holds a warp
 	farMin    uint64
 	schedMask []uint64
+
+	// What the last tick did, when every scheduler came away empty-handed:
+	// noReady of them had no ready warp and parked held a warp whose load is
+	// parked on the full MSHR table's unchanged stamp. Until a warp wakes
+	// (NextWake) or a reply arrives (CompleteLoad), each further tick would
+	// repeat it exactly, so the SM is frozen and SkipTo may stand in for the
+	// ticks. Derived, never serialised.
+	noReady, parked uint64
+	frozen          bool
 
 	// current warp per scheduler for GTO scheduling; warps are statically
 	// partitioned across schedulers by slot index modulo scheduler count.
@@ -221,9 +231,46 @@ func (s *SM) Pending() bool { return s.mshrs.Occupancy() > 0 || s.outQ.Len() > 0
 func (s *SM) Tick(cycle uint64, prog workload.Program) {
 	s.advance(cycle)
 	s.stats.Cycles++
+	s.noReady, s.parked = 0, 0
 	for sched := range s.current {
 		s.issueOne(sched, prog)
 	}
+	s.frozen = s.noReady+s.parked == uint64(len(s.current))
+}
+
+// Frozen reports whether the last tick issued nothing and every scheduler
+// was either without a ready warp or held by a warp whose load is parked on
+// the full L1 MSHR table: the ticks after it repeat it until NextWake or the
+// next CompleteLoad. A stall on a full request queue is not memoised (the
+// queue drains without the table noticing), so it keeps the SM thawed.
+func (s *SM) Frozen() bool { return s.frozen }
+
+// NextWake returns the earliest cycle after the SM's at which a warp not
+// waiting for a load wakes (asleep: none) — the earliest occupied calendar
+// slot, else farMin, which lies beyond every slot.
+func (s *SM) NextWake() uint64 {
+	if s.calBusy == 0 {
+		return s.farMin
+	}
+	next := s.cycle + 1
+	return next + uint64(bits.TrailingZeros64(bits.RotateLeft64(s.calBusy, -int(next&63))))
+}
+
+// SkipTo stands in for the ticks a frozen SM was not given up to and
+// including cycle: each would have repeated the last, so their counts are
+// credited in bulk, the clock moves to cycle, and the SM thaws — the owner
+// ticks it next time it ticks SMs at all, so a later SkipTo never credits
+// cycles in which no SM was ticked. It does nothing to a thawed SM.
+func (s *SM) SkipTo(cycle uint64) {
+	if !s.frozen {
+		return
+	}
+	n := cycle - s.cycle
+	s.stats.Cycles += n
+	s.stats.StallNoReadyWarp += n * s.noReady
+	s.stats.StallStructural += n * s.parked
+	s.advance(cycle)
+	s.frozen = false
 }
 
 // issueOne attempts to issue one instruction on behalf of scheduler `sched`.
@@ -231,6 +278,7 @@ func (s *SM) issueOne(sched int, prog workload.Program) {
 	w := s.pickWarp(sched)
 	if w < 0 {
 		s.stats.StallNoReadyWarp++
+		s.noReady++
 		return
 	}
 	s.current[sched] = w
@@ -292,6 +340,10 @@ func (s *SM) advance(to uint64) {
 		return
 	}
 	for t := from + 1; t <= to; t++ {
+		if s.calBusy>>(t&63)&1 == 0 {
+			continue
+		}
+		s.calBusy &^= 1 << (t & 63)
 		slot := s.cal[int(t&63)*s.words:][:s.words]
 		for k, word := range slot {
 			s.ready[k] |= word
@@ -304,6 +356,7 @@ func (s *SM) advance(to uint64) {
 func (s *SM) rebuild() {
 	clear(s.ready)
 	clear(s.cal)
+	s.calBusy = 0
 	s.farMin = asleep
 	for w, at := range s.wake {
 		if at != asleep {
@@ -320,6 +373,7 @@ func (s *SM) file(w int, at uint64) {
 		s.ready[w>>6] |= bit
 	case at-s.cycle <= horizon:
 		s.cal[int(at&63)*s.words+w>>6] |= bit
+		s.calBusy |= 1 << (at & 63)
 	default:
 		s.farMin = min(s.farMin, at)
 	}
@@ -365,6 +419,7 @@ func (s *SM) issueStore(w int, op workload.Op) {
 func (s *SM) issueLoad(w int, op workload.Op) {
 	if s.warps[w].mshrFull == s.mshrs.Stamp()+1 {
 		s.stats.StallStructural++ // still parked on the unchanged full table
+		s.parked++
 		return
 	}
 	lineAddr := s.l1.LineAddr(op.Addr)

@@ -484,7 +484,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64) {
 				parked++
 			}
 		}
-		if !slices.Equal(fast.ready, plain.ready) || !slices.Equal(fast.cal, plain.cal) || fast.farMin != plain.farMin {
+		if !slices.Equal(fast.ready, plain.ready) || !slices.Equal(fast.cal, plain.cal) || fast.calBusy != plain.calBusy || fast.farMin != plain.farMin {
 			t.Fatalf("tick %d cycle %d: incrementally filed sets differ from rebuilt ones", i, cyc)
 		}
 		if i%1000 == 0 && !reflect.DeepEqual(fast.SaveState(), plain.SaveState()) {
@@ -569,6 +569,59 @@ func TestPickWarpGeometries(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSkipToMatchesTicking drives two SMs through the same program and
+// memory: one is ticked every cycle, the other only while it is not frozen,
+// once its NextWake has come and after a reply, with SkipTo standing in for
+// the ticks in between. Wake latencies reach past the calendar (farMin).
+// Settled every 1,000 cycles, the two must be in identical state, and their
+// final wire forms equal.
+func TestSkipToMatchesTicking(t *testing.T) {
+	cfg := testCfg()
+	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 12, 6
+	every, skip := New(3, 0, cfg), New(3, 0, cfg)
+	lats := []int{1, 3, 40, 70, 200}
+	progEvery, progSkip := &mixProgram{rand.New(rand.NewSource(9)), lats}, &mixProgram{rand.New(rand.NewSource(9)), lats}
+	memEvery, memSkip := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
+
+	wakeAt, replied, skipped, far := uint64(0), false, 0, 0
+	for cyc := uint64(1); cyc <= 20_000; cyc++ {
+		every.Tick(cyc, progEvery)
+		if !skip.Frozen() || cyc >= wakeAt || replied {
+			skip.SkipTo(cyc - 1)
+			skip.Tick(cyc, progSkip)
+			if skip.Frozen() != every.Frozen() {
+				t.Fatalf("cycle %d: frozen %v, the SM ticked every cycle %v", cyc, skip.Frozen(), every.Frozen())
+			}
+			wakeAt, replied = skip.NextWake(), false
+			if wakeAt != asleep && wakeAt > cyc+horizon {
+				far++
+			}
+		} else {
+			skipped++
+		}
+		memEvery.take(every, cyc)
+		memSkip.take(skip, cyc)
+		memEvery.deliver(every, cyc)
+		before := skip.Stats().RepliesReceived
+		memSkip.deliver(skip, cyc)
+		replied = replied || skip.Stats().RepliesReceived != before
+		if cyc%1000 == 0 {
+			skip.SkipTo(cyc)
+			if !reflect.DeepEqual(every.SaveState(), skip.SaveState()) {
+				t.Fatalf("cycle %d: the skipping SM diverged:\nticked:  %+v\nskipped: %+v", cyc, every.Stats(), skip.Stats())
+			}
+		}
+	}
+	a, b := every.SaveState(), skip.SaveState()
+	if !bytes.Equal(a.AppendTo(nil), b.AppendTo(nil)) {
+		t.Fatal("final wire forms differ")
+	}
+	t.Logf("%d of 20000 ticks skipped, %d frozen with a far wake", skipped, far)
+	if st := skip.Stats(); skipped < 1000 || far == 0 || st.StallNoReadyWarp == 0 || st.StallStructural == 0 {
+		t.Errorf("drive did not exercise the skip: %d ticks skipped, %d frozen with a far wake, stats %+v", skipped, far, st)
 	}
 }
 

@@ -111,8 +111,9 @@ func (s *SM) RestoreState(st State) error {
 		return fmt.Errorf("sm %d: %w", s.id, err)
 	}
 	// Derived issue-stage state is rebuilt, not restored: stall memos start
-	// empty, so the first retry after a restore takes the full path, and the
-	// ready set and the calendar are refiled from Wake and Cycle.
+	// empty, so the first retry after a restore takes the full path, the
+	// ready set and the calendar are refiled from Wake and Cycle, and the SM
+	// is thawed.
 	copy(s.wake, st.Wake)
 	blocked := st.Blocked
 	for i := range s.warps {
@@ -134,6 +135,7 @@ func (s *SM) RestoreState(st State) error {
 	s.reqCounter = st.ReqCounter
 	s.cycle = st.Cycle
 	s.rebuild()
+	s.frozen = false
 	s.stats = st.Stats
 	s.appID = st.AppID
 	return nil
