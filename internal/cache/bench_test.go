@@ -67,7 +67,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 					stalls++ // a structural stall: looked, did not touch
 					continue
 				}
-				sinkResult = c.AccessAt(at, Read, 0)
+				sinkResult, _ = c.AccessAt(at, Read, 0)
 			}
 			if st := c.Stats(); b.N > 1000 && (st.Hits == 0 || st.Evictions == 0 || stalls == 0) {
 				b.Fatalf("the mix did not reach every path: %d stalls, %+v", stalls, st)

@@ -224,12 +224,24 @@ func hashLine(lineNumber uint64) uint64 { return lineNumber * 0x9E3779B97F4A7C15
 type Slot struct {
 	key uint64 // the tag word looked for
 	// at is the slot of the line, or on a miss ^(first slot of its set): two
-	// words, and Find stays within what the compiler inlines.
+	// words, returned in registers.
 	at int
 }
 
 // Hit reports whether the lookup found the line resident.
 func (s Slot) Hit() bool { return s.at >= 0 }
+
+// Index is the line slot (set*ways + way) of a hit; it means nothing on a
+// miss.
+func (s Slot) Index() int { return s.at }
+
+// shortRow is the most ways a row may have for Find to compare all of them
+// instead of stopping at the hit. Which way hits, if any, is as random as the
+// accesses, so the exit of an early-exit scan is a branch the host cannot
+// predict: on the L1's 6 ways comparing every way costs less, on an LLC
+// slice's 16 it costs more (DESIGN.md "Performance engineering").
+// Associativity is the cache's, so no workload picks the scan.
+const shortRow = 8
 
 // Find looks addr's line up without updating LRU state or statistics. It is
 // the only tag scan: a caller that must decide something between looking and
@@ -245,23 +257,37 @@ func (c *Cache) Find(addr uint64) Slot {
 	}
 	tag++ // the tag word: zero is an invalid way
 	base := int(set) * c.ways
-	for i, word := range c.tags[base : base+c.ways] {
+	row := c.tags[base : base+c.ways]
+	if c.ways > shortRow {
+		for i, word := range row {
+			if word == tag {
+				return Slot{tag, base + i}
+			}
+		}
+		return Slot{tag, ^base}
+	}
+	// A line sits in at most one way, so the last match is the match.
+	at := ^base
+	for i, word := range row {
 		if word == tag {
-			return Slot{tag, base + i}
+			at = base + i // a conditional move
 		}
 	}
-	return Slot{tag, ^base}
+	return Slot{tag, at}
 }
 
 // Access performs a read or write access by the given cluster and returns
 // the outcome. `cluster` may be -1 when sharer tracking is not meaningful
 // (e.g. for L1 caches).
 func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
-	return c.AccessAt(c.Find(addr), kind, cluster)
+	res, _ := c.AccessAt(c.Find(addr), kind, cluster)
+	return res
 }
 
-// AccessAt is Access of the address `found` was found for.
-func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) Result {
+// AccessAt is Access of the address `found` was found for. It also returns
+// the slot now holding the line: found's on a hit, the filled victim's on a
+// miss.
+func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) (Result, int) {
 	c.clock++
 	c.stats.Accesses++
 	if kind == Write {
@@ -287,7 +313,7 @@ func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) Result {
 				res.WritebackReq = true // forwarded to next level immediately
 			}
 		}
-		return res
+		return res, found.at
 	}
 
 	// Miss path.
@@ -326,7 +352,7 @@ func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) Result {
 			res.WritebackReq = true
 		}
 	}
-	return res
+	return res, victim
 }
 
 // Invalidate removes the line containing addr, returning whether it was

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -260,8 +261,8 @@ func TestDenseRowsMatchRowScan(t *testing.T) {
 					if rng.Intn(2) == 0 { // a structural stall: looked, did not touch
 						continue
 					}
-					if got, want := c.AccessAt(at, kind, cluster), ref.access(a, kind, cluster); got != want {
-						t.Fatalf("step %d: AccessAt(%#x, %v, %d) = %+v, row scan %+v", step, a, kind, cluster, got, want)
+					if got, _ := c.AccessAt(at, kind, cluster); got != ref.access(a, kind, cluster) {
+						t.Fatalf("step %d: AccessAt(%#x, %v, %d) = %+v, row scan disagrees", step, a, kind, cluster, got)
 					}
 				case k < 970:
 					a := addr()
@@ -302,6 +303,57 @@ func TestDenseRowsMatchRowScan(t *testing.T) {
 			}
 			if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writes == 0 {
 				t.Errorf("drive did not reach every path: %+v", st)
+			}
+		})
+	}
+}
+
+// earlyExitFind is Find as it was before short rows went branch-free: stop at
+// the first way that matches.
+func earlyExitFind(c *Cache, addr uint64) Slot {
+	tag := addr >> c.lineShift
+	set := hashLine(tag) % c.nsets
+	base := int(set) * c.ways
+	for i, word := range c.tags[base : base+c.ways] {
+		if word == tag+1 {
+			return Slot{tag + 1, base + i}
+		}
+	}
+	return Slot{tag + 1, ^base}
+}
+
+// TestFindMatchesEarlyExitScan holds Find to the early-exit scan on random
+// fills of rows on both sides of shortRow — the L1's 6 ways, 8 and 9, an LLC
+// slice's 16 — with invalidations leaving holes anywhere in a row. The slot
+// AccessAt reports must hold the line it was given, and be where Find finds
+// the line next.
+func TestFindMatchesEarlyExitScan(t *testing.T) {
+	for _, ways := range []int{6, shortRow, shortRow + 1, 16} {
+		t.Run(fmt.Sprintf("%d-ways", ways), func(t *testing.T) {
+			c := New(Config{SizeBytes: 48 * ways * 128, Ways: ways, LineBytes: 128, Policy: WriteBack})
+			rng := rand.New(rand.NewSource(int64(ways)))
+			lines := 3 * len(c.tags)
+			hits := 0
+			for step := 0; step < 50_000; step++ {
+				a := uint64(rng.Intn(lines))<<7 | uint64(rng.Intn(128))
+				found := c.Find(a)
+				if want := earlyExitFind(c, a); found != want {
+					t.Fatalf("step %d: Find(%#x) = %+v, early-exit scan %+v", step, a, found, want)
+				}
+				if found.Hit() {
+					hits++
+				}
+				if rng.Intn(8) == 0 {
+					c.Invalidate(a)
+					continue
+				}
+				_, slot := c.AccessAt(found, AccessKind(rng.Intn(2)), rng.Intn(9)-1)
+				if c.tags[slot] != found.key || c.Find(a).Index() != slot {
+					t.Fatalf("step %d: AccessAt(%#x) reported slot %d, which holds tag word %#x, not %#x", step, a, slot, c.tags[slot], found.key)
+				}
+			}
+			if hits == 0 || c.Stats().Evictions == 0 {
+				t.Errorf("drive did not reach every path: %d hits, %+v", hits, c.Stats())
 			}
 		})
 	}

@@ -289,7 +289,7 @@ func (s *Slice) process(r *mem.Request) bool {
 	if r.Write {
 		kind = cache.Write
 	}
-	res := s.tags.AccessAt(found, kind, r.Cluster)
+	res, _ := s.tags.AccessAt(found, kind, r.Cluster)
 
 	s.stats.Accesses++
 	if r.Write {

@@ -57,7 +57,8 @@ type Spec struct {
 }
 
 // ToRunSpec resolves the wire spec into the engine's RunSpec. Errors are
-// client errors (unknown benchmark, bad mode, invalid configuration).
+// client errors (unknown benchmark, bad mode, invalid configuration or
+// workload).
 func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 	rs := sweep.RunSpec{
 		Key:           s.Key,
@@ -108,6 +109,11 @@ func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 	}
 	if err := rs.Config.Validate(); err != nil {
 		return rs, fmt.Errorf("invalid configuration: %w", err)
+	}
+	for i, w := range s.Workloads {
+		if err := w.Validate(); err != nil {
+			return rs, fmt.Errorf("workloads[%d]: %w", i, err)
+		}
 	}
 	return rs, nil
 }

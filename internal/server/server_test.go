@@ -15,6 +15,7 @@ import (
 	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
+	"repro/internal/workload"
 )
 
 // newTestServer starts a Server over a fresh store and returns a client for
@@ -230,6 +231,7 @@ func TestSpecValidation(t *testing.T) {
 		{Benchmarks: []string{"VA"}}, // no cycles
 		{MeasureCycles: 1000},        // no workload
 		{Benchmarks: []string{"VA"}, Mode: "sideways", MeasureCycles: 1000},
+		{Workloads: []workload.Spec{{Name: "x", Abbr: "X", Kernels: 1, ALULatency: 1, FrontierJitterLines: -1}}, MeasureCycles: 1000},
 	}
 	for i, spec := range bad {
 		if _, err := c.Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, false); err == nil ||

@@ -35,7 +35,7 @@ func sampleStats(seed uint64) gpu.RunStats {
 	}
 }
 
-func specFor(t *testing.T, abbr string, seed int64) sweep.RunSpec {
+func specFor(t testing.TB, abbr string, seed int64) sweep.RunSpec {
 	t.Helper()
 	w, ok := workload.ByAbbr(abbr)
 	if !ok {

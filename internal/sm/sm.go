@@ -100,9 +100,19 @@ type SM struct {
 	cluster int
 	cfg     config.Config
 
-	l1    *cache.Cache
-	mshrs *cache.MSHRTable[uint64] // payload: merged request IDs
-	warps []warp
+	// The L1 and its MSHR table are held by value: every access saves the
+	// pointer load a separate allocation would put in front of it.
+	l1    cache.Cache
+	mshrs cache.MSHRTable[uint64] // payload: merged request IDs
+	// inflight has a bit per L1 line slot, set when a load miss fills the
+	// slot and cleared by the first lookup whose MSHR probe finds the slot's
+	// line no longer outstanding. Derived, never serialised: RestoreState
+	// sets every bit. A resident line can become outstanding only by missing,
+	// and a miss fills and so sets its slot, so a resident line whose bit is
+	// clear has no outstanding miss and its load is a plain hit that skips
+	// the MSHR probe.
+	inflight []uint64
+	warps    []warp
 
 	// wake[w] is the cycle from which warp w can issue again (ALU result or
 	// L1 hit due), or asleep while it waits for a load. The rest is derived
@@ -167,20 +177,22 @@ func New(id, cluster int, cfg config.Config) *SM {
 	mshrs := cache.NewMSHRTable[uint64](cfg.L1MSHRs, 0)
 	mshrs.ExpectMerges(cfg.MaxWarpsPerSM) // one blocked load per warp
 	words := wire.BitWords(cfg.MaxWarpsPerSM)
-	// One backing array: ready, the scheduler masks, the calendar.
-	sets := make([]uint64, (1+nSched+64)*words)
+	// One backing array: ready, the scheduler masks, the calendar, the
+	// in-flight bits.
+	sets := make([]uint64, (1+nSched+64)*words+wire.BitWords(l1.Sets()*cfg.L1Ways))
 	s := &SM{
 		id:        id,
 		cluster:   cluster,
 		cfg:       cfg,
-		l1:        l1,
-		mshrs:     mshrs,
+		l1:        *l1,
+		mshrs:     *mshrs,
+		inflight:  sets[(1+nSched+64)*words:],
 		warps:     make([]warp, cfg.MaxWarpsPerSM),
 		wake:      make([]uint64, cfg.MaxWarpsPerSM),
 		words:     words,
 		ready:     sets[:words],
 		schedMask: sets[words : (1+nSched)*words],
-		cal:       sets[(1+nSched)*words:],
+		cal:       sets[(1+nSched)*words : (1+nSched+64)*words],
 		current:   current,
 		outQCap:   8,
 		pool:      &pool.FreeList[mem.Request]{},
@@ -212,9 +224,6 @@ func (s *SM) Stats() Stats { return s.stats }
 
 // ResetStats clears the statistics counters.
 func (s *SM) ResetStats() { s.stats = Stats{} }
-
-// L1 exposes the L1 data cache (for sensitivity analyses and tests).
-func (s *SM) L1() *cache.Cache { return s.l1 }
 
 // SetApp tags requests from this SM with an application identity
 // (multi-program mode).
@@ -422,6 +431,14 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 		s.parked++
 		return
 	}
+	// A resident line with a clear in-flight bit is not outstanding: a hit,
+	// and no MSHR lookup.
+	found := s.l1.Find(op.Addr)
+	at := found.Index()
+	if found.Hit() && s.inflight[at>>6]>>(at&63)&1 == 0 {
+		s.hit(w, found)
+		return
+	}
 	lineAddr := s.l1.LineAddr(op.Addr)
 
 	// One MSHR lookup answers the merge question, the acceptance question
@@ -444,11 +461,16 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 		return
 	}
 
+	if found.Hit() {
+		s.inflight[at>>6] &^= 1 << (at & 63) // its fill has come back
+		s.hit(w, found)
+		return
+	}
+
 	// A fresh miss needs both an MSHR and request-queue space; check before
 	// touching the tags so a structural stall leaves no side effects. Only
 	// the MSHR stall is memoised: the queue drains without moving the stamp.
-	found := s.l1.Find(op.Addr)
-	if !found.Hit() && (!probe.CanAccept() || s.outQ.Len() >= s.outQCap) {
+	if !probe.CanAccept() || s.outQ.Len() >= s.outQCap {
 		if !probe.CanAccept() {
 			s.warps[w].mshrFull = s.mshrs.Stamp() + 1
 		}
@@ -456,19 +478,25 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 		return
 	}
 
-	s.l1.AccessAt(found, cache.Read, -1)
+	_, at = s.l1.AccessAt(found, cache.Read, -1)
+	s.inflight[at>>6] |= 1 << (at & 63)
 	s.retire(w)
 	s.stats.MemInstructions++
 	s.stats.Loads++
-	if found.Hit() {
-		s.stats.L1Hits++
-		s.sleepUntil(w, s.cycle+uint64(s.cfg.L1HitLatency))
-		return
-	}
 	s.stats.L1Misses++
 	s.mshrs.Commit(probe, s.reqCounter)
 	s.outQ.PushBack(s.newRequest(lineAddr, false, w))
 	s.blockOnLine(w, lineAddr)
+}
+
+// hit issues warp w's load of a resident line with no outstanding miss.
+func (s *SM) hit(w int, found cache.Slot) {
+	s.l1.AccessAt(found, cache.Read, -1)
+	s.retire(w)
+	s.stats.MemInstructions++
+	s.stats.Loads++
+	s.stats.L1Hits++
+	s.sleepUntil(w, s.cycle+uint64(s.cfg.L1HitLatency))
 }
 
 // blockOnLine takes the ready warp w out of issue until lineAddr's reply: an
@@ -523,21 +551,38 @@ func (s *SM) CompleteLoad(r mem.Reply, cycle uint64) {
 	line := s.l1.LineAddr(r.Addr)
 	s.mshrs.Complete(line)
 	s.stats.RepliesReceived++
-	woke := false
-	for w, at := range s.wake {
-		if at == asleep && s.warps[w].blockedLine == line {
+	woke := uint64(0)
+	for k := range s.words {
+		// The warps of this word blocked on the line, compared without a
+		// branch: which of them are is as random as the replies.
+		lo := k << 6
+		var mask uint64
+		for j, at := range s.wake[lo:min(lo+64, len(s.wake))] {
+			mask |= bit(at == asleep) & bit(s.warps[lo+j].blockedLine == line) << j
+		}
+		woke += uint64(bits.OnesCount64(mask))
+		for ; mask != 0; mask &= mask - 1 {
+			w := lo + bits.TrailingZeros64(mask)
 			s.wake[w] = cycle + 1
 			s.file(w, cycle+1)
-			woke = true
-			s.stats.LoadsCompleted++
-			if cycle > r.IssuedAt {
-				s.stats.TotalLoadLatency += cycle - r.IssuedAt
-			}
 		}
 	}
-	if !woke {
+	if woke == 0 {
 		// A reply can legitimately wake zero warps only if the request was
 		// purely MSHR-merged bookkeeping; treat anything else as a bug.
 		panic(fmt.Sprintf("sm %d: reply for line %#x woke no warp", s.id, line))
 	}
+	s.stats.LoadsCompleted += woke
+	if cycle > r.IssuedAt {
+		s.stats.TotalLoadLatency += woke * (cycle - r.IssuedAt)
+	}
+}
+
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }

@@ -3,11 +3,13 @@ package sm
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/ring"
@@ -414,13 +416,97 @@ type pickDrive struct {
 	restoreAt int                // tick before which fast moves onto a used SM (0: never)
 }
 
+// refTick is Tick with loads issued by refIssueLoad.
+func refTick(s *SM, cycle uint64, prog workload.Program) {
+	s.advance(cycle)
+	s.stats.Cycles++
+	s.noReady, s.parked = 0, 0
+	for sched := range s.current {
+		w := s.pickWarp(sched)
+		if w < 0 {
+			s.stats.StallNoReadyWarp++
+			s.noReady++
+			continue
+		}
+		s.current[sched] = w
+		op := s.warps[w].pending
+		if !s.warps[w].hasPending {
+			op = prog.NextOp(s.id, w)
+		}
+		if op.IsMem && !op.Write {
+			refIssueLoad(s, w, op)
+		} else {
+			s.execOp(w, op)
+		}
+	}
+	s.frozen = s.noReady+s.parked == uint64(len(s.current))
+}
+
+// refIssueLoad is issueLoad as it was before the in-flight bits: the MSHR
+// probe first, on every load, hit or miss.
+func refIssueLoad(s *SM, w int, op workload.Op) {
+	if s.warps[w].mshrFull == s.mshrs.Stamp()+1 {
+		s.stats.StallStructural++
+		s.parked++
+		return
+	}
+	lineAddr := s.l1.LineAddr(op.Addr)
+	probe := s.mshrs.Probe(lineAddr)
+	if probe.Outstanding() {
+		if !probe.CanAccept() {
+			s.stall(w, op)
+			return
+		}
+		s.mshrs.Commit(probe, s.reqCounter)
+		s.blockOnLine(w, lineAddr)
+		s.retire(w)
+		s.stats.MemInstructions++
+		s.stats.Loads++
+		s.stats.L1Misses++
+		return
+	}
+	found := s.l1.Find(op.Addr)
+	if !found.Hit() && (!probe.CanAccept() || s.outQ.Len() >= s.outQCap) {
+		if !probe.CanAccept() {
+			s.warps[w].mshrFull = s.mshrs.Stamp() + 1
+		}
+		s.stall(w, op)
+		return
+	}
+	s.l1.AccessAt(found, cache.Read, -1)
+	s.retire(w)
+	s.stats.MemInstructions++
+	s.stats.Loads++
+	if found.Hit() {
+		s.stats.L1Hits++
+		s.sleepUntil(w, s.cycle+uint64(s.cfg.L1HitLatency))
+		return
+	}
+	s.stats.L1Misses++
+	s.mshrs.Commit(probe, s.reqCounter)
+	s.outQ.PushBack(s.newRequest(lineAddr, false, w))
+	s.blockOnLine(w, lineAddr)
+}
+
+// settledLines counts the lines resident in s's L1 whose in-flight bit is
+// clear: loads of those skip the MSHR probe.
+func settledLines(s *SM) int {
+	n := 0
+	for k, valid := range s.l1.SaveState().Valid {
+		n += bits.OnesCount64(valid &^ s.inflight[k])
+	}
+	return n
+}
+
 // run drives two SMs through the same ticks. On `fast`, every scheduler's
 // pickWarp must equal the reference scan at every tick. `plain` has its
 // stall memos wiped and its ready set, calendar and far bound rebuilt from the
 // wake times before every tick, so it never relies on what earlier cycles
-// filed; the two must stay in identical state, derived sets included. It
-// returns fast's statistics and how many warp-ticks sat on a memoised stall.
-func (d pickDrive) run(t *testing.T) (Stats, uint64) {
+// filed, and issues its loads through refIssueLoad, so it never relies on
+// the in-flight bits; the two must stay in identical state, derived sets and
+// statistics included. It returns fast's statistics, how many warp-ticks sat
+// on a memoised stall and how many ticks ended with a settled L1 line.
+func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 	t.Helper()
 	cfg := d.cfg
 	fast, plain := New(3, 0, cfg), New(3, 0, cfg)
@@ -428,7 +514,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64) {
 	memFast, memPlain := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
 	digest := func(s *SM) []byte { st := s.SaveState(); return st.AppendTo(nil) }
 
-	parked, cyc := uint64(0), uint64(0)
+	parked, cyc, settled := uint64(0), uint64(0), 0
 	for i := 1; i <= d.ticks; i++ {
 		if i == d.restoreAt {
 			// Restore onto a used SM whose warps all wake far beyond the
@@ -474,7 +560,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64) {
 		plain.rebuild()
 
 		fast.Tick(cyc, progFast)
-		plain.Tick(cyc, progPlain)
+		refTick(plain, cyc, progPlain)
 		memFast.take(fast, cyc)
 		memPlain.take(plain, cyc)
 		memFast.deliver(fast, cyc)
@@ -484,6 +570,9 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64) {
 				parked++
 			}
 		}
+		if settledLines(fast) > 0 {
+			settled++
+		}
 		if !slices.Equal(fast.ready, plain.ready) || !slices.Equal(fast.cal, plain.cal) || fast.calBusy != plain.calBusy || fast.farMin != plain.farMin {
 			t.Fatalf("tick %d cycle %d: incrementally filed sets differ from rebuilt ones", i, cyc)
 		}
@@ -491,10 +580,10 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64) {
 			t.Fatalf("tick %d: memoised SM diverged from the full-path SM", i)
 		}
 	}
-	if !bytes.Equal(digest(fast), digest(plain)) {
-		t.Fatal("final wire forms differ")
+	if !bytes.Equal(digest(fast), digest(plain)) || fast.Stats() != plain.Stats() {
+		t.Fatalf("final wire forms or statistics differ:\n%+v\n%+v", fast.Stats(), plain.Stats())
 	}
-	return fast.Stats(), parked
+	return fast.Stats(), parked, settled
 }
 
 // TestPickWarpMatchesReferenceScan is the 20k-cycle drive, with a mid-run
@@ -504,9 +593,9 @@ func TestPickWarpMatchesReferenceScan(t *testing.T) {
 	// Few warps, fewer MSHRs: schedulers run out of ready warps, and loads
 	// park on a full table, both often.
 	cfg.MaxWarpsPerSM, cfg.L1MSHRs = 12, 6
-	st, parked := pickDrive{cfg: cfg, ticks: 20_000, restoreAt: 9_000}.run(t)
-	if parked == 0 || st.StallNoReadyWarp == 0 || st.L1Hits == 0 || st.Stores == 0 {
-		t.Errorf("drive did not reach every path: %d memoised stall cycles, stats %+v", parked, st)
+	st, parked, settled := pickDrive{cfg: cfg, ticks: 20_000, restoreAt: 9_000}.run(t)
+	if parked == 0 || settled == 0 || st.StallNoReadyWarp == 0 || st.L1Hits == 0 || st.Stores == 0 {
+		t.Errorf("drive did not reach every path: %d memoised stall cycles, %d ticks with a settled L1 line, stats %+v", parked, settled, st)
 	}
 }
 
@@ -533,7 +622,7 @@ func TestPickWarpAcrossTheCalendarHorizon(t *testing.T) {
 			if lat == 1<<20 {
 				d.gap = sometimes(10_000) // or no warp would ever come back
 			}
-			if st, _ := d.run(t); st.StallNoReadyWarp == 0 || st.Instructions < 300 {
+			if st, _, _ := d.run(t); st.StallNoReadyWarp == 0 || st.Instructions < 300 {
 				t.Errorf("drive did not exercise the pick: %+v", st)
 			}
 		})
@@ -541,14 +630,14 @@ func TestPickWarpAcrossTheCalendarHorizon(t *testing.T) {
 	t.Run("l1-hit-latency-100", func(t *testing.T) {
 		far := cfg
 		far.L1HitLatency = 100
-		if st, _ := (pickDrive{cfg: far, ticks: 6_000}).run(t); st.L1Hits == 0 {
+		if st, _, _ := (pickDrive{cfg: far, ticks: 6_000}).run(t); st.L1Hits == 0 {
 			t.Errorf("no L1 hit: %+v", st)
 		}
 	})
 	for _, g := range []uint64{1, 63, 64, 65, 10_000} {
 		t.Run(fmt.Sprintf("gap-%d", g), func(t *testing.T) {
 			d := pickDrive{cfg: cfg, ticks: 6_000, lats: []int{1, 2, 6, 40, 70}, gap: sometimes(g), restoreAt: 2_500}
-			if st, _ := d.run(t); st.LoadsCompleted == 0 || st.StallNoReadyWarp == 0 {
+			if st, _, _ := d.run(t); st.LoadsCompleted == 0 || st.StallNoReadyWarp == 0 {
 				t.Errorf("drive did not exercise the pick: %+v", st)
 			}
 		})
@@ -564,7 +653,7 @@ func TestPickWarpGeometries(t *testing.T) {
 				cfg := testCfg()
 				cfg.MaxWarpsPerSM, cfg.SchedulersPerSM, cfg.L1MSHRs = warps, scheds, warps/2
 				d := pickDrive{cfg: cfg, ticks: 4_000, lats: []int{1, 4, 30, 64, 200}, restoreAt: 1_500}
-				if st, _ := d.run(t); st.Instructions < 300 || st.LoadsCompleted == 0 {
+				if st, _, _ := d.run(t); st.Instructions < 300 || st.LoadsCompleted == 0 {
 					t.Errorf("drive did not exercise the pick: %+v", st)
 				}
 			})

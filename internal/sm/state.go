@@ -68,7 +68,7 @@ func (s *SM) SaveStateInto(st *State) {
 	}
 	st.Current = append(st.Current[:0], s.current...)
 	s.l1.SaveStateInto(&st.L1)
-	cache.SaveMSHRs(s.mshrs, &st.MSHRs, func(id uint64) uint64 { return id })
+	cache.SaveMSHRs(&s.mshrs, &st.MSHRs, func(id uint64) uint64 { return id })
 	st.OutQ = st.OutQ[:0]
 	for i := 0; i < s.outQ.Len(); i++ {
 		st.OutQ = append(st.OutQ, *s.outQ.At(i))
@@ -112,8 +112,12 @@ func (s *SM) RestoreState(st State) error {
 	}
 	// Derived issue-stage state is rebuilt, not restored: stall memos start
 	// empty, so the first retry after a restore takes the full path, the
-	// ready set and the calendar are refiled from Wake and Cycle, and the SM
-	// is thawed.
+	// ready set and the calendar are refiled from Wake and Cycle, the SM is
+	// thawed, and every L1 slot counts as in flight until a lookup's MSHR
+	// probe says otherwise.
+	for i := range s.inflight {
+		s.inflight[i] = ^uint64(0)
+	}
 	copy(s.wake, st.Wake)
 	blocked := st.Blocked
 	for i := range s.warps {

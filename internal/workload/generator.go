@@ -55,21 +55,22 @@ type Generator struct {
 	seed int64
 	rng  lfg
 
-	lineBytes   uint64
-	sharedLines uint64
-	privLines   uint64      // lines per CTA private region
-	privStride  uint64      // bytes reserved per CTA private region
-	warps       []warpState // slot sm*MaxWarpsPerSM + warp
-	kernel      int
-	// The bounds the stream draws below: frontier jitter, trailing window,
-	// shared footprint, private tile.
-	jitterMod, trailMod, sharedMod, tileMod modulus
+	lineBytes  uint64
+	privLines  uint64      // lines per CTA private region
+	privStride uint64      // bytes reserved per CTA private region
+	warps      []warpState // slot sm*MaxWarpsPerSM + warp
+	kernel     int
+	// The bounds the stream draws below or reduces by: frontier jitter,
+	// trailing window, shared footprint, private tile, frontier advance.
+	jitterMod, trailMod, sharedMod, tileMod, advanceMod modulus
+	// The spec's MemRatio, SharedFraction, WriteFraction and
+	// TrailingReuseFraction as thresholds.
+	memT, sharedT, writeT, trailT threshold
 	// Global lockstep frontier (PatternLockstepSweep): all warps read lines
-	// near this position, which advances once every advanceEvery shared
+	// near this position, which advances once every advanceMod.n shared
 	// accesses (about one access per warp in the GPU per line).
 	globalFrontier uint64
 	sharedCount    uint64
-	advanceEvery   uint64
 	appID          int
 	addrOffset     uint64 // shifts this program's address space (multi-program)
 	totalOps       uint64
@@ -94,7 +95,6 @@ func NewGenerator(spec Spec, cfg config.Config, seed int64) (*Generator, error) 
 		lineBytes: uint64(cfg.LLCLineBytes),
 	}
 	g.rng.seed(seed)
-	g.sharedLines = spec.SharedLines(cfg.LLCLineBytes)
 	g.privLines = uint64(spec.PrivateKBPerCTA) * 1024 / g.lineBytes
 	if g.privLines == 0 {
 		g.privLines = 1
@@ -103,15 +103,14 @@ func NewGenerator(spec Spec, cfg config.Config, seed int64) (*Generator, error) 
 	// regions do not all alias onto the same handful of cache sets (a
 	// power-of-two stride would make every region start at set 0).
 	g.privStride = (g.privLines + 5) * g.lineBytes
-	g.jitterMod = newModulus(int64(spec.FrontierJitterLines) + 1)
-	g.trailMod = newModulus(int64(spec.TrailingWindowLines))
-	g.sharedMod = newModulus(int64(g.sharedLines))
-	g.tileMod = newModulus(int64(min(g.privLines, 4)))
+	g.jitterMod = newModulus(uint64(spec.FrontierJitterLines) + 1)
+	g.trailMod = newModulus(uint64(spec.TrailingWindowLines))
+	g.sharedMod = newModulus(spec.SharedLines(cfg.LLCLineBytes))
+	g.tileMod = newModulus(min(g.privLines, 4))
+	g.advanceMod = newModulus(uint64(cfg.NumSMs * cfg.MaxWarpsPerSM))
+	g.memT, g.sharedT = thresholdOf(spec.MemRatio), thresholdOf(spec.SharedFraction)
+	g.writeT, g.trailT = thresholdOf(spec.WriteFraction), thresholdOf(spec.TrailingReuseFraction)
 	g.warps = make([]warpState, cfg.NumSMs*cfg.MaxWarpsPerSM)
-	g.advanceEvery = uint64(cfg.NumSMs * cfg.MaxWarpsPerSM)
-	if g.advanceEvery == 0 {
-		g.advanceEvery = 1
-	}
 	g.assignCTAs()
 	g.resetSweeps()
 	return g, nil
@@ -206,7 +205,7 @@ func (g *Generator) resetSweeps() {
 			ws := g.warp(s, w)
 			start := uint64(0)
 			if jitter > 0 {
-				start = uint64(g.rng.below(g.jitterMod))
+				start = g.rng.below(g.jitterMod)
 			}
 			// Distributed CTA scheduling keeps adjacent CTAs in one cluster,
 			// which de-phases the clusters slightly and reduces inter-cluster
@@ -238,17 +237,17 @@ func (g *Generator) Kernel() int { return g.kernel }
 func (g *Generator) NextOp(sm, warpSlot int) Op {
 	ws := g.warp(sm, warpSlot)
 	g.totalOps++
-	if g.rng.float64() >= g.spec.MemRatio {
+	if g.rng.unit() >= g.memT {
 		return Op{ALULatency: g.spec.ALULatency}
 	}
 	g.totalMemOps++
 
-	if g.rng.float64() < g.spec.SharedFraction {
+	if g.rng.unit() < g.sharedT {
 		g.totalShared++
 		return Op{IsMem: true, Addr: g.sharedAddr(ws, sm)}
 	}
 	g.totalPrivate++
-	write := g.rng.float64() < g.spec.WriteFraction
+	write := g.rng.unit() < g.writeT
 	return Op{IsMem: true, Write: write, Addr: g.privateAddr(ws)}
 }
 
@@ -262,30 +261,30 @@ func (g *Generator) sharedAddr(ws *warpState, sm int) uint64 {
 		// frontier advances once the GPU as a whole has issued roughly one
 		// access per warp to it, so each warp reads each line about once.
 		g.sharedCount++
-		if g.sharedCount%g.advanceEvery == 0 {
+		if g.advanceMod.mod(g.sharedCount) == 0 {
 			g.globalFrontier++
 		}
 		off := uint64(0)
 		if g.spec.FrontierJitterLines > 0 {
-			off = uint64(g.rng.below(g.jitterMod))
+			off = g.rng.below(g.jitterMod)
 		}
 		if g.spec.TrailingReuseFraction > 0 && g.spec.TrailingWindowLines > 0 &&
-			g.rng.float64() < g.spec.TrailingReuseFraction {
+			g.rng.unit() < g.trailT {
 			// Revisit a recently swept line (re-reading recently used
 			// weights); these re-reads exceed the L1 reach and populate the
 			// LLC with shared lines beyond the narrow frontier.
-			back := uint64(g.rng.below(g.trailMod)) + 1
+			back := g.rng.below(g.trailMod) + 1
 			if back > g.globalFrontier {
 				back = g.globalFrontier
 			}
-			line = (g.globalFrontier - back + ws.startPos) % g.sharedLines
+			line = g.sharedMod.mod(g.globalFrontier - back + ws.startPos)
 			break
 		}
-		line = (g.globalFrontier + off + ws.startPos) % g.sharedLines
+		line = g.sharedMod.mod(g.globalFrontier + off + ws.startPos)
 	default:
 		// Uniform reuse over the whole footprint (also used for the tiny
 		// shared regions of the neutral workloads).
-		line = uint64(g.rng.below(g.sharedMod))
+		line = g.rng.below(g.sharedMod)
 	}
 	return g.addrOffset + sharedBase + line*g.lineBytes
 }
@@ -302,7 +301,7 @@ func (g *Generator) privateAddr(ws *warpState) uint64 {
 		// of the CTA's private region. The tiny footprint keeps this data
 		// L1-resident, so it adds realism (stores, occasional misses) without
 		// drowning the LLC in unshared streaming traffic.
-		line = uint64(g.rng.below(g.tileMod))
+		line = g.rng.below(g.tileMod)
 	}
 	base := g.addrOffset + privateBase + uint64(ws.ctaID)*g.privStride
 	return base + line*g.lineBytes

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -10,8 +11,9 @@ import (
 // generator draws from it without an interface hop, and its whole state —
 // the 607-word feedback register and the two cursors — is plain data, so a
 // checkpoint restores a stream position by copying it. After seed(s) that
-// state equals rand.NewSource(s)'s, so float64/below reproduce
-// rand.New(rand.NewSource(s)).Float64/Int63n draw for draw (TestLFGMatchesMathRand).
+// state equals rand.NewSource(s)'s, so below reproduces
+// rand.New(rand.NewSource(s)).Int63n, and unit its Float64 before the
+// conversion, draw for draw (TestLFGMatchesMathRand).
 type lfg struct {
 	vec       [lfgLen]uint64
 	tap, feed int
@@ -57,42 +59,86 @@ func (r *lfg) int63() int64 {
 	return int64(x &^ (1 << 63))
 }
 
-// float64 is rand.Rand.Float64, including its resample of the one input
-// that rounds to 1.0.
-func (r *lfg) float64() float64 {
+// A threshold is a probability p as an int63 draw: the least x with
+// float64(x)/2^63 >= p, 2^63 for none. The conversion rounds monotonically
+// and the division by 2^63 is exact, so float64(x)/2^63 >= p holds exactly
+// for x >= the threshold. rand.Rand.Float64() >= p is therefore
+// unit() >= thresholdOf(p), with no conversion, and Float64() < p its
+// negation for any p but NaN.
+type threshold uint64
+
+// thresholdOf finds p's threshold by bisection over [0, 2^63].
+func thresholdOf(p float64) threshold {
+	lo, hi := uint64(0), uint64(1)<<63 // the answer lies in [lo, hi]
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return threshold(lo)
+}
+
+// one is 1.0's threshold: the draws Float64 resamples because they round to
+// 1.0 (2^63 - 512 and up).
+var one = thresholdOf(1)
+
+// unit is rand.Rand.Float64 before its conversion: the int63 draw,
+// resampling the draws Float64 resamples, to be compared against thresholds.
+func (r *lfg) unit() threshold {
 	for {
-		if f := float64(r.int63()) / (1 << 63); f != 1 {
-			return f
+		if x := threshold(r.int63()); x < one {
+			return x
 		}
 	}
 }
 
-// modulus is an Int63n bound with the rejection limit rand.Rand.Int63n works
-// out on every call — a 64-bit divide — worked out once: the generator draws
-// below a handful of bounds fixed for its life.
-type modulus struct{ n, limit int64 }
+// modulus is a bound the generator draws below or reduces by, fixed for its
+// life, with what rand.Rand.Int63n and `%` would work out with a 64-bit
+// divide on every call worked out once: the rejection limit, and the
+// reciprocal mod multiplies by instead of dividing.
+type modulus struct {
+	n     uint64
+	limit uint64 // the largest draw below accepts
+	inv   uint64 // floor((2^64-1)/n)
+}
 
-func newModulus(n int64) modulus {
-	if n <= 0 {
-		return modulus{n: n} // a draw below it panics, as Int63n does
+func newModulus(n uint64) modulus {
+	if n == 0 {
+		return modulus{} // a draw below it panics, as Int63n does
 	}
-	return modulus{n: n, limit: int64((1 << 63) - 1 - (1<<63)%uint64(n))}
+	return modulus{n: n, limit: (1 << 63) - 1 - (1<<63)%n, inv: ^uint64(0) / n}
+}
+
+// mod is v % m.n with a multiply-high for the divide. inv·n lies in
+// (2^64 - n - 1, 2^64), so v·inv/2^64 lies in (v/n - 1, v/n]: its floor q is
+// ⌊v/n⌋ or one less, v - q·n lies in [0, 2n), and one subtraction corrects
+// it — for every v and every n >= 1.
+func (m modulus) mod(v uint64) uint64 {
+	q, _ := bits.Mul64(v, m.inv)
+	r := v - q*m.n
+	if r >= m.n {
+		r -= m.n
+	}
+	return r
 }
 
 // below is rand.Rand.Int63n(m.n): a mask for powers of two, otherwise
 // rejection sampling below the largest multiple of n.
-func (r *lfg) below(m modulus) int64 {
-	if m.n <= 0 {
+func (r *lfg) below(m modulus) uint64 {
+	if int64(m.n) <= 0 {
 		panic("workload: draw below a non-positive bound")
 	}
 	if m.n&(m.n-1) == 0 {
-		return r.int63() & (m.n - 1)
+		return uint64(r.int63()) & (m.n - 1)
 	}
-	v := r.int63()
+	v := uint64(r.int63())
 	for v > m.limit {
-		v = r.int63()
+		v = uint64(r.int63())
 	}
-	return v % m.n
+	return m.mod(v)
 }
 
 // restore overwrites the stream position with a snapshotted one, rejecting

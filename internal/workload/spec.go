@@ -111,12 +111,18 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload: missing name/abbr")
 	case s.SharedDataMB < 0:
 		return fmt.Errorf("workload %s: negative shared footprint", s.Abbr)
-	case s.MemRatio < 0 || s.MemRatio > 1:
+	case !fraction(s.MemRatio):
 		return fmt.Errorf("workload %s: MemRatio %f out of [0,1]", s.Abbr, s.MemRatio)
-	case s.SharedFraction < 0 || s.SharedFraction > 1:
+	case !fraction(s.SharedFraction):
 		return fmt.Errorf("workload %s: SharedFraction %f out of [0,1]", s.Abbr, s.SharedFraction)
-	case s.WriteFraction < 0 || s.WriteFraction > 1:
+	case !fraction(s.WriteFraction):
 		return fmt.Errorf("workload %s: WriteFraction %f out of [0,1]", s.Abbr, s.WriteFraction)
+	case !fraction(s.TrailingReuseFraction):
+		return fmt.Errorf("workload %s: TrailingReuseFraction %f out of [0,1]", s.Abbr, s.TrailingReuseFraction)
+	case s.FrontierJitterLines < 0:
+		return fmt.Errorf("workload %s: negative FrontierJitterLines", s.Abbr)
+	case s.TrailingWindowLines < 0:
+		return fmt.Errorf("workload %s: negative TrailingWindowLines", s.Abbr)
 	case s.Kernels < 1:
 		return fmt.Errorf("workload %s: Kernels must be >= 1", s.Abbr)
 	case s.ALULatency < 1:
@@ -126,6 +132,9 @@ func (s Spec) Validate() error {
 	}
 	return nil
 }
+
+// fraction reports whether v is a probability: in [0,1], and not NaN.
+func fraction(v float64) bool { return v >= 0 && v <= 1 }
 
 // SharedLines returns the shared footprint in cache lines.
 func (s Spec) SharedLines(lineBytes int) uint64 {

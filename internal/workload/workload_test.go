@@ -80,6 +80,15 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.ALULatency = 0 },
 		func(s *Spec) { s.PrivateKBPerCTA = -1 },
 		func(s *Spec) { s.SharedDataMB = -1 },
+		func(s *Spec) { s.MemRatio = math.NaN() },
+		// Each of these built a generator that panicked on its first draw
+		// ("draw below a non-positive bound") or drew from a negative window.
+		func(s *Spec) { s.FrontierJitterLines = -1 },
+		func(s *Spec) { s.FrontierJitterLines = -2 },
+		func(s *Spec) { s.TrailingWindowLines = -1 },
+		func(s *Spec) { s.TrailingReuseFraction = -0.1 },
+		func(s *Spec) { s.TrailingReuseFraction = 1.5 },
+		func(s *Spec) { s.TrailingReuseFraction = math.NaN() },
 	}
 	for i, mutate := range bad {
 		s := good
@@ -87,6 +96,14 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+		if _, err := NewGenerator(s, config.Baseline(), 1); err == nil {
+			t.Errorf("case %d: NewGenerator accepted the spec", i)
+		}
+	}
+	edge := good
+	edge.FrontierJitterLines, edge.TrailingWindowLines, edge.TrailingReuseFraction = 0, 0, 1
+	if err := edge.Validate(); err != nil {
+		t.Errorf("zero jitter and window with a reuse fraction of 1: %v", err)
 	}
 }
 

@@ -10,8 +10,9 @@
 #                       the code (go test -bench . ./internal/...: sm, workload,
 #                       dram, llc, noc ticks in ns per component-cycle — the
 #                       sm ones include the 80-SM gpu-sweep —, cache accesses
-#                       on the L1 and LLC-slice geometries, and checkpoint
-#                       save/encode/decode/restore per snapshot) and
+#                       on the L1 and LLC-slice geometries, checkpoint
+#                       save/encode/decode/restore per snapshot, and the
+#                       result store's fingerprint / get / put) and
 #                       write them to BENCH_<YYYY-MM-DD>-layers.json, every
 #                       entry tagged with its package and the host's CPU count
 #
