@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/gpu"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -207,6 +208,8 @@ func BenchmarkFigure16_Sensitivity(b *testing.B) {
 // Ablation benchmarks (design choices called out in DESIGN.md)
 // ---------------------------------------------------------------------------
 
+// runOne measures one benchmark on the baseline configuration, as mutated,
+// at the ablations' scale.
 func runOne(b *testing.B, abbr string, mutate func(*config.Config)) gpu.RunStats {
 	b.Helper()
 	spec, ok := workload.ByAbbr(abbr)
@@ -217,16 +220,17 @@ func runOne(b *testing.B, abbr string, mutate func(*config.Config)) gpu.RunStats
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	gen, err := workload.NewGenerator(spec, cfg, 1)
+	rs, err := sweep.Execute(sweep.RunSpec{
+		Workloads:     []workload.Spec{spec},
+		Config:        cfg,
+		Seed:          1,
+		WarmupCycles:  6_000,
+		MeasureCycles: 15_000,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := gpu.New(cfg, gen)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g.Warmup(6_000)
-	return g.Run(15_000, spec.Kernels)
+	return rs
 }
 
 // BenchmarkAblation_InfiniteNoC quantifies how much of the shared-LLC

@@ -18,6 +18,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -59,40 +60,24 @@ func main() {
 func runSingle(spec workload.Spec, mode config.LLCMode) float64 {
 	cfg := config.Baseline()
 	cfg.LLCMode = mode
-	gen, err := workload.NewGenerator(spec, cfg, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := gpu.New(cfg, gen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g.Warmup(20_000)
-	return g.Run(60_000, spec.Kernels).IPC
+	return run(sweep.RunSpec{Workloads: []workload.Spec{spec}, Config: cfg}).IPC
 }
 
 // runPair co-executes the two applications and returns their per-app IPC.
 // appModes nil means both use the (shared) baseline organization.
 func runPair(a, b workload.Spec, appModes []config.LLCMode) []float64 {
-	cfg := config.Baseline()
-	mp, err := workload.NewMultiProgram([]workload.Spec{a, b}, cfg, 1)
+	return run(sweep.RunSpec{Workloads: []workload.Spec{a, b}, Config: config.Baseline(), AppModes: appModes}).AppIPC
+}
+
+// run warms s up and measures it at the example's scale; the measured window
+// is split into the largest kernel count among its workloads.
+func run(s sweep.RunSpec) gpu.RunStats {
+	s.Seed = 1
+	s.WarmupCycles = 20_000
+	s.MeasureCycles = 60_000
+	rs, err := sweep.Execute(s)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := gpu.New(cfg, mp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if appModes != nil {
-		if err := g.SetAppModes(appModes); err != nil {
-			log.Fatal(err)
-		}
-	}
-	g.Warmup(20_000)
-	kernels := a.Kernels
-	if b.Kernels > kernels {
-		kernels = b.Kernels
-	}
-	rs := g.Run(60_000, kernels)
-	return rs.AppIPC
+	return rs
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/power"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -73,14 +74,15 @@ func main() {
 }
 
 func run(spec workload.Spec, cfg config.Config) gpu.RunStats {
-	gen, err := workload.NewGenerator(spec, cfg, 1)
+	rs, err := sweep.Execute(sweep.RunSpec{
+		Workloads:     []workload.Spec{spec},
+		Config:        cfg,
+		Seed:          1,
+		WarmupCycles:  15_000,
+		MeasureCycles: 40_000,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := gpu.New(cfg, gen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g.Warmup(15_000)
-	return g.Run(40_000, spec.Kernels)
+	return rs
 }

@@ -1,5 +1,5 @@
-// Quickstart: build a GPU, run one benchmark under the three memory-side
-// LLC organizations and compare the outcomes.
+// Quickstart: declare one run per memory-side LLC organization for a
+// benchmark, execute them and compare the outcomes.
 //
 //	go run ./examples/quickstart
 package main
@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"repro/internal/config"
-	"repro/internal/gpu"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -32,18 +32,18 @@ func main() {
 		cfg.LLCMode = mode
 		cfg.ProfileWindowCycles = 2_000 // scaled-down profiling window for short runs
 
-		gen, err := workload.NewGenerator(spec, cfg, 1)
+		// Warm the caches, then measure; the measured window is split into
+		// the benchmark's kernel invocations.
+		rs, err := sweep.Execute(sweep.RunSpec{
+			Workloads:     []workload.Spec{spec},
+			Config:        cfg,
+			Seed:          1,
+			WarmupCycles:  20_000,
+			MeasureCycles: 60_000,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := gpu.New(cfg, gen)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		// Warm the caches, then measure.
-		g.Warmup(20_000)
-		rs := g.Run(60_000, spec.Kernels)
 
 		if mode == config.LLCShared {
 			sharedIPC = rs.IPC

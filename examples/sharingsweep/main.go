@@ -16,7 +16,7 @@ import (
 	"log"
 
 	"repro/internal/config"
-	"repro/internal/gpu"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -58,14 +58,15 @@ func main() {
 func run(spec workload.Spec, mode config.LLCMode) float64 {
 	cfg := config.Baseline()
 	cfg.LLCMode = mode
-	gen, err := workload.NewGenerator(spec, cfg, 1)
+	rs, err := sweep.Execute(sweep.RunSpec{
+		Workloads:     []workload.Spec{spec},
+		Config:        cfg,
+		Seed:          1,
+		WarmupCycles:  15_000,
+		MeasureCycles: 40_000,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := gpu.New(cfg, gen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g.Warmup(15_000)
-	return g.Run(40_000, spec.Kernels).IPC
+	return rs.IPC
 }

@@ -125,9 +125,8 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 			}
 
 			mgr, store := newManager(t)
-			spec.Checkpoint = true
 
-			first, err := sweep.ExecuteWith(spec, mgr)
+			first, err := sweep.ExecuteSpanned(spec, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +139,7 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 				t.Fatalf("store holds %d blobs / %d bytes, want 3 blobs", ss.Blobs, ss.TotalBytes)
 			}
 
-			second, err := sweep.ExecuteWith(spec, mgr)
+			second, err := sweep.ExecuteSpanned(spec, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,13 +151,11 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 			// A longer measurement shares only the warmup prefix.
 			longer := spec
 			longer.MeasureCycles = spec.MeasureCycles + 3_000
-			longerCold := longer
-			longerCold.Checkpoint = false
-			cold2, err := sweep.Execute(longerCold)
+			cold2, err := sweep.Execute(longer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := sweep.ExecuteWith(longer, mgr)
+			warm, err := sweep.ExecuteSpanned(longer, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,15 +167,55 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestUnevenWindowBanksOnlyProbedBoundaries: a measured window that Kernels
+// does not divide evenly fires Kernels boundaries, the last a few cycles
+// before the window ends. No resume probes past boundary Kernels-1, so only
+// the warmup end and boundaries 1 and 2 are banked, and resuming from the
+// furthest of them reproduces the cold run.
+func TestUnevenWindowBanksOnlyProbedBoundaries(t *testing.T) {
+	spec := genRunSpec(t, config.LLCAdaptive)
+	spec.Workloads = []workload.Spec{benchSpec(t, "LUD", 3)}
+	spec.MeasureCycles = 2_000
+	cold, err := sweep.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cold.KernelBoundaries); n != spec.Kernels {
+		t.Fatalf("a %d-cycle window of %d kernels fired %d boundaries, want %d",
+			spec.MeasureCycles, spec.Kernels, n, spec.Kernels)
+	}
+
+	mgr, store := newManager(t)
+	banked, err := sweep.ExecuteSpanned(spec, mgr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualStats(t, cold, banked, "banking run")
+	if st := mgr.ManagerStats(); st.Saves != 3 || st.Errors != 0 {
+		t.Fatalf("banking run: stats %+v, want 3 saves (warmup, boundaries 1 and 2), 0 errors", st)
+	}
+	if ss := store.StoreStats(); ss.Blobs != 3 {
+		t.Fatalf("store holds %d blobs, want 3", ss.Blobs)
+	}
+
+	resumed, err := sweep.ExecuteSpanned(spec, mgr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualStats(t, cold, resumed, "resume from boundary 2")
+	if st := mgr.ManagerStats(); st.Hits != 1 || st.Errors != 0 {
+		t.Fatalf("resumed run: stats %+v, want 1 hit, 0 errors", st)
+	}
+}
+
 // TestSpecWithRemovedConfigKeyResumes: a spec serialized while config.Config
 // still had its Shards field (a stored record's spec, an older client's POST
 // body) decodes with the key ignored, so it derives the checkpoint keys the
 // plain spec does and resumes from the blobs banked under them.
 func TestSpecWithRemovedConfigKeyResumes(t *testing.T) {
 	spec := genRunSpec(t, config.LLCAdaptive)
-	spec.Checkpoint = true
 	mgr, _ := newManager(t)
-	banked, err := sweep.ExecuteWith(spec, mgr)
+	banked, err := sweep.ExecuteSpanned(spec, mgr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +232,7 @@ func TestSpecWithRemovedConfigKeyResumes(t *testing.T) {
 	if err := json.Unmarshal(old, &decoded); err != nil {
 		t.Fatalf("spec with a Shards key in its config does not decode: %v", err)
 	}
-	resumed, err := sweep.ExecuteWith(decoded, mgr)
+	resumed, err := sweep.ExecuteSpanned(decoded, mgr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +283,7 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 				t.Fatal(err)
 			}
 			mgr, store := newManager(t)
-			spec.Checkpoint = true
-			if _, err := sweep.ExecuteWith(spec, mgr); err != nil {
+			if _, err := sweep.ExecuteSpanned(spec, mgr, nil); err != nil {
 				t.Fatal(err)
 			}
 			// The furthest boundary's blob is the one mangled on disk.
@@ -267,7 +303,7 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				resumed, err := sweep.ExecuteWith(spec, mgr)
+				resumed, err := sweep.ExecuteSpanned(spec, mgr, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,13 +330,12 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 func TestRecordingDisablesCheckpointing(t *testing.T) {
 	spec := genRunSpec(t, config.LLCShared)
 	mgr, _ := newManager(t)
-	spec.Checkpoint = true
-	if _, err := sweep.ExecuteWith(spec, mgr); err != nil { // populate
+	if _, err := sweep.ExecuteSpanned(spec, mgr, nil); err != nil { // populate
 		t.Fatal(err)
 	}
 	rec := spec
 	rec.RecordPath = filepath.Join(t.TempDir(), "rec.trace")
-	if _, err := sweep.ExecuteWith(rec, mgr); err != nil {
+	if _, err := sweep.ExecuteSpanned(rec, mgr, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := mgr.ManagerStats(); st.Hits != 0 {
@@ -311,10 +346,7 @@ func TestRecordingDisablesCheckpointing(t *testing.T) {
 		Key: "replay", TracePath: rec.RecordPath, Config: rec.Config,
 		MeasureCycles: rec.MeasureCycles, WarmupCycles: rec.WarmupCycles, Kernels: rec.Kernels,
 	}
-	recCold := rec
-	recCold.RecordPath = ""
-	recCold.Checkpoint = false
-	want, err := sweep.Execute(recCold)
+	want, err := sweep.Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +429,8 @@ func TestPrefixKeys(t *testing.T) {
 	same.MeasureCycles *= 7
 	same.Kernels = 1
 	same.Key = "renamed"
-	same.Checkpoint = true
 	if wk(base) != wk(same) {
-		t.Error("warmup key must ignore measurement window, kernel count, naming and the checkpoint flag")
+		t.Error("warmup key must ignore measurement window, kernel count and naming")
 	}
 
 	for name, mutate := range map[string]func(*sweep.RunSpec){

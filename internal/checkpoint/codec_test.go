@@ -252,7 +252,6 @@ func TestManagerScratchIsPerCall(t *testing.T) {
 	for i, mode := range modes {
 		spec := genRunSpec(t, mode)
 		spec.Seed += int64(i)
-		spec.Checkpoint = true
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -262,7 +261,7 @@ func TestManagerScratchIsPerCall(t *testing.T) {
 				return
 			}
 			for pass := 0; pass < 2; pass++ { // bank, then resume
-				got, err := sweep.ExecuteWith(spec, mgr)
+				got, err := sweep.ExecuteSpanned(spec, mgr, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -15,10 +15,10 @@ import (
 )
 
 // Manager stores checkpoints content-addressed in a simstore.Store and
-// implements sweep.Checkpointer on top: Resume probes the stored prefixes of
-// a spec from the furthest kernel boundary back to the warmup end, Checkpoint
-// banks newly passed boundaries. All failures short of "the trace file named
-// by the spec is unreadable" degrade to cold execution — checkpointing is an
+// implements sweep.Checkpointer on top: ResumeSpanned probes the stored
+// prefixes of a spec from the furthest kernel boundary back to the warmup
+// end, Checkpoint banks newly passed boundaries. All failures short of "the
+// trace file named by the spec is unreadable" degrade to cold execution — checkpointing is an
 // accelerator, never a correctness dependency — and corrupt blobs are dropped
 // from the store so the next run rewrites them.
 //
@@ -56,10 +56,7 @@ type scratch struct {
 // workers; not safe to change concurrently with running simulations.
 func (m *Manager) OnSave(fn func(key [32]byte, data []byte)) { m.onSave = fn }
 
-var (
-	_ sweep.Checkpointer        = (*Manager)(nil)
-	_ sweep.SpannedCheckpointer = (*Manager)(nil)
-)
+var _ sweep.Checkpointer = (*Manager)(nil)
 
 // NewManager wraps a store with checkpoint semantics.
 func NewManager(store *simstore.Store) *Manager {
@@ -130,15 +127,15 @@ func (m *Manager) candidates(spec sweep.RunSpec) ([]candidate, error) {
 	return cands, nil
 }
 
-// Resume implements sweep.Checkpointer.
+// Resume is ResumeSpanned without spans.
 func (m *Manager) Resume(spec sweep.RunSpec, newProg func() (workload.Program, error)) (*gpu.GPU, workload.Program, int, bool) {
 	return m.ResumeSpanned(spec, newProg, nil)
 }
 
-// ResumeSpanned implements sweep.SpannedCheckpointer: Resume with the probe
-// phase (key derivation + blob lookups) and the restore phase (decode +
-// program build + state restoration) recorded as distinct child spans of sp
-// and observed into the timing histograms. A nil sp records no spans.
+// ResumeSpanned implements sweep.Checkpointer: the probe phase (key
+// derivation + blob lookups) and the restore phase (decode + program build +
+// state restoration) are recorded as distinct child spans of sp and observed
+// into the timing histograms. A nil sp records no spans.
 func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (*gpu.GPU, workload.Program, int, bool) {
 	probeStart := time.Now()
 	probe := sp.Child("checkpoint-probe")

@@ -10,6 +10,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -27,7 +28,7 @@ type codecProperties struct {
 	boundaries int
 }
 
-func (p *codecProperties) Resume(sweep.RunSpec, func() (workload.Program, error)) (*gpu.GPU, workload.Program, int, bool) {
+func (p *codecProperties) ResumeSpanned(sweep.RunSpec, func() (workload.Program, error), *obs.Span) (*gpu.GPU, workload.Program, int, bool) {
 	return nil, nil, 0, false
 }
 
@@ -100,8 +101,7 @@ func (e modesExecutor) Run(_ context.Context, specs []sweep.RunSpec) ([]sweep.Re
 			}
 			s := spec
 			s.Config.LLCMode = mode
-			s.Checkpoint = true
-			stats, err := sweep.ExecuteWith(s, e.props)
+			stats, err := sweep.ExecuteSpanned(s, e.props, nil)
 			if err != nil {
 				return results, err
 			}

@@ -11,7 +11,7 @@ import (
 // until it is struck from knownFailing.
 func TestFidelity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates Figures 2, 11, 12 and 13 at -quick scale: Figure 11's 51 runs")
+		t.Skip("regenerates Figures 2 and 11-15 at -quick scale: Figure 11's 51 runs and Figure 15's pairs")
 	}
 	cs := claims()
 	var figs []FigureJob
@@ -34,8 +34,8 @@ func TestFidelity(t *testing.T) {
 		tables[f.Key] = tb
 		simulated += sim
 	})
-	// Figures 2, 12 and 13 are slices of Figure 11's grid: their claims cost
-	// no run of their own.
+	// Figures 2, 12, 13 and 14 are slices of Figure 11's grid: their claims
+	// cost no run of their own.
 	t.Logf("%d runs simulated for %d figures", simulated, len(figs))
 
 	names := map[string]bool{}

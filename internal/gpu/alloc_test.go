@@ -71,7 +71,7 @@ func TestEarlyRunMergeListAllocs(t *testing.T) {
 	const kcycles = 32
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g.runLoop(kcycles*1000, kcycles)
+	g.advance(kcycles*1000, kcycles, nil)
 	runtime.ReadMemStats(&after)
 	if perK := float64(after.Mallocs-before.Mallocs) / kcycles; perK > 10 {
 		t.Errorf("MM/private allocates %.1f times per 1000 cycles between cycle 8k and 40k, want < 10", perK)
@@ -126,12 +126,12 @@ func TestPostRestoreCycleAllocs(t *testing.T) {
 	// paid during its warmup); the control advances through the same cycles
 	// so the measurement windows below cover the identical simulated region.
 	const rewarm = 20_000
-	restored.runLoop(rewarm, 1)
-	control.runLoop(rewarm, 1)
+	restored.advance(rewarm, 1, nil)
+	control.advance(rewarm, 1, nil)
 
 	const cyclesPerRun = 500
-	coldAvg := testing.AllocsPerRun(10, func() { control.runLoop(cyclesPerRun, 1) })
-	resumedAvg := testing.AllocsPerRun(10, func() { restored.runLoop(cyclesPerRun, 1) })
+	coldAvg := testing.AllocsPerRun(10, func() { control.advance(cyclesPerRun, 1, nil) })
+	resumedAvg := testing.AllocsPerRun(10, func() { restored.advance(cyclesPerRun, 1, nil) })
 	// Identical windows should allocate near-identically; the slack absorbs
 	// the last stragglers of one-off capacity regrowth (free-list chunks,
 	// deep merge lists), which decay over tens of thousands of cycles. A
@@ -147,7 +147,7 @@ func requireAllocFreeLoop(t *testing.T, g *GPU, what string) {
 	t.Helper()
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(10, func() {
-		g.runLoop(cyclesPerRun, 1)
+		g.advance(cyclesPerRun, 1, nil)
 	})
 	perCycle := avg / cyclesPerRun
 	// A strict 0 would be flaky against one-off high-water-mark

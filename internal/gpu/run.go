@@ -65,7 +65,7 @@ type RunStats struct {
 // behaviour (caches warm, lockstep established) without cold-start
 // transients. The adaptive controller's state is preserved.
 func (g *GPU) Warmup(cycles uint64) {
-	g.runLoop(cycles, 1)
+	g.advance(cycles, 1, nil)
 	g.resetMeasurement()
 }
 
@@ -95,22 +95,29 @@ func (g *GPU) resetMeasurement() {
 // Run simulates `cycles` core cycles, splitting them evenly into `kernels`
 // kernel invocations (kernel boundaries re-synchronize the workload and, for
 // the adaptive LLC, trigger Rule #3), and returns the measured statistics.
+// It is RunCheckpointed without a boundary hook.
 func (g *GPU) Run(cycles uint64, kernels int) RunStats {
-	g.runLoop(cycles, kernels)
-	return g.collect(cycles)
+	return g.RunCheckpointed(cycles, kernels, nil)
 }
 
 // RunCheckpointed is Run with a kernel-boundary hook: onBoundary(m) is
 // invoked at the end of the cycle in which the m-th boundary (1-based) fires,
 // after the boundary's own controller and sharing-window work, so a snapshot
 // taken inside the hook captures exactly the state a cold run has at that
-// point. A nil hook makes it identical to Run.
+// point. A nil hook fires nothing.
 func (g *GPU) RunCheckpointed(cycles uint64, kernels int, onBoundary func(m int)) RunStats {
+	g.advance(cycles, kernels, onBoundary)
+	return g.collect(cycles)
+}
+
+// advance is the one prologue of Warmup and RunCheckpointed: it opens a run
+// of `cycles` cycles at the current cycle, split into `kernels` invocations,
+// and simulates it.
+func (g *GPU) advance(cycles uint64, kernels int, onBoundary func(m int)) {
 	kernelLen := kernelLenFor(cycles, kernels)
 	g.runStart = g.cycle
 	g.sharerWindowEnd = g.cycle + sharingWindowCycles
 	g.loopUntil(g.cycle+cycles, kernelLen, g.cycle+kernelLen, onBoundary)
-	return g.collect(cycles)
 }
 
 // ResumeRun continues a run restored from a mid-run checkpoint until the run
@@ -141,14 +148,6 @@ func kernelLenFor(cycles uint64, kernels int) uint64 {
 		kernelLen = cycles
 	}
 	return kernelLen
-}
-
-// runLoop advances the simulation by `cycles` cycles.
-func (g *GPU) runLoop(cycles uint64, kernels int) {
-	kernelLen := kernelLenFor(cycles, kernels)
-	g.runStart = g.cycle
-	g.sharerWindowEnd = g.cycle + sharingWindowCycles
-	g.loopUntil(g.cycle+cycles, kernelLen, g.cycle+kernelLen, nil)
 }
 
 // loopUntil advances the simulation until `end`, firing kernel boundaries on

@@ -2,11 +2,8 @@ package scenario
 
 import (
 	"fmt"
-	"path/filepath"
 
-	"repro/internal/checkpoint"
 	"repro/internal/config"
-	"repro/internal/simstore"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -466,39 +463,14 @@ func checkpointResumeScenario() Scenario {
 		Specs:       declare,
 		Check: func(e *Env, results []sweep.Result) []string {
 			v := requireActivity(results)
-			store, err := simstore.Open(filepath.Join(e.Dir, "ckpt-store"), simstore.Options{})
+			mgr, err := openManager(e.Dir)
 			if err != nil {
-				return append(v, fmt.Sprintf("checkpoint store: %v", err))
+				return append(v, err.Error())
 			}
-			mgr := checkpoint.NewManager(store)
 			for i, spec := range declare(e) {
-				spec.Checkpoint = true
-				cold := results[i].Stats
-
-				// First checkpointed pass: cold execution that banks the
-				// warmup and kernel-boundary snapshots.
-				first, err := sweep.ExecuteWith(spec, mgr)
-				if err != nil {
-					v = append(v, fmt.Sprintf("run %q: checkpointed execution: %v", spec.Key, err))
-					continue
-				}
-				if !statsEqual(cold, first) {
-					v = append(v, fmt.Sprintf("run %q: checkpoint-banking run differs from cold statistics", spec.Key))
-				}
-
-				// Second pass: must resume from the furthest banked boundary
-				// and still reproduce the cold statistics exactly.
-				before := mgr.ManagerStats().Hits
-				second, err := sweep.ExecuteWith(spec, mgr)
-				if err != nil {
-					v = append(v, fmt.Sprintf("run %q: resumed execution: %v", spec.Key, err))
-					continue
-				}
-				if !statsEqual(cold, second) {
-					v = append(v, fmt.Sprintf("run %q: resumed run differs from cold statistics", spec.Key))
-				}
-				if mgr.ManagerStats().Hits == before {
-					v = append(v, fmt.Sprintf("run %q: second execution did not resume from a checkpoint", spec.Key))
+				// Bank every prefix, then resume from the furthest one.
+				for _, msg := range checkCheckpointResume(mgr, spec, results[i].Stats) {
+					v = append(v, fmt.Sprintf("run %q: %s", spec.Key, msg))
 				}
 
 				// Stretched measurement window: the kernel-boundary keys no
@@ -511,8 +483,8 @@ func checkpointResumeScenario() Scenario {
 					v = append(v, fmt.Sprintf("run %q: cold execution: %v", longer.Key, err))
 					continue
 				}
-				before = mgr.ManagerStats().Hits
-				longerWarm, err := sweep.ExecuteWith(longer, mgr)
+				before := mgr.ManagerStats().Hits
+				longerWarm, err := sweep.ExecuteSpanned(longer, mgr, nil)
 				if err != nil {
 					v = append(v, fmt.Sprintf("run %q: warmup-resumed execution: %v", longer.Key, err))
 					continue

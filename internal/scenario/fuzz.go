@@ -194,7 +194,11 @@ func (c FuzzCase) Check(dir string) []string {
 	v = append(v, fingerprintViolations(spec)...)
 
 	if c.CheckpointResume {
-		v = append(v, checkCheckpointResume(dir, spec, first)...)
+		mgr, err := openManager(dir)
+		if err != nil {
+			return append(v, err.Error())
+		}
+		v = append(v, checkCheckpointResume(mgr, spec, first)...)
 	}
 
 	if !c.TraceRoundTrip {
@@ -232,42 +236,47 @@ func (c FuzzCase) Check(dir string) []string {
 	return v
 }
 
-// checkCheckpointResume executes spec checkpoint-assisted against a scratch
-// store under dir: the first pass runs cold and banks the warmup and
-// kernel-boundary snapshots, the second resumes from the furthest banked
-// prefix. Both must reproduce the plain run's statistics exactly, the second
-// must actually hit the store, and the manager must swallow no errors.
-func checkCheckpointResume(dir string, spec sweep.RunSpec, plain gpu.RunStats) []string {
-	var v []string
+// openManager opens a checkpoint manager over a scratch store under dir.
+func openManager(dir string) (*checkpoint.Manager, error) {
 	store, err := simstore.Open(filepath.Join(dir, "ckpt-store"), simstore.Options{})
 	if err != nil {
-		return []string{fmt.Sprintf("checkpoint store: %v", err)}
+		return nil, fmt.Errorf("checkpoint store: %w", err)
 	}
-	mgr := checkpoint.NewManager(store)
-	spec.Checkpoint = true
-	banking, err := sweep.ExecuteWith(spec, mgr)
+	return checkpoint.NewManager(store), nil
+}
+
+// checkCheckpointResume executes spec checkpoint-assisted against mgr twice:
+// the first pass runs cold and banks the warmup and kernel-boundary
+// snapshots, the second resumes from the furthest banked prefix. Both must
+// reproduce the plain run's statistics exactly, the second must actually hit
+// the store, and the manager must swallow no errors.
+func checkCheckpointResume(mgr *checkpoint.Manager, spec sweep.RunSpec, plain gpu.RunStats) []string {
+	var v []string
+	before := mgr.ManagerStats()
+	banking, err := sweep.ExecuteSpanned(spec, mgr, nil)
 	if err != nil {
 		return []string{fmt.Sprintf("checkpoint-banking run failed: %v", err)}
 	}
 	if !statsEqual(plain, banking) {
 		v = append(v, "checkpointing is not transparent: banking run differs from plain run")
 	}
-	resumed, err := sweep.ExecuteWith(spec, mgr)
+	banked := mgr.ManagerStats()
+	resumed, err := sweep.ExecuteSpanned(spec, mgr, nil)
 	if err != nil {
 		return append(v, fmt.Sprintf("checkpoint-resumed run failed: %v", err))
 	}
 	if !statsEqual(plain, resumed) {
 		v = append(v, "checkpoint resume broken: resumed statistics differ from the plain run")
 	}
-	ms := mgr.ManagerStats()
-	if ms.Hits == 0 {
+	after := mgr.ManagerStats()
+	if after.Hits == banked.Hits {
 		v = append(v, "checkpoint resume dead: second execution never restored a snapshot")
 	}
-	if ms.Saves == 0 || ms.Bytes == 0 {
+	if banked.Saves == before.Saves || banked.Bytes == before.Bytes {
 		v = append(v, "checkpoint banking dead: first execution stored no snapshots")
 	}
-	if ms.Errors > 0 {
-		v = append(v, fmt.Sprintf("checkpoint manager swallowed %d errors on a healthy store", ms.Errors))
+	if n := after.Errors - before.Errors; n > 0 {
+		v = append(v, fmt.Sprintf("checkpoint manager swallowed %d errors on a healthy store", n))
 	}
 	return v
 }

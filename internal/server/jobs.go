@@ -335,10 +335,6 @@ func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitte
 	j.spQueue = j.trace.Start("queue-wait")
 	j.spec = canon
 	j.spec.Key = j.ID // names the run in engine error messages
-	// Opt the execution into checkpoint resume/banking. Set after Canonical
-	// (which erases the flag), so the cache identity fp was computed from is
-	// unaffected — checkpointing changes wall-clock time, never statistics.
-	j.spec.Checkpoint = q.cp != nil
 	q.inflight[hexFP] = j
 	q.mu.Unlock()
 

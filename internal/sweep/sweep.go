@@ -84,15 +84,11 @@ type RunSpec struct {
 	// trace file that can later be replayed via TracePath.
 	RecordPath string
 
-	// Checkpoint opts a run handed to ExecuteWith / ExecuteSpanned into
-	// checkpoint-assisted execution: with a Checkpointer, the run resumes
-	// from the longest stored state prefix (warmup end or a later kernel
-	// boundary) and emits checkpoints at those points for future runs. A
-	// Runner sets it for its whole batch from its own Checkpointer.
-	// Checkpointing never changes the measured statistics — a resumed run is
-	// byte-identical to a cold one — so Canonical clears this flag. Ignored
-	// while recording a trace (a resumed run could not re-record its skipped
-	// prefix).
+	// Checkpoint is unread: the Checkpointer handed to ExecuteSpanned (or set
+	// on a Runner) is what opts a run into checkpoint-assisted execution. The
+	// field stays only because the frozen benchmark harness under bench/
+	// still writes it; Canonical clears it, so it never reaches a
+	// fingerprint.
 	Checkpoint bool
 }
 
@@ -105,8 +101,7 @@ type RunSpec struct {
 //     simulator.
 //   - RecordPath is cleared: capturing a trace is a side effect that leaves
 //     the measured statistics untouched (see Execute).
-//   - Checkpoint is cleared: resuming from a stored state prefix reproduces
-//     the cold run's statistics exactly, so it never affects the outcome.
+//   - Checkpoint is cleared: it is unread (see the field).
 //   - Config is normalized, so a zero derived field and its explicitly
 //     spelled-out default compare equal.
 //   - A zero Kernels is resolved to the workload-derived default, so "let it
@@ -147,25 +142,18 @@ func (s RunSpec) kernels() int {
 // content-addressed implementation; the interface lives here so the sweep
 // engine stays free of storage dependencies.
 type Checkpointer interface {
-	// Resume tries to restore the longest stored prefix for spec. newProg
-	// builds a fresh program for each restore attempt (a failed restore may
-	// leave a program partially fast-forwarded, so attempts never share one).
-	// On success it returns the restored GPU, the program driving it, and the
-	// kernel boundary the snapshot was taken at (0 = warmup end).
-	Resume(spec RunSpec, newProg func() (workload.Program, error)) (g *gpu.GPU, prog workload.Program, atKernel int, ok bool)
+	// ResumeSpanned tries to restore the longest stored prefix for spec,
+	// recording its probe and restore phases as child spans of sp (a nil sp
+	// records none). newProg builds a fresh program for each restore attempt
+	// (a failed restore may leave a program partially fast-forwarded, so
+	// attempts never share one). On success it returns the restored GPU, the
+	// program driving it, and the kernel boundary the snapshot was taken at
+	// (0 = warmup end).
+	ResumeSpanned(spec RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (g *gpu.GPU, prog workload.Program, atKernel int, ok bool)
 	// Checkpoint stores the GPU's current state as the prefix ending at
 	// kernel boundary atKernel (0 = warmup end). Failures are swallowed:
 	// checkpointing is an accelerator, never a correctness dependency.
 	Checkpoint(spec RunSpec, g *gpu.GPU, atKernel int)
-}
-
-// SpannedCheckpointer is an optional extension of Checkpointer: a resume
-// implementation that records its probe and restore phases as distinct
-// child spans of sp (internal/checkpoint.Manager implements it). Executors
-// fall back to wrapping plain Resume in a single probe span.
-type SpannedCheckpointer interface {
-	Checkpointer
-	ResumeSpanned(spec RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (g *gpu.GPU, prog workload.Program, atKernel int, ok bool)
 }
 
 // BuildProgram constructs the workload program a spec declares: a trace
@@ -208,122 +196,88 @@ func (s RunSpec) resolveKernels(player *trace.Player) int {
 }
 
 // Execute runs one spec to completion on the calling goroutine and returns
-// its statistics. It is the serial building block the Runner parallelizes,
-// and the single place where a declarative RunSpec is turned into generator,
-// GPU and simulation loop.
+// its statistics: ExecuteSpanned without a checkpointer or a span.
 func Execute(s RunSpec) (gpu.RunStats, error) {
-	return ExecuteWith(s, nil)
+	return ExecuteSpanned(s, nil, nil)
 }
 
-// ExecuteWith is Execute with an optional checkpointer. When the spec opts in
-// (RunSpec.Checkpoint) and cp is non-nil, the run first tries to resume from
-// the longest stored state prefix and emits checkpoints at warmup end and at
-// every kernel boundary it passes. The returned statistics are byte-identical
-// to what the cold Execute produces.
-func ExecuteWith(s RunSpec, cp Checkpointer) (gpu.RunStats, error) {
-	return ExecuteSpanned(s, cp, nil)
-}
-
-// ExecuteSpanned is ExecuteWith recording the run's lifecycle as child
-// spans of sp: checkpoint probe/restore, program build, warmup, the measure
-// window with one segment per kernel invocation, and checkpoint saves. A
-// nil sp records nothing (spans are nil-safe), and tracing never affects
-// the returned statistics — they stay byte-identical either way.
+// ExecuteSpanned is the one place where a declarative RunSpec is turned into
+// program, GPU, warm-up and measured window; the Runner parallelizes it.
+//
+// A non-nil cp opts the run into checkpoint-assisted execution: it first
+// tries to resume from the longest stored state prefix and banks one at
+// warmup end and at every kernel boundary it passes. A run that records a
+// trace (RecordPath) runs cold whatever cp is: a run restored past its
+// warmup could not re-record the skipped prefix, so the trace would be
+// silently partial.
+//
+// The run's lifecycle is recorded as child spans of sp: checkpoint
+// probe/restore, program build, warmup, the measure window with one segment
+// per kernel invocation, and checkpoint saves. A nil sp records nothing
+// (spans are nil-safe). Neither checkpoints nor spans affect the returned
+// statistics: they are byte-identical to a cold, untraced run's.
 func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, error) {
 	fail := func(err error) (gpu.RunStats, error) {
 		return gpu.RunStats{}, fmt.Errorf("sweep: run %q: %w", s.Key, err)
 	}
-
-	// runMeasured drives the measured window, segmenting it per kernel
-	// invocation: boundary m closes segment m and opens segment m+1, with
-	// checkpoint saves spanned in between.
-	runMeasured := func(g *gpu.GPU, kernels, atKernel int, useCP bool) gpu.RunStats {
-		meas := sp.Child("measure")
-		meas.Annotate("cycles", s.MeasureCycles)
-		meas.Annotate("kernels", kernels)
-		if atKernel > 0 {
-			meas.Annotate("resumed_at_kernel", atKernel)
-		}
-		defer meas.End()
-		var seg *obs.Span
-		if sp != nil && kernels > 1 {
-			seg = meas.Child(fmt.Sprintf("kernel-%d", atKernel+1))
-		}
-		hook := func(m int) {
-			seg.End()
-			if useCP {
-				save := meas.Child("checkpoint-save")
-				save.Annotate("at_kernel", m)
-				cp.Checkpoint(s, g, m)
-				save.End()
-			}
-			if sp != nil && kernels > 1 {
-				seg = meas.Child(fmt.Sprintf("kernel-%d", m+1))
-			}
-		}
-		defer func() { seg.End() }()
-		if atKernel > 0 {
-			return g.ResumeRun(s.MeasureCycles, kernels, hook)
-		}
-		if !useCP && sp == nil {
-			return g.Run(s.MeasureCycles, kernels)
-		}
-		return g.RunCheckpointed(s.MeasureCycles, kernels, hook)
+	if s.RecordPath != "" {
+		cp = nil
 	}
 
-	// Recording is incompatible with resuming: a run restored past its
-	// warmup could not re-record the skipped prefix, so the trace would be
-	// silently partial.
-	useCP := cp != nil && s.Checkpoint && s.RecordPath == ""
-	if useCP {
-		newProg := func() (workload.Program, error) {
+	var (
+		g        *gpu.GPU
+		prog     workload.Program
+		atKernel int
+		resumed  bool
+	)
+	if cp != nil {
+		g, prog, atKernel, resumed = cp.ResumeSpanned(s, func() (workload.Program, error) {
 			prog, _, err := BuildProgram(s)
 			return prog, err
-		}
-		var (
-			g        *gpu.GPU
-			prog     workload.Program
-			atKernel int
-			ok       bool
-		)
-		if scp, spanned := cp.(SpannedCheckpointer); spanned {
-			g, prog, atKernel, ok = scp.ResumeSpanned(s, newProg, sp)
-		} else {
-			probe := sp.Child("checkpoint-probe")
-			g, prog, atKernel, ok = cp.Resume(s, newProg)
-			probe.Annotate("hit", ok)
-			probe.End()
-		}
-		if ok {
-			player, _ := prog.(*trace.Player)
-			if player != nil {
-				defer player.Close()
-			}
-			kernels := s.resolveKernels(player)
-			stats := runMeasured(g, kernels, atKernel, true)
-			if player != nil {
-				if err := player.Err(); err != nil {
-					return fail(err)
-				}
-			}
-			return stats, nil
+		}, sp)
+	}
+	if !resumed {
+		build := sp.Child("build-program")
+		var err error
+		prog, _, err = BuildProgram(s)
+		build.End()
+		if err != nil {
+			return fail(err)
 		}
 	}
-
-	build := sp.Child("build-program")
-	prog, player, err := BuildProgram(s)
-	build.End()
-	if err != nil {
-		return fail(err)
-	}
+	player, _ := prog.(*trace.Player)
 	if player != nil {
 		defer player.Close()
 	}
-
 	kernels := s.resolveKernels(player)
 
-	// Optional transparent capture: wrap the program so the run records its
-	// op stream to a replayable trace file.
+	var rec *trace.Recorder
+	if !resumed {
+		var err error
+		if g, rec, err = s.start(prog, kernels, cp, sp); err != nil {
+			return fail(err)
+		}
+	}
+	stats := s.measure(g, kernels, atKernel, cp, sp)
+	if rec != nil {
+		if err := rec.Close(); err != nil {
+			os.Remove(s.RecordPath)
+			return fail(err)
+		}
+	}
+	if player != nil {
+		if err := player.Err(); err != nil {
+			return fail(err)
+		}
+	}
+	return stats, nil
+}
+
+// start builds the GPU of a cold run around prog and warms it up, banking
+// the warmup prefix with a non-nil cp. With a RecordPath it first wraps prog
+// so the run records its op stream to a replayable trace file; the returned
+// recorder must be closed once the run ends.
+func (s RunSpec) start(prog workload.Program, kernels int, cp Checkpointer, sp *obs.Span) (*gpu.GPU, *trace.Recorder, error) {
 	var rec *trace.Recorder
 	if s.RecordPath != "" {
 		names := make([]string, len(s.Workloads))
@@ -347,7 +301,7 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 		}
 		w, err := trace.Create(s.RecordPath, hdr)
 		if err != nil {
-			return fail(err)
+			return nil, nil, err
 		}
 		rec = trace.NewRecorder(prog, w)
 		prog = rec
@@ -355,21 +309,20 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 	// A failed recorded run must not leave a well-formed (but empty or
 	// partial) trace behind: a later replay of it would silently succeed
 	// with a bogus workload.
-	abortRecording := func() {
+	fail := func(err error) (*gpu.GPU, *trace.Recorder, error) {
 		if rec != nil {
 			rec.Close()
 			os.Remove(s.RecordPath)
 		}
+		return nil, nil, err
 	}
 
 	g, err := gpu.New(s.Config, prog)
 	if err != nil {
-		abortRecording()
 		return fail(err)
 	}
 	if len(s.AppModes) > 0 {
 		if err := g.SetAppModes(s.AppModes); err != nil {
-			abortRecording()
 			return fail(err)
 		}
 	}
@@ -377,7 +330,7 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 		warm := sp.Child("warmup")
 		warm.Annotate("cycles", s.WarmupCycles)
 		g.Warmup(s.WarmupCycles)
-		if useCP {
+		if cp != nil {
 			save := warm.Child("checkpoint-save")
 			save.Annotate("at_kernel", 0)
 			cp.Checkpoint(s, g, 0)
@@ -385,19 +338,44 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 		}
 		warm.End()
 	}
-	stats := runMeasured(g, kernels, 0, useCP)
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			os.Remove(s.RecordPath)
-			return fail(err)
+	return g, rec, nil
+}
+
+// measure drives the measured window from kernel boundary atKernel (0 = its
+// start), segmenting it per kernel invocation: boundary m closes segment m
+// and opens segment m+1, with checkpoint saves spanned in between.
+func (s RunSpec) measure(g *gpu.GPU, kernels, atKernel int, cp Checkpointer, sp *obs.Span) gpu.RunStats {
+	meas := sp.Child("measure")
+	meas.Annotate("cycles", s.MeasureCycles)
+	meas.Annotate("kernels", kernels)
+	if atKernel > 0 {
+		meas.Annotate("resumed_at_kernel", atKernel)
+	}
+	defer meas.End()
+	var seg *obs.Span
+	if sp != nil && kernels > 1 {
+		seg = meas.Child(fmt.Sprintf("kernel-%d", atKernel+1))
+	}
+	hook := func(m int) {
+		seg.End()
+		// A window that kernels does not divide evenly fires one boundary
+		// more, a few cycles before it ends; no resume probes past
+		// boundary kernels-1, so that one is not banked.
+		if cp != nil && m < kernels {
+			save := meas.Child("checkpoint-save")
+			save.Annotate("at_kernel", m)
+			cp.Checkpoint(s, g, m)
+			save.End()
+		}
+		if sp != nil && kernels > 1 {
+			seg = meas.Child(fmt.Sprintf("kernel-%d", m+1))
 		}
 	}
-	if player != nil {
-		if err := player.Err(); err != nil {
-			return fail(err)
-		}
+	defer func() { seg.End() }()
+	if atKernel > 0 {
+		return g.ResumeRun(s.MeasureCycles, kernels, hook)
 	}
-	return stats, nil
+	return g.RunCheckpointed(s.MeasureCycles, kernels, hook)
 }
 
 // Result is the outcome of one RunSpec within a batch.
@@ -449,8 +427,7 @@ type Runner struct {
 	OnProgress func(Progress)
 	// Checkpointer, when non-nil, opts the whole batch into
 	// checkpoint-assisted execution: every run resumes from stored state
-	// prefixes and banks new ones, whatever its RunSpec.Checkpoint says. A
-	// Runner without one ignores the flag.
+	// prefixes and banks new ones.
 	Checkpointer Checkpointer
 	// TraceFor, when non-nil, is asked for a parent span per run (keyed by
 	// RunSpec.Key); the run's lifecycle phases are recorded as children and
@@ -520,7 +497,6 @@ func (r *Runner) Run(ctx context.Context, specs []RunSpec) ([]Result, error) {
 					continue
 				}
 				spec := specs[i]
-				spec.Checkpoint = r.Checkpointer != nil
 				res := Result{Index: i, Key: spec.Key}
 				var sp *obs.Span
 				if r.TraceFor != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -291,7 +292,7 @@ type probeCounter struct {
 	probes, saves int
 }
 
-func (c *probeCounter) Resume(RunSpec, func() (workload.Program, error)) (*gpu.GPU, workload.Program, int, bool) {
+func (c *probeCounter) ResumeSpanned(RunSpec, func() (workload.Program, error), *obs.Span) (*gpu.GPU, workload.Program, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.probes++
@@ -305,9 +306,9 @@ func (c *probeCounter) Checkpoint(RunSpec, *gpu.GPU, int) {
 }
 
 // TestRunnerCheckpointerOptsBatchIn: holding a Checkpointer is what opts a
-// Runner's batch into checkpoint-assisted execution — specs that left
-// RunSpec.Checkpoint false are probed and banked all the same, and a Runner
-// without one runs a flagged batch cold. Statistics are identical either way.
+// run into checkpoint-assisted execution — a Runner's batch and a single
+// ExecuteSpanned alike are probed and banked, with statistics identical to
+// the cold run's.
 func TestRunnerCheckpointerOptsBatchIn(t *testing.T) {
 	specs := figureSpecs(1_000, 500)[:4]
 	plain, err := (&Runner{Workers: 2}).Run(context.Background(), specs)
@@ -321,23 +322,24 @@ func TestRunnerCheckpointerOptsBatchIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cp.probes != len(specs) || cp.saves < len(specs) {
-		t.Errorf("Runner with a Checkpointer: %d resume probes, %d saves for %d unflagged specs; want every spec probed and its warmup banked",
+		t.Errorf("Runner with a Checkpointer: %d resume probes, %d saves for %d specs; want every spec probed and its warmup banked",
 			cp.probes, cp.saves, len(specs))
 	}
+	if !reflect.DeepEqual(plain, assisted) {
+		t.Error("checkpoint-assisted batch changed the statistics")
+	}
 
-	flagged := append([]RunSpec(nil), specs...)
-	for i := range flagged {
-		flagged[i].Checkpoint = true
-	}
-	cold, err := (&Runner{Workers: 2}).Run(context.Background(), flagged)
+	one := &probeCounter{}
+	stats, err := ExecuteSpanned(specs[0], one, nil)
 	if err != nil {
-		t.Fatalf("Runner without a Checkpointer must ignore RunSpec.Checkpoint: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, assisted) || !reflect.DeepEqual(plain, cold) {
-		t.Error("checkpoint opt-in changed the statistics")
+	if one.probes != 1 || one.saves < 1 {
+		t.Errorf("ExecuteSpanned with a Checkpointer: %d resume probes, %d saves; want the spec probed and its warmup banked",
+			one.probes, one.saves)
 	}
-	if specs[0].Checkpoint {
-		t.Error("Runner.Run wrote the opt-in back into the caller's specs")
+	if !reflect.DeepEqual(plain[0].Stats, stats) {
+		t.Error("checkpoint-assisted ExecuteSpanned changed the statistics")
 	}
 }
 
