@@ -39,8 +39,6 @@ type Location struct {
 type Mapper interface {
 	// Map returns the location of the cache line containing addr.
 	Map(addr uint64) Location
-	// Name returns a short scheme name ("pae" or "hynix").
-	Name() string
 }
 
 // Geometry captures the parameters the mapping schemes need.
@@ -118,9 +116,6 @@ func NewPAE(g Geometry) (*PAE, error) {
 	}, nil
 }
 
-// Name implements Mapper.
-func (p *PAE) Name() string { return "pae" }
-
 // Map implements Mapper.
 func (p *PAE) Map(addr uint64) Location {
 	line := addr >> p.lineShift
@@ -192,9 +187,6 @@ func NewHynix(g Geometry) (*Hynix, error) {
 		colBits:   uint(log2(g.RowBytes / g.LineBytes)),
 	}, nil
 }
-
-// Name implements Mapper.
-func (h *Hynix) Name() string { return "hynix" }
 
 // Map implements Mapper.
 func (h *Hynix) Map(addr uint64) Location {

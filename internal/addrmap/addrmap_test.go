@@ -29,12 +29,12 @@ func TestGeometryValidate(t *testing.T) {
 func TestNewByName(t *testing.T) {
 	g := testGeom()
 	m, err := New(SchemePAE, g)
-	if err != nil || m.Name() != "pae" {
-		t.Fatalf("New(pae) = %v, %v", m, err)
+	if _, ok := m.(*PAE); err != nil || !ok {
+		t.Fatalf("New(pae) = %T, %v", m, err)
 	}
 	m, err = New(SchemeHynix, g)
-	if err != nil || m.Name() != "hynix" {
-		t.Fatalf("New(hynix) = %v, %v", m, err)
+	if _, ok := m.(*Hynix); err != nil || !ok {
+		t.Fatalf("New(hynix) = %T, %v", m, err)
 	}
 	if _, err := New("bogus", g); err == nil {
 		t.Fatal("New(bogus) should fail")
@@ -53,13 +53,13 @@ func TestMapRangesInBounds(t *testing.T) {
 			addr := rng.Uint64() >> 20 // keep addresses in a plausible range
 			loc := m.Map(addr)
 			if loc.Channel < 0 || loc.Channel >= g.Channels {
-				t.Fatalf("%s: channel %d out of range", m.Name(), loc.Channel)
+				t.Fatalf("%T: channel %d out of range", m, loc.Channel)
 			}
 			if loc.Slice < 0 || loc.Slice >= g.SlicesPerMC {
-				t.Fatalf("%s: slice %d out of range", m.Name(), loc.Slice)
+				t.Fatalf("%T: slice %d out of range", m, loc.Slice)
 			}
 			if loc.Bank < 0 || loc.Bank >= g.Banks {
-				t.Fatalf("%s: bank %d out of range", m.Name(), loc.Bank)
+				t.Fatalf("%T: bank %d out of range", m, loc.Bank)
 			}
 		}
 	}
@@ -72,8 +72,8 @@ func TestSameLineSameLocation(t *testing.T) {
 		want := m.Map(base)
 		for off := uint64(0); off < uint64(g.LineBytes); off++ {
 			if got := m.Map(base + off); got != want {
-				t.Fatalf("%s: offset %d within a line maps differently: %+v vs %+v",
-					m.Name(), off, got, want)
+				t.Fatalf("%T: offset %d within a line maps differently: %+v vs %+v",
+					m, off, got, want)
 			}
 		}
 	}
@@ -161,7 +161,7 @@ func TestMappingInjectiveProperty(t *testing.T) {
 			return locA != locB
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-			t.Errorf("%s: injectivity property failed: %v", m.Name(), err)
+			t.Errorf("%T: injectivity property failed: %v", m, err)
 		}
 	}
 }

@@ -61,48 +61,6 @@ type Result struct {
 	EvictedAddr  uint64 // line-aligned address of the evicted line (valid if Evicted)
 }
 
-// Stats accumulates access statistics.
-type Stats struct {
-	Accesses    uint64
-	Hits        uint64
-	Misses      uint64
-	Reads       uint64
-	Writes      uint64
-	ReadMisses  uint64
-	WriteMisses uint64
-	Evictions   uint64
-	Writebacks  uint64
-}
-
-// MissRate returns misses/accesses, or 0 for an idle cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// HitRate returns hits/accesses, or 0 for an idle cache.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Accesses += other.Accesses
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Reads += other.Reads
-	s.Writes += other.Writes
-	s.ReadMisses += other.ReadMisses
-	s.WriteMisses += other.WriteMisses
-	s.Evictions += other.Evictions
-	s.Writebacks += other.Writebacks
-}
-
 // lineMeta is what a resident line holds besides its tag word.
 type lineMeta struct {
 	lastUse uint64 // LRU timestamp
@@ -155,7 +113,6 @@ type Cache struct {
 	// index is an AND; the 48-set LLC slices take the modulo.
 	pow2      bool
 	clock     uint64
-	stats     Stats
 	lineShift uint
 	// tags holds one dense row of ways words per set (slot = set*ways + way):
 	// the line number plus one, so zero is an invalid way and a lookup is one
@@ -192,12 +149,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return int(c.nsets) }
-
-// Stats returns a copy of the accumulated statistics.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the statistics counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // LineAddr returns the line-aligned address for addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
@@ -243,7 +194,7 @@ func (s Slot) Index() int { return s.at }
 // Associativity is the cache's, so no workload picks the scan.
 const shortRow = 8
 
-// Find looks addr's line up without updating LRU state or statistics. It is
+// Find looks addr's line up without updating LRU state. It is
 // the only tag scan: a caller that must decide something between looking and
 // touching (the SM's and the LLC slice's stall-before-side-effects checks)
 // hands the Slot to AccessAt instead of paying for a second one.
@@ -289,15 +240,7 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 // miss.
 func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) (Result, int) {
 	c.clock++
-	c.stats.Accesses++
-	if kind == Write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
-
 	if found.Hit() {
-		c.stats.Hits++
 		m := &c.meta[found.at]
 		m.lastUse = c.clock
 		if cluster >= 0 {
@@ -317,22 +260,13 @@ func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) (Result, int)
 	}
 
 	// Miss path.
-	c.stats.Misses++
-	if kind == Write {
-		c.stats.WriteMisses++
-	} else {
-		c.stats.ReadMisses++
-	}
-
 	victim := c.findVictim(^found.at)
 	m := &c.meta[victim]
 	var res Result
 	if old := c.tags[victim]; old != 0 {
-		c.stats.Evictions++
 		res.Evicted = true
 		res.EvictedAddr = (old - 1) << c.lineShift
 		if m.dirty {
-			c.stats.Writebacks++
 			res.WritebackReq = true
 		}
 	}

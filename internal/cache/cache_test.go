@@ -58,10 +58,6 @@ func TestBasicHitMiss(t *testing.T) {
 	if !r.Hit {
 		t.Error("same-line different offset should hit")
 	}
-	st := c.Stats()
-	if st.Accesses != 4 || st.Hits != 2 || st.Misses != 2 {
-		t.Errorf("stats = %+v, want 4 accesses, 2 hits, 2 misses", st)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -99,9 +95,6 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 	r := c.Access(256, Read, 0) // evicts line 0 (dirty)
 	if !r.Evicted || !r.WritebackReq {
 		t.Errorf("expected dirty eviction with writeback, got %+v", r)
-	}
-	if c.Stats().Writebacks != 1 {
-		t.Errorf("writebacks = %d, want 1", c.Stats().Writebacks)
 	}
 }
 
@@ -201,9 +194,8 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 	}
 }
 
-// Property test: the number of valid lines never exceeds capacity, stats are
-// consistent (hits+misses == accesses), and a line just accessed always
-// probes as resident.
+// Property test: the number of valid lines never exceeds capacity, and a
+// line just accessed always probes as resident.
 func TestCacheInvariantsProperty(t *testing.T) {
 	f := func(seed int64, ops uint16) bool {
 		c := New(Config{SizeBytes: 4 * 1024, Ways: 4, LineBytes: 128, Policy: WriteBack})
@@ -220,34 +212,11 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		st := c.Stats()
-		if st.Hits+st.Misses != st.Accesses {
-			return false
-		}
-		if st.Reads+st.Writes != st.Accesses {
-			return false
-		}
 		capacity := c.Config().Sets() * c.Config().Ways
 		return c.ValidLines() <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Accesses: 10, Hits: 6, Misses: 4, Reads: 8, Writes: 2, Evictions: 1, Writebacks: 1}
-	b := Stats{Accesses: 5, Hits: 1, Misses: 4, Reads: 5, ReadMisses: 4}
-	a.Add(b)
-	if a.Accesses != 15 || a.Hits != 7 || a.Misses != 8 || a.Reads != 13 || a.ReadMisses != 4 {
-		t.Errorf("Add result = %+v", a)
-	}
-	if a.MissRate() != 8.0/15.0 {
-		t.Errorf("MissRate = %v", a.MissRate())
-	}
-	var empty Stats
-	if empty.MissRate() != 0 || empty.HitRate() != 0 {
-		t.Error("empty stats rates should be 0")
 	}
 }
 

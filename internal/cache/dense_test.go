@@ -16,7 +16,6 @@ type rowScanCache struct {
 	cfg       Config
 	sets      [][]rowScanLine
 	clock     uint64
-	stats     Stats
 	lineShift uint
 }
 
@@ -54,15 +53,8 @@ func (c *rowScanCache) probe(addr uint64) bool {
 func (c *rowScanCache) access(addr uint64, kind AccessKind, cluster int) Result {
 	c.clock++
 	set, tag := c.set(addr)
-	c.stats.Accesses++
-	if kind == Write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			c.stats.Hits++
 			set[i].lastUse = c.clock
 			if cluster >= 0 {
 				set[i].sharers |= 1 << uint(cluster)
@@ -78,12 +70,6 @@ func (c *rowScanCache) access(addr uint64, kind AccessKind, cluster int) Result 
 			return res
 		}
 	}
-	c.stats.Misses++
-	if kind == Write {
-		c.stats.WriteMisses++
-	} else {
-		c.stats.ReadMisses++
-	}
 	victim, oldest := 0, ^uint64(0)
 	for i := range set {
 		if !set[i].valid {
@@ -96,11 +82,9 @@ func (c *rowScanCache) access(addr uint64, kind AccessKind, cluster int) Result 
 	}
 	var res Result
 	if set[victim].valid {
-		c.stats.Evictions++
 		res.Evicted = true
 		res.EvictedAddr = set[victim].tag << c.lineShift
 		if set[victim].dirty {
-			c.stats.Writebacks++
 			res.WritebackReq = true
 		}
 	}
@@ -177,9 +161,9 @@ func (c *rowScanCache) sharerHistogram() (h [5]int) {
 	return
 }
 
-// saveState lays the lines out as Cache.SaveState does.
+// saveState lays the lines out as Cache.SaveStateInto does.
 func (c *rowScanCache) saveState() State {
-	st := State{Slots: len(c.sets) * c.cfg.Ways, Clock: c.clock, Stats: c.stats}
+	st := State{Slots: len(c.sets) * c.cfg.Ways, Clock: c.clock}
 	st.Valid = make([]uint64, (st.Slots+63)/64)
 	var dirty []bool
 	c.each(func(slot int, l *rowScanLine) {
@@ -213,14 +197,21 @@ func (c *rowScanCache) restoreState(st State) {
 			lastUse: st.LastUse[k], sharers: st.Sharers[k], lastCluster: st.LastCluster[k]}
 		k++
 	})
-	c.clock, c.stats = st.Clock, st.Stats
+	c.clock = st.Clock
+}
+
+// snapshot is c's state in a fresh State.
+func snapshot(c *Cache) State {
+	var st State
+	c.SaveStateInto(&st)
+	return st
 }
 
 // TestDenseRowsMatchRowScan drives the Cache and the row-scan reference with
 // the same random traffic on a one-set cache, the L1's 64 sets (mask index)
 // and an LLC slice's 48 (modulo index): every Find, Access, AccessAt after a
-// Find, Invalidate and FlushAll must agree, as must the statistics, the
-// sharer histogram and the snapshot — also after restoring each side from
+// Find, Invalidate and FlushAll must agree, as must the sharer histogram and
+// the snapshot — also after restoring each side from
 // the other's snapshot.
 func TestDenseRowsMatchRowScan(t *testing.T) {
 	for _, g := range []struct {
@@ -245,13 +236,27 @@ func TestDenseRowsMatchRowScan(t *testing.T) {
 				}
 				return a
 			}
+			var hits, evictions, writes int
+			note := func(kind AccessKind, res Result) {
+				if res.Hit {
+					hits++
+				}
+				if res.Evicted {
+					evictions++
+				}
+				if kind == Write {
+					writes++
+				}
+			}
 			for step := 0; step < 60_000; step++ {
 				switch k := rng.Intn(1000); {
 				case k < 600:
 					a, kind, cluster := addr(), AccessKind(rng.Intn(2)), rng.Intn(9)-1
-					if got, want := c.Access(a, kind, cluster), ref.access(a, kind, cluster); got != want {
+					got, want := c.Access(a, kind, cluster), ref.access(a, kind, cluster)
+					if got != want {
 						t.Fatalf("step %d: Access(%#x, %v, %d) = %+v, row scan %+v", step, a, kind, cluster, got, want)
 					}
+					note(kind, got)
 				case k < 900:
 					a, kind, cluster := addr(), AccessKind(rng.Intn(2)), rng.Intn(9)-1
 					at := c.Find(a)
@@ -261,9 +266,11 @@ func TestDenseRowsMatchRowScan(t *testing.T) {
 					if rng.Intn(2) == 0 { // a structural stall: looked, did not touch
 						continue
 					}
-					if got, _ := c.AccessAt(at, kind, cluster); got != ref.access(a, kind, cluster) {
+					got, _ := c.AccessAt(at, kind, cluster)
+					if got != ref.access(a, kind, cluster) {
 						t.Fatalf("step %d: AccessAt(%#x, %v, %d) = %+v, row scan disagrees", step, a, kind, cluster, got)
 					}
+					note(kind, got)
 				case k < 970:
 					a := addr()
 					p, d := c.Invalidate(a)
@@ -285,24 +292,21 @@ func TestDenseRowsMatchRowScan(t *testing.T) {
 						t.Fatal(err)
 					}
 				default:
-					ref.restoreState(c.SaveState())
+					ref.restoreState(snapshot(c))
 				}
 				if step%64 != 0 {
 					continue
 				}
-				if got, want := c.SaveState(), ref.saveState(); !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+				if got, want := snapshot(c), ref.saveState(); !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
 					t.Fatalf("step %d: snapshots differ:\n%+v\n%+v", step, got, want)
 				}
 				one, two, threeFour, fivePlus, total := c.SharerHistogram()
 				if got, want := [5]int{one, two, threeFour, fivePlus, total}, ref.sharerHistogram(); got != want {
 					t.Fatalf("step %d: histogram %v, row scan %v", step, got, want)
 				}
-				if c.Stats() != ref.stats {
-					t.Fatalf("step %d: stats %+v, row scan %+v", step, c.Stats(), ref.stats)
-				}
 			}
-			if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writes == 0 {
-				t.Errorf("drive did not reach every path: %+v", st)
+			if hits == 0 || evictions == 0 || writes == 0 {
+				t.Errorf("drive did not reach every path: %d hits, %d evictions, %d writes", hits, evictions, writes)
 			}
 		})
 	}
@@ -333,7 +337,7 @@ func TestFindMatchesEarlyExitScan(t *testing.T) {
 			c := New(Config{SizeBytes: 48 * ways * 128, Ways: ways, LineBytes: 128, Policy: WriteBack})
 			rng := rand.New(rand.NewSource(int64(ways)))
 			lines := 3 * len(c.tags)
-			hits := 0
+			hits, evictions := 0, 0
 			for step := 0; step < 50_000; step++ {
 				a := uint64(rng.Intn(lines))<<7 | uint64(rng.Intn(128))
 				found := c.Find(a)
@@ -347,13 +351,16 @@ func TestFindMatchesEarlyExitScan(t *testing.T) {
 					c.Invalidate(a)
 					continue
 				}
-				_, slot := c.AccessAt(found, AccessKind(rng.Intn(2)), rng.Intn(9)-1)
+				res, slot := c.AccessAt(found, AccessKind(rng.Intn(2)), rng.Intn(9)-1)
+				if res.Evicted {
+					evictions++
+				}
 				if c.tags[slot] != found.key || c.Find(a).Index() != slot {
 					t.Fatalf("step %d: AccessAt(%#x) reported slot %d, which holds tag word %#x, not %#x", step, a, slot, c.tags[slot], found.key)
 				}
 			}
-			if hits == 0 || c.Stats().Evictions == 0 {
-				t.Errorf("drive did not reach every path: %d hits, %+v", hits, c.Stats())
+			if hits == 0 || evictions == 0 {
+				t.Errorf("drive did not reach every path: %d hits, %d evictions", hits, evictions)
 			}
 		})
 	}
@@ -379,8 +386,7 @@ func TestTagWordAddressRange(t *testing.T) {
 		if res := c.Access(a^256, Read, 0); !res.Evicted || !res.WritebackReq || res.EvictedAddr != c.LineAddr(a) {
 			t.Fatalf("eviction of %#x reported %+v", a, res)
 		}
-		st := c.SaveState()
-		if err := New(c.Config()).RestoreState(st); err != nil {
+		if err := New(c.Config()).RestoreState(snapshot(c)); err != nil {
 			t.Fatalf("snapshot holding the neighbours of %#x: %v", a, err)
 		}
 		c.FlushAll()
@@ -391,7 +397,7 @@ func TestTagWordAddressRange(t *testing.T) {
 	if !byteLines.Find(top-1).Hit() || byteLines.Find(top-2).Hit() || byteLines.ValidLines() != 1 {
 		t.Error("the last representable line number did not round-trip")
 	}
-	st := byteLines.SaveState()
+	st := snapshot(byteLines)
 	st.Tags[0] = top // the one line number a tag word cannot hold
 	if err := byteLines.RestoreState(st); err == nil {
 		t.Error("a snapshot holding the all-ones line number was accepted")

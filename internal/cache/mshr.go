@@ -36,11 +36,6 @@ type MSHRTable[P any] struct {
 	// stamp counts structural changes (entry insert/remove/reset); a Probe
 	// taken before such a change cannot be Commit-ed after it.
 	stamp uint64
-
-	peakOccupancy int
-	allocations   uint64
-	merges        uint64
-	fullStalls    uint64
 }
 
 // NewMSHRTable creates a table with the given number of entries. Each entry
@@ -114,15 +109,6 @@ func (m *MSHRTable[P]) find(lineAddr uint64) int {
 	return -1
 }
 
-// CanAccept reports whether a miss on lineAddr can be accepted right now,
-// either by merging into an existing entry or by allocating a new one.
-func (m *MSHRTable[P]) CanAccept(lineAddr uint64) bool {
-	if i := m.find(lineAddr); i >= 0 {
-		return m.maxMergedPer == 0 || len(m.payloads[i]) < m.maxMergedPer
-	}
-	return len(m.lines) < m.capacity
-}
-
 // ProbeKind classifies the outcome of a single MSHR lookup.
 type ProbeKind uint8
 
@@ -154,35 +140,23 @@ type Probe struct {
 	stamp    uint64
 }
 
-// Kind returns the lookup's classification.
-func (p Probe) Kind() ProbeKind { return p.kind }
-
-// Outstanding reports whether the probed line already has an entry
-// (equivalent to MSHRTable.Outstanding, without re-scanning).
+// Outstanding reports whether the probed line already has an entry.
 func (p Probe) Outstanding() bool { return p.kind == ProbeMerge || p.kind == ProbeMergeLimit }
 
-// CanAccept reports whether a miss on the probed line can be accepted
-// (equivalent to MSHRTable.CanAccept, without re-scanning).
+// CanAccept reports whether a miss on the probed line can be accepted, by
+// merging into its entry or by allocating a new one.
 func (p Probe) CanAccept() bool { return p.kind == ProbeNew || p.kind == ProbeMerge }
 
 // Probe is the combined probe-and-allocate entry point: it performs the one
 // linear scan for lineAddr and returns a Probe that answers the
 // Outstanding/CanAccept questions and can be handed to Commit to finish a
-// miss allocation — where the three separate calls each scanned the packed
-// line array per memory operation.
-//
-// A ProbeMergeLimit outcome is counted as a full stall here (such an access
-// always stalls); a ProbeTableFull outcome is not, because the access may
-// still hit in the cache and never need the entry — it is counted by
-// Allocate when an allocation is actually rejected, exactly as the
-// separate-call API did.
+// miss allocation.
 func (m *MSHRTable[P]) Probe(lineAddr uint64) Probe {
 	p := Probe{lineAddr: lineAddr, idx: -1, stamp: m.stamp}
 	if i := m.find(lineAddr); i >= 0 {
 		p.idx = i
 		if m.maxMergedPer != 0 && len(m.payloads[i]) >= m.maxMergedPer {
 			p.kind = ProbeMergeLimit
-			m.fullStalls++
 		} else {
 			p.kind = ProbeMerge
 		}
@@ -214,7 +188,6 @@ func (m *MSHRTable[P]) Commit(p Probe, payload P) (primary bool) {
 			m.deepen()
 		}
 		m.payloads[p.idx] = append(m.payloads[p.idx], payload)
-		m.merges++
 		return false
 	case ProbeNew:
 		m.insert(p.lineAddr, payload)
@@ -232,11 +205,7 @@ func (m *MSHRTable[P]) Commit(p Probe, payload P) (primary bool) {
 // use Probe/Commit instead and pay for one scan total.
 func (m *MSHRTable[P]) Allocate(lineAddr uint64, payload P) (primary, ok bool) {
 	p := m.Probe(lineAddr)
-	switch p.kind {
-	case ProbeMergeLimit: // Probe already counted the stall
-		return false, false
-	case ProbeTableFull:
-		m.fullStalls++
+	if !p.CanAccept() {
 		return false, false
 	}
 	return m.Commit(p, payload), true
@@ -261,17 +230,13 @@ func (m *MSHRTable[P]) insert(lineAddr uint64, payload P) {
 	m.lines = append(m.lines, lineAddr)
 	m.payloads = append(m.payloads, append(m.takePayload(), payload))
 	m.stamp++
-	m.allocations++
-	if len(m.lines) > m.peakOccupancy {
-		m.peakOccupancy = len(m.lines)
-	}
 }
 
 // Complete removes the entry for lineAddr and returns the merged payloads
 // waiting on it (in arrival order). It returns nil if no entry exists.
 //
 // The returned slice's backing array is recycled by the table: it is valid
-// only until the next call to Allocate.
+// only until the table next inserts an entry.
 func (m *MSHRTable[P]) Complete(lineAddr uint64) []P {
 	i := m.find(lineAddr)
 	if i < 0 {
@@ -289,30 +254,13 @@ func (m *MSHRTable[P]) Complete(lineAddr uint64) []P {
 	return reqs
 }
 
-// Outstanding reports whether lineAddr has an outstanding miss.
-func (m *MSHRTable[P]) Outstanding(lineAddr uint64) bool {
-	return m.find(lineAddr) >= 0
-}
-
 // Occupancy returns the number of distinct outstanding lines.
 func (m *MSHRTable[P]) Occupancy() int { return len(m.lines) }
 
 // Capacity returns the number of entries the table can hold.
 func (m *MSHRTable[P]) Capacity() int { return m.capacity }
 
-// PeakOccupancy returns the maximum occupancy observed.
-func (m *MSHRTable[P]) PeakOccupancy() int { return m.peakOccupancy }
-
-// Allocations returns the number of primary-miss allocations.
-func (m *MSHRTable[P]) Allocations() uint64 { return m.allocations }
-
-// Merges returns the number of secondary misses merged into existing entries.
-func (m *MSHRTable[P]) Merges() uint64 { return m.merges }
-
-// FullStalls returns how many allocation attempts were rejected.
-func (m *MSHRTable[P]) FullStalls() uint64 { return m.fullStalls }
-
-// Reset clears all entries and statistics (recycled backing storage is kept).
+// Reset clears all entries (recycled backing storage is kept).
 func (m *MSHRTable[P]) Reset() {
 	for i := range m.payloads {
 		m.freePayloads = append(m.freePayloads, m.payloads[i][:0])
@@ -321,6 +269,4 @@ func (m *MSHRTable[P]) Reset() {
 	m.lines = m.lines[:0]
 	m.payloads = m.payloads[:0]
 	m.stamp++
-	m.peakOccupancy = 0
-	m.allocations, m.merges, m.fullStalls = 0, 0, 0
 }

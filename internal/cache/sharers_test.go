@@ -81,7 +81,7 @@ func TestTouchedSetMatchesFullScan(t *testing.T) {
 			c.FlushAll()
 		default:
 			what = "restore"
-			st := c.SaveState()
+			st := snapshot(c)
 			c = New(c.Config())
 			if err := c.RestoreState(st); err != nil {
 				t.Fatal(err)

@@ -15,12 +15,12 @@ import (
 // a hand-written wire form (AppendTo / ReadFrom over internal/wire) that is
 // the bytes a checkpoint store holds.
 
-// State is a complete snapshot of a Cache: the LRU clock, the access
-// statistics and the resident lines as packed columns. Valid has a bit per
-// line slot (set-major, set*ways + way, Slots of them); every other column
-// has one entry per valid slot, in slot order — Dirty a bit, the rest a
-// word. Invalid slots carry no state — the cache keeps them zeroed — so a
-// snapshot costs what the cache holds, not what it could hold.
+// State is a complete snapshot of a Cache: the LRU clock and the resident
+// lines as packed columns. Valid has a bit per line slot (set-major,
+// set*ways + way, Slots of them); every other column has one entry per valid
+// slot, in slot order — Dirty a bit, the rest a word. Invalid slots carry
+// no state — the cache keeps them zeroed — so a snapshot costs what the
+// cache holds, not what it could hold.
 type State struct {
 	Slots       int
 	Valid       []uint64
@@ -30,19 +30,11 @@ type State struct {
 	Sharers     []uint64
 	LastCluster []int
 	Clock       uint64
-	Stats       Stats
 }
 
-// SaveState captures the cache's mutable state.
-func (c *Cache) SaveState() State {
-	var st State
-	c.SaveStateInto(&st)
-	return st
-}
-
-// SaveStateInto is SaveState reusing the backing arrays st already has. It
-// marks the valid slots first, so the columns are sized once and the second
-// pass visits resident lines only.
+// SaveStateInto captures the cache's mutable state, reusing the backing
+// arrays st already has. It marks the valid slots first, so the columns are
+// sized once and the second pass visits resident lines only.
 func (c *Cache) SaveStateInto(st *State) {
 	st.Slots = len(c.tags)
 	st.Valid = wire.Resize(st.Valid, wire.BitWords(len(c.tags)))
@@ -76,7 +68,6 @@ func (c *Cache) SaveStateInto(st *State) {
 		}
 	}
 	st.Clock = c.clock
-	st.Stats = c.stats
 }
 
 // RestoreState overwrites the cache's mutable state with a snapshot taken
@@ -124,7 +115,6 @@ func (c *Cache) RestoreState(st State) error {
 		}
 	}
 	c.clock = st.Clock
-	c.stats = st.Stats
 	return nil
 }
 
@@ -132,7 +122,7 @@ func (c *Cache) RestoreState(st State) error {
 // clock, then per valid line the dirty bit, the tag and the LRU age (Clock -
 // LastUse, small where LastUse is not) as columns, the Sharers / LastCluster
 // columns behind a presence flag — a cache accessed without cluster identity
-// (every L1) leaves both all zero and omits them — and the statistics.
+// (every L1) leaves both all zero and omits them.
 func (st *State) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(st.Slots))
 	b = wire.AppendBits(b, st.Valid, st.Slots)
@@ -153,9 +143,6 @@ func (st *State) AppendTo(b []byte) []byte {
 	if clusters {
 		b = wire.AppendUvarints(b, st.Sharers)
 		b = wire.AppendInts(b, st.LastCluster)
-	}
-	for _, p := range st.Stats.counters() {
-		b = wire.AppendUvarint(b, *p)
 	}
 	return b
 }
@@ -191,40 +178,20 @@ func (st *State) ReadFrom(r *wire.Reader) {
 		clear(st.Sharers)
 		clear(st.LastCluster)
 	}
-	for _, p := range st.Stats.counters() {
-		*p = r.Uvarint()
-	}
-}
-
-// counters lists the statistics in wire order.
-func (s *Stats) counters() [9]*uint64 {
-	return [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.Reads, &s.Writes,
-		&s.ReadMisses, &s.WriteMisses, &s.Evictions, &s.Writebacks}
 }
 
 // MSHRState is a complete snapshot of an MSHRTable, generic over the same
 // payload type. Lines and Payloads are parallel arrays in packed order (the
 // order is semantically irrelevant but preserved for exactness).
 type MSHRState[P any] struct {
-	Lines         []uint64
-	Payloads      [][]P
-	PeakOccupancy int
-	Allocations   uint64
-	Merges        uint64
-	FullStalls    uint64
+	Lines    []uint64
+	Payloads [][]P
 }
 
-// SaveState captures the table's entries and statistics. Payload slices are
+// SaveMSHRs captures m's entries into st, reusing the backing arrays st
+// already has and storing each payload as conv gives it: the LLC's tables
+// hold *mem.Request and snapshot the requests by value. Payload slices are
 // deep-copied: the table recycles its backing arrays.
-func (m *MSHRTable[P]) SaveState() MSHRState[P] {
-	var st MSHRState[P]
-	SaveMSHRs(m, &st, func(p P) P { return p })
-	return st
-}
-
-// SaveMSHRs captures m into st, reusing the backing arrays st already has
-// and storing each payload as conv gives it: the LLC's tables hold
-// *mem.Request and snapshot the requests by value.
 func SaveMSHRs[P, S any](m *MSHRTable[P], st *MSHRState[S], conv func(P) S) {
 	st.Lines = append(st.Lines[:0], m.lines...)
 	st.Payloads = wire.Resize(st.Payloads, len(m.payloads))
@@ -235,15 +202,11 @@ func SaveMSHRs[P, S any](m *MSHRTable[P], st *MSHRState[S], conv func(P) S) {
 		}
 		st.Payloads[i] = out
 	}
-	st.PeakOccupancy = m.peakOccupancy
-	st.Allocations = m.allocations
-	st.Merges = m.merges
-	st.FullStalls = m.fullStalls
 }
 
 // AppendTo appends the state's wire form — per entry its line and its
-// counted payloads, each written by elem — then the counters. Lines and
-// Payloads must be parallel, as SaveState and ReadFrom leave them.
+// counted payloads, each written by elem. Lines and Payloads must be
+// parallel, as SaveMSHRs and ReadFrom leave them.
 func (st *MSHRState[P]) AppendTo(b []byte, elem func(*P, []byte) []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(st.Lines)))
 	for i, line := range st.Lines {
@@ -253,10 +216,7 @@ func (st *MSHRState[P]) AppendTo(b []byte, elem func(*P, []byte) []byte) []byte 
 			b = elem(&st.Payloads[i][j], b)
 		}
 	}
-	b = wire.AppendInt(b, st.PeakOccupancy)
-	b = wire.AppendUvarint(b, st.Allocations)
-	b = wire.AppendUvarint(b, st.Merges)
-	return wire.AppendUvarint(b, st.FullStalls)
+	return b
 }
 
 // ReadFrom overwrites the state with the next one in r, reusing the backing
@@ -273,14 +233,9 @@ func (st *MSHRState[P]) ReadFrom(r *wire.Reader, elemMin int, elem func(*P, *wir
 		}
 		st.Payloads[i] = ps
 	}
-	st.PeakOccupancy = r.Int()
-	st.Allocations = r.Uvarint()
-	st.Merges = r.Uvarint()
-	st.FullStalls = r.Uvarint()
 }
 
-// RestoreState overwrites the table's entries and statistics. The counters
-// are written directly — going through Allocate would double-count them.
+// RestoreState overwrites the table's entries.
 func (m *MSHRTable[P]) RestoreState(st MSHRState[P]) error {
 	if len(st.Lines) != len(st.Payloads) {
 		return fmt.Errorf("cache: MSHR snapshot has %d lines but %d payload sets", len(st.Lines), len(st.Payloads))
@@ -305,10 +260,6 @@ func (m *MSHRTable[P]) RestoreState(st MSHRState[P]) error {
 	}
 	// Reset already bumped the stamp, invalidating outstanding Probes; no
 	// Probe is ever held across a checkpoint boundary.
-	m.peakOccupancy = st.PeakOccupancy
-	m.allocations = st.Allocations
-	m.merges = st.Merges
-	m.fullStalls = st.FullStalls
 	return nil
 }
 
@@ -329,14 +280,8 @@ type ATDState struct {
 	PrivateHits uint64
 }
 
-// SaveState captures the ATD's sampled sets and counters.
-func (a *ATD) SaveState() ATDState {
-	var st ATDState
-	a.SaveStateInto(&st)
-	return st
-}
-
-// SaveStateInto is SaveState reusing the backing array st already has.
+// SaveStateInto captures the ATD's sampled sets and counters, reusing the
+// backing array st already has.
 func (a *ATD) SaveStateInto(st *ATDState) {
 	st.Entries = st.Entries[:0]
 	for s := range a.sets {

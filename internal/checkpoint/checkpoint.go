@@ -47,13 +47,14 @@ import (
 // falls back to a shorter prefix or cold execution), and no reader for old
 // versions is kept.
 // Version 3: the hand-written binary state codec under a CRC-32C, replacing
-// gob + gzip.
-const FormatVersion = 3
+// gob + gzip. Version 4: the tag stores' access counters and the MSHR
+// tables' occupancy counters, which nothing read, leave the state.
+const FormatVersion = 4
 
 // A checkpoint file is
 //
-//	repro-checkpoint/3\n            magic line with the format version
-//	{"version":3,...}\n             Header as one JSON line
+//	repro-checkpoint/4\n            magic line with the format version
+//	{"version":4,...}\n             Header as one JSON line
 //	<8 bytes>                       payload length, little-endian
 //	<4 bytes>                       CRC-32C, little-endian
 //	<payload>                       gpu.State.AppendTo

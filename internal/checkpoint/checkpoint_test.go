@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -259,13 +260,11 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 	}{
 		{"truncated", 1, func(data []byte, _ *rand.Rand) []byte { return data[:len(data)/2] }},
 		{"garbage", 1, func([]byte, *rand.Rand) []byte { return bytes.Repeat([]byte("junk"), 64) }},
-		// A blob banked by a simulator one container format back (here:
-		// today's payload under the v2 preamble) is dropped on the version
+		// A blob banked by a simulator an earlier format back (here: today's
+		// payload under that version's preamble) is dropped on the version
 		// check, never handed to the state decoder.
-		{"format-v2", 1, func(data []byte, _ *rand.Rand) []byte {
-			data = bytes.Replace(data, []byte("repro-checkpoint/3\n"), []byte("repro-checkpoint/2\n"), 1)
-			return bytes.Replace(data, []byte(`{"version":3,`), []byte(`{"version":2,`), 1)
-		}},
+		{"format-v2", 1, func(data []byte, _ *rand.Rand) []byte { return relabel(data, 2) }},
+		{"format-v3", 1, func(data []byte, _ *rand.Rand) []byte { return relabel(data, 3) }},
 		// One flipped bit anywhere after the magic line — header, length,
 		// checksum or payload — is caught by the frame, every time.
 		{"bit-flip", flips, func(data []byte, rng *rand.Rand) []byte {
@@ -323,6 +322,12 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 			}
 		})
 	}
+}
+
+// relabel puts a blob under the magic line and header version of format v.
+func relabel(data []byte, v int) []byte {
+	data = bytes.Replace(data, fmt.Appendf(nil, "%s%d\n", magicPrefix, FormatVersion), fmt.Appendf(nil, "%s%d\n", magicPrefix, v), 1)
+	return bytes.Replace(data, fmt.Appendf(nil, `{"version":%d,`, FormatVersion), fmt.Appendf(nil, `{"version":%d,`, v), 1)
 }
 
 // TestRecordingDisablesCheckpointing: a resumed run cannot re-record its

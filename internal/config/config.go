@@ -200,7 +200,10 @@ type Config struct {
 	LLCLineBytes      int
 	LLCLatency        int // tag+data access cycles
 	LLCMSHRsPerSlice  int
-	LLCQueueDepth     int // request queue entries per slice
+	// LLCQueueDepth is unread: a slice's request queue is unbounded and the
+	// NoC's per-port serialization limits what reaches it. It stays until the
+	// next SimVersion bump because deleting it moves every fingerprint.
+	LLCQueueDepth int
 
 	// --- LLC organization ---
 	LLCMode LLCMode
@@ -232,8 +235,11 @@ type Config struct {
 	EpochCycles         int     // epoch length between re-profiling (1M cycles)
 	ATDSampledSets      int     // sets sampled per slice by the ATD (8)
 	MissRateSimilarity  float64 // Rule #1 threshold (0.02 == within 2%)
-	ReconfigDrainCheck  int     // cycles between drain-completion checks
-	PowerGateCycles     int     // cycles to power-gate / wake the MC-routers
+	// ReconfigDrainCheck is unread: the GPU checks for a drained LLC every
+	// cycle of a reconfiguration. It stays until the next SimVersion bump
+	// because deleting it moves every fingerprint.
+	ReconfigDrainCheck int
+	PowerGateCycles    int // cycles to power-gate / wake the MC-routers
 }
 
 // Baseline returns the paper's Table 1 configuration.
@@ -407,6 +413,13 @@ func (c Config) Validate() error {
 			check(c.NumSMs%c.Concentration == 0,
 				"NumSMs (%d) must be divisible by Concentration (%d)", c.NumSMs, c.Concentration)
 		}
+	}
+	// A packet longer than a router input buffer can never be injected:
+	// narrowing the channels lengthens replies and stores past the buffer.
+	if c.NoC != NoCIdeal {
+		check(c.VCsPerPort*c.FlitsPerVC >= c.ReplyFlits(),
+			"router input buffers (VCsPerPort %d x FlitsPerVC %d flits) must hold a %d-flit reply at %d B channels",
+			c.VCsPerPort, c.FlitsPerVC, c.ReplyFlits(), c.ChannelBytes)
 	}
 	// The NoC/LLC co-design requirement of the paper: as many SM-routers
 	// (clusters) as LLC slices per memory controller.

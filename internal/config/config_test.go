@@ -128,6 +128,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"bad similarity", func(c *Config) { c.MissRateSimilarity = 1.5 }, "MissRateSimilarity"},
 		{"private needs codesign", func(c *Config) { c.LLCMode = LLCPrivate; c.LLCSlicesPerMC = 4 }, "LLCSlicesPerMC"},
 		{"cxbar needs concentration", func(c *Config) { c.NoC = NoCConcentrated; c.Concentration = 0 }, "Concentration"},
+		{"reply longer than buffer", func(c *Config) { c.ChannelBytes = 16 }, "FlitsPerVC"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

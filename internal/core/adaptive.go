@@ -106,16 +106,6 @@ type Stats struct {
 	SharedCycles      uint64 // cycles spent with the LLC in shared mode
 }
 
-// GatedFraction returns the fraction of cycles the MC-routers were
-// power-gated (private mode).
-func (s Stats) GatedFraction() float64 {
-	total := s.PrivateCycles + s.SharedCycles
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PrivateCycles) / float64(total)
-}
-
 // Controller is the adaptive-LLC decision engine.
 type Controller struct {
 	cfg config.Config
@@ -174,23 +164,11 @@ func NewController(cfg config.Config) (*Controller, error) {
 	return c, nil
 }
 
-// Mode returns the LLC organization the controller currently mandates.
-func (c *Controller) Mode() config.LLCMode { return c.mode }
-
 // Stats returns a snapshot of controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
 // LastPrediction returns the most recent profiling-window estimates.
 func (c *Controller) LastPrediction() Prediction { return c.lastPred }
-
-// HardwareBytes returns the controller's hardware budget: the ATD plus the
-// eight 16-bit LSP counters, matching the paper's 448-byte figure.
-func (c *Controller) HardwareBytes() int {
-	return c.atd.HardwareBytes() + c.cfg.NumMemControllers*2
-}
-
-// Profiling reports whether a profiling window is currently active.
-func (c *Controller) Profiling() bool { return c.profiling }
 
 func (c *Controller) startProfile(cycle uint64) {
 	c.profiling = true

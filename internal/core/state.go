@@ -28,14 +28,8 @@ type State struct {
 	Cycle          uint64
 }
 
-// SaveState captures the controller's mutable state.
-func (c *Controller) SaveState() State {
-	var st State
-	c.SaveStateInto(&st)
-	return st
-}
-
-// SaveStateInto is SaveState reusing the backing arrays st already has.
+// SaveStateInto captures the controller's mutable state, reusing the backing
+// arrays st already has.
 func (c *Controller) SaveStateInto(st *State) {
 	st.Mode = c.mode
 	c.atd.SaveStateInto(&st.ATD)

@@ -34,7 +34,7 @@ func BenchmarkControllerTick(b *testing.B) {
 	})
 	b.Run("row-hit-stream", func(b *testing.B) {
 		run(b, func(c *Controller, cyc int) {
-			if cyc%2 == 0 && c.CanAccept() { // one line per burst: the bus keeps up
+			if cyc%2 == 0 && c.Accepts() { // one line per burst: the bus keeps up
 				c.Enqueue(Request{ID: uint64(cyc), Bank: cyc / 2 % cfg.BanksPerMC, Row: 3})
 			}
 		})
@@ -47,7 +47,7 @@ func BenchmarkControllerTick(b *testing.B) {
 		}
 		next := 0
 		run(b, func(c *Controller, _ int) {
-			for c.CanAccept() {
+			for c.Accepts() {
 				c.Enqueue(reqs[next%len(reqs)])
 				next++
 			}

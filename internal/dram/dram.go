@@ -39,11 +39,9 @@ type Request struct {
 	Meta    Meta
 }
 
-// Completion reports a finished request and the cycle its data transfer
-// completed.
+// Completion reports a request whose data transfer finished this cycle.
 type Completion struct {
-	Req        Request
-	FinishedAt uint64
+	Req Request
 }
 
 // Stats aggregates controller activity.
@@ -197,20 +195,11 @@ func (c *Controller) clearQueue() {
 	c.nextDone, c.idleUntil = never, never
 }
 
-// ID returns the controller index.
-func (c *Controller) ID() int { return c.id }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
 // ResetStats clears the statistics counters (in-flight state is preserved).
 func (c *Controller) ResetStats() { c.stats = Stats{} }
-
-// CanAccept reports whether Enqueue would succeed this cycle.
-func (c *Controller) CanAccept() bool { return c.count < c.queueCap }
-
-// Pending reports whether any request is queued or in flight.
-func (c *Controller) Pending() bool { return c.count > 0 }
 
 // Accepts is the refusing half of Enqueue on its own: it reports whether an
 // Enqueue would succeed now and counts a false answer as the StallsFull the
@@ -322,7 +311,7 @@ func (c *Controller) collectDone() {
 			c.nextDone = min(c.nextDone, q.doneAt)
 			continue
 		}
-		c.done = append(c.done, Completion{Req: q.req, FinishedAt: c.cycle})
+		c.done = append(c.done, Completion{Req: q.req})
 		c.stats.Completed++
 		q.next = c.free
 		c.free = i

@@ -13,19 +13,28 @@ func testController() *Controller {
 	return NewController(0, cfg)
 }
 
+// snapshot is c's state in a fresh State.
+func snapshot(c *Controller) State {
+	var st State
+	c.SaveStateInto(&st)
+	return st
+}
+
 // run ticks the controller until all enqueued requests complete or the cycle
-// limit is reached, returning the completions in order.
-func run(t *testing.T, c *Controller, limit int) []Completion {
+// limit is reached, returning the completions in order and the cycle the last
+// one finished.
+func run(t *testing.T, c *Controller, limit int) (done []Completion, last uint64) {
 	t.Helper()
-	var all []Completion
 	for i := 0; i < limit; i++ {
-		all = append(all, c.Tick()...)
-		if !c.Pending() {
-			return all
+		if d := c.Tick(); len(d) > 0 {
+			done, last = append(done, d...), c.cycle
+		}
+		if c.Drain() {
+			return done, last
 		}
 	}
 	t.Fatalf("controller did not drain within %d cycles (%d still pending)", limit, c.count)
-	return nil
+	return nil, 0
 }
 
 func TestSingleReadLatency(t *testing.T) {
@@ -33,14 +42,14 @@ func TestSingleReadLatency(t *testing.T) {
 	if !c.Enqueue(Request{ID: 1, Bank: 0, Row: 5}) {
 		t.Fatal("enqueue failed")
 	}
-	done := run(t, c, 1000)
+	done, finished := run(t, c, 1000)
 	if len(done) != 1 || done[0].Req.ID != 1 {
 		t.Fatalf("completions = %+v", done)
 	}
 	// Closed-row read: ACT (tRCD=12) + CAS (tCL=12) + burst. Finish must be
 	// at least tRCD+tCL cycles after enqueue.
-	if done[0].FinishedAt < 24 {
-		t.Errorf("read finished at cycle %d, expected >= 24 (tRCD+tCL)", done[0].FinishedAt)
+	if finished < 24 {
+		t.Errorf("read finished at cycle %d, expected >= 24 (tRCD+tCL)", finished)
 	}
 	st := c.Stats()
 	if st.RowMisses != 1 || st.RowHits != 0 || st.RowConflicts != 0 {
@@ -83,14 +92,14 @@ func TestQueueCapacity(t *testing.T) {
 			t.Fatalf("enqueue %d failed", i)
 		}
 	}
-	if c.CanAccept() {
+	if c.Accepts() {
 		t.Error("queue should be full")
 	}
 	if c.Enqueue(Request{ID: 99, Bank: 0, Row: 0}) {
 		t.Error("enqueue into a full queue should fail")
 	}
-	if c.Stats().StallsFull != 1 {
-		t.Errorf("StallsFull = %d, want 1", c.Stats().StallsFull)
+	if c.Stats().StallsFull != 2 {
+		t.Errorf("StallsFull = %d, want 2 (the refused ask and the refused enqueue)", c.Stats().StallsFull)
 	}
 }
 
@@ -117,15 +126,7 @@ func TestBankParallelismBeatsSerialization(t *testing.T) {
 			}
 			c.Enqueue(Request{ID: uint64(i), Bank: bank, Row: uint64(i)})
 		}
-		var last uint64
-		for cyc := 0; cyc < 10000 && c.Pending(); cyc++ {
-			for _, d := range c.Tick() {
-				last = d.FinishedAt
-			}
-		}
-		if c.Pending() {
-			t.Fatal("did not drain")
-		}
+		_, last := run(t, c, 10000)
 		return last
 	}
 	spread := finish(false)
@@ -146,7 +147,7 @@ func TestSustainedBandwidth(t *testing.T) {
 	completed := 0
 	cycles := 0
 	for completed < n && cycles < 100000 {
-		for issued < n && c.CanAccept() {
+		for issued < n && c.Accepts() {
 			// Same row, rotating banks: maximal row-hit, bus-limited stream.
 			c.Enqueue(Request{ID: uint64(issued), Bank: issued % 16, Row: 0})
 			issued++
@@ -177,7 +178,7 @@ func TestAvgQueueingDelayGrowsWithLoad(t *testing.T) {
 		issued := 0
 		for cyc := 0; cyc < 20000; cyc++ {
 			if cyc%100 == 0 {
-				for i := 0; i < burstSize && c.CanAccept(); i++ {
+				for i := 0; i < burstSize && c.Accepts(); i++ {
 					c.Enqueue(Request{ID: uint64(issued), Bank: rng.Intn(16), Row: uint64(rng.Intn(64))})
 					issued++
 				}
@@ -198,7 +199,7 @@ func TestDrainAndStatsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	total := 0
 	for i := 0; i < 100; i++ {
-		if c.CanAccept() {
+		if c.Accepts() {
 			write := rng.Intn(4) == 0
 			c.Enqueue(Request{ID: uint64(i), Bank: rng.Intn(16), Row: uint64(rng.Intn(8)), Write: write})
 			total++

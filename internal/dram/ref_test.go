@@ -72,7 +72,7 @@ func (c *refController) Tick() []Completion {
 	for i := range c.queue {
 		q := &c.queue[i]
 		if q.Issued && c.cycle >= q.DoneAt {
-			c.done = append(c.done, Completion{Req: q.Req, FinishedAt: c.cycle})
+			c.done = append(c.done, Completion{Req: q.Req})
 			c.stats.Completed++
 		} else {
 			c.queue[keep] = *q
@@ -156,7 +156,7 @@ func (c *refController) issueColumn(q *QueuedState, b *BankState) {
 	c.stats.TotalQueueing += c.cycle - q.Req.Arrival
 }
 
-func (c *refController) SaveState() State {
+func (c *refController) saveState() State {
 	return State{
 		Banks:        append([]BankState{}, c.banks...),
 		Queue:        append([]QueuedState(nil), c.queue...), // nil when empty, as the controller saves it
@@ -167,7 +167,7 @@ func (c *refController) SaveState() State {
 	}
 }
 
-func (c *refController) RestoreState(st State) {
+func (c *refController) restoreState(st State) {
 	c.banks = append(c.banks[:0], st.Banks...)
 	c.queue = append(c.queue[:0], st.Queue...)
 	c.busFreeAt, c.lastActCycle, c.stats, c.cycle = st.BusFreeAt, st.LastActCycle, st.Stats, st.Cycle
@@ -242,19 +242,19 @@ func TestControllerMatchesReference(t *testing.T) {
 					t.Fatalf("cycle %d: %d requests queued or in flight, reference %d", cyc, got.count, len(ref.queue))
 				}
 				if cyc%997 == 0 || cyc == cycles/2 {
-					if a, b := got.SaveState(), ref.SaveState(); !reflect.DeepEqual(a, b) {
+					if a, b := snapshot(got), ref.saveState(); !reflect.DeepEqual(a, b) {
 						t.Fatalf("cycle %d: snapshot\n got %+v\nwant %+v", cyc, a, b)
 					}
 				}
 				if cyc == cycles/2 {
 					// Continue on the used instance, restored from the
 					// snapshot, and put the reference through the same.
-					st := got.SaveState()
+					st := snapshot(got)
 					if err := used.RestoreState(st); err != nil {
 						t.Fatal(err)
 					}
 					got, used = used, got
-					ref.RestoreState(st)
+					ref.restoreState(st)
 				}
 			}
 			if got.Stats() != ref.stats {

@@ -428,6 +428,13 @@ func TestFigure7Structure(t *testing.T) {
 	if value(t, res, "BW/Full Xbar", "norm. IPC") != 1 || value(t, res, "BW/Full Xbar", "norm. power") != 1 {
 		t.Error("the full crossbar anchors the normalization")
 	}
+	// Every design point simulates: a narrowed channel's replies still fit
+	// the router buffers.
+	for _, r := range res.rows {
+		if ipc := value(t, res, res.rowKey(r), "norm. IPC"); ipc <= 0 {
+			t.Errorf("%s: norm. IPC %.3f, want > 0", res.rowKey(r), ipc)
+		}
+	}
 	// H-Xbar at the same bisection bandwidth must be smaller than the full
 	// crossbar (the area conclusion holds at any simulation scale because it
 	// is structural).
@@ -448,22 +455,11 @@ func TestFigure16SensitivityStructure(t *testing.T) {
 		t.Errorf("Figure 16 rows = %d, want 15 design points", len(res.rows))
 	}
 	categories := map[string]bool{}
-	positive := 0
 	for _, r := range res.rows {
 		categories[r[0].(string)] = true
-		v := r[2].(float64)
-		if v < 0 {
-			t.Errorf("%s: negative speedup", res.rowKey(r))
+		if v := r[2].(float64); v <= 0 {
+			t.Errorf("%s: speedup %.3f, want > 0", res.rowKey(r), v)
 		}
-		if v > 0 {
-			positive++
-		}
-	}
-	// At this deliberately tiny scale a point can degenerate (the whole
-	// measurement window swallowed by reconfiguration stalls), but the large
-	// majority of design points must produce meaningful speedups.
-	if positive < len(res.rows)-2 {
-		t.Errorf("only %d/%d sensitivity points produced a positive speedup", positive, len(res.rows))
 	}
 	for _, want := range []string{"address mapping", "channel width", "SM count", "L1 size", "CTA scheduling"} {
 		if !categories[want] {

@@ -40,7 +40,10 @@ const neutralBand = 0.05
 //     on every private-friendly benchmark, and on the average;
 //   - Figure 15: co-running a shared-friendly with a private-friendly
 //     application, adaptive caching's system throughput is at least the
-//     shared LLC's on every pair, and above it on the average.
+//     shared LLC's on every pair, and above it on the average;
+//   - Figure 16: on the private-friendly benchmarks, the adaptive LLC
+//     performs at least as well as the shared one at every design point of
+//     the sensitivity study.
 func claims() []claim {
 	var cs []claim
 	for _, w := range workload.Catalog() {
@@ -111,6 +114,13 @@ func claims() []claim {
 		n, ok := t.Stat("avg-speedup")
 		return atLeastOne(n, ok, true)
 	}})
+	for _, v := range figure16Variants() {
+		point := v.category + "/" + v.point
+		cs = append(cs, claim{"16", "16/speedup/" + point, func(t Table) (string, bool) {
+			n, ok := t.Value(point, figure16Column)
+			return atLeastOne(n, ok, false)
+		}})
+	}
 	return cs
 }
 
@@ -178,7 +188,9 @@ func orders(private, shared float64, found, strict bool) (string, bool) {
 // harness scale. Figure 2's are three neutral benchmarks the private LLC
 // slows by more than neutralBand: BS to 0.535, BINO and VA to 0.946.
 // Figure 15's are three of 3DC's pairs, whose system throughput adaptive
-// caching lowers by under 1 % (0.991 to 0.997).
+// caching lowers by under 1 % (0.991 to 0.997). Figure 16's are two design
+// points where adaptive caching trails the shared LLC by 1-2 %: 64 B
+// channels (0.988) and distributed CTA scheduling (0.979).
 // TestFidelity fails when one of them starts to pass, so the list can only
 // shrink.
 var knownFailing = map[string]bool{
@@ -204,4 +216,7 @@ var knownFailing = map[string]bool{
 	"15/speedup/3DC/AN": true,
 	"15/speedup/3DC/SN": true,
 	"15/speedup/3DC/MM": true,
+
+	"16/speedup/channel width/64B":  true,
+	"16/speedup/CTA scheduling/DCS": true,
 }

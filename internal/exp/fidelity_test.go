@@ -11,7 +11,7 @@ import (
 // until it is struck from knownFailing.
 func TestFidelity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates Figures 2 and 11-15 at -quick scale: Figure 11's 51 runs and Figure 15's pairs")
+		t.Skip("regenerates Figures 2 and 11-16 at -quick scale: Figure 11's 51 runs, Figure 15's pairs and Figure 16's sweep")
 	}
 	cs := claims()
 	var figs []FigureJob
@@ -56,7 +56,7 @@ func TestFidelity(t *testing.T) {
 			status = "FAIL"
 			t.Errorf("%s fails (%s)", c.name, ours)
 		}
-		t.Logf("%-32s %-34s %s", c.name, ours, status)
+		t.Logf("%-40s %-34s %s", c.name, ours, status)
 	}
 	for name := range knownFailing {
 		if !names[name] {

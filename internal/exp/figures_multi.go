@@ -144,6 +144,7 @@ func figure16Specs(o Options) []sweep.RunSpec {
 		for _, mode := range []config.LLCMode{config.LLCShared, config.LLCAdaptive} {
 			cfg := o.baseConfig(mode)
 			v.mutate(&cfg)
+			holdLargestPacket(&cfg)
 			for _, w := range figure16Workloads() {
 				specs = append(specs, o.runSpec(v.key(w.Abbr, mode), cfg, w))
 			}
@@ -151,6 +152,9 @@ func figure16Specs(o Options) []sweep.RunSpec {
 	}
 	return specs
 }
+
+// figure16Column heads Figure 16's one column of numbers.
+const figure16Column = "adaptive vs shared (HM over private-friendly apps)"
 
 // figure16Table reports, per design point, the harmonic mean over the
 // private-cache-friendly workloads of the adaptive LLC's IPC normalized to a
@@ -167,7 +171,7 @@ func figure16Table(_ Options, stats map[string]gpu.RunStats) (Table, error) {
 		rows = append(rows, []any{v.category, v.point, hmean(ratios)})
 	}
 	return newTable("Figure 16: sensitivity analyses (adaptive LLC speedup over shared LLC)", 2,
-		[]column{{"category", ""}, {"design point", ""}, {"adaptive vs shared (HM over private-friendly apps)", "%.3f"}},
+		[]column{{"category", ""}, {"design point", ""}, {figure16Column, "%.3f"}},
 		rows)
 }
 

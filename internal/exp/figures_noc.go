@@ -40,7 +40,15 @@ func (dp nocDesignPoint) config(o Options) config.Config {
 	if dp.Concentration > 0 {
 		cfg.Concentration = dp.Concentration
 	}
+	holdLargestPacket(&cfg)
 	return cfg
+}
+
+// holdLargestPacket deepens the router input buffers to hold one reply or
+// store, the longest packet: at channels narrower than 32 B it outgrows the
+// baseline's 8 flits and could never be injected.
+func holdLargestPacket(c *config.Config) {
+	c.FlitsPerVC = max(c.FlitsPerVC, c.ReplyFlits())
 }
 
 // figure7DesignPoints mirrors the pairing used in the paper: the full

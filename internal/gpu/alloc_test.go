@@ -71,7 +71,7 @@ func TestEarlyRunMergeListAllocs(t *testing.T) {
 	const kcycles = 32
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g.advance(kcycles*1000, kcycles, nil)
+	g.advance(kcycles*1000, kcycles)
 	runtime.ReadMemStats(&after)
 	if perK := float64(after.Mallocs-before.Mallocs) / kcycles; perK > 10 {
 		t.Errorf("MM/private allocates %.1f times per 1000 cycles between cycle 8k and 40k, want < 10", perK)
@@ -126,12 +126,12 @@ func TestPostRestoreCycleAllocs(t *testing.T) {
 	// paid during its warmup); the control advances through the same cycles
 	// so the measurement windows below cover the identical simulated region.
 	const rewarm = 20_000
-	restored.advance(rewarm, 1, nil)
-	control.advance(rewarm, 1, nil)
+	restored.advance(rewarm, 1)
+	control.advance(rewarm, 1)
 
 	const cyclesPerRun = 500
-	coldAvg := testing.AllocsPerRun(10, func() { control.advance(cyclesPerRun, 1, nil) })
-	resumedAvg := testing.AllocsPerRun(10, func() { restored.advance(cyclesPerRun, 1, nil) })
+	coldAvg := testing.AllocsPerRun(10, func() { control.advance(cyclesPerRun, 1) })
+	resumedAvg := testing.AllocsPerRun(10, func() { restored.advance(cyclesPerRun, 1) })
 	// Identical windows should allocate near-identically; the slack absorbs
 	// the last stragglers of one-off capacity regrowth (free-list chunks,
 	// deep merge lists), which decay over tens of thousands of cycles. A
@@ -147,7 +147,7 @@ func requireAllocFreeLoop(t *testing.T, g *GPU, what string) {
 	t.Helper()
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(10, func() {
-		g.advance(cyclesPerRun, 1, nil)
+		g.advance(cyclesPerRun, 1)
 	})
 	perCycle := avg / cyclesPerRun
 	// A strict 0 would be flaky against one-off high-water-mark
@@ -192,4 +192,11 @@ func TestNewAllocBudget(t *testing.T) {
 	if least > budget {
 		t.Errorf("gpu.New(config.Baseline()) allocated %d bytes, budget %d", least, budget)
 	}
+}
+
+// advance opens a run of `cycles` cycles split into `kernels` invocations and
+// simulates it, collecting nothing: Warmup without the statistics reset.
+func (g *GPU) advance(cycles uint64, kernels int) {
+	g.openRun()
+	g.loopUntil(cycles, kernels, nil)
 }

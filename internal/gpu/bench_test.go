@@ -40,7 +40,7 @@ func BenchmarkStep(b *testing.B) {
 			ticks, ports, replies := g.act.ticks, portVisits(), g.act.replyVisits
 			b.ReportAllocs()
 			b.ResetTimer()
-			g.advance(uint64(b.N), 1, nil)
+			g.advance(uint64(b.N), 1)
 			b.StopTimer()
 			st := g.collect(uint64(b.N))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")

@@ -195,15 +195,6 @@ func New(cfg config.Config, prog workload.Program) (*GPU, error) {
 	return g, nil
 }
 
-// Config returns the GPU configuration.
-func (g *GPU) Config() config.Config { return g.cfg }
-
-// Mode returns the LLC organization currently in effect.
-func (g *GPU) Mode() config.LLCMode { return g.mode }
-
-// Controller returns the adaptive controller (nil unless LLCAdaptive).
-func (g *GPU) Controller() *core.Controller { return g.ctrl }
-
 // SetAppModes fixes the LLC organization per application for multi-program
 // runs (Figure 9/15): application i's requests use appModes[i]. The
 // MC-routers can only be bypassed when every application runs private.

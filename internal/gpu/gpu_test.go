@@ -238,7 +238,7 @@ func TestPrivateModeWritePolicy(t *testing.T) {
 	}
 	g.Run(5_000, 1)
 	dirty := 0
-	for _, s := range g.Slices() {
+	for _, s := range g.slices {
 		dirty += s.Tags().DirtyLines()
 	}
 	if dirty != 0 {
@@ -268,7 +268,7 @@ func TestPrivateRoutingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run(20_000, 1)
-	for _, s := range g.Slices() {
+	for _, s := range g.slices {
 		one, two, threeFour, fivePlus, total := s.Tags().SharerHistogram()
 		if total == 0 {
 			continue
@@ -392,7 +392,7 @@ func TestWarmupResetsStatistics(t *testing.T) {
 	}
 	g.Warmup(15_000)
 	valid := 0
-	for _, s := range g.Slices() {
+	for _, s := range g.slices {
 		valid += s.Tags().ValidLines()
 		if s.Stats().Accesses != 0 {
 			t.Fatal("warmup must clear LLC statistics")

@@ -65,7 +65,8 @@ type RunStats struct {
 // behaviour (caches warm, lockstep established) without cold-start
 // transients. The adaptive controller's state is preserved.
 func (g *GPU) Warmup(cycles uint64) {
-	g.advance(cycles, 1, nil)
+	g.openRun()
+	g.loopUntil(cycles, 1, nil)
 	g.resetMeasurement()
 }
 
@@ -106,18 +107,14 @@ func (g *GPU) Run(cycles uint64, kernels int) RunStats {
 // taken inside the hook captures exactly the state a cold run has at that
 // point. A nil hook fires nothing.
 func (g *GPU) RunCheckpointed(cycles uint64, kernels int, onBoundary func(m int)) RunStats {
-	g.advance(cycles, kernels, onBoundary)
-	return g.collect(cycles)
+	g.openRun()
+	return g.ResumeRun(cycles, kernels, onBoundary)
 }
 
-// advance is the one prologue of Warmup and RunCheckpointed: it opens a run
-// of `cycles` cycles at the current cycle, split into `kernels` invocations,
-// and simulates it.
-func (g *GPU) advance(cycles uint64, kernels int, onBoundary func(m int)) {
-	kernelLen := kernelLenFor(cycles, kernels)
+// openRun starts a run, and the sharing-window clock, at the current cycle.
+func (g *GPU) openRun() {
 	g.runStart = g.cycle
 	g.sharerWindowEnd = g.cycle + sharingWindowCycles
-	g.loopUntil(g.cycle+cycles, kernelLen, g.cycle+kernelLen, onBoundary)
 }
 
 // ResumeRun continues a run restored from a mid-run checkpoint until the run
@@ -128,13 +125,7 @@ func (g *GPU) advance(cycles uint64, kernels int, onBoundary func(m int)) {
 // replays the cold run cycle-for-cycle. The returned stats cover the full
 // measurement window, identical to what the uninterrupted Run returns.
 func (g *GPU) ResumeRun(totalCycles uint64, kernels int, onBoundary func(m int)) RunStats {
-	kernelLen := kernelLenFor(totalCycles, kernels)
-	end := g.runStart + totalCycles
-	nextKernel := end
-	if kernelLen > 0 {
-		nextKernel = g.runStart + kernelLen*((g.cycle-g.runStart)/kernelLen+1)
-	}
-	g.loopUntil(end, kernelLen, nextKernel, onBoundary)
+	g.loopUntil(totalCycles, kernels, onBoundary)
 	return g.collect(totalCycles)
 }
 
@@ -150,9 +141,16 @@ func kernelLenFor(cycles uint64, kernels int) uint64 {
 	return kernelLen
 }
 
-// loopUntil advances the simulation until `end`, firing kernel boundaries on
-// the schedule given by kernelLen/nextKernel (relative to g.runStart).
-func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int)) {
+// loopUntil advances the run opened at g.runStart, `totalCycles` cycles split
+// evenly into `kernels` invocations, from the current cycle to its end, firing
+// the kernel boundaries still ahead.
+func (g *GPU) loopUntil(totalCycles uint64, kernels int, onBoundary func(m int)) {
+	kernelLen := kernelLenFor(totalCycles, kernels)
+	end := g.runStart + totalCycles
+	nextKernel := end
+	if kernelLen > 0 {
+		nextKernel = g.runStart + kernelLen*((g.cycle-g.runStart)/kernelLen+1)
+	}
 	loopStart := g.cycle
 	for g.cycle < end {
 		g.cycle++
@@ -177,15 +175,16 @@ func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int
 
 		g.step()
 
-		// Adaptive controller decision point.
-		if g.ctrl != nil && !g.reconfigActive && g.cycle >= g.stallUntil {
+		// Adaptive controller decision point. The controller's epoch clock
+		// runs through transitions too; a decision taken during one waits
+		// for it to finish.
+		if g.ctrl != nil {
 			if d := g.ctrl.Tick(g.cycle); d != nil {
-				g.scheduleReconfig(d)
-			}
-		} else if g.ctrl != nil && (g.reconfigActive || g.cycle < g.stallUntil) {
-			// Keep the controller's epoch clock running during transitions.
-			if d := g.ctrl.Tick(g.cycle); d != nil {
-				g.pendingDecision = d
+				if g.reconfigActive || g.cycle < g.stallUntil {
+					g.pendingDecision = d
+				} else {
+					g.scheduleReconfig(d)
+				}
 			}
 		}
 
@@ -570,6 +569,3 @@ func (g *GPU) collect(cycles uint64) RunStats {
 func (g *GPU) SliceWritePolicy() cache.WritePolicy {
 	return g.slices[0].WritePolicy()
 }
-
-// Slices exposes the LLC slices for characterization experiments.
-func (g *GPU) Slices() []*llc.Slice { return g.slices }

@@ -21,7 +21,7 @@ func TestTelemetryCountsCycles(t *testing.T) {
 	}
 
 	before := ReadTelemetry()
-	g.advance(2_000, 1, nil)
+	g.advance(2_000, 1)
 	if got := ReadTelemetry().SerialCycles - before.SerialCycles; got < 2_000 {
 		t.Errorf("cycle counter advanced by %d, want >= 2000", got)
 	}

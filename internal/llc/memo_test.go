@@ -84,7 +84,7 @@ func TestMemoisedSliceMatchesUnmemoised(t *testing.T) {
 		}
 		if memo.parked {
 			parkedCycles++
-			if line := memo.tags.LineAddr(memo.inq.Front().Addr); memo.mshrs.Outstanding(line) {
+			if line := memo.tags.LineAddr(memo.inq.Front().Addr); memo.mshrs.Probe(line).Outstanding() {
 				t.Fatalf("cycle %d: parked line %#x became outstanding", cyc, line)
 			}
 		}
@@ -125,7 +125,10 @@ func TestMemoisedSliceMatchesUnmemoised(t *testing.T) {
 			t.Fatalf("cycle %d: stats\n memo  %+v\n plain %+v", cyc, memo.Stats(), plain.Stats())
 		}
 	}
-	if !reflect.DeepEqual(memo.SaveState(), plain.SaveState()) {
+	var a, b SliceState
+	memo.SaveStateInto(&a)
+	plain.SaveStateInto(&b)
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("snapshots differ")
 	}
 	if st := memo.Stats(); st.MSHRStalls == 0 || parkedCycles < st.MSHRStalls/2 {

@@ -29,14 +29,8 @@ type SliceState struct {
 	Stats    Stats
 }
 
-// SaveState captures the slice's mutable state.
-func (s *Slice) SaveState() SliceState {
-	var st SliceState
-	s.SaveStateInto(&st)
-	return st
-}
-
-// SaveStateInto is SaveState reusing the backing arrays st already has.
+// SaveStateInto captures the slice's mutable state, reusing the backing
+// arrays st already has.
 func (s *Slice) SaveStateInto(st *SliceState) {
 	st.Policy = s.tags.Config().Policy
 	s.tags.SaveStateInto(&st.Tags)
@@ -127,12 +121,8 @@ func (s *Slice) RestoreState(st SliceState) error {
 	s.tags = tags
 
 	ptr := cache.MSHRState[*mem.Request]{
-		Lines:         st.MSHRs.Lines,
-		Payloads:      make([][]*mem.Request, len(st.MSHRs.Payloads)),
-		PeakOccupancy: st.MSHRs.PeakOccupancy,
-		Allocations:   st.MSHRs.Allocations,
-		Merges:        st.MSHRs.Merges,
-		FullStalls:    st.MSHRs.FullStalls,
+		Lines:    st.MSHRs.Lines,
+		Payloads: make([][]*mem.Request, len(st.MSHRs.Payloads)),
 	}
 	for i, ps := range st.MSHRs.Payloads {
 		ptr.Payloads[i] = make([]*mem.Request, len(ps))

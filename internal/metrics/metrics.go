@@ -1,26 +1,9 @@
-// Package metrics provides the performance metrics used in the paper's
-// evaluation: IPC, normalized performance, harmonic means across workloads,
-// system throughput (STP) for multi-program workloads, and LLC response
-// rate.
+// Package metrics provides the means the paper's evaluation summarises
+// with: harmonic and arithmetic means across workloads, and system
+// throughput (STP) for multi-program workloads.
 package metrics
 
 import "fmt"
-
-// IPC computes instructions per cycle.
-func IPC(instructions, cycles uint64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	return float64(instructions) / float64(cycles)
-}
-
-// Normalize returns value/baseline, or 0 when the baseline is 0.
-func Normalize(value, baseline float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return value / baseline
-}
 
 // HarmonicMean returns the harmonic mean of the values. Zero or negative
 // entries make the harmonic mean undefined; they are rejected with an error.
@@ -66,14 +49,4 @@ func STP(multiIPC, aloneIPC []float64) (float64, error) {
 		stp += multiIPC[i] / aloneIPC[i]
 	}
 	return stp, nil
-}
-
-// ResponseRate computes the LLC response rate in flits per cycle: the total
-// number of reply flits injected by all LLC slices divided by cycles
-// (paper Figure 12).
-func ResponseRate(replyFlits, cycles uint64) float64 {
-	if cycles == 0 {
-		return 0
-	}
-	return float64(replyFlits) / float64(cycles)
 }

@@ -8,18 +8,6 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestIPCAndNormalize(t *testing.T) {
-	if IPC(200, 100) != 2 {
-		t.Error("IPC(200,100) != 2")
-	}
-	if IPC(1, 0) != 0 {
-		t.Error("IPC with zero cycles should be 0")
-	}
-	if Normalize(3, 2) != 1.5 || Normalize(3, 0) != 0 {
-		t.Error("Normalize mismatch")
-	}
-}
-
 func TestMeans(t *testing.T) {
 	hm, err := HarmonicMean([]float64{1, 2, 4})
 	if err != nil || !approx(hm, 3/(1+0.5+0.25)) {
@@ -60,14 +48,5 @@ func TestSTPAndANTT(t *testing.T) {
 	}
 	if _, err := STP([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero alone-IPC should error")
-	}
-}
-
-func TestResponseRate(t *testing.T) {
-	if ResponseRate(500, 100) != 5 {
-		t.Error("ResponseRate mismatch")
-	}
-	if ResponseRate(1, 0) != 0 {
-		t.Error("zero cycles should give 0")
 	}
 }

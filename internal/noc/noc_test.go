@@ -216,12 +216,12 @@ func TestBackpressure(t *testing.T) {
 	if n.Stats().InjectStallCycles != 1 {
 		t.Errorf("InjectStallCycles = %d, want 1", n.Stats().InjectStallCycles)
 	}
-	if n.CanInject(0, 5) {
-		t.Error("CanInject should be false while the buffer is occupied")
+	if n.Accepts(0, 5) {
+		t.Error("Accepts should be false while the buffer is occupied")
 	}
 	drain(t, n, 1000)
-	if !n.CanInject(0, 5) {
-		t.Error("CanInject should be true after draining")
+	if !n.Accepts(0, 5) {
+		t.Error("Accepts should be true after draining")
 	}
 }
 

@@ -118,9 +118,6 @@ type Net interface {
 	// would have been. A caller that asks first need not build a packet only
 	// to have it refused.
 	Accepts(src, flits int) bool
-	// CanInject reports whether a packet of the given flit count could be
-	// injected at source src this cycle, without counting a refusal.
-	CanInject(src, flits int) bool
 	// Tick advances the network by one cycle and returns packets that
 	// arrived at their destination this cycle.
 	Tick() []*Packet

@@ -181,16 +181,10 @@ type NetState struct {
 	Inflight      []InflightState
 }
 
-// SaveState captures the network's mutable state. The topology itself
-// (router wiring, injection mapping) is not saved: it is a pure function of
-// the construction parameters plus the bypass flag.
-func SaveState(n Net) (NetState, error) {
-	var st NetState
-	err := SaveStateInto(n, &st)
-	return st, err
-}
-
-// SaveStateInto is SaveState reusing the backing arrays st already has.
+// SaveStateInto captures the network's mutable state, reusing the backing
+// arrays st already has. The topology itself (router wiring, injection
+// mapping) is not saved: it is a pure function of the construction
+// parameters plus the bypass flag.
 func SaveStateInto(n Net, st *NetState) error {
 	switch net := n.(type) {
 	case *xbarNet:

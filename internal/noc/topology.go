@@ -397,8 +397,6 @@ func (n *idealNet) Inject(p *Packet) bool {
 
 func (n *idealNet) Accepts(src, flits int) bool { return true }
 
-func (n *idealNet) CanInject(src, flits int) bool { return true }
-
 func (n *idealNet) Tick() []*Packet {
 	n.cycle++
 	n.out = n.out[:0]

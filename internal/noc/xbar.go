@@ -239,15 +239,6 @@ func (n *xbarNet) Accepts(src, flits int) bool {
 	return false
 }
 
-// CanInject implements Net.
-func (n *xbarNet) CanInject(src, flits int) bool {
-	if src < 0 || src >= n.numSrc {
-		return false
-	}
-	q := n.injQ[src]
-	return q.freeFlits() >= flits && n.cycle >= q.injBusyUntil
-}
-
 // Pending implements Net.
 func (n *xbarNet) Pending() bool { return n.inflightCount > 0 }
 

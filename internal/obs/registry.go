@@ -8,7 +8,7 @@
 //   - stdlib only, so every subsystem (queue, store, checkpoint manager,
 //     cluster forwarder) can report into it without pulling a client
 //     library into the simulator.
-//   - Instruments are nil-safe: a nil *Counter/*Gauge/*Histogram/*Span
+//   - Instruments are nil-safe: a nil *Counter/*Histogram/*Span
 //     no-ops, so components can be instrumented unconditionally and pay one
 //     pointer check when telemetry is not wired up.
 //   - Hot-path friendly: counters and histograms are lock-free atomics;
@@ -71,7 +71,6 @@ type series struct {
 	labelValues []string
 
 	count atomic.Uint64 // counter increments
-	gauge atomic.Uint64 // float64 bits
 	fn    func() float64
 
 	// histogram state: bucketCounts[i] counts observations <= buckets[i];
@@ -169,39 +168,6 @@ func (c *Counter) Value() uint64 {
 	return c.s.count.Load()
 }
 
-// Gauge is a value that can go up and down. Nil-safe.
-type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil || g.s == nil {
-		return
-	}
-	g.s.gauge.Store(math.Float64bits(v))
-}
-
-// Add increments the gauge by d (CAS loop; safe for concurrent use).
-func (g *Gauge) Add(d float64) {
-	if g == nil || g.s == nil {
-		return
-	}
-	for {
-		old := g.s.gauge.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.s.gauge.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil || g.s == nil {
-		return 0
-	}
-	return math.Float64frombits(g.s.gauge.Load())
-}
-
 // Histogram counts observations into fixed cumulative buckets. Nil-safe.
 type Histogram struct {
 	f *family
@@ -239,26 +205,12 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil || h.s == nil {
-		return 0
-	}
-	return h.s.hCount.Load()
-}
-
 // DurationBuckets are the default histogram buckets for durations in
 // seconds, spanning sub-millisecond HTTP handling to multi-minute
 // simulations.
 var DurationBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-}
-
-// Counter registers an unlabeled counter. Counter names must end in _total.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.newFamily(name, help, typeCounter, nil)
-	return &Counter{s: f.child(nil)}
 }
 
 // CounterFunc registers a counter whose value is sampled at scrape time.
@@ -269,7 +221,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.child(nil).fn = fn
 }
 
-// CounterVec registers a labeled counter family.
+// CounterVec registers a labeled counter family. Counter names must end in
+// _total.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
 	return &CounterVec{f: r.newFamily(name, help, typeCounter, nil, labelNames...)}
 }
@@ -287,32 +240,10 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{s: v.f.child(values)}
 }
 
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.newFamily(name, help, typeGauge, nil)
-	return &Gauge{s: f.child(nil)}
-}
-
 // GaugeFunc registers a gauge sampled at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.newFamily(name, help, typeGauge, nil)
 	f.child(nil).fn = fn
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.newFamily(name, help, typeGauge, nil, labelNames...)}
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return &Gauge{s: v.f.child(values)}
 }
 
 // Histogram registers an unlabeled histogram. nil buckets use
@@ -400,10 +331,7 @@ func (f *family) render(b *strings.Builder) {
 		case typeHistogram:
 			f.renderHistogram(b, s)
 		default:
-			v := math.Float64frombits(s.gauge.Load())
-			if f.typ == typeCounter {
-				v = float64(s.count.Load())
-			}
+			v := float64(s.count.Load())
 			if s.fn != nil {
 				v = s.fn()
 			}

@@ -3,11 +3,12 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCounterRendersWithHelpAndType(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("simd_frobs_total", "Frobs performed.")
+	c := r.CounterVec("simd_frobs_total", "Frobs performed.").With()
 	c.Inc()
 	c.Add(2)
 	got := r.Exposition()
@@ -28,18 +29,18 @@ func TestCounterNameMustEndInTotal(t *testing.T) {
 			t.Fatal("expected panic for counter without _total suffix")
 		}
 	}()
-	NewRegistry().Counter("simd_frobs", "bad name")
+	NewRegistry().CounterVec("simd_frobs", "bad name")
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("simd_depth", "x")
+	r.GaugeFunc("simd_depth", "x", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate registration")
 		}
 	}()
-	r.Gauge("simd_depth", "y")
+	r.GaugeFunc("simd_depth", "y", func() float64 { return 0 })
 }
 
 func TestCounterVecLabels(t *testing.T) {
@@ -58,21 +59,18 @@ func TestCounterVecLabels(t *testing.T) {
 	}
 	// Same label values return the same underlying series.
 	v.With("/v1/runs", "200").Inc()
-	if c := v.With("/v1/runs", "200").Value(); c != 6 {
-		t.Errorf("series not shared across With calls: got %d, want 6", c)
+	if want := `simd_http_requests_total{route="/v1/runs",code="200"} 6`; !strings.Contains(r.Exposition(), want) {
+		t.Errorf("series not shared across With calls: exposition lacks %q", want)
 	}
 }
 
 func TestGaugeAndFuncSampling(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("simd_queue_depth", "Jobs waiting.")
-	g.Set(4)
-	g.Add(-1)
 	depth := 7.0
 	r.GaugeFunc("simd_live_depth", "Sampled.", func() float64 { return depth })
 	r.CounterFunc("simd_sampled_total", "Sampled counter.", func() float64 { return 11 })
 	got := r.Exposition()
-	for _, want := range []string{"simd_queue_depth 3\n", "simd_live_depth 7\n", "simd_sampled_total 11\n"} {
+	for _, want := range []string{"simd_live_depth 7\n", "simd_sampled_total 11\n"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("exposition missing %q:\n%s", want, got)
 		}
@@ -107,9 +105,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if !strings.Contains(got, "simd_lat_seconds_sum 54.40001\n") {
 		t.Errorf("bad _sum:\n%s", got)
 	}
-	if h.Count() != 7 {
-		t.Errorf("Count() = %d, want 7", h.Count())
-	}
 }
 
 func TestHistogramVecPerLabelBuckets(t *testing.T) {
@@ -143,17 +138,17 @@ func TestHistogramBucketsMustIncrease(t *testing.T) {
 // Nil instruments no-op so call sites never need telemetry-enabled checks.
 func TestNilInstrumentsAreSafe(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var cv *CounterVec
+	var hv *HistogramVec
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
+	h.ObserveSince(time.Now())
 	cv.With("x").Inc()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Error("nil instruments should read zero")
+	hv.With("x").Observe(1)
+	if c.Value() != 0 {
+		t.Error("a nil counter should read zero")
 	}
 }
 
@@ -187,8 +182,8 @@ func TestEmptyFamiliesStillDeclared(t *testing.T) {
 
 func TestRegistryExpositionLintsClean(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("simd_a_total", "a").Inc()
-	r.Gauge("simd_b", "b").Set(2.5)
+	r.CounterVec("simd_a_total", "a").With().Inc()
+	r.GaugeFunc("simd_b", "b", func() float64 { return 2.5 })
 	h := r.Histogram("simd_c_seconds", "c", nil)
 	h.Observe(0.003)
 	h.Observe(700) // beyond last bucket: +Inf only

@@ -156,15 +156,6 @@ func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 	return &st, nil
 }
 
-// Cancel requests cancellation of a job and returns its resulting status.
-func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) {
-	var st api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/cancel", nil, &st, nil); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // WaitJob polls until the job reaches a terminal state (or ctx expires).
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*api.JobStatus, error) {
 	return c.waitJob(ctx, id, poll, nil)

@@ -430,7 +430,7 @@ func TestClusterJobLookupProxied(t *testing.T) {
 	// Cancel of a terminal job reports its (terminal) state — via the entry
 	// daemon it exercises the cancel proxy.
 	oneHop("a cancel", 1, func() {
-		cst, err := entryClient.Cancel(ctx, r.JobID)
+		cst, err := cancelJob(entryClient, r.JobID)
 		if err != nil {
 			t.Fatalf("cancelling a forwarded job via the entry daemon failed: %v", err)
 		}

@@ -81,7 +81,7 @@ func TestCancelledFigureStopsSimulating(t *testing.T) {
 	for srv.queue.Stats().Queued < len(specs)-1 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := c.Cancel(ctx, figID); err != nil {
+	if _, err := cancelJob(c, figID); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := c.WaitJob(ctx, figID, 5*time.Millisecond); err != nil || st.Status != api.StatusCancelled {

@@ -125,11 +125,11 @@ type Config struct {
 	// replication.
 	Replicas int
 
-	// Heartbeat is the gossip period (default 1s); SuspectAfter/DeadAfter
-	// default to 4x/12x of it. Only meaningful in cluster mode.
-	Heartbeat    time.Duration
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
+	// Heartbeat is the gossip period (default 1s); DeadAfter defaults to
+	// 12x of it, and a member is suspected after 4x. Only meaningful in
+	// cluster mode.
+	Heartbeat time.Duration
+	DeadAfter time.Duration
 
 	// RemotePoll is how often forwarded job handles are polled for
 	// completion (default 150ms).
@@ -198,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 			Self:           cfg.Self,
 			Seeds:          cfg.Seeds,
 			HeartbeatEvery: cfg.Heartbeat,
-			SuspectAfter:   cfg.SuspectAfter,
 			DeadAfter:      cfg.DeadAfter,
 		}
 		if cfg.Logger != nil {

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
@@ -51,6 +53,21 @@ func figureSync(base, key string, opt api.FigureOptions) (*api.FigureResponse, e
 	}
 	var fr api.FigureResponse
 	return &fr, json.NewDecoder(resp.Body).Decode(&fr)
+}
+
+// cancelJob is POST /v1/jobs/{id}/cancel on c's daemon: the status the
+// cancel left the job in.
+func cancelJob(c *client.Client, id string) (*api.JobStatus, error) {
+	resp, err := http.Post(c.BaseURL+"/v1/jobs/"+url.PathEscape(id)+"/cancel", "", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("cancel %s: HTTP %d", id, resp.StatusCode)
+	}
+	var st api.JobStatus
+	return &st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
 func tinySpec(key string, seed int64) api.Spec {
@@ -191,7 +208,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	victim := resp.Results[1].JobID
 
-	st, err := c.Cancel(ctx, victim)
+	st, err := cancelJob(c, victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +243,11 @@ func TestSpecValidation(t *testing.T) {
 		t.Errorf("rejected batch left work behind: %+v", qs)
 	}
 
+	narrow := config.Baseline()
+	narrow.ChannelBytes = 16 // 9-flit replies against 8-flit buffers
 	bad := []api.Spec{
 		{Benchmarks: []string{"NOPE"}, MeasureCycles: 1000},
+		{Benchmarks: []string{"VA"}, Config: &narrow, MeasureCycles: 1000},
 		{Benchmarks: []string{"VA"}}, // no cycles
 		{MeasureCycles: 1000},        // no workload
 		{Benchmarks: []string{"VA"}, Mode: "sideways", MeasureCycles: 1000},

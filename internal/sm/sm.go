@@ -29,14 +29,6 @@ type Stats struct {
 	LoadsCompleted   uint64
 }
 
-// IPC returns instructions per cycle for this SM.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(s.Cycles)
-}
-
 // L1MissRate returns the L1 miss rate over load accesses.
 func (s Stats) L1MissRate() float64 {
 	total := s.L1Hits + s.L1Misses
@@ -213,12 +205,6 @@ func (s *SM) UseRequestPool(p *pool.FreeList[mem.Request]) {
 	}
 }
 
-// ID returns the SM index.
-func (s *SM) ID() int { return s.id }
-
-// Cluster returns the SM's cluster index.
-func (s *SM) Cluster() int { return s.cluster }
-
 // Stats returns a snapshot of the SM statistics.
 func (s *SM) Stats() Stats { return s.stats }
 
@@ -232,9 +218,6 @@ func (s *SM) SetApp(appID int) { s.appID = appID }
 // OutstandingLoads returns the number of distinct lines with outstanding
 // misses.
 func (s *SM) OutstandingLoads() int { return s.mshrs.Occupancy() }
-
-// Pending reports whether the SM has outstanding misses or unsent requests.
-func (s *SM) Pending() bool { return s.mshrs.Occupancy() > 0 || s.outQ.Len() > 0 }
 
 // Tick advances the SM by one cycle, pulling instructions from prog.
 func (s *SM) Tick(cycle uint64, prog workload.Program) {

@@ -44,14 +44,8 @@ type State struct {
 	AppID      int
 }
 
-// SaveState captures the SM's mutable state.
-func (s *SM) SaveState() State {
-	var st State
-	s.SaveStateInto(&st)
-	return st
-}
-
-// SaveStateInto is SaveState reusing the backing arrays st already has.
+// SaveStateInto captures the SM's mutable state, reusing the backing arrays
+// st already has.
 func (s *SM) SaveStateInto(st *State) {
 	st.Wake = append(st.Wake[:0], s.wake...)
 	st.Issued = wire.Resize(st.Issued, len(s.warps))

@@ -89,9 +89,6 @@ type Header struct {
 	// of co-recorded applications.
 	Apps  int   `json:"apps,omitempty"`
 	SMApp []int `json:"sm_app,omitempty"`
-
-	// Meta carries free-form annotations (tool version, comments).
-	Meta map[string]string `json:"meta,omitempty"`
 }
 
 // TotalWarps returns the number of warp streams in the trace.

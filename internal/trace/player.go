@@ -140,9 +140,6 @@ func (p *Player) SetApp(appID int) {
 	p.addrOffset = uint64(appID) << 40
 }
 
-// AppID returns the application identity (0 for single-program replay).
-func (p *Player) AppID() int { return p.appID }
-
 // AppOf returns the application recorded for the given SM (remapped when the
 // replay geometry differs).
 func (p *Player) AppOf(sm int) int {

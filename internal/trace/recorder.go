@@ -65,15 +65,6 @@ func (r *Recorder) Apps() int {
 	return 1
 }
 
-// Counts reports what has been recorded so far.
-func (r *Recorder) Counts() Counts { return r.w.Counts() }
-
-// Err returns the first trace-writing error, if any.
-func (r *Recorder) Err() error { return r.w.Err() }
-
 // Close finalizes the trace and reports the first error encountered while
 // recording or closing.
 func (r *Recorder) Close() error { return r.w.Close() }
-
-// Program returns the wrapped program.
-func (r *Recorder) Program() workload.Program { return r.inner }

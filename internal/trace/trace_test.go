@@ -240,9 +240,6 @@ func TestRecorderTransparencyAndCapture(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatalf("recorder close: %v", err)
 	}
-	if rec.Counts().Ops != uint64(len(calls)) || rec.Counts().Kernels != 1 {
-		t.Fatalf("recorded counts = %+v, want %d ops / 1 kernel", rec.Counts(), len(calls))
-	}
 
 	// The captured trace must decode to the recorded sequence.
 	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
@@ -440,9 +437,6 @@ func TestPlayerSetAppRelocatesAddresses(t *testing.T) {
 	p.SetApp(3)
 	if op := p.NextOp(0, 0); op.Addr != 0x1000+uint64(3)<<40 {
 		t.Fatalf("relocated addr = %#x, want %#x", op.Addr, 0x1000+uint64(3)<<40)
-	}
-	if p.AppID() != 3 {
-		t.Errorf("AppID() = %d, want 3", p.AppID())
 	}
 }
 
@@ -722,12 +716,6 @@ func TestMixedMultiProgram(t *testing.T) {
 	mp, err := workload.NewMultiProgramMixed([]workload.Program{gen, player}, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mp.Generator(1) != nil {
-		t.Error("Generator(1) should be nil for a trace player")
-	}
-	if mp.Program(1) != workload.Program(player) {
-		t.Error("Program(1) should return the player")
 	}
 
 	g, err := gpu.New(cfg, mp)

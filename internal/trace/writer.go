@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Counts summarizes what a Writer has recorded so far.
+// Counts summarizes a trace's events.
 type Counts struct {
 	Ops     uint64 // all operations
 	MemOps  uint64 // loads + stores
@@ -31,7 +31,6 @@ type Writer struct {
 
 	lastAddr []uint64 // per recorded warp stream, for delta encoding
 	scratch  [2*binary.MaxVarintLen64 + 1]byte
-	counts   Counts
 	err      error
 	closed   bool
 }
@@ -82,12 +81,6 @@ func Create(path string, hdr Header) (*Writer, error) {
 	return w, nil
 }
 
-// Header returns the header this trace was started with.
-func (w *Writer) Header() Header { return w.hdr }
-
-// Counts returns what has been recorded so far.
-func (w *Writer) Counts() Counts { return w.counts }
-
 // Err returns the first error encountered while writing, if any. Once set,
 // all further writes are dropped.
 func (w *Writer) Err() error { return w.err }
@@ -126,15 +119,6 @@ func (w *Writer) WriteOp(sm, warpSlot int, op workload.Op) error {
 	if _, err := w.bw.Write(buf); err != nil {
 		return w.fail(fmt.Errorf("trace: writing op: %w", err))
 	}
-	w.counts.Ops++
-	if op.IsMem {
-		w.counts.MemOps++
-		if op.Write {
-			w.counts.Stores++
-		} else {
-			w.counts.Loads++
-		}
-	}
 	return nil
 }
 
@@ -149,7 +133,6 @@ func (w *Writer) WriteKernel() error {
 	if err := w.bw.WriteByte(evKernel); err != nil {
 		return w.fail(fmt.Errorf("trace: writing kernel marker: %w", err))
 	}
-	w.counts.Kernels++
 	return nil
 }
 

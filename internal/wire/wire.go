@@ -115,9 +115,6 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 // Err returns the first error the reader met.
 func (r *Reader) Err() error { return r.err }
 
-// Len returns the number of unread bytes.
-func (r *Reader) Len() int { return len(r.buf) }
-
 // Fail records an error found by the caller (an out-of-range value, say)
 // unless an earlier one is already held.
 func (r *Reader) Fail(format string, args ...any) {

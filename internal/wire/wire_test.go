@@ -98,7 +98,7 @@ func TestReaderRejects(t *testing.T) {
 			continue
 		}
 		first := r.Err()
-		if v := r.Uvarint(); v != 0 || r.Count(1) != 0 || r.Bool() || r.Len() != 0 {
+		if v := r.Uvarint(); v != 0 || r.Count(1) != 0 || r.Bool() || len(r.buf) != 0 {
 			t.Errorf("%s: reads after the error returned data", name)
 		}
 		if r.Err() != first || r.Done() != first {

@@ -125,18 +125,12 @@ func MustNewGenerator(spec Spec, cfg config.Config, seed int64) *Generator {
 	return g
 }
 
-// Spec returns the benchmark specification driving this generator.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // SetApp assigns an application identity and a disjoint address-space offset
 // for multi-program execution.
 func (g *Generator) SetApp(appID int) {
 	g.appID = appID
 	g.addrOffset = uint64(appID) << 40
 }
-
-// AppID returns the application identity (0 for single-program runs).
-func (g *Generator) AppID() int { return g.appID }
 
 // assignCTAs gives every warp a CTA identity according to the configured
 // CTA scheduling policy. Warps are grouped into CTAs of

@@ -100,14 +100,3 @@ func (m *MultiProgram) AppOf(sm int) int { return m.smApp[sm] }
 
 // Apps returns the number of co-executing applications.
 func (m *MultiProgram) Apps() int { return len(m.progs) }
-
-// Program returns the per-application program.
-func (m *MultiProgram) Program(app int) Program { return m.progs[app] }
-
-// Generator returns the per-application program as a *Generator, or nil when
-// application `app` is not driven by a synthetic generator (e.g. a trace
-// player in a mixed co-execution).
-func (m *MultiProgram) Generator(app int) *Generator {
-	g, _ := m.progs[app].(*Generator)
-	return g
-}

@@ -84,9 +84,6 @@ func TestMultiProgramMixedSingleProgram(t *testing.T) {
 			t.Fatalf("AppOf(%d) = %d, want 0", sm, mp.AppOf(sm))
 		}
 	}
-	if mp.Generator(0) != gen {
-		t.Error("Generator(0) must return the wrapped generator")
-	}
 	g, err := gpu.New(cfg, mp)
 	if err != nil {
 		t.Fatal(err)

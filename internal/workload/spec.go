@@ -68,8 +68,8 @@ type Spec struct {
 	Class Class
 	// SharedDataMB is the read-only shared footprint from Table 2.
 	SharedDataMB float64
-	// Kernels is the number of kernels from Table 2; the generator reports a
-	// kernel boundary every KernelInstrs per-warp instructions.
+	// Kernels is the number of kernels from Table 2; the run harness
+	// launches them at even intervals of the measured window.
 	Kernels int
 
 	Pattern Pattern
@@ -99,8 +99,9 @@ type Spec struct {
 	// ALULatency is the issue-to-ready latency of non-memory instructions,
 	// controlling compute intensity between memory operations.
 	ALULatency int
-	// KernelInstrs is the number of per-warp instructions per kernel. 0
-	// means a single kernel of unbounded length.
+	// KernelInstrs is unread: kernel boundaries come from the run harness,
+	// not from an instruction count. It stays until the next SimVersion bump
+	// because deleting it moves every fingerprint.
 	KernelInstrs uint64
 }
 

