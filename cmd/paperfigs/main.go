@@ -21,10 +21,10 @@
 //	paperfigs -figure tables
 //	paperfigs -figure all -server http://127.0.0.1:8404
 //
-// Besides figures, the internal/scenario catalog runs by name or level:
-// -scenarios level1 executes every level-1 recipe determinism-gated (each
-// batch twice, statistics compared byte for byte) and exits non-zero on any
-// invariant violation; -list-scenarios and -scenario-matrix inspect the
+// Besides figures, the internal/scenario catalog runs by name or level,
+// always locally: -scenarios level1 executes every level-1 recipe
+// determinism-gated (each batch twice, statistics compared byte for byte)
+// and exits non-zero on any invariant violation; -list-scenarios lists the
 // catalog without simulating.
 package main
 
@@ -54,23 +54,22 @@ func main() { os.Exit(run()) }
 // every exit path, including errors; os.Exit would skip them.
 func run() int {
 	var (
-		figureFlag     = flag.String("figure", "all", "which figures to regenerate, comma-separated: 2, 3, 7, 11, 12, 13, 14, 15, 16, tables, or all")
-		cyclesFlag     = flag.Uint64("cycles", 0, "override measured cycles per run (0 = default)")
-		warmupFlag     = flag.Uint64("warmup", 0, "override warm-up cycles per run (0 = default)")
-		seedFlag       = flag.Int64("seed", 1, "workload generator seed")
-		quickFlag      = flag.Bool("quick", false, "use the reduced quick-run scale")
-		parallelFlag   = flag.Bool("parallel", false, "fan each figure's runs across all CPU cores")
-		workersFlag    = flag.Int("workers", 0, "exact worker-pool size (implies -parallel; 0 = serial unless -parallel)")
-		progressFlag   = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
-		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
-		memProfile     = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
-		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); requests route to each run's cluster owner and fail over past dead peers; the daemons' parallelism is simd -workers, so -parallel/-workers are rejected")
-		checkpointsOn  = flag.Bool("checkpoints", false, "resume runs from checkpointed state prefixes (shared warmups, kernel boundaries) stored under -checkpoint-dir, and bank new ones; output is byte-identical, only wall-clock time changes")
-		checkpointDir  = flag.String("checkpoint-dir", ".repro-checkpoints", "directory of the checkpoint store used by -checkpoints")
-		traceOut       = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's lifecycle phases (checkpoint probe, warmup, kernel segments, measure) to this file; load it in Perfetto or chrome://tracing. Local execution only")
-		scenariosFlag  = flag.String("scenarios", "", "run scenario recipes instead of figures: a level (\"level1\" runs levels up to 1), \"all\", or comma-separated names; always determinism-gated, exit 1 on any invariant violation")
-		listScenarios  = flag.Bool("list-scenarios", false, "list the scenario catalog (name, level, axes, figures) and exit")
-		scenarioMatrix = flag.Bool("scenario-matrix", false, "print the generated scenario × figure support matrix and exit")
+		figureFlag    = flag.String("figure", "all", "which figures to regenerate, comma-separated: 2, 3, 7, 11, 12, 13, 14, 15, 16, tables, or all")
+		cyclesFlag    = flag.Uint64("cycles", 0, "override measured cycles per run (0 = default)")
+		warmupFlag    = flag.Uint64("warmup", 0, "override warm-up cycles per run (0 = default)")
+		seedFlag      = flag.Int64("seed", 1, "workload generator seed")
+		quickFlag     = flag.Bool("quick", false, "use the reduced quick-run scale")
+		parallelFlag  = flag.Bool("parallel", false, "fan each figure's runs across all CPU cores")
+		workersFlag   = flag.Int("workers", 0, "exact worker-pool size (implies -parallel; 0 = serial unless -parallel)")
+		progressFlag  = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
+		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
+		memProfile    = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
+		serverFlag    = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); requests route to each run's cluster owner and fail over past dead peers; the daemons' parallelism is simd -workers, so -parallel/-workers are rejected")
+		checkpointsOn = flag.Bool("checkpoints", false, "resume runs from checkpointed state prefixes (shared warmups, kernel boundaries) stored under -checkpoint-dir, and bank new ones; output is byte-identical, only wall-clock time changes")
+		checkpointDir = flag.String("checkpoint-dir", ".repro-checkpoints", "directory of the checkpoint store used by -checkpoints")
+		traceOut      = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's lifecycle phases (checkpoint probe, warmup, kernel segments, measure) to this file; load it in Perfetto or chrome://tracing. Local execution only")
+		scenariosFlag = flag.String("scenarios", "", "run scenario recipes instead of figures: a level (\"level1\" runs levels up to 1), \"all\", or comma-separated names; always determinism-gated, exit 1 on any invariant violation")
+		listScenarios = flag.Bool("list-scenarios", false, "list the scenario catalog (name, level, axes, description) and exit")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -87,17 +86,9 @@ func run() int {
 			for i, a := range sc.Axes {
 				axes[i] = string(a)
 			}
-			figs := "-"
-			if len(sc.Figures) > 0 {
-				figs = strings.Join(sc.Figures, ",")
-			}
-			fmt.Printf("%-26s %s  axes=%s figures=%s\n    %s\n",
-				sc.Name, sc.Level, strings.Join(axes, ","), figs, sc.Description)
+			fmt.Printf("%-26s %s  axes=%s\n    %s\n",
+				sc.Name, sc.Level, strings.Join(axes, ","), sc.Description)
 		}
-		return 0
-	}
-	if *scenarioMatrix {
-		fmt.Print(scenario.Matrix())
 		return 0
 	}
 
@@ -143,9 +134,9 @@ func run() int {
 		showProgress = err == nil && st.Mode()&os.ModeCharDevice != 0
 	}
 
-	// One description of the requested scale, resolved by the same two
-	// functions whether figures or scenarios run here or on a daemon. Seed is
-	// sent unconditionally: 0 is a legal seed.
+	// One description of the requested scale: figures resolve it with
+	// Options, here or on a daemon, and recipes with scenario.Scale.Rescale.
+	// Seed is sent unconditionally: 0 is a legal seed.
 	scale := api.FigureOptions{
 		Quick:  *quickFlag,
 		Cycles: *cyclesFlag,
@@ -166,7 +157,7 @@ func run() int {
 		}
 		return false
 	}
-	if *serverFlag != "" && reject("-server", "the daemon executes (simd -workers, its own checkpoint store, /v1/jobs/{id}/timeline, POST /v1/scenarios/{name}/run)",
+	if *serverFlag != "" && reject("-server", "the daemon executes (simd -workers, its own checkpoint store, /v1/jobs/{id}/timeline) and serves figures only; scenarios run locally",
 		"parallel", "workers", "trace-out", "checkpoints", "scenarios") {
 		return 1
 	}
@@ -371,8 +362,8 @@ func runScenarios(sel string, exec sweep.Executor, scale api.FigureOptions, show
 	failed := 0
 	start := time.Now()
 	for _, sc := range list {
-		rescaled := scale.Rescale(sc.Level.Scale())
-		rep, err := sc.Run(context.Background(), scenario.RunOptions{Exec: exec, Scale: &rescaled, DeterminismGate: true})
+		rescaled := sc.Level.Scale().Rescale(scale.Cycles, scale.Warmup, scale.Seed)
+		rep, err := sc.Run(context.Background(), scenario.RunOptions{Exec: exec, Scale: &rescaled})
 		if err != nil {
 			if showProgress {
 				fmt.Fprintf(os.Stderr, "\r%-56s\r", "")

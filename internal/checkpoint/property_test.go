@@ -126,7 +126,7 @@ func TestCodecPropertiesOverCatalog(t *testing.T) {
 	for _, sc := range scenario.UpToLevel(level) {
 		t.Run(sc.Name, func(t *testing.T) {
 			props := &codecProperties{t: t}
-			if _, err := sc.Run(context.Background(), scenario.RunOptions{Exec: modesExecutor{props}, Dir: t.TempDir()}); err != nil {
+			if _, err := sc.Run(context.Background(), scenario.RunOptions{Exec: modesExecutor{props}}); err != nil {
 				t.Fatal(err)
 			}
 			if props.boundaries == 0 {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -307,12 +309,10 @@ func TestGoldenFigureText(t *testing.T) {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	var b strings.Builder
-	Regenerate(Figures(), tinyOptions(), func(f FigureJob, tbl Table, _, _ int, err error) {
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		b.WriteString("### " + f.Key + "\n" + tbl.Format() + "\n")
-	})
+	tables := tinyTables(t)
+	for _, f := range Figures() {
+		b.WriteString("### " + f.Key + "\n" + tables[f.Key].Format() + "\n")
+	}
 	if *update {
 		if err := os.WriteFile(filepath.FromSlash(goldenPath), []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -334,18 +334,32 @@ func TestGoldenFigureText(t *testing.T) {
 	}
 }
 
-// figureTable regenerates one registry entry on its own and returns its table.
-func figureTable(t *testing.T, key string, o Options) Table {
+// tiny is the one regeneration of every registry entry at tinyOptions, as
+// one selection over one run set: TestGoldenFigureText compares its text and
+// the structure tests read its tables.
+var tiny struct {
+	once   sync.Once
+	tables map[string]Table
+	err    error
+}
+
+// tinyTables returns the tables of that regeneration, running it on first
+// use.
+func tinyTables(t *testing.T) map[string]Table {
 	t.Helper()
-	f, ok := FigureByKey(key)
-	if !ok {
-		t.Fatalf("unknown figure %q", key)
+	tiny.once.Do(func() {
+		tiny.tables = map[string]Table{}
+		Regenerate(Figures(), tinyOptions(), func(f FigureJob, tbl Table, _, _ int, err error) {
+			if err != nil && tiny.err == nil {
+				tiny.err = fmt.Errorf("%s: %w", f.Name, err)
+			}
+			tiny.tables[f.Key] = tbl
+		})
+	})
+	if tiny.err != nil {
+		t.Fatal(tiny.err)
 	}
-	tbl, err := f.tabulate(o, o.runAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return tiny.tables
 }
 
 // value reads a cell that must exist.
@@ -362,8 +376,7 @@ func TestFigure12And13Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	o := tinyOptions()
-	f12 := figureTable(t, "12", o)
+	f12 := tinyTables(t)["12"]
 	if len(f12.rows) != 5 {
 		t.Errorf("Figure 12 rows = %d, want 5 (private-friendly apps)", len(f12.rows))
 	}
@@ -371,7 +384,7 @@ func TestFigure12And13Structure(t *testing.T) {
 		t.Error("Figure 12 format missing title")
 	}
 
-	f13 := figureTable(t, "13", o)
+	f13 := tinyTables(t)["13"]
 	if len(f13.rows) != 6 {
 		t.Errorf("Figure 13 rows = %d, want 6 (shared-friendly apps)", len(f13.rows))
 	}
@@ -421,7 +434,7 @@ func TestFigure7Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	res := figureTable(t, "7", tinyOptions())
+	res := tinyTables(t)["7"]
 	if len(res.rows) != 8 {
 		t.Fatalf("Figure 7 rows = %d, want 8 design points", len(res.rows))
 	}
@@ -450,7 +463,7 @@ func TestFigure16SensitivityStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	res := figureTable(t, "16", tinyOptions())
+	res := tinyTables(t)["16"]
 	if len(res.rows) != 15 {
 		t.Errorf("Figure 16 rows = %d, want 15 design points", len(res.rows))
 	}

@@ -211,18 +211,23 @@ func (g *GPU) SetAppModes(modes []config.LLCMode) error {
 		}
 	}
 	g.appModes = append([]config.LLCMode(nil), modes...)
-	allPrivate := true
-	for _, m := range modes {
-		if m != config.LLCPrivate {
-			allPrivate = false
-		}
-	}
-	// Write policy: any private app forces write-through handling so the
-	// flush-based coherence of the private organization stays correct.
-	anyPrivate := false
-	for _, m := range modes {
+	return g.applyMode(modes...)
+}
+
+// applyMode switches the physical LLC organization immediately to serve the
+// given views: one for a whole-GPU mode (at construction for static private
+// runs, at the end of a reconfiguration for adaptive runs), one per
+// application for SetAppModes. Any private view forces write-through slices,
+// so the flush-based coherence of the private organization stays correct;
+// the MC-routers are bypassed, and the GPU organized private, only when
+// every view is private — a shared view routes requests across clusters.
+func (g *GPU) applyMode(views ...config.LLCMode) error {
+	anyPrivate, allPrivate := false, true
+	for _, m := range views {
 		if m == config.LLCPrivate {
 			anyPrivate = true
+		} else {
+			allPrivate = false
 		}
 	}
 	policy := cache.WriteBack
@@ -232,45 +237,13 @@ func (g *GPU) SetAppModes(modes []config.LLCMode) error {
 	for _, s := range g.slices {
 		s.SetWritePolicy(policy)
 	}
+	if err := g.setBypass(allPrivate); err != nil {
+		return err
+	}
+	g.mode = config.LLCShared
 	if allPrivate {
-		if err := g.setBypass(true); err != nil {
-			return err
-		}
 		g.mode = config.LLCPrivate
-	} else {
-		// A shared-view application routes requests across clusters, so a
-		// private base organization's MC-router bypass must be lifted.
-		if err := g.setBypass(false); err != nil {
-			return err
-		}
-		g.mode = config.LLCShared
 	}
-	return nil
-}
-
-// applyMode switches the physical LLC organization immediately (used at
-// construction for static shared/private runs, and at the end of a
-// reconfiguration for adaptive runs).
-func (g *GPU) applyMode(target config.LLCMode) error {
-	switch target {
-	case config.LLCShared:
-		for _, s := range g.slices {
-			s.SetWritePolicy(cache.WriteBack)
-		}
-		if err := g.setBypass(false); err != nil {
-			return err
-		}
-	case config.LLCPrivate:
-		for _, s := range g.slices {
-			s.SetWritePolicy(cache.WriteThrough)
-		}
-		if err := g.setBypass(true); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("gpu: cannot apply mode %v", target)
-	}
-	g.mode = target
 	return nil
 }
 

@@ -447,8 +447,8 @@ func (g *GPU) checkDrain() {
 	}
 	cost := core.ReconfigCost(g.cfg, dirty)
 	if err := g.applyMode(g.reconfigTarget); err != nil {
-		// The target mode is always shared or private and the slices were
-		// just flushed; failure here is a programming error.
+		// Only the bypass switch can fail, and the slices were just
+		// flushed; failure here is a programming error.
 		panic(err)
 	}
 	drainTime := g.cycle - g.reconfigStarted

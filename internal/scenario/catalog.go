@@ -8,11 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// CatalogVersion names the current recipe set. Bump it when a scenario is
-// added, removed, or changes the runs it declares, so downstream consumers
-// (CI baselines, the README matrix) can tell recipe drift from code drift.
-const CatalogVersion = 2
-
 // catalogSpec builds the declarative sweep unit shared by every recipe.
 func catalogSpec(key string, cfg config.Config, scale Scale, specs ...workload.Spec) sweep.RunSpec {
 	return sweep.RunSpec{
@@ -126,7 +121,6 @@ func Catalog() []Scenario {
 			Description: "capacity-sensitive shared-friendly workload under both LLC organizations",
 			Level:       Level1,
 			Axes:        []Axis{AxisSharing, AxisLocality},
-			Figures:     []string{"2", "3", "11"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				w := mustByAbbr("GEMM")
 				return []sweep.RunSpec{
@@ -143,7 +137,6 @@ func Catalog() []Scenario {
 			Description: "lockstep frontier sweep (private-friendly) under both LLC organizations",
 			Level:       Level1,
 			Axes:        []Axis{AxisSharing, AxisDivergence},
-			Figures:     []string{"2", "12"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				w := mustByAbbr("AN")
 				return []sweep.RunSpec{
@@ -160,7 +153,6 @@ func Catalog() []Scenario {
 			Description: "per-CTA streaming workload where the LLC organization should barely matter",
 			Level:       Level1,
 			Axes:        []Axis{AxisLocality},
-			Figures:     []string{"2", "13"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				w := mustByAbbr("VA")
 				return []sweep.RunSpec{
@@ -178,7 +170,6 @@ func Catalog() []Scenario {
 			Description: "shared-friendly and private-friendly apps co-executing, uniform and per-app LLC views",
 			Level:       Level1,
 			Axes:        []Axis{AxisMultiProgram, AxisSharing},
-			Figures:     []string{"15"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				a, b := mustByAbbr("GEMM"), mustByAbbr("AN")
 				uniform := catalogSpec("gemm+an/shared", SmokeConfig(config.LLCShared), e.Scale, a, b)
@@ -225,7 +216,6 @@ func Catalog() []Scenario {
 			Description: "lockstep tightness ladder: frontier jitter 0/4/16 lines under a private LLC",
 			Level:       Level2,
 			Axes:        []Axis{AxisDivergence, AxisSharing},
-			Figures:     []string{"12"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, jitter := range []int{0, 4, 16} {
@@ -245,7 +235,6 @@ func Catalog() []Scenario {
 			Description: "shared-footprint ladder: 0.25/1/4 MB uniform-shared under a shared LLC",
 			Level:       Level2,
 			Axes:        []Axis{AxisLocality, AxisSharing},
-			Figures:     []string{"3"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, mb := range []float64{0.25, 1, 4} {
@@ -265,7 +254,6 @@ func Catalog() []Scenario {
 			Description: "one representative per workload class under shared, private and adaptive LLCs",
 			Level:       Level2,
 			Axes:        []Axis{AxisSharing, AxisLocality},
-			Figures:     []string{"2", "11"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, abbr := range []string{"GEMM", "AN", "VA"} {
@@ -286,7 +274,6 @@ func Catalog() []Scenario {
 			Description: "co-executing pair under uniform shared, uniform private, and split per-app views",
 			Level:       Level2,
 			Axes:        []Axis{AxisMultiProgram, AxisSharing},
-			Figures:     []string{"15", "16"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				a, b := mustByAbbr("GEMM"), mustByAbbr("AN")
 				shared := catalogSpec("pair/shared", SmokeConfig(config.LLCShared), e.Scale, a, b)
@@ -341,7 +328,6 @@ func Catalog() []Scenario {
 			Description: "one workload across every NoC topology (h-xbar, full, concentrated, ideal)",
 			Level:       Level3,
 			Axes:        []Axis{AxisLocality, AxisSharing},
-			Figures:     []string{"7", "14"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, topo := range []config.NoCTopology{
@@ -362,7 +348,6 @@ func Catalog() []Scenario {
 			Description: "same workload under three seeds: each run deterministic, runs mutually distinct",
 			Level:       Level3,
 			Axes:        []Axis{AxisDivergence},
-			Figures:     []string{"16"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, seed := range []int64{1, 2, 3} {
@@ -383,7 +368,6 @@ func Catalog() []Scenario {
 			Description: "same single-kernel workload at 1x/2x/4x cycles: issued work must be monotone",
 			Level:       Level3,
 			Axes:        []Axis{AxisLocality},
-			Figures:     []string{"11"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, div := range []uint64{4, 2, 1} {
@@ -417,7 +401,6 @@ func Catalog() []Scenario {
 			Description: "one Table 2 benchmark per class under both static LLC organizations",
 			Level:       Level3,
 			Axes:        []Axis{AxisSharing, AxisLocality, AxisDivergence},
-			Figures:     []string{"2", "tables"},
 			Specs: func(e *Env) []sweep.RunSpec {
 				var specs []sweep.RunSpec
 				for _, abbr := range []string{"LUD", "AN", "BS"} {
@@ -459,7 +442,6 @@ func checkpointResumeScenario() Scenario {
 		Description: "checkpoint-assisted re-execution resumes from banked prefixes with byte-identical statistics",
 		Level:       Level2,
 		Axes:        []Axis{AxisSharing, AxisLocality},
-		Figures:     []string{"11"},
 		Specs:       declare,
 		Check: func(e *Env, results []sweep.Result) []string {
 			v := requireActivity(results)

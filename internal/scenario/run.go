@@ -13,19 +13,11 @@ import (
 // RunOptions controls one scenario execution.
 type RunOptions struct {
 	// Exec executes the declared batch; nil means the zero sweep.Runner
-	// (see sweep.Executor).
+	// (see sweep.Executor). It must compute: a store-backed executor would
+	// answer the determinism gate's second pass from cache and prove nothing.
 	Exec sweep.Executor
 	// Scale overrides the level-derived run length when non-nil.
 	Scale *Scale
-	// Dir is the base directory for scratch traces (defaults to the OS temp
-	// directory); each run gets its own subdirectory, removed afterwards.
-	Dir string
-	// DeterminismGate, when set, executes the whole batch a second time and
-	// requires byte-identical statistics — the catalog's determinism
-	// acceptance gate. With a store-backed executor the second pass is
-	// answered from cache, so the gate is only meaningful on a computing
-	// executor.
-	DeterminismGate bool
 }
 
 // Report is the outcome of one scenario run.
@@ -35,8 +27,6 @@ type Report struct {
 	// Runs is the number of declared specs (the determinism gate re-executes
 	// them but does not add to this count).
 	Runs int
-	// DeterminismChecked records whether the second, byte-identity pass ran.
-	DeterminismChecked bool
 	// Violations lists every failed invariant; empty means the scenario
 	// passed.
 	Violations []string
@@ -53,12 +43,8 @@ func (r Report) Format() string {
 	if !r.OK() {
 		status = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
 	}
-	gate := ""
-	if r.DeterminismChecked {
-		gate = ", determinism-checked"
-	}
-	fmt.Fprintf(&b, "%-28s %s  %d runs%s  %.1fs  %s\n",
-		r.Name, r.Level, r.Runs, gate, r.Elapsed.Seconds(), status)
+	fmt.Fprintf(&b, "%-28s %s  %d runs, determinism-checked  %.1fs  %s\n",
+		r.Name, r.Level, r.Runs, r.Elapsed.Seconds(), status)
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "    - %s\n", v)
 	}
@@ -67,8 +53,8 @@ func (r Report) Format() string {
 
 // Run executes the scenario: Prepare, declare the batch, execute it, check
 // the generic stat invariants plus the scenario's own Check hook and
-// fingerprint stability, and — under the determinism gate — execute the batch
-// again and require byte-identical statistics.
+// fingerprint stability, and — the determinism gate — execute the batch again
+// and require byte-identical statistics.
 //
 // The returned error reports infrastructure failure (a run that could not
 // execute); invariant violations are data, reported in the Report.
@@ -83,7 +69,7 @@ func (sc Scenario) Run(ctx context.Context, opts RunOptions) (Report, error) {
 	if opts.Scale != nil {
 		scale = *opts.Scale
 	}
-	dir, err := scratchDir(opts.Dir, sc.Name)
+	dir, err := os.MkdirTemp("", "scenario-"+sc.Name+"-*")
 	if err != nil {
 		return rep, fmt.Errorf("scenario %s: scratch dir: %w", sc.Name, err)
 	}
@@ -127,17 +113,14 @@ func (sc Scenario) Run(ctx context.Context, opts RunOptions) (Report, error) {
 		rep.Violations = append(rep.Violations, sc.Check(env, results)...)
 	}
 
-	if opts.DeterminismGate {
-		rep.DeterminismChecked = true
-		again, err := exec.Run(ctx, specs)
-		if err != nil {
-			return rep, fmt.Errorf("scenario %s: determinism re-run: %w", sc.Name, err)
-		}
-		for i := range results {
-			if !statsEqual(results[i].Stats, again[i].Stats) {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"run %q: statistics differ between two identical invocations", results[i].Key))
-			}
+	again, err := exec.Run(ctx, specs)
+	if err != nil {
+		return rep, fmt.Errorf("scenario %s: determinism re-run: %w", sc.Name, err)
+	}
+	for i := range results {
+		if !statsEqual(results[i].Stats, again[i].Stats) {
+			rep.Violations = append(rep.Violations, fmt.Sprintf(
+				"run %q: statistics differ between two identical invocations", results[i].Key))
 		}
 	}
 

@@ -10,17 +10,15 @@
 //   - a Level (level1 smoke for CI -short budgets through level5 exhaustive
 //     sweeps, organized like RVS's levels/rvs_level_N test recipes),
 //   - the workload Axes it exercises (sharing, locality, divergence,
-//     multi-program, trace-replay),
-//   - the paper figures whose workload space it covers (exp registry keys,
-//     rendered into the README's scenario × figure support matrix), and
+//     multi-program, trace-replay), and
 //   - the runs to execute plus the invariants their statistics must satisfy.
 //
 // Running a scenario (Scenario.Run) executes its declared sweep.RunSpec batch
-// on any sweep.Executor — the local worker pool, or a simd daemon's
-// store-backed engine — then checks every result against the cross-cutting
-// stat invariants (Invariants), the scenario's own Check hook, fingerprint
-// stability under internal/simstore, and (optionally, the determinism gate) a
-// full second execution that must be byte-identical to the first.
+// on a sweep.Executor — the one local engine paperfigs -scenarios configures —
+// then checks every result against the cross-cutting stat invariants
+// (Invariants), the scenario's own Check hook and fingerprint stability under
+// internal/simstore, and executes the batch a second time: the determinism
+// gate, which requires byte-identical statistics.
 //
 // The same invariants back FuzzScenario (fuzz.go): a property-based fuzzer
 // that decodes arbitrary bytes into random workload.Spec / RunSpec
@@ -30,7 +28,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/config"
@@ -73,6 +70,22 @@ type Scale struct {
 	Seed          int64
 }
 
+// Rescale applies the non-zero overrides on top of s (a level-derived
+// scale); it is the one place a requested scale stretches a recipe. Seed is a
+// pointer because 0 is a legal seed: nil keeps s.Seed.
+func (s Scale) Rescale(cycles, warmup uint64, seed *int64) Scale {
+	if cycles > 0 {
+		s.MeasureCycles = cycles
+	}
+	if warmup > 0 {
+		s.WarmupCycles = warmup
+	}
+	if seed != nil {
+		s.Seed = *seed
+	}
+	return s
+}
+
 // Scale returns the default run length for scenarios of this level.
 func (l Level) Scale() Scale {
 	switch l {
@@ -101,7 +114,7 @@ const (
 	AxisTraceReplay  Axis = "trace-replay"
 )
 
-// Axes lists every axis, in matrix/report order.
+// Axes lists every axis, in report order.
 func Axes() []Axis {
 	return []Axis{AxisSharing, AxisLocality, AxisDivergence, AxisMultiProgram, AxisTraceReplay}
 }
@@ -149,10 +162,6 @@ type Scenario struct {
 	Level       Level
 	// Axes names the workload-space dimensions the recipe exercises.
 	Axes []Axis
-	// Figures lists the exp registry keys (e.g. "2", "15", "tables") whose
-	// workload space this scenario covers; it feeds the README support
-	// matrix. Correctness-only recipes may cover none.
-	Figures []string
 	// Prepare optionally records traces (or other scratch assets) into the
 	// Env before the batch is declared. It runs serially, before Specs.
 	Prepare func(*Env) error
@@ -219,14 +228,4 @@ func SmokeConfig(mode config.LLCMode) config.Config {
 	cfg.ProfileWindowCycles = 500
 	cfg.LLCMode = mode
 	return cfg
-}
-
-// scratchDir resolves the scratch directory for one scenario run: the given
-// base (or the OS temp dir) plus a per-call unique subdirectory. The caller
-// removes it.
-func scratchDir(base, name string) (string, error) {
-	if base == "" {
-		base = os.TempDir()
-	}
-	return os.MkdirTemp(base, "scenario-"+name+"-*")
 }

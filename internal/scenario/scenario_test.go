@@ -2,22 +2,16 @@ package scenario
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
-	"repro/internal/exp"
 	"repro/internal/gpu"
 	"repro/internal/sweep"
 )
 
-var update = flag.Bool("update", false, "rewrite the README scenario matrix")
-
 // TestCatalogDeclares checks the catalog-entry contract over every recipe:
-// valid, uniquely and consistently named, sized to the acceptance floor, and
-// mapped only to figures that exist in the exp registry.
+// valid, uniquely and consistently named, and sized to the acceptance floor.
 func TestCatalogDeclares(t *testing.T) {
 	cat := Catalog()
 	if len(cat) < 10 {
@@ -37,11 +31,6 @@ func TestCatalogDeclares(t *testing.T) {
 		}
 		if sc.Level > Level3 {
 			t.Errorf("%s: catalog entries stay within levels 1-3; higher levels rescale via RunOptions", sc.Name)
-		}
-		for _, key := range sc.Figures {
-			if _, ok := exp.FigureByKey(key); !ok {
-				t.Errorf("%s: figure key %q not in the exp registry", sc.Name, key)
-			}
 		}
 	}
 }
@@ -79,6 +68,21 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
+// TestScaleRescale: overrides replace only the fields they name, seed 0
+// overrides like any other seed, and no override keeps the level's scale.
+func TestScaleRescale(t *testing.T) {
+	level, zero := Level2.Scale(), int64(0)
+	if got, want := level.Rescale(12_345, 678, &zero), (Scale{MeasureCycles: 12_345, WarmupCycles: 678, Seed: 0}); got != want {
+		t.Errorf("rescale gave %+v, want %+v", got, want)
+	}
+	if got := level.Rescale(0, 0, nil); got != level {
+		t.Errorf("no overrides rescaled %+v to %+v", level, got)
+	}
+	if got := level.Rescale(0, 678, nil); got.MeasureCycles != level.MeasureCycles || got.WarmupCycles != 678 || got.Seed != level.Seed {
+		t.Errorf("a warmup override gave %+v", got)
+	}
+}
+
 // TestLevelScalesGrow checks run length strictly grows with level — the
 // property that makes levels a cost ordering.
 func TestLevelScalesGrow(t *testing.T) {
@@ -112,25 +116,22 @@ func TestCatalogLookups(t *testing.T) {
 	}
 }
 
-// runCatalogLevel executes every recipe of one level with the determinism
-// gate on, failing the test on any invariant violation.
+// runCatalogLevel executes every recipe of one level, determinism gate
+// included, failing the test on any invariant violation.
 func runCatalogLevel(t *testing.T, level Level) {
 	t.Helper()
 	for _, sc := range ByLevel(level) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := sc.Run(context.Background(), RunOptions{
-				Dir:             t.TempDir(),
-				DeterminismGate: true,
-			})
+			rep, err := sc.Run(context.Background(), RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !rep.OK() {
 				t.Fatalf("invariant violations:\n%s", rep.Format())
 			}
-			if rep.Runs == 0 || !rep.DeterminismChecked {
+			if rep.Runs == 0 {
 				t.Fatalf("report incomplete: %+v", rep)
 			}
 		})
@@ -166,7 +167,7 @@ func TestRunRejectsDuplicateKeys(t *testing.T) {
 			return []sweep.RunSpec{s, s}
 		},
 	}
-	if _, err := sc.Run(context.Background(), RunOptions{Dir: t.TempDir()}); err == nil {
+	if _, err := sc.Run(context.Background(), RunOptions{}); err == nil {
 		t.Fatal("duplicate run keys must be rejected")
 	}
 }
@@ -185,9 +186,9 @@ func (r *recordingExec) Run(_ context.Context, specs []sweep.RunSpec) ([]sweep.R
 }
 
 // TestRunUsesOnlyTheGivenExecutor: RunOptions.Exec is the one seam to an
-// engine. The executor handed in sees the declared batch once — twice under
-// the determinism gate — and every result the Check hook sees came from it,
-// so no local Runner ran beside it.
+// engine. The executor handed in sees the declared batch twice — once, and
+// once more for the determinism gate — and every result the Check hook sees
+// came from it, so no local Runner ran beside it.
 func TestRunUsesOnlyTheGivenExecutor(t *testing.T) {
 	fromExec := 0
 	sc := Scenario{
@@ -208,34 +209,27 @@ func TestRunUsesOnlyTheGivenExecutor(t *testing.T) {
 			return nil
 		},
 	}
-	for _, gate := range []bool{false, true} {
-		rec := &recordingExec{}
-		fromExec = 0
-		rep, err := sc.Run(context.Background(), RunOptions{Exec: rec, Dir: t.TempDir(), DeterminismGate: gate})
-		if err != nil {
-			t.Fatal(err)
+	rec := &recordingExec{}
+	rep, err := sc.Run(context.Background(), RunOptions{Exec: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.batches) != 2 {
+		t.Errorf("executor saw %d batches, want 2 (the run and its determinism re-run)", len(rec.batches))
+	}
+	for _, b := range rec.batches {
+		if len(b) != 2 || b[0].Key != "a" || b[1].Key != "b" {
+			t.Errorf("executor saw batch %v, want the declared specs a, b", b)
 		}
-		want := 1
-		if gate {
-			want = 2
-		}
-		if len(rec.batches) != want || rep.DeterminismChecked != gate {
-			t.Errorf("gate=%v: executor saw %d batches (determinism-checked %v), want %d", gate, len(rec.batches), rep.DeterminismChecked, want)
-		}
-		for _, b := range rec.batches {
-			if len(b) != 2 || b[0].Key != "a" || b[1].Key != "b" {
-				t.Errorf("gate=%v: executor saw batch %v, want the declared specs a, b", gate, b)
-			}
-		}
-		if fromExec != rep.Runs {
-			t.Errorf("gate=%v: %d of %d results came from the given executor", gate, fromExec, rep.Runs)
-		}
+	}
+	if fromExec != rep.Runs {
+		t.Errorf("%d of %d results came from the given executor", fromExec, rep.Runs)
 	}
 }
 
 // TestReportFormat spot-checks the text form paperfigs prints.
 func TestReportFormat(t *testing.T) {
-	rep := Report{Name: "l1-x", Level: Level1, Runs: 2, DeterminismChecked: true}
+	rep := Report{Name: "l1-x", Level: Level1, Runs: 2}
 	out := rep.Format()
 	if !strings.Contains(out, "l1-x") || !strings.Contains(out, "ok") ||
 		!strings.Contains(out, "determinism-checked") {
@@ -244,55 +238,6 @@ func TestReportFormat(t *testing.T) {
 	rep.Violations = []string{"boom"}
 	if out := rep.Format(); !strings.Contains(out, "FAIL") || !strings.Contains(out, "boom") {
 		t.Errorf("failing Format() = %q", out)
-	}
-}
-
-const (
-	matrixBegin = "<!-- scenario-matrix:begin -->"
-	matrixEnd   = "<!-- scenario-matrix:end -->"
-)
-
-// TestREADMEMatrixCurrent keeps the README's scenario × figure support matrix
-// identical to the generated one; -update rewrites it in place.
-func TestREADMEMatrixCurrent(t *testing.T) {
-	const readme = "../../README.md"
-	data, err := os.ReadFile(readme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(data)
-	begin := strings.Index(text, matrixBegin)
-	end := strings.Index(text, matrixEnd)
-	if begin < 0 || end < 0 || end < begin {
-		t.Fatalf("README lacks the %s / %s markers", matrixBegin, matrixEnd)
-	}
-	want := "\n" + Matrix()
-	got := text[begin+len(matrixBegin) : end]
-	if got == want {
-		return
-	}
-	if !*update {
-		t.Fatalf("README scenario matrix is stale; run `go test ./internal/scenario -run TestREADMEMatrixCurrent -update`")
-	}
-	text = text[:begin+len(matrixBegin)] + want + text[end:]
-	if err := os.WriteFile(readme, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMatrixShape checks every scenario and every registry figure appears in
-// the generated matrix.
-func TestMatrixShape(t *testing.T) {
-	m := Matrix()
-	for _, sc := range Catalog() {
-		if !strings.Contains(m, "`"+sc.Name+"`") {
-			t.Errorf("matrix lacks scenario %s", sc.Name)
-		}
-	}
-	for _, f := range exp.Figures() {
-		if !strings.Contains(m, " "+f.Key+" |") {
-			t.Errorf("matrix lacks figure column %s", f.Key)
-		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/gpu"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -48,12 +47,6 @@ type Spec struct {
 	MeasureCycles uint64 `json:"measure_cycles"`
 	WarmupCycles  uint64 `json:"warmup_cycles,omitempty"`
 	Kernels       int    `json:"kernels,omitempty"`
-
-	// TracePath replays a recorded trace (a path on the server's
-	// filesystem) instead of synthetic workloads; TraceLoop selects the
-	// end-of-trace policy.
-	TracePath string `json:"trace_path,omitempty"`
-	TraceLoop bool   `json:"trace_loop,omitempty"`
 }
 
 // ToRunSpec resolves the wire spec into the engine's RunSpec. Errors are
@@ -66,8 +59,6 @@ func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 		MeasureCycles: s.MeasureCycles,
 		WarmupCycles:  s.WarmupCycles,
 		Kernels:       s.Kernels,
-		TracePath:     s.TracePath,
-		TraceLoop:     s.TraceLoop,
 	}
 	for _, abbr := range s.Benchmarks {
 		w, ok := workload.ByAbbr(abbr)
@@ -102,10 +93,8 @@ func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 	switch {
 	case s.MeasureCycles == 0:
 		return rs, fmt.Errorf("measure_cycles must be positive")
-	case len(rs.Workloads) == 0 && rs.TracePath == "":
-		return rs, fmt.Errorf("a run needs benchmarks, workloads or a trace_path")
-	case len(rs.Workloads) > 0 && rs.TracePath != "":
-		return rs, fmt.Errorf("trace_path and benchmarks/workloads are mutually exclusive")
+	case len(rs.Workloads) == 0:
+		return rs, fmt.Errorf("a run needs benchmarks or workloads")
 	}
 	if err := rs.Config.Validate(); err != nil {
 		return rs, fmt.Errorf("invalid configuration: %w", err)
@@ -133,8 +122,6 @@ func FromRunSpec(rs sweep.RunSpec) Spec {
 		MeasureCycles: rs.MeasureCycles,
 		WarmupCycles:  rs.WarmupCycles,
 		Kernels:       rs.Kernels,
-		TracePath:     rs.TracePath,
-		TraceLoop:     rs.TraceLoop,
 	}
 	for _, m := range rs.AppModes {
 		s.AppModes = append(s.AppModes, m.String())
@@ -241,8 +228,8 @@ type JobTimeline struct {
 
 // FigureOptions is the one description of a requested scale: the paperfigs
 // flags fill it in, Query / ParseFigureOptions carry it over the wire, and
-// Options and Rescale are the only code that turns it into harness scale —
-// which is why figure text is byte-identical whichever front door asked.
+// Options is the only code that turns it into figure harness scale — which
+// is why figure text is byte-identical whichever front door asked.
 // Zero values keep the defaults. Seed is a pointer because 0 is a legal seed
 // distinct from "use the default": nil keeps the default seed.
 type FigureOptions struct {
@@ -270,22 +257,6 @@ func (o FigureOptions) Options() exp.Options {
 		opt.Seed = *o.Seed
 	}
 	return opt
-}
-
-// Rescale applies the non-zero fields on top of a scenario's level-derived
-// scale. Quick has no meaning for a recipe — its level is its scale — and is
-// not consulted.
-func (o FigureOptions) Rescale(s scenario.Scale) scenario.Scale {
-	if o.Cycles > 0 {
-		s.MeasureCycles = o.Cycles
-	}
-	if o.Warmup > 0 {
-		s.WarmupCycles = o.Warmup
-	}
-	if o.Seed != nil {
-		s.Seed = *o.Seed
-	}
-	return s
 }
 
 // Query encodes the options as URL query parameters.
@@ -342,30 +313,6 @@ type FigureResponse struct {
 	ExecutedRuns int    `json:"executed_runs"`
 	DurationMs   int64  `json:"duration_ms"`
 	JobID        string `json:"job_id,omitempty"`
-}
-
-// ScenarioInfo is one catalog entry of GET /v1/scenarios.
-type ScenarioInfo struct {
-	Name        string   `json:"name"`
-	Level       string   `json:"level"`
-	Description string   `json:"description"`
-	Axes        []string `json:"axes"`
-	Figures     []string `json:"figures,omitempty"`
-}
-
-// ScenarioReport is the body of POST /v1/scenarios/{name}/run: the outcome
-// of one catalog scenario executed against the daemon's result store. OK is
-// false when any stat invariant was violated (Violations lists them) — the
-// HTTP status stays 200, since the scenario itself executed.
-type ScenarioReport struct {
-	Name         string   `json:"name"`
-	Level        string   `json:"level"`
-	Runs         int      `json:"runs"`
-	OK           bool     `json:"ok"`
-	Violations   []string `json:"violations,omitempty"`
-	CachedRuns   int      `json:"cached_runs"`
-	ExecutedRuns int      `json:"executed_runs"`
-	DurationMs   int64    `json:"duration_ms"`
 }
 
 // Health is the body of GET /healthz.

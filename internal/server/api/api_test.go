@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/exp"
-	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -38,12 +37,11 @@ func TestToRunSpecValidatesWorkloads(t *testing.T) {
 
 // TestFigureOptionsResolveOnce pins the wire codec over the whole option
 // grid: what a client encodes, the server decodes to the same FigureOptions,
-// so the one pair of resolvers (Options, Rescale) gives both sides the same
-// harness scale. Seed 0 is a legal seed distinct from "keep the default" and
-// must survive the wire; an absent seed must not override anything.
+// so the one resolver (Options) gives both sides the same harness scale.
+// Seed 0 is a legal seed distinct from "keep the default" and must survive
+// the wire; an absent seed must not override anything.
 func TestFigureOptionsResolveOnce(t *testing.T) {
 	zero, seven := int64(0), int64(7)
-	level := scenario.Level2.Scale()
 	for _, quick := range []bool{false, true} {
 		for _, cycles := range []uint64{0, 12_345} {
 			for _, warmup := range []uint64{0, 678} {
@@ -56,15 +54,12 @@ func TestFigureOptionsResolveOnce(t *testing.T) {
 					if got.Options() != sent.Options() {
 						t.Errorf("%+v: served exp.Options %+v, local %+v", sent, got.Options(), sent.Options())
 					}
-					if got.Rescale(level) != sent.Rescale(level) {
-						t.Errorf("%+v: served scale %+v, local %+v", sent, got.Rescale(level), sent.Rescale(level))
-					}
 				}
 			}
 		}
 	}
 
-	// The resolvers themselves, at the corners the grid cannot tell apart.
+	// The resolver itself, at the corners the grid cannot tell apart.
 	if got := (FigureOptions{}).Options(); got != exp.DefaultOptions() {
 		t.Errorf("zero options resolved to %+v, want exp.DefaultOptions()", got)
 	}
@@ -74,11 +69,5 @@ func TestFigureOptionsResolveOnce(t *testing.T) {
 	all := FigureOptions{Quick: true, Cycles: 12_345, Warmup: 678, Seed: &zero}
 	if got := all.Options(); got.MeasureCycles != 12_345 || got.WarmupCycles != 678 || got.Seed != 0 {
 		t.Errorf("overrides resolved to %+v", got)
-	}
-	if got, want := all.Rescale(level), (scenario.Scale{MeasureCycles: 12_345, WarmupCycles: 678, Seed: 0}); got != want {
-		t.Errorf("rescale gave %+v, want %+v", got, want)
-	}
-	if got := (FigureOptions{Quick: true}).Rescale(level); got != level {
-		t.Errorf("quick rescaled a recipe to %+v; its level is its scale (%+v)", got, level)
 	}
 }

@@ -616,9 +616,9 @@ func (q *Queue) Stats() QueueStats {
 	return st
 }
 
-// storeExec is the sweep.Executor injected into figure and scenario
-// harnesses: a declared batch of runs resolves in one pass down the cluster
-// read path (routing.go) — the same pass POST /v1/runs makes — and what that
+// storeExec is the sweep.Executor injected into the figure harness: a
+// declared batch of runs resolves in one pass down the cluster read path
+// (routing.go) — the same pass POST /v1/runs makes — and what that
 // leaves to this daemon goes through SubmitRun (store hit, in-flight dedup,
 // or a new job on the bounded pool), so a figure's runs land on (and warm
 // the stores of) their hash-designated daemons. Completions are reported
@@ -629,9 +629,6 @@ type storeExec struct {
 	s          *Server
 	ctx        context.Context
 	onProgress func(sweep.Progress)
-	// local keeps every run on this daemon (scenario runs: their scratch
-	// traces exist on this filesystem only).
-	local bool
 
 	cachedRuns   int
 	executedRuns int
@@ -642,7 +639,7 @@ func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Res
 		ctx = e.ctx
 	}
 	s := e.s
-	routed := !e.local && s.node != nil
+	routed := s.node != nil
 	results := make([]sweep.Result, len(specs))
 	batch := make([]routedSpec, len(specs))
 	for i, spec := range specs {

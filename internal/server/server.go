@@ -16,10 +16,6 @@
 //	GET  /v1/figures/{key}   regenerate one paper figure, reusing the store
 //	                         for every run (?async=1 returns a job ID;
 //	                         scale with ?cycles=&warmup=&seed=&quick=1)
-//	GET  /v1/scenarios       the internal/scenario catalog listing
-//	POST /v1/scenarios/{name}/run  execute one catalog scenario against the
-//	                         store and report its invariant violations
-//	                         (?cycles=&warmup=&seed= rescale the recipe)
 //	GET  /v1/cluster/membership  this daemon's gossip view (epoch + member
 //	                         statuses), no cross-member round-trips
 //	GET  /healthz            liveness + this daemon's store/queue summary
@@ -67,7 +63,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
@@ -227,8 +222,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleJobTimeline)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/figures/{key}", s.handleFigure)
-	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
-	s.mux.HandleFunc("POST /v1/scenarios/{name}/run", s.handleScenarioRun)
 	s.mux.HandleFunc("GET /v1/cluster/membership", s.handleMembership)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -329,7 +322,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		// Accept a bare Spec object as a single-run request.
 		var one api.Spec
 		if err := json.Unmarshal(body, &one); err == nil &&
-			(len(one.Benchmarks) > 0 || len(one.Workloads) > 0 || one.TracePath != "") {
+			(len(one.Benchmarks) > 0 || len(one.Workloads) > 0) {
 			req.Specs = []api.Spec{one}
 		}
 	}
@@ -476,65 +469,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		CachedRuns:   st.CachedRuns,
 		ExecutedRuns: st.ExecutedRuns,
 		DurationMs:   st.DurationMs,
-	})
-}
-
-// handleScenarios implements GET /v1/scenarios: the catalog listing.
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	var list []api.ScenarioInfo
-	for _, sc := range scenario.Catalog() {
-		axes := make([]string, len(sc.Axes))
-		for i, a := range sc.Axes {
-			axes[i] = string(a)
-		}
-		list = append(list, api.ScenarioInfo{
-			Name:        sc.Name,
-			Level:       sc.Level.String(),
-			Description: sc.Description,
-			Axes:        axes,
-			Figures:     sc.Figures,
-		})
-	}
-	writeJSON(w, http.StatusOK, list)
-}
-
-// handleScenarioRun implements POST /v1/scenarios/{name}/run: execute one
-// catalog scenario against the daemon's result store (every run hits the
-// store, shares in-flight executions and respects the worker bound; its
-// statistics stay cached for later figure requests). Runs execute locally —
-// trace-replay scenarios record scratch traces this daemon must be able to
-// read back. The determinism gate is not applied here (a store-backed second
-// pass would be answered from cache and prove nothing); the paperfigs
-// -scenarios path covers it. ?cycles=&warmup=&seed= rescale the recipe.
-func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	sc, ok := scenario.ByName(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown scenario %q", name)
-		return
-	}
-	wireOpts, err := api.ParseFigureOptions(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	scale := wireOpts.Rescale(sc.Level.Scale())
-
-	ex := &storeExec{s: s, ctx: r.Context(), local: true}
-	rep, err := sc.Run(r.Context(), scenario.RunOptions{Exec: ex, Scale: &scale})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "scenario %s: %v", name, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ScenarioReport{
-		Name:         rep.Name,
-		Level:        rep.Level.String(),
-		Runs:         rep.Runs,
-		OK:           rep.OK(),
-		Violations:   rep.Violations,
-		CachedRuns:   ex.cachedRuns,
-		ExecutedRuns: ex.executedRuns,
-		DurationMs:   rep.Elapsed.Milliseconds(),
 	})
 }
 

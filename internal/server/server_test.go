@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -34,8 +35,12 @@ func newTestServer(t *testing.T, workers int) (*Server, *client.Client) {
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
-		hs.Close()
-		srv.Close()
+		// hs.Close waits for every handler to return; after a failure one
+		// may never return (see TestSpecValidation), so leave it behind.
+		if !t.Failed() {
+			hs.Close()
+			srv.Close()
+		}
 	})
 	return srv, client.New(hs.URL)
 }
@@ -261,6 +266,33 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := figureSync(c.BaseURL, "99", api.FigureOptions{}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown figure err = %v, want HTTP 404", err)
+	}
+
+	// The daemon opens no file a client names: a trace path is not part of
+	// the wire spec, so a request naming one is refused at once — a device
+	// that never ends cannot hold the handler — and the refusal quotes no
+	// filesystem error. The client timeout turns a hanging daemon into a
+	// failure.
+	hc := &http.Client{Timeout: time.Second}
+	for _, body := range []string{
+		`{"trace_path":"/dev/zero","measure_cycles":1}`,
+		`{"trace_path":"/etc/does-not-exist","measure_cycles":1}`,
+	} {
+		resp, err := hc.Post(c.BaseURL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+		if strings.Contains(string(msg), "no such file") || strings.Contains(string(msg), "/etc/") {
+			t.Errorf("%s: response quotes the filesystem: %s", body, msg)
+		}
 	}
 }
 
