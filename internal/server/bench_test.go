@@ -1,0 +1,87 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/server/api"
+	"repro/internal/simstore"
+	"repro/internal/sweep"
+)
+
+// The service rungs of the measurement ladder, in host time per request
+// through the daemon's handler (no socket, no client): a POST /v1/runs
+// whose one spec is a stored record, and the POST /v1/records/lookup probe
+// a forwarding member sends for it (the server half of a forwarded hit).
+
+func BenchmarkHandleRunsHit(b *testing.B) {
+	h, spec, _ := hitServer(b)
+	body, _ := json.Marshal(api.RunRequest{Specs: []api.Spec{spec}})
+	benchPost(b, h, "/v1/runs", body, func(resp []byte) bool {
+		var rr api.RunResponse
+		return json.Unmarshal(resp, &rr) == nil && len(rr.Results) == 1 && rr.Results[0].Cached
+	})
+}
+
+func BenchmarkRecordLookup(b *testing.B) {
+	h, _, fp := hitServer(b)
+	body, _ := json.Marshal(api.LookupRequest{Fingerprints: []string{simstore.Hex(fp)}})
+	benchPost(b, h, "/v1/records/lookup", body, func(resp []byte) bool {
+		var lr api.LookupResponse
+		return json.Unmarshal(resp, &lr) == nil && len(lr.Records) == 1
+	})
+}
+
+// hitServer returns the handler of a daemon whose store holds the simulated
+// record of one tiny spec, that spec, and its fingerprint.
+func hitServer(b *testing.B) (http.Handler, api.Spec, [32]byte) {
+	store, err := simstore.Open(b.TempDir(), simstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := tinySpec("hit", 1)
+	run, err := spec.ToRunSpec()
+	if err != nil {
+		b.Fatal(err)
+	}
+	stats, err := sweep.Execute(run)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp, err := simstore.Fingerprint(run)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Put(fp, spec.Key, run, stats); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{Store: store, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	return srv.Handler(), spec, fp
+}
+
+// benchPost times one POST of body to path per iteration, after checking
+// that the first answer is the stored record (hit).
+func benchPost(b *testing.B, h http.Handler, path string, body []byte, hit func([]byte) bool) {
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST %s: HTTP %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	if resp := post(); !hit(resp.Body.Bytes()) {
+		b.Fatalf("POST %s did not answer from the store: %s", path, resp.Body)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		post()
+	}
+}

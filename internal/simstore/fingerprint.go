@@ -25,6 +25,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/sweep"
 )
@@ -60,20 +61,32 @@ const SimVersion = "repro-sim/1"
 // read. Fingerprints are stable across processes and platforms; golden
 // values are pinned in testdata/fingerprints.golden.
 func Fingerprint(spec sweep.RunSpec) ([32]byte, error) {
+	var scratch [4096]byte
+	enc, err := appendSpec(scratch[:0], spec)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return sha256.Sum256(enc), nil
+}
+
+// appendSpec appends the digest input of spec to buf: the schema and
+// simulator salts, then the canonical encoding of spec.Canonical() with a
+// replayed trace's path replaced by its content digest.
+func appendSpec(buf []byte, spec sweep.RunSpec) ([]byte, error) {
 	c := spec.Canonical()
 	if c.TracePath != "" {
 		sum, err := fileDigest(c.TracePath)
 		if err != nil {
-			return [32]byte{}, fmt.Errorf("simstore: fingerprint trace content: %w", err)
+			return nil, fmt.Errorf("simstore: fingerprint trace content: %w", err)
 		}
 		c.TracePath = "sha256:" + hex.EncodeToString(sum)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "simstore/%d|%s|", SchemaVersion, SimVersion)
-	writeCanonical(h, reflect.ValueOf(c))
-	var fp [32]byte
-	h.Sum(fp[:0])
-	return fp, nil
+	buf = append(buf, "simstore/"...)
+	buf = strconv.AppendInt(buf, SchemaVersion, 10)
+	buf = append(buf, '|')
+	buf = append(buf, SimVersion...)
+	buf = append(buf, '|')
+	return appendCanonical(buf, reflect.ValueOf(c)), nil
 }
 
 // Hex returns the lower-case hex form of a fingerprint (the form used as a
@@ -93,57 +106,70 @@ func fileDigest(path string) ([]byte, error) {
 	return h.Sum(nil), nil
 }
 
-// writeCanonical streams a deterministic, self-delimiting encoding of v.
-// Struct fields are written sorted by name and zero-valued fields are
+// fieldPlan is one exported struct field in canonical (name) order.
+type fieldPlan struct {
+	name  string
+	index int
+}
+
+// plans caches each struct type's exported fields sorted by name
+// (reflect.Type -> []fieldPlan), so encoding a spec sorts nothing.
+var plans sync.Map
+
+func planOf(t reflect.Type) []fieldPlan {
+	if p, ok := plans.Load(t); ok {
+		return p.([]fieldPlan)
+	}
+	p := make([]fieldPlan, 0, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			p = append(p, fieldPlan{name: f.Name, index: i})
+		}
+	}
+	sort.Slice(p, func(i, j int) bool { return p[i].name < p[j].name })
+	plans.Store(t, p)
+	return p
+}
+
+// appendCanonical appends a deterministic, self-delimiting encoding of v to
+// buf. Struct fields are written sorted by name and zero-valued fields are
 // skipped, which is what makes the digest independent of field order and of
 // whether a default was left unset or spelled out. The supported kinds are
 // exactly those reachable from sweep.RunSpec; anything else is a programming
 // error caught by the panic (and by the golden fingerprint test the moment
 // such a field is added).
-func writeCanonical(w io.Writer, v reflect.Value) {
+func appendCanonical(buf []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Struct:
-		t := v.Type()
-		names := make([]string, 0, t.NumField())
-		byName := make(map[string]reflect.Value, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			fv := v.Field(i)
+		buf = append(buf, '{')
+		for _, f := range planOf(v.Type()) {
+			fv := v.Field(f.index)
 			if fv.IsZero() {
 				continue
 			}
-			names = append(names, f.Name)
-			byName[f.Name] = fv
+			buf = append(buf, f.name...)
+			buf = append(buf, '=')
+			buf = appendCanonical(buf, fv)
+			buf = append(buf, ';')
 		}
-		sort.Strings(names)
-		io.WriteString(w, "{")
-		for _, n := range names {
-			io.WriteString(w, n)
-			io.WriteString(w, "=")
-			writeCanonical(w, byName[n])
-			io.WriteString(w, ";")
-		}
-		io.WriteString(w, "}")
+		return append(buf, '}')
 	case reflect.Slice, reflect.Array:
-		io.WriteString(w, "[")
+		buf = append(buf, '[')
 		for i := 0; i < v.Len(); i++ {
-			writeCanonical(w, v.Index(i))
-			io.WriteString(w, ",")
+			buf = appendCanonical(buf, v.Index(i))
+			buf = append(buf, ',')
 		}
-		io.WriteString(w, "]")
+		return append(buf, ']')
 	case reflect.String:
-		io.WriteString(w, strconv.Quote(v.String()))
+		return strconv.AppendQuote(buf, v.String())
 	case reflect.Bool:
-		io.WriteString(w, strconv.FormatBool(v.Bool()))
+		return strconv.AppendBool(buf, v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		io.WriteString(w, strconv.FormatInt(v.Int(), 10))
+		return strconv.AppendInt(buf, v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		io.WriteString(w, strconv.FormatUint(v.Uint(), 10))
+		return strconv.AppendUint(buf, v.Uint(), 10)
 	case reflect.Float32, reflect.Float64:
-		io.WriteString(w, strconv.FormatFloat(v.Float(), 'g', -1, 64))
+		return strconv.AppendFloat(buf, v.Float(), 'g', -1, 64)
 	default:
 		panic(fmt.Sprintf("simstore: unsupported kind %s in canonical encoding", v.Kind()))
 	}

@@ -106,6 +106,7 @@ type Store struct {
 	lru   *list.List                // front = most recently used; values are fileKeys
 	sizes map[fileKey]int64
 	bytes int64
+	blobs int // indexed blob entries
 	stats Stats
 }
 
@@ -194,6 +195,9 @@ func (s *Store) load() error {
 		s.index[f.key] = s.lru.PushFront(f.key)
 		s.sizes[f.key] = f.size
 		s.bytes += f.size
+		if f.key.blob {
+			s.blobs++
+		}
 	}
 	return nil
 }
@@ -218,13 +222,7 @@ func (s *Store) StoreStats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Entries = s.lru.Len()
-	blobs := 0
-	for k := range s.index {
-		if k.blob {
-			blobs++
-		}
-	}
-	st.Blobs = blobs
+	st.Blobs = s.blobs
 	st.TotalBytes = s.bytes
 	return st
 }
@@ -387,6 +385,9 @@ func (s *Store) putLocked(key fileKey, data []byte) error {
 	} else {
 		s.index[key] = s.lru.PushFront(key)
 		s.bytes += int64(len(data))
+		if key.blob {
+			s.blobs++
+		}
 	}
 	s.sizes[key] = int64(len(data))
 	s.evictLocked()
@@ -413,6 +414,9 @@ func (s *Store) dropLocked(key fileKey, elem *list.Element, removeFile bool) {
 	delete(s.index, key)
 	s.bytes -= s.sizes[key]
 	delete(s.sizes, key)
+	if key.blob {
+		s.blobs--
+	}
 	if removeFile {
 		os.Remove(s.path(key))
 	}

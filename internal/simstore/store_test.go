@@ -2,6 +2,7 @@ package simstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -316,4 +317,77 @@ func TestRecordWithRemovedConfigKeyHits(t *testing.T) {
 	if mustFP(t, rec.Spec) != fp {
 		t.Error("the spec read back no longer fingerprints to the record's address")
 	}
+}
+
+// TestBlobCountMatchesIndex: the blob count StoreStats reports (kept
+// incrementally, so a /metrics scrape does not walk the index) equals a
+// recount of the index after every way an entry comes and goes.
+func TestBlobCountMatchesIndex(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{MaxEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *Store, step string) {
+		t.Helper()
+		st.mu.Lock()
+		blobs := 0
+		for k := range st.index {
+			if k.blob {
+				blobs++
+			}
+		}
+		st.mu.Unlock()
+		if got := st.StoreStats().Blobs; got != blobs {
+			t.Errorf("after %s: StoreStats().Blobs = %d, the index holds %d blobs", step, got, blobs)
+		}
+	}
+	blobFP := func(i int) [32]byte { return sha256.Sum256([]byte{byte(i)}) }
+	mustPutBlob := func(i int, data string) {
+		t.Helper()
+		if err := st.PutBlob(blobFP(i), []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mustPutBlob(1, "a")
+	mustPutBlob(2, "b")
+	check(st, "blob puts")
+	mustPutBlob(1, "a, longer")
+	check(st, "a blob overwrite")
+	spec := specFor(t, "VA", 1)
+	fp := mustFP(t, spec)
+	if err := st.Put(fp, "", spec, sampleStats(1)); err != nil {
+		t.Fatal(err)
+	}
+	check(st, "a record put")
+	st.DropBlob(blobFP(1))
+	st.DropBlob(blobFP(1))
+	check(st, "DropBlob, twice")
+	if err := os.WriteFile(filepath.Join(dir, Hex(fp)[:2], Hex(fp)+".json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(fp); ok {
+		t.Fatal("corrupt record served as a hit")
+	}
+	check(st, "a corrupt-record drop")
+	if err := os.Remove(filepath.Join(dir, Hex(blobFP(2))[:2], Hex(blobFP(2))+".ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.GetBlob(blobFP(2)); ok {
+		t.Fatal("deleted blob served as a hit")
+	}
+	check(st, "a vanished blob")
+	for i := 3; i < 12; i++ {
+		mustPutBlob(i, "c")
+	}
+	if st.StoreStats().Evictions == 0 {
+		t.Fatal("no LRU eviction happened")
+	}
+	check(st, "LRU evictions")
+	reopened, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reopened, "a reopen")
 }
