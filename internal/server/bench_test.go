@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/server/api"
+	"repro/internal/server/client"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
 )
@@ -16,6 +19,8 @@ import (
 // through the daemon's handler (no socket, no client): a POST /v1/runs
 // whose one spec is a stored record, and the POST /v1/records/lookup probe
 // a forwarding member sends for it (the server half of a forwarded hit).
+// Above them, BenchmarkForwardedHit is the whole forwarded hop over
+// loopback sockets.
 
 func BenchmarkHandleRunsHit(b *testing.B) {
 	h, spec, _ := hitServer(b)
@@ -33,6 +38,47 @@ func BenchmarkRecordLookup(b *testing.B) {
 		var lr api.LookupResponse
 		return json.Unmarshal(resp, &lr) == nil && len(lr.Records) == 1
 	})
+}
+
+// BenchmarkForwardedHit: a POST /v1/runs to the member of a two-daemon
+// loopback cluster (no replication) that holds no copy of the stored record:
+// its store misses, it forwards the spec to the owner, whose store answers,
+// and it relays the owner's hit — client, entry member and owner, two
+// socket round trips and every encode and decode in between.
+func BenchmarkForwardedHit(b *testing.B) {
+	tc := newDynamicCluster(b, 2, 1)
+	spec := tinySpec("forwarded", 1)
+	owner := tc.ownerIndex(b, spec)
+	entry := 1 - owner
+	req := api.RunRequest{Specs: []api.Spec{spec}}
+	if _, err := client.New(tc.urls[entry]).Runs(context.Background(), req, true); err != nil {
+		b.Fatal(err)
+	}
+	if _, ok := tc.stores[entry].Get(specFP(b, spec)); ok {
+		b.Fatal("the entry member holds a copy; the hop would not be measured")
+	}
+	body, _ := json.Marshal(req)
+	post := func() []byte {
+		resp, err := http.Post(tc.urls[entry]+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("POST /v1/runs: HTTP %d (%v): %s", resp.StatusCode, err, data)
+		}
+		return data
+	}
+	var rr api.RunResponse
+	if err := json.Unmarshal(post(), &rr); err != nil || len(rr.Results) != 1 ||
+		!rr.Results[0].Cached || rr.Results[0].Peer != tc.urls[owner] {
+		b.Fatalf("the entry member did not relay the owner's hit: %+v (%v)", rr, err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		post()
+	}
 }
 
 // hitServer returns the handler of a daemon whose store holds the simulated

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jsonplan"
 	"repro/internal/server/api"
 )
 
@@ -98,7 +99,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 	if resp.StatusCode/100 != 2 {
 		var apiErr api.Error
 		se := &StatusError{Code: resp.StatusCode}
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
+		if jsonplan.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
 			se.Msg = apiErr.Error
 		}
 		return fmt.Errorf("client: %s %s: %w", method, path, se)
@@ -106,7 +107,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := jsonplan.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: %s %s: decode: %w", method, path, err)
 	}
 	return nil

@@ -36,7 +36,7 @@ func (tc *testCluster) kill(i int) {
 }
 
 // ownerIndex resolves which daemon owns a wire spec.
-func (tc *testCluster) ownerIndex(t *testing.T, spec api.Spec) int {
+func (tc *testCluster) ownerIndex(t testing.TB, spec api.Spec) int {
 	t.Helper()
 	return tc.indexOf(t, tc.servers[0].node.Ranked(specFP(t, spec))[0])
 }

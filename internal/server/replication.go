@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -158,14 +156,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "not clustered")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicateBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
 	var req api.ReplicateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if _, ok := readJSON(w, r, maxReplicateBytes, &req); !ok {
 		return
 	}
 	var resp api.ReplicateResponse
@@ -208,18 +200,16 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxLookupBytes bounds POST /v1/records/lookup bodies: a batch of
+// fingerprints.
+const maxLookupBytes = 1 << 20
+
 // handleRecordLookup implements POST /v1/records/lookup: report which of
 // the requested fingerprints this daemon's local store holds, with their
 // records. No execution, no forwarding — a pure store probe.
 func (s *Server) handleRecordLookup(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
 	var req api.LookupRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if _, ok := readJSON(w, r, maxLookupBytes, &req); !ok {
 		return
 	}
 	resp := api.LookupResponse{Records: []api.StoredRecord{}}

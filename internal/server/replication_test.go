@@ -20,7 +20,7 @@ import (
 // addDynamic appends one daemon to the cluster using seed-node gossip: the
 // first daemon bootstraps alone (Gossip with no seeds), every later one joins
 // through daemon 0. Timers are cranked down so churn tests converge fast.
-func (tc *testCluster) addDynamic(t *testing.T, replicas int) int {
+func (tc *testCluster) addDynamic(t testing.TB, replicas int) int {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -59,7 +59,11 @@ func (tc *testCluster) addDynamic(t *testing.T, replicas int) int {
 	tc.stores = append(tc.stores, store)
 	tc.https = append(tc.https, hs)
 	t.Cleanup(func() {
-		hs.Close()
+		// Shutdown, not Close: a replica push this daemon is storing must
+		// finish before its store's directory is removed.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		hs.Shutdown(ctx)
 		srv.Close()
 	})
 	return len(tc.servers) - 1
@@ -77,7 +81,7 @@ func (tc *testCluster) crash(i int) {
 
 // newDynamicCluster bootstraps an n-daemon cluster purely through gossip and
 // waits for every member to observe the full membership.
-func newDynamicCluster(t *testing.T, n, replicas int) *testCluster {
+func newDynamicCluster(t testing.TB, n, replicas int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
@@ -97,7 +101,7 @@ func newDynamicCluster(t *testing.T, n, replicas int) *testCluster {
 
 // waitMembers blocks until every daemon in live sees exactly n active members
 // (pass nil live to mean "all daemons").
-func (tc *testCluster) waitMembers(t *testing.T, n int, live ...int) {
+func (tc *testCluster) waitMembers(t testing.TB, n int, live ...int) {
 	t.Helper()
 	idx := live
 	if len(idx) == 0 {
@@ -129,7 +133,7 @@ func (tc *testCluster) waitMembers(t *testing.T, n int, live ...int) {
 }
 
 // specFP resolves a wire spec's store fingerprint.
-func specFP(t *testing.T, spec api.Spec) [32]byte {
+func specFP(t testing.TB, spec api.Spec) [32]byte {
 	t.Helper()
 	rs, err := spec.ToRunSpec()
 	if err != nil {
@@ -154,7 +158,7 @@ func (tc *testCluster) holders(fp [32]byte) []int {
 }
 
 // indexOf maps a member address back to its daemon index.
-func (tc *testCluster) indexOf(t *testing.T, addr string) int {
+func (tc *testCluster) indexOf(t testing.TB, addr string) int {
 	t.Helper()
 	for i, u := range tc.urls {
 		if u == addr {

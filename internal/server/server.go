@@ -51,6 +51,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -62,6 +63,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/exp"
+	"repro/internal/jsonplan"
 	"repro/internal/obs"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
@@ -300,26 +302,41 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // maxRequestBytes bounds request bodies; batch specs are small.
 const maxRequestBytes = 16 << 20
 
+// readJSON reads r's body, at most limit bytes of it, and decodes it into
+// v. On failure it answers — 413 naming the limit for a longer body, 400
+// for an unreadable one or bad JSON — and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+	default:
+		if err = jsonplan.Unmarshal(body, v); err == nil {
+			return body, true
+		}
+		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return nil, false
+}
+
 // handleRuns implements POST /v1/runs: resolve every spec, answer what the
 // cluster read path (routing.go) can — store hits inline, forwarded misses
 // as job handles on their owners; any daemon is a valid entry point — and
 // enqueue the rest here (deduplicated against in-flight jobs). The response
 // never waits for a simulation: misses carry job IDs to poll.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
 	var req api.RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	body, ok := readJSON(w, r, maxRequestBytes, &req)
+	if !ok {
 		return
 	}
 	if len(req.Specs) == 0 {
 		// Accept a bare Spec object as a single-run request.
 		var one api.Spec
-		if err := json.Unmarshal(body, &one); err == nil &&
+		if err := jsonplan.Unmarshal(body, &one); err == nil &&
 			(len(one.Benchmarks) > 0 || len(one.Workloads) > 0) {
 			req.Specs = []api.Spec{one}
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -385,5 +387,45 @@ func TestFigureMatchesLocalAndCaches(t *testing.T) {
 	}
 	if final.Progress == nil || final.Progress.Done != final.Progress.Total || final.Progress.Total == 0 {
 		t.Errorf("figure job progress = %+v, want done == total > 0", final.Progress)
+	}
+}
+
+// TestOversizeBodyIs413: a body one byte past an endpoint's limit is
+// answered 413 naming the limit, and one at the limit is read whole. Cutting
+// the body at the limit instead answered "bad JSON: unexpected end of JSON
+// input" for it, and accepted one whose excess was whitespace.
+func TestOversizeBodyIs413(t *testing.T) {
+	tc := newDynamicCluster(t, 1, 1) // /v1/replicate answers only clustered
+	// Every body is a suffix of one buffer: spaces, then an empty object.
+	buf := bytes.Repeat([]byte(" "), maxReplicateBytes+1)
+	copy(buf[len(buf)-2:], "{}")
+	for _, c := range []struct {
+		path    string
+		limit   int
+		atLimit int // the status of a body of exactly limit bytes
+	}{
+		{"/v1/runs", maxRequestBytes, http.StatusBadRequest}, // no specs
+		{"/v1/records/lookup", maxLookupBytes, http.StatusOK},
+		{"/v1/replicate", maxReplicateBytes, http.StatusOK},
+	} {
+		for _, n := range []int{c.limit, c.limit + 1} {
+			resp, err := http.Post(tc.urls[0]+c.path, "application/json", bytes.NewReader(buf[len(buf)-n:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var apiErr api.Error
+			json.NewDecoder(resp.Body).Decode(&apiErr)
+			resp.Body.Close()
+			want := c.atLimit
+			if n > c.limit {
+				want = http.StatusRequestEntityTooLarge
+				if limit := strconv.Itoa(c.limit); !strings.Contains(apiErr.Error, limit) {
+					t.Errorf("POST %s of %d bytes: message %q does not name the limit %s", c.path, n, apiErr.Error, limit)
+				}
+			}
+			if resp.StatusCode != want {
+				t.Errorf("POST %s of %d bytes (limit %d): HTTP %d %q, want %d", c.path, n, c.limit, resp.StatusCode, apiErr.Error, want)
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/gpu"
+	"repro/internal/jsonplan"
 	"repro/internal/sweep"
 )
 
@@ -249,7 +250,7 @@ func (s *Store) Get(fp [32]byte) (Record, bool) {
 		return Record{}, false
 	}
 	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil ||
+	if err := jsonplan.Unmarshal(data, &rec); err != nil ||
 		rec.Version != RecordVersion || rec.Fingerprint != key.hex {
 		s.dropLocked(key, elem, true)
 		s.stats.Corrupt++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,6 +271,77 @@ func TestStoreCorruptRecord(t *testing.T) {
 	if _, ok := st.Get(fp); ok {
 		t.Error("version-skewed record served as a hit")
 	}
+}
+
+// TestStoreRecordForms: a record file rewritten behind the store's back is
+// either dropped (Corrupt +1, a miss, the file removed) or served, exactly
+// as encoding/json's reading of it decides — the planned decoder that reads
+// it first changes neither the verdict nor the record served.
+func TestStoreRecordForms(t *testing.T) {
+	spec := specFor(t, "VA", 1)
+	fp := mustFP(t, spec)
+	for _, c := range []struct {
+		name   string
+		edit   func([]byte) []byte
+		served bool
+	}{
+		{"string for a number", replace(`"Cycles": 20001,`, `"Cycles": "20001",`), false},
+		{"float in an integer field", replace(`"Cycles": 20001,`, `"Cycles": 20001.5,`), false},
+		{"integer overflow", replace(`"Cycles": 20001,`, `"Cycles": 18446744073709551616,`), false},
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, false},
+		{"trailing bytes", func(b []byte) []byte { return append(b, "}"...) }, false},
+		{"key matching only case-insensitively", replace(`"version": 1,`, `"VERSION": 1,`), true},
+		{"version matched case-insensitively and skewed", replace(`"version": 1,`, `"version": 1, "Version": 2,`), false},
+		{"key with escapes and non-ASCII", replace(`"key": "va"`, `"key": "v\u00e1 \"q\" ☕"`), true},
+		{"fingerprint with an escape", replace(`"fingerprint": "`, `"fingerprint": "\u00`+Hex(fp)[:2]), false},
+		{"fingerprint spelled with an escape", replace(`"fingerprint": "`+Hex(fp)[:1], fmt.Sprintf(`"fingerprint": "\u%04x`, Hex(fp)[0])), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(fp, "va", spec, sampleStats(1)); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, Hex(fp)[:2], Hex(fp)+".json")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := c.edit(data)
+			if bytes.Equal(edited, data) {
+				t.Fatal("the edit changed nothing")
+			}
+			if err := os.WriteFile(path, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// encoding/json's verdict, the rule the store has always applied.
+			var want Record
+			valid := json.Unmarshal(edited, &want) == nil && want.Version == RecordVersion && want.Fingerprint == Hex(fp)
+			if valid != c.served {
+				t.Fatalf("encoding/json serves the edited record: %v, the case says %v", valid, c.served)
+			}
+
+			got, ok := st.Get(fp)
+			corrupt := st.StoreStats().Corrupt
+			_, statErr := os.Stat(path)
+			switch {
+			case c.served && (!ok || corrupt != 0):
+				t.Fatalf("dropped (hit %v, corrupt %d)", ok, corrupt)
+			case c.served && !reflect.DeepEqual(got, want):
+				t.Errorf("served\n%+v\nencoding/json reads\n%+v", got, want)
+			case !c.served && (ok || corrupt != 1 || !os.IsNotExist(statErr)):
+				t.Errorf("not dropped: hit %v, corrupt %d, file stat %v", ok, corrupt, statErr)
+			}
+		})
+	}
+}
+
+// replace returns an edit replacing the first old with new.
+func replace(old, new string) func([]byte) []byte {
+	return func(b []byte) []byte { return bytes.Replace(b, []byte(old), []byte(new), 1) }
 }
 
 // TestRecordWithRemovedConfigKeyHits: every record written while
