@@ -351,14 +351,14 @@ type MembershipView struct {
 	Members []MemberEntry `json:"members"`
 }
 
-// StoredRecord is one replicated (or looked-up) store entry on the wire:
-// enough to reconstruct the exact store row on the receiver, with the
-// fingerprint hex-encoded for JSON. Spec is the canonical spec so the
-// receiver can re-derive and verify the fingerprint.
+// StoredRecord is one replicated (or looked-up) store entry on the wire, its
+// fingerprint hex-encoded. A replicate push carries the canonical Spec, so the
+// receiver can verify the fingerprint and rebuild the store row; a lookup
+// answer omits it (the asker fingerprinted the spec it asked about).
 type StoredRecord struct {
 	Fingerprint string       `json:"fingerprint"`
 	Key         string       `json:"key,omitempty"`
-	Spec        Spec         `json:"spec"`
+	Spec        Spec         `json:"spec,omitzero"`
 	Stats       gpu.RunStats `json:"stats"`
 }
 

@@ -37,24 +37,16 @@ func parseHexFP(s string) ([32]byte, error) {
 
 // readRepair pushes a record a read found off-owner (on source) back onto
 // targets — the top-K of the ranking that read used — storing it locally if
-// this daemon is one of them, so churn-displaced records migrate to their
-// new owners on the read path.
-func (s *Server) readRepair(fp [32]byte, rec api.StoredRecord, source string, targets []string) {
-	// Never repair with a record whose spec does not hash to its claimed
-	// fingerprint (e.g. a lookup answer whose spec failed to parse).
-	spec, err := rec.Spec.ToRunSpec()
-	if err != nil {
-		return
-	}
-	if computed, err := simstore.Fingerprint(spec); err != nil || computed != fp {
-		return
-	}
+// this daemon is one of them, so churn-displaced records migrate on the read
+// path. spec is the reader's canonical spec: it hashes to fp by construction.
+func (s *Server) readRepair(fp [32]byte, spec sweep.RunSpec, rec api.StoredRecord, source string, targets []string) {
+	rec.Spec = api.FromRunSpec(spec)
 	repaired := false
 	for _, t := range targets {
 		switch t {
 		case s.node.Self():
-			if _, ok := s.store.Get(fp); !ok {
-				s.store.Put(fp, rec.Key, spec.Canonical(), rec.Stats)
+			if !s.store.Has(fp) {
+				s.store.Put(fp, rec.Key, spec, rec.Stats)
 				repaired = true
 			}
 		case source:
@@ -225,7 +217,6 @@ func (s *Server) handleRecordLookup(w http.ResponseWriter, r *http.Request) {
 		resp.Records = append(resp.Records, api.StoredRecord{
 			Fingerprint: hexFP,
 			Key:         rec.Key,
-			Spec:        api.FromRunSpec(rec.Spec),
 			Stats:       rec.Stats,
 		})
 	}

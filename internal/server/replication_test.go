@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/gpu"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
@@ -426,5 +427,37 @@ func TestClusterMembershipChurn(t *testing.T) {
 		if i != victim && after[i] != before[i] {
 			t.Errorf("daemon %d re-executed replicated records (%d -> %d)", i, before[i], after[i])
 		}
+	}
+}
+
+// TestReadRepairCountsOneMiss: a read that misses locally, finds the record
+// on rank 1 and repairs it onto this daemon counts one store miss (the
+// read's own), not a second one for the repair's existence check.
+func TestReadRepairCountsOneMiss(t *testing.T) {
+	tc := newDynamicCluster(t, 3, 2)
+	spec := tinySpec("repair-miss", 41)
+	fp := specFP(t, spec)
+	r := tc.rankedIndices(t, fp)
+	tc.plant(t, r[1], spec, gpu.RunStats{Cycles: 4242, Instructions: 17})
+
+	entry := tc.servers[r[0]]
+	misses0, repairs0 := tc.stores[r[0]].StoreStats().Misses, atomic.LoadUint64(&entry.readRepairs)
+	resp, err := client.New(tc.urls[r[0]]).Runs(context.Background(), api.RunRequest{Specs: []api.Spec{spec}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Results[0].Cached {
+		t.Fatal("the rank-1 record was not found")
+	}
+	for deadline := time.Now().Add(5 * time.Second); atomic.LoadUint64(&entry.readRepairs) == repairs0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the read repair never ran")
+		}
+	}
+	if !tc.stores[r[0]].Has(fp) {
+		t.Error("the repair did not store the record on the entry (rank 0)")
+	}
+	if d := tc.stores[r[0]].StoreStats().Misses - misses0; d != 1 {
+		t.Errorf("the entry counted %d store misses, want 1", d)
 	}
 }

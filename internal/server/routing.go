@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,17 +17,18 @@ import (
 
 // The cluster read path, written once. Reads never trust ownership alone:
 // a spec is answered from the local store (the owner's copy or a warm
-// replica), else by a record probe across its top Replicas+1 ranked members
-// (one rank of headroom so a single membership shift between write and
-// read still finds the warm copy; a record found off-owner is read-repaired
-// onto the current top-K, so churn-displaced records migrate lazily, on the
-// read path, instead of via a rebalancing scan), else by a handle-based
-// forward walk down the ranking — and what is left when the walk reaches
-// this daemon (or exhausts the ranking) executes here. POST /v1/runs and a
-// figure's executor (storeExec) both hand resolve their whole batch: one
-// record lookup and one forward per member, however many specs. Everything
-// is best-effort: a lost replica or an unreachable owner costs a
-// byte-identical re-execution, never wrongness.
+// replica), else by a record probe of its top Replicas+1 ranked members,
+// owners first and each member at most once (one rank of headroom so a single
+// membership shift between write and read still finds the warm copy; a
+// record found off-owner is read-repaired onto the current top-K, so
+// churn-displaced records migrate lazily, on the read path, instead of via a
+// rebalancing scan), else by a handle-based forward walk down the ranking —
+// and what is left when the walk reaches this daemon (or exhausts the
+// ranking) executes here. POST /v1/runs and a figure's executor (storeExec)
+// both hand resolve their whole batch: at most one record lookup and one
+// forward per member, however many specs. Everything is best-effort: a lost
+// replica or an unreachable owner costs a byte-identical re-execution, never
+// wrongness.
 
 // routedSpec is one spec's state on the read path.
 type routedSpec struct {
@@ -156,12 +158,12 @@ func (rv *resolver) localStore() {
 	}
 }
 
-// probe batch-probes the ranked members' stores for every still-unanswered
-// spec before anything is forwarded to execute: after membership churn the
-// current owner may not hold a record a demoted replica still has. One
-// lookup per member per batch; the lowest-ranked holder wins, and a hit
-// below rank 0 is a replica hit that triggers an async read repair. No-op
-// unless replication is on.
+// probe asks each unanswered spec's candidates — its top Replicas+1 members
+// but self — for its record, each member at most once: round one asks the
+// members that are some spec's first candidate (its owner, in steady state)
+// about every spec they are a candidate for, round two the rest about what
+// is still unanswered. The best-ranked hit wins; one below rank 0 is a
+// replica hit and triggers an async read repair. No-op unless K > 1.
 func (rv *resolver) probe(ctx context.Context) {
 	s := rv.s
 	if s.replicas <= 1 || len(rv.members) <= 1 {
@@ -170,6 +172,7 @@ func (rv *resolver) probe(ctx context.Context) {
 	width := min(s.replicas+1, len(rv.members))
 	type target struct{ idx, pos int }
 	targets := map[string][]target{}
+	lead := map[string]bool{} // some spec's first candidate: asked in round one
 	for i := range rv.batch {
 		it := &rv.batch[i]
 		if it.handled {
@@ -178,11 +181,9 @@ func (rv *resolver) probe(ctx context.Context) {
 		for pos, p := range rv.rank(it)[:width] {
 			if p != rv.self {
 				targets[p] = append(targets[p], target{i, pos})
+				lead[p] = lead[p] || pos == 0 || pos == 1 && it.ranked[0] == rv.self
 			}
 		}
-	}
-	if len(targets) == 0 {
-		return
 	}
 
 	type hit struct {
@@ -190,48 +191,56 @@ func (rv *resolver) probe(ctx context.Context) {
 		peer string
 		rec  api.StoredRecord
 	}
-	var mu sync.Mutex
-	best := map[int]hit{}
-	var wg sync.WaitGroup
-	for peer, ts := range targets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hexes := make([]string, len(ts))
-			for k, t := range ts {
-				hexes[k] = simstore.Hex(rv.batch[t.idx].fp)
+	for _, round := range []bool{true, false} {
+		var mu sync.Mutex
+		best := map[int]hit{}
+		var wg sync.WaitGroup
+		for peer, ts := range targets {
+			if lead[peer] != round {
+				continue
 			}
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			resp, err := s.peerClient(peer).LookupRecords(pctx, api.LookupRequest{Fingerprints: hexes})
-			if err != nil {
-				return // probe misses are free; the forward walk covers it
+			if ts = slices.DeleteFunc(ts, func(t target) bool { return rv.batch[t.idx].handled }); len(ts) == 0 {
+				continue
 			}
-			found := make(map[string]api.StoredRecord, len(resp.Records))
-			for _, rec := range resp.Records {
-				found[rec.Fingerprint] = rec
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for k, t := range ts {
-				rec, ok := found[hexes[k]]
-				if !ok {
-					continue
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hexes := make([]string, len(ts))
+				for k, t := range ts {
+					hexes[k] = simstore.Hex(rv.batch[t.idx].fp)
 				}
-				if b, dup := best[t.idx]; !dup || t.pos < b.pos {
-					best[t.idx] = hit{t.pos, peer, rec}
+				pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+				defer cancel()
+				resp, err := s.peerClient(peer).LookupRecords(pctx, api.LookupRequest{Fingerprints: hexes})
+				if err != nil {
+					return // probe misses are free; the forward walk covers it
 				}
-			}
-		}()
-	}
-	wg.Wait()
+				found := make(map[string]api.StoredRecord, len(resp.Records))
+				for _, rec := range resp.Records {
+					found[rec.Fingerprint] = rec
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for k, t := range ts {
+					rec, ok := found[hexes[k]]
+					if !ok {
+						continue
+					}
+					if b, dup := best[t.idx]; !dup || t.pos < b.pos {
+						best[t.idx] = hit{t.pos, peer, rec}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 
-	for i, h := range best {
-		it := &rv.batch[i]
-		it.answer(h.rec.Stats, h.peer)
-		if h.pos > 0 {
-			atomic.AddUint64(&s.replicaHits, 1)
-			go s.readRepair(it.fp, h.rec, h.peer, s.topK(it.ranked))
+		for i, h := range best {
+			it := &rv.batch[i]
+			it.answer(h.rec.Stats, h.peer)
+			if h.pos > 0 {
+				atomic.AddUint64(&s.replicaHits, 1)
+				go s.readRepair(it.fp, it.spec.Canonical(), h.rec, h.peer, s.topK(it.ranked))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,15 +121,9 @@ func TestResolverOutcomes(t *testing.T) {
 			spec := tinySpec(c.name, seed) // a fresh fingerprint per (case, entry)
 			t.Run(c.name+"/"+name, func(t *testing.T) {
 				fp := specFP(t, spec)
-				var ranked []int
-				for _, addr := range tc.servers[0].node.Ranked(fp) {
-					ranked = append(ranked, tc.indexOf(t, addr))
-				}
+				ranked := tc.rankedIndices(t, fp)
 				if c.plantRank >= 0 {
-					rs, _ := spec.ToRunSpec()
-					if err := tc.stores[ranked[c.plantRank]].Put(fp, spec.Key, rs.Canonical(), planted); err != nil {
-						t.Fatal(err)
-					}
+					tc.plant(t, ranked[c.plantRank], spec, planted)
 				}
 				wantExecuted := make([]uint64, len(tc.servers))
 				if c.execRank >= 0 {
@@ -178,4 +173,128 @@ func TestResolverOutcomes(t *testing.T) {
 			})
 		}
 	}
+}
+
+// rankedIndices maps fp's rendezvous ranking to daemon indices (0 = owner).
+func (tc *testCluster) rankedIndices(t testing.TB, fp [32]byte) []int {
+	t.Helper()
+	var ranked []int
+	for _, addr := range tc.servers[0].node.Ranked(fp) {
+		ranked = append(ranked, tc.indexOf(t, addr))
+	}
+	return ranked
+}
+
+// plant stores stats as spec's record on daemon i, as if it had run there.
+func (tc *testCluster) plant(t testing.TB, i int, spec api.Spec, stats gpu.RunStats) {
+	t.Helper()
+	rs, err := spec.ToRunSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.stores[i].Put(specFP(t, spec), spec.Key, rs.Canonical(), stats); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lookupCounts reads each daemon's served POST /v1/records/lookup count. A
+// member counts a request before its answer completes, so the counts are
+// final once the request that caused them has been answered.
+func lookupCounts(tc *testCluster) []uint64 {
+	n := make([]uint64, len(tc.servers))
+	for i, s := range tc.servers {
+		n[i] = s.metrics.httpRequests.With("POST /v1/records/lookup", "POST", "200").Value()
+	}
+	return n
+}
+
+// TestProbeAsksEachMemberOnce pins the record probe's messages on a 3-daemon
+// K=2 cluster, where every member is a candidate of every spec: owners are
+// asked first, a member is asked at most once per resolution, and the
+// others are asked only about what the owners did not answer.
+func TestProbeAsksEachMemberOnce(t *testing.T) {
+	tc := newDynamicCluster(t, 3, 2)
+	ctx := context.Background()
+	planted := gpu.RunStats{Cycles: 4242, Instructions: 17} // recognisably not simulated
+
+	// run submits spec through daemon entry and returns its one answer and
+	// the lookups and executions each daemon served for it.
+	run := func(t *testing.T, entry int, spec api.Spec) (api.RunResult, []uint64, []uint64) {
+		t.Helper()
+		lookups0, exec0 := lookupCounts(tc), executedCounts(tc)
+		resp, err := client.New(tc.urls[entry]).Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lookups, exec := lookupCounts(tc), executedCounts(tc)
+		for i := range lookups {
+			lookups[i] -= lookups0[i]
+			exec[i] -= exec0[i]
+		}
+		return resp.Results[0], lookups, exec
+	}
+	noExecutions := []uint64{0, 0, 0}
+
+	t.Run("stored spec asked of the bystander", func(t *testing.T) {
+		spec := tinySpec("probe-stored", 501)
+		r := tc.rankedIndices(t, specFP(t, spec))
+		tc.plant(t, r[0], spec, planted)
+		tc.plant(t, r[1], spec, planted)
+		res, lookups, exec := run(t, r[2], spec)
+		if !res.Cached || res.Peer != tc.urls[r[0]] {
+			t.Errorf("answer cached=%v by %s, want the owner's stored record (%s)", res.Cached, res.Peer, tc.urls[r[0]])
+		}
+		want := make([]uint64, 3)
+		want[r[0]] = 1
+		if !reflect.DeepEqual(lookups, want) || !reflect.DeepEqual(exec, noExecutions) {
+			t.Errorf("lookups served per daemon = %v, executions %v; want %v (the owner only) and none", lookups, exec, want)
+		}
+	})
+
+	t.Run("cold spec asked of the bystander", func(t *testing.T) {
+		spec := tinySpec("probe-cold", 502)
+		r := tc.rankedIndices(t, specFP(t, spec))
+		res, lookups, exec := run(t, r[2], spec)
+		if res.Cached || res.Status != api.StatusDone {
+			t.Errorf("answer cached=%v status=%s, want a fresh run, done", res.Cached, res.Status)
+		}
+		wantExec := make([]uint64, 3)
+		wantExec[r[0]] = 1
+		if !reflect.DeepEqual(exec, wantExec) {
+			t.Errorf("executions per daemon = %v, want %v (once, on the owner)", exec, wantExec)
+		}
+		for i, n := range lookups {
+			if n > 1 {
+				t.Errorf("daemon %d served %d lookups for one spec, want at most 1: %v", i, n, lookups)
+			}
+		}
+	})
+
+	t.Run("record only on the headroom rank", func(t *testing.T) {
+		spec := tinySpec("probe-headroom", 503)
+		fp := specFP(t, spec)
+		r := tc.rankedIndices(t, fp)
+		tc.plant(t, r[2], spec, planted)
+		repairs0 := atomic.LoadUint64(&tc.servers[r[0]].readRepairs)
+		res, lookups, exec := run(t, r[0], spec)
+		if !res.Cached || res.Peer != tc.urls[r[2]] {
+			t.Errorf("answer cached=%v by %s, want the headroom rank's record (%s)", res.Cached, res.Peer, tc.urls[r[2]])
+		}
+		want := make([]uint64, 3)
+		want[r[1]], want[r[2]] = 1, 1
+		if !reflect.DeepEqual(lookups, want) || !reflect.DeepEqual(exec, noExecutions) {
+			t.Errorf("lookups served per daemon = %v, executions %v; want %v and none", lookups, exec, want)
+		}
+		// The repair is asynchronous: it stores on the entry (rank 0) and
+		// pushes to rank 1.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			repaired := atomic.LoadUint64(&tc.servers[r[0]].readRepairs) > repairs0
+			if repaired && tc.stores[r[0]].Has(fp) && tc.stores[r[1]].Has(fp) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("record never read-repaired onto the top 2 (daemons %d and %d); holders: %v", r[0], r[1], tc.holders(fp))
+			}
+		}
+	})
 }

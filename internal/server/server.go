@@ -34,11 +34,11 @@
 // Config.Replicas > 1 each stored record and checkpoint blob is pushed to
 // the top-K ranked members, so a killed owner's results are served
 // byte-identical from a warm replica instead of re-executed; reads check
-// the local store, then probe the ranked members (POST /v1/records/lookup),
-// then forward. routing.go is that one read path and the only code that
-// knows how a spec finds its owner: POST /v1/runs and a figure's executor
-// both hand it their whole batch, and clients route nothing — any member is
-// a valid entry point for any request, one hop from the answer. Cross-owner
+// the local store, then probe the ranked members, owners first and each at
+// most once (POST /v1/records/lookup), then forward. routing.go is that one
+// read path and the only code that knows how a spec finds its owner: POST
+// /v1/runs and a figure's executor hand it their whole batch, and clients
+// route nothing — any member is a valid entry point, one hop away. Cross-owner
 // forwarding is handle-based: the forwarder gets the owner's job ID back
 // immediately and hands it on (or, for a figure's runs, polls it) — no
 // request ever blocks for the length of a simulation. A job ID names the

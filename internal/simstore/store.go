@@ -333,12 +333,17 @@ func (s *Store) GetBlob(fp [32]byte) ([]byte, bool) {
 	return data, true
 }
 
-// HasBlob reports whether a blob is stored under fp, without touching LRU
-// recency or the hit/miss counters.
-func (s *Store) HasBlob(fp [32]byte) bool {
+// Has reports whether a record is stored under fp: an index check that
+// reads no file and touches neither LRU recency nor the hit/miss counters.
+func (s *Store) Has(fp [32]byte) bool { return s.has(fileKey{hex: Hex(fp)}) }
+
+// HasBlob is Has for checkpoint blobs.
+func (s *Store) HasBlob(fp [32]byte) bool { return s.has(fileKey{hex: Hex(fp), blob: true}) }
+
+func (s *Store) has(key fileKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[fileKey{hex: Hex(fp), blob: true}]
+	_, ok := s.index[key]
 	return ok
 }
 

@@ -69,12 +69,15 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	spec := specFor(t, "VA", 1)
 	fp := mustFP(t, spec)
-	if _, ok := st.Get(fp); ok {
+	if _, ok := st.Get(fp); ok || st.Has(fp) {
 		t.Fatal("empty store returned a record")
 	}
 	stats := sampleStats(3)
 	if err := st.Put(fp, "va-run", spec, stats); err != nil {
 		t.Fatal(err)
+	}
+	if !st.Has(fp) {
+		t.Fatal("Has misses a stored record")
 	}
 
 	rec, ok := st.Get(fp)
@@ -106,7 +109,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	s := st.StoreStats()
 	if s.Hits != 1 || s.Misses != 1 || s.Puts != 1 {
-		t.Errorf("counters = %+v, want 1 hit / 1 miss / 1 put", s)
+		t.Errorf("counters = %+v, want 1 hit / 1 miss / 1 put (Has counts neither)", s)
 	}
 }
 

@@ -16,7 +16,8 @@
 #
 # Phase 3 is the kill-the-owner drill on a replicated cluster: a spec is
 # forwarded handle-based (the hop is polled, it never pins a connection), the
-# record replicates to a warm peer, a 4th daemon joins mid-run without
+# record replicates to a warm peer, the member holding no copy answers it
+# for one record lookup (the owner's), a 4th daemon joins mid-run without
 # restarting anyone, and after the owner is killed -9 a survivor serves the
 # record byte-identical from the replica with zero re-executions.
 #
@@ -248,11 +249,26 @@ replicated=""
 for _ in $(seq 1 100); do
   for u in "${survivors[@]}"; do
     n="$(curl -sf -X POST "$u/v1/records/lookup" -d "{\"fingerprints\":[\"$fp\"]}" | jq '.records | length')"
-    [ "$n" = "1" ] && { replicated=1; break 2; }
+    [ "$n" = "1" ] && { replicated="$u"; break 2; }
   done
   sleep 0.1
 done
 [ -n "$replicated" ] || { echo "record never replicated off the owner"; exit 1; }
+
+echo "a hit asked of the member with no copy costs the cluster one record lookup"
+# lookups URL: POST /v1/records/lookup requests the daemon has served (the
+# route label holds a space, so the value is the last field).
+lookups() { curl -sf "$1/metrics" | awk '/^simd_http_requests_total\{.*route="POST \/v1\/records\/lookup"/ {s+=$NF} END {print s+0}'; }
+for u in "${survivors[@]}"; do [ "$u" = "$replicated" ] || nocopy="$u"; done
+lk_before=$(( $(lookups "$url_1") + $(lookups "$url_2") + $(lookups "$url_3") ))
+scripts/simd_run.sh "$nocopy" "$dspec" > "$scratch/bystander.json"
+jq -e '.results[0].status == "done" and .results[0].cached == true' "$scratch/bystander.json" >/dev/null \
+  || { echo "the member with no copy did not answer from a store:"; cat "$scratch/bystander.json"; exit 1; }
+jq -cS '.results[0].stats' "$scratch/bystander.json" | cmp - "$scratch/drill.stats" \
+  || { echo "the member with no copy answered different stats"; exit 1; }
+lk_after=$(( $(lookups "$url_1") + $(lookups "$url_2") + $(lookups "$url_3") ))
+[ $(( lk_after - lk_before )) -eq 1 ] \
+  || { echo "one hit cost $(( lk_after - lk_before )) record lookups across the cluster, want 1"; exit 1; }
 
 echo "join a 4th daemon mid-run; nobody restarts"
 ./smoke-simd -addr 127.0.0.1:0 -store "$store/seed-4" -seeds "$url_1" -replicas 2 -heartbeat 100ms > "$scratch/seed-4.log" 2>&1 &
