@@ -48,13 +48,15 @@ import (
 // versions is kept.
 // Version 3: the hand-written binary state codec under a CRC-32C, replacing
 // gob + gzip. Version 4: the tag stores' access counters and the MSHR
-// tables' occupancy counters, which nothing read, leave the state.
-const FormatVersion = 4
+// tables' occupancy counters, which nothing read, leave the state. Version
+// 5: the GPU follows the controller's mode, so the parked decision and the
+// transition's target and reason leave the state.
+const FormatVersion = 5
 
 // A checkpoint file is
 //
-//	repro-checkpoint/4\n            magic line with the format version
-//	{"version":4,...}\n             Header as one JSON line
+//	repro-checkpoint/5\n            magic line with the format version
+//	{"version":5,...}\n             Header as one JSON line
 //	<8 bytes>                       payload length, little-endian
 //	<4 bytes>                       CRC-32C, little-endian
 //	<payload>                       gpu.State.AppendTo

@@ -265,6 +265,7 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 		// check, never handed to the state decoder.
 		{"format-v2", 1, func(data []byte, _ *rand.Rand) []byte { return relabel(data, 2) }},
 		{"format-v3", 1, func(data []byte, _ *rand.Rand) []byte { return relabel(data, 3) }},
+		{"format-v4", 1, func(data []byte, _ *rand.Rand) []byte { return relabel(data, 4) }},
 		// One flipped bit anywhere after the magic line — header, length,
 		// checksum or payload — is caught by the frame, every time.
 		{"bit-flip", flips, func(data []byte, rng *rand.Rand) []byte {

@@ -146,7 +146,7 @@ func TestReferenceBlobBudget(t *testing.T) {
 // must bump FormatVersion, and only then update the hash. (A change to what
 // the simulator computes moves them too; that one bumps simstore.SimVersion,
 // which re-keys every stored blob.)
-const wireGolden = "5613485fb56e92df3328aceaa97b00e8f8cabbc3b52ac97dadb500c1d08c0220"
+const wireGolden = "51ea0c5819a944a5fbfd42240753f1be894432a1342e7d9dd29b583719b88d68"
 
 func TestWireFormatStable(t *testing.T) {
 	sum := sha256.Sum256(pinnedBlob(t))

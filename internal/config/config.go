@@ -200,10 +200,6 @@ type Config struct {
 	LLCLineBytes      int
 	LLCLatency        int // tag+data access cycles
 	LLCMSHRsPerSlice  int
-	// LLCQueueDepth is unread: a slice's request queue is unbounded and the
-	// NoC's per-port serialization limits what reaches it. It stays until the
-	// next SimVersion bump because deleting it moves every fingerprint.
-	LLCQueueDepth int
 
 	// --- LLC organization ---
 	LLCMode LLCMode
@@ -235,11 +231,7 @@ type Config struct {
 	EpochCycles         int     // epoch length between re-profiling (1M cycles)
 	ATDSampledSets      int     // sets sampled per slice by the ATD (8)
 	MissRateSimilarity  float64 // Rule #1 threshold (0.02 == within 2%)
-	// ReconfigDrainCheck is unread: the GPU checks for a drained LLC every
-	// cycle of a reconfiguration. It stays until the next SimVersion bump
-	// because deleting it moves every fingerprint.
-	ReconfigDrainCheck int
-	PowerGateCycles    int // cycles to power-gate / wake the MC-routers
+	PowerGateCycles     int     // cycles to power-gate / wake the MC-routers
 }
 
 // Baseline returns the paper's Table 1 configuration.
@@ -266,7 +258,6 @@ func Baseline() Config {
 		LLCLineBytes:      128,
 		LLCLatency:        120,
 		LLCMSHRsPerSlice:  32,
-		LLCQueueDepth:     16,
 
 		LLCMode: LLCShared,
 
@@ -294,7 +285,6 @@ func Baseline() Config {
 		EpochCycles:         1_000_000,
 		ATDSampledSets:      8,
 		MissRateSimilarity:  0.02,
-		ReconfigDrainCheck:  16,
 		PowerGateCycles:     30,
 	}
 }

@@ -24,10 +24,12 @@
 //	               delivered bandwidth under private caching.
 //	Rule #3 (P→S): revert to shared at every new epoch and kernel launch.
 //
-// The controller is a passive decision engine: the GPU model owns the
+// The controller owns the organization; the GPU follows it. Mode is what
+// the rules currently want; a GPU that is neither draining nor stalled and
+// whose LLC is organized otherwise starts a transition. The GPU owns the
 // machinery of draining the NoC, flushing the LLC and power-gating the
-// MC-routers, and reports the transition overhead it incurred back to the
-// controller for accounting.
+// MC-routers, and reports the overhead it incurred back to the controller for
+// accounting.
 package core
 
 import (
@@ -36,51 +38,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/config"
 )
-
-// Reason explains why the controller requested a mode switch.
-type Reason int
-
-const (
-	// ReasonNone means no switch was requested.
-	ReasonNone Reason = iota
-	// ReasonRule1 is a shared-to-private switch because the private LLC is
-	// predicted to have a similar miss rate (power saving, no downside).
-	ReasonRule1
-	// ReasonRule2 is a shared-to-private switch because the bandwidth model
-	// predicts higher delivered bandwidth under private caching.
-	ReasonRule2
-	// ReasonEpoch is a private-to-shared reversion at an epoch boundary
-	// (Rule #3).
-	ReasonEpoch
-	// ReasonKernel is a private-to-shared reversion because a new kernel
-	// launched (Rule #3).
-	ReasonKernel
-)
-
-func (r Reason) String() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonRule1:
-		return "rule1-similar-miss-rate"
-	case ReasonRule2:
-		return "rule2-bandwidth"
-	case ReasonEpoch:
-		return "rule3-epoch"
-	case ReasonKernel:
-		return "rule3-kernel"
-	default:
-		return fmt.Sprintf("Reason(%d)", int(r))
-	}
-}
-
-// Decision asks the GPU to reconfigure the LLC.
-type Decision struct {
-	Target config.LLCMode
-	Reason Reason
-	// Prediction snapshots the model outputs that led to the decision.
-	Prediction Prediction
-}
 
 // Prediction holds the profiling-window estimates.
 type Prediction struct {
@@ -110,7 +67,7 @@ type Stats struct {
 type Controller struct {
 	cfg config.Config
 
-	mode config.LLCMode // current LLC organization (shared or private)
+	mode config.LLCMode // the organization the rules want (shared or private)
 
 	atd *cache.ATD
 	// privPerMC counts profiling-window requests originating from cluster 0,
@@ -163,6 +120,10 @@ func NewController(cfg config.Config) (*Controller, error) {
 	c.epochStart = 0
 	return c, nil
 }
+
+// Mode returns the LLC organization the controller wants: shared or
+// private.
+func (c *Controller) Mode() config.LLCMode { return c.mode }
 
 // Stats returns a snapshot of controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -227,17 +188,17 @@ func (c *Controller) ObserveRequest(addr uint64, cluster, homeMC, sharedSlice in
 	}
 }
 
-// OnKernelLaunch implements Rule #3 for kernel boundaries: the LLC reverts
-// to shared and a new profiling window begins. It returns a Decision if a
-// reconfiguration is needed.
-func (c *Controller) OnKernelLaunch(cycle uint64) *Decision {
-	defer c.startProfile(cycle)
+// OnKernelLaunch implements Rule #3 for kernel boundaries.
+func (c *Controller) OnKernelLaunch(cycle uint64) { c.revert(cycle) }
+
+// revert applies Rule #3: the LLC reverts to shared and a new profiling
+// window begins.
+func (c *Controller) revert(cycle uint64) {
 	if c.mode == config.LLCPrivate {
 		c.mode = config.LLCShared
 		c.stats.SwitchesToShared++
-		return &Decision{Target: config.LLCShared, Reason: ReasonKernel}
 	}
-	return nil
+	c.startProfile(cycle)
 }
 
 // ReportReconfigOverhead lets the GPU charge the stall cycles a transition
@@ -246,10 +207,9 @@ func (c *Controller) ReportReconfigOverhead(cycles uint64) {
 	c.stats.ReconfigCycles += cycles
 }
 
-// Tick advances the controller by one cycle and returns a reconfiguration
-// request when one is due. The GPU must apply the returned decision (it is
-// not re-issued).
-func (c *Controller) Tick(cycle uint64) *Decision {
+// Tick advances the controller by one cycle, applying Rule #3 at epoch
+// boundaries and Rules #1 and #2 at the end of a profiling window.
+func (c *Controller) Tick(cycle uint64) {
 	c.cycle = cycle
 	if c.mode == config.LLCPrivate {
 		c.stats.PrivateCycles++
@@ -260,14 +220,8 @@ func (c *Controller) Tick(cycle uint64) *Decision {
 	// Rule #3: epoch boundary — revert to shared and re-profile.
 	if cycle >= c.epochStart+uint64(c.cfg.EpochCycles) {
 		c.epochStart = cycle
-		prev := c.mode
-		c.mode = config.LLCShared
-		c.startProfile(cycle)
-		if prev == config.LLCPrivate {
-			c.stats.SwitchesToShared++
-			return &Decision{Target: config.LLCShared, Reason: ReasonEpoch}
-		}
-		return nil
+		c.revert(cycle)
+		return
 	}
 
 	if c.profiling && cycle >= c.subWindowEnd {
@@ -280,38 +234,32 @@ func (c *Controller) Tick(cycle uint64) *Decision {
 		cycle >= c.windowStart+uint64(c.cfg.ProfileWindowCycles) {
 		c.foldLSPSubWindow()
 		c.profiling = false
-		return c.decide()
+		c.decide()
 	}
-	return nil
 }
 
 // decide evaluates the transition rules at the end of a profiling window.
-func (c *Controller) decide() *Decision {
+func (c *Controller) decide() {
 	pred := c.predict()
 	c.lastPred = pred
 
-	if pred.WindowAccesses == 0 {
+	switch {
+	case pred.WindowAccesses == 0:
 		// An idle window gives the model nothing to work with; stay shared.
 		c.stats.StayShared++
-		return nil
-	}
-
-	// Rule #1: similar miss rates -> private (saves NoC energy at no cost).
-	if pred.PrivateMissRate-pred.SharedMissRate <= c.cfg.MissRateSimilarity {
+	case pred.PrivateMissRate-pred.SharedMissRate <= c.cfg.MissRateSimilarity:
+		// Rule #1: similar miss rates -> private (saves NoC energy at no cost).
 		c.mode = config.LLCPrivate
 		c.stats.SwitchesToPrivate++
 		c.stats.Rule1Decisions++
-		return &Decision{Target: config.LLCPrivate, Reason: ReasonRule1, Prediction: pred}
-	}
-	// Rule #2: higher predicted bandwidth -> private.
-	if pred.PrivateBandwidth > pred.SharedBandwidth {
+	case pred.PrivateBandwidth > pred.SharedBandwidth:
+		// Rule #2: higher predicted bandwidth -> private.
 		c.mode = config.LLCPrivate
 		c.stats.SwitchesToPrivate++
 		c.stats.Rule2Decisions++
-		return &Decision{Target: config.LLCPrivate, Reason: ReasonRule2, Prediction: pred}
+	default:
+		c.stats.StayShared++
 	}
-	c.stats.StayShared++
-	return nil
 }
 
 // predict evaluates the miss-rate and bandwidth models from the profiling

@@ -57,13 +57,14 @@ func TestHardwareBudget(t *testing.T) {
 }
 
 // feed drives a synthetic request stream into the controller during its
-// profiling window and then ticks past the window end to obtain a decision.
+// profiling window and then ticks past the window end; it reports whether the
+// controller switched to private.
 //
 // interCluster selects whether consecutive accesses to the same line come
 // from different clusters (true) or always the same cluster (false);
 // hotLines is the number of distinct hot lines (smaller means a more
 // concentrated stream and a lower shared-mode LSP).
-func feed(t *testing.T, c *Controller, interCluster bool, hotLines int, accesses int) *Decision {
+func feed(t *testing.T, c *Controller, interCluster bool, hotLines int, accesses int) bool {
 	t.Helper()
 	cfg := adaptiveCfg()
 	rng := rand.New(rand.NewSource(1))
@@ -89,18 +90,18 @@ func feed(t *testing.T, c *Controller, interCluster bool, hotLines int, accesses
 			sharedSlice := int(hashed) % cfg.NumLLCSlices()
 			c.ObserveRequest(addr, cluster, homeMC, sharedSlice)
 		}
-		if d := c.Tick(cycle); d != nil {
-			return d
+		if c.Tick(cycle); c.Mode() == config.LLCPrivate {
+			return true
 		}
 	}
 	// Run out the remainder of the profiling window.
 	for cycle < uint64(cfg.ProfileWindowCycles)+10 {
 		cycle++
-		if d := c.Tick(cycle); d != nil {
-			return d
+		if c.Tick(cycle); c.Mode() == config.LLCPrivate {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // TestRule2ChoosesPrivateForConcentratedSharing models a private-friendly
@@ -109,23 +110,16 @@ func feed(t *testing.T, c *Controller, interCluster bool, hotLines int, accesses
 // LSP, similar miss rate) and switch.
 func TestRule2ChoosesPrivateForConcentratedSharing(t *testing.T) {
 	c := newController(t)
-	d := feed(t, c, true, 8, 40000)
-	if d == nil {
+	if !feed(t, c, true, 8, 40000) {
 		t.Fatal("expected a switch to private")
 	}
-	if d.Target != config.LLCPrivate {
-		t.Fatalf("decision = %+v, want private", d)
+	if st := c.Stats(); st.Rule1Decisions+st.Rule2Decisions != 1 || st.SwitchesToPrivate != 1 {
+		t.Errorf("stats = %+v, want one switch to private by rule 1 or rule 2", st)
 	}
-	if d.Reason != ReasonRule1 && d.Reason != ReasonRule2 {
-		t.Errorf("reason = %v, want rule 1 or rule 2", d.Reason)
-	}
-	p := d.Prediction
+	p := c.LastPrediction()
 	if p.PrivateLSP <= p.SharedLSP {
 		t.Errorf("private LSP (%.1f) should exceed shared LSP (%.1f) for a concentrated stream",
 			p.PrivateLSP, p.SharedLSP)
-	}
-	if c.mode != config.LLCPrivate {
-		t.Error("controller mode should be private after the decision")
 	}
 }
 
@@ -139,12 +133,8 @@ func TestStaysSharedForCapacitySensitiveStream(t *testing.T) {
 	// 60K distinct lines (~7.5 MB) accessed by random clusters: replicating
 	// them 8x cannot fit, and accesses spread over all 64 slices so shared
 	// LSP is already high.
-	d := feed(t, c, true, 60000, 45000)
-	if d != nil {
-		t.Fatalf("controller switched (%v) for a capacity-sensitive stream; it must stay shared", d.Reason)
-	}
-	if c.mode != config.LLCShared {
-		t.Error("mode should remain shared")
+	if feed(t, c, true, 60000, 45000) {
+		t.Fatalf("controller switched (%+v) for a capacity-sensitive stream; it must stay shared", c.Stats())
 	}
 	if c.Stats().StayShared == 0 {
 		t.Error("StayShared should have been recorded")
@@ -160,14 +150,13 @@ func TestStaysSharedForCapacitySensitiveStream(t *testing.T) {
 // rates match and Rule #1 switches to private for the NoC energy saving.
 func TestRule1ChoosesPrivateForClusterAffineStream(t *testing.T) {
 	c := newController(t)
-	d := feed(t, c, false, 256, 40000)
-	if d == nil {
+	if !feed(t, c, false, 256, 40000) {
 		t.Fatal("expected a switch to private")
 	}
-	if d.Reason != ReasonRule1 {
-		t.Errorf("reason = %v, want rule 1 (similar miss rates)", d.Reason)
+	if st := c.Stats(); st.Rule1Decisions != 1 {
+		t.Errorf("Rule1Decisions = %d, want 1 (similar miss rates)", st.Rule1Decisions)
 	}
-	p := d.Prediction
+	p := c.LastPrediction()
 	if diff := p.PrivateMissRate - p.SharedMissRate; diff > 0.02 {
 		t.Errorf("miss-rate difference %.3f should be within the 2%% similarity threshold", diff)
 	}
@@ -175,14 +164,10 @@ func TestRule1ChoosesPrivateForClusterAffineStream(t *testing.T) {
 
 func TestIdleWindowStaysShared(t *testing.T) {
 	c := newController(t)
-	var d *Decision
 	for cycle := uint64(1); cycle <= uint64(adaptiveCfg().ProfileWindowCycles)+5; cycle++ {
-		if got := c.Tick(cycle); got != nil {
-			d = got
+		if c.Tick(cycle); c.Mode() != config.LLCShared {
+			t.Fatalf("idle profiling window must not trigger a switch, got %v at cycle %d", c.Mode(), cycle)
 		}
-	}
-	if d != nil {
-		t.Errorf("idle profiling window must not trigger a switch, got %v", d.Reason)
 	}
 }
 
@@ -197,29 +182,30 @@ func TestEpochReversion(t *testing.T) {
 	// Force private via a cluster-affine stream.
 	rng := rand.New(rand.NewSource(2))
 	var cycle uint64
-	var switched *Decision
 	for i := 0; i < cfg.ProfileWindowCycles+10; i++ {
 		cycle++
 		line := uint64(rng.Intn(64))
 		c.ObserveRequest(line*128, 0, int(line)%8, int(line)%64)
-		if d := c.Tick(cycle); d != nil {
-			switched = d
-		}
+		c.Tick(cycle)
 	}
-	if switched == nil || switched.Target != config.LLCPrivate {
+	if c.Mode() != config.LLCPrivate {
 		t.Fatal("setup failed: controller did not go private")
 	}
-	// Advance to the epoch boundary: Rule #3 must revert to shared and start
-	// a new profiling window.
-	var reverted *Decision
+	// Up to the epoch boundary the controller stays private; there Rule #3
+	// must revert it to shared and start a new profiling window.
+	for cycle < uint64(cfg.EpochCycles)-1 {
+		cycle++
+		c.Tick(cycle)
+	}
+	if c.Mode() != config.LLCPrivate {
+		t.Fatalf("controller left private at cycle %d, before the epoch boundary", cycle)
+	}
 	for cycle < uint64(cfg.EpochCycles)+10 {
 		cycle++
-		if d := c.Tick(cycle); d != nil {
-			reverted = d
-		}
+		c.Tick(cycle)
 	}
-	if reverted == nil || reverted.Target != config.LLCShared || reverted.Reason != ReasonEpoch {
-		t.Fatalf("expected epoch reversion to shared, got %+v", reverted)
+	if c.Mode() != config.LLCShared {
+		t.Fatalf("expected epoch reversion to shared, mode is %v", c.Mode())
 	}
 	if !c.profiling {
 		t.Error("a new profiling window should begin after the epoch boundary")
@@ -236,19 +222,22 @@ func TestEpochReversion(t *testing.T) {
 func TestKernelLaunchReversion(t *testing.T) {
 	c := newController(t)
 	// Force private.
-	if d := feed(t, c, false, 64, 40000); d == nil {
+	if !feed(t, c, false, 64, 40000) {
 		t.Fatal("setup failed: no switch to private")
 	}
-	d := c.OnKernelLaunch(60000)
-	if d == nil || d.Target != config.LLCShared || d.Reason != ReasonKernel {
-		t.Fatalf("expected kernel reversion, got %+v", d)
+	c.OnKernelLaunch(60000)
+	if c.Mode() != config.LLCShared || c.Stats().SwitchesToShared != 1 {
+		t.Fatalf("expected kernel reversion, mode %v after %d switches to shared", c.Mode(), c.Stats().SwitchesToShared)
 	}
 	if !c.profiling {
 		t.Error("kernel launch should start a new profiling window")
 	}
-	// A kernel launch while already shared re-profiles without a decision.
-	if d := c.OnKernelLaunch(70000); d != nil {
-		t.Errorf("no decision expected when already shared, got %+v", d)
+	// A kernel launch while already shared re-profiles without a switch.
+	windows := c.Stats().ProfileWindows
+	c.OnKernelLaunch(70000)
+	if st := c.Stats(); c.Mode() != config.LLCShared || st.SwitchesToShared != 1 || st.ProfileWindows != windows+1 {
+		t.Errorf("a launch while shared: mode %v, %d switches to shared, %d windows (want shared, 1, %d)",
+			c.Mode(), st.SwitchesToShared, st.ProfileWindows, windows+1)
 	}
 }
 
@@ -277,14 +266,6 @@ func TestReportReconfigOverhead(t *testing.T) {
 	c.ReportReconfigOverhead(77)
 	if c.Stats().ReconfigCycles != 200 {
 		t.Errorf("ReconfigCycles = %d, want 200", c.Stats().ReconfigCycles)
-	}
-}
-
-func TestReasonStrings(t *testing.T) {
-	for _, r := range []Reason{ReasonNone, ReasonRule1, ReasonRule2, ReasonEpoch, ReasonKernel, Reason(42)} {
-		if r.String() == "" {
-			t.Errorf("empty string for reason %d", int(r))
-		}
 	}
 }
 

@@ -120,20 +120,6 @@ func (p *Prediction) estimates() [6]*float64 {
 		&p.SharedBandwidth, &p.PrivateBandwidth}
 }
 
-// AppendTo appends the decision's wire form to b.
-func (d *Decision) AppendTo(b []byte) []byte {
-	b = wire.AppendInt(b, int(d.Target))
-	b = wire.AppendInt(b, int(d.Reason))
-	return d.Prediction.AppendTo(b)
-}
-
-// ReadFrom overwrites the decision with the next one in r.
-func (d *Decision) ReadFrom(r *wire.Reader) {
-	d.Target = config.LLCMode(r.Int())
-	d.Reason = Reason(r.Int())
-	d.Prediction.ReadFrom(r)
-}
-
 // RestoreState overwrites the controller's mutable state with a snapshot
 // taken from a controller built under the same configuration. The statistics
 // are written last: NewController's initial startProfile already counted a

@@ -54,6 +54,8 @@ type GPU struct {
 	reqNet noc.Net
 	repNet noc.Net
 
+	// ctrl, when the LLC is adaptive, owns the organization: mode follows
+	// ctrl.Mode() through a transition whenever they differ (followController).
 	ctrl *core.Controller
 	// mode is the LLC organization currently in effect (shared or private).
 	mode config.LLCMode
@@ -69,13 +71,11 @@ type GPU struct {
 	// checkpointed so a resumed run recomputes the same boundary schedule.
 	runStart uint64
 
-	// Reconfiguration state machine.
+	// Reconfiguration state machine: a transition drains to the organization
+	// mode is not, then stalls until stallUntil.
 	reconfigActive  bool
-	reconfigTarget  config.LLCMode
-	reconfigReason  core.Reason
 	reconfigStarted uint64
 	stallUntil      uint64
-	pendingDecision *core.Decision
 
 	// Free-list pools shared by the whole GPU: SMs acquire requests that the
 	// LLC slices release once answered, and the injection paths recycle NoC

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -417,6 +418,48 @@ func TestKernelBoundariesTriggerAdaptiveReprofile(t *testing.T) {
 	}
 	if rs.Controller.ProfileWindows < 2 {
 		t.Errorf("profile windows = %d, want one per kernel launch (>= 2)", rs.Controller.ProfileWindows)
+	}
+}
+
+// TestGPUFollowsControllerMode runs 3DC adaptive at adaptivesim's default
+// scale and requires, at every kernel boundary with no transition draining or
+// stalling, that the LLC is organized the way the controller wants. The
+// 2,000-cycle window puts a Rule #3 reversion inside an S→P drain (cycle
+// 27,500), which a GPU that dropped it would leave private for the rest of
+// the run; the 500-cycle window makes decisions land mid-transition
+// throughout.
+func TestGPUFollowsControllerMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow full-GPU simulation; skipped in -short mode")
+	}
+	spec, _ := workload.ByAbbr("3DC")
+	for _, window := range []int{2_000, 500} {
+		t.Run(fmt.Sprintf("window-%d", window), func(t *testing.T) {
+			cfg := config.Baseline()
+			cfg.LLCMode = config.LLCAdaptive
+			cfg.ProfileWindowCycles = window
+			g, err := New(cfg, workload.MustNewGenerator(spec, cfg, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Warmup(20_000)
+			idle := 0
+			rs := g.RunCheckpointed(120_000, spec.Kernels, func(m int) {
+				if g.reconfigActive || g.cycle < g.stallUntil {
+					return
+				}
+				idle++
+				if g.mode != g.ctrl.Mode() {
+					t.Errorf("kernel boundary %d (cycle %d): LLC %v, controller wants %v", m, g.cycle, g.mode, g.ctrl.Mode())
+				}
+			})
+			if idle == 0 {
+				t.Fatal("no kernel boundary found the GPU idle: nothing was checked")
+			}
+			if rs.ReconfigCount == 0 {
+				t.Error("the adaptive run never reconfigured")
+			}
+		})
 	}
 }
 

@@ -167,25 +167,19 @@ func (g *GPU) loopUntil(totalCycles uint64, kernels int, onBoundary func(m int))
 			g.kernelBoundaries = append(g.kernelBoundaries, g.cycle)
 			g.prog.NextKernel()
 			if g.ctrl != nil {
-				if d := g.ctrl.OnKernelLaunch(g.cycle); d != nil {
-					g.scheduleReconfig(d)
-				}
+				g.ctrl.OnKernelLaunch(g.cycle)
+				g.followController()
 			}
 		}
 
 		g.step()
 
 		// Adaptive controller decision point. The controller's epoch clock
-		// runs through transitions too; a decision taken during one waits
-		// for it to finish.
+		// runs through transitions too; the GPU follows what it wants once
+		// the transition in flight, if any, is over.
 		if g.ctrl != nil {
-			if d := g.ctrl.Tick(g.cycle); d != nil {
-				if g.reconfigActive || g.cycle < g.stallUntil {
-					g.pendingDecision = d
-				} else {
-					g.scheduleReconfig(d)
-				}
-			}
+			g.ctrl.Tick(g.cycle)
+			g.followController()
 		}
 
 		// Inter-cluster sharing window.
@@ -409,14 +403,16 @@ func (g *GPU) injectReplies() {
 	}
 }
 
-// scheduleReconfig begins the transition requested by the controller.
-func (g *GPU) scheduleReconfig(d *core.Decision) {
-	if d.Target == g.mode {
+// followController begins a transition when the GPU is neither draining nor
+// stalled and its LLC is not organized the way the controller wants. It is
+// level-triggered: a controller that changes its mind during a transition is
+// followed once the transition is over, and one that changes it back in the
+// meantime costs nothing.
+func (g *GPU) followController() {
+	if g.reconfigActive || g.cycle < g.stallUntil || g.mode == g.ctrl.Mode() {
 		return
 	}
 	g.reconfigActive = true
-	g.reconfigTarget = d.Target
-	g.reconfigReason = d.Reason
 	g.reconfigStarted = g.cycle
 	g.reconfigCount++
 }
@@ -446,7 +442,13 @@ func (g *GPU) checkDrain() {
 		dirty += d
 	}
 	cost := core.ReconfigCost(g.cfg, dirty)
-	if err := g.applyMode(g.reconfigTarget); err != nil {
+	// An adaptive GPU has two organizations: the transition goes to the one
+	// not in effect.
+	target := config.LLCPrivate
+	if g.mode == config.LLCPrivate {
+		target = config.LLCShared
+	}
+	if err := g.applyMode(target); err != nil {
 		// Only the bypass switch can fail, and the slices were just
 		// flushed; failure here is a programming error.
 		panic(err)
@@ -456,11 +458,6 @@ func (g *GPU) checkDrain() {
 	g.reconfigActive = false
 	if g.ctrl != nil {
 		g.ctrl.ReportReconfigOverhead(drainTime + cost)
-		if g.pendingDecision != nil {
-			d := g.pendingDecision
-			g.pendingDecision = nil
-			g.scheduleReconfig(d)
-		}
 	}
 }
 

@@ -31,13 +31,9 @@ type State struct {
 	AppModes []config.LLCMode
 
 	// Reconfiguration state machine.
-	ReconfigActive     bool
-	ReconfigTarget     config.LLCMode
-	ReconfigReason     core.Reason
-	ReconfigStarted    uint64
-	StallUntil         uint64
-	HasPendingDecision bool
-	PendingDecision    core.Decision
+	ReconfigActive  bool
+	ReconfigStarted uint64
+	StallUntil      uint64
 
 	// Collectors.
 	GatedCycles      uint64
@@ -91,15 +87,8 @@ func (g *GPU) SaveStateInto(st *State) error {
 	st.Mode = g.mode
 	st.AppModes = append(st.AppModes[:0], g.appModes...)
 	st.ReconfigActive = g.reconfigActive
-	st.ReconfigTarget = g.reconfigTarget
-	st.ReconfigReason = g.reconfigReason
 	st.ReconfigStarted = g.reconfigStarted
 	st.StallUntil = g.stallUntil
-	st.HasPendingDecision = g.pendingDecision != nil
-	st.PendingDecision = core.Decision{}
-	if g.pendingDecision != nil {
-		st.PendingDecision = *g.pendingDecision
-	}
 	st.GatedCycles = g.gatedCycles
 	st.StallCycles = g.stallCycles
 	st.ReconfigCount = g.reconfigCount
@@ -232,14 +221,8 @@ func (st *State) appendMachine(b []byte) []byte {
 		b = wire.AppendInt(b, int(m))
 	}
 	b = wire.AppendBool(b, st.ReconfigActive)
-	b = wire.AppendInt(b, int(st.ReconfigTarget))
-	b = wire.AppendInt(b, int(st.ReconfigReason))
 	b = wire.AppendUvarint(b, st.ReconfigStarted)
 	b = wire.AppendUvarint(b, st.StallUntil)
-	b = wire.AppendBool(b, st.HasPendingDecision)
-	if st.HasPendingDecision {
-		b = st.PendingDecision.AppendTo(b)
-	}
 	b = wire.AppendUvarint(b, st.GatedCycles)
 	b = wire.AppendUvarint(b, st.StallCycles)
 	b = wire.AppendUvarint(b, st.ReconfigCount)
@@ -260,15 +243,8 @@ func (st *State) readMachine(r *wire.Reader) {
 		st.AppModes[i] = config.LLCMode(r.Int())
 	}
 	st.ReconfigActive = r.Bool()
-	st.ReconfigTarget = config.LLCMode(r.Int())
-	st.ReconfigReason = core.Reason(r.Int())
 	st.ReconfigStarted = r.Uvarint()
 	st.StallUntil = r.Uvarint()
-	st.HasPendingDecision = r.Bool()
-	st.PendingDecision = core.Decision{}
-	if st.HasPendingDecision {
-		st.PendingDecision.ReadFrom(r)
-	}
 	st.GatedCycles = r.Uvarint()
 	st.StallCycles = r.Uvarint()
 	st.ReconfigCount = r.Uvarint()
@@ -357,15 +333,8 @@ func (g *GPU) RestoreState(st State) error {
 	g.mode = st.Mode
 	g.appModes = append([]config.LLCMode(nil), st.AppModes...)
 	g.reconfigActive = st.ReconfigActive
-	g.reconfigTarget = st.ReconfigTarget
-	g.reconfigReason = st.ReconfigReason
 	g.reconfigStarted = st.ReconfigStarted
 	g.stallUntil = st.StallUntil
-	g.pendingDecision = nil
-	if st.HasPendingDecision {
-		d := st.PendingDecision
-		g.pendingDecision = &d
-	}
 	g.gatedCycles = st.GatedCycles
 	g.stallCycles = st.StallCycles
 	g.reconfigCount = st.ReconfigCount

@@ -122,20 +122,14 @@ func refRun(g *GPU, step func(*GPU), cycles uint64, kernels int, onBoundary func
 			g.kernelBoundaries = append(g.kernelBoundaries, g.cycle)
 			g.prog.NextKernel()
 			if g.ctrl != nil {
-				if d := g.ctrl.OnKernelLaunch(g.cycle); d != nil {
-					g.scheduleReconfig(d)
-				}
+				g.ctrl.OnKernelLaunch(g.cycle)
+				g.followController()
 			}
 		}
 		step(g)
-		if g.ctrl != nil && !g.reconfigActive && g.cycle >= g.stallUntil {
-			if d := g.ctrl.Tick(g.cycle); d != nil {
-				g.scheduleReconfig(d)
-			}
-		} else if g.ctrl != nil {
-			if d := g.ctrl.Tick(g.cycle); d != nil {
-				g.pendingDecision = d
-			}
+		if g.ctrl != nil {
+			g.ctrl.Tick(g.cycle)
+			g.followController()
 		}
 		if g.cycle >= g.sharerWindowEnd {
 			g.collectSharing()

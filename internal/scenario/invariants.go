@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
@@ -15,7 +16,8 @@ import (
 // accesses at both cache levels), derived-rate consistency (IPC and miss
 // rates recompute exactly from their counters), per-slice and per-app
 // decompositions summing to their totals, and the cycle accounting of the
-// adaptive controller. It returns one message per violated invariant.
+// adaptive controller, whose organization the GPU must follow. It returns
+// one message per violated invariant.
 //
 // These are the properties the scenario runner applies to every result and
 // the fuzzer applies to every generated workload; anything stronger (mode A
@@ -117,6 +119,23 @@ func Invariants(spec sweep.RunSpec, s gpu.RunStats) []string {
 	if s.Cycles > 0 {
 		if want := float64(s.GatedCycles) / float64(s.Cycles); s.GatedFraction != want {
 			fail("GatedFraction = %v, want recomputed %v", s.GatedFraction, want)
+		}
+	}
+
+	// The GPU follows the controller's organization: its LLC is private only
+	// while the controller wants private, or while a transition the
+	// controller is charged for (ReconfigCycles) takes it there and back. A
+	// P→S drain still in flight at the end is charged to neither side; its
+	// cycles are stalled ones, and only a run that ends private has one. The
+	// controller's counters include the warm-up, so the bound only loosens.
+	if c := s.Controller; c != nil {
+		var inFlight uint64
+		if s.FinalMode == config.LLCPrivate {
+			inFlight = s.ReconfigStall
+		}
+		if p := s.ModeCycles[config.LLCPrivate]; p > c.PrivateCycles+c.ReconfigCycles+inFlight {
+			fail("ModeCycles[private] (%d) > Controller.PrivateCycles (%d) + Controller.ReconfigCycles (%d) + in-flight drain allowance (%d): the GPU stayed private without the controller",
+				p, c.PrivateCycles, c.ReconfigCycles, inFlight)
 		}
 	}
 	return v

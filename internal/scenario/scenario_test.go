@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/sweep"
 )
@@ -264,5 +265,40 @@ func TestInvariantsPinSchedulerSlots(t *testing.T) {
 	uncredited.SM.StallStructural--
 	if v := Invariants(spec, uncredited); len(v) != 1 || !strings.Contains(v[0], "SM.StallStructural") {
 		t.Errorf("a tick credited without its stall: violations %v, want the slot one", v)
+	}
+}
+
+// TestInvariantsPinModeAccounting checks the mode-following bound on a real
+// adaptive run, then on the divergence it exists to catch: a GPU private
+// for longer than the controller wanted plus every transition it was charged
+// for. Only a run that ends private may spend its stall cycles on a drain
+// nobody has been charged for yet.
+func TestInvariantsPinModeAccounting(t *testing.T) {
+	spec := catalogSpec("modes", SmokeConfig(config.LLCAdaptive), Level1.Scale(), mustByAbbr("AN"))
+	st, err := sweep.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Invariants(spec, st); len(v) != 0 {
+		t.Fatalf("a real run violates invariants: %v", v)
+	}
+	if st.Controller == nil || st.ReconfigStall == 0 {
+		t.Fatalf("the adaptive run never stalled for a transition (%d transitions)", st.ReconfigCount)
+	}
+	// A GPU private all run, behind a controller that wanted private for all
+	// but the run's stall cycles and was charged nothing for transitions.
+	ctrl := *st.Controller
+	ctrl.PrivateCycles, ctrl.ReconfigCycles = st.Cycles-st.ReconfigStall, 0
+	diverged := st
+	diverged.Controller = &ctrl
+	diverged.FinalMode = config.LLCShared
+	diverged.ModeCycles = map[config.LLCMode]uint64{config.LLCPrivate: st.Cycles}
+	if v := Invariants(spec, diverged); len(v) != 1 || !strings.Contains(v[0], "ModeCycles[private]") {
+		t.Errorf("a GPU private behind the controller's back: violations %v, want the ModeCycles[private] one", v)
+	}
+	draining := diverged
+	draining.FinalMode = config.LLCPrivate
+	if v := Invariants(spec, draining); len(v) != 0 {
+		t.Errorf("a run ending in a P→S drain its stall cycles cover: violations %v", v)
 	}
 }

@@ -44,7 +44,7 @@ const SchemaVersion = 1
 // stop being found, rather than being served stale. Pure refactors,
 // performance work and new opt-in features keep the salt (and the golden
 // stats) unchanged.
-const SimVersion = "repro-sim/1"
+const SimVersion = "repro-sim/2"
 
 // Fingerprint returns the content address of a run: a SHA-256 digest of the
 // spec's canonical encoding. Specs that provably produce identical RunStats

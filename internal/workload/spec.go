@@ -99,10 +99,6 @@ type Spec struct {
 	// ALULatency is the issue-to-ready latency of non-memory instructions,
 	// controlling compute intensity between memory operations.
 	ALULatency int
-	// KernelInstrs is unread: kernel boundaries come from the run harness,
-	// not from an instruction count. It stays until the next SimVersion bump
-	// because deleting it moves every fingerprint.
-	KernelInstrs uint64
 }
 
 // Validate reports whether the spec is internally consistent.
@@ -159,7 +155,6 @@ func Catalog() []Spec {
 			FrontierJitterLines: 0,
 			PrivateKBPerCTA:     8,
 			ALULatency:          4,
-			KernelInstrs:        40_000,
 		}
 	}
 	private := func(name, abbr string, mb float64, kernels, jitter int) Spec {
@@ -173,7 +168,6 @@ func Catalog() []Spec {
 			TrailingWindowLines:   512,
 			PrivateKBPerCTA:       1,
 			ALULatency:            4,
-			KernelInstrs:          40_000,
 		}
 	}
 	neutral := func(name, abbr string, mb float64, kernels int, memRatio float64) Spec {
@@ -185,7 +179,6 @@ func Catalog() []Spec {
 			FrontierJitterLines: 0,
 			PrivateKBPerCTA:     256,
 			ALULatency:          4,
-			KernelInstrs:        40_000,
 		}
 	}
 
