@@ -147,6 +147,17 @@ func New(cfg Config) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// Reset empties the cache and switches it to write policy p: afterwards it
+// is what New returns for its configuration under p, built without
+// allocating.
+func (c *Cache) Reset(p WritePolicy) {
+	c.cfg.Policy = p
+	c.clock = 0
+	clear(c.tags)
+	clear(c.meta)
+	clear(c.touched)
+}
+
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return int(c.nsets) }
 

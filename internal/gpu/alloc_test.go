@@ -160,37 +160,43 @@ func requireAllocFreeLoop(t *testing.T, g *GPU, what string) {
 	}
 }
 
-// TestNewAllocBudget pins what building one baseline GPU allocates. The
-// parent of the dense tag rows took 4,607 KB; with 32 bytes a cache line
-// instead of 40 it is 3,613 KB, and the budget sits close above that, so a
-// second per-line array kept beside the first (8 bytes a line over 80 L1s and
-// 64 LLC slices is 640 KB) cannot come back unnoticed.
+// TestNewAllocBudget pins what building one baseline GPU allocates, under
+// the shared LLC and under the private one. The parent of the dense tag rows
+// took 4,607 KB; with 32 bytes a cache line instead of 40 it is 3,613 KB,
+// and the budget sits close above that, so a second per-line array kept
+// beside the first (8 bytes a line over 80 L1s and 64 LLC slices is 640 KB)
+// cannot come back unnoticed. The private build switches every slice's tag
+// store to write-through; rebuilding the stores for it instead of switching
+// them in place cost 1.6 MB more.
 func TestNewAllocBudget(t *testing.T) {
 	const budget = 3_700_000
 	spec, _ := workload.ByAbbr("MM")
-	cfg := config.Baseline()
-	gen, err := workload.NewGenerator(spec, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// TotalAlloc is process-wide: park the collector, whose workers allocate,
-	// and take the quietest of three builds.
-	gcPercent := debug.SetGCPercent(-1)
-	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
-	least := ^uint64(0)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		g, err := New(cfg, gen)
-		runtime.ReadMemStats(&after)
+	for _, mode := range []config.LLCMode{config.LLCShared, config.LLCPrivate} {
+		cfg := config.Baseline()
+		cfg.LLCMode = mode
+		gen, err := workload.NewGenerator(spec, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.KeepAlive(g)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	if least > budget {
-		t.Errorf("gpu.New(config.Baseline()) allocated %d bytes, budget %d", least, budget)
+		// TotalAlloc is process-wide: park the collector, whose workers
+		// allocate, and take the quietest of three builds.
+		gcPercent := debug.SetGCPercent(-1)
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			g, err := New(cfg, gen)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(g)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		debug.SetGCPercent(gcPercent)
+		if least > budget {
+			t.Errorf("gpu.New(config.Baseline() with LLCMode %v) allocated %d bytes, budget %d", mode, least, budget)
+		}
 	}
 }
 

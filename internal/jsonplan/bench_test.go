@@ -9,25 +9,27 @@ import (
 	"repro/internal/simstore"
 )
 
-// The decode rung of the measurement ladder: a stored record as Store.Get
-// reads it (indented, ~5 KB) and one run's statistics as a cached hit's
-// response carries them (compact), each decoded by jsonplan and, for
-// reference, by encoding/json.
+// The decode rung of the measurement ladder: a stored record file as
+// Store.Get reads it (compact, ~4.5 KB, its statistics a raw message the
+// pass validates and copies) and one run's statistics as a client decodes
+// them from a hit (compact), each decoded by jsonplan and, for reference,
+// by encoding/json; and the record taken as a raw message, which is the
+// validating skip alone.
 
 func BenchmarkUnmarshal(b *testing.B) {
-	record := readFile(b, "record-adaptive.json")
+	w := wire(b)
 	var rec simstore.Record
-	if err := json.Unmarshal(record, &rec); err != nil {
+	if err := json.Unmarshal(w["record-v2"], &rec); err != nil {
 		b.Fatal(err)
 	}
-	stats := mustMarshal(b, rec.Stats)
 	for _, c := range []struct {
 		name string
 		data []byte
 		into func() any
 	}{
-		{"record", record, func() any { return new(simstore.Record) }},
-		{"stats", stats, func() any { return new(gpu.RunStats) }},
+		{"record", w["record-v2"], func() any { return new(simstore.Record) }},
+		{"stats", rec.Stats, func() any { return new(gpu.RunStats) }},
+		{"record-raw", w["record-v2"], func() any { return new(json.RawMessage) }},
 	} {
 		for _, dec := range []struct {
 			name      string

@@ -70,6 +70,16 @@ func (d *decoder) next() byte {
 // value decodes the next JSON value into the p-typed memory at ptr.
 func (d *decoder) value(p *plan, ptr unsafe.Pointer) bool {
 	c := d.next()
+	if p.raw {
+		// A raw message takes any value, null included, as its bytes.
+		start := d.pos
+		if !d.skip() {
+			return false
+		}
+		m := (*[]byte)(ptr)
+		*m = append((*m)[:0], d.data[start:d.pos]...)
+		return true
+	}
 	if c == 'n' {
 		if !d.literal("null") {
 			return false
@@ -579,7 +589,8 @@ func (d *decoder) float(p *plan, ptr unsafe.Pointer) bool {
 	return true
 }
 
-// skip consumes and validates one value of any shape (an unknown field's).
+// skip consumes and validates one value of any shape (an unknown field's,
+// or a raw message's).
 func (d *decoder) skip() bool {
 	switch c := d.next(); c {
 	case '"':

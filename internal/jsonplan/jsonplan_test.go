@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server/api"
 	"repro/internal/simstore"
+	"repro/internal/sweep"
 )
 
 // target is one type the differential checks decode into: new returns a
@@ -98,6 +99,9 @@ type kitchen struct {
 	ByUint  map[uint8]mode
 	Nested  [][]int32
 	Modes   []mode
+	Raw     json.RawMessage
+	RawP    *json.RawMessage
+	Raws    map[string]json.RawMessage
 	Skipped string `json:"-"`
 	hidden  int
 }
@@ -127,23 +131,42 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return data
 }
 
-// wire returns one encoding of each simd body the decoder serves, built from
-// the adaptive record.
+// recordV1 is the layout of the fixture records (simstore.RecordVersion 1,
+// indented, the statistics decoded): a spec and its statistics to build
+// the bodies from, and a large document of both to decode.
+type recordV1 struct {
+	Version     int           `json:"version"`
+	Fingerprint string        `json:"fingerprint"`
+	Key         string        `json:"key,omitempty"`
+	Spec        sweep.RunSpec `json:"spec"`
+	Stats       gpu.RunStats  `json:"stats"`
+	SavedAtUnix int64         `json:"saved_at_unix"`
+}
+
+// wire returns one encoding of each simd body the decoder serves, and of a
+// record file as the store writes it, built from the adaptive record.
 func wire(t testing.TB) map[string][]byte {
-	var rec simstore.Record
+	var rec recordV1
 	if err := json.Unmarshal(readFile(t, "record-adaptive.json"), &rec); err != nil {
 		t.Fatal(err)
 	}
 	spec := api.FromRunSpec(rec.Spec)
-	stored := api.StoredRecord{Fingerprint: rec.Fingerprint, Key: rec.Key, Spec: spec, Stats: rec.Stats}
+	stats := mustMarshal(t, rec.Stats)
+	stored := api.StoredRecord{Fingerprint: rec.Fingerprint, Key: rec.Key, Stats: rec.Stats}
+	replica := api.RawRecord{Fingerprint: rec.Fingerprint, Key: rec.Key, Spec: spec, StatsCRC: simstore.Checksum(stats), Stats: stats}
 	return map[string][]byte{
-		"run-request":     mustMarshal(t, api.RunRequest{Specs: []api.Spec{spec, {Benchmarks: []string{"VA"}, Mode: "private", MeasureCycles: 2000}}}),
-		"bare-spec":       mustMarshal(t, api.Spec{Key: "va", Benchmarks: []string{"VA", "MM"}, AppModes: []string{"shared", "private"}, Seed: 7, MeasureCycles: 1000}),
-		"run-response":    mustMarshal(t, api.RunResponse{Results: []api.RunResult{{Key: rec.Key, Fingerprint: rec.Fingerprint, Cached: true, Status: api.StatusDone, Stats: &rec.Stats}, {Fingerprint: "ab", Status: api.StatusQueued, JobID: "jx1-2"}}}),
-		"lookup-request":  mustMarshal(t, api.LookupRequest{Fingerprints: []string{rec.Fingerprint, "00"}}),
-		"lookup-response": mustMarshal(t, api.LookupResponse{Records: []api.StoredRecord{stored}}),
-		"job-status":      mustMarshal(t, api.JobStatus{ID: "j1", Kind: "run", Status: api.StatusDone, Fingerprint: rec.Fingerprint, Progress: &api.Progress{Done: 1, Total: 1}, Stats: &rec.Stats, DurationMs: 12}),
-		"error":           mustMarshal(t, api.Error{Error: "spec 0: unknown benchmark"}),
+		"record-v2": mustMarshal(t, simstore.Record{
+			Version: simstore.RecordVersion, Fingerprint: rec.Fingerprint, Key: rec.Key, Spec: rec.Spec,
+			SavedAtUnix: rec.SavedAtUnix, StatsCRC: simstore.Checksum(stats), Stats: stats,
+		}),
+		"run-request":       mustMarshal(t, api.RunRequest{Specs: []api.Spec{spec, {Benchmarks: []string{"VA"}, Mode: "private", MeasureCycles: 2000}}}),
+		"bare-spec":         mustMarshal(t, api.Spec{Key: "va", Benchmarks: []string{"VA", "MM"}, AppModes: []string{"shared", "private"}, Seed: 7, MeasureCycles: 1000}),
+		"run-response":      mustMarshal(t, api.RunResponse{Results: []api.RunResult{{Key: rec.Key, Fingerprint: rec.Fingerprint, Cached: true, Status: api.StatusDone, Stats: &rec.Stats}, {Fingerprint: "ab", Status: api.StatusQueued, JobID: "jx1-2"}}}),
+		"lookup-request":    mustMarshal(t, api.LookupRequest{Fingerprints: []string{rec.Fingerprint, "00"}}),
+		"lookup-response":   mustMarshal(t, api.LookupResponse{Records: []api.StoredRecord{stored}}),
+		"replicate-request": mustMarshal(t, api.ReplicateRequest{Records: []api.RawRecord{replica}}),
+		"job-status":        mustMarshal(t, api.JobStatus{ID: "j1", Kind: "run", Status: api.StatusDone, Fingerprint: rec.Fingerprint, Progress: &api.Progress{Done: 1, Total: 1}, Stats: &rec.Stats, DurationMs: 12}),
+		"error":             mustMarshal(t, api.Error{Error: "spec 0: unknown benchmark"}),
 	}
 }
 
@@ -152,17 +175,23 @@ func wire(t testing.TB) map[string][]byte {
 func targets(t testing.TB) []target {
 	w := wire(t)
 	kitchenFill := []byte(`{"I8":-3,"u16":9,"f32":1.5,"arr":[4,5],"pp":{"A":1,"B":["x","y","z"]},
-		"ByName":{"k":{"A":2},"n":null},"ByUint":{"1":"a","2":"b"},"Nested":[[1,2],[3]],"Modes":["m","n","o"]}`)
+		"ByName":{"k":{"A":2},"n":null},"ByUint":{"1":"a","2":"b"},"Nested":[[1,2],[3]],"Modes":["m","n","o"],
+		"Raw":{"a":[1,2,3,4,5,6,7,8]},"RawP":[true],"Raws":{"x":"y"}}`)
 	return []target{
-		targetOf[simstore.Record](t, "Record", readFile(t, "record-multiprogram.json")),
+		targetOf[recordV1](t, "recordV1", readFile(t, "record-multiprogram.json")),
+		targetOf[simstore.Record](t, "Record", w["record-v2"]),
 		targetOf[gpu.RunStats](t, "RunStats", mustMarshal(t, sampleStats())),
 		targetOf[api.RunRequest](t, "RunRequest", w["run-request"]),
 		targetOf[api.Spec](t, "Spec", w["bare-spec"]),
 		targetOf[api.RunResponse](t, "RunResponse", w["run-response"]),
+		targetOf[api.RawRunResponse](t, "RawRunResponse", w["run-response"]),
 		targetOf[api.LookupRequest](t, "LookupRequest", w["lookup-request"]),
 		targetOf[api.LookupResponse](t, "LookupResponse", w["lookup-response"]),
+		targetOf[api.RawLookupResponse](t, "RawLookupResponse", w["replicate-request"]),
+		targetOf[api.RawRecord](t, "RawRecord", w["record-v2"]),
 		targetOf[api.JobStatus](t, "JobStatus", w["job-status"]),
 		targetOf[api.Error](t, "Error", w["error"]),
+		targetOf[json.RawMessage](t, "RawMessage", w["error"]),
 		targetOf[kitchen](t, "kitchen", kitchenFill),
 	}
 }
@@ -281,6 +310,13 @@ func edgeCases(t testing.TB) map[string][]byte {
 		"kitchen-overflow-f32":    []byte(`{"f32":3.5e38}`),
 		"kitchen-null-chain":      []byte(`{"pp":null}`),
 		"kitchen-uint-key-range":  []byte(`{"ByUint":{"256":"z"}}`),
+		"kitchen-raw-forms":       []byte(` {"Raw": [ 1 , {"a" :null} ] ,"RawP":null,"Raws":{"n":null,"s":"v","e":{ },"f":-0.5e+3}} `),
+		"kitchen-raw-pointer":     []byte(`{"RawP":{"x":[]},"Raw":"s"}`),
+		"kitchen-raw-null":        []byte(`{"Raw":null}`),
+		"kitchen-raw-escaped":     []byte(`{"Raw":"\u00e9\n"}`),
+		"kitchen-raw-bad":         []byte(`{"Raw":[1,]}`),
+		"kitchen-raw-missing":     []byte(`{"Raw":}`),
+		"raw-stats-whitespace":    edit(t, wire(t)["record-v2"], `"stats":{`, `"stats": { `),
 	}
 	for name, body := range wire(t) {
 		cases[name] = body
@@ -309,14 +345,17 @@ func TestPlannedPassServesTheHitPath(t *testing.T) {
 		data []byte
 		into any
 	}{
-		{"record", readFile(t, "record-adaptive.json"), new(simstore.Record)},
-		{"record-multiprogram", readFile(t, "record-multiprogram.json"), new(simstore.Record)},
+		{"record", w["record-v2"], new(simstore.Record)},
+		{"record-v1", readFile(t, "record-adaptive.json"), new(recordV1)},
+		{"record-multiprogram-v1", readFile(t, "record-multiprogram.json"), new(recordV1)},
 		{"run-request", w["run-request"], new(api.RunRequest)},
 		{"bare-spec", w["bare-spec"], new(api.Spec)},
 		{"bare-spec-as-request", w["bare-spec"], new(api.RunRequest)},
 		{"run-response", w["run-response"], new(api.RunResponse)},
+		{"run-response-raw", w["run-response"], new(api.RawRunResponse)},
 		{"lookup-request", w["lookup-request"], new(api.LookupRequest)},
 		{"lookup-response", w["lookup-response"], new(api.LookupResponse)},
+		{"lookup-response-raw", w["lookup-response"], new(api.RawLookupResponse)},
 		{"job-status", w["job-status"], new(api.JobStatus)},
 		{"error", w["error"], new(api.Error)},
 	} {
@@ -357,7 +396,6 @@ func TestFallbackTypes(t *testing.T) {
 		map[string]any(nil),  //
 		time.Time{},          // json.Unmarshaler, encoding.TextUnmarshaler
 		json.Number(""),      // numbers kept as text
-		json.RawMessage(nil), // json.Unmarshaler, []byte
 		selfDecoding{},       // json.Unmarshaler
 		holdsSelfDecoding{},  // ... anywhere inside
 		map[textKey]int(nil), // encoding.TextUnmarshaler keys
@@ -389,6 +427,7 @@ func TestFallbackTypes(t *testing.T) {
 		simstore.Record{}, gpu.RunStats{}, api.RunRequest{}, api.Spec{}, api.RunResponse{},
 		api.LookupRequest{}, api.LookupResponse{}, api.JobStatus{}, api.Error{}, api.Health{},
 		api.MembershipView{}, api.FigureResponse{}, api.ReplicateResponse{}, kitchen{},
+		json.RawMessage(nil), api.RawRunResponse{}, api.RawLookupResponse{}, api.RawRecord{},
 	}
 	for _, v := range planned {
 		if typ := reflect.TypeOf(v); !jsonplan.Planned(typ) {

@@ -24,6 +24,12 @@
 // pointers and maps; fresh map values; truncate slices, zero array tails),
 // so re-running json.Unmarshal over the partly written target performs the
 // same writes again and ends where it would have ended alone.
+//
+// json.RawMessage is the one json.Unmarshaler the plan takes: its value is
+// a validating skip that materialises nothing, and the raw message receives
+// a copy of the value's bytes, as RawMessage.UnmarshalJSON makes. That is
+// how a body carries a stored result's statistics through a decode without
+// decoding them.
 package jsonplan
 
 import (
@@ -41,6 +47,7 @@ type plan struct {
 	elem   *plan   // Pointer, Slice, Array, Map: the element's plan
 	size   uintptr // Slice, Array: the element size; scalars: the value size
 	scalar bool    // a bool, number or string: what a slice is pre-sized for
+	raw    bool    // json.RawMessage: the value's bytes, copied
 	len    int     // Array: the length
 	fields []field // Struct: exported fields in declaration order
 }
@@ -61,6 +68,7 @@ var (
 	unmarshalerType     = reflect.TypeFor[json.Unmarshaler]()
 	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
 	numberType          = reflect.TypeFor[json.Number]()
+	rawMessageType      = reflect.TypeFor[json.RawMessage]()
 )
 
 // planOf returns t's plan, or nil when json.Unmarshal must decode t.
@@ -87,9 +95,14 @@ func (b *builder) build(t reflect.Type) (*plan, bool) {
 	if p, ok := b.seen[t]; ok {
 		return p, true
 	}
-	if t.Implements(unmarshalerType) || reflect.PointerTo(t).Implements(unmarshalerType) ||
+	if t == rawMessageType {
+		return &plan{kind: t.Kind(), typ: t, raw: true}, true
+	}
+	// A pointer has only its element's methods, which the element's own
+	// plan refuses (json.RawMessage's it takes).
+	if t.Kind() != reflect.Pointer && (t.Implements(unmarshalerType) || reflect.PointerTo(t).Implements(unmarshalerType) ||
 		t.Implements(textUnmarshalerType) || reflect.PointerTo(t).Implements(textUnmarshalerType) ||
-		t == numberType {
+		t == numberType) {
 		return nil, false
 	}
 	p := &plan{kind: t.Kind(), typ: t, size: t.Size()}

@@ -185,18 +185,16 @@ func (s *Slice) Tags() *cache.Cache { return s.tags }
 // SetWritePolicy switches between write-back (shared mode) and
 // write-through (private mode) store handling.
 func (s *Slice) SetWritePolicy(p cache.WritePolicy) {
-	// The tag store's policy only matters for how it marks lines dirty; we
-	// rebuild the behaviour here because policy changes happen only at
-	// reconfiguration boundaries when the slice has been flushed.
-	cfg := s.tags.Config()
-	if cfg.Policy == p {
+	// The tag store's policy only matters for how it marks lines dirty, and
+	// policy changes happen only at reconfiguration boundaries, when the
+	// slice has been flushed: the empty tag store switches in place.
+	if s.tags.Config().Policy == p {
 		return
 	}
 	if s.tags.ValidLines() != 0 {
 		panic("llc: write policy change requires a flushed slice")
 	}
-	cfg.Policy = p
-	s.tags = cache.New(cfg)
+	s.tags.Reset(p)
 	s.parked = false
 }
 

@@ -107,18 +107,16 @@ func (s *Stats) counters() [11]*uint64 {
 
 // RestoreState overwrites the slice's mutable state with a snapshot taken
 // from a slice built under the same configuration. A tag store under another
-// write policy than the snapshot's is rebuilt with it (SetWritePolicy's
-// flushed-slice guard does not apply to a wholesale state overwrite).
+// write policy than the snapshot's is emptied and switched to it first
+// (SetWritePolicy's flushed-slice guard does not apply to a wholesale state
+// overwrite).
 func (s *Slice) RestoreState(st SliceState) error {
-	tags := s.tags
-	if tagCfg := tags.Config(); tagCfg.Policy != st.Policy {
-		tagCfg.Policy = st.Policy
-		tags = cache.New(tagCfg)
+	if s.tags.Config().Policy != st.Policy {
+		s.tags.Reset(st.Policy)
 	}
-	if err := tags.RestoreState(st.Tags); err != nil {
+	if err := s.tags.RestoreState(st.Tags); err != nil {
 		return fmt.Errorf("llc slice %d: %w", s.id, err)
 	}
-	s.tags = tags
 
 	ptr := cache.MSHRState[*mem.Request]{
 		Lines:    st.MSHRs.Lines,

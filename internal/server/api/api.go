@@ -6,6 +6,7 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/url"
 	"strconv"
@@ -351,15 +352,61 @@ type MembershipView struct {
 	Members []MemberEntry `json:"members"`
 }
 
-// StoredRecord is one replicated (or looked-up) store entry on the wire, its
-// fingerprint hex-encoded. A replicate push carries the canonical Spec, so the
-// receiver can verify the fingerprint and rebuild the store row; a lookup
-// answer omits it (the asker fingerprinted the spec it asked about).
+// StoredRecord is one looked-up store entry on the wire, its fingerprint
+// hex-encoded: the body of a lookup answer as clients decode it. The asker
+// fingerprinted the spec it asked about, so the answer carries none.
 type StoredRecord struct {
 	Fingerprint string       `json:"fingerprint"`
 	Key         string       `json:"key,omitempty"`
-	Spec        Spec         `json:"spec,omitzero"`
 	Stats       gpu.RunStats `json:"stats"`
+}
+
+// StatsCRCHeader names the response header of POST /v1/runs and POST
+// /v1/records/lookup answers that carries the CRC-32C of the statistics in
+// the body: lower-case hex, comma-separated, one entry per result (record)
+// in body order, empty for one without statistics. The bodies themselves
+// are exactly the encodings of RunResponse and LookupResponse. A member that
+// passes a peer's statistics on checks them against it first; other clients
+// may ignore it.
+const StatsCRCHeader = "X-Simd-Stats-Crc32c"
+
+// RawRunResult is a RunResult with its statistics kept as the JSON bytes a
+// result store holds, and StatsCRC their checksum (StatsCRCHeader): how a
+// hit crosses the cluster without being decoded. Its encoding is
+// RunResult's.
+type RawRunResult struct {
+	Key         string          `json:"key,omitempty"`
+	Fingerprint string          `json:"fingerprint"`
+	Cached      bool            `json:"cached"`
+	Status      string          `json:"status"`
+	JobID       string          `json:"job_id,omitempty"`
+	Stats       json.RawMessage `json:"stats,omitempty"`
+	Error       string          `json:"error,omitempty"`
+	Peer        string          `json:"peer,omitempty"`
+	StatsCRC    uint32          `json:"-"`
+}
+
+// RawRunResponse is a RunResponse with its statistics kept as bytes.
+type RawRunResponse struct {
+	Results []RawRunResult `json:"results"`
+}
+
+// RawRecord is a store record on the wire with its statistics kept as the
+// bytes the store holds and StatsCRC their CRC-32C. A replicate push
+// carries both in its body, with the canonical Spec, so the receiver can
+// verify the fingerprint and the bytes and store them as they are; a lookup
+// answer is StoredRecord's encoding, its checksums in StatsCRCHeader.
+type RawRecord struct {
+	Fingerprint string          `json:"fingerprint"`
+	Key         string          `json:"key,omitempty"`
+	Spec        Spec            `json:"spec"`
+	StatsCRC    uint32          `json:"stats_crc32c"`
+	Stats       json.RawMessage `json:"stats"`
+}
+
+// RawLookupResponse is a LookupResponse with its statistics kept as bytes.
+type RawLookupResponse struct {
+	Records []RawRecord `json:"records"`
 }
 
 // ReplicaBlob is one checkpoint blob pushed to a replica, keyed by the
@@ -372,8 +419,8 @@ type ReplicaBlob struct {
 // ReplicateRequest is the body of POST /v1/replicate: records and/or
 // checkpoint blobs the sender wants banked on this replica.
 type ReplicateRequest struct {
-	Records []StoredRecord `json:"records,omitempty"`
-	Blobs   []ReplicaBlob  `json:"blobs,omitempty"`
+	Records []RawRecord   `json:"records,omitempty"`
+	Blobs   []ReplicaBlob `json:"blobs,omitempty"`
 }
 
 // ReplicateResponse reports how much of a ReplicateRequest was accepted.

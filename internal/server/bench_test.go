@@ -50,8 +50,13 @@ func BenchmarkRecordLookup(b *testing.B) {
 func BenchmarkReplicate(b *testing.B) {
 	tc := newDynamicCluster(b, 1, 2)
 	spec, run, stats, fp := tinyRecord(b)
-	body, _ := json.Marshal(api.ReplicateRequest{Records: []api.StoredRecord{{
-		Fingerprint: simstore.Hex(fp), Key: spec.Key, Spec: api.FromRunSpec(run.Canonical()), Stats: stats,
+	enc, err := simstore.EncodeStats(stats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, _ := json.Marshal(api.ReplicateRequest{Records: []api.RawRecord{{
+		Fingerprint: simstore.Hex(fp), Key: spec.Key, Spec: api.FromRunSpec(run.Canonical()),
+		StatsCRC: enc.CRC, Stats: enc.JSON,
 	}}})
 	benchPost(b, tc.servers[0].Handler(), "/v1/replicate", body, func(resp []byte) bool {
 		var rr api.ReplicateResponse
@@ -129,7 +134,7 @@ func benchHop(b *testing.B, tc *testCluster, spec api.Spec, entry int, copies ..
 
 // tinyRecord simulates one tiny spec and returns it, resolved, with its
 // statistics and fingerprint.
-func tinyRecord(b *testing.B) (api.Spec, sweep.RunSpec, gpu.RunStats, [32]byte) {
+func tinyRecord(b testing.TB) (api.Spec, sweep.RunSpec, gpu.RunStats, [32]byte) {
 	spec := tinySpec("hit", 1)
 	run, err := spec.ToRunSpec()
 	if err != nil {
@@ -148,7 +153,7 @@ func tinyRecord(b *testing.B) (api.Spec, sweep.RunSpec, gpu.RunStats, [32]byte) 
 
 // hitServer returns the handler of a daemon whose store holds the simulated
 // record of one tiny spec, that spec, and its fingerprint.
-func hitServer(b *testing.B) (http.Handler, api.Spec, [32]byte) {
+func hitServer(b testing.TB) (http.Handler, api.Spec, [32]byte) {
 	store, err := simstore.Open(b.TempDir(), simstore.Options{})
 	if err != nil {
 		b.Fatal(err)

@@ -9,9 +9,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -19,10 +21,11 @@ import (
 	"repro/internal/server/api"
 )
 
-// StatusError is a non-2xx answer from a reachable daemon. Failover logic
-// distinguishes it from transport errors: a daemon that answered (even with
-// an error) is alive, and retrying the same request on another member would
-// produce the same answer.
+// StatusError is a non-2xx answer from a reachable daemon, or a 2xx one
+// whose statistics fail their checksums. Failover logic distinguishes it
+// from transport errors: a daemon that answered (even with an error) is
+// alive, and retrying the same request on another member would produce the
+// same answer.
 type StatusError struct {
 	Code int
 	Msg  string
@@ -67,17 +70,23 @@ func (c *Client) httpClient() *http.Client {
 // do issues a request and decodes the JSON response into out; non-2xx
 // responses are returned as *StatusError carrying the server's message.
 func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr http.Header) error {
+	_, err := c.exchange(ctx, method, path, body, out, hdr)
+	return err
+}
+
+// exchange is do that also returns the response's header.
+func (c *Client) exchange(ctx context.Context, method, path string, body, out any, hdr http.Header) (http.Header, error) {
 	var rdr io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
+			return nil, fmt.Errorf("client: encode %s %s: %w", method, path, err)
 		}
 		rdr = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -89,12 +98,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: read: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: read: %w", method, path, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		var apiErr api.Error
@@ -102,16 +111,44 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 		if jsonplan.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
 			se.Msg = apiErr.Error
 		}
-		return fmt.Errorf("client: %s %s: %w", method, path, se)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, se)
 	}
 	if out == nil {
-		return nil
+		return resp.Header, nil
 	}
 	if err := jsonplan.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("client: %s %s: decode: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: decode: %w", method, path, err)
 	}
-	return nil
+	return resp.Header, nil
 }
+
+// statsCRCs reads an answer's api.StatsCRCHeader and checks n results'
+// statistics against it, stats(i) being the i-th result's bytes (nil for
+// none). It returns the checksums, or a *StatusError if the header is
+// missing, malformed or disagrees with any result.
+func statsCRCs(h http.Header, n int, stats func(i int) []byte) ([]uint32, error) {
+	entries := strings.Split(h.Get(api.StatsCRCHeader), ",")
+	if len(entries) != n && n > 0 {
+		return nil, &StatusError{Code: http.StatusOK, Msg: fmt.Sprintf("%d statistics checksums for %d results", len(entries), n)}
+	}
+	crcs := make([]uint32, n)
+	for i := range crcs {
+		b := stats(i)
+		if b == nil && entries[i] == "" {
+			continue
+		}
+		crc, err := strconv.ParseUint(entries[i], 16, 32)
+		if err != nil || b == nil || crc32.Checksum(b, castagnoli) != uint32(crc) {
+			return nil, &StatusError{Code: http.StatusOK, Msg: fmt.Sprintf("result %d: statistics fail their checksum", i)}
+		}
+		crcs[i] = uint32(crc)
+	}
+	return crcs, nil
+}
+
+// castagnoli is the CRC-32C table: the checksum a result store keeps beside
+// its statistics (simstore.Checksum, which this package does not import).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Health checks the daemon's liveness.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
@@ -213,25 +250,54 @@ func (c *Client) ForwardCancel(ctx context.Context, id string) (*api.JobStatus, 
 }
 
 // ForwardRuns submits a batch marked as cluster-forwarded: the receiving
-// daemon executes the specs itself instead of routing them onward. Used by
-// the server's cluster layer, not by ordinary clients.
-func (c *Client) ForwardRuns(ctx context.Context, req api.RunRequest) (*api.RunResponse, error) {
-	var resp api.RunResponse
+// daemon executes the specs itself instead of routing them onward. Each
+// result's statistics come back as the bytes the daemon sent, checked
+// against its checksums. Used by the server's cluster layer, not by
+// ordinary clients.
+func (c *Client) ForwardRuns(ctx context.Context, req api.RunRequest) (*api.RawRunResponse, error) {
+	var resp api.RawRunResponse
 	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	if err := c.do(ctx, http.MethodPost, "/v1/runs", req, &resp, hdr); err != nil {
+	h, err := c.exchange(ctx, http.MethodPost, "/v1/runs", req, &resp, hdr)
+	if err != nil {
 		return nil, err
+	}
+	crcs, err := statsCRCs(h, len(resp.Results), func(i int) []byte { return resp.Results[i].Stats })
+	if err != nil {
+		return nil, fmt.Errorf("client: POST /v1/runs: %w", err)
+	}
+	for i, crc := range crcs {
+		resp.Results[i].StatsCRC = crc
 	}
 	return &resp, nil
 }
 
 // LookupRecords probes the daemon's local store for a batch of
-// fingerprints — no execution, no onward routing. Used by the server's
-// cluster layer to find warm replicas before re-executing anything.
+// fingerprints — no execution, no onward routing.
 func (c *Client) LookupRecords(ctx context.Context, req api.LookupRequest) (*api.LookupResponse, error) {
 	var resp api.LookupResponse
 	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
 	if err := c.do(ctx, http.MethodPost, "/v1/records/lookup", req, &resp, hdr); err != nil {
 		return nil, err
+	}
+	return &resp, nil
+}
+
+// ProbeRecords is LookupRecords with each record's statistics kept as the
+// bytes the daemon sent, checked against its checksums. Used by the
+// server's cluster layer to find warm replicas before re-executing anything.
+func (c *Client) ProbeRecords(ctx context.Context, req api.LookupRequest) (*api.RawLookupResponse, error) {
+	var resp api.RawLookupResponse
+	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
+	h, err := c.exchange(ctx, http.MethodPost, "/v1/records/lookup", req, &resp, hdr)
+	if err != nil {
+		return nil, err
+	}
+	crcs, err := statsCRCs(h, len(resp.Records), func(i int) []byte { return resp.Records[i].Stats })
+	if err != nil {
+		return nil, fmt.Errorf("client: POST /v1/records/lookup: %w", err)
+	}
+	for i, crc := range crcs {
+		resp.Records[i].StatsCRC = crc
 	}
 	return &resp, nil
 }

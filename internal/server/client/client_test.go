@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gpu"
 	"repro/internal/server/api"
+	"repro/internal/simstore"
 )
 
 // TestWaitJobCancelMidPoll: cancelling the context between polls must stop
@@ -291,5 +294,57 @@ func TestPoolMembershipRefresh(t *testing.T) {
 	pool.maybeRefresh(context.Background())
 	if got := pool.Peers(); len(got) != 2 {
 		t.Errorf("pool peers after failed refresh = %v, want the previous 2", got)
+	}
+}
+
+// TestRawAnswersCheckStatsChecksums: ForwardRuns and ProbeRecords pass a
+// member's statistics on as bytes only when each matches its checksum in
+// the answer's api.StatsCRCHeader; an answer whose header is missing,
+// short or wrong for any result is a daemon-answered error.
+func TestRawAnswersCheckStatsChecksums(t *testing.T) {
+	stats := []byte(`{"Cycles":123456}`)
+	good := strconv.FormatUint(uint64(simstore.Checksum(stats)), 16)
+	bad := strconv.FormatUint(uint64(simstore.Checksum([]byte(`{"Cycles":923456}`))), 16)
+	runs := fmt.Sprintf(`{"results":[{"fingerprint":"ab","cached":true,"status":"done","stats":%s},{"fingerprint":"cd","cached":false,"status":"queued","job_id":"j1"}]}`, stats)
+	lookup := fmt.Sprintf(`{"records":[{"fingerprint":"ab","stats":%s},{"fingerprint":"cd","stats":%s}]}`, stats, stats)
+	for _, c := range []struct {
+		name, body, crcs string
+		ok               bool
+	}{
+		{"runs matching", runs, good + ",", true},
+		{"runs wrong", runs, bad + ",", false},
+		{"runs missing", runs, "", false},
+		{"runs short", runs, good, false},
+		{"runs for the result without statistics", runs, good + "," + good, false},
+		{"lookup matching", lookup, good + "," + good, true},
+		{"lookup one wrong", lookup, good + "," + bad, false},
+		{"lookup one missing", lookup, good + ",", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set(api.StatsCRCHeader, c.crcs)
+				fmt.Fprint(w, c.body)
+			}))
+			defer hs.Close()
+			var got []uint32
+			var err error
+			if c.body == runs {
+				var resp *api.RawRunResponse
+				if resp, err = New(hs.URL).ForwardRuns(context.Background(), api.RunRequest{}); err == nil {
+					got = []uint32{resp.Results[0].StatsCRC, resp.Results[1].StatsCRC}
+				}
+			} else {
+				var resp *api.RawLookupResponse
+				if resp, err = New(hs.URL).ProbeRecords(context.Background(), api.LookupRequest{}); err == nil {
+					got = []uint32{resp.Records[0].StatsCRC, resp.Records[1].StatsCRC}
+				}
+			}
+			if c.ok != (err == nil) || err != nil && !IsStatusError(err) {
+				t.Fatalf("error %v, want ok %v or a status error", err, c.ok)
+			}
+			if c.ok && got[0] != simstore.Checksum(stats) {
+				t.Errorf("checksums %x, want the first %x", got, simstore.Checksum(stats))
+			}
+		})
 	}
 }

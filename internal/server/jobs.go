@@ -110,14 +110,14 @@ type Queue struct {
 	storeWrite  *obs.Histogram
 
 	// onStored, if set via OnStored, fires after every successful result
-	// store write (the cluster replication hook). The spec passed is the
-	// job's canonical spec.
-	onStored func(fp [32]byte, key string, spec sweep.RunSpec, stats gpu.RunStats)
+	// store write (the cluster replication hook) with the statistics as
+	// the store encoded them. The spec passed is the job's canonical spec.
+	onStored func(fp [32]byte, key string, spec sweep.RunSpec, stats simstore.EncodedStats)
 }
 
 // OnStored registers a post-store-write hook. Set before traffic arrives;
 // not safe to change concurrently with running workers.
-func (q *Queue) OnStored(fn func(fp [32]byte, key string, spec sweep.RunSpec, stats gpu.RunStats)) {
+func (q *Queue) OnStored(fn func(fp [32]byte, key string, spec sweep.RunSpec, stats simstore.EncodedStats)) {
 	q.onStored = fn
 }
 
@@ -290,11 +290,12 @@ func (q *Queue) newJobLocked(kind string) *Job {
 }
 
 // Submitted is the outcome of SubmitRun: either a store hit with the
-// statistics in hand, or the job (new or shared) executing the miss.
+// statistics in hand, as the store holds them, or the job (new or shared)
+// executing the miss.
 type Submitted struct {
 	Fingerprint string
 	Cached      bool
-	Stats       gpu.RunStats
+	Stats       simstore.EncodedStats
 	Job         *Job
 	// Shared marks a dedup hit: Job was created by an earlier submission,
 	// so this submitter must not cancel it on its own account.
@@ -307,7 +308,6 @@ type Submitted struct {
 // spec's simstore.Fingerprint, computed once by the caller (for trace
 // replays hashing means re-reading and re-digesting the whole trace file).
 func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitted, error) {
-	canon := spec.Canonical()
 	hexFP := simstore.Hex(fp)
 	if rec, ok := q.store.Get(fp); ok {
 		return Submitted{Fingerprint: hexFP, Cached: true, Stats: rec.Stats}, nil
@@ -333,7 +333,7 @@ func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitte
 	j.created = time.Now()
 	j.trace = obs.NewTrace()
 	j.spQueue = j.trace.Start("queue-wait")
-	j.spec = canon
+	j.spec = spec.Canonical()
 	j.spec.Key = j.ID // names the run in engine error messages
 	q.inflight[hexFP] = j
 	q.mu.Unlock()
@@ -425,11 +425,16 @@ func (q *Queue) worker() {
 				// the computed statistics are still returned.
 				putSp := j.trace.Start("store-write")
 				putStart := time.Now()
-				q.store.Put(j.fp, j.Key, j.spec, stats)
+				// A local write error still replicates: the copies on the
+				// replicas are what keeps the result cached.
+				enc, encErr := simstore.EncodeStats(stats)
+				if encErr == nil {
+					q.store.PutEncoded(j.fp, j.Key, j.spec, enc)
+				}
 				q.storeWrite.ObserveSince(putStart)
 				putSp.End()
-				if q.onStored != nil {
-					q.onStored(j.fp, j.Key, j.spec, stats)
+				if encErr == nil && q.onStored != nil {
+					q.onStored(j.fp, j.Key, j.spec, enc)
 				}
 			}
 			q.finishRun(j, stats, err)
@@ -666,8 +671,13 @@ func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Res
 	record := func(i int) {
 		r := batch[i].res
 		switch {
-		case r.Status == api.StatusDone && r.Stats != nil:
-			results[i].Stats = *r.Stats
+		case r.Status == api.StatusDone:
+			stats, err := batch[i].runStats()
+			if err != nil {
+				results[i].Err = fmt.Errorf("sweep: run %q: %v", specs[i].Key, err)
+				break
+			}
+			results[i].Stats = stats
 			if r.Cached {
 				e.cachedRuns++
 			} else {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gpu"
 	"repro/internal/server/api"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
@@ -38,22 +37,23 @@ func parseHexFP(s string) ([32]byte, error) {
 // readRepair pushes a record a read found off-owner (on source) back onto
 // targets — the top-K of the ranking that read used — storing it locally if
 // this daemon is one of them, so churn-displaced records migrate on the read
-// path. spec is the reader's canonical spec: it hashes to fp by construction.
-func (s *Server) readRepair(fp [32]byte, spec sweep.RunSpec, rec api.StoredRecord, source string, targets []string) {
+// path, their statistics as the bytes the probe brought back. spec is the
+// reader's canonical spec: it hashes to fp by construction.
+func (s *Server) readRepair(fp [32]byte, spec sweep.RunSpec, rec api.RawRecord, source string, targets []string) {
 	rec.Spec = api.FromRunSpec(spec)
 	repaired := false
 	for _, t := range targets {
 		switch t {
 		case s.node.Self():
 			if !s.store.Has(fp) {
-				s.store.Put(fp, rec.Key, spec, rec.Stats)
+				s.store.PutEncoded(fp, rec.Key, spec, simstore.EncodedStats{JSON: rec.Stats, CRC: rec.StatsCRC})
 				repaired = true
 			}
 		case source:
 			// The member we read it from has it by definition.
 		default:
 			repaired = true
-			s.pushReplicas([]string{t}, api.ReplicateRequest{Records: []api.StoredRecord{rec}}, time.Now())
+			s.pushReplicas([]string{t}, api.ReplicateRequest{Records: []api.RawRecord{rec}}, time.Now())
 		}
 	}
 	if repaired {
@@ -62,9 +62,9 @@ func (s *Server) readRepair(fp [32]byte, spec sweep.RunSpec, rec api.StoredRecor
 }
 
 // replicateRecord is the Queue.OnStored hook: push a freshly stored result
-// to the top-K ranked members, asynchronously (the worker that computed it
-// must not block on the network).
-func (s *Server) replicateRecord(fp [32]byte, key string, spec sweep.RunSpec, stats gpu.RunStats) {
+// to the top-K ranked members, as the bytes the store holds, asynchronously
+// (the worker that computed it must not block on the network).
+func (s *Server) replicateRecord(fp [32]byte, key string, spec sweep.RunSpec, stats simstore.EncodedStats) {
 	targets := s.replicaTargets(fp)
 	if len(targets) == 0 {
 		return
@@ -72,11 +72,12 @@ func (s *Server) replicateRecord(fp [32]byte, key string, spec sweep.RunSpec, st
 	// The worker's spec carries job-local fields (Key = job ID,
 	// Checkpoint); re-canonicalize so the receiver verifies the same
 	// fingerprint the record is filed under.
-	req := api.ReplicateRequest{Records: []api.StoredRecord{{
+	req := api.ReplicateRequest{Records: []api.RawRecord{{
 		Fingerprint: simstore.Hex(fp),
 		Key:         key,
 		Spec:        api.FromRunSpec(spec.Canonical()),
-		Stats:       stats,
+		StatsCRC:    stats.CRC,
+		Stats:       stats.JSON,
 	}}}
 	storedAt := time.Now()
 	go s.pushReplicas(targets, req, storedAt)
@@ -142,7 +143,9 @@ const maxReplicateBytes = 64 << 20
 // handleReplicate implements POST /v1/replicate: bank pushed records and
 // checkpoint blobs in the local store, verifying each record's fingerprint
 // against its spec where computable (trace-replay specs are not; their
-// records are rejected rather than stored unverified).
+// records are rejected rather than stored unverified) and its statistics
+// against their checksum (Store.PutEncoded). The statistics are stored as
+// the bytes that came, never decoded.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.node == nil {
 		writeError(w, http.StatusServiceUnavailable, "not clustered")
@@ -169,7 +172,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
-		if err := s.store.Put(fp, rec.Key, spec, rec.Stats); err != nil {
+		if err := s.store.PutEncoded(fp, rec.Key, spec, simstore.EncodedStats{JSON: rec.Stats, CRC: rec.StatsCRC}); err != nil {
 			resp.Rejected++
 			continue
 		}
@@ -198,27 +201,29 @@ const maxLookupBytes = 1 << 20
 
 // handleRecordLookup implements POST /v1/records/lookup: report which of
 // the requested fingerprints this daemon's local store holds, with their
-// records. No execution, no forwarding — a pure store probe.
+// records, the statistics spliced in as stored. No execution, no forwarding
+// — a pure store probe.
 func (s *Server) handleRecordLookup(w http.ResponseWriter, r *http.Request) {
 	var req api.LookupRequest
 	if _, ok := readJSON(w, r, maxLookupBytes, &req); !ok {
 		return
 	}
-	resp := api.LookupResponse{Records: []api.StoredRecord{}}
+	var recs []api.RawRecord
 	for _, hexFP := range req.Fingerprints {
 		fp, err := parseHexFP(hexFP)
 		if err != nil {
 			continue
 		}
-		rec, ok := s.store.Get(fp)
+		hit, ok := s.store.Get(fp)
 		if !ok {
 			continue
 		}
-		resp.Records = append(resp.Records, api.StoredRecord{
+		recs = append(recs, api.RawRecord{
 			Fingerprint: hexFP,
-			Key:         rec.Key,
-			Stats:       rec.Stats,
+			Key:         hit.Key,
+			StatsCRC:    hit.Stats.CRC,
+			Stats:       hit.Stats.JSON,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeLookup(w, recs)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -459,5 +460,48 @@ func TestReadRepairCountsOneMiss(t *testing.T) {
 	}
 	if d := tc.stores[r[0]].StoreStats().Misses - misses0; d != 1 {
 		t.Errorf("the entry counted %d store misses, want 1", d)
+	}
+}
+
+// TestReplicateChecksRecords: POST /v1/replicate stores a record's
+// statistics as the bytes that came, so it stores only those that match
+// their checksum, form a compact JSON object and belong to a spec that
+// fingerprints to the record's address; it rejects the rest.
+func TestReplicateChecksRecords(t *testing.T) {
+	tc := newDynamicCluster(t, 1, 1)
+	spec, run, stats, fp := tinyRecord(t)
+	enc, err := simstore.EncodeStats(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := api.RawRecord{Fingerprint: simstore.Hex(fp), Key: spec.Key, Spec: api.FromRunSpec(run.Canonical()),
+		StatsCRC: enc.CRC, Stats: enc.JSON}
+	spaced := append([]byte("{ "), enc.JSON[1:]...)
+	for _, c := range []struct {
+		name   string
+		edit   func(api.RawRecord) api.RawRecord
+		stored bool
+	}{
+		{"wrong checksum", func(r api.RawRecord) api.RawRecord { r.StatsCRC++; return r }, false},
+		{"not compact", func(r api.RawRecord) api.RawRecord { r.Stats, r.StatsCRC = spaced, simstore.Checksum(spaced); return r }, false},
+		{"not an object", func(r api.RawRecord) api.RawRecord {
+			r.Stats, r.StatsCRC = []byte("[]"), simstore.Checksum([]byte("[]"))
+			return r
+		}, false},
+		{"another spec", func(r api.RawRecord) api.RawRecord { r.Spec.Seed++; return r }, false},
+		{"intact", func(r api.RawRecord) api.RawRecord { return r }, true},
+	} {
+		var resp api.ReplicateResponse
+		body, _ := post(t, tc.urls[0], "/v1/replicate", api.ReplicateRequest{Records: []api.RawRecord{c.edit(good)}})
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatal(err)
+		}
+		hit, ok := tc.stores[0].Get(fp)
+		if c.stored != (resp.Stored == 1 && resp.Rejected == 0) || c.stored != ok {
+			t.Errorf("%s: stored %d, rejected %d, store hit %v; want stored %v", c.name, resp.Stored, resp.Rejected, ok, c.stored)
+		}
+		if ok && !bytes.Equal(hit.Stats.JSON, enc.JSON) {
+			t.Errorf("%s: the store holds %s, want the bytes pushed", c.name, hit.Stats.JSON)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
+	"repro/internal/jsonplan"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
@@ -35,15 +37,19 @@ type routedSpec struct {
 	wire api.Spec // what a forward sends; its Key names the spec in answers
 	spec sweep.RunSpec
 	fp   [32]byte
+	hex  string // fp's wire form
 
 	ranked []string // rendezvous order over the members, computed at most once
 	next   int      // forward-walk position in ranked; -1 once the walk ended
 
 	// res is the answer once handled: a store or replica hit, a member's
-	// reply to a forward, or this daemon's own enqueue. While res is an open
-	// job handle, remote names the member it lives on, or job is the local
-	// job — own unless an earlier submission created it (a dedup share).
-	res     api.RunResult
+	// reply to a forward, or this daemon's own enqueue. A hit's statistics
+	// are the stored bytes, passed on undecoded. While res is an open job
+	// handle, remote names the member it lives on, or job is the local job —
+	// own unless an earlier submission created it (a dedup share); await
+	// leaves the finished job's statistics in stats.
+	res     api.RawRunResult
+	stats   *gpu.RunStats
 	handled bool
 	remote  string
 	job     *Job
@@ -54,22 +60,36 @@ type routedSpec struct {
 // its submission, whichever path it then takes.
 func newRouted(wire api.Spec, spec sweep.RunSpec) (routedSpec, error) {
 	fp, err := simstore.Fingerprint(spec)
-	return routedSpec{wire: wire, spec: spec, fp: fp}, err
+	return routedSpec{wire: wire, spec: spec, fp: fp, hex: simstore.Hex(fp)}, err
 }
 
 // answer records a store hit served by peer.
-func (it *routedSpec) answer(stats gpu.RunStats, peer string) {
-	it.res = api.RunResult{
-		Key: it.wire.Key, Fingerprint: simstore.Hex(it.fp),
-		Cached: true, Status: api.StatusDone, Stats: &stats, Peer: peer,
+func (it *routedSpec) answer(stats simstore.EncodedStats, peer string) {
+	it.res = api.RawRunResult{
+		Key: it.wire.Key, Fingerprint: it.hex, Cached: true, Status: api.StatusDone,
+		Stats: stats.JSON, StatsCRC: stats.CRC, Peer: peer,
 	}
 	it.handled = true
 }
 
 // fail settles a spec that could not be submitted at all.
 func (it *routedSpec) fail(err error) {
-	it.res = api.RunResult{Key: it.wire.Key, Status: api.StatusFailed, Error: err.Error()}
+	it.res = api.RawRunResult{Key: it.wire.Key, Status: api.StatusFailed, Error: err.Error()}
 	it.handled = true
+}
+
+// runStats returns a done spec's statistics: a finished job's as await left
+// them, a hit's decoded from its bytes — the one place a hit is decoded,
+// because a figure table needs the numbers.
+func (it *routedSpec) runStats() (gpu.RunStats, error) {
+	if it.stats != nil {
+		return *it.stats, nil
+	}
+	var stats gpu.RunStats
+	if it.res.Stats == nil {
+		return stats, errors.New("no statistics")
+	}
+	return stats, jsonplan.Unmarshal(it.res.Stats, &stats)
 }
 
 // enqueue executes here a spec the read path left to this daemon: a store
@@ -83,7 +103,7 @@ func (s *Server) enqueue(it *routedSpec) error {
 		it.answer(sub.Stats, s.Self())
 		return nil
 	}
-	it.res = api.RunResult{
+	it.res = api.RawRunResult{
 		Key: it.wire.Key, Fingerprint: sub.Fingerprint,
 		Status: api.StatusQueued, JobID: sub.Job.ID, Peer: s.Self(),
 	}
@@ -189,7 +209,7 @@ func (rv *resolver) probe(ctx context.Context) {
 	type hit struct {
 		pos  int
 		peer string
-		rec  api.StoredRecord
+		rec  api.RawRecord
 	}
 	for _, round := range []bool{true, false} {
 		var mu sync.Mutex
@@ -207,15 +227,15 @@ func (rv *resolver) probe(ctx context.Context) {
 				defer wg.Done()
 				hexes := make([]string, len(ts))
 				for k, t := range ts {
-					hexes[k] = simstore.Hex(rv.batch[t.idx].fp)
+					hexes[k] = rv.batch[t.idx].hex
 				}
 				pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 				defer cancel()
-				resp, err := s.peerClient(peer).LookupRecords(pctx, api.LookupRequest{Fingerprints: hexes})
+				resp, err := s.peerClient(peer).ProbeRecords(pctx, api.LookupRequest{Fingerprints: hexes})
 				if err != nil {
 					return // probe misses are free; the forward walk covers it
 				}
-				found := make(map[string]api.StoredRecord, len(resp.Records))
+				found := make(map[string]api.RawRecord, len(resp.Records))
 				for _, rec := range resp.Records {
 					found[rec.Fingerprint] = rec
 				}
@@ -236,7 +256,7 @@ func (rv *resolver) probe(ctx context.Context) {
 
 		for i, h := range best {
 			it := &rv.batch[i]
-			it.answer(h.rec.Stats, h.peer)
+			it.answer(simstore.EncodedStats{JSON: h.rec.Stats, CRC: h.rec.StatsCRC}, h.peer)
 			if h.pos > 0 {
 				atomic.AddUint64(&s.replicaHits, 1)
 				go s.readRepair(it.fp, it.spec.Canonical(), h.rec, h.peer, s.topK(it.ranked))
@@ -379,7 +399,7 @@ func (s *Server) await(ctx context.Context, it *routedSpec) {
 		case st.Status == api.StatusCancelled:
 			s.failover(failoverCancelled, 1)
 		default:
-			it.res.Status, it.res.Stats, it.res.Error = st.Status, st.Stats, st.Error
+			it.res.Status, it.res.Error, it.stats = st.Status, st.Error, st.Stats
 			return
 		}
 		it.remote = ""
@@ -391,6 +411,6 @@ func (s *Server) await(ctx context.Context, it *routedSpec) {
 		// Wait reads the job by pointer, not ID: the retention GC may have
 		// already dropped a just-finished job from the ID map.
 		st := s.queue.Wait(ctx, it.job)
-		it.res.Status, it.res.Stats, it.res.Error = st.Status, st.Stats, st.Error
+		it.res.Status, it.res.Error, it.stats = st.Status, st.Error, st.Stats
 	}
 }

@@ -372,7 +372,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	results := make([]api.RunResult, len(batch))
+	results := make([]api.RawRunResult, len(batch))
 	for i := range batch {
 		it := &batch[i]
 		if !it.handled { // else answered by a store or a ranked member
@@ -386,7 +386,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i] = it.res
 	}
-	writeJSON(w, http.StatusOK, api.RunResponse{Results: results})
+	writeRuns(w, results)
 }
 
 // jobOwners lists the members whose tag a job ID carries (jobIDBase): where

@@ -8,8 +8,9 @@ import (
 
 // The store rungs of the measurement ladder, in host time per operation on
 // one catalog spec: its fingerprint (canonical encoding and SHA-256), a
-// record hit read back from disk and decoded, and a record written (encoded,
-// written to a temporary file, renamed over the previous one, indexed).
+// record hit read back from disk and checked (parsed, its statistics
+// checksummed, not decoded), and a record written (encoded, written to a
+// temporary file, renamed over the previous one, indexed).
 
 func BenchmarkFingerprint(b *testing.B) {
 	spec := specFor(b, "MM", 1)

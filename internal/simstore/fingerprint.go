@@ -13,7 +13,14 @@
 // that can change the simulated statistics (including the *content* of a
 // replayed trace file, and a simulator version salt; see DESIGN.md for the
 // invalidation rule). Store is an on-disk, LRU-bounded, corruption-tolerant
-// map from fingerprint to a versioned JSON result record with atomic writes.
+// map from fingerprint to a versioned, compact JSON result record with
+// atomic writes. A record keeps its statistics as the bytes json.Marshal
+// produced for them with their CRC-32C beside them, and a read serves those
+// bytes without decoding them: it drops, counts corrupt and deletes a
+// record it cannot parse as JSON, one of another version or filed under
+// another fingerprint, and one whose statistics differ from their checksum
+// in any byte. The spec and key a record carries are informational and not
+// verified.
 package simstore
 
 import (

@@ -1,9 +1,11 @@
 package simstore
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,7 +20,7 @@ import (
 
 // RecordVersion versions the on-disk record layout. Records with a different
 // version are treated as misses (and removed), never misread.
-const RecordVersion = 1
+const RecordVersion = 2
 
 // File extensions for the two kinds of content the store holds: JSON result
 // records and opaque checkpoint blobs (see internal/checkpoint for the blob
@@ -28,17 +30,66 @@ const (
 	blobExt   = ".ckpt"
 )
 
-// Record is the unit the store persists: one run's statistics, addressed by
-// the fingerprint of its spec. Spec and Key are informational — they let a
-// human (or the simd API) see what a record is without reverse-engineering
-// the hash — and are not trusted for lookups.
+// Record is the unit the store persists, one compact JSON object a file:
+// one run's statistics, addressed by the fingerprint of its spec. Stats are
+// the exact bytes json.Marshal produced for the run's gpu.RunStats and
+// StatsCRC is their CRC-32C, so a read checks and serves them without
+// decoding them, and every changed byte among them is caught. Spec and Key
+// are informational — they let a human (or the simd API) see what a record
+// is without reverse-engineering the hash — and are neither trusted for
+// lookups nor verified by reads.
 type Record struct {
-	Version     int           `json:"version"`
-	Fingerprint string        `json:"fingerprint"`
-	Key         string        `json:"key,omitempty"`
-	Spec        sweep.RunSpec `json:"spec"`
-	Stats       gpu.RunStats  `json:"stats"`
-	SavedAtUnix int64         `json:"saved_at_unix"`
+	Version     int             `json:"version"`
+	Fingerprint string          `json:"fingerprint"`
+	Key         string          `json:"key,omitempty"`
+	Spec        sweep.RunSpec   `json:"spec"`
+	SavedAtUnix int64           `json:"saved_at_unix"`
+	StatsCRC    uint32          `json:"stats_crc32c"`
+	Stats       json.RawMessage `json:"stats"`
+}
+
+// recordHead is what a read decodes of a record file: the spec and the save
+// time are skipped (validated, never built) and the stats kept as bytes.
+type recordHead struct {
+	Version     int             `json:"version"`
+	Fingerprint string          `json:"fingerprint"`
+	Key         string          `json:"key"`
+	StatsCRC    uint32          `json:"stats_crc32c"`
+	Stats       json.RawMessage `json:"stats"`
+}
+
+// EncodedStats is a run's statistics as the store keeps and the simd
+// service moves them: the compact JSON json.Marshal produces for a
+// gpu.RunStats, and its CRC-32C.
+type EncodedStats struct {
+	JSON []byte
+	CRC  uint32
+}
+
+// EncodeStats encodes stats once, for every store, body and replica that
+// will carry them.
+func EncodeStats(stats gpu.RunStats) (EncodedStats, error) {
+	b, err := json.Marshal(stats)
+	return EncodedStats{JSON: b, CRC: Checksum(b)}, err
+}
+
+// Intact reports whether e holds a JSON object that still matches its
+// checksum.
+func (e EncodedStats) Intact() bool {
+	return len(e.JSON) > 0 && e.JSON[0] == '{' && Checksum(e.JSON) == e.CRC
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum returns the CRC-32C of b: the checksum a record keeps beside its
+// statistics and the simd service sends with them.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// Hit is a record as a read returns it: its key and its statistics, checked
+// against their checksum.
+type Hit struct {
+	Key   string
+	Stats EncodedStats
 }
 
 // Options configures a Store.
@@ -89,12 +140,13 @@ func (k fileKey) ext() string {
 // both inside a two-hex-character shard directory (aa/aabb...), written
 // atomically (temp file + rename) so a crash never leaves a half-written
 // entry behind. Reads tolerate corruption: an unparseable, version-skewed or
-// mislabeled record counts as a miss and the offending file is removed
-// (checkpoint blobs are opaque here; their consumer reports corruption via
-// DropBlob). Recency is an in-memory LRU list seeded from file modification
-// times at Open and persisted back via mtime bumps on hits, so LRU eviction
-// keeps working across daemon restarts. Records and blobs share the LRU and
-// both count against MaxEntries and MaxBytes.
+// mislabeled record, and one whose statistics fail their checksum, counts as
+// a miss and the offending file is removed (checkpoint blobs are opaque here;
+// their consumer reports corruption via DropBlob). Recency is an in-memory
+// LRU list seeded from file modification times at Open and persisted back
+// via mtime bumps on hits, so LRU eviction keeps working across daemon
+// restarts. Records and blobs share the LRU and both count against
+// MaxEntries and MaxBytes.
 //
 // A Store is safe for concurrent use.
 type Store struct {
@@ -229,10 +281,11 @@ func (s *Store) StoreStats() Stats {
 }
 
 // Get looks up the record for fp. ok=false means a (counted) miss; a
-// corrupt or version-skewed record on disk is removed and reported as a
-// miss, never as an error. A hit refreshes the record's LRU position and
-// mtime.
-func (s *Store) Get(fp [32]byte) (Record, bool) {
+// corrupt or version-skewed record on disk — any changed byte of its
+// statistics included — is removed and reported as a miss, never as an
+// error. The statistics are checked against their checksum, not decoded. A
+// hit refreshes the record's LRU position and mtime.
+func (s *Store) Get(fp [32]byte) (Hit, bool) {
 	key := fileKey{hex: Hex(fp)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,26 +293,27 @@ func (s *Store) Get(fp [32]byte) (Record, bool) {
 	elem, ok := s.index[key]
 	if !ok {
 		s.stats.Misses++
-		return Record{}, false
+		return Hit{}, false
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		// Index said yes but the file is gone (pruned externally): self-heal.
 		s.dropLocked(key, elem, false)
 		s.stats.Misses++
-		return Record{}, false
+		return Hit{}, false
 	}
-	var rec Record
-	if err := jsonplan.Unmarshal(data, &rec); err != nil ||
-		rec.Version != RecordVersion || rec.Fingerprint != key.hex {
+	var rec recordHead
+	err = jsonplan.Unmarshal(data, &rec)
+	stats := EncodedStats{JSON: rec.Stats, CRC: rec.StatsCRC}
+	if err != nil || rec.Version != RecordVersion || rec.Fingerprint != key.hex || !stats.Intact() {
 		s.dropLocked(key, elem, true)
 		s.stats.Corrupt++
 		s.stats.Misses++
-		return Record{}, false
+		return Hit{}, false
 	}
 	s.touchLocked(key, elem)
 	s.stats.Hits++
-	return rec, true
+	return Hit{Key: rec.Key, Stats: stats}, true
 }
 
 // touchLocked refreshes an entry's LRU position and persists the recency as
@@ -274,17 +328,37 @@ func (s *Store) touchLocked(key fileKey, elem *list.Element) {
 // store is over its bounds. Putting an already-present fingerprint refreshes
 // the record in place.
 func (s *Store) Put(fp [32]byte, key string, spec sweep.RunSpec, stats gpu.RunStats) error {
+	enc, err := EncodeStats(stats)
+	if err != nil {
+		return fmt.Errorf("simstore: put: %w", err)
+	}
+	return s.PutEncoded(fp, key, spec, enc)
+}
+
+// PutEncoded is Put for statistics already encoded: the record holds
+// stats.JSON byte for byte, which must be a compact JSON object matching
+// stats.CRC.
+func (s *Store) PutEncoded(fp [32]byte, key string, spec sweep.RunSpec, stats EncodedStats) error {
+	if !stats.Intact() {
+		return fmt.Errorf("simstore: put: statistics are not a JSON object matching their checksum")
+	}
 	rec := Record{
 		Version:     RecordVersion,
 		Fingerprint: Hex(fp),
 		Key:         key,
 		Spec:        spec.Canonical(),
-		Stats:       stats,
 		SavedAtUnix: time.Now().Unix(),
+		StatsCRC:    stats.CRC,
+		Stats:       stats.JSON,
 	}
-	data, err := json.MarshalIndent(rec, "", "\t")
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("simstore: put: %w", err)
+	}
+	// json.Marshal compacts a raw message; the checksum covers the bytes as
+	// given, so they must come through unchanged.
+	if !bytes.HasSuffix(data[:len(data)-1], stats.JSON) {
+		return fmt.Errorf("simstore: put: statistics are not compact JSON")
 	}
 
 	s.mu.Lock()

@@ -80,19 +80,23 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("Has misses a stored record")
 	}
 
-	rec, ok := st.Get(fp)
+	hit, ok := st.Get(fp)
 	if !ok {
 		t.Fatal("stored record not found")
 	}
-	if !reflect.DeepEqual(rec.Stats, stats) {
-		t.Errorf("stats did not round-trip:\nput %+v\ngot %+v", stats, rec.Stats)
+	if hit.Key != "va-run" {
+		t.Errorf("key %q, want va-run", hit.Key)
 	}
-	// The JSON forms must be byte-identical too — this is what lets simd
-	// serve a cached response indistinguishable from the original one.
+	// A hit is the bytes json.Marshal wrote — this is what lets simd serve a
+	// cached response indistinguishable from the original one — and they
+	// decode to the statistics put.
 	a, _ := json.Marshal(stats)
-	b, _ := json.Marshal(rec.Stats)
-	if string(a) != string(b) {
-		t.Errorf("stats JSON not byte-identical after round-trip:\n%s\n%s", a, b)
+	if string(a) != string(hit.Stats.JSON) || hit.Stats.CRC != Checksum(a) {
+		t.Errorf("stats JSON not byte-identical after round-trip:\n%s\n%s", a, hit.Stats.JSON)
+	}
+	var got gpu.RunStats
+	if err := json.Unmarshal(hit.Stats.JSON, &got); err != nil || !reflect.DeepEqual(got, stats) {
+		t.Errorf("stats did not round-trip (%v):\nput %+v\ngot %+v", err, stats, got)
 	}
 
 	// A second Open over the same directory must see the record (persistence).
@@ -198,7 +202,7 @@ func TestEvictionRacesGet(t *testing.T) {
 			alive = false
 		default:
 		}
-		rec, ok := st.Get(hotFP)
+		hit, ok := st.Get(hotFP)
 		if !ok {
 			// Evicted by the churn: legal. Reinstate and keep going.
 			if err := st.Put(hotFP, "hot", hotSpec, hotStats); err != nil {
@@ -207,8 +211,7 @@ func TestEvictionRacesGet(t *testing.T) {
 			continue
 		}
 		hits++
-		got, _ := json.Marshal(rec.Stats)
-		if string(got) != string(want) {
+		if got := hit.Stats.JSON; string(got) != string(want) {
 			t.Fatalf("concurrent eviction corrupted a read:\ngot  %s\nwant %s", got, want)
 		}
 	}
@@ -277,27 +280,65 @@ func TestStoreCorruptRecord(t *testing.T) {
 }
 
 // TestStoreRecordForms: a record file rewritten behind the store's back is
-// either dropped (Corrupt +1, a miss, the file removed) or served, exactly
-// as encoding/json's reading of it decides — the planned decoder that reads
-// it first changes neither the verdict nor the record served.
+// served only if encoding/json reads in it this store's version, the
+// fingerprint it is filed under and statistics that match their checksum;
+// anything else is dropped (Corrupt +1, a miss, the file removed). Every
+// in-place edit of the statistics' bytes is dropped, whether or not it
+// still decodes — the case-insensitive key and the escaped name included,
+// which a store that decoded its statistics used to serve. The key and the
+// spec are informational: a read skips the spec as JSON, so any edit that
+// leaves it JSON is served.
 func TestStoreRecordForms(t *testing.T) {
 	spec := specFor(t, "VA", 1)
 	fp := mustFP(t, spec)
+	v1, err := json.MarshalIndent(struct {
+		Version     int           `json:"version"`
+		Fingerprint string        `json:"fingerprint"`
+		Key         string        `json:"key,omitempty"`
+		Spec        sweep.RunSpec `json:"spec"`
+		Stats       gpu.RunStats  `json:"stats"`
+		SavedAtUnix int64         `json:"saved_at_unix"`
+	}{1, Hex(fp), "va", spec.Canonical(), sampleStats(1), 1}, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name   string
 		edit   func([]byte) []byte
 		served bool
 	}{
-		{"string for a number", replace(`"Cycles": 20001,`, `"Cycles": "20001",`), false},
-		{"float in an integer field", replace(`"Cycles": 20001,`, `"Cycles": 20001.5,`), false},
-		{"integer overflow", replace(`"Cycles": 20001,`, `"Cycles": 18446744073709551616,`), false},
+		// The statistics.
+		{"string for a number", replace(`"Cycles":20001,`, `"Cycles":"20001",`), false},
+		{"float in an integer field", replace(`"Cycles":20001,`, `"Cycles":20001.5,`), false},
+		{"integer overflow", replace(`"Cycles":20001,`, `"Cycles":18446744073709551616,`), false},
+		{"stats key matching only case-insensitively", replace(`"Cycles":`, `"CYCLES":`), false},
+		{"stats key spelled with an escape", replace(`"Cycles":`, `"\u0043ycles":`), false},
+		{"whitespace in the stats", replace(`"stats":{"Cycles":`, `"stats":{ "Cycles":`), false},
+		{"stats replaced by null", func(b []byte) []byte {
+			i := bytes.Index(b, []byte(`"stats_crc32c":`))
+			return fmt.Appendf(b[:i:i], `"stats_crc32c":%d,"stats":null}`, Checksum([]byte("null")))
+		}, false},
+		{"stats removed", func(b []byte) []byte {
+			i := bytes.Index(b, []byte(`,"stats":`))
+			return append(b[:i:i], '}')
+		}, false},
+		{"wrong stats_crc32c", func(b []byte) []byte {
+			return replace(`"stats_crc32c":`, `"stats_crc32c":1`)(b)
+		}, false},
+		// The head.
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, false},
 		{"trailing bytes", func(b []byte) []byte { return append(b, "}"...) }, false},
-		{"key matching only case-insensitively", replace(`"version": 1,`, `"VERSION": 1,`), true},
-		{"version matched case-insensitively and skewed", replace(`"version": 1,`, `"version": 1, "Version": 2,`), false},
-		{"key with escapes and non-ASCII", replace(`"key": "va"`, `"key": "v\u00e1 \"q\" ☕"`), true},
-		{"fingerprint with an escape", replace(`"fingerprint": "`, `"fingerprint": "\u00`+Hex(fp)[:2]), false},
-		{"fingerprint spelled with an escape", replace(`"fingerprint": "`+Hex(fp)[:1], fmt.Sprintf(`"fingerprint": "\u%04x`, Hex(fp)[0])), true},
+		{"wrong fingerprint", replace(`"fingerprint":"`+Hex(fp)[:1], `"fingerprint":"x`), false},
+		{"version 1 record", func([]byte) []byte { return v1 }, false},
+		{"key matching only case-insensitively", replace(`"version":2,`, `"VERSION":2,`), true},
+		{"version matched case-insensitively and skewed", replace(`"version":2,`, `"version":2,"Version":3,`), false},
+		{"fingerprint with an escape", replace(`"fingerprint":"`, `"fingerprint":"\u00`+Hex(fp)[:2]), false},
+		{"fingerprint spelled with an escape", replace(`"fingerprint":"`+Hex(fp)[:1], fmt.Sprintf(`"fingerprint":"\u%04x`, Hex(fp)[0])), true},
+		// The informational fields.
+		{"key with escapes and non-ASCII", replace(`"key":"va"`, `"key":"v\u00e1 \"q\" ☕"`), true},
+		{"spec with another seed", replace(`"Seed":1,`, `"Seed":2,`), true},
+		{"spec with a type error", replace(`"Seed":1,`, `"Seed":"one",`), true},
+		{"spec that is not JSON", replace(`"Seed":1,`, `"Seed":1,,`), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -320,11 +361,12 @@ func TestStoreRecordForms(t *testing.T) {
 			if err := os.WriteFile(path, edited, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			// encoding/json's verdict, the rule the store has always applied.
-			var want Record
-			valid := json.Unmarshal(edited, &want) == nil && want.Version == RecordVersion && want.Fingerprint == Hex(fp)
+			// encoding/json's reading of what a read decodes, and the rule.
+			var want recordHead
+			valid := json.Unmarshal(edited, &want) == nil && want.Version == RecordVersion && want.Fingerprint == Hex(fp) &&
+				(EncodedStats{JSON: want.Stats, CRC: want.StatsCRC}).Intact()
 			if valid != c.served {
-				t.Fatalf("encoding/json serves the edited record: %v, the case says %v", valid, c.served)
+				t.Fatalf("the rule serves the edited record: %v, the case says %v", valid, c.served)
 			}
 
 			got, ok := st.Get(fp)
@@ -333,12 +375,50 @@ func TestStoreRecordForms(t *testing.T) {
 			switch {
 			case c.served && (!ok || corrupt != 0):
 				t.Fatalf("dropped (hit %v, corrupt %d)", ok, corrupt)
-			case c.served && !reflect.DeepEqual(got, want):
-				t.Errorf("served\n%+v\nencoding/json reads\n%+v", got, want)
+			case c.served && (got.Key != want.Key || !bytes.Equal(got.Stats.JSON, want.Stats) || got.Stats.CRC != want.StatsCRC):
+				t.Errorf("served %q %s\nencoding/json reads %q %s", got.Key, got.Stats.JSON, want.Key, want.Stats)
 			case !c.served && (ok || corrupt != 1 || !os.IsNotExist(statErr)):
 				t.Errorf("not dropped: hit %v, corrupt %d, file stat %v", ok, corrupt, statErr)
 			}
 		})
+	}
+}
+
+// TestStoreDetectsFlippedDigit: one digit of a stored statistic changed in
+// place still decodes to a valid RunStats, so only the checksum can tell;
+// the read must miss, count the record corrupt and remove its file.
+func TestStoreDetectsFlippedDigit(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specFor(t, "VA", 1)
+	fp := mustFP(t, spec)
+	if err := st.Put(fp, "va", spec, sampleStats(1)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, Hex(fp)[:2], Hex(fp)+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"Cycles":20001,`))
+	if i < 0 {
+		t.Fatal("record holds no Cycles of 20001")
+	}
+	data[i+len(`"Cycles":`)] = '9'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if hit, ok := st.Get(fp); ok {
+		t.Fatalf("the edited record was served: %s", hit.Stats.JSON)
+	}
+	if got := st.StoreStats().Corrupt; got != 1 {
+		t.Errorf("corrupt counter = %d, want 1", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the edited record's file is still there (%v)", err)
 	}
 }
 
@@ -349,9 +429,10 @@ func replace(old, new string) func([]byte) []byte {
 
 // TestRecordWithRemovedConfigKeyHits: every record written while
 // config.Config still had its Shards field carries a "Shards" key in its
-// spec (the field had no omitempty). Decoding ignores unknown keys, so a
-// store full of such records must keep serving them, and the spec read back
-// must still fingerprint to the address it is filed under.
+// spec (the field had no omitempty). A read skips the spec and decoding it
+// ignores unknown keys, so a store full of such records must keep serving
+// them, and the spec in the file must still fingerprint to the address it
+// is filed under.
 func TestRecordWithRemovedConfigKeyHits(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -370,7 +451,7 @@ func TestRecordWithRemovedConfigKeyHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(data, []byte(`"Config": {`), []byte(`"Config": {"Shards": 4,`), 1)
+	old := bytes.Replace(data, []byte(`"Config":{`), []byte(`"Config":{"Shards":4,`), 1)
 	if bytes.Equal(old, data) {
 		t.Fatal("record has no spec Config object to rewrite")
 	}
@@ -382,15 +463,19 @@ func TestRecordWithRemovedConfigKeyHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := reopened.Get(fp)
+	hit, ok := reopened.Get(fp)
 	if !ok {
 		t.Fatalf("record with a Shards key in its config is a miss (corrupt = %d)", reopened.StoreStats().Corrupt)
 	}
-	if !reflect.DeepEqual(rec.Stats, stats) {
-		t.Errorf("stats changed:\nput %+v\ngot %+v", stats, rec.Stats)
+	if want, _ := json.Marshal(stats); !bytes.Equal(hit.Stats.JSON, want) {
+		t.Errorf("stats changed:\nput %s\ngot %s", want, hit.Stats.JSON)
+	}
+	var rec Record
+	if err := json.Unmarshal(old, &rec); err != nil {
+		t.Fatal(err)
 	}
 	if mustFP(t, rec.Spec) != fp {
-		t.Error("the spec read back no longer fingerprints to the record's address")
+		t.Error("the spec in the file no longer fingerprints to the record's address")
 	}
 }
 
