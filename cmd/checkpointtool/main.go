@@ -135,7 +135,7 @@ func cmdInfo(args []string) error {
 			fmt.Printf("  programs     %d app(s)\n", apps)
 		}
 		fmt.Printf("  reconfigs    %d (%d stall cycles)\n", st.ReconfigCount, st.StallCycles)
-		// One synthetic generator per application; trace players have none.
+		// One synthetic generator per application.
 		draws, err := workload.StreamPositions(st.Prog)
 		if err != nil {
 			return err

@@ -24,7 +24,7 @@ import (
 var deadExportAllowlist = map[string]string{
 	// Constructors other packages' tests build fixtures with.
 	"internal/noc.MustNew":               "cross-package test constructor (noc, power tests)",
-	"internal/workload.MustNewGenerator": "cross-package test constructor (gpu, sm, trace, checkpoint tests)",
+	"internal/workload.MustNewGenerator": "cross-package test constructor (gpu, sm, checkpoint tests)",
 	"internal/addrmap.DefaultGeometry":   "test fixture: the baseline geometry the addrmap tests map against",
 	"internal/scenario.CaseFromBytes":    "decoder of the checked-in FuzzScenario corpus",
 	"internal/scenario.(FuzzCase).Check": "fuzz harness: the invariant check FuzzScenario drives",
@@ -44,8 +44,6 @@ var deadExportAllowlist = map[string]string{
 	"internal/pool.(*FreeList).FreeLen":       "test probe",
 	"internal/ring.(*Deque).Cap":              "test probe: growth policy",
 	"internal/sm.(*SM).OutstandingLoads":      "test probe: drained-SM assertions",
-	"internal/trace.(*Player).DrainOps":       "test probe: end-of-trace policy",
-	"internal/trace.(*Player).Loops":          "test probe: end-of-trace policy",
 	"internal/workload.(*Generator).CTAOf":    "test probe: CTA scheduling policies",
 	"internal/workload.(*Generator).OpCounts": "test probe: op-mix calibration",
 	"internal/obs.(*Registry).FamilyNames":    "test probe: the Grafana dashboard test checks it references only exported series",

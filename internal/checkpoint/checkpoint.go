@@ -7,10 +7,10 @@
 // it). Sweeps exploit that through two prefix classes:
 //
 //   - the warmup prefix — every run that shares workload, configuration,
-//     seed (or trace content) and warmup length executes identical cycles up
-//     to warmup end, regardless of its measurement window; a Figure-11-style
-//     sweep whose points differ only in measure-window knobs re-simulates the
-//     warmup once instead of per point;
+//     seed and warmup length executes identical cycles up to warmup end,
+//     regardless of its measurement window; a Figure-11-style sweep whose
+//     points differ only in measure-window knobs re-simulates the warmup
+//     once instead of per point;
 //   - kernel-boundary prefixes — re-running the same spec (after a crash, a
 //     store eviction of the result record, or with checkpointing newly
 //     enabled) resumes from the furthest banked boundary.

@@ -103,18 +103,6 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 			s.AppModes = []config.LLCMode{config.LLCShared, config.LLCPrivate}
 			return s
 		}},
-		{"trace-replay", func(t *testing.T) sweep.RunSpec {
-			rec := genRunSpec(t, config.LLCShared)
-			rec.RecordPath = filepath.Join(t.TempDir(), "bp.trace")
-			if _, err := sweep.Execute(rec); err != nil {
-				t.Fatal(err)
-			}
-			s := rec
-			s.Workloads = nil
-			s.RecordPath = ""
-			s.TracePath = rec.RecordPath
-			return s
-		}},
 	}
 
 	for _, v := range variants {
@@ -329,38 +317,6 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 func relabel(data []byte, v int) []byte {
 	data = bytes.Replace(data, fmt.Appendf(nil, "%s%d\n", magicPrefix, FormatVersion), fmt.Appendf(nil, "%s%d\n", magicPrefix, v), 1)
 	return bytes.Replace(data, fmt.Appendf(nil, `{"version":%d,`, FormatVersion), fmt.Appendf(nil, `{"version":%d,`, v), 1)
-}
-
-// TestRecordingDisablesCheckpointing: a resumed run cannot re-record its
-// skipped prefix, so trace capture forces cold execution.
-func TestRecordingDisablesCheckpointing(t *testing.T) {
-	spec := genRunSpec(t, config.LLCShared)
-	mgr, _ := newManager(t)
-	if _, err := sweep.ExecuteSpanned(spec, mgr, nil); err != nil { // populate
-		t.Fatal(err)
-	}
-	rec := spec
-	rec.RecordPath = filepath.Join(t.TempDir(), "rec.trace")
-	if _, err := sweep.ExecuteSpanned(rec, mgr, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := mgr.ManagerStats(); st.Hits != 0 {
-		t.Fatalf("recording run resumed from a checkpoint (%d hits): the trace is partial", st.Hits)
-	}
-	// The capture must be complete: replaying it reproduces the recording.
-	replay := sweep.RunSpec{
-		Key: "replay", TracePath: rec.RecordPath, Config: rec.Config,
-		MeasureCycles: rec.MeasureCycles, WarmupCycles: rec.WarmupCycles, Kernels: rec.Kernels,
-	}
-	want, err := sweep.Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sweep.Execute(replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualStats(t, want, got, "replay of trace captured alongside checkpointing")
 }
 
 // TestEncodeDecodeHeader pins the self-describing container: ReadHeader

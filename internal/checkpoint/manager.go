@@ -17,10 +17,10 @@ import (
 // Manager stores checkpoints content-addressed in a simstore.Store and
 // implements sweep.Checkpointer on top: ResumeSpanned probes the stored
 // prefixes of a spec from the furthest kernel boundary back to the warmup
-// end, Checkpoint banks newly passed boundaries. All failures short of "the
-// trace file named by the spec is unreadable" degrade to cold execution — checkpointing is an
-// accelerator, never a correctness dependency — and corrupt blobs are dropped
-// from the store so the next run rewrites them.
+// end, Checkpoint banks newly passed boundaries. All failures degrade to
+// cold execution — checkpointing is an accelerator, never a correctness
+// dependency — and corrupt blobs are dropped from the store so the next run
+// rewrites them.
 //
 // A Manager is safe for concurrent use by the sweep worker pool.
 type Manager struct {
@@ -101,30 +101,19 @@ type candidate struct {
 }
 
 // candidates lists the prefixes of spec, furthest first.
-func (m *Manager) candidates(spec sweep.RunSpec) ([]candidate, error) {
+func (m *Manager) candidates(spec sweep.RunSpec) []candidate {
 	var cands []candidate
-	// Kernel boundaries exist only when the kernel count is knowable from
-	// the spec alone (trace replays may defer it to the trace header; those
-	// runs still share warmup prefixes).
 	if kernels := spec.Canonical().Kernels; kernels > 1 {
-		// One fingerprint serves every boundary: it walks the spec and, for
-		// a trace replay, hashes the whole trace file.
-		fp, err := simstore.Fingerprint(spec)
-		if err != nil {
-			return nil, err
-		}
+		// One fingerprint serves every boundary.
+		fp, _ := simstore.Fingerprint(spec) // never fails
 		for k := kernels - 1; k >= 1; k-- {
 			cands = append(cands, candidate{key: kernelKey(fp, k), atKernel: k})
 		}
 	}
 	if spec.WarmupCycles > 0 {
-		key, err := WarmupKey(spec)
-		if err != nil {
-			return nil, err
-		}
-		cands = append(cands, candidate{key: key})
+		cands = append(cands, candidate{key: warmupKey(spec)})
 	}
-	return cands, nil
+	return cands
 }
 
 // Resume is ResumeSpanned without spans.
@@ -150,14 +139,7 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 		m.probeSeconds.ObserveSince(probeStart)
 	}
 
-	cands, err := m.candidates(spec)
-	if err != nil {
-		// The spec's trace file is unreadable; the cold path will surface
-		// the same error to the caller.
-		m.errors.Add(1)
-		endProbe(false)
-		return nil, nil, 0, false
-	}
+	cands := m.candidates(spec)
 	// RestoreState copies out of the snapshot, so the scratch it was decoded
 	// into goes back to the pool whichever way this returns.
 	sc := m.scratch.Get().(*scratch)
@@ -214,18 +196,11 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 
 // Checkpoint implements sweep.Checkpointer.
 func (m *Manager) Checkpoint(spec sweep.RunSpec, g *gpu.GPU, atKernel int) {
-	var (
-		key [32]byte
-		err error
-	)
+	var key [32]byte
 	if atKernel == 0 {
-		key, err = WarmupKey(spec)
+		key = warmupKey(spec)
 	} else {
-		key, err = KernelKey(spec, atKernel)
-	}
-	if err != nil {
-		m.errors.Add(1)
-		return
+		key, _ = KernelKey(spec, atKernel) // never fails
 	}
 	// Deterministic execution means an existing blob under this key is
 	// byte-equivalent state; skip the save.

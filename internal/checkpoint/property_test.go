@@ -115,9 +115,9 @@ func (e modesExecutor) Run(_ context.Context, specs []sweep.RunSpec) ([]sweep.Re
 
 // TestCodecPropertiesOverCatalog holds the codec to its properties on the
 // states the scenario catalog's level 1-3 recipes reach (level 1 under
-// -short) — every sharing pattern, multi-program and per-app views, trace
-// replay and loop, every NoC topology — at warm-up end and every kernel
-// boundary, under all three LLC organizations.
+// -short) — every sharing pattern, multi-program and per-app views, every
+// NoC topology — at warm-up end and every kernel boundary, under all three
+// LLC organizations.
 func TestCodecPropertiesOverCatalog(t *testing.T) {
 	level := scenario.Level3
 	if testing.Short() {

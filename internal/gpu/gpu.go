@@ -11,12 +11,8 @@
 // behaviour.
 //
 // The GPU is agnostic to where its instruction stream comes from: any
-// workload.Program drives it — the synthetic Table 2 generators, a
-// multi-program co-execution, or a trace.Player replaying a recorded run
-// (and a trace.Recorder can wrap any of these to capture the stream; see
-// internal/trace). Because the simulator is deterministic, replaying a
-// recorded trace under the recording configuration reproduces the run's
-// statistics exactly.
+// workload.Program drives it — the synthetic Table 2 generators or a
+// multi-program co-execution of them.
 package gpu
 
 import (

@@ -2,13 +2,11 @@ package gpu
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/dram"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -153,8 +151,9 @@ type atBoundary struct {
 // through a refStep loop side by side — memory- and compute-bound static
 // organizations, three adaptive runs whose 500-cycle profile windows make
 // them reconfigure (a skip must never span a stall), a multi-program pair,
-// a trace replay that outlives its trace (drained warps sleep 1<<20 cycles,
-// beyond the wake calendar) and LLC latencies other than the baseline's,
+// a program whose warps run dry (drained warps sleep 1<<20 cycles, beyond
+// the wake calendar, or 200, beyond it but within the run) and LLC
+// latencies other than the baseline's,
 // below the reply wheel, beyond it, negative and absurdly long (no
 // configuration check bounds it: a hit's reply is then ready at once, or not
 // within the run) — and requires, at every kernel boundary,
@@ -183,14 +182,12 @@ func TestActiveSetsMatchVisitingEverything(t *testing.T) {
 		}
 		return mp
 	}
-	tracePath := filepath.Join(t.TempDir(), "lud.trace")
-	replay := func(t *testing.T, cfg config.Config) workload.Program {
-		p, err := trace.NewPlayer(tracePath, cfg, trace.EOFDrain)
-		if err != nil {
-			t.Fatal(err)
+	drained := func(park int) func(t *testing.T, cfg config.Config) workload.Program {
+		return func(t *testing.T, cfg config.Config) workload.Program {
+			lud := generator("LUD")(t, cfg).(*workload.Generator)
+			return &drainedProgram{Generator: lud, budget: 10, park: park,
+				issued: make([]int, cfg.NumSMs*cfg.MaxWarpsPerSM), warps: cfg.MaxWarpsPerSM}
 		}
-		t.Cleanup(func() { p.Close() })
-		return p
 	}
 	base := config.Baseline()
 	with := func(mode config.LLCMode) config.Config {
@@ -206,7 +203,6 @@ func TestActiveSetsMatchVisitingEverything(t *testing.T) {
 		cfg.LLCLatency = latency
 		return cfg
 	}
-	recordTrace(t, tracePath, with(config.LLCShared), (warmup+measure)/2)
 
 	for _, tc := range []struct {
 		name     string
@@ -221,7 +217,8 @@ func TestActiveSetsMatchVisitingEverything(t *testing.T) {
 		{"BS-adaptive", with(config.LLCAdaptive), 4, generator("BS"), nil},
 		{"LUD-adaptive", with(config.LLCAdaptive), 4, generator("LUD"), nil},
 		{"GEMM+LUD-pair", with(config.LLCShared), 3, pair, []config.LLCMode{config.LLCShared, config.LLCPrivate}},
-		{"LUD-replay", with(config.LLCShared), 4, replay, nil},
+		{"LUD-drained", with(config.LLCShared), 4, drained(1 << 20), nil},
+		{"LUD-drained-park-200", with(config.LLCShared), 4, drained(200), nil},
 		{"LUD-shared-llc-latency-40", withLatency(config.LLCShared, 40), 4, generator("LUD"), nil},
 		{"BS-adaptive-llc-latency-300", withLatency(config.LLCAdaptive, 300), 4, generator("BS"), nil},
 		{"LUD-shared-llc-latency-negative", withLatency(config.LLCShared, -1), 2, generator("LUD"), nil},
@@ -295,21 +292,20 @@ func TestActiveSetsMatchVisitingEverything(t *testing.T) {
 	}
 }
 
-// recordTrace records the first `cycles` cycles of LUD on cfg to path.
-func recordTrace(t *testing.T, path string, cfg config.Config, cycles uint64) {
-	t.Helper()
-	spec, _ := workload.ByAbbr("LUD")
-	w, err := trace.Create(path, trace.HeaderFor(cfg, []string{"LUD"}, 11, spec.Kernels, cycles, 0))
-	if err != nil {
-		t.Fatal(err)
+// drainedProgram runs a generator until each warp has issued budget ops,
+// then parks the warp park cycles per op: the shape of a program whose
+// warps have run out of work. Its snapshot is the generator's.
+type drainedProgram struct {
+	*workload.Generator
+	budget, park, warps int
+	issued              []int // ops issued, per SM and warp slot
+}
+
+func (d *drainedProgram) NextOp(sm, warpSlot int) workload.Op {
+	i := sm*d.warps + warpSlot
+	if d.issued[i] >= d.budget {
+		return workload.Op{ALULatency: d.park}
 	}
-	rec := trace.NewRecorder(workload.MustNewGenerator(spec, cfg, 11), w)
-	g, err := New(cfg, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Run(cycles, spec.Kernels)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
+	d.issued[i]++
+	return d.Generator.NextOp(sm, warpSlot)
 }

@@ -181,31 +181,6 @@ func Catalog() []Scenario {
 				return append(requirePerAppActivity(results, 2), requireDistinct(results)...)
 			},
 		},
-		{
-			Name:        "l1-trace-roundtrip",
-			Description: "record a run, replay its trace, require statistics identical bit for bit",
-			Level:       Level1,
-			Axes:        []Axis{AxisTraceReplay},
-			Prepare: func(e *Env) error {
-				return e.Record("va", catalogSpec("record", SmokeConfig(config.LLCShared), e.Scale, mustByAbbr("VA")))
-			},
-			Specs: func(e *Env) []sweep.RunSpec {
-				return []sweep.RunSpec{{
-					Key:           "va/replay",
-					TracePath:     e.TracePath("va"),
-					Config:        SmokeConfig(config.LLCShared),
-					MeasureCycles: e.Scale.MeasureCycles,
-					WarmupCycles:  e.Scale.WarmupCycles,
-				}}
-			},
-			Check: func(e *Env, results []sweep.Result) []string {
-				v := requireActivity(results)
-				if !statsEqual(e.Recorded["va"], results[0].Stats) {
-					v = append(v, "replay statistics differ from the recorded run (replay-equals-record broken)")
-				}
-				return v
-			},
-		},
 
 		// ----------------------------------------------------------------
 		// Level 2 — ladders and mode sweeps: full test suite.
@@ -284,39 +259,6 @@ func Catalog() []Scenario {
 			},
 			Check: func(e *Env, results []sweep.Result) []string {
 				return append(requirePerAppActivity(results, 2), requireDistinct(results)...)
-			},
-		},
-		{
-			Name:        "l2-trace-loop",
-			Description: "replay a short recording far past its end: loop keeps issuing, drain winds down",
-			Level:       Level2,
-			Axes:        []Axis{AxisTraceReplay, AxisLocality},
-			Prepare: func(e *Env) error {
-				short := e.Scale
-				short.MeasureCycles /= 4
-				return e.Record("short", catalogSpec("record", SmokeConfig(config.LLCShared), short, mustByAbbr("VA")))
-			},
-			Specs: func(e *Env) []sweep.RunSpec {
-				base := sweep.RunSpec{
-					TracePath:     e.TracePath("short"),
-					Config:        SmokeConfig(config.LLCShared),
-					MeasureCycles: e.Scale.MeasureCycles,
-					WarmupCycles:  e.Scale.WarmupCycles,
-				}
-				loop, drain := base, base
-				loop.Key, loop.TraceLoop = "replay/loop", true
-				drain.Key = "replay/drain"
-				return []sweep.RunSpec{loop, drain}
-			},
-			Check: func(e *Env, results []sweep.Result) []string {
-				v := requireActivity(results[:1]) // the drain run legitimately winds down
-				loop, drain := results[0].Stats, results[1].Stats
-				if loop.Instructions <= drain.Instructions {
-					v = append(v, fmt.Sprintf(
-						"looped replay issued %d instructions, drain %d; loop must keep the GPU busy past trace EOF",
-						loop.Instructions, drain.Instructions))
-				}
-				return v
 			},
 		},
 
@@ -445,10 +387,11 @@ func checkpointResumeScenario() Scenario {
 		Specs:       declare,
 		Check: func(e *Env, results []sweep.Result) []string {
 			v := requireActivity(results)
-			mgr, err := openManager(e.Dir)
+			mgr, done, err := openManager()
 			if err != nil {
 				return append(v, err.Error())
 			}
+			defer done()
 			for i, spec := range declare(e) {
 				// Bank every prefix, then resume from the furthest one.
 				for _, msg := range checkCheckpointResume(mgr, spec, results[i].Stats) {

@@ -2,14 +2,13 @@ package scenario
 
 import (
 	"fmt"
-	"path/filepath"
+	"os"
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -27,14 +26,6 @@ type FuzzCase struct {
 	// combination gpu.SetAppModes accepts).
 	AppModes []config.LLCMode
 	Seed     int64
-	// TraceRoundTrip additionally records the run's op stream and replays it,
-	// requiring replayed statistics identical to the recorded run's.
-	TraceRoundTrip bool
-	// MixedTrace additionally co-executes Specs[0] as a live generator with a
-	// trace player replaying the recorded stream, through
-	// workload.NewMultiProgramMixed (implies a recording; only meaningful
-	// with TraceRoundTrip).
-	MixedTrace bool
 	// CheckpointResume additionally executes the run checkpoint-assisted
 	// against a scratch store — once banking its warmup/kernel-boundary
 	// snapshots, once resuming from them — requiring both passes to reproduce
@@ -44,7 +35,7 @@ type FuzzCase struct {
 }
 
 // Fuzz run length: long enough to fill caches past warmup reset, short
-// enough that one case (up to five simulations) stays in the tens of
+// enough that one case (up to four simulations) stays in the tens of
 // milliseconds.
 const (
 	fuzzMeasureCycles = 600
@@ -142,8 +133,12 @@ func CaseFromBytes(data []byte) FuzzCase {
 		statics := []config.LLCMode{config.LLCShared, config.LLCPrivate}
 		c.AppModes = []config.LLCMode{statics[r.pick(2)], statics[r.pick(2)]}
 	}
-	c.TraceRoundTrip = r.pick(2) == 1
-	c.MixedTrace = c.TraceRoundTrip && r.pick(2) == 1
+	if r.pick(2) == 1 {
+		// The trace round-trip and mixed-trace picks of an earlier decoder:
+		// drawn and discarded, so the committed corpus keeps decoding to
+		// the same cases.
+		r.pick(2)
+	}
 	// Decoded last so the committed corpus keeps its meaning: older entries
 	// exhaust their bytes before this read and decode to false.
 	c.CheckpointResume = r.pick(2) == 1
@@ -151,17 +146,15 @@ func CaseFromBytes(data []byte) FuzzCase {
 }
 
 // Check runs the case and returns every violated invariant (empty = pass).
-// dir is a scratch directory for recorded traces. The properties:
+// The properties:
 //
 //  1. the decoded workloads are valid and the run executes;
 //  2. same-seed determinism: two executions carry byte-identical statistics;
 //  3. the cross-cutting stat invariants (Invariants) hold;
 //  4. the simstore fingerprint is stable and Key-independent;
-//  5. (TraceRoundTrip) replaying the recorded trace reproduces the recorded
-//     run's statistics exactly;
-//  6. (MixedTrace) a generator+player mix through NewMultiProgramMixed runs
-//     deterministically with both applications live.
-func (c FuzzCase) Check(dir string) []string {
+//  5. (CheckpointResume) banking and resuming checkpoints reproduces the
+//     plain run's statistics exactly.
+func (c FuzzCase) Check() []string {
 	var v []string
 	for _, s := range c.Specs {
 		if err := s.Validate(); err != nil {
@@ -196,55 +189,30 @@ func (c FuzzCase) Check(dir string) []string {
 	v = append(v, fingerprintViolations(spec)...)
 
 	if c.CheckpointResume {
-		mgr, err := openManager(dir)
+		mgr, done, err := openManager()
 		if err != nil {
 			return append(v, err.Error())
 		}
+		defer done()
 		v = append(v, checkCheckpointResume(mgr, spec, first)...)
-	}
-
-	if !c.TraceRoundTrip {
-		return v
-	}
-	path := filepath.Join(dir, "fuzz.trace")
-	recSpec := spec
-	recSpec.RecordPath = path
-	recorded, err := sweep.Execute(recSpec)
-	if err != nil {
-		return append(v, fmt.Sprintf("recording run failed: %v", err))
-	}
-	if !statsEqual(first, recorded) {
-		v = append(v, "recording is not transparent: recorded run differs from plain run")
-	}
-	replaySpec := sweep.RunSpec{
-		Key:           "fuzz-replay",
-		TracePath:     path,
-		Config:        spec.Config,
-		AppModes:      c.AppModes,
-		MeasureCycles: fuzzMeasureCycles,
-		WarmupCycles:  fuzzWarmupCycles,
-	}
-	replayed, err := sweep.Execute(replaySpec)
-	if err != nil {
-		return append(v, fmt.Sprintf("replay run failed: %v", err))
-	}
-	if !statsEqual(recorded, replayed) {
-		v = append(v, "replay-equals-record broken: replayed statistics differ from the recorded run")
-	}
-
-	if c.MixedTrace {
-		v = append(v, c.checkMixed(path)...)
 	}
 	return v
 }
 
-// openManager opens a checkpoint manager over a scratch store under dir.
-func openManager(dir string) (*checkpoint.Manager, error) {
-	store, err := simstore.Open(filepath.Join(dir, "ckpt-store"), simstore.Options{})
+// openManager opens a checkpoint manager over a fresh scratch store; done
+// removes the store.
+func openManager() (mgr *checkpoint.Manager, done func(), err error) {
+	dir, err := os.MkdirTemp("", "scenario-ckpt-*")
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint store: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint store: %w", err)
 	}
-	return checkpoint.NewManager(store), nil
+	done = func() { os.RemoveAll(dir) }
+	store, err := simstore.Open(dir, simstore.Options{})
+	if err != nil {
+		done()
+		return nil, nil, fmt.Errorf("checkpoint store: %w", err)
+	}
+	return checkpoint.NewManager(store), done, nil
 }
 
 // checkCheckpointResume executes spec checkpoint-assisted against mgr twice:
@@ -279,55 +247,6 @@ func checkCheckpointResume(mgr *checkpoint.Manager, spec sweep.RunSpec, plain gp
 	}
 	if n := after.Errors - before.Errors; n > 0 {
 		v = append(v, fmt.Sprintf("checkpoint manager swallowed %d errors on a healthy store", n))
-	}
-	return v
-}
-
-// checkMixed co-executes Specs[0] as a live generator with a player replaying
-// the recorded trace, twice, requiring determinism and both apps live.
-func (c FuzzCase) checkMixed(tracePath string) []string {
-	cfg := MicroConfig(c.Mode)
-	run := func() (gpu.RunStats, error) {
-		gen, err := workload.NewGenerator(c.Specs[0], cfg, c.Seed)
-		if err != nil {
-			return gpu.RunStats{}, fmt.Errorf("mixed generator: %w", err)
-		}
-		player, err := trace.NewPlayer(tracePath, cfg, trace.EOFLoop)
-		if err != nil {
-			return gpu.RunStats{}, fmt.Errorf("mixed player: %w", err)
-		}
-		defer player.Close()
-		mp, err := workload.NewMultiProgramMixed([]workload.Program{gen, player}, cfg)
-		if err != nil {
-			return gpu.RunStats{}, fmt.Errorf("mixed multi-program: %w", err)
-		}
-		g, err := gpu.New(cfg, mp)
-		if err != nil {
-			return gpu.RunStats{}, fmt.Errorf("mixed gpu: %w", err)
-		}
-		g.Warmup(fuzzWarmupCycles)
-		return g.Run(fuzzMeasureCycles, 1), nil
-	}
-
-	first, err := run()
-	if err != nil {
-		return []string{err.Error()}
-	}
-	second, err := run()
-	if err != nil {
-		return []string{fmt.Sprintf("repeated mixed run: %v", err)}
-	}
-	var v []string
-	if !statsEqual(first, second) {
-		v = append(v, "mixed generator+player run is not deterministic")
-	}
-	if len(first.AppInstructions) != 2 {
-		v = append(v, fmt.Sprintf("mixed run has %d application slots, want 2", len(first.AppInstructions)))
-	}
-	for app, instr := range first.AppInstructions {
-		if instr == 0 {
-			v = append(v, fmt.Sprintf("mixed run application %d issued no instructions", app))
-		}
 	}
 	return v
 }

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -51,7 +50,7 @@ func (r Report) Format() string {
 	return b.String()
 }
 
-// Run executes the scenario: Prepare, declare the batch, execute it, check
+// Run executes the scenario: declare the batch, execute it, check
 // the generic stat invariants plus the scenario's own Check hook and
 // fingerprint stability, and — the determinism gate — execute the batch again
 // and require byte-identical statistics.
@@ -69,18 +68,7 @@ func (sc Scenario) Run(ctx context.Context, opts RunOptions) (Report, error) {
 	if opts.Scale != nil {
 		scale = *opts.Scale
 	}
-	dir, err := os.MkdirTemp("", "scenario-"+sc.Name+"-*")
-	if err != nil {
-		return rep, fmt.Errorf("scenario %s: scratch dir: %w", sc.Name, err)
-	}
-	defer os.RemoveAll(dir)
-	env := &Env{Scale: scale, Dir: dir}
-
-	if sc.Prepare != nil {
-		if err := sc.Prepare(env); err != nil {
-			return rep, fmt.Errorf("scenario %s: prepare: %w", sc.Name, err)
-		}
-	}
+	env := &Env{Scale: scale}
 	specs := sc.Specs(env)
 	rep.Runs = len(specs)
 	if len(specs) == 0 {

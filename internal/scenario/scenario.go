@@ -2,7 +2,7 @@
 // simulator's correctness story is gated on.
 //
 // The determinism guarantees built up by the earlier subsystems — golden
-// traces, serial-vs-parallel byte-identical sweeps, content-addressed result
+// figures, serial-vs-parallel byte-identical sweeps, content-addressed result
 // caching — are only as strong as the workload space they are exercised on.
 // This package makes that space an enumerable artifact: every entry of
 // Catalog() is a named recipe that declares
@@ -10,7 +10,7 @@
 //   - a Level (level1 smoke for CI -short budgets through level5 exhaustive
 //     sweeps, organized like RVS's levels/rvs_level_N test recipes),
 //   - the workload Axes it exercises (sharing, locality, divergence,
-//     multi-program, trace-replay), and
+//     multi-program), and
 //   - the runs to execute plus the invariants their statistics must satisfy.
 //
 // Running a scenario (Scenario.Run) executes its declared sweep.RunSpec batch
@@ -22,16 +22,14 @@
 //
 // The same invariants back FuzzScenario (fuzz.go): a property-based fuzzer
 // that decodes arbitrary bytes into random workload.Spec / RunSpec
-// combinations — including multi-program and trace record→replay mixes — and
+// combinations — including multi-program pairs and checkpoint resumes — and
 // requires every one of them to simulate deterministically and sanely.
 package scenario
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/config"
-	"repro/internal/gpu"
 	"repro/internal/sweep"
 )
 
@@ -111,50 +109,22 @@ const (
 	AxisLocality     Axis = "locality"
 	AxisDivergence   Axis = "divergence"
 	AxisMultiProgram Axis = "multi-program"
-	AxisTraceReplay  Axis = "trace-replay"
 )
 
 // Axes lists every axis, in report order.
 func Axes() []Axis {
-	return []Axis{AxisSharing, AxisLocality, AxisDivergence, AxisMultiProgram, AxisTraceReplay}
+	return []Axis{AxisSharing, AxisLocality, AxisDivergence, AxisMultiProgram}
 }
 
-// Env is the execution context handed to a scenario's Prepare/Specs/Check
-// hooks: the run scale plus a scratch directory for traces recorded during
-// Prepare (trace-replay scenarios), with the statistics of those recording
-// runs kept for the replay-equals-record comparison.
+// Env is the execution context handed to a scenario's Specs/Check hooks:
+// the run scale.
 type Env struct {
 	Scale Scale
-	// Dir is the scratch directory for recorded traces.
-	Dir string
-	// Recorded holds the statistics of every run recorded via Record, keyed
-	// by the trace name.
-	Recorded map[string]gpu.RunStats
-}
-
-// TracePath returns the scratch path of a named trace.
-func (e *Env) TracePath(name string) string {
-	return filepath.Join(e.Dir, name+".trace")
-}
-
-// Record executes spec while capturing its op stream to TracePath(name) and
-// remembers the resulting statistics in Recorded for later comparison.
-func (e *Env) Record(name string, spec sweep.RunSpec) error {
-	spec.RecordPath = e.TracePath(name)
-	stats, err := sweep.Execute(spec)
-	if err != nil {
-		return fmt.Errorf("scenario: record %q: %w", name, err)
-	}
-	if e.Recorded == nil {
-		e.Recorded = make(map[string]gpu.RunStats)
-	}
-	e.Recorded[name] = stats
-	return nil
 }
 
 // Scenario is one named workload recipe of the catalog.
 type Scenario struct {
-	// Name is the catalog key ("l1-trace-roundtrip"); unique, kebab-case,
+	// Name is the catalog key ("l1-uniform-shared"); unique, kebab-case,
 	// prefixed with its level.
 	Name string
 	// Description is the one-line purpose shown by -list-scenarios.
@@ -162,9 +132,6 @@ type Scenario struct {
 	Level       Level
 	// Axes names the workload-space dimensions the recipe exercises.
 	Axes []Axis
-	// Prepare optionally records traces (or other scratch assets) into the
-	// Env before the batch is declared. It runs serially, before Specs.
-	Prepare func(*Env) error
 	// Specs declares the scenario's runs. Keys must be unique.
 	Specs func(*Env) []sweep.RunSpec
 	// Check optionally verifies scenario-specific invariants over the

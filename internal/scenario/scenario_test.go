@@ -97,9 +97,9 @@ func TestLevelScalesGrow(t *testing.T) {
 }
 
 func TestCatalogLookups(t *testing.T) {
-	sc, ok := ByName("l1-trace-roundtrip")
-	if !ok || sc.Name != "l1-trace-roundtrip" {
-		t.Fatalf("ByName(l1-trace-roundtrip) = %v, %v", sc.Name, ok)
+	sc, ok := ByName("l1-uniform-shared")
+	if !ok || sc.Name != "l1-uniform-shared" {
+		t.Fatalf("ByName(l1-uniform-shared) = %v, %v", sc.Name, ok)
 	}
 	if _, ok := ByName("no-such"); ok {
 		t.Error("ByName accepted an unknown name")

@@ -305,8 +305,7 @@ type Submitted struct {
 // SubmitRun routes one run through the cache: a store hit returns
 // immediately, a miss is enqueued, and a spec already queued or running —
 // no matter who submitted it — is shared rather than re-enqueued. fp is the
-// spec's simstore.Fingerprint, computed once by the caller (for trace
-// replays hashing means re-reading and re-digesting the whole trace file).
+// spec's simstore.Fingerprint, computed once by the caller.
 func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitted, error) {
 	hexFP := simstore.Hex(fp)
 	if rec, ok := q.store.Get(fp); ok {
@@ -653,10 +652,7 @@ func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Res
 		if routed {
 			wire = api.FromRunSpec(spec) // what a forward sends
 		}
-		var err error
-		if batch[i], err = newRouted(wire, spec); err != nil {
-			batch[i].fail(err)
-		}
+		batch[i] = newRouted(wire, spec)
 	}
 	if routed {
 		s.resolve(ctx, batch)

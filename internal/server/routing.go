@@ -58,9 +58,9 @@ type routedSpec struct {
 
 // newRouted fingerprints a validated spec: the one simstore.Fingerprint of
 // its submission, whichever path it then takes.
-func newRouted(wire api.Spec, spec sweep.RunSpec) (routedSpec, error) {
-	fp, err := simstore.Fingerprint(spec)
-	return routedSpec{wire: wire, spec: spec, fp: fp, hex: simstore.Hex(fp)}, err
+func newRouted(wire api.Spec, spec sweep.RunSpec) routedSpec {
+	fp, _ := simstore.Fingerprint(spec) // never fails
+	return routedSpec{wire: wire, spec: spec, fp: fp, hex: simstore.Hex(fp)}
 }
 
 // answer records a store hit served by peer.

@@ -356,10 +356,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return
 		}
-		if batch[i], err = newRouted(wireSpec, spec); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "spec %d: %v", i, err)
-			return
-		}
+		batch[i] = newRouted(wireSpec, spec)
 	}
 
 	// Forwarded requests are always executed here (at most one hop).

@@ -1,8 +1,8 @@
 // Package simstore provides content-addressed caching of simulation results.
 //
 // The simulator is deterministic: equal sweep.RunSpec values always produce
-// identical gpu.RunStats (the trace-replay golden tests and the sweep
-// engine's parallel-vs-serial identity test prove it). That turns every
+// identical gpu.RunStats (the figure golden test and the sweep engine's
+// parallel-vs-serial identity test prove it). That turns every
 // completed run into a reusable artifact: fingerprint the spec, store the
 // statistics under the fingerprint, and any future request for the same run
 // is a cache hit that skips the simulation entirely.
@@ -10,9 +10,8 @@
 // Two pieces implement this. Fingerprint maps a RunSpec to a stable 32-byte
 // digest over a canonical encoding — insensitive to field ordering,
 // unset-vs-default spelling, and run naming, but sensitive to everything
-// that can change the simulated statistics (including the *content* of a
-// replayed trace file, and a simulator version salt; see DESIGN.md for the
-// invalidation rule). Store is an on-disk, LRU-bounded, corruption-tolerant
+// that can change the simulated statistics (including a simulator version
+// salt; see DESIGN.md for the invalidation rule). Store is an on-disk, LRU-bounded, corruption-tolerant
 // map from fingerprint to a versioned, compact JSON result record with
 // atomic writes. A record keeps its statistics as the bytes json.Marshal
 // produced for them with their CRC-32C beside them, and a read serves those
@@ -27,8 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"os"
 	"reflect"
 	"sort"
 	"strconv"
@@ -46,72 +43,46 @@ const SchemaVersion = 1
 //
 // Invalidation rule: bump this string whenever a change anywhere in the
 // simulator alters the statistics produced for some RunSpec — the same class
-// of change that requires regenerating the golden trace statistics under
-// internal/trace/testdata. Results cached under the old salt then simply
-// stop being found, rather than being served stale. Pure refactors,
+// of change that requires regenerating internal/exp's
+// testdata/figures-tiny.golden. Results cached under the old salt then
+// simply stop being found, rather than being served stale. Pure refactors,
 // performance work and new opt-in features keep the salt (and the golden
-// stats) unchanged.
+// figures) unchanged.
 const SimVersion = "repro-sim/2"
 
 // Fingerprint returns the content address of a run: a SHA-256 digest of the
 // spec's canonical encoding. Specs that provably produce identical RunStats
 // map to the same fingerprint:
 //
-//   - sweep.RunSpec.Canonical() first erases run naming (Key), side-effect
-//     fields (RecordPath) and unset-vs-default differences;
+//   - sweep.RunSpec.Canonical() first erases run naming (Key) and
+//     unset-vs-default differences;
 //   - struct fields are encoded name-tagged and name-sorted, so declaration
-//     order and added-later zero-valued fields do not shift the digest;
-//   - a replayed trace contributes its file *content* digest, not its path,
-//     so renaming a trace file preserves hits and editing one changes them.
+//     order and added-later (or since-deleted) zero-valued fields do not
+//     shift the digest.
 //
-// The error is non-nil only when a trace file named by the spec cannot be
-// read. Fingerprints are stable across processes and platforms; golden
-// values are pinned in testdata/fingerprints.golden.
+// The error is always nil; it stays only because the frozen benchmark
+// harness under bench/ still reads two results. Fingerprints are stable
+// across processes and platforms; golden values are pinned in
+// testdata/fingerprints.golden.
 func Fingerprint(spec sweep.RunSpec) ([32]byte, error) {
 	var scratch [4096]byte
-	enc, err := appendSpec(scratch[:0], spec)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return sha256.Sum256(enc), nil
+	return sha256.Sum256(appendSpec(scratch[:0], spec)), nil
 }
 
 // appendSpec appends the digest input of spec to buf: the schema and
-// simulator salts, then the canonical encoding of spec.Canonical() with a
-// replayed trace's path replaced by its content digest.
-func appendSpec(buf []byte, spec sweep.RunSpec) ([]byte, error) {
-	c := spec.Canonical()
-	if c.TracePath != "" {
-		sum, err := fileDigest(c.TracePath)
-		if err != nil {
-			return nil, fmt.Errorf("simstore: fingerprint trace content: %w", err)
-		}
-		c.TracePath = "sha256:" + hex.EncodeToString(sum)
-	}
+// simulator salts, then the canonical encoding of spec.Canonical().
+func appendSpec(buf []byte, spec sweep.RunSpec) []byte {
 	buf = append(buf, "simstore/"...)
 	buf = strconv.AppendInt(buf, SchemaVersion, 10)
 	buf = append(buf, '|')
 	buf = append(buf, SimVersion...)
 	buf = append(buf, '|')
-	return appendCanonical(buf, reflect.ValueOf(c)), nil
+	return appendCanonical(buf, reflect.ValueOf(spec.Canonical()))
 }
 
 // Hex returns the lower-case hex form of a fingerprint (the form used as a
 // store filename and in the HTTP API).
 func Hex(fp [32]byte) string { return hex.EncodeToString(fp[:]) }
-
-func fileDigest(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return nil, err
-	}
-	return h.Sum(nil), nil
-}
 
 // fieldPlan is one exported struct field in canonical (name) order.
 type fieldPlan struct {

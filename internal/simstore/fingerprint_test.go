@@ -3,7 +3,6 @@ package simstore
 import (
 	"bufio"
 	"bytes"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
@@ -139,7 +138,6 @@ func TestFingerprintInsensitivity(t *testing.T) {
 
 	a := base
 	a.Key = "some-name"
-	a.RecordPath = "capture.trace"
 
 	b := base
 	b.Key = "another-name"
@@ -155,7 +153,7 @@ func TestFingerprintInsensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fpA != fpB {
-		t.Errorf("Key/RecordPath/explicit-default differences changed the fingerprint:\n%s\n%s",
+		t.Errorf("Key/explicit-default differences changed the fingerprint:\n%s\n%s",
 			Hex(fpA), Hex(fpB))
 	}
 }
@@ -192,49 +190,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if fp == fpBase {
 			t.Errorf("mutation %q did not change the fingerprint", name)
 		}
-	}
-}
-
-// TestFingerprintTraceContent: trace replays are addressed by trace content,
-// not path.
-func TestFingerprintTraceContent(t *testing.T) {
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.trace")
-	pathB := filepath.Join(dir, "renamed.trace")
-	pathC := filepath.Join(dir, "edited.trace")
-	if err := os.WriteFile(pathA, []byte("trace-bytes-1"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(pathB, []byte("trace-bytes-1"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(pathC, []byte("trace-bytes-2"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	spec := func(path string) sweep.RunSpec {
-		return sweep.RunSpec{TracePath: path, Config: config.Baseline(), MeasureCycles: 1_000}
-	}
-	fpA, err := Fingerprint(spec(pathA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpB, err := Fingerprint(spec(pathB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpC, err := Fingerprint(spec(pathC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpA != fpB {
-		t.Error("same trace content under different paths fingerprinted differently")
-	}
-	if fpA == fpC {
-		t.Error("different trace content fingerprinted identically")
-	}
-	if _, err := Fingerprint(spec(filepath.Join(dir, "missing.trace"))); err == nil {
-		t.Error("missing trace file must fail the fingerprint, not silently hash the path")
 	}
 }
 
@@ -292,18 +247,10 @@ func refCanonical(w io.Writer, v reflect.Value) {
 
 // refSpec is the digest input the original Fingerprint streamed into its
 // hash for spec.
-func refSpec(t testing.TB, spec sweep.RunSpec) []byte {
-	c := spec.Canonical()
-	if c.TracePath != "" {
-		sum, err := fileDigest(c.TracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.TracePath = "sha256:" + hex.EncodeToString(sum)
-	}
+func refSpec(spec sweep.RunSpec) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "simstore/%d|%s|", SchemaVersion, SimVersion)
-	refCanonical(&b, reflect.ValueOf(c))
+	refCanonical(&b, reflect.ValueOf(spec.Canonical()))
 	return b.Bytes()
 }
 
@@ -333,9 +280,8 @@ func setEveryField(v reflect.Value, n *int) {
 
 // TestCanonicalMatchesReference: the planned encoder writes the same bytes
 // as the reference for every catalog benchmark under each LLC organization,
-// a multi-program spec with per-application modes, a trace replay (whose
-// path becomes a content digest) and configurations with non-default
-// fields.
+// a multi-program spec with per-application modes and configurations with
+// non-default fields.
 func TestCanonicalMatchesReference(t *testing.T) {
 	specs := map[string]sweep.RunSpec{}
 	for _, w := range workload.Catalog() {
@@ -351,12 +297,6 @@ func TestCanonicalMatchesReference(t *testing.T) {
 	for name, s := range goldenSpecs() {
 		specs["golden/"+name] = s
 	}
-
-	trace := filepath.Join(t.TempDir(), "run.trace")
-	if err := os.WriteFile(trace, []byte("trace-bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	specs["trace-replay"] = sweep.RunSpec{TracePath: trace, TraceLoop: true, Config: config.Baseline(), MeasureCycles: 1_000}
 
 	handSet := specFor(t, "LUD", 9)
 	handSet.Config.L1SizeBytes *= 2
@@ -375,11 +315,7 @@ func TestCanonicalMatchesReference(t *testing.T) {
 	specs["every-field-set"] = every
 
 	for name, s := range specs {
-		got, err := appendSpec(nil, s)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if want := refSpec(t, s); !bytes.Equal(got, want) {
+		if got, want := appendSpec(nil, s), refSpec(s); !bytes.Equal(got, want) {
 			t.Errorf("%s: planned encoding differs from the reference:\ngot  %s\nwant %s", name, got, want)
 		}
 	}
@@ -393,7 +329,7 @@ func FuzzCanonical(f *testing.F) {
 	f.Add(int64(-9), uint64(0), uint64(1<<63), -4, uint8(7), "\xff\"\n\u2028", 1e-300, 0.0, 0, false)
 	catalog := workload.Catalog()
 	f.Fuzz(func(t *testing.T, seed int64, measure, warmup uint64, kernels int, modes uint8,
-		name string, ratio, gbs float64, l1 int, loop bool) {
+		name string, ratio, gbs float64, l1 int, checkpoint bool) {
 		w := catalog[int(modes)%len(catalog)]
 		w.Name = name
 		w.MemRatio = ratio
@@ -409,7 +345,7 @@ func FuzzCanonical(f *testing.F) {
 			MeasureCycles: measure,
 			WarmupCycles:  warmup,
 			Kernels:       kernels,
-			TraceLoop:     loop,
+			Checkpoint:    checkpoint,
 		}
 		if modes&4 != 0 {
 			spec.AppModes = []config.LLCMode{config.LLCMode(modes >> 3), config.LLCShared}

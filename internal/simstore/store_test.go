@@ -479,6 +479,56 @@ func TestRecordWithRemovedConfigKeyHits(t *testing.T) {
 	}
 }
 
+// TestRecordWithRemovedTraceFieldsHits: testdata/record-before-trace-removal.json
+// was written by Store.Put while sweep.RunSpec still had its trace-replay
+// fields, so its spec carries them, empty, as every record of that time
+// does. Filed under its fingerprint, it must keep hitting with the same
+// statistics bytes, and its spec must still fingerprint to its address:
+// zero-valued fields never reached the canonical encoding.
+func TestRecordWithRemovedTraceFieldsHits(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "record-before-trace-removal.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	var raw struct {
+		Spec map[string]json.RawMessage `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if have := reflect.TypeOf(sweep.RunSpec{}).NumField(); len(raw.Spec) <= have {
+		t.Fatalf("fixture spec has %d keys, RunSpec %d fields: it carries no removed field", len(raw.Spec), have)
+	}
+	fp := mustFP(t, rec.Spec)
+	if Hex(fp) != rec.Fingerprint {
+		t.Fatalf("the fixture's spec fingerprints to %s, it is filed under %s", Hex(fp), rec.Fingerprint)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, Hex(fp)[:2], Hex(fp)+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, ok := st.Get(fp)
+	if !ok {
+		t.Fatalf("record with the removed trace fields is a miss (corrupt = %d)", st.StoreStats().Corrupt)
+	}
+	if !bytes.Equal(hit.Stats.JSON, rec.Stats) || hit.Stats.CRC != rec.StatsCRC {
+		t.Errorf("stats changed:\nfile %s\ngot  %s", rec.Stats, hit.Stats.JSON)
+	}
+}
+
 // TestBlobCountMatchesIndex: the blob count StoreStats reports (kept
 // incrementally, so a /metrics scrape does not walk the index) equals a
 // recount of the index after every way an entry comes and goes.

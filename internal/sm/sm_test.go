@@ -34,14 +34,12 @@ func (p *scriptProgram) NextOp(sm, warp int) workload.Op {
 }
 
 func (p *scriptProgram) NextKernel() { p.kernel++ }
-func (p *scriptProgram) Kernel() int { return p.kernel }
 
 // aluProgram always returns ALU ops with a given latency.
 type aluProgram struct{ lat int }
 
 func (p *aluProgram) NextOp(sm, warp int) workload.Op { return workload.Op{ALULatency: p.lat} }
 func (p *aluProgram) NextKernel()                     {}
-func (p *aluProgram) Kernel() int                     { return 0 }
 
 // loadProgram issues a load with a unique address per call.
 type loadProgram struct{ next uint64 }
@@ -51,7 +49,6 @@ func (p *loadProgram) NextOp(sm, warp int) workload.Op {
 	return workload.Op{IsMem: true, Addr: p.next}
 }
 func (p *loadProgram) NextKernel() {}
-func (p *loadProgram) Kernel() int { return 0 }
 
 func testCfg() config.Config { return config.Baseline().Normalize() }
 
@@ -371,7 +368,6 @@ func (p *mixProgram) NextOp(sm, warp int) workload.Op {
 	}
 }
 func (p *mixProgram) NextKernel() {}
-func (p *mixProgram) Kernel() int { return 0 }
 
 // delayedMemory drains an SM's request queue (at most one request a tick,
 // and none on some ticks, so the queue backs up) and answers each load after
@@ -607,7 +603,7 @@ func TestPickWarpMatchesReferenceScan(t *testing.T) {
 
 // TestPickWarpAcrossTheCalendarHorizon repeats the drive where the calendar
 // has edges: wake latencies at and beyond its 63-cycle horizon (1<<20 being
-// the trace player's drain latency), an L1 hit latency beyond it,
+// a drained warp's park latency), an L1 hit latency beyond it,
 // and tick gaps a reconfiguration stall leaves — short of, at and past the
 // 64 slots — with replies arriving inside the gap.
 func TestPickWarpAcrossTheCalendarHorizon(t *testing.T) {

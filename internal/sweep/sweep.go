@@ -6,10 +6,8 @@
 // a fixed number of cycles. The simulator itself is single-threaded, so a
 // sweep of N runs is embarrassingly parallel across N goroutines.
 //
-// A run's program source is either a synthetic workload specification (one
-// for single-program, several for multi-program co-execution) or a recorded
-// memory trace (RunSpec.TracePath; see internal/trace), and any run can
-// transparently capture its op stream to a trace file (RunSpec.RecordPath).
+// A run's program source is a synthetic workload specification: one for
+// single-program, several for multi-program co-execution.
 //
 // A sweep is declared as a slice of RunSpec values and executed by a Runner,
 // which fans the runs across a worker pool (GOMAXPROCS workers by default).
@@ -30,14 +28,13 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"sync"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -67,22 +64,8 @@ type RunSpec struct {
 	MeasureCycles uint64
 	WarmupCycles  uint64
 	// Kernels is the number of kernel invocations the measured window is
-	// split into; 0 uses the largest Kernels value among Workloads (or, for
-	// trace replay, the kernel count recorded in the trace header).
+	// split into; 0 uses the largest Kernels value among Workloads.
 	Kernels int
-
-	// TracePath, when non-empty, replays a recorded memory trace (see
-	// internal/trace) as the program source instead of Workloads; the two
-	// are mutually exclusive. Replay under the recording's configuration
-	// reproduces the recorded run exactly; under a different configuration
-	// the recorded warp streams are remapped onto the new geometry.
-	TracePath string
-	// TraceLoop selects the trace end-of-file policy: false parks exhausted
-	// warps (drain), true rewinds the trace and replays it again.
-	TraceLoop bool
-	// RecordPath, when non-empty, captures the run's per-warp op stream to a
-	// trace file that can later be replayed via TracePath.
-	RecordPath string
 
 	// Checkpoint is unread: the Checkpointer handed to ExecuteSpanned (or set
 	// on a Runner) is what opts a run into checkpoint-assisted execution. The
@@ -99,21 +82,16 @@ type RunSpec struct {
 //
 //   - Key is cleared: it names the run within a batch and never reaches the
 //     simulator.
-//   - RecordPath is cleared: capturing a trace is a side effect that leaves
-//     the measured statistics untouched (see Execute).
 //   - Checkpoint is cleared: it is unread (see the field).
 //   - Config is normalized, so a zero derived field and its explicitly
 //     spelled-out default compare equal.
 //   - A zero Kernels is resolved to the workload-derived default, so "let it
-//     default" and "set it to the default" compare equal. (Trace replays keep
-//     Kernels as written: their default lives in the trace header, which
-//     Canonical does not open.)
+//     default" and "set it to the default" compare equal.
 //
 // Canonical is the identity under which internal/simstore fingerprints runs
 // and the simd job queue deduplicates them.
 func (s RunSpec) Canonical() RunSpec {
 	s.Key = ""
-	s.RecordPath = ""
 	s.Checkpoint = false
 	s.Config = s.Config.Normalize()
 	if s.Kernels == 0 && len(s.Workloads) > 0 {
@@ -156,24 +134,12 @@ type Checkpointer interface {
 	Checkpoint(spec RunSpec, g *gpu.GPU, atKernel int)
 }
 
-// BuildProgram constructs the workload program a spec declares: a trace
-// player, a single generator, or a multi-program combination. The returned
-// player is non-nil only for trace replays (it aliases the program) and must
-// be closed by the caller.
-func BuildProgram(s RunSpec) (workload.Program, *trace.Player, error) {
+// BuildProgram constructs the workload program a spec declares: a single
+// generator, or a multi-program combination. The second result is always
+// nil; it stays only because the frozen benchmark harness under bench/
+// still reads three results.
+func BuildProgram(s RunSpec) (workload.Program, io.Closer, error) {
 	switch {
-	case s.TracePath != "" && len(s.Workloads) > 0:
-		return nil, nil, fmt.Errorf("TracePath and Workloads are mutually exclusive")
-	case s.TracePath != "":
-		policy := trace.EOFDrain
-		if s.TraceLoop {
-			policy = trace.EOFLoop
-		}
-		player, err := trace.NewPlayer(s.TracePath, s.Config.Normalize(), policy)
-		if err != nil {
-			return nil, nil, err
-		}
-		return player, player, nil
 	case len(s.Workloads) == 0:
 		return nil, nil, fmt.Errorf("no workloads")
 	case len(s.Workloads) == 1:
@@ -183,16 +149,6 @@ func BuildProgram(s RunSpec) (workload.Program, *trace.Player, error) {
 		prog, err := workload.NewMultiProgram(s.Workloads, s.Config, s.Seed)
 		return prog, nil, err
 	}
-}
-
-// resolveKernels resolves the kernel count for execution, falling back to the
-// trace header for replays that leave Kernels unset.
-func (s RunSpec) resolveKernels(player *trace.Player) int {
-	kernels := s.kernels()
-	if s.Kernels == 0 && player != nil && player.Header().Kernels > 0 {
-		kernels = player.Header().Kernels
-	}
-	return kernels
 }
 
 // Execute runs one spec to completion on the calling goroutine and returns
@@ -206,10 +162,7 @@ func Execute(s RunSpec) (gpu.RunStats, error) {
 //
 // A non-nil cp opts the run into checkpoint-assisted execution: it first
 // tries to resume from the longest stored state prefix and banks one at
-// warmup end and at every kernel boundary it passes. A run that records a
-// trace (RecordPath) runs cold whatever cp is: a run restored past its
-// warmup could not re-record the skipped prefix, so the trace would be
-// silently partial.
+// warmup end and at every kernel boundary it passes.
 //
 // The run's lifecycle is recorded as child spans of sp: checkpoint
 // probe/restore, program build, warmup, the measure window with one segment
@@ -219,9 +172,6 @@ func Execute(s RunSpec) (gpu.RunStats, error) {
 func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, error) {
 	fail := func(err error) (gpu.RunStats, error) {
 		return gpu.RunStats{}, fmt.Errorf("sweep: run %q: %w", s.Key, err)
-	}
-	if s.RecordPath != "" {
-		cp = nil
 	}
 
 	var (
@@ -244,86 +194,23 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 		if err != nil {
 			return fail(err)
 		}
-	}
-	player, _ := prog.(*trace.Player)
-	if player != nil {
-		defer player.Close()
-	}
-	kernels := s.resolveKernels(player)
-
-	var rec *trace.Recorder
-	if !resumed {
-		var err error
-		if g, rec, err = s.start(prog, kernels, cp, sp); err != nil {
+		if g, err = s.start(prog, cp, sp); err != nil {
 			return fail(err)
 		}
 	}
-	stats := s.measure(g, kernels, atKernel, cp, sp)
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			os.Remove(s.RecordPath)
-			return fail(err)
-		}
-	}
-	if player != nil {
-		if err := player.Err(); err != nil {
-			return fail(err)
-		}
-	}
-	return stats, nil
+	return s.measure(g, s.kernels(), atKernel, cp, sp), nil
 }
 
 // start builds the GPU of a cold run around prog and warms it up, banking
-// the warmup prefix with a non-nil cp. With a RecordPath it first wraps prog
-// so the run records its op stream to a replayable trace file; the returned
-// recorder must be closed once the run ends.
-func (s RunSpec) start(prog workload.Program, kernels int, cp Checkpointer, sp *obs.Span) (*gpu.GPU, *trace.Recorder, error) {
-	var rec *trace.Recorder
-	if s.RecordPath != "" {
-		names := make([]string, len(s.Workloads))
-		for i, w := range s.Workloads {
-			names[i] = w.Abbr
-		}
-		cfg := s.Config.Normalize()
-		hdr := trace.HeaderFor(cfg, names, s.Seed, kernels, s.MeasureCycles, s.WarmupCycles)
-		// Preserve multi-program SM-to-app assignment from any program that
-		// carries one (a MultiProgram, or a Player re-recording a
-		// multi-program trace) — the same interface gpu.New detects.
-		if a, ok := prog.(interface {
-			AppOf(sm int) int
-			Apps() int
-		}); ok && a.Apps() > 1 {
-			hdr.Apps = a.Apps()
-			hdr.SMApp = make([]int, cfg.NumSMs)
-			for sm := range hdr.SMApp {
-				hdr.SMApp[sm] = a.AppOf(sm)
-			}
-		}
-		w, err := trace.Create(s.RecordPath, hdr)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec = trace.NewRecorder(prog, w)
-		prog = rec
-	}
-	// A failed recorded run must not leave a well-formed (but empty or
-	// partial) trace behind: a later replay of it would silently succeed
-	// with a bogus workload.
-	fail := func(err error) (*gpu.GPU, *trace.Recorder, error) {
-		if rec != nil {
-			rec.Close()
-			os.Remove(s.RecordPath)
-		}
-		return nil, nil, err
-	}
-
+// the warmup prefix with a non-nil cp.
+func (s RunSpec) start(prog workload.Program, cp Checkpointer, sp *obs.Span) (*gpu.GPU, error) {
 	g, err := gpu.New(s.Config, prog)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if len(s.AppModes) > 0 {
 		if err := g.SetAppModes(s.AppModes); err != nil {
-			return fail(err)
+			return nil, err
 		}
 	}
 	if s.WarmupCycles > 0 {
@@ -338,7 +225,7 @@ func (s RunSpec) start(prog workload.Program, kernels int, cp Checkpointer, sp *
 		}
 		warm.End()
 	}
-	return g, rec, nil
+	return g, nil
 }
 
 // measure drives the measured window from kernel boundary atKernel (0 = its

@@ -249,18 +249,16 @@ func TestCanonical(t *testing.T) {
 		Config:        tinyCfg(config.LLCShared),
 		Seed:          7,
 		MeasureCycles: 1_000,
-		RecordPath:    "somewhere.trace",
 	}
 
-	// Key and RecordPath are erased; an explicitly-spelled-out kernel default
+	// Key is erased; an explicitly-spelled-out kernel default
 	// and derived config fields compare equal to their unset forms.
 	other := base
 	other.Key = "another-name"
-	other.RecordPath = ""
 	other.Kernels = w.Kernels
 	other.Config = other.Config.Normalize()
 	if !reflect.DeepEqual(base.Canonical(), other.Canonical()) {
-		t.Errorf("specs differing only in Key/RecordPath/defaults canonicalize differently:\n%+v\n%+v",
+		t.Errorf("specs differing only in Key/defaults canonicalize differently:\n%+v\n%+v",
 			base.Canonical(), other.Canonical())
 	}
 
@@ -275,13 +273,6 @@ func TestCanonical(t *testing.T) {
 	c := base.Canonical()
 	if !reflect.DeepEqual(c, c.Canonical()) {
 		t.Error("Canonical is not idempotent")
-	}
-
-	// Trace replays keep Kernels unresolved (the default lives in the trace
-	// header, which Canonical does not open).
-	tr := RunSpec{TracePath: "t.trace", Config: tinyCfg(config.LLCShared)}
-	if got := tr.Canonical().Kernels; got != 0 {
-		t.Errorf("trace spec Kernels resolved to %d, want 0", got)
 	}
 }
 

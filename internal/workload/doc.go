@@ -15,10 +15,8 @@
 //   - the overall memory intensity and store share.
 //
 // A Generator turns a Spec into per-warp instruction streams consumed by
-// the SM model; MultiProgram co-executes several programs on one GPU for
-// the paper's multi-program evaluation (§6.3) — synthetic generators,
-// recorded-trace players (internal/trace), or a mix of both
-// (NewMultiProgramMixed). The three behavioural
+// the SM model; MultiProgram co-executes several generators on one GPU for
+// the paper's multi-program evaluation (§6.3). The three behavioural
 // classes of the paper emerge from the parameters rather than being
 // hard-coded: shared-cache-friendly workloads have large, uniformly reused
 // shared footprints; private-cache-friendly workloads have lockstep sweeps

@@ -29,8 +29,6 @@ type Program interface {
 	// re-synchronized (as successive CUDA kernels do implicitly) and the
 	// kernel counter advances.
 	NextKernel()
-	// Kernel returns the current kernel index, starting at 0.
-	Kernel() int
 }
 
 // Base addresses of the synthetic address-space regions. They only need to
@@ -223,9 +221,6 @@ func (g *Generator) NextKernel() {
 	g.globalFrontier += uint64(g.cfg.L1SizeBytes / g.cfg.LLCLineBytes)
 	g.resetSweeps()
 }
-
-// Kernel implements Program.
-func (g *Generator) Kernel() int { return g.kernel }
 
 // NextOp implements Program.
 func (g *Generator) NextOp(sm, warpSlot int) Op {

@@ -6,74 +6,44 @@ import (
 	"repro/internal/config"
 )
 
-// appSettable is implemented by programs that can relocate their address
-// space for multi-program co-execution (Generator, trace.Player).
-type appSettable interface {
-	SetApp(appID int)
-}
-
-// MultiProgram co-executes several programs on one GPU for the
+// MultiProgram co-executes several generators on one GPU for the
 // multi-program evaluation (paper §6.3, Figure 15). SMs are divided within
 // each cluster so that every application runs on a share of every cluster,
 // which lets every application reach the entire LLC capacity while the
 // cluster-level load stays balanced — the mapping recommended by the paper
 // (Figure 9).
-//
-// The co-running programs are arbitrary: synthetic generators, trace
-// players, or a mix of both (NewMultiProgramMixed).
 type MultiProgram struct {
-	progs []Program
+	progs []*Generator
 	smApp []int // application index for each SM
 }
 
-// NewMultiProgram builds a co-execution of the given synthetic specs. The
-// SMs of each cluster are split evenly (in catalog order) between the
-// applications.
+// NewMultiProgram builds a co-execution of the given synthetic specs, each
+// generator in its own address space. The SMs of each cluster are split
+// evenly (in catalog order) between the applications.
 func NewMultiProgram(specs []Spec, cfg config.Config, seed int64) (*MultiProgram, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("workload: multi-program needs at least one spec")
 	}
-	progs := make([]Program, len(specs))
+	smsPerCluster := cfg.SMsPerCluster()
+	if smsPerCluster < len(specs) {
+		return nil, fmt.Errorf("workload: %d apps need at least %d SMs per cluster, have %d",
+			len(specs), len(specs), smsPerCluster)
+	}
+	m := &MultiProgram{progs: make([]*Generator, len(specs)), smApp: make([]int, cfg.NumSMs)}
 	for i, spec := range specs {
 		g, err := NewGenerator(spec, cfg, seed+int64(i)*7919)
 		if err != nil {
 			return nil, err
 		}
-		progs[i] = g
+		g.SetApp(i)
+		m.progs[i] = g
 	}
-	return NewMultiProgramMixed(progs, cfg)
-}
-
-// NewMultiProgramMixed builds a co-execution of arbitrary programs —
-// synthetic generators, trace players, or a mix. Programs that implement
-// SetApp (all of the above) are assigned disjoint address spaces; programs
-// that do not must already use non-overlapping addresses.
-func NewMultiProgramMixed(progs []Program, cfg config.Config) (*MultiProgram, error) {
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("workload: multi-program needs at least one program")
-	}
-	for i, p := range progs {
-		if p == nil {
-			return nil, fmt.Errorf("workload: multi-program: nil program at index %d", i)
-		}
-	}
-	smsPerCluster := cfg.SMsPerCluster()
-	if smsPerCluster < len(progs) {
-		return nil, fmt.Errorf("workload: %d apps need at least %d SMs per cluster, have %d",
-			len(progs), len(progs), smsPerCluster)
-	}
-	m := &MultiProgram{progs: progs, smApp: make([]int, cfg.NumSMs)}
-	for i, p := range progs {
-		if s, ok := p.(appSettable); ok {
-			s.SetApp(i)
-		}
-	}
-	// Within each cluster, SM j runs application j*len(progs)/smsPerCluster.
+	// Within each cluster, SM j runs application j*len(specs)/smsPerCluster.
 	for sm := 0; sm < cfg.NumSMs; sm++ {
 		local := sm % smsPerCluster
-		app := local * len(progs) / smsPerCluster
-		if app >= len(progs) {
-			app = len(progs) - 1
+		app := local * len(specs) / smsPerCluster
+		if app >= len(specs) {
+			app = len(specs) - 1
 		}
 		m.smApp[sm] = app
 	}
@@ -91,9 +61,6 @@ func (m *MultiProgram) NextKernel() {
 		p.NextKernel()
 	}
 }
-
-// Kernel implements Program.
-func (m *MultiProgram) Kernel() int { return m.progs[0].Kernel() }
 
 // AppOf returns the application index running on the given SM.
 func (m *MultiProgram) AppOf(sm int) int { return m.smApp[sm] }

@@ -28,7 +28,7 @@ func (ps *ProgramState) AppendTo(b []byte) []byte {
 }
 
 // maxProgramDepth bounds the nesting ReadFrom follows; real programs nest
-// one level (a MultiProgram of generators or players).
+// one level (a MultiProgram of generators).
 const maxProgramDepth = 4
 
 // ReadFrom overwrites the state with the next one in r, reusing the backing
@@ -66,7 +66,7 @@ func (o *Op) ReadFrom(r *wire.Reader) {
 
 // Checkpointable is implemented by programs that can be snapshotted and
 // fast-forwarded. Restore is a method on a freshly constructed program built
-// from the same inputs (spec, config, seed, trace file) — the state captures
+// from the same inputs (spec, config, seed) — the state captures
 // only the execution position, not the program's identity.
 type Checkpointable interface {
 	SaveProgState() (ProgramState, error)
@@ -122,8 +122,7 @@ func (g *Generator) eachWarp(fn func(*warpState)) {
 func (g *Generator) warpCount() int { return len(g.warps) }
 
 // StreamPositions returns the RNG stream position (draws consumed) of every
-// synthetic generator in a program snapshot, in application order; programs
-// of other kinds (trace players) contribute nothing.
+// synthetic generator in a program snapshot, in application order.
 func StreamPositions(ps ProgramState) ([]uint64, error) {
 	var draws []uint64
 	if ps.Kind == progKindGenerator {
@@ -196,16 +195,11 @@ func (g *Generator) RestoreProgState(ps ProgramState) error {
 const progKindMulti = "workload.MultiProgram"
 
 // SaveProgState implements Checkpointable: a multi-program snapshot is the
-// snapshots of its children, in application order. Every child must itself
-// be Checkpointable.
+// snapshots of its children, in application order.
 func (m *MultiProgram) SaveProgState() (ProgramState, error) {
 	st := ProgramState{Kind: progKindMulti, Subs: make([]ProgramState, len(m.progs))}
-	for i, p := range m.progs {
-		cp, ok := p.(Checkpointable)
-		if !ok {
-			return ProgramState{}, fmt.Errorf("workload: program %d (%T) is not checkpointable", i, p)
-		}
-		sub, err := cp.SaveProgState()
+	for i, g := range m.progs {
+		sub, err := g.SaveProgState()
 		if err != nil {
 			return ProgramState{}, fmt.Errorf("workload: program %d: %w", i, err)
 		}
@@ -223,12 +217,8 @@ func (m *MultiProgram) RestoreProgState(ps ProgramState) error {
 	if len(ps.Subs) != len(m.progs) {
 		return fmt.Errorf("workload: program state has %d applications, multi-program has %d", len(ps.Subs), len(m.progs))
 	}
-	for i, p := range m.progs {
-		cp, ok := p.(Checkpointable)
-		if !ok {
-			return fmt.Errorf("workload: program %d (%T) is not checkpointable", i, p)
-		}
-		if err := cp.RestoreProgState(ps.Subs[i]); err != nil {
+	for i, g := range m.progs {
+		if err := g.RestoreProgState(ps.Subs[i]); err != nil {
 			return fmt.Errorf("workload: program %d: %w", i, err)
 		}
 	}

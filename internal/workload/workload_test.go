@@ -249,7 +249,7 @@ func TestKernelBoundaryResync(t *testing.T) {
 	cfg := config.Baseline()
 	spec, _ := ByAbbr("AN")
 	g := MustNewGenerator(spec, cfg, 7)
-	if g.Kernel() != 0 {
+	if g.kernel != 0 {
 		t.Fatal("kernel should start at 0")
 	}
 	// Advance one warp far ahead.
@@ -266,7 +266,7 @@ func TestKernelBoundaryResync(t *testing.T) {
 		}
 	}
 	g.NextKernel()
-	if g.Kernel() != 1 {
+	if g.kernel != 1 {
 		t.Error("kernel counter should advance")
 	}
 	// After the boundary the next kernel works on fresh operands: the
@@ -361,20 +361,20 @@ func TestMultiProgram(t *testing.T) {
 	// Address spaces must not overlap between apps.
 	addrsA := map[uint64]bool{}
 	for i := 0; i < 5000; i++ {
-		op := mp.progs[0].(*Generator).NextOp(0, 0)
+		op := mp.progs[0].NextOp(0, 0)
 		if op.IsMem {
 			addrsA[op.Addr] = true
 		}
 	}
 	for i := 0; i < 5000; i++ {
-		op := mp.progs[1].(*Generator).NextOp(smsPerCluster-1, 0)
+		op := mp.progs[1].NextOp(smsPerCluster-1, 0)
 		if op.IsMem && addrsA[op.Addr] {
 			t.Fatal("applications share addresses; address spaces must be disjoint")
 		}
 	}
 	// Kernel boundaries propagate to every app.
 	mp.NextKernel()
-	if mp.Kernel() != 1 || mp.progs[1].(*Generator).Kernel() != 1 {
+	if mp.progs[0].kernel != 1 || mp.progs[1].kernel != 1 {
 		t.Error("NextKernel should advance all apps")
 	}
 }
