@@ -6,9 +6,10 @@ package cache
 // at which point the cache must stall new misses.
 //
 // The table is generic over the per-miss payload P it remembers for each
-// merged requester: the L1s track request IDs (uint64), the LLC slices track
-// the merged *mem.Request values they must answer when the fill returns, so
-// one structure serves both without a shadow table.
+// merged requester: the L1s track the slots of the warps asleep on the line
+// (uint64), which a fill wakes, the LLC slices track the merged *mem.Request
+// values they must answer when it returns, so one structure serves both
+// without a shadow table.
 //
 // It is backed by packed arrays rather than a map: MSHR capacities are
 // small (tens of entries), so a linear scan over a contiguous line-address

@@ -50,13 +50,16 @@ import (
 // gob + gzip. Version 4: the tag stores' access counters and the MSHR
 // tables' occupancy counters, which nothing read, leave the state. Version
 // 5: the GPU follows the controller's mode, so the parked decision and the
-// transition's target and reason leave the state.
-const FormatVersion = 5
+// transition's target and reason leave the state. Version 6: an L1 MSHR
+// entry's merge list holds the slots of the warps asleep on its line instead
+// of request counters, so the SMs' blocked-line and issue-count columns and
+// the DRAM banks' last-activate cycles, which nothing read, leave the state.
+const FormatVersion = 6
 
 // A checkpoint file is
 //
-//	repro-checkpoint/5\n            magic line with the format version
-//	{"version":5,...}\n             Header as one JSON line
+//	repro-checkpoint/6\n            magic line with the format version
+//	{"version":6,...}\n             Header as one JSON line
 //	<8 bytes>                       payload length, little-endian
 //	<4 bytes>                       CRC-32C, little-endian
 //	<payload>                       gpu.State.AppendTo

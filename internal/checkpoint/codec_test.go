@@ -146,7 +146,7 @@ func TestReferenceBlobBudget(t *testing.T) {
 // must bump FormatVersion, and only then update the hash. (A change to what
 // the simulator computes moves them too; that one bumps simstore.SimVersion,
 // which re-keys every stored blob.)
-const wireGolden = "51ea0c5819a944a5fbfd42240753f1be894432a1342e7d9dd29b583719b88d68"
+const wireGolden = "7afc3b665c1cc1fd20b6073fc27824a2e7494385d5f5a60de281e5f3d176b15d"
 
 func TestWireFormatStable(t *testing.T) {
 	sum := sha256.Sum256(pinnedBlob(t))

@@ -14,8 +14,10 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 )
 
 // Meta carries caller context through the controller: the originating LLC
@@ -78,18 +80,26 @@ func (s Stats) RowHitRate() float64 {
 }
 
 type bankState struct {
-	openRow      int64  // -1 if no row open
-	readyAt      uint64 // earliest cycle the bank can accept a column command
-	actAllowed   uint64 // earliest cycle a new ACT may issue (tRC from last ACT)
-	preAllowed   uint64 // earliest cycle a PRE may issue (tRAS from last ACT)
-	lastActivate uint64
+	openRow    int64  // -1 if no row open
+	readyAt    uint64 // earliest cycle the bank can accept a column command
+	actAllowed uint64 // earliest cycle a new ACT may issue (tRC from last ACT)
+	preAllowed uint64 // earliest cycle a PRE may issue (tRAS from last ACT)
 
-	// head and tail delimit the bank's FIFO of un-issued requests (slot
-	// indices linked through queued.next, oldest first; -1 when empty), and
-	// hits counts those among them that target the open row. Both are derived
-	// state: RestoreState rebuilds them from the saved queue.
-	head, tail int32
-	hits       int32
+	// The rest is derived: RestoreState rebuilds it through link. head and
+	// tail delimit the bank's FIFO of un-issued requests (slot indices linked
+	// through queued.next, oldest first; -1 when empty); headRow and headSeq
+	// are the head's row and arrival sequence number. hits counts the FIFO's
+	// requests for the open row; the oldest of them is slot hit, its
+	// predecessor in the FIFO hitPrev (-1: it is the head) and its sequence
+	// number hitSeq. filed is the cycle the ready calendar holds the bank for
+	// (never: it is not filed).
+	head, tail   int32
+	hits         int32
+	hit, hitPrev int32
+	headRow      uint64
+	headSeq      uint64
+	hitSeq       uint64
+	filed        uint64
 }
 
 type queued struct {
@@ -113,14 +123,18 @@ type queued struct {
 // never is the bound of an event nothing queued can cause.
 const never = math.MaxUint64
 
+// horizon is how far ahead of the controller's cycle the ready calendar files
+// a bank: its 64 slots hold cycles cycle+1 .. cycle+horizon, one per slot.
+const horizon = 63
+
 // Controller is one GDDR5 memory controller (channel).
 //
 // Requests live in a fixed slot array. An un-issued request sits in its
-// bank's FIFO, an issued one in inflight, so a cycle's work is bounded by the
-// number of banks and of transfers in flight rather than by the queue depth,
-// and two bounds let a cycle on which nothing can happen skip even that:
-// nextDone (no transfer finishes before it) and idleUntil (no command can
-// issue before it).
+// bank's FIFO, an issued one in inflight, and each bank keeps a summary of
+// its FIFO (head row and sequence number, oldest open-row hit), so picking a
+// command loads no queue slot but those of the command it issues. nextDone
+// says when the next transfer finishes; the ready calendar says which banks
+// can take a command.
 type Controller struct {
 	id           int
 	timing       config.GDDRTiming
@@ -139,14 +153,25 @@ type Controller struct {
 	cycle        uint64
 	done         []Completion // reused buffer returned by Tick
 
-	// nextDone is the earliest doneAt in flight. idleUntil is the earliest
-	// cycle at which any timing threshold a scheduling scan found unmet
-	// (readyAt, busFreeAt, actAllowed, lastActCycle+tRRD, preAllowed) can
-	// flip. Those inputs change only when a command issues (issueOne
-	// recomputes the bound) and on Enqueue, which can only pull the bound
-	// forward to the newcomer's own threshold (see link).
-	nextDone  uint64
-	idleUntil uint64
+	// nextDone is the earliest doneAt in flight.
+	nextDone uint64
+
+	// The ready calendar, derived from the bank summaries and the cycle
+	// (refresh, rebuild). A bank's own thresholds decide which sets it is in:
+	// hitReady holds the banks with an open-row request and readyAt passed,
+	// actReady the closed banks whose head's actAllowed has passed, preReady
+	// the banks whose head needs another row and whose preAllowed and readyAt
+	// have passed. The shared thresholds, busFreeAt for a column and
+	// lastActCycle+tRRD for an activate, are tested once per pick. A bank
+	// whose next own threshold lies within the horizon is in the calendar
+	// slot of that cycle, slot t&63 holding the banks filed for cycle t;
+	// farMin is the earliest threshold beyond it (never: none). Bitsets are
+	// words long; calBusy has bit t&63 set while slot t&63 may hold a bank.
+	words                        int
+	hitReady, actReady, preReady []uint64
+	cal                          []uint64
+	calBusy                      uint64
+	farMin                       uint64
 }
 
 // NewController builds a memory controller from the GPU configuration.
@@ -157,6 +182,8 @@ func NewController(id int, cfg config.Config) *Controller {
 		burst = 1
 	}
 	depth := cfg.MCQueueDepth
+	words := wire.BitWords(cfg.BanksPerMC)
+	sets := make([]uint64, (3+64)*words) // the three ready sets, then the calendar
 	c := &Controller{
 		id:          id,
 		timing:      cfg.Timing,
@@ -166,6 +193,11 @@ func NewController(id int, cfg config.Config) *Controller {
 		queueCap:    depth,
 		burstCycles: burst,
 		lineBytes:   cfg.LLCLineBytes,
+		words:       words,
+		hitReady:    sets[:words],
+		actReady:    sets[words : 2*words],
+		preReady:    sets[2*words : 3*words],
+		cal:         sets[3*words:],
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
@@ -174,12 +206,12 @@ func NewController(id int, cfg config.Config) *Controller {
 	return c
 }
 
-// clearQueue empties every bank FIFO and the in-flight list and threads all
-// slots onto the free list.
+// clearQueue empties every bank FIFO, the in-flight list and the ready
+// calendar and threads all slots onto the free list.
 func (c *Controller) clearQueue() {
 	for i := range c.banks {
 		b := &c.banks[i]
-		b.head, b.tail, b.hits = -1, -1, 0
+		b.head, b.tail, b.hits, b.hit, b.filed = -1, -1, 0, -1, never
 	}
 	for i := range c.slots {
 		c.slots[i].next = int32(i) + 1
@@ -192,7 +224,17 @@ func (c *Controller) clearQueue() {
 	c.inflight = c.inflight[:0]
 	c.count = 0
 	c.nextSeq = 0
-	c.nextDone, c.idleUntil = never, never
+	c.nextDone = never
+	c.clearCalendar()
+}
+
+// clearCalendar empties the ready sets and the calendar.
+func (c *Controller) clearCalendar() {
+	clear(c.hitReady)
+	clear(c.actReady)
+	clear(c.preReady)
+	clear(c.cal)
+	c.calBusy, c.farMin = 0, never
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -244,40 +286,115 @@ func (c *Controller) take(q queued) int32 {
 	return i
 }
 
-// link appends un-issued slot i to its bank's FIFO. The newcomer leaves
-// every threshold behind idleUntil as it was, so it can pull the bound forward
-// only to the cycle its own command becomes possible — and only if it is one
-// the scheduler looks at: the bank's oldest request, or an open-row hit.
+// link appends un-issued slot i to its bank's FIFO, keeps the bank's
+// summary and refiles the bank.
 func (c *Controller) link(i int32) {
 	q := &c.slots[i]
-	b := &c.banks[q.req.Bank]
-	hit := b.openRow == int64(q.req.Row)
-	if hit {
-		b.hits++
-	}
+	bi := q.req.Bank
+	b := &c.banks[bi]
 	if b.head < 0 {
-		b.head = i
+		b.head, b.headRow, b.headSeq = i, q.req.Row, q.seq
 	} else {
 		c.slots[b.tail].next = i
 	}
+	if b.openRow == int64(q.req.Row) {
+		if b.hits == 0 {
+			b.hit, b.hitPrev, b.hitSeq = i, b.tail, q.seq
+		}
+		b.hits++
+	}
 	b.tail = i
-	if hit || b.head == i {
-		c.idleUntil = min(c.idleUntil, c.commandAt(b, q.req.Row))
+	c.refresh(bi)
+}
+
+// refresh puts bank bi in the ready sets its own thresholds allow now, and
+// files it for the earliest of them still to come. The bank's summary and
+// thresholds change only at link, a command and a precharge, each of which
+// refreshes the bank, so a bank is never filed later than it can act.
+func (c *Controller) refresh(bi int) {
+	b := &c.banks[bi]
+	c.unfile(bi)
+	colAt, rowAt, act := uint64(never), uint64(never), false
+	if b.hits > 0 {
+		colAt = b.readyAt
+	}
+	if b.head >= 0 && b.openRow != int64(b.headRow) {
+		if act = b.openRow == -1; act {
+			rowAt = b.actAllowed
+		} else {
+			rowAt = max(b.preAllowed, b.readyAt)
+		}
+	}
+	k, bit := bi>>6, uint64(1)<<(bi&63)
+	c.hitReady[k] &^= bit
+	c.actReady[k] &^= bit
+	c.preReady[k] &^= bit
+	next := uint64(never)
+	if colAt <= c.cycle {
+		c.hitReady[k] |= bit
+	} else {
+		next = colAt
+	}
+	switch {
+	case rowAt > c.cycle:
+		next = min(next, rowAt)
+	case act:
+		c.actReady[k] |= bit
+	default:
+		c.preReady[k] |= bit
+	}
+	if next == never {
+		return
+	}
+	b.filed = next
+	if next-c.cycle <= horizon {
+		c.cal[int(next&63)*c.words+k] |= bit
+		c.calBusy |= 1 << (next & 63)
+	} else {
+		c.farMin = min(c.farMin, next)
 	}
 }
 
-// commandAt returns the first cycle bank b can take the next command of a
-// request for row: the column command on an open-row hit, an activate on a
-// closed bank (tRC since its last ACT, tRRD since any bank's), otherwise a
-// precharge (tRAS since the ACT, and the bank idle).
-func (c *Controller) commandAt(b *bankState, row uint64) uint64 {
-	switch b.openRow {
-	case int64(row):
-		return max(b.readyAt, c.busFreeAt)
-	case -1:
-		return max(b.actAllowed, c.lastActCycle+uint64(c.timing.TRRD))
-	default:
-		return max(b.preAllowed, b.readyAt)
+// unfile takes bank bi out of the calendar slot it is filed in. A bank filed
+// beyond the horizon leaves farMin as it is: a bound that is too early costs
+// one rebuild.
+func (c *Controller) unfile(bi int) {
+	b := &c.banks[bi]
+	if at := b.filed; at != never && at-c.cycle <= horizon {
+		c.cal[int(at&63)*c.words+bi>>6] &^= 1 << (bi & 63)
+	}
+	b.filed = never
+}
+
+// advance refreshes the banks filed for the controller's new cycle. A bank
+// filed beyond the horizon coming within it rebuilds the calendar.
+func (c *Controller) advance() {
+	if c.farMin <= c.cycle+horizon {
+		c.rebuild()
+		return
+	}
+	t := c.cycle & 63
+	if c.calBusy>>t&1 == 0 {
+		return
+	}
+	c.calBusy &^= 1 << t
+	slot := c.cal[int(t)*c.words:][:c.words]
+	for k, word := range slot {
+		slot[k] = 0
+		for ; word != 0; word &= word - 1 {
+			bi := k<<6 + bits.TrailingZeros64(word)
+			c.banks[bi].filed = never
+			c.refresh(bi)
+		}
+	}
+}
+
+// rebuild derives the ready sets and the calendar from the banks.
+func (c *Controller) rebuild() {
+	c.clearCalendar()
+	for bi := range c.banks {
+		c.banks[bi].filed = never
+		c.refresh(bi)
 	}
 }
 
@@ -293,7 +410,11 @@ func (c *Controller) Tick() []Completion {
 	if c.cycle < c.busFreeAt {
 		c.stats.BusyCycles++
 	}
-	if c.cycle >= c.idleUntil {
+	// With no request waiting for a command no bank is filed, so the
+	// calendar may lag: a stale calBusy bit costs a visit to an empty slot, a
+	// stale farMin one rebuild.
+	if c.count > len(c.inflight) {
+		c.advance()
 		c.issueOne()
 	}
 	return c.done
@@ -326,103 +447,78 @@ func (c *Controller) collectDone() {
 // command gets it (activate, or precharge of a conflicting row). Only a
 // bank's oldest request may move its row — a younger one must not close a row
 // the older one is waiting on — but a bank that is busy never blocks another:
-// bank-level parallelism is what GPUs rely on for DRAM throughput.
-//
-// The scan also yields the next idleUntil: the earliest threshold that said
-// no. A command only ever pushes the other banks' thresholds later
-// (busFreeAt and lastActCycle grow), so those stay valid lower bounds after
-// it; the bank it touched is asked again, and a second candidate that was
-// ready but lost the arbitration means looking again next cycle.
+// bank-level parallelism is what GPUs rely on for DRAM throughput. The
+// candidates are the ready sets' banks, compared by the sequence numbers
+// their summaries hold.
 func (c *Controller) issueOne() {
-	col, colPrev, rowBank, ready := int32(-1), int32(-1), -1, 0
-	colSeq, rowSeq, wake := uint64(never), uint64(never), uint64(never)
-	for bi := range c.banks {
-		b := &c.banks[bi]
-		if b.head < 0 {
-			continue
-		}
-		if b.hits > 0 {
-			if at := max(b.readyAt, c.busFreeAt); c.cycle < at {
-				wake = min(wake, at)
-			} else {
-				ready++
-				prev, i := int32(-1), b.head
-				for int64(c.slots[i].req.Row) != b.openRow {
-					prev, i = i, c.slots[i].next
-				}
-				if seq := c.slots[i].seq; seq < colSeq {
-					col, colPrev, colSeq = i, prev, seq
+	pick, seq := -1, uint64(never)
+	if c.cycle >= c.busFreeAt {
+		for k, word := range c.hitReady {
+			for ; word != 0; word &= word - 1 {
+				bi := k<<6 + bits.TrailingZeros64(word)
+				if s := c.banks[bi].hitSeq; s < seq {
+					pick, seq = bi, s
 				}
 			}
 		}
-		h := &c.slots[b.head]
-		if b.openRow == int64(h.req.Row) {
-			continue // the head is itself a hit: it waits for its column command
+		if pick >= 0 {
+			c.issueColumn(pick)
+			c.refresh(pick)
+			return
 		}
-		if at := c.commandAt(b, h.req.Row); c.cycle < at {
-			wake = min(wake, at)
-		} else {
-			ready++
-			if h.seq < rowSeq {
-				rowBank, rowSeq = bi, h.seq
+	}
+	actOK := c.cycle >= c.lastActCycle+uint64(c.timing.TRRD)
+	for k, word := range c.preReady {
+		if actOK {
+			word |= c.actReady[k]
+		}
+		for ; word != 0; word &= word - 1 {
+			bi := k<<6 + bits.TrailingZeros64(word)
+			if s := c.banks[bi].headSeq; s < seq {
+				pick, seq = bi, s
 			}
 		}
 	}
-	var b *bankState
-	switch {
-	case col >= 0:
-		b = &c.banks[c.slots[col].req.Bank]
-		c.issueColumn(col, colPrev)
-	case rowBank >= 0:
-		b = &c.banks[rowBank]
-		if q := &c.slots[b.head]; b.openRow == -1 {
-			c.activate(q, b)
-		} else {
-			// Conflict: precharge now, activate on a later cycle once tRP
-			// has elapsed.
-			b.openRow, b.hits = -1, 0
-			b.actAllowed = max(b.actAllowed, c.cycle+uint64(c.timing.TRP))
-			q.conflict = true
-		}
-	default:
-		c.idleUntil = wake
+	if pick < 0 {
 		return
 	}
-	if ready > 1 {
-		wake = 0
+	if b := &c.banks[pick]; b.openRow == -1 {
+		c.activate(b)
+	} else {
+		// Conflict: precharge now, activate on a later cycle once tRP has
+		// elapsed.
+		b.openRow, b.hits = -1, 0
+		b.actAllowed = max(b.actAllowed, c.cycle+uint64(c.timing.TRP))
+		c.slots[b.head].conflict = true
 	}
-	if b.hits > 0 {
-		wake = min(wake, max(b.readyAt, c.busFreeAt))
-	}
-	if b.head >= 0 {
-		wake = min(wake, c.commandAt(b, c.slots[b.head].req.Row))
-	}
-	c.idleUntil = wake
+	c.refresh(pick)
 }
 
-// activate opens the row needed by q, the oldest request of bank b.
-func (c *Controller) activate(q *queued, b *bankState) {
-	b.openRow = int64(q.req.Row)
-	b.lastActivate = c.cycle
+// activate opens the row needed by the oldest request of bank b, which
+// becomes the bank's oldest hit.
+func (c *Controller) activate(b *bankState) {
+	b.openRow = int64(b.headRow)
 	b.readyAt = c.cycle + uint64(c.timing.TRCD)
 	b.actAllowed = c.cycle + uint64(c.timing.TRC)
 	b.preAllowed = c.cycle + uint64(c.timing.TRAS)
 	c.lastActCycle = c.cycle
-	q.activated = true
+	c.slots[b.head].activated = true
 	b.hits = 0
 	for i := b.head; i >= 0; i = c.slots[i].next {
 		if int64(c.slots[i].req.Row) == b.openRow {
 			b.hits++
 		}
 	}
+	b.hit, b.hitPrev, b.hitSeq = b.head, -1, b.headSeq
 }
 
-// issueColumn issues the column (read/write) command for slot i, whose
-// predecessor in its bank's FIFO is prev (-1 at the head), classifies its row
-// outcome and moves it from the FIFO to the in-flight list.
-func (c *Controller) issueColumn(i, prev int32) {
+// issueColumn issues the column (read/write) command for bank bi's oldest
+// hit, classifies its row outcome, moves it from the FIFO to the in-flight
+// list and finds the bank's next hit.
+func (c *Controller) issueColumn(bi int) {
+	b := &c.banks[bi]
+	i, prev := b.hit, b.hitPrev
 	q := &c.slots[i]
-	b := &c.banks[q.req.Bank]
 	switch {
 	case q.conflict:
 		c.stats.RowConflicts++
@@ -444,13 +540,25 @@ func (c *Controller) issueColumn(i, prev int32) {
 
 	if prev < 0 {
 		b.head = q.next
+		if b.head >= 0 {
+			h := &c.slots[b.head]
+			b.headRow, b.headSeq = h.req.Row, h.seq
+		}
 	} else {
 		c.slots[prev].next = q.next
 	}
 	if b.tail == i {
 		b.tail = prev
 	}
-	b.hits--
+	// Every request ahead of the issued one was for another row, so the next
+	// hit, if any, is behind it.
+	if b.hits--; b.hits > 0 {
+		p, j := prev, q.next
+		for int64(c.slots[j].req.Row) != b.openRow {
+			p, j = j, c.slots[j].next
+		}
+		b.hit, b.hitPrev, b.hitSeq = j, p, c.slots[j].seq
+	}
 	c.fly(i)
 }
 

@@ -115,7 +115,6 @@ func (c *refController) issueOne() {
 		case b.OpenRow == -1:
 			if c.cycle >= b.ActAllowed && c.cycle >= c.lastActCycle+uint64(c.timing.TRRD) {
 				b.OpenRow = int64(q.Req.Row)
-				b.LastActivate = c.cycle
 				b.ReadyAt = c.cycle + uint64(c.timing.TRCD)
 				b.ActAllowed = c.cycle + uint64(c.timing.TRC)
 				b.PreAllowed = c.cycle + uint64(c.timing.TRAS)
@@ -177,11 +176,19 @@ func (c *refController) restoreState(st State) {
 // differential drive.
 type trafficShape struct {
 	name      string
-	banks     int     // BanksPerMC
-	rows      int     // distinct rows per bank: 1-2 is row-hit heavy, many is conflict heavy
-	writes    float64 // share of stores
-	perCycle  int     // enqueue attempts per cycle (more than the controller drains = saturated)
-	idleEvery int     // every idleEvery cycles the stream pauses for idleEvery/4 cycles (0 = never)
+	banks     int                      // BanksPerMC
+	rows      int                      // distinct rows per bank: 1-2 is row-hit heavy, many is conflict heavy
+	writes    float64                  // share of stores
+	perCycle  int                      // enqueue attempts per cycle (more than the controller drains = saturated)
+	idleEvery int                      // every idleEvery cycles the stream pauses for idleEvery/4 cycles (0 = never)
+	timing    func(*config.GDDRTiming) // nil: the baseline's, with TCL 12 and TWR 10
+	busBound  bool                     // asserted: the queue full and the bus busy on 90 % of cycles
+}
+
+// slowTiming puts every per-bank threshold (tRCD, tRAS, tRC, tRP) and tRRD
+// beyond the ready calendar's horizon, so banks are filed past it.
+func slowTiming(t *config.GDDRTiming) {
+	t.TRCD, t.TRP, t.TRAS, t.TRC, t.TRRD = 70, 90, 140, 200, 66
 }
 
 // TestControllerMatchesReference drives the event-bounded controller and the
@@ -196,6 +203,11 @@ func TestControllerMatchesReference(t *testing.T) {
 		{name: "bursty-mixed", banks: 16, rows: 8, writes: 0.5, perCycle: 2, idleEvery: 400},
 		{name: "trickle", banks: 4, rows: 64, writes: 0.1, perCycle: 1, idleEvery: 8},
 		{name: "128-banks", banks: 128, rows: 3, writes: 0.3, perCycle: 4},
+		// LUD on the shared LLC: the queue held full, every bank busy, the
+		// data bus the bottleneck.
+		{name: "lud-full-bus-bound", banks: 16, rows: 2, writes: 1.0 / 6, perCycle: 16, busBound: true},
+		{name: "beyond-the-horizon", banks: 16, rows: 8, writes: 0.3, perCycle: 2, timing: slowTiming},
+		{name: "beyond-the-horizon-bursty", banks: 4, rows: 64, writes: 0.2, perCycle: 1, idleEvery: 2000, timing: slowTiming},
 	}
 	cycles := 50000
 	if testing.Short() {
@@ -209,11 +221,14 @@ func TestControllerMatchesReference(t *testing.T) {
 			// TCL != TWR, and a burst short enough that a read and a later
 			// write can finish on the same cycle.
 			cfg.Timing.TCL, cfg.Timing.TWR = 12, 10
+			if sh.timing != nil {
+				sh.timing(&cfg.Timing)
+			}
 			got, ref := NewController(0, cfg), newRefController(cfg)
 			used := NewController(0, cfg) // restore target with history of its own
 			rng := rand.New(rand.NewSource(int64(len(sh.name)) * 7919))
 			var id uint64
-			sameCycle := 0
+			sameCycle, full, far := 0, 0, 0
 			for cyc := 0; cyc < cycles; cyc++ {
 				paused := sh.idleEvery > 0 && cyc%sh.idleEvery < sh.idleEvery/4
 				for k := 0; k < sh.perCycle && !paused; k++ {
@@ -230,6 +245,9 @@ func TestControllerMatchesReference(t *testing.T) {
 						t.Fatalf("cycle %d: Enqueue = %v, reference %v", cyc, a, b)
 					}
 				}
+				if got.count == got.queueCap {
+					full++
+				}
 				used.Tick()
 				d, rd := got.Tick(), ref.Tick()
 				if len(d) != len(rd) || (len(d) > 0 && !reflect.DeepEqual(d, rd)) {
@@ -237,6 +255,9 @@ func TestControllerMatchesReference(t *testing.T) {
 				}
 				if len(d) > 1 {
 					sameCycle++
+				}
+				if got.farMin != never {
+					far++
 				}
 				if got.count != len(ref.queue) {
 					t.Fatalf("cycle %d: %d requests queued or in flight, reference %d", cyc, got.count, len(ref.queue))
@@ -263,8 +284,17 @@ func TestControllerMatchesReference(t *testing.T) {
 			if got.Stats().Completed == 0 {
 				t.Fatal("the drive completed nothing")
 			}
-			t.Logf("%d completed, %d refused, row-hit rate %.2f, %d cycles with several completions",
-				got.Stats().Completed, got.Stats().StallsFull, got.Stats().RowHitRate(), sameCycle)
+			// The share of cycles the data bus carried a burst.
+			busy := float64(got.Stats().Completed*uint64(got.burstCycles)) / float64(cycles)
+			queueFull := float64(full) / float64(cycles)
+			t.Logf("%d completed, %d refused, row-hit rate %.2f, %d cycles with several completions, bus busy %.2f, queue full %.2f, %d cycles with a bank filed beyond the horizon",
+				got.Stats().Completed, got.Stats().StallsFull, got.Stats().RowHitRate(), sameCycle, busy, queueFull, far)
+			if sh.timing != nil && far == 0 {
+				t.Error("no bank was filed beyond the calendar's horizon")
+			}
+			if sh.busBound && (busy < 0.9 || queueFull < 0.9) {
+				t.Errorf("not LUD's operating point: bus busy %.2f, queue full %.2f of the cycles", busy, queueFull)
+			}
 		})
 	}
 }

@@ -10,11 +10,10 @@ import (
 
 // BankState mirrors one bank's timing state machine for serialization.
 type BankState struct {
-	OpenRow      int64
-	ReadyAt      uint64
-	ActAllowed   uint64
-	PreAllowed   uint64
-	LastActivate uint64
+	OpenRow    int64
+	ReadyAt    uint64
+	ActAllowed uint64
+	PreAllowed uint64
 }
 
 // QueuedState mirrors one queued (possibly issued) request.
@@ -50,11 +49,10 @@ func (c *Controller) SaveStateInto(st *State) {
 	live := append(make([]int32, 0, c.count), c.inflight...)
 	for i, b := range c.banks {
 		st.Banks[i] = BankState{
-			OpenRow:      b.openRow,
-			ReadyAt:      b.readyAt,
-			ActAllowed:   b.actAllowed,
-			PreAllowed:   b.preAllowed,
-			LastActivate: b.lastActivate,
+			OpenRow:    b.openRow,
+			ReadyAt:    b.readyAt,
+			ActAllowed: b.actAllowed,
+			PreAllowed: b.preAllowed,
 		}
 		for j := b.head; j >= 0; j = c.slots[j].next {
 			live = append(live, j)
@@ -83,7 +81,6 @@ func (st *State) AppendTo(b []byte) []byte {
 		b = wire.AppendUvarint(b, k.ReadyAt)
 		b = wire.AppendUvarint(b, k.ActAllowed)
 		b = wire.AppendUvarint(b, k.PreAllowed)
-		b = wire.AppendUvarint(b, k.LastActivate)
 	}
 	b = wire.AppendUvarint(b, uint64(len(st.Queue)))
 	for _, q := range st.Queue {
@@ -112,14 +109,13 @@ func (st *State) AppendTo(b []byte) []byte {
 // ReadFrom overwrites the state with the next one in r, reusing the backing
 // arrays it already has.
 func (st *State) ReadFrom(r *wire.Reader) {
-	st.Banks = wire.Resize(st.Banks, r.Count(5))
+	st.Banks = wire.Resize(st.Banks, r.Count(4))
 	for i := range st.Banks {
 		st.Banks[i] = BankState{
-			OpenRow:      int64(r.Uvarint()) - 1,
-			ReadyAt:      r.Uvarint(),
-			ActAllowed:   r.Uvarint(),
-			PreAllowed:   r.Uvarint(),
-			LastActivate: r.Uvarint(),
+			OpenRow:    int64(r.Uvarint()) - 1,
+			ReadyAt:    r.Uvarint(),
+			ActAllowed: r.Uvarint(),
+			PreAllowed: r.Uvarint(),
 		}
 	}
 	st.Queue = wire.Resize(st.Queue, r.Count(12))
@@ -163,11 +159,10 @@ func (c *Controller) RestoreState(st State) error {
 	}
 	for i, b := range st.Banks {
 		c.banks[i] = bankState{
-			openRow:      b.OpenRow,
-			readyAt:      b.ReadyAt,
-			actAllowed:   b.ActAllowed,
-			preAllowed:   b.PreAllowed,
-			lastActivate: b.LastActivate,
+			openRow:    b.OpenRow,
+			readyAt:    b.ReadyAt,
+			actAllowed: b.ActAllowed,
+			preAllowed: b.PreAllowed,
 		}
 	}
 	c.clearQueue()
@@ -175,8 +170,9 @@ func (c *Controller) RestoreState(st State) error {
 	c.lastActCycle = st.LastActCycle
 	c.stats = st.Stats
 	c.cycle = st.Cycle
-	// The bank FIFOs, hit counts, in-flight list and both bounds are derived:
-	// re-queue the saved requests in their saved (arrival) order.
+	// The bank FIFOs and summaries, the in-flight list, nextDone and the
+	// ready calendar are derived: re-queue the saved requests in their saved
+	// (arrival) order.
 	for _, q := range st.Queue {
 		if q.Req.Bank < 0 || q.Req.Bank >= len(c.banks) {
 			return fmt.Errorf("dram %d: snapshot request for bank %d, controller has %d", c.id, q.Req.Bank, len(c.banks))
@@ -194,6 +190,5 @@ func (c *Controller) RestoreState(st State) error {
 			c.link(i)
 		}
 	}
-	c.idleUntil = 0
 	return nil
 }

@@ -63,7 +63,6 @@ func (s *Stats) Add(other Stats) {
 }
 
 type warp struct {
-	blockedLine uint64 // line address the warp is waiting for while asleep
 	// pending holds an operation that could not issue (structural stall) and
 	// must be retried. It is stored by value: a pointer here would force every
 	// operation returned by the workload onto the heap.
@@ -75,7 +74,6 @@ type warp struct {
 	// line enters the L1 without an MSHR insert. Stamps only grow, so a stale
 	// memo never matches.
 	mshrFull uint64
-	issued   uint64
 }
 
 // asleep is the wake time of a warp blocked on an outstanding load: no cycle
@@ -93,9 +91,12 @@ type SM struct {
 	cfg     config.Config
 
 	// The L1 and its MSHR table are held by value: every access saves the
-	// pointer load a separate allocation would put in front of it.
+	// pointer load a separate allocation would put in front of it. An MSHR
+	// entry's merge list is the slots of the warps asleep on its line: every
+	// asleep warp is in exactly one list, so a reply wakes the list its
+	// entry's Complete returns.
 	l1    cache.Cache
-	mshrs cache.MSHRTable[uint64] // payload: merged request IDs
+	mshrs cache.MSHRTable[uint64]
 	// inflight has a bit per L1 line slot, set when a load miss fills the
 	// slot and cleared by the first lookup whose MSHR probe finds the slot's
 	// line no longer outstanding. Derived, never serialised: RestoreState
@@ -380,7 +381,6 @@ func (s *SM) sleepUntil(w int, at uint64) {
 
 func (s *SM) retire(w int) {
 	s.warps[w].hasPending = false
-	s.warps[w].issued++
 	s.stats.Instructions++
 }
 
@@ -435,8 +435,8 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 			s.stall(w, op)
 			return
 		}
-		s.mshrs.Commit(probe, s.reqCounter)
-		s.blockOnLine(w, lineAddr)
+		s.mshrs.Commit(probe, uint64(w))
+		s.sleepOnLoad(w)
 		s.retire(w)
 		s.stats.MemInstructions++
 		s.stats.Loads++
@@ -467,9 +467,9 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	s.stats.MemInstructions++
 	s.stats.Loads++
 	s.stats.L1Misses++
-	s.mshrs.Commit(probe, s.reqCounter)
+	s.mshrs.Commit(probe, uint64(w))
 	s.outQ.PushBack(s.newRequest(lineAddr, false, w))
-	s.blockOnLine(w, lineAddr)
+	s.sleepOnLoad(w)
 }
 
 // hit issues warp w's load of a resident line with no outstanding miss.
@@ -482,12 +482,12 @@ func (s *SM) hit(w int, found cache.Slot) {
 	s.sleepUntil(w, s.cycle+uint64(s.cfg.L1HitLatency))
 }
 
-// blockOnLine takes the ready warp w out of issue until lineAddr's reply: an
-// asleep warp is in neither set.
-func (s *SM) blockOnLine(w int, lineAddr uint64) {
+// sleepOnLoad takes the ready warp w, just entered in an MSHR entry's merge
+// list, out of issue until that entry's reply: an asleep warp is in neither
+// set.
+func (s *SM) sleepOnLoad(w int) {
 	s.wake[w] = asleep
 	s.ready[w>>6] &^= 1 << (w & 63)
-	s.warps[w].blockedLine = lineAddr
 }
 
 func (s *SM) newRequest(addr uint64, write bool, warpSlot int) *mem.Request {
@@ -528,44 +528,24 @@ func (s *SM) UnpopRequest(r *mem.Request) {
 }
 
 // CompleteLoad delivers a reply from the memory system: the L1 line is
-// filled (it was already reserved at miss time) and every warp waiting on
-// the line wakes up.
+// filled (it was already reserved at miss time) and the warps in the line's
+// MSHR merge list — every warp waiting on the line — wake up.
 func (s *SM) CompleteLoad(r mem.Reply, cycle uint64) {
 	line := s.l1.LineAddr(r.Addr)
-	s.mshrs.Complete(line)
+	woke := s.mshrs.Complete(line)
 	s.stats.RepliesReceived++
-	woke := uint64(0)
-	for k := range s.words {
-		// The warps of this word blocked on the line, compared without a
-		// branch: which of them are is as random as the replies.
-		lo := k << 6
-		var mask uint64
-		for j, at := range s.wake[lo:min(lo+64, len(s.wake))] {
-			mask |= bit(at == asleep) & bit(s.warps[lo+j].blockedLine == line) << j
-		}
-		woke += uint64(bits.OnesCount64(mask))
-		for ; mask != 0; mask &= mask - 1 {
-			w := lo + bits.TrailingZeros64(mask)
-			s.wake[w] = cycle + 1
-			s.file(w, cycle+1)
-		}
-	}
-	if woke == 0 {
-		// A reply can legitimately wake zero warps only if the request was
-		// purely MSHR-merged bookkeeping; treat anything else as a bug.
+	if len(woke) == 0 {
+		// Every entry lists the warp whose miss allocated it: a reply for a
+		// line with no entry is a bug.
 		panic(fmt.Sprintf("sm %d: reply for line %#x woke no warp", s.id, line))
 	}
-	s.stats.LoadsCompleted += woke
+	for _, w := range woke {
+		s.wake[w] = cycle + 1
+		s.file(int(w), cycle+1)
+	}
+	n := uint64(len(woke))
+	s.stats.LoadsCompleted += n
 	if cycle > r.IssuedAt {
-		s.stats.TotalLoadLatency += woke * (cycle - r.IssuedAt)
+		s.stats.TotalLoadLatency += n * (cycle - r.IssuedAt)
 	}
-}
-
-// bit is 1 for true and 0 for false, without a branch.
-func bit(b bool) uint64 {
-	var x uint64
-	if b {
-		x = 1
-	}
-	return x
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -236,23 +237,28 @@ func TestUnpopRequest(t *testing.T) {
 	}
 }
 
+// issueCounter is aluProgram that counts the instructions it hands each warp.
+type issueCounter struct {
+	aluProgram
+	perWarp map[int]int
+}
+
+func (p *issueCounter) NextOp(sm, warp int) workload.Op {
+	p.perWarp[warp]++
+	return p.aluProgram.NextOp(sm, warp)
+}
+
 func TestGTOPrefersCurrentWarp(t *testing.T) {
 	cfg := testCfg()
 	s := New(0, 0, cfg)
-	prog := &aluProgram{lat: 1}
+	prog := &issueCounter{aluProgram{lat: 1}, map[int]int{}}
 	for cyc := uint64(1); cyc <= 50; cyc++ {
 		s.Tick(cyc, prog)
 	}
 	// With ALU latency 1, the greedy warp (slot 0 for scheduler 0, slot 1
 	// for scheduler 1) is always ready again next cycle, so only two warps
 	// should have issued anything.
-	issuedWarps := 0
-	for w := range s.warps {
-		if s.warps[w].issued > 0 {
-			issuedWarps++
-		}
-	}
-	if issuedWarps != len(s.current) {
+	if issuedWarps := len(prog.perWarp); issuedWarps != len(s.current) {
 		t.Errorf("%d warps issued, want %d (greedy scheduling)", issuedWarps, len(s.current))
 	}
 }
@@ -266,6 +272,69 @@ func TestCompleteLoadUnknownLinePanics(t *testing.T) {
 		}
 	}()
 	s.CompleteLoad(mem.Reply{Addr: 0x9000}, 5)
+}
+
+// TestRestoreRejectsBadMergeLists: a snapshot whose L1 MSHR merge lists
+// disagree with its asleep warps is refused by RestoreState, rather than
+// left to panic (or wake the wrong warps) at a later reply.
+func TestRestoreRejectsBadMergeLists(t *testing.T) {
+	cfg := testCfg()
+	src := New(0, 0, cfg)
+	// Warps 0 and 2 (scheduler 0) and 1 (scheduler 1) go to sleep: 0 and 1 on
+	// line 0x1000, 2 on line 0x2000. Every other warp stays awake.
+	prog := &scriptProgram{ops: map[[2]int][]workload.Op{
+		{0, 0}: {{IsMem: true, Addr: 0x1000}},
+		{0, 1}: {{IsMem: true, Addr: 0x1000}},
+		{0, 2}: {{IsMem: true, Addr: 0x2000}},
+	}}
+	src.Tick(1, prog)
+	src.Tick(2, prog)
+	entry := func(st *State, line uint64) int {
+		i := slices.Index(st.MSHRs.Lines, line)
+		if i < 0 {
+			t.Fatalf("line %#x is not outstanding: %+v", line, st.MSHRs)
+		}
+		return i
+	}
+	good := snapshot(src)
+	if l := good.MSHRs.Payloads[entry(&good, 0x1000)]; len(l) != 2 || good.Wake[2] != asleep {
+		t.Fatalf("set-up: merge list %v, wake %v", l, good.Wake[:4])
+	}
+	if err := New(0, 0, cfg).RestoreState(good); err != nil {
+		t.Fatalf("the uncorrupted snapshot: %v", err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(st *State)
+		want    string
+	}{
+		{"payload-beyond-the-warps", func(st *State) {
+			i := entry(st, 0x2000)
+			st.MSHRs.Payloads[i] = append(st.MSHRs.Payloads[i], uint64(cfg.MaxWarpsPerSM))
+		}, "lists warp"},
+		{"listed-warp-awake", func(st *State) {
+			i := entry(st, 0x2000)
+			st.MSHRs.Payloads[i] = append(st.MSHRs.Payloads[i], 5)
+		}, "not asleep"},
+		{"asleep-warp-in-no-list", func(st *State) {
+			i := entry(st, 0x1000)
+			st.MSHRs.Payloads[i] = st.MSHRs.Payloads[i][:1]
+		}, "in no MSHR entry"},
+		{"asleep-warp-in-two-lists", func(st *State) {
+			i := entry(st, 0x2000)
+			st.MSHRs.Payloads[i] = append(st.MSHRs.Payloads[i], st.MSHRs.Payloads[entry(st, 0x1000)][0])
+		}, "twice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := snapshot(src)
+			tc.corrupt(&st)
+			err := New(0, 0, cfg).RestoreState(st)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreState = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestRequestMetadata(t *testing.T) {
@@ -377,6 +446,7 @@ type delayedMemory struct {
 	rng      *rand.Rand
 	inflight []mem.Reply
 	due      []uint64
+	complete func(mem.Reply, uint64) // nil: the SM's CompleteLoad
 }
 
 func (m *delayedMemory) take(s *SM, cyc uint64) {
@@ -398,7 +468,11 @@ func (m *delayedMemory) deliver(s *SM, upTo uint64) {
 			i++
 			continue
 		}
-		s.CompleteLoad(m.inflight[i], m.due[i])
+		if m.complete != nil {
+			m.complete(m.inflight[i], m.due[i])
+		} else {
+			s.CompleteLoad(m.inflight[i], m.due[i])
+		}
 		last := len(m.due) - 1
 		m.inflight[i], m.due[i] = m.inflight[last], m.due[last]
 		m.inflight, m.due = m.inflight[:last], m.due[:last]
@@ -416,8 +490,9 @@ type pickDrive struct {
 	restoreAt int                // tick before which fast moves onto a used SM (0: never)
 }
 
-// refTick is Tick with loads issued by refIssueLoad.
-func refTick(s *SM, cycle uint64, prog workload.Program) {
+// refTick is Tick with loads issued by refIssueLoad, which notes in blocked
+// the line each warp it puts to sleep waits for.
+func refTick(s *SM, blocked []uint64, cycle uint64, prog workload.Program) {
 	s.advance(cycle)
 	s.stats.Cycles++
 	s.noReady, s.parked = 0, 0
@@ -434,7 +509,7 @@ func refTick(s *SM, cycle uint64, prog workload.Program) {
 			op = prog.NextOp(s.id, w)
 		}
 		if op.IsMem && !op.Write {
-			refIssueLoad(s, w, op)
+			refIssueLoad(s, blocked, w, op)
 		} else {
 			s.execOp(w, op)
 		}
@@ -443,8 +518,10 @@ func refTick(s *SM, cycle uint64, prog workload.Program) {
 }
 
 // refIssueLoad is issueLoad as it was before the in-flight bits: the MSHR
-// probe first, on every load, hit or miss.
-func refIssueLoad(s *SM, w int, op workload.Op) {
+// probe first, on every load, hit or miss. It keeps the blocked-line column
+// refCompleteLoad scans: a warp put to sleep on lineAddr gets
+// blocked[w] = lineAddr.
+func refIssueLoad(s *SM, blocked []uint64, w int, op workload.Op) {
 	if s.warps[w].mshrFull == s.mshrs.Stamp()+1 {
 		s.stats.StallStructural++
 		s.parked++
@@ -457,8 +534,9 @@ func refIssueLoad(s *SM, w int, op workload.Op) {
 			s.stall(w, op)
 			return
 		}
-		s.mshrs.Commit(probe, s.reqCounter)
-		s.blockOnLine(w, lineAddr)
+		s.mshrs.Commit(probe, uint64(w))
+		s.sleepOnLoad(w)
+		blocked[w] = lineAddr
 		s.retire(w)
 		s.stats.MemInstructions++
 		s.stats.Loads++
@@ -483,9 +561,35 @@ func refIssueLoad(s *SM, w int, op workload.Op) {
 		return
 	}
 	s.stats.L1Misses++
-	s.mshrs.Commit(probe, s.reqCounter)
+	s.mshrs.Commit(probe, uint64(w))
 	s.outQ.PushBack(s.newRequest(lineAddr, false, w))
-	s.blockOnLine(w, lineAddr)
+	s.sleepOnLoad(w)
+	blocked[w] = lineAddr
+}
+
+// refCompleteLoad is CompleteLoad as it was before the MSHR merge lists
+// named the warps: the reply's entry is completed for its bookkeeping only,
+// and the warps to wake are found by comparing every asleep warp's line in
+// blocked with the reply's.
+func refCompleteLoad(s *SM, blocked []uint64, r mem.Reply, cycle uint64) {
+	line := s.l1.LineAddr(r.Addr)
+	s.mshrs.Complete(line)
+	s.stats.RepliesReceived++
+	woke := uint64(0)
+	for w, at := range s.wake {
+		if at == asleep && blocked[w] == line {
+			s.wake[w] = cycle + 1
+			s.file(w, cycle+1)
+			woke++
+		}
+	}
+	if woke == 0 {
+		panic(fmt.Sprintf("sm %d: reply for line %#x woke no warp", s.id, line))
+	}
+	s.stats.LoadsCompleted += woke
+	if cycle > r.IssuedAt {
+		s.stats.TotalLoadLatency += woke * (cycle - r.IssuedAt)
+	}
 }
 
 // settledLines counts the lines resident in s's L1 whose in-flight bit is
@@ -504,9 +608,10 @@ func settledLines(s *SM) int {
 // pickWarp must equal the reference scan at every tick. `plain` has its
 // stall memos wiped and its ready set, calendar and far bound rebuilt from the
 // wake times before every tick, so it never relies on what earlier cycles
-// filed, and issues its loads through refIssueLoad, so it never relies on
-// the in-flight bits; the two must stay in identical state, derived sets and
-// statistics included. It returns fast's statistics, how many warp-ticks sat
+// filed, issues its loads through refIssueLoad, so it never relies on the
+// in-flight bits, and takes its replies through refCompleteLoad, so it never
+// relies on the MSHR merge lists to name the warps a reply wakes; the two
+// must stay in identical state, derived sets and statistics included. It returns fast's statistics, how many warp-ticks sat
 // on a memoised stall and how many ticks ended with a settled L1 line.
 func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 	t.Helper()
@@ -514,6 +619,8 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 	fast, plain := New(3, 0, cfg), New(3, 0, cfg)
 	progFast, progPlain := &mixProgram{rand.New(rand.NewSource(9)), d.lats}, &mixProgram{rand.New(rand.NewSource(9)), d.lats}
 	memFast, memPlain := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
+	blocked := make([]uint64, cfg.MaxWarpsPerSM)
+	memPlain.complete = func(r mem.Reply, cycle uint64) { refCompleteLoad(plain, blocked, r, cycle) }
 	digest := func(s *SM) []byte { st := snapshot(s); return st.AppendTo(nil) }
 
 	parked, cyc, settled := uint64(0), uint64(0), 0
@@ -562,7 +669,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 		plain.rebuild()
 
 		fast.Tick(cyc, progFast)
-		refTick(plain, cyc, progPlain)
+		refTick(plain, blocked, cyc, progPlain)
 		memFast.take(fast, cyc)
 		memPlain.take(plain, cyc)
 		memFast.deliver(fast, cyc)

@@ -2,7 +2,6 @@ package sm
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -24,15 +23,13 @@ type PendingOp struct {
 //
 // The warp contexts are packed columns with an entry per warp slot: Wake is
 // the cycle from which the warp can issue (all ones while it waits for a
-// load), Issued its instruction count. Blocked holds, for the asleep warps
-// only and in slot order, the line each waits for; Pending the retried
-// operations of the warps that have one, in slot order. What a warp does not
-// read — the blocked line of an awake warp, the operation of a warp with
-// nothing pending — is not state.
+// load), Pending the retried operations of the warps that have one, in slot
+// order. The L1 MSHR entries' merge lists hold the slots of the asleep
+// warps, each in exactly one list: an asleep warp's line is its entry's
+// line. What a warp does not read — the operation of a warp with nothing
+// pending — is not state.
 type State struct {
 	Wake       []uint64
-	Issued     []uint64
-	Blocked    []uint64
 	Pending    []PendingOp
 	Current    []int
 	L1         cache.State
@@ -48,21 +45,16 @@ type State struct {
 // st already has.
 func (s *SM) SaveStateInto(st *State) {
 	st.Wake = append(st.Wake[:0], s.wake...)
-	st.Issued = wire.Resize(st.Issued, len(s.warps))
-	st.Blocked, st.Pending = st.Blocked[:0], st.Pending[:0]
+	st.Pending = st.Pending[:0]
 	for i := range s.warps {
 		w := &s.warps[i]
-		st.Issued[i] = w.issued
-		if s.wake[i] == asleep {
-			st.Blocked = append(st.Blocked, w.blockedLine)
-		}
 		if w.hasPending {
 			st.Pending = append(st.Pending, PendingOp{Warp: i, Op: w.pending})
 		}
 	}
 	st.Current = append(st.Current[:0], s.current...)
 	s.l1.SaveStateInto(&st.L1)
-	cache.SaveMSHRs(&s.mshrs, &st.MSHRs, func(id uint64) uint64 { return id })
+	cache.SaveMSHRs(&s.mshrs, &st.MSHRs, func(w uint64) uint64 { return w })
 	st.OutQ = st.OutQ[:0]
 	for i := 0; i < s.outQ.Len(); i++ {
 		st.OutQ = append(st.OutQ, *s.outQ.At(i))
@@ -78,20 +70,14 @@ func (s *SM) SaveStateInto(st *State) {
 // the ownership invariant (each request lives in exactly one container)
 // makes the copies equivalent to the originals.
 func (s *SM) RestoreState(st State) error {
-	if len(st.Wake) != len(s.warps) || len(st.Issued) != len(s.warps) {
+	if len(st.Wake) != len(s.warps) {
 		return fmt.Errorf("sm %d: snapshot has %d warps, SM has %d", s.id, len(st.Wake), len(s.warps))
 	}
 	if len(st.Current) != len(s.current) {
 		return fmt.Errorf("sm %d: snapshot has %d schedulers, SM has %d", s.id, len(st.Current), len(s.current))
 	}
-	sleepers := 0
-	for _, at := range st.Wake {
-		if at == asleep {
-			sleepers++
-		}
-	}
-	if len(st.Blocked) != sleepers {
-		return fmt.Errorf("sm %d: snapshot has %d blocked lines for %d sleeping warps", s.id, len(st.Blocked), sleepers)
+	if err := s.checkMergeLists(st); err != nil {
+		return err
 	}
 	for _, p := range st.Pending {
 		if p.Warp < 0 || p.Warp >= len(s.warps) {
@@ -113,13 +99,7 @@ func (s *SM) RestoreState(st State) error {
 		s.inflight[i] = ^uint64(0)
 	}
 	copy(s.wake, st.Wake)
-	blocked := st.Blocked
-	for i := range s.warps {
-		s.warps[i] = warp{issued: st.Issued[i]}
-		if st.Wake[i] == asleep {
-			s.warps[i].blockedLine, blocked = blocked[0], blocked[1:]
-		}
-	}
+	clear(s.warps)
 	for _, p := range st.Pending {
 		s.warps[p.Warp].pending, s.warps[p.Warp].hasPending = p.Op, true
 	}
@@ -139,14 +119,37 @@ func (s *SM) RestoreState(st State) error {
 	return nil
 }
 
+// checkMergeLists holds st to what CompleteLoad relies on: the L1 MSHR
+// merge lists name warp slots, every listed warp is asleep, and every asleep
+// warp is in exactly one list.
+func (s *SM) checkMergeLists(st State) error {
+	listed := make([]uint64, s.words)
+	for i, ws := range st.MSHRs.Payloads {
+		for _, w := range ws {
+			switch {
+			case w >= uint64(len(s.warps)):
+				return fmt.Errorf("sm %d: snapshot's MSHR entry %d lists warp %d of %d", s.id, i, w, len(s.warps))
+			case st.Wake[w] != asleep:
+				return fmt.Errorf("sm %d: snapshot's MSHR entry %d lists warp %d, which is not asleep", s.id, i, w)
+			case listed[w>>6]>>(w&63)&1 != 0:
+				return fmt.Errorf("sm %d: snapshot lists warp %d twice in its MSHR entries", s.id, w)
+			}
+			listed[w>>6] |= 1 << (w & 63)
+		}
+	}
+	for w, at := range st.Wake {
+		if at == asleep && listed[w>>6]>>(w&63)&1 == 0 {
+			return fmt.Errorf("sm %d: snapshot's warp %d is asleep in no MSHR entry", s.id, w)
+		}
+	}
+	return nil
+}
+
 // AppendTo appends the state's wire form: the scalars, scheduler positions,
-// L1, MSHRs and out queue, then the warp columns — a bit per warp for
-// asleep, the wake times of the others relative to the SM's cycle (a few
-// cycles either way, where the absolute time grows with the run), the issue
-// counts, the blocked lines and the pending operations. A sleeping warp
-// waits for one of the SM's outstanding lines, so a blocked line is written
-// as its index in the MSHR table; a state where one is not (no SM produces
-// it) writes the lines themselves behind a false flag.
+// L1, MSHRs (whose merge lists are warp slots) and out queue, then the warp
+// columns — a bit per warp for asleep, the wake times of the others relative
+// to the SM's cycle (a few cycles either way, where the absolute time grows
+// with the run) and the pending operations.
 func (st *State) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, st.Cycle)
 	b = wire.AppendUvarint(b, st.ReqCounter)
@@ -157,7 +160,7 @@ func (st *State) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(st.Current)))
 	b = wire.AppendInts(b, st.Current)
 	b = st.L1.AppendTo(b)
-	b = st.MSHRs.AppendTo(b, func(id *uint64, b []byte) []byte { return wire.AppendUvarint(b, *id) })
+	b = st.MSHRs.AppendTo(b, func(w *uint64, b []byte) []byte { return wire.AppendUvarint(b, *w) })
 	b = mem.AppendRequests(b, st.OutQ)
 
 	b = wire.AppendUvarint(b, uint64(len(st.Wake)))
@@ -172,17 +175,6 @@ func (st *State) AppendTo(b []byte) []byte {
 		if at != asleep {
 			b = wire.AppendVarint(b, int64(at-st.Cycle))
 		}
-	}
-	b = wire.AppendUvarints(b, st.Issued)
-	byIndex := len(b)
-	b = wire.AppendBool(b, true)
-	for _, line := range st.Blocked {
-		i := slices.Index(st.MSHRs.Lines, line)
-		if i < 0 {
-			b = wire.AppendUvarints(wire.AppendBool(b[:byIndex], false), st.Blocked)
-			break
-		}
-		b = wire.AppendUvarint(b, uint64(i))
 	}
 	b = wire.AppendUvarint(b, uint64(len(st.Pending)))
 	for i := range st.Pending {
@@ -203,34 +195,18 @@ func (st *State) ReadFrom(r *wire.Reader) {
 	}
 	st.Current = r.Ints(st.Current, r.Count(1))
 	st.L1.ReadFrom(r)
-	st.MSHRs.ReadFrom(r, 1, func(id *uint64, r *wire.Reader) { *id = r.Uvarint() })
+	st.MSHRs.ReadFrom(r, 1, func(w *uint64, r *wire.Reader) { *w = r.Uvarint() })
 	st.OutQ = mem.ReadRequests(r, st.OutQ)
 
 	n := r.Count(1)
 	sleeping := r.Bits(nil, n)
 	st.Wake = wire.Resize(st.Wake, n)
-	sleepers := 0
 	for i := range st.Wake {
 		if len(sleeping) > i>>6 && sleeping[i>>6]>>(i&63)&1 != 0 {
 			st.Wake[i] = asleep
-			sleepers++
 		} else {
 			st.Wake[i] = st.Cycle + uint64(r.Varint())
 		}
-	}
-	st.Issued = r.Uvarints(st.Issued, n)
-	st.Blocked = wire.Resize(st.Blocked, sleepers) // at most n, which Count validated
-	if r.Bool() {
-		for i := range st.Blocked {
-			k := r.Uvarint()
-			if k >= uint64(len(st.MSHRs.Lines)) {
-				r.Fail("sm: blocked line %d of %d outstanding", k, len(st.MSHRs.Lines))
-				break
-			}
-			st.Blocked[i] = st.MSHRs.Lines[k]
-		}
-	} else {
-		st.Blocked = r.Uvarints(st.Blocked, sleepers)
 	}
 	st.Pending = wire.Resize(st.Pending, r.Count(5))
 	for i := range st.Pending {
