@@ -7,9 +7,10 @@
 // execution. Per-run seeding makes parallel output byte-identical to serial
 // output, so parallelism only changes the reported wall-clock time.
 //
-// With -server, figure generation is farmed out to a running simd daemon
-// instead of simulating locally: the daemon's content-addressed result
-// store answers previously computed runs instantly, and the printed figure
+// With -server, the figures are still built here, but their runs execute on
+// a running simd cluster instead of locally: each figure's declared runs go
+// out as one batch (client.Pool), the daemons' content-addressed result
+// stores answer previously computed runs instantly, and the printed figure
 // text is byte-identical to local output for the same options.
 //
 // Examples:
@@ -42,7 +43,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
@@ -64,7 +64,7 @@ func run() int {
 		progressFlag  = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
 		memProfile    = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
-		serverFlag    = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); requests route to each run's cluster owner and fail over past dead peers; the daemons' parallelism is simd -workers, so -parallel/-workers are rejected")
+		serverFlag    = flag.String("server", "", "execute the figures' runs on simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405) instead of locally; each figure's runs go to the cluster as one batch, route to their owners there, and are resubmitted if a daemon dies; the daemons' parallelism is simd -workers, so -parallel/-workers are rejected")
 		checkpointsOn = flag.Bool("checkpoints", false, "resume runs from checkpointed state prefixes (shared warmups, kernel boundaries) stored under -checkpoint-dir, and bank new ones; output is byte-identical, only wall-clock time changes")
 		checkpointDir = flag.String("checkpoint-dir", ".repro-checkpoints", "directory of the checkpoint store used by -checkpoints")
 		traceOut      = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's lifecycle phases (checkpoint probe, warmup, kernel segments, measure) to this file; load it in Perfetto or chrome://tracing. Local execution only")
@@ -135,9 +135,9 @@ func run() int {
 	}
 
 	// One description of the requested scale: figures resolve it with
-	// Options, here or on a daemon, and recipes with scenario.Scale.Rescale.
-	// Seed is sent unconditionally: 0 is a legal seed.
-	scale := api.FigureOptions{
+	// Options, whichever engine runs them, and recipes with
+	// scenario.Scale.Rescale. Seed is set unconditionally: 0 is a legal seed.
+	scale := exp.FigureOptions{
 		Quick:  *quickFlag,
 		Cycles: *cyclesFlag,
 		Warmup: *warmupFlag,
@@ -146,7 +146,7 @@ func run() int {
 
 	// A flag the chosen mode would silently ignore is an error instead: a
 	// daemon simulates with its own pool, checkpoint store and timelines
-	// (api.FigureOptions carries none of them), and a recipe's level is its
+	// (a submitted spec carries none of them), and a recipe's level is its
 	// scale.
 	reject := func(mode, why string, names ...string) bool {
 		for _, name := range names {
@@ -157,7 +157,7 @@ func run() int {
 		}
 		return false
 	}
-	if *serverFlag != "" && reject("-server", "the daemon executes (simd -workers, its own checkpoint store, /v1/jobs/{id}/timeline) and serves figures only; scenarios run locally",
+	if *serverFlag != "" && reject("-server", "the daemons execute the runs (simd -workers, their own checkpoint stores, /v1/jobs/{id}/timeline); scenarios run locally",
 		"parallel", "workers", "trace-out", "checkpoints", "scenarios") {
 		return 1
 	}
@@ -261,9 +261,12 @@ func run() int {
 		figs = append(figs, j)
 	}
 
-	// In -server mode every figure is generated by the daemon(s); verify at
-	// least one is reachable before starting.
-	var remote *client.Pool
+	// The selection regenerates over one run set: a run an earlier figure
+	// already simulated is reused, never simulated again. In -server mode the
+	// runs execute on the daemon(s); verify at least one is reachable before
+	// starting.
+	opt := scale.Options()
+	opt.Exec = runner
 	if *serverFlag != "" {
 		pool, err := client.NewPool(strings.Split(*serverFlag, ","))
 		if err != nil {
@@ -274,14 +277,15 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "paperfigs: -server: %v\n", err)
 			return 1
 		}
-		remote = pool
+		pool.OnProgress = runner.OnProgress
+		opt.Exec = pool
 	}
 
 	// Figures print one by one, each followed by its own timing line.
 	failed := 0
 	totalStart := time.Now()
 	start := totalStart
-	report := func(j exp.FigureJob, out, remark string, err error) {
+	exp.Regenerate(figs, opt, func(j exp.FigureJob, t exp.Table, reused, simulated int, err error) {
 		if err != nil {
 			if showProgress {
 				// An aborted sweep leaves the in-place progress line behind.
@@ -292,33 +296,14 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "paperfigs: %s: %v\n", j.Name, err)
 			failed++
 		} else {
-			fmt.Println(out)
-			fmt.Printf("[%s regenerated in %.1fs%s]\n\n", j.Name, time.Since(start).Seconds(), remark)
+			fmt.Println(t.Format())
+			fmt.Printf("[%s regenerated in %.1fs (%d reused, %d simulated runs)]\n\n",
+				j.Name, time.Since(start).Seconds(), reused, simulated)
 		}
 		start = time.Now()
-	}
-	if remote != nil {
-		var progress func(*api.Progress)
-		if showProgress {
-			progress = func(p *api.Progress) {
-				progressLine(p.Done, p.Total, p.Key)
-			}
-		}
-		for _, j := range figs {
-			out, remark, err := remoteFigure(context.Background(), remote, j.Key, scale, progress)
-			report(j, out, remark, err)
-		}
-	} else {
-		// The selection regenerates over one run set: a run an earlier figure
-		// already simulated is reused, never simulated again.
-		opt := scale.Options()
-		opt.Exec = runner
-		exp.Regenerate(figs, opt, func(j exp.FigureJob, t exp.Table, reused, simulated int, err error) {
-			report(j, t.Format(), fmt.Sprintf(" (%d reused, %d simulated runs)", reused, simulated), err)
-		})
-	}
+	})
 	mode := "serial"
-	if remote != nil {
+	if *serverFlag != "" {
 		mode = "server " + *serverFlag
 	} else if runner.Workers > 1 {
 		mode = fmt.Sprintf("%d workers", runner.Workers)
@@ -335,7 +320,7 @@ func run() int {
 // executes each recipe on the given engine with the determinism gate on.
 // Violations are printed per scenario and make the exit status non-zero;
 // scale (-cycles/-warmup/-seed) rescales the level-derived run length.
-func runScenarios(sel string, exec sweep.Executor, scale api.FigureOptions, showProgress bool) int {
+func runScenarios(sel string, exec sweep.Executor, scale exp.FigureOptions, showProgress bool) int {
 	var list []scenario.Scenario
 	if sel == "all" {
 		list = scenario.Catalog()
@@ -400,27 +385,11 @@ func writeChromeTrace(path string, traces *obs.TraceSet) error {
 }
 
 // progressLine is the one in-place stderr progress format, shared by local
-// sweeps and polled remote jobs so the two modes stay visually identical.
+// sweeps and runs executed on a cluster so the two modes stay visually
+// identical.
 func progressLine(done, total int, key string) {
 	fmt.Fprintf(os.Stderr, "\r  [%3d/%3d] %-40s", done, total, key)
 	if done == total {
 		fmt.Fprintf(os.Stderr, "\r%-56s\r", "")
 	}
-}
-
-// remoteFigure generates one figure on the cluster with live progress
-// (client.Pool picks the entry daemon, polls the job and fails over between
-// peers; placing the runs is the cluster's job) and formats the outcome the
-// way the local path does.
-func remoteFigure(ctx context.Context, pool *client.Pool, key string, opts api.FigureOptions, progress func(*api.Progress)) (text, remark string, err error) {
-	st, peer, err := pool.FigureStream(ctx, key, opts, progress)
-	if err != nil {
-		return "", "", err
-	}
-	if st.Status != api.StatusDone {
-		return "", "", fmt.Errorf("figure job ended %s: %s", st.Status, st.Error)
-	}
-	remark = fmt.Sprintf(" via %s (%d cached, %d simulated runs)",
-		peer, st.CachedRuns, st.ExecutedRuns)
-	return st.FigureText, remark, nil
 }

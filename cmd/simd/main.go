@@ -27,13 +27,15 @@
 //
 //	curl -s localhost:8404/healthz
 //	scripts/simd_run.sh localhost:8404 '{"benchmarks":["VA"],"measure_cycles":20000}'
-//	curl -s localhost:8404/v1/figures/2?quick=1
 //	curl -s localhost:8404/v1/cluster/membership
 //	curl -s localhost:8404/metrics
+//	paperfigs -figure 2 -quick -server http://localhost:8404
 //
 // The second identical submission returns "cached": true with byte-identical
-// statistics inline, without simulating. cmd/paperfigs -server farms whole figures
-// to a running daemon (or a comma-separated list of them).
+// statistics inline, without simulating. The daemon serves runs, not
+// figures: cmd/paperfigs -server builds the figures itself and submits each
+// figure's runs as one batch to a running daemon (or a comma-separated list
+// of them).
 package main
 
 import (

@@ -28,6 +28,7 @@ var deadExportAllowlist = map[string]string{
 	"internal/addrmap.DefaultGeometry":   "test fixture: the baseline geometry the addrmap tests map against",
 	"internal/scenario.CaseFromBytes":    "decoder of the checked-in FuzzScenario corpus",
 	"internal/scenario.(FuzzCase).Check": "fuzz harness: the invariant check FuzzScenario drives",
+	"internal/exp.(FigureJob).Run":       "test entry point: one figure regenerated alone, the reference the exp and server figure tests compare engines against",
 
 	// Probes of simulator state that only tests read.
 	"internal/cache.(*ATD).HardwareBytes":     "test probe: the ATD's storage against the paper's 432-byte budget",

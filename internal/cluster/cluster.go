@@ -10,7 +10,7 @@
 // The package is deliberately dependency-free (stdlib only): the server
 // (internal/server) uses it to decide whether to execute or forward a
 // submission. Clients place nothing; the client pool (internal/server/client)
-// only orders the member URLs to pick a figure's entry point.
+// only orders the member URLs to pick a batch's entry point.
 package cluster
 
 import (
@@ -86,9 +86,9 @@ func Ranked(fp [32]byte, peers []string) []string {
 	return ranked
 }
 
-// RankedKey ranks peers for an arbitrary string key (used for requests that
-// have no run fingerprint, like whole-figure generation) by hashing the key
-// first.
+// RankedKey ranks peers for an arbitrary string key (used for choices that
+// are not a run's placement, like the member a client's batch enters at) by
+// hashing the key first.
 func RankedKey(key string, peers []string) []string {
 	return Ranked(sha256.Sum256([]byte(key)), peers)
 }

@@ -51,10 +51,42 @@ type Options struct {
 
 	// Exec executes a figure's declared runs; nil means the zero
 	// sweep.Runner (see sweep.Executor). cmd/paperfigs hands in the one
-	// Runner its flags describe, the simd server a store-backed executor.
-	// Execution never changes figure text: per-run seeding makes every
-	// engine's statistics identical.
+	// Runner its flags describe, or with -server a client.Pool, which submits
+	// each batch to a simd cluster. Execution never changes figure text:
+	// per-run seeding makes every engine's statistics identical.
 	Exec sweep.Executor
+}
+
+// FigureOptions is the one description of a requested scale: the paperfigs
+// flags fill it in, and Options is the only code that turns it into figure
+// harness scale, whichever engine then executes the runs. Zero values keep
+// the defaults. Seed is a pointer because 0 is a legal seed distinct from
+// "use the default": nil keeps the default seed.
+type FigureOptions struct {
+	Quick  bool
+	Cycles uint64
+	Warmup uint64
+	Seed   *int64
+}
+
+// Options resolves the figure harness scale: DefaultOptions (or QuickOptions
+// with Quick set) with the non-zero fields applied on top. The caller adds
+// the engine (Options.Exec).
+func (o FigureOptions) Options() Options {
+	opt := DefaultOptions()
+	if o.Quick {
+		opt = QuickOptions()
+	}
+	if o.Cycles > 0 {
+		opt.MeasureCycles = o.Cycles
+	}
+	if o.Warmup > 0 {
+		opt.WarmupCycles = o.Warmup
+	}
+	if o.Seed != nil {
+		opt.Seed = *o.Seed
+	}
+	return opt
 }
 
 // DefaultOptions returns the scale used by the committed experiment results.

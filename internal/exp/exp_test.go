@@ -55,6 +55,24 @@ func TestOptionsAndHelpers(t *testing.T) {
 	}
 }
 
+// TestFigureOptionsResolveOnce pins the one scale resolver at its corners:
+// no options keep the defaults, Quick picks the quick scale, and every
+// override lands, seed 0 included — a legal seed distinct from "keep the
+// default".
+func TestFigureOptionsResolveOnce(t *testing.T) {
+	if got := (FigureOptions{}).Options(); got != DefaultOptions() {
+		t.Errorf("zero options resolved to %+v, want DefaultOptions()", got)
+	}
+	if got := (FigureOptions{Quick: true}).Options(); got != QuickOptions() {
+		t.Errorf("quick resolved to %+v, want QuickOptions()", got)
+	}
+	zero := int64(0)
+	all := FigureOptions{Quick: true, Cycles: 12_345, Warmup: 678, Seed: &zero}
+	if got := all.Options(); got.MeasureCycles != 12_345 || got.WarmupCycles != 678 || got.Seed != 0 {
+		t.Errorf("overrides resolved to %+v", got)
+	}
+}
+
 // TestTableShape: a Table that could not render, or whose accessors could
 // not tell two rows or statistics apart, is an error at construction.
 func TestTableShape(t *testing.T) {

@@ -11,9 +11,8 @@ import (
 // FigureJob is one regenerable unit of the paper's evaluation: a key (the
 // figure number, or "tables"), a human-readable name, the runs it needs and
 // the table it builds over their statistics. The registry is the single
-// catalog shared by cmd/paperfigs and the simd figure endpoint, so both
-// always agree on which figures exist and produce byte-identical text for
-// equal Options.
+// catalog of figures, and a figure's text depends on its Options only, never
+// on the engine (Options.Exec) its runs executed on.
 type FigureJob struct {
 	Key  string
 	Name string

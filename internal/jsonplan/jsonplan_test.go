@@ -165,7 +165,7 @@ func wire(t testing.TB) map[string][]byte {
 		"lookup-request":    mustMarshal(t, api.LookupRequest{Fingerprints: []string{rec.Fingerprint, "00"}}),
 		"lookup-response":   mustMarshal(t, api.LookupResponse{Records: []api.StoredRecord{stored}}),
 		"replicate-request": mustMarshal(t, api.ReplicateRequest{Records: []api.RawRecord{replica}}),
-		"job-status":        mustMarshal(t, api.JobStatus{ID: "j1", Kind: "run", Status: api.StatusDone, Fingerprint: rec.Fingerprint, Progress: &api.Progress{Done: 1, Total: 1}, Stats: &rec.Stats, DurationMs: 12}),
+		"job-status":        mustMarshal(t, api.JobStatus{ID: "j1", Status: api.StatusDone, Fingerprint: rec.Fingerprint, Stats: &rec.Stats, DurationMs: 12, Peer: "http://127.0.0.1:8404"}),
 		"error":             mustMarshal(t, api.Error{Error: "spec 0: unknown benchmark"}),
 	}
 }
@@ -426,7 +426,7 @@ func TestFallbackTypes(t *testing.T) {
 	planned := []any{
 		simstore.Record{}, gpu.RunStats{}, api.RunRequest{}, api.Spec{}, api.RunResponse{},
 		api.LookupRequest{}, api.LookupResponse{}, api.JobStatus{}, api.Error{}, api.Health{},
-		api.MembershipView{}, api.FigureResponse{}, api.ReplicateResponse{}, kitchen{},
+		api.MembershipView{}, api.ReplicateResponse{}, kitchen{},
 		json.RawMessage(nil), api.RawRunResponse{}, api.RawLookupResponse{}, api.RawRecord{},
 	}
 	for _, v := range planned {

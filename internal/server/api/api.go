@@ -8,11 +8,8 @@ package api
 import (
 	"encoding/json"
 	"fmt"
-	"net/url"
-	"strconv"
 
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -110,9 +107,8 @@ func (s Spec) ToRunSpec() (sweep.RunSpec, error) {
 
 // FromRunSpec is the inverse of ToRunSpec: it spells an engine RunSpec out
 // as a fully-explicit wire Spec (Config inline, no benchmark abbreviations),
-// such that FromRunSpec(rs).ToRunSpec() fingerprints identically to rs. The
-// cluster layer uses it to forward runs that originated inside the server
-// (figure orchestrations) to their owner daemon.
+// such that FromRunSpec(rs).ToRunSpec() fingerprints identically to rs. A
+// client.Pool sends a figure's declared runs in this form.
 func FromRunSpec(rs sweep.RunSpec) Spec {
 	cfg := rs.Config
 	s := Spec{
@@ -180,33 +176,17 @@ type RunResponse struct {
 	Results []RunResult `json:"results"`
 }
 
-// Progress mirrors sweep.Progress on the wire (figure jobs report it while
-// their runs complete).
-type Progress struct {
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-	Key   string `json:"key,omitempty"`
-}
-
-// JobStatus is the body of GET /v1/runs/{id}. Run jobs carry Stats when
-// done; figure jobs carry FigureText, and Progress while their runs complete.
+// JobStatus is the body of GET /v1/runs/{id}: a run job's state, and its
+// statistics once done.
 type JobStatus struct {
 	ID          string        `json:"id"`
-	Kind        string        `json:"kind"` // "run" or "figure"
 	Status      string        `json:"status"`
 	Key         string        `json:"key,omitempty"`
 	Fingerprint string        `json:"fingerprint,omitempty"`
-	FigureKey   string        `json:"figure_key,omitempty"`
-	Progress    *Progress     `json:"progress,omitempty"`
 	Stats       *gpu.RunStats `json:"stats,omitempty"`
-	FigureText  string        `json:"figure_text,omitempty"`
 	Error       string        `json:"error,omitempty"`
 	// DurationMs is the execution wall-clock of a finished job.
 	DurationMs int64 `json:"duration_ms,omitempty"`
-	// CachedRuns / ExecutedRuns count a figure job's store hits vs. actual
-	// simulations.
-	CachedRuns   int `json:"cached_runs,omitempty"`
-	ExecutedRuns int `json:"executed_runs,omitempty"`
 	// Peer is the cluster member the job lives on (set when answering
 	// through a cluster daemon; empty single-node). Poll or cancel against
 	// any member — the job ID names its owner, so a lookup elsewhere is
@@ -220,100 +200,10 @@ type JobStatus struct {
 // running — carry "open": true with their duration up to the snapshot.
 type JobTimeline struct {
 	ID     string          `json:"id"`
-	Kind   string          `json:"kind"`
 	Status string          `json:"status"`
 	Key    string          `json:"key,omitempty"`
 	Peer   string          `json:"peer,omitempty"`
 	Spans  []*obs.SpanJSON `json:"spans"`
-}
-
-// FigureOptions is the one description of a requested scale: the paperfigs
-// flags fill it in, Query / ParseFigureOptions carry it over the wire, and
-// Options is the only code that turns it into figure harness scale — which
-// is why figure text is byte-identical whichever front door asked.
-// Zero values keep the defaults. Seed is a pointer because 0 is a legal seed
-// distinct from "use the default": nil keeps the default seed.
-type FigureOptions struct {
-	Quick  bool
-	Cycles uint64
-	Warmup uint64
-	Seed   *int64
-}
-
-// Options resolves the figure harness scale: exp.DefaultOptions (or
-// QuickOptions with Quick set) with the non-zero fields applied on top. The
-// caller adds the engine (exp.Options.Exec).
-func (o FigureOptions) Options() exp.Options {
-	opt := exp.DefaultOptions()
-	if o.Quick {
-		opt = exp.QuickOptions()
-	}
-	if o.Cycles > 0 {
-		opt.MeasureCycles = o.Cycles
-	}
-	if o.Warmup > 0 {
-		opt.WarmupCycles = o.Warmup
-	}
-	if o.Seed != nil {
-		opt.Seed = *o.Seed
-	}
-	return opt
-}
-
-// Query encodes the options as URL query parameters.
-func (o FigureOptions) Query() url.Values {
-	v := url.Values{}
-	if o.Quick {
-		v.Set("quick", "1")
-	}
-	if o.Cycles > 0 {
-		v.Set("cycles", strconv.FormatUint(o.Cycles, 10))
-	}
-	if o.Warmup > 0 {
-		v.Set("warmup", strconv.FormatUint(o.Warmup, 10))
-	}
-	if o.Seed != nil {
-		v.Set("seed", strconv.FormatInt(*o.Seed, 10))
-	}
-	return v
-}
-
-// ParseFigureOptions decodes Query's encoding (the server side).
-func ParseFigureOptions(v url.Values) (FigureOptions, error) {
-	var o FigureOptions
-	o.Quick = v.Get("quick") == "1" || v.Get("quick") == "true"
-	var err error
-	if s := v.Get("cycles"); s != "" {
-		if o.Cycles, err = strconv.ParseUint(s, 10, 64); err != nil {
-			return o, fmt.Errorf("cycles: %w", err)
-		}
-	}
-	if s := v.Get("warmup"); s != "" {
-		if o.Warmup, err = strconv.ParseUint(s, 10, 64); err != nil {
-			return o, fmt.Errorf("warmup: %w", err)
-		}
-	}
-	if s := v.Get("seed"); s != "" {
-		seed, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return o, fmt.Errorf("seed: %w", err)
-		}
-		o.Seed = &seed
-	}
-	return o, nil
-}
-
-// FigureResponse is the body of a synchronous GET /v1/figures/{key} (async
-// requests carry only JobID). Text is byte-identical to what cmd/paperfigs
-// prints locally for the same options.
-type FigureResponse struct {
-	Key          string `json:"key"`
-	Name         string `json:"name"`
-	Text         string `json:"text,omitempty"`
-	CachedRuns   int    `json:"cached_runs"`
-	ExecutedRuns int    `json:"executed_runs"`
-	DurationMs   int64  `json:"duration_ms"`
-	JobID        string `json:"job_id,omitempty"`
 }
 
 // Health is the body of GET /healthz.

@@ -1,6 +1,7 @@
 // Package client is the Go client for the simd HTTP API (internal/server).
-// cmd/paperfigs uses it in -server mode to farm figure generation out to a
-// warm daemon whose result store makes repeat figures near-instant.
+// cmd/paperfigs uses it in -server mode: a Pool is the sweep.Executor that
+// submits a figure's declared runs to a warm cluster whose result stores make
+// repeat figures near-instant.
 package client
 
 import (
@@ -196,12 +197,6 @@ func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 
 // WaitJob polls until the job reaches a terminal state (or ctx expires).
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*api.JobStatus, error) {
-	return c.waitJob(ctx, id, poll, nil)
-}
-
-// waitJob is WaitJob with an observer: onStatus (may be nil) sees every
-// polled snapshot, the terminal one included — how figure progress is read.
-func (c *Client) waitJob(ctx context.Context, id string, poll time.Duration, onStatus func(*api.JobStatus)) (*api.JobStatus, error) {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
 	}
@@ -211,9 +206,6 @@ func (c *Client) waitJob(ctx context.Context, id string, poll time.Duration, onS
 		st, err := c.Job(ctx, id)
 		if err != nil {
 			return nil, err
-		}
-		if onStatus != nil {
-			onStatus(st)
 		}
 		if api.IsTerminal(st.Status) {
 			return st, nil
@@ -312,21 +304,4 @@ func (c *Client) Replicate(ctx context.Context, req api.ReplicateRequest) (*api.
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// FigureAsync starts a figure job on the daemon and returns its job ID
-// without waiting; poll it with WaitJob (JobStatus.Progress carries the
-// per-run progress).
-func (c *Client) FigureAsync(ctx context.Context, key string, opt api.FigureOptions) (string, error) {
-	q := opt.Query()
-	q.Set("async", "1")
-	path := "/v1/figures/" + url.PathEscape(key) + "?" + q.Encode()
-	var resp api.FigureResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &resp, nil); err != nil {
-		return "", err
-	}
-	if resp.JobID == "" {
-		return "", fmt.Errorf("client: async figure %s returned no job ID", key)
-	}
-	return resp.JobID, nil
 }

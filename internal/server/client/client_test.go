@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/server/api"
 	"repro/internal/simstore"
+	"repro/internal/sweep"
 )
 
 // TestWaitJobCancelMidPoll: cancelling the context between polls must stop
@@ -31,7 +34,7 @@ func TestWaitJobCancelMidPoll(t *testing.T) {
 			// Cancel while the client is mid-loop; the job never finishes.
 			cancel()
 		}
-		json.NewEncoder(w).Encode(api.JobStatus{ID: "j000001", Kind: "run", Status: api.StatusRunning})
+		json.NewEncoder(w).Encode(api.JobStatus{ID: "j000001", Status: api.StatusRunning})
 	}))
 	defer hs.Close()
 
@@ -74,7 +77,7 @@ func TestRunsWaitsByPollingHandles(t *testing.T) {
 		}})
 	})
 	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st := api.JobStatus{ID: r.PathValue("id"), Kind: "run", Status: api.StatusRunning}
+		st := api.JobStatus{ID: r.PathValue("id"), Status: api.StatusRunning}
 		if polls.Add(1) >= 2 {
 			st.Status, st.Stats = api.StatusDone, &gpu.RunStats{Cycles: 2}
 		}
@@ -116,128 +119,215 @@ func TestStatusErrorClassification(t *testing.T) {
 	}
 }
 
-// fakeDaemon is a minimal simd stand-in for pool tests: it answers /healthz
-// and runs figure "3" as an async job that reports one progress step and
-// finishes on its second poll with text naming the figure (every daemon
-// produces the same text, as determinism guarantees of real ones). Any other
-// figure is unknown. starts counts the figure jobs it was asked to start.
-func fakeDaemon(t *testing.T) (*httptest.Server, *atomic.Int64) {
+// fakeDaemon is a minimal simd stand-in for pool tests. It answers /healthz
+// and POST /v1/runs: a run keyed "hit" is an inline store hit, one keyed
+// "bad" makes the whole request a 400, and any other run gets a job handle
+// that is running on its first poll and done on its second, with statistics
+// naming the run (every daemon answers alike, as determinism guarantees of
+// real ones). A run keyed "lost" gets, on its first submission only, a
+// handle nobody knows (404). It records each request's keys.
+type fakeDaemon struct {
+	*httptest.Server
+	mu       sync.Mutex
+	requests [][]string     // the keys of each POST /v1/runs, in order
+	polls    map[string]int // GET /v1/runs/{id} count per job ID
+	lostOnce bool
+}
+
+func newFakeDaemon(t *testing.T) *fakeDaemon {
 	t.Helper()
-	var starts, polls atomic.Int64
+	d := &fakeDaemon{polls: map[string]int{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(api.Health{Status: "ok"})
 	})
-	mux.HandleFunc("GET /v1/figures/{key}", func(w http.ResponseWriter, r *http.Request) {
-		starts.Add(1)
-		if r.PathValue("key") != "3" {
-			w.WriteHeader(http.StatusNotFound)
-			json.NewEncoder(w).Encode(api.Error{Error: "unknown figure"})
-			return
+	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
+		var req api.RunRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("fake daemon: bad request body: %v", err)
 		}
-		if r.URL.Query().Get("async") != "1" {
-			t.Error("pool asked for a blocking figure; figure jobs are submit-then-poll")
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		var keys []string
+		resp := api.RunResponse{}
+		for _, spec := range req.Specs {
+			keys = append(keys, spec.Key)
+			res := api.RunResult{Key: spec.Key, Status: api.StatusQueued, JobID: "job-" + spec.Key}
+			switch {
+			case spec.Key == "bad":
+				w.WriteHeader(http.StatusBadRequest)
+				json.NewEncoder(w).Encode(api.Error{Error: "spec refused"})
+				d.requests = append(d.requests, keys)
+				return
+			case spec.Key == "hit":
+				res = api.RunResult{Key: spec.Key, Status: api.StatusDone, Cached: true, Stats: statsOf(spec.Key)}
+			case spec.Key == "lost" && !d.lostOnce:
+				d.lostOnce = true
+				res.JobID = "job-nobody-knows"
+			}
+			resp.Results = append(resp.Results, res)
 		}
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(api.FigureResponse{Key: "3", JobID: "fig-1"})
+		d.requests = append(d.requests, keys)
+		json.NewEncoder(w).Encode(resp)
 	})
 	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st := api.JobStatus{ID: r.PathValue("id"), Kind: "figure", Status: api.StatusRunning,
-			Progress: &api.Progress{Done: 1, Total: 2}}
-		if polls.Add(1)%2 == 0 {
-			st.Status, st.FigureText = api.StatusDone, "figure 3 text"
-			st.Progress = &api.Progress{Done: 2, Total: 2}
+		id := r.PathValue("id")
+		d.mu.Lock()
+		d.polls[id]++
+		n := d.polls[id]
+		d.mu.Unlock()
+		if id == "job-nobody-knows" {
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(api.Error{Error: "no job"})
+			return
+		}
+		st := api.JobStatus{ID: id, Status: api.StatusRunning}
+		if n >= 2 {
+			st.Status, st.Stats = api.StatusDone, statsOf(strings.TrimPrefix(id, "job-"))
 		}
 		json.NewEncoder(w).Encode(st)
 	})
-	hs := httptest.NewServer(mux)
-	t.Cleanup(hs.Close)
-	return hs, &starts
+	d.Server = httptest.NewServer(mux)
+	t.Cleanup(d.Close)
+	return d
 }
 
-// TestPoolFigureStreamFailsOver: a figure goes to its first-ranked member
-// while that member answers; with it dead, the same request is served by the
-// next one with the same text instead of failing.
-func TestPoolFigureStreamFailsOver(t *testing.T) {
-	a, startsA := fakeDaemon(t)
-	b, startsB := fakeDaemon(t)
+// submitted returns the keys of every batch the daemon was sent.
+func (d *fakeDaemon) submitted() [][]string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([][]string(nil), d.requests...)
+}
+
+// statsOf is the fake statistics of the run keyed key.
+func statsOf(key string) *gpu.RunStats {
+	return &gpu.RunStats{Cycles: uint64(len(key)), Instructions: uint64(key[len(key)-1])}
+}
+
+// runSpecs declares one (empty) run per key.
+func runSpecs(keys ...string) []sweep.RunSpec {
+	specs := make([]sweep.RunSpec, len(keys))
+	for i, k := range keys {
+		specs[i].Key = k
+	}
+	return specs
+}
+
+// checkResults asserts each result is its run's fake statistics.
+func checkResults(t *testing.T, results []sweep.Result, keys ...string) {
+	t.Helper()
+	for i, k := range keys {
+		if results[i].Err != nil || !reflect.DeepEqual(results[i].Stats, *statsOf(k)) {
+			t.Errorf("result %d = %+v, want the statistics of %q", i, results[i], k)
+		}
+	}
+}
+
+// TestPoolExecFailsOver: a batch goes to its first-ranked member while that
+// member answers; with it dead, the same batch is served by the next one
+// instead of failing.
+func TestPoolExecFailsOver(t *testing.T) {
+	a, b := newFakeDaemon(t), newFakeDaemon(t)
 	pool, err := NewPool([]string{a.URL, b.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := cluster.RankedKey("figure/3", pool.Peers())
-	first, firstStarts, otherStarts := a, startsA, startsB
-	if order[0] == cluster.Normalize(b.URL) {
-		first, firstStarts, otherStarts = b, startsB, startsA
+	keys := []string{"r1", "r2"}
+	first, other := a, b
+	if cluster.RankedKey(keys[0], pool.Peers())[0] == cluster.Normalize(b.URL) {
+		first, other = b, a
 	}
 
-	st, served, err := pool.FigureStream(context.Background(), "3", api.FigureOptions{}, nil)
+	results, err := pool.Run(context.Background(), runSpecs(keys...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served != order[0] || firstStarts.Load() != 1 || otherStarts.Load() != 0 {
-		t.Errorf("figure served by %s (starts %d/%d), want the first-ranked %s alone",
-			served, firstStarts.Load(), otherStarts.Load(), order[0])
+	checkResults(t, results, keys...)
+	if len(first.submitted()) != 1 || len(other.submitted()) != 0 {
+		t.Errorf("batch submitted %d/%d times to the first-ranked/other member, want 1/0",
+			len(first.submitted()), len(other.submitted()))
 	}
-	want := st.FigureText
 
 	first.Close()
-	st, served, err = pool.FigureStream(context.Background(), "3", api.FigureOptions{}, nil)
+	results, err = pool.Run(context.Background(), runSpecs(keys...))
 	if err != nil {
-		t.Fatalf("failover request failed: %v", err)
+		t.Fatalf("failover batch failed: %v", err)
 	}
-	if served != order[1] {
-		t.Errorf("after the first-ranked member died the figure was served by %s, want %s", served, order[1])
-	}
-	if st.Status != api.StatusDone || st.FigureText != want {
-		t.Errorf("failover answer = %s %q, want done %q", st.Status, st.FigureText, want)
+	checkResults(t, results, keys...)
+	if len(other.submitted()) != 1 {
+		t.Errorf("after the first-ranked member died the next one was sent %d batches, want 1", len(other.submitted()))
 	}
 }
 
-// TestPoolFigureStreamStopsOn4xx: a daemon-answered 4xx is the request's own
-// fault — every member would answer alike — so it returns at once without
-// trying other peers.
-func TestPoolFigureStreamStopsOn4xx(t *testing.T) {
-	a, startsA := fakeDaemon(t)
-	b, startsB := fakeDaemon(t)
+// TestPoolExecStopsOn4xx: a daemon-answered 4xx is the request's own fault —
+// every member would answer alike — so it returns at once without trying
+// other peers.
+func TestPoolExecStopsOn4xx(t *testing.T) {
+	a, b := newFakeDaemon(t), newFakeDaemon(t)
 	pool, err := NewPool([]string{a.URL, b.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = pool.FigureStream(context.Background(), "99", api.FigureOptions{}, nil)
+	_, err = pool.Run(context.Background(), runSpecs("r1", "bad"))
 	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
-		t.Fatalf("unknown figure error = %v, want the daemon's HTTP 404", err)
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("refused batch error = %v, want the daemon's HTTP 400", err)
 	}
-	if got := startsA.Load() + startsB.Load(); got != 1 {
-		t.Errorf("unknown figure was asked of %d peers, want 1", got)
+	if got := len(a.submitted()) + len(b.submitted()); got != 1 {
+		t.Errorf("refused batch was sent to %d peers, want 1", got)
 	}
 }
 
-// TestPoolFigureStreamPollsJobHandle: a figure is submit-then-poll — the job
-// starts asynchronously and its handle is polled to completion, each change
-// of progress reported once.
-func TestPoolFigureStreamPollsJobHandle(t *testing.T) {
-	hs, starts := fakeDaemon(t)
-	pool, err := NewPool([]string{hs.URL})
+// TestPoolExecPollsJobHandles: a batch is submit-then-poll — store hits are
+// taken inline, every job handle is polled until it ends, and progress fires
+// once per settled run.
+func TestPoolExecPollsJobHandles(t *testing.T) {
+	d := newFakeDaemon(t)
+	pool, err := NewPool([]string{d.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seen []int
-	st, served, err := pool.FigureStream(context.Background(), "3", api.FigureOptions{}, func(p *api.Progress) {
-		seen = append(seen, p.Done)
-	})
+	var seen []sweep.Progress
+	pool.OnProgress = func(p sweep.Progress) { seen = append(seen, p) }
+	keys := []string{"hit", "r1", "r2"}
+	results, err := pool.Run(context.Background(), runSpecs(keys...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Status != api.StatusDone || st.FigureText == "" || served != cluster.Normalize(hs.URL) {
-		t.Errorf("figure = %s %q via %s, want done with text via %s", st.Status, st.FigureText, served, hs.URL)
+	checkResults(t, results, keys...)
+	want := []sweep.Progress{{Done: 1, Total: 3, Key: "hit"}, {Done: 2, Total: 3, Key: "r1"}, {Done: 3, Total: 3, Key: "r2"}}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("progress reports = %+v, want %+v", seen, want)
 	}
-	if starts.Load() != 1 {
-		t.Errorf("figure job started %d times, want 1", starts.Load())
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if want := map[string]int{"job-r1": 2, "job-r2": 2}; !reflect.DeepEqual(d.polls, want) {
+		t.Errorf("polls per handle = %v, want %v (the hit needs none)", d.polls, want)
 	}
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Errorf("progress reports = %v, want [1 2]", seen)
+}
+
+// TestPoolExecResubmitsLostHandle: a handle no member knows is not the
+// run's failure; the pool submits that run again, alone, and takes the new
+// answer.
+func TestPoolExecResubmitsLostHandle(t *testing.T) {
+	d := newFakeDaemon(t)
+	pool, err := NewPool([]string{d.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := 0
+	pool.OnProgress = func(sweep.Progress) { settled++ }
+	keys := []string{"r1", "lost"}
+	results, err := pool.Run(context.Background(), runSpecs(keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, results, keys...)
+	if got, want := d.submitted(), [][]string{{"r1", "lost"}, {"lost"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batches submitted = %v, want %v", got, want)
+	}
+	if settled != 2 {
+		t.Errorf("progress fired %d times for 2 runs", settled)
 	}
 }
 
@@ -245,8 +335,7 @@ func TestPoolFigureStreamPollsJobHandle(t *testing.T) {
 // member list from GET /v1/cluster/membership — a member that joined after
 // the pool was built is used, dead/left ones are dropped.
 func TestPoolMembershipRefresh(t *testing.T) {
-	a, _ := fakeDaemon(t)
-	b, _ := fakeDaemon(t)
+	a, b := newFakeDaemon(t), newFakeDaemon(t)
 	var view atomic.Pointer[api.MembershipView]
 	view.Store(&api.MembershipView{
 		Epoch: 7,
@@ -268,11 +357,10 @@ func TestPoolMembershipRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first request refreshes (nothing was fetched yet), so the figure is
-	// served by a member the pool was never told about; the seed itself
-	// serves no figures.
-	_, served, err := pool.FigureStream(context.Background(), "3", api.FigureOptions{}, nil)
-	if err != nil {
+	// The first batch refreshes (nothing was fetched yet), so it is served
+	// by a member the pool was never told about; the seed itself serves no
+	// runs.
+	if _, err := pool.Run(context.Background(), runSpecs("r1")); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{cluster.Normalize(a.URL), cluster.Normalize(b.URL)}
@@ -280,8 +368,8 @@ func TestPoolMembershipRefresh(t *testing.T) {
 	if got := pool.Peers(); !reflect.DeepEqual(got, want) {
 		t.Errorf("pool peers after refresh = %v, want %v (alive + suspect only)", got, want)
 	}
-	if served != want[0] && served != want[1] {
-		t.Errorf("figure served by %s, want one of the adopted members %v", served, want)
+	if n := len(a.submitted()) + len(b.submitted()); n != 1 {
+		t.Errorf("the adopted members were sent %d batches, want 1", n)
 	}
 
 	// A later view with nothing usable must not wipe the pool.

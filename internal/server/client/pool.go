@@ -11,34 +11,39 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server/api"
+	"repro/internal/sweep"
 )
 
 const (
 	// membershipTTL is how often the live member list is refreshed from the
 	// cluster (GET /v1/cluster/membership).
 	membershipTTL = 10 * time.Second
-	// pollInterval is the job-handle poll period of figure jobs.
-	pollInterval = 150 * time.Millisecond
 	// probeTimeout bounds a /healthz probe or a membership fetch.
 	probeTimeout = 2 * time.Second
+	// resubmitLimit is how many times one run's job handle may be lost
+	// before the run is reported failed.
+	resubmitLimit = 3
 )
 
-// Pool picks an entry point into a simd cluster for whole-figure requests.
-// Routing is the cluster's job, not the client's: any live member accepts any
-// request and forwards each run to its owner in one hop (internal/server's
-// routing.go is the only place that knows how a spec finds its owner). The
-// pool therefore keeps just a member list and a failover policy — a figure
-// goes to a deterministic member per figure key (so repeat requests reuse the
-// same daemon's warm HTTP connections), and a member that does not answer
-// costs a move to the next one.
+// Pool is the sweep.Executor that runs declared batches on a simd cluster:
+// what paperfigs -server hands the figure harness. Routing is the cluster's
+// job, not the client's: any live member accepts any batch and forwards each
+// run to its owner in one hop (internal/server's routing.go is the only place
+// that knows how a spec finds its owner). The pool therefore keeps just a
+// member list and a failover policy — a batch enters at a deterministic
+// member per its first run's key (so a repeat figure reuses the same daemon's
+// warm HTTP connections), and a member that does not answer costs a move to
+// the next one.
 //
 // The initial peer list is only a set of seeds: the pool refreshes its member
 // list from GET /v1/cluster/membership at most once per membershipTTL, so
 // members that joined after the pool was built are used and members that
 // left stop being tried.
-//
-// A Pool over a single peer behaves exactly like a bare Client.
 type Pool struct {
+	// OnProgress, when non-nil, is invoked as each run of a batch settles,
+	// like sweep.Runner's hook (serialized, never concurrent).
+	OnProgress func(sweep.Progress)
+
 	mu          sync.Mutex
 	peers       []string // normalized; the current member list
 	lastRefresh time.Time
@@ -153,38 +158,103 @@ func (p *Pool) tryPeers(ctx context.Context, label string, peers []string, attem
 	return fmt.Errorf("client: %s: every peer failed: %w", label, lastErr)
 }
 
-// FigureStream generates a figure on the cluster with live progress: the
-// job runs asynchronously on the figure's preferred member (a rendezvous
-// order over the member URLs keyed by the figure — an entry-point choice,
-// not run placement) and is polled to completion, each change of its
-// JobStatus.Progress driving onProgress (may be nil); a dead peer fails over
-// to the next one in that order. Returns the terminal job status and the peer
-// that served it. Daemon-answered errors (unknown figure, failed figure)
-// return immediately without failover.
-func (p *Pool) FigureStream(ctx context.Context, key string, opt api.FigureOptions, onProgress func(*api.Progress)) (*api.JobStatus, string, error) {
+// Run executes a declared batch on the cluster (sweep.Executor). The batch
+// goes out as one POST /v1/runs to an entry member; store hits come back
+// inline, and each job handle is polled at the entry until it ends. A handle
+// that is lost — its owner died, someone cancelled the shared job, or no
+// member knows the ID any more — says nothing about the run, so the spec is
+// submitted again, and determinism makes whichever member executes it
+// byte-identical; a run whose job failed did fail, and is reported. Giving
+// up on the batch (ctx) stops the polling only: queued runs finish into the
+// stores, because cancelling a shared job would cancel it for every waiter.
+// Results are positional; on failure the lowest-index error is returned with
+// them.
+func (p *Pool) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Result, error) {
+	results := make([]sweep.Result, len(specs))
+	todo := make([]int, len(specs))
+	for i, spec := range specs {
+		results[i] = sweep.Result{Index: i, Key: spec.Key}
+		todo[i] = i
+	}
+	settled := 0
+	settle := func(i int, r api.RunResult) {
+		switch {
+		case r.Status == api.StatusDone && r.Stats != nil:
+			results[i].Stats = *r.Stats
+		case r.Error != "":
+			results[i].Err = fmt.Errorf("sweep: run %q: %s", specs[i].Key, r.Error)
+		default:
+			results[i].Err = fmt.Errorf("sweep: run %q: job %s ended %s without statistics", specs[i].Key, r.JobID, r.Status)
+		}
+		settled++
+		if p.OnProgress != nil {
+			p.OnProgress(sweep.Progress{Done: settled, Total: len(specs), Key: specs[i].Key})
+		}
+	}
+
+	for attempt := 0; len(todo) > 0; attempt++ {
+		req := api.RunRequest{Specs: make([]api.Spec, len(todo))}
+		for k, i := range todo {
+			req.Specs[k] = api.FromRunSpec(specs[i])
+		}
+		resp, entry, err := p.submit(ctx, req)
+		if err != nil {
+			return results, err
+		}
+		var lost []int
+		for k, i := range todo {
+			r := resp.Results[k]
+			if !api.IsTerminal(r.Status) && r.JobID != "" {
+				st, err := entry.WaitJob(ctx, r.JobID, 0)
+				if ctx.Err() != nil {
+					return results, ctx.Err()
+				}
+				if err == nil && st.Status == api.StatusCancelled {
+					err = fmt.Errorf("job %s was cancelled", r.JobID)
+				}
+				switch {
+				case err == nil:
+					r.Status, r.Stats, r.Error = st.Status, st.Stats, st.Error
+				case attempt < resubmitLimit:
+					lost = append(lost, i)
+					continue
+				default:
+					r.Error = fmt.Sprintf("handle lost %d times, last: %v", attempt+1, err)
+				}
+			}
+			settle(i, r)
+		}
+		todo = lost
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			return results, r.Err
+		}
+	}
+	return results, nil
+}
+
+// submit sends one batch to its entry member, failing over past members that
+// do not answer, and returns the answer with a client for the member that
+// gave it.
+func (p *Pool) submit(ctx context.Context, req api.RunRequest) (*api.RunResponse, *Client, error) {
 	p.maybeRefresh(ctx)
-	var st *api.JobStatus
-	var served string
-	err := p.tryPeers(ctx, "figure "+key, cluster.RankedKey("figure/"+key, p.Peers()), func(peer string) error {
+	var resp *api.RunResponse
+	var entry *Client
+	label := fmt.Sprintf("batch of %d runs", len(req.Specs))
+	err := p.tryPeers(ctx, label, cluster.RankedKey(req.Specs[0].Key, p.Peers()), func(peer string) error {
 		c := New(peer)
-		id, err := c.FigureAsync(ctx, key, opt)
+		r, err := c.Runs(ctx, req, false)
 		if err != nil {
 			return err
 		}
-		reported := -1
-		st, err = c.waitJob(ctx, id, pollInterval, func(st *api.JobStatus) {
-			if onProgress != nil && st.Progress != nil && st.Progress.Done != reported {
-				reported = st.Progress.Done
-				onProgress(st.Progress)
-			}
-		})
-		served = peer
-		return err
+		if len(r.Results) != len(req.Specs) {
+			return fmt.Errorf("client: %s answered %d results for %d runs", peer, len(r.Results), len(req.Specs))
+		}
+		resp, entry = r, c
+		return nil
 	})
-	if err != nil {
-		return nil, "", err
-	}
-	return st, served, nil
+	return resp, entry, err
 }
 
 // retriable reports whether err might succeed on a different member:

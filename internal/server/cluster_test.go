@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/exp"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
@@ -21,8 +22,10 @@ import (
 )
 
 // testCluster is an in-process simd cluster: n daemons with separate stores
-// joined through seed gossip (newDynamicCluster builds one).
+// joined through seed gossip (newDynamicCluster builds one). workers is each
+// daemon's simulation worker count (0 means 2).
 type testCluster struct {
+	workers int
 	urls    []string
 	servers []*Server
 	stores  []*simstore.Store
@@ -107,36 +110,29 @@ func TestClusterForwardsToOwner(t *testing.T) {
 }
 
 // TestClusterFigureByteIdenticalAndPlaced is the tentpole acceptance test:
-// a figure generated through a 3-daemon cluster is byte-identical to
-// single-daemon (and local) output, and every one of its runs was stored on
-// the daemon that rendezvous hashing designates as its owner.
+// a figure whose runs execute on a 3-daemon cluster is byte-identical to
+// local output, and every one of its runs was stored on the daemon that
+// rendezvous hashing designates as its owner.
 func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	tc := newDynamicCluster(t, 3, 1)
-	ctx := context.Background()
-	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	scale := exp.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	local := localFigure(t, "3", scale)
 
-	// Single-daemon (== local harness) reference text.
-	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(wireOpts.Options())
+	text, err := poolFigure("3", scale, nil, tc.urls...)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	pool, err := client.NewPool(tc.urls)
-	if err != nil {
-		t.Fatal(err)
+	if text != local {
+		t.Errorf("cluster figure text differs from local output:\n--- cluster\n%s\n--- local\n%s", text, local)
 	}
-	resp, _, err := pool.FigureStream(ctx, "3", wireOpts, nil)
-	if err != nil {
-		t.Fatal(err)
+	executed := uint64(0)
+	for _, n := range executedCounts(tc) {
+		executed += n
 	}
-	if resp.FigureText != local {
-		t.Errorf("cluster figure text differs from single-daemon output:\n--- cluster\n%s\n--- local\n%s", resp.FigureText, local)
-	}
-	if resp.ExecutedRuns == 0 {
+	if executed == 0 {
 		t.Error("first cluster generation executed no runs")
 	}
 
@@ -166,24 +162,25 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 			}
 		}
 	}
-	if total != resp.ExecutedRuns {
-		t.Errorf("stores hold %d records, want %d (one per executed run)", total, resp.ExecutedRuns)
+	if uint64(total) != executed {
+		t.Errorf("stores hold %d records, want %d (one per executed run)", total, executed)
 	}
 	if populated < 2 {
 		t.Errorf("only %d/3 stores populated; sharding is not spreading runs", populated)
 	}
 
-	// Regeneration through a different entry point: fully cache-served,
-	// still byte-identical.
-	again, err := figureSync(tc.urls[1], "3", wireOpts)
+	// Regeneration through a pool seeded with another member: fully
+	// cache-served, still byte-identical.
+	before := executedCounts(tc)
+	again, err := poolFigure("3", scale, nil, tc.urls[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Text != local {
+	if again != local {
 		t.Error("regenerated cluster figure text not byte-identical")
 	}
-	if again.ExecutedRuns != 0 {
-		t.Errorf("regeneration executed %d runs, want 0 (all owner-store hits)", again.ExecutedRuns)
+	if after := executedCounts(tc); !reflect.DeepEqual(after, before) {
+		t.Errorf("regeneration executed runs (per daemon %v -> %v), want 0 (all owner-store hits)", before, after)
 	}
 }
 
@@ -303,9 +300,9 @@ func TestForwardedHeaderStopsRouting(t *testing.T) {
 	}
 }
 
-// TestFromRunSpecRoundTrip: the wire form the cluster forwards figure runs
+// TestFromRunSpecRoundTrip: the wire form a client.Pool submits figure runs
 // in must fingerprint identically to the original engine spec — otherwise a
-// forwarded run would miss the owner's cache and double-store.
+// figure's run would miss the store and double-store.
 func TestFromRunSpecRoundTrip(t *testing.T) {
 	specs := exputedSpecs(t)
 	for i, rs := range specs {
@@ -521,35 +518,28 @@ func TestUnknownJobIsNotSearchedFor(t *testing.T) {
 }
 
 // TestFigureResolvesAsOneBatch pins the figure read path to the batch one
-// POST /v1/runs takes: on a cold replicated cluster one figure job costs each
-// other member at most one record lookup and one forwarded submission, however
-// many runs the figure declares. The text stays byte-identical to
-// single-daemon output and every record lands on its rendezvous owner.
+// POST /v1/runs takes: on a cold replicated cluster one figure costs each
+// member but its entry at most one record lookup and one forwarded
+// submission, however many runs the figure declares. The text stays
+// byte-identical to local output and every record lands on its rendezvous
+// owner.
 func TestFigureResolvesAsOneBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	tc := newDynamicCluster(t, 3, 2)
-	ctx := context.Background()
-	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	scale := exp.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	local := localFigure(t, "3", scale)
 	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(wireOpts.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := fig.Specs(scale.Options())
+	entry := tc.entryIndex(t, specs)
 
-	const entry = 0
-	c := client.New(tc.urls[entry])
-	id, err := c.FigureAsync(ctx, "3", wireOpts)
+	text, err := poolFigure("3", scale, nil, tc.urls...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.WaitJob(ctx, id, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != api.StatusDone || st.FigureText != local {
-		t.Errorf("cluster figure = %s, text differs from single-daemon output:\n--- cluster\n%s\n--- local\n%s", st.Status, st.FigureText, local)
+	if text != local {
+		t.Errorf("cluster figure text differs from local output:\n--- cluster\n%s\n--- local\n%s", text, local)
 	}
 
 	forwards := uint64(0)
@@ -561,7 +551,7 @@ func TestFigureResolvesAsOneBatch(t *testing.T) {
 		runs := s.metrics.httpRequests.With("POST /v1/runs", "POST", "200").Value()
 		if lookups > 1 || runs > 1 {
 			t.Errorf("daemon %d served %d record lookups and %d forwarded submissions for one %d-run figure, want at most one of each",
-				i, lookups, runs, st.CachedRuns+st.ExecutedRuns)
+				i, lookups, runs, len(specs))
 		}
 		forwards += runs
 	}
@@ -569,7 +559,7 @@ func TestFigureResolvesAsOneBatch(t *testing.T) {
 		t.Error("the figure forwarded nothing; the batch bound was not exercised")
 	}
 
-	for _, spec := range fig.Specs(wireOpts.Options()) {
+	for _, spec := range specs {
 		fp, err := simstore.Fingerprint(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -577,6 +567,82 @@ func TestFigureResolvesAsOneBatch(t *testing.T) {
 		owner := tc.indexOf(t, tc.servers[0].node.Ranked(fp)[0])
 		if _, ok := tc.stores[owner].Get(fp); !ok {
 			t.Errorf("run %s is not stored on its rendezvous owner (daemon %d); holders: %v", spec.Key, owner, tc.holders(fp))
+		}
+	}
+}
+
+// entryIndex is the daemon a client.Pool over the whole cluster submits a
+// batch of specs to: the first of a rendezvous order keyed by the batch's
+// first run.
+func (tc *testCluster) entryIndex(t testing.TB, specs []sweep.RunSpec) int {
+	t.Helper()
+	return tc.indexOf(t, cluster.RankedKey(specs[0].Key, tc.urls)[0])
+}
+
+// TestFigureResubmitsLostHandles: a figure's run still queued on its owner
+// when the owner crashes is not lost with it. The pool's poll of the handle
+// stops answering, the pool submits the spec again, and the entry's read
+// path walks past the dead owner to a survivor: the figure finishes
+// byte-identical to local output and no run fails.
+func TestFigureResubmitsLostHandles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow full-GPU simulation; skipped in -short mode")
+	}
+	tc := (&testCluster{workers: 1}).start(t, 3, 1)
+	scale := exp.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	local := localFigure(t, "3", scale)
+	fig, _ := exp.FigureByKey("3")
+	specs := fig.Specs(scale.Options())
+	entry := tc.entryIndex(t, specs)
+	victim := -1
+	for _, spec := range specs {
+		fp, err := simstore.Fingerprint(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner := tc.indexOf(t, tc.servers[0].node.Ranked(fp)[0]); owner != entry {
+			victim = owner
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("the entry owns every run of the figure")
+	}
+
+	// A long run takes the victim's only worker, so the figure's runs it
+	// owns stay queued behind it.
+	blocker := tinySpec("blocker", 1)
+	blocker.MeasureCycles = 150_000
+	if _, err := client.New(tc.urls[victim]).ForwardRuns(context.Background(), api.RunRequest{Specs: []api.Spec{blocker}}); err != nil {
+		t.Fatal(err)
+	}
+	vq := tc.servers[victim].queue
+	waitFor(t, "the blocker to start", func() bool { return vq.Stats().Running == 1 })
+
+	wait := goPoolFigure("3", scale, tc.urls...)
+	waitFor(t, "a figure run to queue on its owner", func() bool { return vq.Stats().Queued > 0 })
+	tc.crash(victim)
+
+	text, err := wait()
+	if err != nil {
+		t.Fatalf("figure failed after its owner crashed: %v", err)
+	}
+	if text != local {
+		t.Errorf("figure text differs from local output after its owner crashed:\n--- cluster\n%s\n--- local\n%s", text, local)
+	}
+	for i, s := range tc.servers {
+		if qs := s.queue.Stats(); i != victim && qs.Failed != 0 {
+			t.Errorf("daemon %d failed %d runs, want 0", i, qs.Failed)
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }

@@ -1,18 +1,15 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/server/api"
@@ -20,35 +17,20 @@ import (
 	"repro/internal/sweep"
 )
 
-// Job is one asynchronous unit of work: either a single simulation run
-// (kind "run", bounded by the worker pool) or a whole-figure orchestration
-// (kind "figure", running on its own goroutine and feeding its runs back
-// through the same queue). All mutable fields are guarded by the owning
-// Queue's mutex.
+// Job is one asynchronous simulation run, bounded by the worker pool. All
+// mutable fields are guarded by the owning Queue's mutex.
 type Job struct {
-	ID        string
-	Kind      string // api's "run" / "figure"
-	Key       string
-	FigureKey string
+	ID  string
+	Key string
 
 	fp   [32]byte
 	spec sweep.RunSpec
 
-	state        string
-	stats        gpu.RunStats
-	figureText   string
-	errMsg       string
-	progress     *api.Progress
-	started      time.Time
-	durationMs   int64
-	cachedRuns   int
-	executedRuns int
-
-	// cancel stops a figure job's executor between runs; run jobs have no
-	// preemption point (the simulator runs to completion) and only honor
-	// cancellation while still queued.
-	cancel context.CancelFunc
-	ctx    context.Context
+	state      string
+	stats      gpu.RunStats
+	errMsg     string
+	started    time.Time
+	durationMs int64
 
 	// finished is set on entry to a terminal state; retention GC evicts
 	// terminal jobs by age.
@@ -56,14 +38,10 @@ type Job struct {
 
 	// Lifecycle trace, served by GET /v1/jobs/{id}/timeline. created is the
 	// submission instant (the queue-wait histogram's origin); spQueue is the
-	// open queue-wait span begin() ends; spRoot is a figure job's root span.
+	// open queue-wait span begin() ends.
 	created time.Time
 	trace   *obs.Trace
 	spQueue *obs.Span
-	spRoot  *obs.Span
-
-	// done is closed on entry to any terminal state.
-	done chan struct{}
 }
 
 func terminal(state string) bool { return api.IsTerminal(state) }
@@ -233,9 +211,7 @@ func (q *Queue) gcLoop(interval time.Duration) {
 }
 
 // gcLocked evicts finished jobs per the retention policy. Only terminal
-// jobs are candidates: in-flight jobs always survive, and waiters holding a
-// *Job pointer are unaffected by eviction (they never go back through the
-// map). Callers hold q.mu.
+// jobs are candidates: in-flight jobs always survive. Callers hold q.mu.
 func (q *Queue) gcLocked(now time.Time) {
 	var victims []*Job
 	for _, j := range q.jobs {
@@ -271,8 +247,8 @@ func (q *Queue) gcLocked(now time.Time) {
 	}
 }
 
-func (q *Queue) newJobLocked(kind string) *Job {
-	// finishRun/finishFigure keep the map at the cap in the steady state,
+func (q *Queue) newJobLocked() *Job {
+	// finishRun keeps the map at the cap in the steady state,
 	// so this fires only when terminal jobs accumulated without a finish
 	// (queued-job cancellations) — not on every submission.
 	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
@@ -281,9 +257,7 @@ func (q *Queue) newJobLocked(kind string) *Job {
 	q.seq++
 	j := &Job{
 		ID:    fmt.Sprintf("%s-%06d", q.idBase, q.seq),
-		Kind:  kind,
 		state: api.StatusQueued,
-		done:  make(chan struct{}),
 	}
 	q.jobs[j.ID] = j
 	return j
@@ -326,7 +300,7 @@ func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitte
 		q.mu.Unlock()
 		return Submitted{Fingerprint: hexFP, Cached: true, Stats: rec.Stats}, nil
 	}
-	j := q.newJobLocked("run")
+	j := q.newJobLocked()
 	j.Key = key
 	j.fp = fp
 	j.created = time.Now()
@@ -349,53 +323,8 @@ func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitte
 	return Submitted{Fingerprint: hexFP, Job: j}, nil
 }
 
-// submitFigure starts a whole-figure orchestration as a job. The figure's
-// runs resolve as one batch down the read path (routing.go) and what that
-// leaves to this daemon goes through SubmitRun, so they hit the stores, share
-// in-flight executions, and respect the simulation worker bound; the
-// orchestration itself runs on its own goroutine (it would deadlock the pool
-// its runs need). Cancellation stops it, and cancels the runs only it is
-// waiting for.
-func (s *Server) submitFigure(fig exp.FigureJob, opt exp.Options) *Job {
-	q := s.queue
-	q.mu.Lock()
-	j := q.newJobLocked("figure")
-	j.FigureKey = fig.Key
-	j.Key = fig.Name
-	j.created = time.Now()
-	j.trace = obs.NewTrace()
-	j.spRoot = j.trace.Start("figure")
-	j.spRoot.Annotate("key", fig.Key)
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.state = api.StatusRunning
-	j.started = time.Now()
-	q.stats.Running++
-	q.mu.Unlock()
-
-	go func() {
-		ex := &storeExec{s: s, ctx: j.ctx, onProgress: func(p sweep.Progress) {
-			q.setProgress(j, p)
-		}}
-		opt.Exec = ex
-		text, err := runFigureSafely(fig, opt)
-		q.finishFigure(j, text, ex, err)
-	}()
-	return j
-}
-
-// runFigureSafely converts a panicking harness into a failed job, so one bad
-// request cannot take the daemon down.
-func runFigureSafely(fig exp.FigureJob, opt exp.Options) (text string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("figure %s panicked: %v", fig.Key, r)
-		}
-	}()
-	return fig.Run(opt)
-}
-
-// executeSafely is the run-job equivalent of runFigureSafely. sp, when
-// non-nil, receives the execution's lifecycle spans (checkpoint probe,
+// executeSafely converts a panicking run into a failed job, so one bad
+// request cannot take the daemon down. sp, when non-nil, receives the execution's lifecycle spans (checkpoint probe,
 // warmup, kernel segments, measure window).
 func executeSafely(spec sweep.RunSpec, cp sweep.Checkpointer, sp *obs.Span) (stats gpu.RunStats, err error) {
 	defer func() {
@@ -474,51 +403,15 @@ func (q *Queue) finishRun(j *Job, stats gpu.RunStats, err error) {
 		q.stats.Completed++
 	}
 	delete(q.inflight, simstore.Hex(j.fp))
-	close(j.done)
 	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
 		q.gcLocked(time.Now())
 	}
 }
 
-func (q *Queue) finishFigure(j *Job, text string, ex *storeExec, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.stats.Running--
-	j.finished = time.Now()
-	j.durationMs = time.Since(j.started).Milliseconds()
-	j.spRoot.End()
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || j.ctx.Err() != nil):
-		j.state = api.StatusCancelled
-		j.errMsg = err.Error()
-		q.stats.Cancelled++
-	case err != nil:
-		j.state = api.StatusFailed
-		j.errMsg = err.Error()
-		q.stats.Failed++
-	default:
-		j.state = api.StatusDone
-		j.figureText = text
-		q.stats.Completed++
-	}
-	j.cachedRuns, j.executedRuns = ex.cachedRuns, ex.executedRuns
-	close(j.done)
-	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
-		q.gcLocked(time.Now())
-	}
-}
-
-func (q *Queue) setProgress(j *Job, p sweep.Progress) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j.progress = &api.Progress{Done: p.Done, Total: p.Total, Key: p.Key}
-}
-
-// Cancel requests cancellation of a job. A queued run job is terminated
+// Cancel requests cancellation of a job. A queued job is terminated
 // immediately (note: a job shared by deduplicated submissions is cancelled
-// for all of them); a running figure job stops waiting and cancels the queued
-// runs that are its alone (storeExec); a running run job cannot be preempted (the simulator has no internal
-// preemption points) and reports its current state.
+// for all of them); a running job cannot be preempted (the simulator has no
+// internal preemption points) and reports its current state.
 func (q *Queue) Cancel(id string) (api.JobStatus, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -526,15 +419,11 @@ func (q *Queue) Cancel(id string) (api.JobStatus, bool) {
 	if !ok {
 		return api.JobStatus{}, false
 	}
-	switch {
-	case j.state == api.StatusQueued:
+	if j.state == api.StatusQueued {
 		j.state = api.StatusCancelled
 		j.finished = time.Now()
 		q.stats.Cancelled++
 		delete(q.inflight, simstore.Hex(j.fp))
-		close(j.done)
-	case j.state == api.StatusRunning && j.cancel != nil:
-		j.cancel()
 	}
 	return q.statusLocked(j), true
 }
@@ -549,7 +438,7 @@ func (q *Queue) Timeline(id string) (api.JobTimeline, bool) {
 		q.mu.Unlock()
 		return api.JobTimeline{}, false
 	}
-	tl := api.JobTimeline{ID: j.ID, Kind: j.Kind, Status: j.state, Key: j.Key}
+	tl := api.JobTimeline{ID: j.ID, Status: j.state, Key: j.Key}
 	tr := j.trace
 	q.mu.Unlock()
 	// Snapshot outside the queue lock: it takes the trace's own lock and
@@ -569,42 +458,18 @@ func (q *Queue) Job(id string) (api.JobStatus, bool) {
 	return q.statusLocked(j), true
 }
 
-// Wait blocks until the job reaches a terminal state or ctx is done, and
-// returns the (then-current) status. It reads the job by pointer, so it
-// works after the retention policy evicted the job from the ID map.
-func (q *Queue) Wait(ctx context.Context, j *Job) api.JobStatus {
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.statusLocked(j)
-}
-
 func (q *Queue) statusLocked(j *Job) api.JobStatus {
 	st := api.JobStatus{
-		ID:         j.ID,
-		Kind:       j.Kind,
-		Status:     j.state,
-		Key:        j.Key,
-		FigureKey:  j.FigureKey,
-		Progress:   j.progress,
-		Error:      j.errMsg,
-		DurationMs: j.durationMs,
-	}
-	if j.Kind == "run" {
-		st.Fingerprint = simstore.Hex(j.fp)
-	} else {
-		st.CachedRuns, st.ExecutedRuns = j.cachedRuns, j.executedRuns
+		ID:          j.ID,
+		Status:      j.state,
+		Key:         j.Key,
+		Fingerprint: simstore.Hex(j.fp),
+		Error:       j.errMsg,
+		DurationMs:  j.durationMs,
 	}
 	if j.state == api.StatusDone {
-		if j.Kind == "run" {
-			stats := j.stats
-			st.Stats = &stats
-		} else {
-			st.FigureText = j.figureText
-		}
+		stats := j.stats
+		st.Stats = &stats
 	}
 	return st
 }
@@ -618,125 +483,4 @@ func (q *Queue) Stats() QueueStats {
 	st.Queued = len(q.pending)
 	st.Tracked = len(q.jobs)
 	return st
-}
-
-// storeExec is the sweep.Executor injected into the figure harness: a
-// declared batch of runs resolves in one pass down the cluster read path
-// (routing.go) — the same pass POST /v1/runs makes — and what that
-// leaves to this daemon goes through SubmitRun (store hit, in-flight dedup,
-// or a new job on the bounded pool), so a figure's runs land on (and warm
-// the stores of) their hash-designated daemons. Completions are reported
-// through the harness's progress hook. It mirrors the Runner contract:
-// positional results, partial results plus the lowest-index error on
-// failure.
-type storeExec struct {
-	s          *Server
-	ctx        context.Context
-	onProgress func(sweep.Progress)
-
-	cachedRuns   int
-	executedRuns int
-}
-
-func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Result, error) {
-	if e.ctx != nil {
-		ctx = e.ctx
-	}
-	s := e.s
-	routed := s.node != nil
-	results := make([]sweep.Result, len(specs))
-	batch := make([]routedSpec, len(specs))
-	for i, spec := range specs {
-		results[i] = sweep.Result{Index: i, Key: spec.Key}
-		wire := api.Spec{Key: spec.Key}
-		if routed {
-			wire = api.FromRunSpec(spec) // what a forward sends
-		}
-		batch[i] = newRouted(wire, spec)
-	}
-	if routed {
-		s.resolve(ctx, batch)
-	}
-	if err := ctx.Err(); err != nil {
-		s.cancelOwn(batch)
-		return results, err
-	}
-
-	done := 0
-	// record turns a spec's terminal answer into its positional result.
-	record := func(i int) {
-		r := batch[i].res
-		switch {
-		case r.Status == api.StatusDone:
-			stats, err := batch[i].runStats()
-			if err != nil {
-				results[i].Err = fmt.Errorf("sweep: run %q: %v", specs[i].Key, err)
-				break
-			}
-			results[i].Stats = stats
-			if r.Cached {
-				e.cachedRuns++
-			} else {
-				e.executedRuns++
-			}
-		case r.Status == api.StatusCancelled:
-			results[i].Err = fmt.Errorf("sweep: run %q: job %s cancelled", specs[i].Key, r.JobID)
-		default:
-			results[i].Err = fmt.Errorf("sweep: run %q: %s", specs[i].Key, r.Error)
-		}
-		done++
-		if e.onProgress != nil {
-			e.onProgress(sweep.Progress{Done: done, Total: len(specs), Key: specs[i].Key})
-		}
-	}
-
-	// Enqueue here what no store or member answered. Open handles on other
-	// members are then polled concurrently — each goroutine owns its spec's
-	// slot until it sends the index — while this goroutine waits for the local
-	// jobs in order; only this goroutine records and reports.
-	settled := make(chan int, len(batch))
-	var locals []int
-	remotes := 0
-	for i := range batch {
-		it := &batch[i]
-		if !it.handled {
-			if err := s.enqueue(it); err != nil {
-				it.fail(err)
-			}
-		}
-		switch {
-		case it.remote != "":
-			remotes++
-			go func() {
-				s.await(ctx, it)
-				settled <- i
-			}()
-		case it.job != nil:
-			locals = append(locals, i)
-		default:
-			record(i)
-		}
-	}
-	for _, i := range locals {
-		if s.await(ctx, &batch[i]); ctx.Err() != nil {
-			break
-		}
-		record(i)
-	}
-	for ; remotes > 0; remotes-- {
-		if i := <-settled; ctx.Err() == nil {
-			record(i)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// Nobody will read the rest: stop simulating it.
-		s.cancelOwn(batch)
-		return results, err
-	}
-	for i := range results {
-		if results[i].Err != nil {
-			return results, results[i].Err
-		}
-	}
-	return results, nil
 }

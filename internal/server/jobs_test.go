@@ -1,14 +1,11 @@
 package server
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/gpu"
-	"repro/internal/server/api"
 	"repro/internal/simstore"
 )
 
@@ -53,70 +50,12 @@ func TestJobIDsNameOwnerAndSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestCancelledFigureStopsSimulating: cancelling a figure job cancels the run
-// jobs only it is waiting for — the whole figure is submitted up front, and
-// none of it may keep simulating for a reader that is gone — while a run it
-// shares with an earlier, independent submission survives.
-func TestCancelledFigureStopsSimulating(t *testing.T) {
-	srv, c := newTestServer(t, 1)
-	ctx := context.Background()
-	wireOpts := api.FigureOptions{Quick: true, Cycles: 20_000, Warmup: 2_000}
-	fig, _ := exp.FigureByKey("3")
-	specs := fig.Specs(wireOpts.Options())
-
-	// Somebody else wants the figure's last run; it takes the only worker.
-	wire := api.FromRunSpec(specs[len(specs)-1])
-	shared, err := c.Runs(ctx, api.RunRequest{Specs: []api.Spec{wire}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedID := shared.Results[0].JobID
-
-	// The figure queues every other run behind it; its first run (the shared
-	// one) is already running when the cancel lands.
-	figID, err := c.FigureAsync(ctx, "3", wireOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for srv.queue.Stats().Queued < len(specs)-1 {
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := cancelJob(c, figID); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := c.WaitJob(ctx, figID, 5*time.Millisecond); err != nil || st.Status != api.StatusCancelled {
-		t.Fatalf("cancelled figure job = %+v, %v; want cancelled", st, err)
-	}
-	if st, err := c.WaitJob(ctx, sharedID, 5*time.Millisecond); err != nil || st.Status != api.StatusDone {
-		t.Fatalf("run shared with an independent submission = %+v, %v; want it to survive and finish", st, err)
-	}
-	for qs := srv.queue.Stats(); qs.Queued > 0 || qs.Running > 0; qs = srv.queue.Stats() {
-		time.Sleep(time.Millisecond) // let anything wrongly left queued run
-	}
-
-	qs := srv.queue.Stats()
-	if qs.Executed > 2 {
-		t.Errorf("%d simulations executed after the figure was cancelled, want at most 2 of its %d runs", qs.Executed, len(specs))
-	}
-	srv.queue.mu.Lock()
-	defer srv.queue.mu.Unlock()
-	cancelled := 0
-	for _, j := range srv.queue.jobs {
-		if j.Kind == "run" && j.state == api.StatusCancelled {
-			cancelled++
-		}
-	}
-	if want := len(specs) - int(qs.Executed); cancelled != want {
-		t.Errorf("%d run jobs cancelled, want %d (every run of the figure that had not started)", cancelled, want)
-	}
-}
-
 // finishSyntheticRun drives one job through the real lifecycle (queued →
 // running → done) without simulating, so retention behavior can be soaked
 // at memory speed.
 func finishSyntheticRun(q *Queue) *Job {
 	q.mu.Lock()
-	j := q.newJobLocked("run")
+	j := q.newJobLocked()
 	q.mu.Unlock()
 	q.begin(j)
 	q.finishRun(j, gpu.RunStats{Cycles: 1}, nil)
@@ -132,7 +71,7 @@ func TestJobRetentionBoundedUnderSoak(t *testing.T) {
 
 	// An in-flight job must survive any amount of churn.
 	q.mu.Lock()
-	inflight := q.newJobLocked("run")
+	inflight := q.newJobLocked()
 	q.mu.Unlock()
 	q.begin(inflight)
 
@@ -173,10 +112,5 @@ func TestJobRetentionTTL(t *testing.T) {
 	}
 	if got := q.Stats().Evicted; got != 1 {
 		t.Errorf("evicted = %d, want 1", got)
-	}
-	// Eviction forgets the ID only — waiters holding the *Job still read a
-	// coherent terminal status.
-	if st := q.Wait(context.Background(), j); st.Status != api.StatusDone {
-		t.Errorf("evicted job status by pointer = %q, want done", st.Status)
 	}
 }

@@ -36,7 +36,6 @@ type serverMetrics struct {
 const (
 	failoverUnreachable = "owner_unreachable"
 	failoverBadAnswer   = "bad_answer"
-	failoverCancelled   = "owner_cancelled"
 )
 
 // newServerMetrics builds the registry for one Server.
@@ -115,7 +114,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(atomic.LoadUint64(&s.forwarded)) })
 	m.failoverReasons = reg.CounterVec("simd_cluster_failovers_total",
 		"Forwards that fell back down the ranking, by cause.", "reason")
-	for _, reason := range []string{failoverUnreachable, failoverBadAnswer, failoverCancelled} {
+	for _, reason := range []string{failoverUnreachable, failoverBadAnswer} {
 		m.failoverReasons.With(reason) // pre-seed so every series renders from 0
 	}
 	m.forward = reg.HistogramVec("simd_cluster_forward_seconds",
@@ -123,7 +122,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		nil, "peer")
 	reg.CounterFunc("simd_cluster_replica_hits_total", "Reads served from a non-owner's warm replica.",
 		func() float64 { return float64(atomic.LoadUint64(&s.replicaHits)) })
-	reg.CounterFunc("simd_cluster_remote_polls_total", "Poll round-trips on forwarded job handles.",
+	reg.CounterFunc("simd_cluster_remote_polls_total", "Job status and cancel requests proxied to the member that owns the job.",
 		func() float64 { return float64(atomic.LoadUint64(&s.remotePolls)) })
 	reg.CounterFunc("simd_replication_pushed_total", "Records and checkpoint blobs pushed to replicas.",
 		func() float64 { return float64(atomic.LoadUint64(&s.replPushed)) })

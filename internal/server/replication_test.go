@@ -33,17 +33,20 @@ func (tc *testCluster) addDynamic(t testing.TB, replicas int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	workers := tc.workers
+	if workers == 0 {
+		workers = 2
+	}
 	cfg := Config{
-		Store: store, Workers: 2,
+		Store: store, Workers: workers,
 		Self:     url,
 		Replicas: replicas,
 		// Fast gossip so joins converge quickly, but a slow death verdict:
 		// the tests query survivors immediately after a kill and need the
 		// dead member still ranked so the probe path (not a ranking shift)
 		// is what serves the replica.
-		Heartbeat:  25 * time.Millisecond,
-		DeadAfter:  2 * time.Second,
-		RemotePoll: 10 * time.Millisecond,
+		Heartbeat: 25 * time.Millisecond,
+		DeadAfter: 2 * time.Second,
 	}
 	if len(tc.urls) == 0 {
 		cfg.Gossip = true // first daemon has nobody to seed from
@@ -82,10 +85,16 @@ func (tc *testCluster) crash(i int) {
 }
 
 // newDynamicCluster bootstraps an n-daemon cluster purely through gossip and
-// waits for every member to observe the full membership.
+// waits for every member to observe the full membership. Each daemon has two
+// simulation workers.
 func newDynamicCluster(t testing.TB, n, replicas int) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
+	return (&testCluster{}).start(t, n, replicas)
+}
+
+// start bootstraps tc's n daemons (see newDynamicCluster).
+func (tc *testCluster) start(t testing.TB, n, replicas int) *testCluster {
+	t.Helper()
 	for i := 0; i < n; i++ {
 		tc.addDynamic(t, replicas)
 	}
@@ -308,46 +317,31 @@ func TestKilledOwnerServedFromReplica(t *testing.T) {
 	tc.waitMembers(t, 2, live...)
 }
 
-// TestClusterMembershipChurn is the churn satellite: a figure is generated on
-// a 3-daemon gossip cluster while a 4th daemon joins mid-figure; no peer
-// restarts, the figure output stays byte-identical to single-daemon output,
-// and after the original owner of a stored record is killed the re-request is
-// served entirely from stores — zero re-executions of replicated records.
+// TestClusterMembershipChurn is the churn satellite: a figure's runs execute
+// on a 3-daemon gossip cluster while a 4th daemon joins mid-figure; no peer
+// restarts, the figure output stays byte-identical to local output, and after
+// the original owner of a stored record is killed the re-request is served
+// entirely from stores — zero re-executions of replicated records.
 func TestClusterMembershipChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	tc := newDynamicCluster(t, 3, 2)
-	ctx := context.Background()
-	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	scale := exp.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	local := localFigure(t, "3", scale)
 
-	// Single-daemon (== local harness) reference text.
-	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(wireOpts.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Kick the figure off asynchronously on daemon 0, then join a 4th
-	// daemon mid-figure through the seed. No peer is restarted: the joiner
-	// is absorbed purely through gossip.
-	c0 := client.New(tc.urls[0])
-	jobID, err := c0.FigureAsync(ctx, "3", wireOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Start the figure, then join a 4th daemon mid-figure through the seed.
+	// No peer is restarted: the joiner is absorbed purely through gossip.
+	wait := goPoolFigure("3", scale, tc.urls...)
 	joined := tc.addDynamic(t, 2)
 	tc.waitMembers(t, 4)
 
-	final, err := c0.WaitJob(ctx, jobID, 0)
+	text, err := wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != api.StatusDone {
-		t.Fatalf("figure job ended %s: %s", final.Status, final.Error)
-	}
-	if final.FigureText != local {
-		t.Errorf("cluster figure text differs from single-daemon output under churn:\n--- cluster\n%s\n--- local\n%s", final.FigureText, local)
+	if text != local {
+		t.Errorf("cluster figure text differs from local output under churn:\n--- cluster\n%s\n--- local\n%s", text, local)
 	}
 
 	// Enumerate who holds which record (store filenames are hex
@@ -413,15 +407,12 @@ func TestClusterMembershipChurn(t *testing.T) {
 	tc.crash(victim)
 
 	entry := (victim + 1) % 3
-	resp, err := figureSync(tc.urls[entry], "3", wireOpts)
+	text, err = poolFigure("3", scale, nil, tc.urls[entry])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Text != local {
-		t.Errorf("post-kill figure text differs from single-daemon output:\n--- cluster\n%s\n--- local\n%s", resp.Text, local)
-	}
-	if resp.ExecutedRuns != 0 {
-		t.Errorf("post-kill figure re-executed %d runs; want 0 (all replicated)", resp.ExecutedRuns)
+	if text != local {
+		t.Errorf("post-kill figure text differs from local output:\n--- cluster\n%s\n--- local\n%s", text, local)
 	}
 	after := executedCounts(tc)
 	for i := range after {

@@ -2,15 +2,12 @@ package server
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/gpu"
-	"repro/internal/jsonplan"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
@@ -26,11 +23,13 @@ import (
 // churn-displaced records migrate lazily, on the read path, instead of via a
 // rebalancing scan), else by a handle-based forward walk down the ranking —
 // and what is left when the walk reaches this daemon (or exhausts the
-// ranking) executes here. POST /v1/runs and a figure's executor (storeExec)
-// both hand resolve their whole batch: at most one record lookup and one
-// forward per member, however many specs. Everything is best-effort: a lost
-// replica or an unreachable owner costs a byte-identical re-execution, never
-// wrongness.
+// ranking) executes here. POST /v1/runs hands resolve its whole batch — a
+// figure's declared runs arrive as one such request from client.Pool — so a
+// batch costs at most one record lookup and one forward per member, however
+// many specs. Nothing here waits for a simulation: a forward yields the
+// owner's job handle, which the caller polls. Everything is best-effort: a
+// lost replica or an unreachable owner costs a byte-identical re-execution,
+// never wrongness.
 
 // routedSpec is one spec's state on the read path.
 type routedSpec struct {
@@ -45,14 +44,11 @@ type routedSpec struct {
 	// res is the answer once handled: a store or replica hit, a member's
 	// reply to a forward, or this daemon's own enqueue. A hit's statistics
 	// are the stored bytes, passed on undecoded. While res is an open job
-	// handle, remote names the member it lives on, or job is the local job —
-	// own unless an earlier submission created it (a dedup share); await
-	// leaves the finished job's statistics in stats.
+	// handle, remote names the member it lives on, or own marks a local job
+	// this submission created (not a dedup share of an earlier one's).
 	res     api.RawRunResult
-	stats   *gpu.RunStats
 	handled bool
 	remote  string
-	job     *Job
 	own     bool
 }
 
@@ -78,20 +74,6 @@ func (it *routedSpec) fail(err error) {
 	it.handled = true
 }
 
-// runStats returns a done spec's statistics: a finished job's as await left
-// them, a hit's decoded from its bytes — the one place a hit is decoded,
-// because a figure table needs the numbers.
-func (it *routedSpec) runStats() (gpu.RunStats, error) {
-	if it.stats != nil {
-		return *it.stats, nil
-	}
-	var stats gpu.RunStats
-	if it.res.Stats == nil {
-		return stats, errors.New("no statistics")
-	}
-	return stats, jsonplan.Unmarshal(it.res.Stats, &stats)
-}
-
 // enqueue executes here a spec the read path left to this daemon: a store
 // hit is answered, a miss becomes a (new or shared) job on the local queue.
 func (s *Server) enqueue(it *routedSpec) error {
@@ -107,15 +89,15 @@ func (s *Server) enqueue(it *routedSpec) error {
 		Key: it.wire.Key, Fingerprint: sub.Fingerprint,
 		Status: api.StatusQueued, JobID: sub.Job.ID, Peer: s.Self(),
 	}
-	it.job, it.own, it.handled = sub.Job, !sub.Shared, true
+	it.own, it.handled = !sub.Shared, true
 	return nil
 }
 
 // cancelOwn cancels the simulations one submission started and nobody else
 // is waiting for — its own local jobs (not dedup-shared ones, which belong to
 // earlier submitters) and the handles its forwards opened on other members —
-// so an error answer or an abandoned figure leaves no orphans behind. Jobs
-// already running finish: the simulator has no preemption point.
+// so an error answer leaves no orphans behind. Jobs already running finish:
+// the simulator has no preemption point.
 func (s *Server) cancelOwn(batch []routedSpec) {
 	ctx, cancel := context.WithTimeout(context.Background(), hopTimeout)
 	defer cancel()
@@ -124,7 +106,7 @@ func (s *Server) cancelOwn(batch []routedSpec) {
 		case it.remote != "":
 			s.peerClient(it.remote).ForwardCancel(ctx, it.res.JobID) // best effort
 		case it.own:
-			s.queue.Cancel(it.job.ID)
+			s.queue.Cancel(it.res.JobID)
 		}
 	}
 }
@@ -353,64 +335,3 @@ func (s *Server) failover(reason string, n int) {
 
 // hopTimeout bounds one cluster-internal job status or cancel round-trip.
 const hopTimeout = 5 * time.Second
-
-// waitRemoteJob polls a forwarded job handle on its member until it turns
-// terminal. Each poll is an independent, timeout-bounded round-trip.
-func (s *Server) waitRemoteJob(ctx context.Context, peer, id string) (*api.JobStatus, error) {
-	cl := s.peerClient(peer)
-	t := time.NewTicker(s.remotePoll)
-	defer t.Stop()
-	for {
-		pctx, cancel := context.WithTimeout(ctx, hopTimeout)
-		st, err := cl.ForwardJob(pctx, id)
-		cancel()
-		atomic.AddUint64(&s.remotePolls, 1)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, err
-		}
-		if api.IsTerminal(st.Status) {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-// await blocks until the spec's open handle — a job on another member, or a
-// local one — is terminal (or ctx ends) and folds its status into the spec's
-// answer. If the member vanishes mid-run, or someone cancelled its (shared)
-// job, the spec re-executes here: neither is a property of the spec, and
-// determinism makes the duplicate byte-identical. A run the member reports
-// failed did fail, and would fail here identically.
-func (s *Server) await(ctx context.Context, it *routedSpec) {
-	if it.remote != "" {
-		st, err := s.waitRemoteJob(ctx, it.remote, it.res.JobID)
-		switch {
-		case ctx.Err() != nil:
-			return
-		case err != nil:
-			s.failover(failoverUnreachable, 1)
-		case st.Status == api.StatusCancelled:
-			s.failover(failoverCancelled, 1)
-		default:
-			it.res.Status, it.res.Error, it.stats = st.Status, st.Error, st.Stats
-			return
-		}
-		it.remote = ""
-		if err := s.enqueue(it); err != nil {
-			it.fail(err)
-		}
-	}
-	if it.job != nil {
-		// Wait reads the job by pointer, not ID: the retention GC may have
-		// already dropped a just-finished job from the ID map.
-		st := s.queue.Wait(ctx, it.job)
-		it.res.Status, it.res.Error, it.stats = st.Status, st.Error, st.Stats
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/server/api"
 	"repro/internal/server/client"
-	"repro/internal/sweep"
 )
 
 // TestBatchForwardSpansOwners (run with -race): one POST to a bystander
@@ -57,44 +56,28 @@ func TestBatchForwardSpansOwners(t *testing.T) {
 	}
 }
 
-// TestResolverOutcomes drives the read path's four outcomes through both of
-// its entry points — POST /v1/runs and a figure's executor — and asserts the same
-// observable result for each: what was answered, who executed, and which
-// cluster counters moved on the entry daemon.
+// TestResolverOutcomes drives the read path's four outcomes through POST
+// /v1/runs and asserts what each is observed as: what was answered, who
+// executed, and which cluster counters moved on the entry daemon.
 func TestResolverOutcomes(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 2)
 	ctx := context.Background()
 	planted := gpu.RunStats{Cycles: 4242, Instructions: 17} // recognisably not simulated
 	plantedJSON, _ := json.Marshal(planted)
 
-	// An entry runs one spec to completion through daemon `entry` and
-	// reports the statistics answered and whether they came from a store.
-	entries := map[string]func(t *testing.T, entry int, spec api.Spec) (string, bool){
-		"POST /v1/runs": func(t *testing.T, entry int, spec api.Spec) (string, bool) {
-			resp, err := client.New(tc.urls[entry]).Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := resp.Results[0]
-			if r.Status != api.StatusDone || r.Stats == nil {
-				t.Fatalf("status=%s error=%q, want done with stats", r.Status, r.Error)
-			}
-			stats, _ := json.Marshal(r.Stats)
-			return string(stats), r.Cached
-		},
-		"figure routing": func(t *testing.T, entry int, spec api.Spec) (string, bool) {
-			rs, err := spec.ToRunSpec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex := &storeExec{s: tc.servers[entry]}
-			results, err := ex.Run(ctx, []sweep.RunSpec{rs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, _ := json.Marshal(results[0].Stats)
-			return string(stats), ex.cachedRuns == 1
-		},
+	// enter runs one spec to completion through daemon `entry` and reports
+	// the statistics answered and whether they came from a store.
+	enter := func(t *testing.T, entry int, spec api.Spec) (string, bool) {
+		resp, err := client.New(tc.urls[entry]).Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := resp.Results[0]
+		if r.Status != api.StatusDone || r.Stats == nil {
+			t.Fatalf("status=%s error=%q, want done with stats", r.Status, r.Error)
+		}
+		stats, _ := json.Marshal(r.Stats)
+		return string(stats), r.Cached
 	}
 
 	// Ranks are positions in the spec's rendezvous ranking (0 = owner); -1
@@ -116,62 +99,60 @@ func TestResolverOutcomes(t *testing.T) {
 
 	seed := int64(100)
 	for _, c := range cases {
-		for name, enter := range entries {
-			seed++
-			spec := tinySpec(c.name, seed) // a fresh fingerprint per (case, entry)
-			t.Run(c.name+"/"+name, func(t *testing.T) {
-				fp := specFP(t, spec)
-				ranked := tc.rankedIndices(t, fp)
-				if c.plantRank >= 0 {
-					tc.plant(t, ranked[c.plantRank], spec, planted)
-				}
-				wantExecuted := make([]uint64, len(tc.servers))
-				if c.execRank >= 0 {
-					wantExecuted[ranked[c.execRank]] = 1
-				}
+		seed++
+		spec := tinySpec(c.name, seed) // a fresh fingerprint per case
+		t.Run(c.name+"/POST /v1/runs", func(t *testing.T) {
+			fp := specFP(t, spec)
+			ranked := tc.rankedIndices(t, fp)
+			if c.plantRank >= 0 {
+				tc.plant(t, ranked[c.plantRank], spec, planted)
+			}
+			wantExecuted := make([]uint64, len(tc.servers))
+			if c.execRank >= 0 {
+				wantExecuted[ranked[c.execRank]] = 1
+			}
 
-				srv := tc.servers[ranked[c.entryRank]]
-				before := executedCounts(tc)
-				fwd0 := atomic.LoadUint64(&srv.forwarded)
-				hits0 := atomic.LoadUint64(&srv.replicaHits)
-				repairs0 := atomic.LoadUint64(&srv.readRepairs)
+			srv := tc.servers[ranked[c.entryRank]]
+			before := executedCounts(tc)
+			fwd0 := atomic.LoadUint64(&srv.forwarded)
+			hits0 := atomic.LoadUint64(&srv.replicaHits)
+			repairs0 := atomic.LoadUint64(&srv.readRepairs)
 
-				stats, cached := enter(t, ranked[c.entryRank], spec)
+			stats, cached := enter(t, ranked[c.entryRank], spec)
 
-				if wantHit := c.plantRank >= 0; cached != wantHit {
-					t.Errorf("cached = %v, want %v", cached, wantHit)
-				} else if wantHit && stats != string(plantedJSON) {
-					t.Errorf("answered %s, want the planted record %s", stats, plantedJSON)
+			if wantHit := c.plantRank >= 0; cached != wantHit {
+				t.Errorf("cached = %v, want %v", cached, wantHit)
+			} else if wantHit && stats != string(plantedJSON) {
+				t.Errorf("answered %s, want the planted record %s", stats, plantedJSON)
+			}
+			for i, n := range executedCounts(tc) {
+				if d := n - before[i]; d != wantExecuted[i] {
+					t.Errorf("daemon %d executed %d runs, want %d", i, d, wantExecuted[i])
 				}
-				for i, n := range executedCounts(tc) {
-					if d := n - before[i]; d != wantExecuted[i] {
-						t.Errorf("daemon %d executed %d runs, want %d", i, d, wantExecuted[i])
-					}
+			}
+			if d := atomic.LoadUint64(&srv.forwarded) - fwd0; d != c.forwarded {
+				t.Errorf("entry forwarded %d specs, want %d", d, c.forwarded)
+			}
+			if d := atomic.LoadUint64(&srv.replicaHits) - hits0; d != c.replicaHits {
+				t.Errorf("entry counted %d replica hits, want %d", d, c.replicaHits)
+			}
+			// The repair is asynchronous; it lands the record on the owner.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				d := atomic.LoadUint64(&srv.readRepairs) - repairs0
+				if d == c.readRepairs {
+					break
 				}
-				if d := atomic.LoadUint64(&srv.forwarded) - fwd0; d != c.forwarded {
-					t.Errorf("entry forwarded %d specs, want %d", d, c.forwarded)
+				if time.Now().After(deadline) {
+					t.Errorf("entry counted %d read repairs, want %d", d, c.readRepairs)
+					break
 				}
-				if d := atomic.LoadUint64(&srv.replicaHits) - hits0; d != c.replicaHits {
-					t.Errorf("entry counted %d replica hits, want %d", d, c.replicaHits)
+			}
+			if c.readRepairs > 0 {
+				if _, ok := tc.stores[ranked[0]].Get(fp); !ok {
+					t.Error("read repair did not land the record on the owner")
 				}
-				// The repair is asynchronous; it lands the record on the owner.
-				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-					d := atomic.LoadUint64(&srv.readRepairs) - repairs0
-					if d == c.readRepairs {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Errorf("entry counted %d read repairs, want %d", d, c.readRepairs)
-						break
-					}
-				}
-				if c.readRepairs > 0 {
-					if _, ok := tc.stores[ranked[0]].Get(fp); !ok {
-						t.Error("read repair did not land the record on the owner")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -7,15 +7,12 @@
 //
 //	POST /v1/runs            submit one spec or a batch; cached results are
 //	                         returned inline, misses get job IDs to poll
-//	GET  /v1/runs/{id}       job status (figure jobs: per-run progress) +
-//	                         statistics when done; the one way to wait
+//	GET  /v1/runs/{id}       job status + statistics when done; the one way
+//	                         to wait
 //	GET  /v1/jobs/{id}/timeline  span tree of the job's lifecycle phases
 //	                         (queue wait, checkpoint probe/restore, warmup,
 //	                         kernel segments, measure window)
-//	POST /v1/jobs/{id}/cancel  cancel a queued run or a running figure job
-//	GET  /v1/figures/{key}   regenerate one paper figure, reusing the store
-//	                         for every run (?async=1 returns a job ID;
-//	                         scale with ?cycles=&warmup=&seed=&quick=1)
+//	POST /v1/jobs/{id}/cancel  cancel a queued run
 //	GET  /v1/cluster/membership  this daemon's gossip view (epoch + member
 //	                         statuses), no cross-member round-trips
 //	GET  /healthz            liveness + this daemon's store/queue summary
@@ -37,15 +34,19 @@
 // the local store, then probe the ranked members, owners first and each at
 // most once (POST /v1/records/lookup), then forward. routing.go is that one
 // read path and the only code that knows how a spec finds its owner: POST
-// /v1/runs and a figure's executor hand it their whole batch, and clients
-// route nothing — any member is a valid entry point, one hop away. Cross-owner
-// forwarding is handle-based: the forwarder gets the owner's job ID back
-// immediately and hands it on (or, for a figure's runs, polls it) — no
-// request ever blocks for the length of a simulation. A job ID names the
-// member that minted it, so status, cancel and timeline requests that land
-// elsewhere reach the owner in one hop as well. Finished jobs are retained
-// in memory only per the Config.JobTTL/MaxJobs policy; evicted job IDs
-// answer 404 while their statistics remain in the store.
+// /v1/runs hands it its whole batch, and clients route nothing — any member
+// is a valid entry point, one hop away. Cross-owner forwarding is
+// handle-based: the forwarder gets the owner's job ID back immediately and
+// hands it on to the client, who polls it — no request ever blocks for the
+// length of a simulation, and nothing on the server side waits for one. A
+// job ID names the member that minted it, so status, cancel and timeline
+// requests that land elsewhere reach the owner in one hop as well. Finished
+// jobs are retained in memory only per the Config.JobTTL/MaxJobs policy;
+// evicted job IDs answer 404 while their statistics remain in the store.
+//
+// The daemon serves runs, not figures: paperfigs -server regenerates figures
+// locally and submits each figure's declared runs as one POST /v1/runs
+// (client.Pool, which polls the handles and resubmits a lost one).
 package server
 
 import (
@@ -62,7 +63,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/exp"
 	"repro/internal/jsonplan"
 	"repro/internal/obs"
 	"repro/internal/server/api"
@@ -128,10 +128,6 @@ type Config struct {
 	Heartbeat time.Duration
 	DeadAfter time.Duration
 
-	// RemotePoll is how often forwarded job handles are polled for
-	// completion (default 150ms).
-	RemotePoll time.Duration
-
 	// Logger, when non-nil, receives one structured access-log line per HTTP
 	// request (request ID, route pattern, status, duration). nil disables
 	// access logging; metrics are recorded either way.
@@ -147,10 +143,9 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 
-	node       *cluster.Node // nil single-node
-	selfAddr   string        // advertised URL, if known (even single-node)
-	replicas   int
-	remotePoll time.Duration
+	node     *cluster.Node // nil single-node
+	selfAddr string        // advertised URL, if known (even single-node)
+	replicas int
 
 	pcMu        sync.RWMutex
 	peerClients map[string]*client.Client // lazily built; members come and go
@@ -160,7 +155,7 @@ type Server struct {
 
 	forwarded   uint64 // atomic: specs sent to another ranked member
 	replicaHits uint64 // atomic: reads served from a non-owner's warm copy
-	remotePolls uint64 // atomic: job-handle poll round-trips
+	remotePolls uint64 // atomic: status/cancel requests proxied to a job's owner
 	replPushed  uint64 // atomic: records+blobs pushed to replicas
 	replRecv    uint64 // atomic: records+blobs accepted from peers
 	replErrors  uint64 // atomic: failed replica pushes / rejected receipts
@@ -176,11 +171,7 @@ func New(cfg Config) (*Server, error) {
 		started:     time.Now(),
 		selfAddr:    cluster.Normalize(cfg.Self),
 		replicas:    cfg.Replicas,
-		remotePoll:  cfg.RemotePoll,
 		peerClients: make(map[string]*client.Client),
-	}
-	if s.remotePoll <= 0 {
-		s.remotePoll = 150 * time.Millisecond
 	}
 	// The checkpointer is handed to the queue as an interface; keep the nil
 	// case a true nil interface, not a typed nil *Manager.
@@ -223,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleJobTimeline)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
-	s.mux.HandleFunc("GET /v1/figures/{key}", s.handleFigure)
 	s.mux.HandleFunc("GET /v1/cluster/membership", s.handleMembership)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -443,45 +433,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	s.serveJob(w, r, s.queue.Cancel, (*client.Client).ForwardCancel)
-}
-
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	fig, ok := exp.FigureByKey(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown figure %q", key)
-		return
-	}
-	wireOpts, err := api.ParseFigureOptions(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	j := s.submitFigure(fig, wireOpts.Options())
-	if r.URL.Query().Get("async") == "1" {
-		writeJSON(w, http.StatusAccepted, api.FigureResponse{Key: fig.Key, Name: fig.Name, JobID: j.ID})
-		return
-	}
-
-	st := s.queue.Wait(r.Context(), j)
-	if !terminal(st.Status) {
-		// Client gave up: stop simulating runs nobody will read.
-		s.queue.Cancel(j.ID)
-		return
-	}
-	if st.Status != api.StatusDone {
-		writeError(w, http.StatusInternalServerError, "figure %s: %s", key, st.Error)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.FigureResponse{
-		Key:          fig.Key,
-		Name:         fig.Name,
-		Text:         st.FigureText,
-		CachedRuns:   st.CachedRuns,
-		ExecutedRuns: st.ExecutedRuns,
-		DurationMs:   st.DurationMs,
-	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

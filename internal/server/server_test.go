@@ -20,6 +20,7 @@ import (
 	"repro/internal/server/api"
 	"repro/internal/server/client"
 	"repro/internal/simstore"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -47,19 +48,45 @@ func newTestServer(t *testing.T, workers int) (*Server, *client.Client) {
 	return srv, client.New(hs.URL)
 }
 
-// figureSync is the blocking GET /v1/figures/{key}: the daemon holds the
-// request until the figure job is terminal.
-func figureSync(base, key string, opt api.FigureOptions) (*api.FigureResponse, error) {
-	resp, err := http.Get(base + "/v1/figures/" + key + "?" + opt.Query().Encode())
+// poolFigure regenerates figure key at scale the way paperfigs -server does:
+// locally, its declared runs executed through a client.Pool over urls.
+func poolFigure(key string, scale exp.FigureOptions, onProgress func(sweep.Progress), urls ...string) (string, error) {
+	pool, err := client.NewPool(urls)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET figure %s: HTTP %d", key, resp.StatusCode)
+	pool.OnProgress = onProgress
+	fig, _ := exp.FigureByKey(key)
+	opt := scale.Options()
+	opt.Exec = pool
+	return fig.Run(opt)
+}
+
+// goPoolFigure starts poolFigure on its own goroutine; wait returns its
+// outcome once it has finished.
+func goPoolFigure(key string, scale exp.FigureOptions, urls ...string) (wait func() (string, error)) {
+	var text string
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		text, err = poolFigure(key, scale, nil, urls...)
+	}()
+	return func() (string, error) {
+		<-done
+		return text, err
 	}
-	var fr api.FigureResponse
-	return &fr, json.NewDecoder(resp.Body).Decode(&fr)
+}
+
+// localFigure is the reference text: figure key at scale, simulated here.
+func localFigure(t testing.TB, key string, scale exp.FigureOptions) string {
+	t.Helper()
+	fig, _ := exp.FigureByKey(key)
+	text, err := fig.Run(scale.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
 }
 
 // cancelJob is POST /v1/jobs/{id}/cancel on c's daemon: the status the
@@ -192,8 +219,8 @@ func TestJobStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Status != api.StatusDone || st.Stats == nil || st.Kind != "run" {
-		t.Fatalf("job status = %+v, want done run with stats", st)
+	if st.Status != api.StatusDone || st.Stats == nil || st.ID != id {
+		t.Fatalf("job status = %+v, want job %s done with stats", st, id)
 	}
 	if _, err := c.Job(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown job error = %v, want HTTP 404", err)
@@ -266,9 +293,6 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("bad spec %d: err = %v, want HTTP 400", i, err)
 		}
 	}
-	if _, err := figureSync(c.BaseURL, "99", api.FigureOptions{}); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("unknown figure err = %v, want HTTP 404", err)
-	}
 
 	// The daemon opens no file a client names: a trace path is not part of
 	// the wire spec, so a request naming one is refused at once — a device
@@ -324,69 +348,50 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestFigureMatchesLocalAndCaches is the figure-level acceptance proof: the
-// server's figure text is byte-identical to the local harness output for
-// the same options, and regenerating the figure is served entirely from the
-// store.
+// TestFigureMatchesLocalAndCaches is the figure-level acceptance proof: a
+// figure whose runs execute on the daemon is byte-identical to the local
+// harness output for the same options, its progress reports each run once,
+// and regenerating it is served entirely from the store.
 func TestFigureMatchesLocalAndCaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	_, c := newTestServer(t, 0)
-	ctx := context.Background()
+	srv, c := newTestServer(t, 0)
+	scale := exp.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
+	local := localFigure(t, "3", scale)
 
-	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
-
-	// Local reference, exactly as cmd/paperfigs would produce it.
-	fig, _ := exp.FigureByKey("3")
-	local, err := fig.Run(wireOpts.Options())
+	var progress []sweep.Progress
+	remote, err := poolFigure("3", scale, func(p sweep.Progress) { progress = append(progress, p) }, c.BaseURL)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	remote, err := figureSync(c.BaseURL, "3", wireOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remote.Text != local {
+	if remote != local {
 		t.Errorf("server figure text differs from local harness output:\n--- server\n%s\n--- local\n%s",
-			remote.Text, local)
+			remote, local)
 	}
-	if remote.ExecutedRuns == 0 || remote.CachedRuns != 0 {
-		t.Errorf("first generation: executed=%d cached=%d, want all executed", remote.ExecutedRuns, remote.CachedRuns)
+	executed := srv.queue.Stats().Executed
+	if executed == 0 {
+		t.Error("first generation executed no runs")
+	}
+	for i, p := range progress {
+		if p.Done != i+1 || p.Total != len(progress) {
+			t.Errorf("progress report %d = %+v, want done %d of %d: one report per settled run", i, p, i+1, len(progress))
+		}
+	}
+	if len(progress) == 0 {
+		t.Error("no progress reported")
 	}
 
 	// Second generation: the store answers every run.
-	again, err := figureSync(c.BaseURL, "3", wireOpts)
+	again, err := poolFigure("3", scale, nil, c.BaseURL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Text != remote.Text {
+	if again != remote {
 		t.Error("regenerated figure text not byte-identical")
 	}
-	if again.ExecutedRuns != 0 || again.CachedRuns != remote.ExecutedRuns {
-		t.Errorf("regeneration: executed=%d cached=%d, want 0 executed / %d cached",
-			again.ExecutedRuns, again.CachedRuns, remote.ExecutedRuns)
-	}
-
-	// Async mode: a warm-store figure job's polled status carries the final
-	// progress and the same text.
-	jobID, err := c.FigureAsync(ctx, "3", wireOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.WaitJob(ctx, jobID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != api.StatusDone {
-		t.Fatalf("async figure job ended %q, want done", final.Status)
-	}
-	if final.FigureText != remote.Text {
-		t.Error("async figure text not byte-identical to sync text")
-	}
-	if final.Progress == nil || final.Progress.Done != final.Progress.Total || final.Progress.Total == 0 {
-		t.Errorf("figure job progress = %+v, want done == total > 0", final.Progress)
+	if n := srv.queue.Stats().Executed; n != executed {
+		t.Errorf("regeneration executed %d runs, want 0 (all store hits)", n-executed)
 	}
 }
 

@@ -3,8 +3,10 @@
 # start the daemon on a random port, POST the same small spec twice, and
 # assert that the second response is served from the store with
 # byte-identical statistics (the determinism/caching contract; see
-# DESIGN.md "Determinism-based result caching"). A quick figure is fetched
-# twice as well, asserting the repeat is fully cache-served.
+# DESIGN.md "Determinism-based result caching"). Then paperfigs -server
+# regenerates a small figure selection through the daemon twice: the text
+# must be byte-identical to a local paperfigs run with the same flags, the
+# repeat must simulate nothing, and Figure 3 must reuse Figure 2's runs.
 #
 # Every run is submitted and waited for through scripts/simd_run.sh (POST,
 # then poll the job handle): no request blocks on a simulation.
@@ -86,16 +88,24 @@ jq -cS '.results[0].stats' "$scratch/second.json" > "$scratch/second.stats"
 cmp "$scratch/first.stats" "$scratch/second.stats" \
   || { echo "cached stats differ from computed stats"; exit 1; }
 
-echo "fetch a small figure twice; the repeat must be fully cache-served"
-figq='quick=1&cycles=3000&warmup=500'
-curl -sf "$url/v1/figures/3?$figq" > "$scratch/fig1.json"
-curl -sf "$url/v1/figures/3?$figq" > "$scratch/fig2.json"
-cmp <(jq -r .text "$scratch/fig1.json") <(jq -r .text "$scratch/fig2.json") \
-  || { echo "repeat figure text differs"; exit 1; }
-jq -e '.executed_runs > 0 and .cached_runs == 0' "$scratch/fig1.json" >/dev/null \
-  || { echo "first figure should simulate:"; jq 'del(.text)' "$scratch/fig1.json"; exit 1; }
-jq -e '.executed_runs == 0 and .cached_runs > 0' "$scratch/fig2.json" >/dev/null \
-  || { echo "repeat figure not cache-served:"; jq 'del(.text)' "$scratch/fig2.json"; exit 1; }
+echo "regenerate figures 2,3 through the daemon twice; text must match a local run"
+go build -o "$scratch/paperfigs" ./cmd/paperfigs
+figflags=(-figure 2,3 -quick -cycles 3000 -warmup 500 -progress=false)
+"$scratch/paperfigs" "${figflags[@]}" > "$scratch/fig-local.out"
+ex0=$(msum "$url" simd_runs_executed_total)
+"$scratch/paperfigs" "${figflags[@]}" -server "$url" > "$scratch/fig1.out"
+ex1=$(msum "$url" simd_runs_executed_total)
+"$scratch/paperfigs" "${figflags[@]}" -server "$url" > "$scratch/fig2.out"
+ex2=$(msum "$url" simd_runs_executed_total)
+for out in fig1 fig2; do
+  cmp <(grep -v '^\[' "$scratch/fig-local.out") <(grep -v '^\[' "$scratch/$out.out") \
+    || { echo "$out: -server figure text differs from the local run"; exit 1; }
+  grep -qE '^\[Figure 3 regenerated in [0-9.]+s \(17 reused, 0 simulated runs\)\]$' "$scratch/$out.out" \
+    || { echo "$out: Figure 3 did not reuse Figure 2's runs:"; grep '^\[' "$scratch/$out.out"; exit 1; }
+done
+[ "$ex1" -gt "$ex0" ] || { echo "first -server run simulated nothing"; exit 1; }
+[ "$ex2" -eq "$ex1" ] \
+  || { echo "repeat -server run simulated $((ex2 - ex1)) runs, want 0 (all store hits)"; exit 1; }
 
 curl -sf "$url/metrics" | grep -E 'simd_store_(hits|puts)_total'
 
@@ -179,7 +189,7 @@ fo_b=$(msum "$url_b" simd_cluster_failovers_total)
   || { echo "failover counts A=$fo_a B=$fo_b, want zero"; exit 1; }
 # Every failover cause is pre-seeded as its own labeled series.
 curl -sf "$url_a/metrics" > "$scratch/cl-metrics.txt"
-for reason in owner_unreachable bad_answer owner_cancelled; do
+for reason in owner_unreachable bad_answer; do
   grep -q "^simd_cluster_failovers_total{reason=\"$reason\"}" "$scratch/cl-metrics.txt" \
     || { echo "failover reason label $reason missing from exposition"; exit 1; }
 done
