@@ -5,14 +5,16 @@
 //
 // The cache model is a tag store only — data payloads are not simulated.
 // It supports LRU replacement, write-back and write-through policies,
-// per-line sharer tracking (which SM cluster last touched a line, and the
-// set of clusters that touched it), and flush/invalidate operations needed
-// for the shared↔private reconfiguration sequence.
+// per-line sharer tracking (the set of SM clusters that touched a line), and
+// flush/invalidate operations needed for the shared↔private reconfiguration
+// sequence.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/wire"
 )
 
 // WritePolicy selects how stores are handled.
@@ -61,18 +63,6 @@ type Result struct {
 	EvictedAddr  uint64 // line-aligned address of the evicted line (valid if Evicted)
 }
 
-// lineMeta is what a resident line holds besides its tag word.
-type lineMeta struct {
-	lastUse uint64 // LRU timestamp
-	// sharers is a bitmask of cluster IDs that accessed this line while it
-	// was resident; used for the inter-cluster locality characterization
-	// (paper Figure 3).
-	sharers uint64
-	// lastCluster is the cluster that most recently touched the line.
-	lastCluster int32
-	dirty       bool
-}
-
 // Config describes one cache structure.
 type Config struct {
 	SizeBytes int
@@ -89,10 +79,17 @@ func (c Config) Sets() int {
 	return c.SizeBytes / (c.Ways * c.LineBytes)
 }
 
+// MaxWays is the most ways a Cache may have: a set's recency order is one
+// word of 4-bit way numbers.
+const MaxWays = 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache: size/ways/line must be positive, got %d/%d/%d", c.SizeBytes, c.Ways, c.LineBytes)
+	}
+	if c.Ways > MaxWays {
+		return fmt.Errorf("cache: %d ways exceed the limit of %d", c.Ways, MaxWays)
 	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: LineBytes must be a power of two, got %d", c.LineBytes)
@@ -112,20 +109,29 @@ type Cache struct {
 	// pow2: the set count is a power of two (the L1's 64 sets) and a set
 	// index is an AND; the 48-set LLC slices take the modulo.
 	pow2      bool
-	clock     uint64
 	lineShift uint
+	lru       uint // 4*(ways-1): the LRU way's nibble in a recency word
 	// tags holds one dense row of ways words per set (slot = set*ways + way):
 	// the line number plus one, so zero is an invalid way and a lookup is one
 	// compare per way over adjacent words. Every line number but the all-ones
 	// one is representable — any address at LineBytes >= 2, multi-program
-	// appID<<40 offsets included. meta is parallel to tags; the entry of an
-	// invalid way is zero.
+	// appID<<40 offsets included.
 	tags []uint64
-	meta []lineMeta
-	// touched has a bit per slot, set when a cluster touches the slot and
-	// cleared by ResetSharers: every line with a non-empty sharer set has its
-	// bit set, so the sharing histogram visits what the window touched, not
-	// the whole cache.
+	// order holds one recency word per set: nibble k is the way used k-th
+	// most recently, so nibble ways-1 is the LRU way. Where an invalid way
+	// sits in it does not matter: a fill takes the row's first invalid way
+	// before it looks at the word.
+	order []uint64
+	// dirty has a bit per slot; an invalid slot's is clear.
+	dirty []uint64
+	// sharers has a word per slot, the bitmask of cluster IDs that accessed
+	// the line while it was resident (the inter-cluster locality of paper
+	// Figure 3), and touched a bit per slot, set when a cluster touches the
+	// slot and cleared by ResetSharers: every line with a non-empty sharer
+	// set has its bit set, so the sharing histogram visits what the window
+	// touched, not the whole cache. Both are nil until the first access that
+	// names a cluster — the L1s never make one.
+	sharers []uint64
 	touched []uint64
 }
 
@@ -138,23 +144,35 @@ func New(cfg Config) *Cache {
 	}
 	nsets := cfg.Sets()
 	slots := nsets * cfg.Ways
-	return &Cache{cfg: cfg, nsets: uint64(nsets), ways: cfg.Ways, pow2: nsets&(nsets-1) == 0,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		tags:      make([]uint64, slots), meta: make([]lineMeta, slots),
-		touched: make([]uint64, (slots+63)/64)}
+	c := &Cache{cfg: cfg, nsets: uint64(nsets), ways: cfg.Ways, pow2: nsets&(nsets-1) == 0,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))), lru: 4 * uint(cfg.Ways-1),
+		tags: make([]uint64, slots), order: make([]uint64, nsets),
+		dirty: make([]uint64, wire.BitWords(slots))}
+	// Every set starts with way k at nibble k. Any permutation of the ways
+	// would do, and every operation keeps the word one, so emptying the
+	// cache leaves the words as they are.
+	for i := range c.order {
+		c.order[i] = 0xFEDCBA9876543210 & (1<<c.lru<<4 - 1)
+	}
+	return c
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Reset empties the cache and switches it to write policy p: afterwards it
-// is what New returns for its configuration under p, built without
-// allocating.
+// behaves as what New returns for its configuration under p, and is built
+// without allocating.
 func (c *Cache) Reset(p WritePolicy) {
 	c.cfg.Policy = p
-	c.clock = 0
+	c.empty()
+}
+
+// empty invalidates every line.
+func (c *Cache) empty() {
 	clear(c.tags)
-	clear(c.meta)
+	clear(c.dirty)
+	clear(c.sharers)
 	clear(c.touched)
 }
 
@@ -185,9 +203,8 @@ func hashLine(lineNumber uint64) uint64 { return lineNumber * 0x9E3779B97F4A7C15
 // cache's contents next change.
 type Slot struct {
 	key uint64 // the tag word looked for
-	// at is the slot of the line, or on a miss ^(first slot of its set): two
-	// words, returned in registers.
-	at int
+	at  int    // the slot of the line, or -1 on a miss
+	set int    // the set the line maps to
 }
 
 // Hit reports whether the lookup found the line resident.
@@ -205,7 +222,7 @@ func (s Slot) Index() int { return s.at }
 // Associativity is the cache's, so no workload picks the scan.
 const shortRow = 8
 
-// Find looks addr's line up without updating LRU state. It is
+// Find looks addr's line up without updating the recency order. It is
 // the only tag scan: a caller that must decide something between looking and
 // touching (the SM's and the LLC slice's stall-before-side-effects checks)
 // hands the Slot to AccessAt instead of paying for a second one.
@@ -223,19 +240,19 @@ func (c *Cache) Find(addr uint64) Slot {
 	if c.ways > shortRow {
 		for i, word := range row {
 			if word == tag {
-				return Slot{tag, base + i}
+				return Slot{tag, base + i, int(set)}
 			}
 		}
-		return Slot{tag, ^base}
+		return Slot{tag, -1, int(set)}
 	}
 	// A line sits in at most one way, so the last match is the match.
-	at := ^base
+	at := -1
 	for i, word := range row {
 		if word == tag {
 			at = base + i // a conditional move
 		}
 	}
-	return Slot{tag, at}
+	return Slot{tag, at, int(set)}
 }
 
 // Access performs a read or write access by the given cluster and returns
@@ -250,47 +267,55 @@ func (c *Cache) Access(addr uint64, kind AccessKind, cluster int) Result {
 // the slot now holding the line: found's on a hit, the filled victim's on a
 // miss.
 func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) (Result, int) {
-	c.clock++
+	base := found.set * c.ways
 	if found.Hit() {
-		m := &c.meta[found.at]
-		m.lastUse = c.clock
+		at := found.at
+		c.promote(found.set, uint64(at-base))
 		if cluster >= 0 {
-			c.touch(found.at)
-			m.sharers |= 1 << uint(cluster)
-			m.lastCluster = int32(cluster)
+			c.share(at, cluster)
 		}
 		res := Result{Hit: true}
 		if kind == Write {
 			if c.cfg.Policy == WriteBack {
-				m.dirty = true
+				c.dirty[at>>6] |= 1 << (at & 63)
 			} else {
 				res.WritebackReq = true // forwarded to next level immediately
 			}
 		}
-		return res, found.at
+		return res, at
 	}
 
-	// Miss path.
-	victim := c.findVictim(^found.at)
-	m := &c.meta[victim]
+	// Miss path: the row's first invalid way, else the LRU way.
+	way := c.ways
+	for i, word := range c.tags[base : base+c.ways] {
+		if word == 0 {
+			way = i
+			break
+		}
+	}
+	if way == c.ways {
+		way = int(c.order[found.set] >> c.lru & 0xF)
+	}
+	c.promote(found.set, uint64(way))
+	victim := base + way
+	bit := uint64(1) << (victim & 63)
 	var res Result
 	if old := c.tags[victim]; old != 0 {
 		res.Evicted = true
 		res.EvictedAddr = (old - 1) << c.lineShift
-		if m.dirty {
-			res.WritebackReq = true
-		}
+		res.WritebackReq = c.dirty[victim>>6]&bit != 0
 	}
 	c.tags[victim] = found.key
-	*m = lineMeta{lastUse: c.clock}
+	c.dirty[victim>>6] &^= bit
+	if c.sharers != nil {
+		c.sharers[victim] = 0
+	}
 	if cluster >= 0 {
-		c.touch(victim)
-		m.sharers = 1 << uint(cluster)
-		m.lastCluster = int32(cluster)
+		c.share(victim, cluster)
 	}
 	if kind == Write {
 		if c.cfg.Policy == WriteBack {
-			m.dirty = true
+			c.dirty[victim>>6] |= bit
 		} else {
 			// Write-through, write-allocate: line is inserted clean, the
 			// store itself is forwarded to the next level by the caller.
@@ -300,15 +325,57 @@ func (c *Cache) AccessAt(found Slot, kind AccessKind, cluster int) (Result, int)
 	return res, victim
 }
 
+// Nibble constants of the recency word's SWAR search.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
+
+// promote makes way the most recently used of set. The way's nibble is the
+// lowest zero nibble of the word XOR the way repeated, which the borrow of
+// the subtraction cannot fake below the first true zero; ways past the
+// set's are zero nibbles above every real one, so they never match first.
+// With m covering nibbles 0 through the way's, the nibbles below it shift up
+// one and the way goes to nibble 0.
+func (c *Cache) promote(set int, way uint64) {
+	o := c.order[set]
+	x := o ^ way*nibbleOnes
+	z := (x - nibbleOnes) &^ x & nibbleHigh
+	m := (z&-z)<<1 - 1
+	c.order[set] = o&^m | o<<4&m | way
+}
+
+// trackSharers allocates the sharer column and the touched set.
+func (c *Cache) trackSharers() {
+	c.sharers = make([]uint64, len(c.tags))
+	c.touched = make([]uint64, wire.BitWords(len(c.tags)))
+}
+
+// share records that cluster accessed the line in slot.
+func (c *Cache) share(slot, cluster int) {
+	if c.sharers == nil {
+		c.trackSharers()
+	}
+	c.sharers[slot] |= 1 << uint(cluster)
+	c.touched[slot>>6] |= 1 << (slot & 63)
+}
+
 // Invalidate removes the line containing addr, returning whether it was
-// present and whether it was dirty.
+// present and whether it was dirty. Its way stays where it is in the recency
+// word.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	found := c.Find(addr)
 	if !found.Hit() {
 		return false, false
 	}
-	dirty = c.meta[found.at].dirty
-	c.tags[found.at], c.meta[found.at] = 0, lineMeta{}
+	at := found.at
+	bit := uint64(1) << (at & 63)
+	dirty = c.dirty[at>>6]&bit != 0
+	c.tags[at] = 0
+	c.dirty[at>>6] &^= bit
+	if c.sharers != nil {
+		c.sharers[at] = 0
+	}
 	return true, dirty
 }
 
@@ -319,19 +386,15 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // organizations.
 func (c *Cache) FlushAll() (valid, dirty int) {
 	valid, dirty = c.ValidLines(), c.DirtyLines()
-	clear(c.tags)
-	clear(c.meta)
-	clear(c.touched)
+	c.empty()
 	return valid, dirty
 }
 
 // DirtyLines returns the number of dirty lines currently resident.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for i := range c.meta {
-		if c.meta[i].dirty {
-			n++
-		}
+	for _, word := range c.dirty {
+		n += bits.OnesCount64(word)
 	}
 	return n
 }
@@ -347,23 +410,6 @@ func (c *Cache) ValidLines() int {
 	return n
 }
 
-// findVictim returns the slot of the LRU victim of the set starting at base,
-// preferring invalid ways.
-func (c *Cache) findVictim(base int) int {
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == 0 {
-			return i
-		}
-		if c.meta[i].lastUse < oldest {
-			oldest = c.meta[i].lastUse
-			victim = i
-		}
-	}
-	return victim
-}
-
 // SharerHistogram classifies the resident lines that were accessed since the
 // last ResetSharers by how many distinct clusters accessed them, bucketed as
 // the paper's Figure 3: exactly 1 cluster, exactly 2, 3–4, and 5–8 (or
@@ -372,7 +418,7 @@ func (c *Cache) findVictim(base int) int {
 func (c *Cache) SharerHistogram() (one, two, threeFour, fivePlus, total int) {
 	for w, word := range c.touched {
 		for ; word != 0; word &= word - 1 {
-			sharers := c.meta[w*64+bits.TrailingZeros64(word)].sharers
+			sharers := c.sharers[w*64+bits.TrailingZeros64(word)]
 			if sharers == 0 {
 				continue // invalidated since it was touched
 			}
@@ -397,11 +443,8 @@ func (c *Cache) SharerHistogram() (one, two, threeFour, fivePlus, total int) {
 func (c *Cache) ResetSharers() {
 	for w, word := range c.touched {
 		for ; word != 0; word &= word - 1 {
-			c.meta[w*64+bits.TrailingZeros64(word)].sharers = 0
+			c.sharers[w*64+bits.TrailingZeros64(word)] = 0
 		}
 		c.touched[w] = 0
 	}
 }
-
-// touch marks a line slot (set*ways + way) as touched in this window.
-func (c *Cache) touch(slot int) { c.touched[slot>>6] |= 1 << (slot & 63) }

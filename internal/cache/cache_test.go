@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,18 +13,55 @@ func smallCfg() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := smallCfg().Validate(); err != nil {
-		t.Fatalf("small config invalid: %v", err)
+	for _, tc := range []struct {
+		cfg    Config
+		errSub string // "" for a valid configuration
+	}{
+		{smallCfg(), ""},
+		{Config{SizeBytes: 48 * 1024, Ways: 6, LineBytes: 128}, ""},
+		{Config{SizeBytes: 64 * 1024, Ways: 8, LineBytes: 128}, ""},
+		{Config{SizeBytes: 96 * 1024, Ways: MaxWays, LineBytes: 128}, ""},
+		{Config{SizeBytes: 0, Ways: 4, LineBytes: 128}, "positive"},
+		{Config{SizeBytes: 8192, Ways: 0, LineBytes: 128}, "positive"},
+		{Config{SizeBytes: 8192, Ways: 4, LineBytes: 100}, "power of two"},
+		{Config{SizeBytes: 8191, Ways: 4, LineBytes: 128}, "multiple"},
+		{Config{SizeBytes: 17 * 128, Ways: 17, LineBytes: 128}, "limit of 16"},
+		{Config{SizeBytes: 32 * 1024, Ways: 32, LineBytes: 128}, "limit of 16"},
+	} {
+		err := tc.cfg.Validate()
+		if tc.errSub == "" && err != nil {
+			t.Errorf("%+v: %v", tc.cfg, err)
+		}
+		if tc.errSub != "" && (err == nil || !strings.Contains(err.Error(), tc.errSub)) {
+			t.Errorf("%+v: error %v, want one containing %q", tc.cfg, err, tc.errSub)
+		}
 	}
-	bad := []Config{
-		{SizeBytes: 0, Ways: 4, LineBytes: 128},
-		{SizeBytes: 8192, Ways: 0, LineBytes: 128},
-		{SizeBytes: 8192, Ways: 4, LineBytes: 100},
-		{SizeBytes: 8191, Ways: 4, LineBytes: 128},
+}
+
+// TestRestoreRejectsBadRecency: a snapshot whose valid lines do not rank
+// 0..n-1 once each in their set — a position repeated, or past the set's
+// valid lines — is refused before anything is overwritten.
+func TestRestoreRejectsBadRecency(t *testing.T) {
+	c := New(Config{SizeBytes: 4 * 4 * 128, Ways: 4, LineBytes: 128, Policy: WriteBack})
+	for a := uint64(0); a < 64; a++ {
+		c.Access(a<<7, Write, int(a%3))
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: expected error for %+v", i, c)
+	good := snapshot(c)
+	if err := New(c.Config()).RestoreState(good); err != nil {
+		t.Fatal(err)
+	}
+	for name, forge := range map[string]func(r []uint8){
+		"repeated":     func(r []uint8) { r[1] = r[0] },
+		"out of range": func(r []uint8) { r[0] = 4 },
+		"past the set": func(r []uint8) { r[0] = 200 },
+	} {
+		st := snapshot(c)
+		forge(st.Recency)
+		if err := c.RestoreState(st); err == nil || !strings.Contains(err.Error(), "ranks") {
+			t.Errorf("%s: RestoreState = %v, want a ranking error", name, err)
+		}
+		if got := snapshot(c); !bytes.Equal(got.AppendTo(nil), good.AppendTo(nil)) {
+			t.Errorf("%s: a refused snapshot changed the cache", name)
 		}
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// rowScanCache is the tag store as it was before the dense rows: a slice of
-// 40-byte line structs per set, a hash and a scan per operation, Probe next
-// to Access. It is the reference the dense-row Cache must equal, result for
-// result and snapshot for snapshot.
+// rowScanCache is the tag store as it was before the dense rows and the
+// recency words: a slice of line structs per set, each with its own LRU
+// timestamp, a hash and a scan per operation, Probe next to Access. It is
+// the reference the Cache must equal, result for result — evictions
+// included — and snapshot for snapshot.
 type rowScanCache struct {
 	cfg       Config
 	sets      [][]rowScanLine
@@ -24,7 +27,6 @@ type rowScanLine struct {
 	tag          uint64
 	lastUse      uint64
 	sharers      uint64
-	lastCluster  int
 }
 
 func newRowScanCache(cfg Config) *rowScanCache {
@@ -58,7 +60,6 @@ func (c *rowScanCache) access(addr uint64, kind AccessKind, cluster int) Result 
 			set[i].lastUse = c.clock
 			if cluster >= 0 {
 				set[i].sharers |= 1 << uint(cluster)
-				set[i].lastCluster = cluster
 			}
 			res := Result{Hit: true}
 			if kind == Write {
@@ -91,7 +92,6 @@ func (c *rowScanCache) access(addr uint64, kind AccessKind, cluster int) Result 
 	set[victim] = rowScanLine{valid: true, tag: tag, lastUse: c.clock}
 	if cluster >= 0 {
 		set[victim].sharers = 1 << uint(cluster)
-		set[victim].lastCluster = cluster
 	}
 	if kind == Write {
 		if c.cfg.Policy == WriteBack {
@@ -137,6 +137,11 @@ func (c *rowScanCache) flushAll() (valid, dirty int) {
 	return
 }
 
+func (c *rowScanCache) reset(p WritePolicy) {
+	c.flushAll()
+	c.cfg.Policy = p
+}
+
 func (c *rowScanCache) resetSharers() {
 	c.each(func(_ int, l *rowScanLine) { l.sharers = 0 })
 }
@@ -161,22 +166,37 @@ func (c *rowScanCache) sharerHistogram() (h [5]int) {
 	return
 }
 
-// saveState lays the lines out as Cache.SaveStateInto does.
+// saveState lays the lines out as Cache.SaveStateInto does; a line's
+// recency position is how many valid lines of its set carry a later stamp.
 func (c *rowScanCache) saveState() State {
-	st := State{Slots: len(c.sets) * c.cfg.Ways, Clock: c.clock}
+	st := State{Slots: len(c.sets) * c.cfg.Ways}
 	st.Valid = make([]uint64, (st.Slots+63)/64)
 	var dirty []bool
-	c.each(func(slot int, l *rowScanLine) {
-		if !l.valid {
-			return
+	var sharers []uint64
+	shared := false
+	for s, set := range c.sets {
+		for w, l := range set {
+			if !l.valid {
+				continue
+			}
+			slot := s*c.cfg.Ways + w
+			st.Valid[slot>>6] |= 1 << (slot & 63)
+			dirty = append(dirty, l.dirty)
+			st.Tags = append(st.Tags, l.tag)
+			rank := uint8(0)
+			for _, o := range set {
+				if o.valid && o.lastUse > l.lastUse {
+					rank++
+				}
+			}
+			st.Recency = append(st.Recency, rank)
+			sharers = append(sharers, l.sharers)
+			shared = shared || l.sharers != 0
 		}
-		st.Valid[slot>>6] |= 1 << (slot & 63)
-		dirty = append(dirty, l.dirty)
-		st.Tags = append(st.Tags, l.tag)
-		st.LastUse = append(st.LastUse, l.lastUse)
-		st.Sharers = append(st.Sharers, l.sharers)
-		st.LastCluster = append(st.LastCluster, l.lastCluster)
-	})
+	}
+	if shared {
+		st.Sharers = sharers
+	}
 	st.Dirty = make([]uint64, (len(dirty)+63)/64)
 	for k, d := range dirty {
 		if d {
@@ -186,7 +206,10 @@ func (c *rowScanCache) saveState() State {
 	return st
 }
 
+// restoreState stamps each set's lines in their recency order, below a
+// clock advanced past every position.
 func (c *rowScanCache) restoreState(st State) {
+	c.clock += MaxWays
 	k := 0
 	c.each(func(slot int, l *rowScanLine) {
 		*l = rowScanLine{}
@@ -194,10 +217,12 @@ func (c *rowScanCache) restoreState(st State) {
 			return
 		}
 		*l = rowScanLine{valid: true, dirty: st.Dirty[k>>6]>>(k&63)&1 != 0, tag: st.Tags[k],
-			lastUse: st.LastUse[k], sharers: st.Sharers[k], lastCluster: st.LastCluster[k]}
+			lastUse: c.clock - uint64(st.Recency[k])}
+		if st.Sharers != nil {
+			l.sharers = st.Sharers[k]
+		}
 		k++
 	})
-	c.clock = st.Clock
 }
 
 // snapshot is c's state in a fresh State.
@@ -207,109 +232,222 @@ func snapshot(c *Cache) State {
 	return st
 }
 
-// TestDenseRowsMatchRowScan drives the Cache and the row-scan reference with
-// the same random traffic on a one-set cache, the L1's 64 sets (mask index)
-// and an LLC slice's 48 (modulo index): every Find, Access, AccessAt after a
-// Find, Invalidate and FlushAll must agree, as must the sharer histogram and
-// the snapshot — also after restoring each side from
-// the other's snapshot.
+// throughWire is st after AppendTo and ReadFrom.
+func throughWire(tb testing.TB, st State) State {
+	tb.Helper()
+	var out State
+	r := wire.NewReader(st.AppendTo(nil))
+	out.ReadFrom(r)
+	if err := r.Done(); err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// The operations a twin drive applies to both sides.
+const (
+	opAccess       = iota
+	opFindAccess   // Find, then AccessAt the Slot
+	opFindStall    // Find, then a structural stall: looked, did not touch
+	opInvalidate   //
+	opResetSharers //
+	opFlush        //
+	opReset        // Reset, to the other write policy
+	opRoundTrip    // the Cache rebuilt from its own snapshot: Save → AppendTo → ReadFrom → Restore
+	opRestoreCache // the Cache rebuilt from the reference's snapshot, through the wire
+	opRestoreRef   // the reference rebuilt from the Cache's snapshot, through the wire
+	numOps
+)
+
+// twin drives a Cache and the row-scan reference in step.
+type twin struct {
+	tb                        testing.TB
+	c                         *Cache
+	ref                       *rowScanCache
+	hits, evictions, restores int
+}
+
+func newTwin(tb testing.TB, cfg Config) *twin {
+	return &twin{tb: tb, c: New(cfg), ref: newRowScanCache(cfg)}
+}
+
+// step applies one operation to both sides and fails on any disagreement.
+func (w *twin) step(step, op int, a uint64, kind AccessKind, cluster int) {
+	tb, c, ref := w.tb, w.c, w.ref
+	tb.Helper()
+	switch op {
+	case opAccess, opFindAccess, opFindStall:
+		var got Result
+		if op == opAccess {
+			got = c.Access(a, kind, cluster)
+		} else {
+			at := c.Find(a)
+			if want := ref.probe(a); at.Hit() != want {
+				tb.Fatalf("step %d: Find(%#x).Hit() = %v, row scan %v", step, a, at.Hit(), want)
+			}
+			if op == opFindStall {
+				return
+			}
+			got, _ = c.AccessAt(at, kind, cluster)
+		}
+		if want := ref.access(a, kind, cluster); got != want {
+			tb.Fatalf("step %d: access(%#x, %v, %d) = %+v, row scan %+v", step, a, kind, cluster, got, want)
+		}
+		if got.Hit {
+			w.hits++
+		}
+		if got.Evicted {
+			w.evictions++
+		}
+	case opInvalidate:
+		p, d := c.Invalidate(a)
+		if rp, rd := ref.invalidate(a); p != rp || d != rd {
+			tb.Fatalf("step %d: Invalidate(%#x) = %v,%v, row scan %v,%v", step, a, p, d, rp, rd)
+		}
+	case opResetSharers:
+		c.ResetSharers()
+		ref.resetSharers()
+	case opFlush:
+		v, d := c.FlushAll()
+		if rv, rd := ref.flushAll(); v != rv || d != rd {
+			tb.Fatalf("step %d: FlushAll = %d,%d, row scan %d,%d", step, v, d, rv, rd)
+		}
+	case opReset:
+		p := WritePolicy(1 - c.Config().Policy)
+		c.Reset(p)
+		ref.reset(p)
+	case opRoundTrip, opRestoreCache:
+		st := snapshot(c)
+		if op == opRestoreCache {
+			st = ref.saveState()
+		}
+		w.c = New(c.Config())
+		if err := w.c.RestoreState(throughWire(tb, st)); err != nil {
+			tb.Fatalf("step %d: %v", step, err)
+		}
+		w.restores++
+	case opRestoreRef:
+		ref.restoreState(throughWire(tb, snapshot(c)))
+		w.restores++
+	}
+}
+
+// check compares the two sides' snapshots, byte for byte on the wire, and
+// sharer histograms.
+func (w *twin) check(step int) {
+	w.tb.Helper()
+	if got, want := snapshot(w.c), w.ref.saveState(); !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+		w.tb.Fatalf("step %d: snapshots differ:\n%+v\n%+v", step, got, want)
+	}
+	one, two, threeFour, fivePlus, total := w.c.SharerHistogram()
+	if got, want := [5]int{one, two, threeFour, fivePlus, total}, w.ref.sharerHistogram(); got != want {
+		w.tb.Fatalf("step %d: histogram %v, row scan %v", step, got, want)
+	}
+}
+
+// TestDenseRowsMatchRowScan drives the Cache and the timestamp reference
+// with the same random traffic on every associativity the recency word must
+// hold — 1 and 16 ways (an empty and a full word), the L1's 6, an LLC
+// slice's 16 and both sides of shortRow — over one set, an LLC slice's 48
+// (modulo index) and the L1's 64 (mask index): every Find, Access, AccessAt
+// after a Find, Invalidate, FlushAll and Reset must agree, evicted address
+// included, as must the sharer histogram and the snapshot — also after
+// restoring either side from the other's snapshot through its wire form.
 func TestDenseRowsMatchRowScan(t *testing.T) {
 	for _, g := range []struct {
 		name string
-		cfg  Config
-	}{
-		{"1-set", Config{SizeBytes: 4 * 128, Ways: 4, LineBytes: 128, Policy: WriteBack}},
-		{"64-sets-mask", Config{SizeBytes: 48 * 1024, Ways: 6, LineBytes: 128, Policy: WriteThrough}},
-		{"48-sets-modulo", Config{SizeBytes: 96 * 1024, Ways: 16, LineBytes: 128, Policy: WriteBack}},
-	} {
+		sets int
+	}{{"1-set", 1}, {"48-sets-modulo", 48}, {"64-sets-mask", 64}} {
+		sets := g.sets
 		t.Run(g.name, func(t *testing.T) {
-			c, ref := New(g.cfg), newRowScanCache(g.cfg)
-			if c.pow2 != (g.name != "48-sets-modulo") {
-				t.Fatalf("%d sets: pow2 = %v", c.Sets(), c.pow2)
-			}
-			rng := rand.New(rand.NewSource(11))
-			lines := 3 * c.Sets() * g.cfg.Ways // 3x the capacity: victims get reused
-			addr := func() uint64 {
-				a := uint64(rng.Intn(lines))<<7 | uint64(rng.Intn(128))
-				if rng.Intn(4) == 0 {
-					a += uint64(1+rng.Intn(3)) << 40 // a multi-program address space
-				}
-				return a
-			}
-			var hits, evictions, writes int
-			note := func(kind AccessKind, res Result) {
-				if res.Hit {
-					hits++
-				}
-				if res.Evicted {
-					evictions++
-				}
-				if kind == Write {
-					writes++
-				}
-			}
-			for step := 0; step < 60_000; step++ {
-				switch k := rng.Intn(1000); {
-				case k < 600:
-					a, kind, cluster := addr(), AccessKind(rng.Intn(2)), rng.Intn(9)-1
-					got, want := c.Access(a, kind, cluster), ref.access(a, kind, cluster)
-					if got != want {
-						t.Fatalf("step %d: Access(%#x, %v, %d) = %+v, row scan %+v", step, a, kind, cluster, got, want)
+			for _, ways := range []int{1, 2, 6, shortRow, shortRow + 1, 15, MaxWays} {
+				t.Run(fmt.Sprintf("%d-ways", ways), func(t *testing.T) {
+					policy := WritePolicy(ways % 2)
+					w := newTwin(t, Config{SizeBytes: sets * ways * 128, Ways: ways, LineBytes: 128, Policy: policy})
+					if w.c.pow2 != (sets != 48) {
+						t.Fatalf("%d sets: pow2 = %v", sets, w.c.pow2)
 					}
-					note(kind, got)
-				case k < 900:
-					a, kind, cluster := addr(), AccessKind(rng.Intn(2)), rng.Intn(9)-1
-					at := c.Find(a)
-					if want := ref.probe(a); at.Hit() != want {
-						t.Fatalf("step %d: Find(%#x).Hit() = %v, row scan %v", step, a, at.Hit(), want)
+					rng := rand.New(rand.NewSource(int64(11 + sets + ways)))
+					lines := 3 * sets * ways // 3x the capacity: victims get reused
+					addr := func() uint64 {
+						a := uint64(rng.Intn(lines))<<7 | uint64(rng.Intn(128))
+						if rng.Intn(4) == 0 {
+							a += uint64(1+rng.Intn(3)) << 40 // a multi-program address space
+						}
+						return a
 					}
-					if rng.Intn(2) == 0 { // a structural stall: looked, did not touch
-						continue
+					writes := 0
+					for step := 0; step < 20_000; step++ {
+						var op int
+						switch k := rng.Intn(1000); {
+						case k < 600:
+							op = opAccess
+						case k < 750:
+							op = opFindAccess
+						case k < 900:
+							op = opFindStall
+						case k < 970:
+							op = opInvalidate
+						case k < 985:
+							op = opResetSharers
+						case k < 989:
+							op = opFlush
+						case k < 990:
+							op = opReset
+						case k < 993:
+							op = opRoundTrip
+						case k < 996:
+							op = opRestoreCache
+						default:
+							op = opRestoreRef
+						}
+						kind := AccessKind(rng.Intn(2))
+						if op <= opFindAccess && kind == Write {
+							writes++
+						}
+						w.step(step, op, addr(), kind, rng.Intn(9)-1)
+						if step%64 == 0 {
+							w.check(step)
+						}
 					}
-					got, _ := c.AccessAt(at, kind, cluster)
-					if got != ref.access(a, kind, cluster) {
-						t.Fatalf("step %d: AccessAt(%#x, %v, %d) = %+v, row scan disagrees", step, a, kind, cluster, got)
+					w.check(-1)
+					if w.hits == 0 || w.evictions == 0 || writes == 0 || w.restores == 0 {
+						t.Errorf("drive did not reach every path: %d hits, %d evictions, %d writes, %d restores", w.hits, w.evictions, writes, w.restores)
 					}
-					note(kind, got)
-				case k < 970:
-					a := addr()
-					p, d := c.Invalidate(a)
-					if rp, rd := ref.invalidate(a); p != rp || d != rd {
-						t.Fatalf("step %d: Invalidate(%#x) = %v,%v, row scan %v,%v", step, a, p, d, rp, rd)
-					}
-				case k < 985:
-					c.ResetSharers()
-					ref.resetSharers()
-				case k < 990:
-					v, d := c.FlushAll()
-					if rv, rd := ref.flushAll(); v != rv || d != rd {
-						t.Fatalf("step %d: FlushAll = %d,%d, row scan %d,%d", step, v, d, rv, rd)
-					}
-				case k < 995:
-					st := ref.saveState()
-					c = New(g.cfg)
-					if err := c.RestoreState(st); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					ref.restoreState(snapshot(c))
-				}
-				if step%64 != 0 {
-					continue
-				}
-				if got, want := snapshot(c), ref.saveState(); !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
-					t.Fatalf("step %d: snapshots differ:\n%+v\n%+v", step, got, want)
-				}
-				one, two, threeFour, fivePlus, total := c.SharerHistogram()
-				if got, want := [5]int{one, two, threeFour, fivePlus, total}, ref.sharerHistogram(); got != want {
-					t.Fatalf("step %d: histogram %v, row scan %v", step, got, want)
-				}
-			}
-			if hits == 0 || evictions == 0 || writes == 0 {
-				t.Errorf("drive did not reach every path: %d hits, %d evictions, %d writes", hits, evictions, writes)
+				})
 			}
 		})
 	}
+}
+
+// FuzzRecencyOrder holds the recency words to the timestamp reference on
+// fuzzed operation streams. The first two bytes pick the geometry (1-16
+// ways; 1, 2, 3, 48 or 64 sets); every four after them are one operation:
+// its kind, a two-byte line number over three times the capacity, and the
+// access kind and cluster.
+func FuzzRecencyOrder(f *testing.F) {
+	f.Add([]byte{15, 3, 0, 1, 0, 0, 0, 2, 0, 1})
+	f.Add(bytes.Repeat([]byte{5, 1, 0, 7, 0, 3, 1, 9, 0, 4, 2, 200, 1, 2}, 40))
+	f.Add(bytes.Repeat([]byte{15, 4, 0, 0x31, 0, 5, 1, 0x80, 1, 0, 3, 0x11, 0, 2, 7, 0x42, 2, 8}, 30))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ways := 1 + int(data[0])%MaxWays
+		sets := []int{1, 2, 3, 48, 64}[int(data[1])%5]
+		w := newTwin(t, Config{SizeBytes: sets * ways * 128, Ways: ways, LineBytes: 128, Policy: WritePolicy(data[0] >> 4 & 1)})
+		lines := 3 * sets * ways
+		for i := 2; i+4 <= len(data) && i < 2+4*4096; i += 4 {
+			op := int(data[i]) % numOps
+			a := uint64(int(data[i+1])|int(data[i+2])<<8) % uint64(lines) << 7
+			kind, cluster := AccessKind(data[i+3]&1), int(data[i+3]>>1)%9-1
+			w.step(i, op, a, kind, cluster)
+			if i%16 == 2 {
+				w.check(i)
+			}
+		}
+		w.check(-1)
+	})
 }
 
 // earlyExitFind is Find as it was before short rows went branch-free: stop at
@@ -320,10 +458,10 @@ func earlyExitFind(c *Cache, addr uint64) Slot {
 	base := int(set) * c.ways
 	for i, word := range c.tags[base : base+c.ways] {
 		if word == tag+1 {
-			return Slot{tag + 1, base + i}
+			return Slot{tag + 1, base + i, int(set)}
 		}
 	}
-	return Slot{tag + 1, ^base}
+	return Slot{tag + 1, -1, int(set)}
 }
 
 // TestFindMatchesEarlyExitScan holds Find to the early-exit scan on random

@@ -8,12 +8,12 @@ import (
 // scanSharerHistogram is SharerHistogram as it was: a walk over every line
 // of the cache. The touched list must reproduce it exactly.
 func scanSharerHistogram(c *Cache) (h [5]int) {
-	for i, l := range c.meta {
-		if c.tags[i] == 0 || l.sharers == 0 {
+	for i := range c.tags {
+		if c.tags[i] == 0 || sharersOf(c, i) == 0 {
 			continue
 		}
 		h[4]++
-		switch n := popcount(l.sharers); {
+		switch n := popcount(sharersOf(c, i)); {
 		case n <= 1:
 			h[0]++
 		case n == 2:
@@ -25,6 +25,15 @@ func scanSharerHistogram(c *Cache) (h [5]int) {
 		}
 	}
 	return
+}
+
+// sharersOf is slot i's sharer set; a cache no cluster has accessed has no
+// sharer column.
+func sharersOf(c *Cache, i int) uint64 {
+	if c.sharers == nil {
+		return 0
+	}
+	return c.sharers[i]
 }
 
 func popcount(v uint64) (n int) {
@@ -49,9 +58,9 @@ func TestTouchedSetMatchesFullScan(t *testing.T) {
 		if got, want := [5]int{one, two, threeFour, fivePlus, total}, scanSharerHistogram(c); got != want {
 			t.Fatalf("step %d after %s: histogram %v, full scan %v", step, what, got, want)
 		}
-		for i, l := range c.meta {
-			if l.sharers != 0 && c.touched[i/64]>>(i%64)&1 == 0 {
-				t.Fatalf("step %d after %s: slot %d has sharers %b but is not in the touched set", step, what, i, l.sharers)
+		for i := range c.tags {
+			if s := sharersOf(c, i); s != 0 && c.touched[i/64]>>(i%64)&1 == 0 {
+				t.Fatalf("step %d after %s: slot %d has sharers %b but is not in the touched set", step, what, i, s)
 			}
 		}
 	}
@@ -71,8 +80,8 @@ func TestTouchedSetMatchesFullScan(t *testing.T) {
 		case k < 990:
 			what = "reset"
 			c.ResetSharers()
-			for i, l := range c.meta {
-				if l.sharers != 0 {
+			for i := range c.tags {
+				if sharersOf(c, i) != 0 {
 					t.Fatalf("step %d: ResetSharers left sharers on slot %d", step, i)
 				}
 			}

@@ -15,26 +15,29 @@ import (
 // a hand-written wire form (AppendTo / ReadFrom over internal/wire) that is
 // the bytes a checkpoint store holds.
 
-// State is a complete snapshot of a Cache: the LRU clock and the resident
-// lines as packed columns. Valid has a bit per line slot (set-major,
-// set*ways + way, Slots of them); every other column has one entry per valid
-// slot, in slot order — Dirty a bit, the rest a word. Invalid slots carry
-// no state — the cache keeps them zeroed — so a snapshot costs what the
-// cache holds, not what it could hold.
+// State is a complete snapshot of a Cache: the resident lines as packed
+// columns. Valid has a bit per line slot (set-major, set*ways + way, Slots
+// of them); every other column has one entry per valid slot, in slot order —
+// Dirty a bit, Tags the line number, Recency how many valid lines of its set
+// were used more recently (so a set's valid lines hold 0..n-1, each once),
+// Sharers the sharer set, or nothing at all when every sharer set is empty.
+// Invalid slots carry no state, and neither does where the recency order
+// keeps them, which nothing reads: a snapshot costs what the cache holds,
+// not what it could hold.
 type State struct {
-	Slots       int
-	Valid       []uint64
-	Dirty       []uint64
-	Tags        []uint64
-	LastUse     []uint64
-	Sharers     []uint64
-	LastCluster []int
-	Clock       uint64
+	Slots   int
+	Valid   []uint64
+	Dirty   []uint64
+	Tags    []uint64
+	Recency []uint8
+	Sharers []uint64
 }
 
 // SaveStateInto captures the cache's mutable state, reusing the backing
 // arrays st already has. It marks the valid slots first, so the columns are
-// sized once and the second pass visits resident lines only.
+// sized once, then walks each set's recency word from the most recently used
+// way: the k-th valid way it meets has position k, and the valid ways before
+// it in the row give its column index.
 func (c *Cache) SaveStateInto(st *State) {
 	st.Slots = len(c.tags)
 	st.Valid = wire.Resize(st.Valid, wire.BitWords(len(c.tags)))
@@ -49,29 +52,54 @@ func (c *Cache) SaveStateInto(st *State) {
 	st.Dirty = wire.Resize(st.Dirty, wire.BitWords(n))
 	clear(st.Dirty)
 	st.Tags = wire.Resize(st.Tags, n)
-	st.LastUse = wire.Resize(st.LastUse, n)
-	st.Sharers = wire.Resize(st.Sharers, n)
-	st.LastCluster = wire.Resize(st.LastCluster, n)
-	k := 0
-	for w, word := range st.Valid {
-		for ; word != 0; word &= word - 1 {
-			i := w*64 + bits.TrailingZeros64(word)
-			m := &c.meta[i]
-			if m.dirty {
-				st.Dirty[k>>6] |= 1 << (k & 63)
-			}
-			st.Tags[k] = c.tags[i] - 1
-			st.LastUse[k] = m.lastUse
-			st.Sharers[k] = m.sharers
-			st.LastCluster[k] = int(m.lastCluster)
-			k++
-		}
+	st.Recency = wire.Resize(st.Recency, n)
+	// Only valid lines have sharers: the cache clears them with the line.
+	shared := c.sharers != nil && slices.ContainsFunc(c.sharers, func(s uint64) bool { return s != 0 })
+	if shared {
+		st.Sharers = wire.Resize(st.Sharers, n)
+	} else {
+		st.Sharers = st.Sharers[:0] // kept for the next save
 	}
-	st.Clock = c.clock
+	k := 0
+	for set, order := range c.order {
+		base := set * c.ways
+		row := rowBits(st.Valid, base, c.ways)
+		dirty := rowBits(c.dirty, base, c.ways)
+		r, valid := uint8(0), uint8(bits.OnesCount64(row))
+		for ; r < valid; order >>= 4 { // until every valid way is placed
+			way := int(order & 0xF)
+			if row>>way&1 == 0 {
+				continue
+			}
+			at, i := k+bits.OnesCount64(row&(1<<way-1)), base+way
+			if dirty>>way&1 != 0 {
+				st.Dirty[at>>6] |= 1 << (at & 63)
+			}
+			st.Tags[at] = c.tags[i] - 1
+			st.Recency[at] = r
+			if shared {
+				st.Sharers[at] = c.sharers[i]
+			}
+			r++
+		}
+		k += int(r)
+	}
+}
+
+// rowBits is bits base..base+n-1 of the bit set, n <= 64.
+func rowBits(set []uint64, base, n int) uint64 {
+	w, off := base>>6, uint(base&63)
+	b := set[w] >> off
+	if int(off)+n > 64 {
+		b |= set[w+1] << (64 - off)
+	}
+	return b & (1<<uint(n) - 1)
 }
 
 // RestoreState overwrites the cache's mutable state with a snapshot taken
-// from a cache of the same geometry.
+// from a cache of the same geometry. It checks the whole snapshot before it
+// writes anything; each set's recency word is rebuilt from the positions of
+// its valid lines, with its invalid ways behind them.
 func (c *Cache) RestoreState(st State) error {
 	if st.Slots != len(c.tags) {
 		return fmt.Errorf("cache: snapshot has %d lines, cache holds %d", st.Slots, len(c.tags))
@@ -87,64 +115,72 @@ func (c *Cache) RestoreState(st State) error {
 	for _, word := range st.Valid {
 		valid += bits.OnesCount64(word)
 	}
-	if len(st.Dirty) != wire.BitWords(valid) || len(st.Tags) != valid || len(st.LastUse) != valid ||
-		len(st.Sharers) != valid || len(st.LastCluster) != valid {
+	if len(st.Dirty) != wire.BitWords(valid) || len(st.Tags) != valid || len(st.Recency) != valid ||
+		len(st.Sharers) != 0 && len(st.Sharers) != valid {
 		return fmt.Errorf("cache: snapshot columns do not match its %d valid lines", valid)
 	}
 	if slices.Contains(st.Tags, ^uint64(0)) {
 		return fmt.Errorf("cache: snapshot holds line number %#x, which a tag word cannot", ^uint64(0))
 	}
-	clear(c.tags)
-	clear(c.meta)
-	clear(c.touched)
 	k := 0
-	for w, word := range st.Valid {
-		for ; word != 0; word &= word - 1 {
-			i := w*64 + bits.TrailingZeros64(word)
+	for set := range c.order {
+		row := rowBits(st.Valid, set*c.ways, c.ways)
+		n := bits.OnesCount64(row)
+		seen := uint32(0)
+		for _, r := range st.Recency[k : k+n] {
+			seen |= 1 << r
+		}
+		if seen != 1<<n-1 {
+			return fmt.Errorf("cache: snapshot set %d ranks its %d valid lines other than 0..%d once each", set, n, n-1)
+		}
+		k += n
+	}
+	if len(st.Sharers) != 0 && c.sharers == nil {
+		c.trackSharers()
+	}
+	clear(c.tags)
+	clear(c.dirty)
+	clear(c.sharers)
+	clear(c.touched)
+	k = 0
+	for set := range c.order {
+		base := set * c.ways
+		row := rowBits(st.Valid, base, c.ways)
+		n := bits.OnesCount64(row)
+		order := uint64(0)
+		for valid := row; valid != 0; valid &= valid - 1 {
+			way := bits.TrailingZeros64(valid)
+			i := base + way
 			c.tags[i] = st.Tags[k] + 1
-			c.meta[i] = lineMeta{
-				lastUse:     st.LastUse[k],
-				sharers:     st.Sharers[k],
-				lastCluster: int32(st.LastCluster[k]),
-				dirty:       st.Dirty[k>>6]>>(k&63)&1 != 0,
+			c.dirty[i>>6] |= st.Dirty[k>>6] >> (k & 63) & 1 << (i & 63)
+			if len(st.Sharers) != 0 && st.Sharers[k] != 0 {
+				c.sharers[i] = st.Sharers[k]
+				c.touched[i>>6] |= 1 << (i & 63) // the touched set is derived from the sharer sets
 			}
-			if st.Sharers[k] != 0 {
-				c.touch(i) // the touched set is derived from the sharer sets
-			}
+			order |= uint64(way) << (4 * st.Recency[k])
 			k++
 		}
+		for invalid := ^row & (1<<uint(c.ways) - 1); invalid != 0; invalid &= invalid - 1 {
+			order |= uint64(bits.TrailingZeros64(invalid)) << (4 * n) // behind the valid ways
+			n++
+		}
+		c.order[set] = order
 	}
-	c.clock = st.Clock
 	return nil
 }
 
-// AppendTo appends the state's wire form: slot count, the valid set, the
-// clock, then per valid line the dirty bit, the tag and the LRU age (Clock -
-// LastUse, small where LastUse is not) as columns, the Sharers / LastCluster
-// columns behind a presence flag — a cache accessed without cluster identity
-// (every L1) leaves both all zero and omits them.
+// AppendTo appends the state's wire form: slot count and the valid set, then
+// per valid line the dirty bit, the tag and the recency position (a byte) as
+// columns, and the Sharers column behind a presence flag — a cache accessed
+// without cluster identity (every L1) has none.
 func (st *State) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(st.Slots))
 	b = wire.AppendBits(b, st.Valid, st.Slots)
-	b = wire.AppendUvarint(b, st.Clock)
 	b = wire.AppendBits(b, st.Dirty, len(st.Tags))
 	b = wire.AppendUvarints(b, st.Tags)
-	for _, u := range st.LastUse {
-		b = wire.AppendUvarint(b, st.Clock-u)
-	}
-	clusters := false
-	for i := range st.Sharers {
-		if st.Sharers[i] != 0 || st.LastCluster[i] != 0 {
-			clusters = true
-			break
-		}
-	}
-	b = wire.AppendBool(b, clusters)
-	if clusters {
-		b = wire.AppendUvarints(b, st.Sharers)
-		b = wire.AppendInts(b, st.LastCluster)
-	}
-	return b
+	b = append(b, st.Recency...)
+	b = wire.AppendBool(b, len(st.Sharers) != 0)
+	return wire.AppendUvarints(b, st.Sharers)
 }
 
 // ReadFrom overwrites the state with the next one in r, reusing the backing
@@ -152,7 +188,6 @@ func (st *State) AppendTo(b []byte) []byte {
 func (st *State) ReadFrom(r *wire.Reader) {
 	st.Slots = r.BitCount()
 	st.Valid = r.Bits(st.Valid, st.Slots)
-	st.Clock = r.Uvarint()
 	n := 0
 	for _, w := range st.Valid {
 		n += bits.OnesCount64(w)
@@ -162,22 +197,15 @@ func (st *State) ReadFrom(r *wire.Reader) {
 	}
 	st.Dirty = r.Bits(st.Dirty, n)
 	st.Tags = r.Uvarints(st.Tags, n)
-	st.LastUse = r.Uvarints(st.LastUse, n)
-	for i, age := range st.LastUse {
-		st.LastUse[i] = st.Clock - age
+	st.Recency = r.Uint8s(st.Recency, n)
+	if !r.Bool() {
+		st.Sharers = st.Sharers[:0] // kept for the next read
+		return
 	}
-	st.Sharers = wire.Resize(st.Sharers, n)
-	st.LastCluster = wire.Resize(st.LastCluster, n)
-	if r.Bool() {
-		if !r.Need(n, 2) {
-			n = 0
-		}
-		st.Sharers = r.Uvarints(st.Sharers, n)
-		st.LastCluster = r.Ints(st.LastCluster, n)
-	} else {
-		clear(st.Sharers)
-		clear(st.LastCluster)
+	if !r.Need(n, 1) {
+		n = 0
 	}
+	st.Sharers = r.Uvarints(st.Sharers, n)
 }
 
 // MSHRState is a complete snapshot of an MSHRTable, generic over the same

@@ -54,12 +54,17 @@ import (
 // entry's merge list holds the slots of the warps asleep on its line instead
 // of request counters, so the SMs' blocked-line and issue-count columns and
 // the DRAM banks' last-activate cycles, which nothing read, leave the state.
-const FormatVersion = 6
+// Version 7: a tag store keeps one recency word per set instead of an LRU
+// stamp per line, so its snapshot carries each valid line's position in its
+// set's recency order where it carried the stamp and the store's clock; the
+// lines' last clusters and the generator's per-warp sweep positions, which
+// nothing read, leave the state.
+const FormatVersion = 7
 
 // A checkpoint file is
 //
-//	repro-checkpoint/6\n            magic line with the format version
-//	{"version":6,...}\n             Header as one JSON line
+//	repro-checkpoint/7\n            magic line with the format version
+//	{"version":7,...}\n             Header as one JSON line
 //	<8 bytes>                       payload length, little-endian
 //	<4 bytes>                       CRC-32C, little-endian
 //	<payload>                       gpu.State.AppendTo

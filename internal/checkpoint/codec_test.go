@@ -11,6 +11,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,6 +72,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(hostileLength(f))
 	f.Add(pinnedBlob(f)) // small enough for the mutator to get somewhere
+	f.Add(forgedRecencyBlob(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got := allocated(func() {
 			if snap, err := Decode(data); err == nil && snap.Header.Version != FormatVersion {
@@ -146,7 +148,7 @@ func TestReferenceBlobBudget(t *testing.T) {
 // must bump FormatVersion, and only then update the hash. (A change to what
 // the simulator computes moves them too; that one bumps simstore.SimVersion,
 // which re-keys every stored blob.)
-const wireGolden = "7afc3b665c1cc1fd20b6073fc27824a2e7494385d5f5a60de281e5f3d176b15d"
+const wireGolden = "23e12b803c91d46e73c0e945e905a088258d322112821cd424157cfbd597cb6f"
 
 func TestWireFormatStable(t *testing.T) {
 	sum := sha256.Sum256(pinnedBlob(t))
@@ -171,6 +173,52 @@ func pinnedBlob(tb testing.TB) []byte {
 	}
 	g.Warmup(1_500)
 	return encodeStable(tb, g)
+}
+
+// forgedRecencyBlob is the pinned snapshot with two valid lines of one L1
+// set given the same recency position: well framed, a payload that parses,
+// and a state no cache can be in.
+func forgedRecencyBlob(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := microCfg(config.LLCAdaptive)
+	snap, err := Decode(pinnedBlob(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l1 := &snap.State.SMs[0].L1
+	lastSet, k := -1, 0
+	for i := 0; i < l1.Slots; i++ {
+		if l1.Valid[i>>6]>>(i&63)&1 == 0 {
+			continue
+		}
+		if set := i / cfg.L1Ways; set != lastSet {
+			lastSet = set
+		} else {
+			l1.Recency[k] = l1.Recency[k-1]
+			blob, err := Encode(snap)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return blob
+		}
+		k++
+	}
+	tb.Fatal("no L1 set of the pinned snapshot holds two lines")
+	return nil
+}
+
+// TestRestoreRejectsForgedRecency: a snapshot whose checksum holds but whose
+// recency positions repeat decodes, and is refused on restore.
+func TestRestoreRejectsForgedRecency(t *testing.T) {
+	snap, err := Decode(forgedRecencyBlob(t))
+	if err != nil {
+		t.Fatalf("the forged snapshot does not decode: %v", err)
+	}
+	cfg := microCfg(config.LLCAdaptive)
+	spec, _ := workload.ByAbbr("BP")
+	if _, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, 3), snap); err == nil || !strings.Contains(err.Error(), "ranks") {
+		t.Errorf("Restore of repeated recency positions = %v, want a ranking error", err)
+	}
 }
 
 // TestManagerBytesMatchSaveEncode: there is one path. What Manager.Checkpoint

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/cache"
 )
 
 // LLCMode selects how the memory-side LLC is organized.
@@ -375,6 +377,9 @@ func (c Config) Validate() error {
 		check(c.LLCSliceBytes%(c.LLCWays*c.LLCLineBytes) == 0,
 			"LLCSliceBytes (%d) must be a multiple of ways*line (%d)", c.LLCSliceBytes, c.LLCWays*c.LLCLineBytes)
 	}
+	// A cache set's recency order is one word of 4-bit way numbers.
+	check(c.LLCWays <= cache.MaxWays, "LLCWays (%d) exceeds the limit of %d ways", c.LLCWays, cache.MaxWays)
+	check(c.L1Ways <= cache.MaxWays, "L1Ways (%d) exceeds the limit of %d ways", c.L1Ways, cache.MaxWays)
 	if c.L1Ways > 0 && c.L1LineBytes > 0 {
 		check(c.L1SizeBytes%(c.L1Ways*c.L1LineBytes) == 0,
 			"L1SizeBytes (%d) must be a multiple of ways*line (%d)", c.L1SizeBytes, c.L1Ways*c.L1LineBytes)

@@ -129,6 +129,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"private needs codesign", func(c *Config) { c.LLCMode = LLCPrivate; c.LLCSlicesPerMC = 4 }, "LLCSlicesPerMC"},
 		{"cxbar needs concentration", func(c *Config) { c.NoC = NoCConcentrated; c.Concentration = 0 }, "Concentration"},
 		{"reply longer than buffer", func(c *Config) { c.ChannelBytes = 16 }, "FlitsPerVC"},
+		{"17-way L1", func(c *Config) { c.L1Ways, c.L1SizeBytes = 17, 17*128*16 }, "L1Ways (17) exceeds the limit of 16"},
+		{"32-way LLC", func(c *Config) { c.LLCWays = 32 }, "LLCWays (32) exceeds the limit of 16"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,6 +144,23 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err.Error(), tc.errSub)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsWaysUpToTheLimit: every associativity the tag store
+// holds passes, Figure 16's 6- and 8-way L1 points included.
+func TestValidateAcceptsWaysUpToTheLimit(t *testing.T) {
+	for _, tc := range []struct{ l1Ways, l1Bytes, llcWays, llcBytes int }{
+		{6, 48 * 1024, 16, 96 * 1024},
+		{8, 48 * 1024, 16, 96 * 1024},
+		{16, 32 * 1024, 8, 96 * 1024},
+		{1, 48 * 1024, 1, 96 * 1024},
+	} {
+		c := Baseline()
+		c.L1Ways, c.L1SizeBytes, c.LLCWays, c.LLCSliceBytes = tc.l1Ways, tc.l1Bytes, tc.llcWays, tc.llcBytes
+		if err := c.Validate(); err != nil {
+			t.Errorf("%d-way L1, %d-way LLC: %v", tc.l1Ways, tc.llcWays, err)
+		}
 	}
 }
 

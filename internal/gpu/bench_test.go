@@ -50,3 +50,23 @@ func BenchmarkStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNew is the build rung: host time and allocation of one baseline
+// GPU under the shared and the private LLC — what every run of a sweep pays
+// before its first cycle —, the slices' sharer columns included (see build).
+func BenchmarkNew(b *testing.B) {
+	spec, _ := workload.ByAbbr("MM")
+	for _, mode := range []config.LLCMode{config.LLCShared, config.LLCPrivate} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := config.Baseline()
+			cfg.LLCMode = mode
+			gen := workload.MustNewGenerator(spec, cfg, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := build(cfg, gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

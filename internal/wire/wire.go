@@ -251,6 +251,11 @@ func (r *Reader) Uvarints(dst []uint64, n int) []uint64 {
 	return dst
 }
 
+// Uint8s reads a column of n bytes into dst's backing array.
+func (r *Reader) Uint8s(dst []uint8, n int) []uint8 {
+	return append(dst[:0], r.take(n)...)
+}
+
 // Ints reads a column of n zig-zag varints into dst's backing array. The
 // caller has validated n.
 func (r *Reader) Ints(dst []int, n int) []int {

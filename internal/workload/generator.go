@@ -40,7 +40,6 @@ const (
 
 type warpState struct {
 	ctaID    int
-	sweepPos uint64 // next line offset in the shared region (lockstep sweep)
 	privPos  uint64 // next line offset in the CTA's private region
 	startPos uint64 // kernel-start sweep offset (jitter)
 }
@@ -206,7 +205,6 @@ func (g *Generator) resetSweeps() {
 				start += uint64(cluster) * (jitter + 1)
 			}
 			ws.startPos = start
-			ws.sweepPos = start
 			ws.privPos = 0
 		}
 	}

@@ -81,13 +81,13 @@ const progKindGenerator = "workload.Generator"
 // register as a flat run of fixed words — random bits gain nothing from
 // varints, and storing the register whole makes restoring a copy whose cost
 // does not depend on how far the run had progressed — then every warp's
-// sweep, private and kernel-start positions as three varint columns (the
-// CTA identity is re-derived by construction).
+// private and kernel-start positions as two varint columns (the CTA
+// identity is re-derived by construction).
 
 // SaveProgState implements Checkpointable.
 func (g *Generator) SaveProgState() (ProgramState, error) {
-	// Room for the register and four bytes a warp; positions are small.
-	b := make([]byte, 0, 128+8*lfgLen+4*g.warpCount())
+	// Room for the register and three bytes a warp; positions are small.
+	b := make([]byte, 0, 128+8*lfgLen+3*g.warpCount())
 	b = wire.AppendUvarint(b, g.rng.draws)
 	b = wire.AppendUvarint(b, uint64(g.seed))
 	b = wire.AppendInt(b, g.rng.tap)
@@ -104,14 +104,13 @@ func (g *Generator) SaveProgState() (ProgramState, error) {
 		b = wire.AppendUint64(b, w)
 	}
 	b = wire.AppendUvarint(b, uint64(g.warpCount()))
-	g.eachWarp(func(ws *warpState) { b = wire.AppendUvarint(b, ws.sweepPos) })
 	g.eachWarp(func(ws *warpState) { b = wire.AppendUvarint(b, ws.privPos) })
 	g.eachWarp(func(ws *warpState) { b = wire.AppendUvarint(b, ws.startPos) })
 	return ProgramState{Kind: progKindGenerator, Data: b}, nil
 }
 
 // warpColumns is how many per-warp columns a snapshot carries.
-const warpColumns = 3
+const warpColumns = 2
 
 func (g *Generator) eachWarp(fn func(*warpState)) {
 	for i := range g.warps {
@@ -175,7 +174,6 @@ func (g *Generator) RestoreProgState(ps ProgramState) error {
 	if err := g.rng.restore(vec[:], tap, feed, draws); err != nil {
 		return err
 	}
-	g.eachWarp(func(ws *warpState) { ws.sweepPos = r.Uvarint() })
 	g.eachWarp(func(ws *warpState) { ws.privPos = r.Uvarint() })
 	g.eachWarp(func(ws *warpState) { ws.startPos = r.Uvarint() })
 	if err := r.Done(); err != nil {

@@ -9,7 +9,9 @@
 #   --layers            run the per-layer microbenchmarks that live next to
 #                       the code (go test -bench . ./internal/...: sm, workload,
 #                       dram, llc, noc ticks in ns per component-cycle — the
-#                       sm ones include the 80-SM gpu-sweep —, cache accesses
+#                       sm ones include the 80-SM gpu-sweep —, one baseline
+#                       gpu.New under the shared and the private LLC (ns, B
+#                       and allocs per build), cache accesses
 #                       on the L1 and LLC-slice geometries, checkpoint
 #                       save/encode/decode/restore per snapshot, and the
 #                       result store's fingerprint / get / put) and
