@@ -12,18 +12,22 @@ import (
 	"time"
 )
 
-// Membership is gossip-based (SWIM-lite): every member periodically
-// push-pulls its full view with the others and with any configured seed
-// nodes, so a daemon joins by contacting one live seed and the rest of the
-// cluster learns of it within a heartbeat or two. Failure detection is
-// suspicion-based — a member that stops answering is demoted alive →
-// suspect → dead on local timers, and refutes a wrongful suspicion by
-// bumping its incarnation. The ACTIVE set (alive + suspect) is what
-// routing ranks over; every change to it bumps a local, monotonically
-// increasing epoch so consumers (server routing, client pools) can detect
-// membership churn cheaply. Epochs are per-node observations, not
-// consensus: two members may pass through different epoch numbers while
-// converging on the same set.
+// Membership is gossip-based (SWIM-lite): every member push-pulls its full
+// view with the others and with any configured seed nodes, so a daemon
+// joins by contacting one live seed. A change is pushed as it happens: a
+// member whose ACTIVE set moves, or that refutes a claim about itself, runs
+// one extra push-pull round at once, so a join, leave, death or refutation
+// reaches every member within a few round trips instead of a heartbeat.
+// The heartbeat round does the rest: it detects failures and repairs views
+// that missed a push. Failure detection is suspicion-based — a member that
+// stops answering is demoted alive → suspect → dead on local timers, and
+// refutes a wrongful suspicion by bumping its incarnation. Alive ↔ suspect
+// spreads on heartbeats only, since suspects stay routable. The ACTIVE set
+// (alive + suspect) is what routing ranks over; every change to it bumps a
+// local, monotonically increasing epoch so consumers (server routing,
+// client pools) can detect membership churn cheaply. Epochs are per-node
+// observations, not consensus: two members may pass through different
+// epoch numbers while converging on the same set.
 
 // GossipPath is the HTTP route members exchange views on.
 const GossipPath = "/v1/cluster/gossip"
@@ -118,7 +122,10 @@ type Node struct {
 	leaving bool
 	started bool
 	quit    chan struct{}
-	wg      sync.WaitGroup
+	// wake asks the gossip loop for one immediate round. It holds one
+	// token, so wake-ups that arrive while a round is pending coalesce.
+	wake chan struct{}
+	wg   sync.WaitGroup
 }
 
 // NewNode builds a node; Start begins gossiping.
@@ -149,6 +156,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		members: make(map[string]*memberState),
 		epoch:   1,
 		quit:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
 	}
 	// Incarnation is the startup wall-clock so a restarted daemon's fresh
 	// entry always beats its own stale pre-crash entry.
@@ -232,11 +240,26 @@ func (n *Node) refreshLocked() func() {
 	}
 	n.active = act
 	n.epoch++
+	n.wakeLocked()
 	if n.onChg == nil {
 		return nil
 	}
 	epoch, snap, cb := n.epoch, append([]string(nil), act...), n.onChg
 	return func() { cb(epoch, snap) }
+}
+
+// wakeLocked asks a running gossip loop to push a change now rather than
+// at the next heartbeat. It never blocks. A node that has not started has
+// no loop to wake, and a leaving one pushes its own farewell in Stop.
+// Callers hold n.mu.
+func (n *Node) wakeLocked() {
+	if !n.started || n.leaving {
+		return
+	}
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
 }
 
 // mergeLocked folds one gossiped row into the table. Higher incarnation
@@ -253,6 +276,7 @@ func (n *Node) mergeLocked(rm Member, now time.Time) {
 			ms := n.members[n.self]
 			if rm.Incarnation >= ms.Incarnation {
 				ms.Incarnation = rm.Incarnation + 1
+				n.wakeLocked()
 			}
 			ms.Status = StatusAlive
 			ms.lastOK = now
@@ -444,9 +468,10 @@ func (n *Node) exchange(ctx context.Context, addr string) {
 	n.absorb(v, false)
 }
 
-// Start launches the heartbeat loop. The first
-// round fires immediately so a joining daemon is absorbed within one RTT
-// of startup, not one heartbeat.
+// Start launches the gossip loop. The first round fires immediately so a
+// joining daemon is absorbed within one RTT of startup, not one heartbeat;
+// after that a round runs on every heartbeat and whenever a change wakes
+// the loop.
 func (n *Node) Start() {
 	n.mu.Lock()
 	if n.started {
@@ -467,6 +492,8 @@ func (n *Node) Start() {
 			case <-n.quit:
 				return
 			case <-t.C:
+				n.Sync(ctx)
+			case <-n.wake:
 				n.Sync(ctx)
 			}
 		}

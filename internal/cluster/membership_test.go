@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,15 +27,34 @@ func startNode(t *testing.T, cfg NodeConfig) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := &testServer{}
+	h := n.Handler()
 	mux := http.NewServeMux()
-	mux.Handle("POST "+GossipPath, n.Handler())
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
+	mux.Handle("POST "+GossipPath, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts.posts.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	ts.srv = &http.Server{Handler: mux}
+	go ts.srv.Serve(ln)
 	nodeServersMu.Lock()
-	nodeServers[n] = srv
+	nodeServers[n] = ts
 	nodeServersMu.Unlock()
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { ts.srv.Close() })
 	return n
+}
+
+// testServer is a started node's gossip listener and the count of POSTs
+// its handler has served.
+type testServer struct {
+	srv   *http.Server
+	posts atomic.Int64
+}
+
+// gossipPosts returns how many gossip POSTs n's handler has served.
+func gossipPosts(n *Node) int64 {
+	nodeServersMu.Lock()
+	defer nodeServersMu.Unlock()
+	return nodeServers[n].posts.Load()
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -147,17 +167,17 @@ func TestSuspicionThenDeath(t *testing.T) {
 func killNodeServer(t *testing.T, n *Node) {
 	t.Helper()
 	nodeServersMu.Lock()
-	srv := nodeServers[n]
+	ts := nodeServers[n]
 	nodeServersMu.Unlock()
-	if srv == nil {
+	if ts == nil {
 		t.Fatal("no server registered for node")
 	}
-	srv.Close()
+	ts.srv.Close()
 }
 
 var (
 	nodeServersMu sync.Mutex
-	nodeServers   = map[*Node]*http.Server{}
+	nodeServers   = map[*Node]*testServer{}
 )
 
 // TestGracefulLeaveIsImmediate: Stop pushes a farewell, so the peer drops
@@ -318,5 +338,119 @@ func TestOnChangeFires(t *testing.T) {
 	case <-fired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("OnChange never fired on join")
+	}
+}
+
+// threeStarted starts a seed and two nodes that join through it, each with
+// an hour-long heartbeat so that only a pushed change can spread before
+// the test ends, and waits until all three list three members.
+func threeStarted(t *testing.T) []*Node {
+	t.Helper()
+	cfg := NodeConfig{HeartbeatEvery: time.Hour}
+	a := startNode(t, cfg)
+	cfg.Seeds = []string{a.Self()}
+	nodes := []*Node{a, startNode(t, cfg), startNode(t, cfg)}
+	for _, n := range nodes {
+		n.Start()
+		t.Cleanup(n.Crash)
+	}
+	within(t, time.Second, "three members in every view", func() bool {
+		return activeEverywhere(nodes, 3, "")
+	})
+	// The views agree, but the last pushes may still be in flight: wait
+	// until no POST lands for 50 ms.
+	last, quietSince := totalPosts(nodes), time.Now()
+	within(t, time.Second, "no gossip for 50 ms", func() bool {
+		if p := totalPosts(nodes); p != last {
+			last, quietSince = p, time.Now()
+		}
+		return time.Since(quietSince) >= 50*time.Millisecond
+	})
+	return nodes
+}
+
+// totalPosts sums the gossip POSTs the nodes' handlers have served.
+func totalPosts(nodes []*Node) int64 {
+	var sum int64
+	for _, n := range nodes {
+		sum += gossipPosts(n)
+	}
+	return sum
+}
+
+// activeEverywhere reports whether every node lists want active members,
+// addr among them when it is not empty.
+func activeEverywhere(nodes []*Node, want int, addr string) bool {
+	for _, n := range nodes {
+		m := n.Members()
+		if len(m) != want || addr != "" && !slices.Contains(m, addr) {
+			return false
+		}
+	}
+	return true
+}
+
+// within polls cond until it holds or d has passed.
+func within(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s not reached within %v", what, d)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// postView POSTs a forged view to n's gossip route.
+func postView(t *testing.T, n *Node, v View) {
+	t.Helper()
+	body, _ := json.Marshal(v)
+	resp, err := http.Post(n.Self()+GossipPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("forged view: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestChangeSpreadsWithoutHeartbeat: with the heartbeat an hour away, a
+// join through the seed reaches the third member, a death reaches every
+// other member, and the dead member's refutation brings it back
+// everywhere — each by the push its change wakes, within a second.
+func TestChangeSpreadsWithoutHeartbeat(t *testing.T) {
+	nodes := threeStarted(t)
+	a, b := nodes[0], nodes[1]
+	var inc int64
+	for _, m := range a.MemberEntries() {
+		if m.Addr == b.Self() {
+			inc = m.Incarnation
+		}
+	}
+	dead := View{From: "http://127.0.0.1:1", Members: []Member{{Addr: b.Self(), Incarnation: inc, Status: StatusDead}}}
+
+	// A hears B is dead: A's active set shrinks, and its push tells C.
+	postView(t, a, dead)
+	within(t, time.Second, "B dropped by A and C", func() bool {
+		return activeEverywhere([]*Node{a, nodes[2]}, 2, "")
+	})
+	// B hears the same rumour and refutes; its push outranks the rumour.
+	postView(t, b, dead)
+	within(t, time.Second, "B's refutation in every view", func() bool {
+		return activeEverywhere(nodes, 3, b.Self())
+	})
+}
+
+// TestConvergedClusterGoesQuiet: a push that changes nothing wakes nobody,
+// so once the views agree the gossip handlers see no traffic until the
+// next heartbeat.
+func TestConvergedClusterGoesQuiet(t *testing.T) {
+	nodes := threeStarted(t)
+	before := totalPosts(nodes)
+	time.Sleep(300 * time.Millisecond)
+	if after := totalPosts(nodes); after != before {
+		t.Errorf("a converged cluster served %d gossip POSTs in 300 ms, want 0", after-before)
 	}
 }

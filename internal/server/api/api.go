@@ -6,8 +6,10 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
@@ -335,4 +337,19 @@ type LookupResponse struct {
 // Error is the body of every non-2xx response.
 type Error struct {
 	Error string `json:"error"`
+}
+
+// ReadBody reads r to EOF, r being an HTTP body of declared length size (-1
+// when unknown). A known size of at most limit sizes the buffer once, where
+// io.ReadAll would start at 512 bytes and double its way up; any other size
+// reads through io.ReadAll. A body longer than declared is still read whole.
+func ReadBody(r io.Reader, size, limit int64) ([]byte, error) {
+	if size < 0 || size > limit {
+		return io.ReadAll(r)
+	}
+	// ReadFrom grows a buffer with less than MinRead bytes free, so that
+	// much spare room lets the read that meets EOF land without a regrow.
+	b := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }

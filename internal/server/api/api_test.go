@@ -1,8 +1,12 @@
 package api
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/workload"
 )
@@ -31,5 +35,41 @@ func TestToRunSpecValidatesWorkloads(t *testing.T) {
 		if _, err := spec.ToRunSpec(); err == nil || !strings.Contains(err.Error(), "workloads[") {
 			t.Errorf("%s: ToRunSpec err = %v, want the workload refused", name, err)
 		}
+	}
+}
+
+// TestReadBody: a declared length within the limit is read into one buffer
+// of that size; an unknown, oversized or wrong declaration still reads the
+// whole body, and a reader's error is returned.
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 10_000)
+	for _, c := range []struct {
+		name        string
+		size, limit int64
+	}{
+		{"declared", int64(len(body)), 1 << 20},
+		{"unknown", -1, 1 << 20},
+		{"over the limit", int64(len(body)), 100},
+		{"declared short", 10, 1 << 20},
+		{"empty", 0, 1 << 20},
+	} {
+		want := body
+		if c.name == "empty" {
+			want = nil
+		}
+		got, err := ReadBody(bytes.NewReader(want), c.size, c.limit)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: read %d bytes, err %v; want %d bytes", c.name, len(got), err, len(want))
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		ReadBody(bytes.NewReader(body), int64(len(body)), 1<<20)
+	})
+	if allocs > 2 { // the buffer, and the bytes.Reader the closure builds
+		t.Errorf("a declared body costs %v allocations, want at most 2", allocs)
+	}
+	boom := errors.New("boom")
+	if _, err := ReadBody(io.MultiReader(bytes.NewReader(body[:5]), iotest.ErrReader(boom)), 10, 100); err != boom {
+		t.Errorf("reader error = %v, want %v", err, boom)
 	}
 }

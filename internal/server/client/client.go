@@ -75,6 +75,10 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 	return err
 }
 
+// maxSizedBody is the largest declared response length exchange trusts to
+// size its read buffer up front; a longer answer is read as it arrives.
+const maxSizedBody = 64 << 20
+
 // exchange is do that also returns the response's header.
 func (c *Client) exchange(ctx context.Context, method, path string, body, out any, hdr http.Header) (http.Header, error) {
 	var rdr io.Reader
@@ -102,7 +106,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, body, out an
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := api.ReadBody(resp.Body, resp.ContentLength, maxSizedBody)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: read: %w", method, path, err)
 	}

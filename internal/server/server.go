@@ -54,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -296,7 +295,7 @@ const maxRequestBytes = 16 << 20
 // v. On failure it answers — 413 naming the limit for a longer body, 400
 // for an unreadable one or bad JSON — and returns false.
 func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := api.ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Class is the paper's workload classification.
 type Class int
@@ -144,8 +147,14 @@ func (s Spec) SharedLines(lineBytes int) uint64 {
 
 // Catalog returns the 17 benchmarks of Table 2 with behavioural parameters
 // calibrated so that each class reproduces its paper behaviour on the
-// simulated baseline GPU.
-func Catalog() []Spec {
+// simulated baseline GPU. The slice is the caller's own.
+func Catalog() []Spec { return slices.Clone(catalog) }
+
+// catalog is Table 2, built once: a Spec holds only scalars and strings,
+// so handing out copies of its entries shares nothing mutable.
+var catalog = buildCatalog()
+
+func buildCatalog() []Spec {
 	shared := func(name, abbr string, mb float64, kernels int, memRatio float64) Spec {
 		return Spec{
 			Name: name, Abbr: abbr, Class: SharedFriendly,
@@ -210,7 +219,7 @@ func Catalog() []Spec {
 
 // ByAbbr looks up a catalog entry by its abbreviation.
 func ByAbbr(abbr string) (Spec, bool) {
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		if s.Abbr == abbr {
 			return s, true
 		}
@@ -221,7 +230,7 @@ func ByAbbr(abbr string) (Spec, bool) {
 // ByClass returns the catalog entries of one class, in catalog order.
 func ByClass(c Class) []Spec {
 	var out []Spec
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		if s.Class == c {
 			out = append(out, s)
 		}

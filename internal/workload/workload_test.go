@@ -69,6 +69,24 @@ func TestByAbbrAndByClass(t *testing.T) {
 	}
 }
 
+// TestCatalogIsBuiltOnce: a lookup allocates nothing, and a caller that
+// edits its Catalog or ByClass slice changes no later answer.
+func TestCatalogIsBuiltOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByAbbr("VA") }); n != 0 {
+		t.Errorf("ByAbbr allocates %v times per call, want 0", n)
+	}
+	want, _ := ByAbbr("LUD")
+	cat := Catalog()
+	cat[0].Abbr, cat[0].Kernels = "X", 99
+	ByClass(SharedFriendly)[0].Kernels = 99
+	if got := Catalog()[0]; got != want {
+		t.Errorf("Catalog()[0] = %+v after a caller's edit, want %+v", got, want)
+	}
+	if got, _ := ByAbbr("LUD"); got != want {
+		t.Errorf("ByAbbr(LUD) = %+v after a caller's edit, want %+v", got, want)
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	good, _ := ByAbbr("AN")
 	bad := []func(*Spec){

@@ -22,6 +22,10 @@
 #   BENCH_RE=regex      which benchmarks to run (default: all, -bench .)
 #   BENCHTIME=value     -benchtime per benchmark (default: 1x; --layers: 1s,
 #                       a single iteration of a nanosecond-scale tick says nothing)
+#   COUNT=n             samples per benchmark, passed as -count (default: 1;
+#                       --layers: 5, so a rung's spread is on record). Each
+#                       entry's "metrics" are the per-metric medians of its
+#                       "samples" runs, "quartiles" the [Q1, Q3] beside them
 #   OUT=path            output file (default: BENCH_<YYYY-MM-DD>.json)
 #
 # If OUT already exists, the new run is appended to its "runs" array, so
@@ -42,12 +46,14 @@ command -v jq >/dev/null || { echo "bench.sh: jq is required" >&2; exit 1; }
 default_re="."
 default_out="BENCH_$(date +%Y-%m-%d).json"
 default_benchtime="1x"
+default_count=1
 pkgs="."
 case "${1:-}" in
 --layers)
 	shift
 	default_out="BENCH_$(date +%Y-%m-%d)-layers.json"
 	default_benchtime="1s"
+	default_count=5
 	pkgs="./internal/..."
 	;;
 esac
@@ -55,17 +61,22 @@ esac
 label="${1:-snapshot}"
 bench_re="${BENCH_RE:-$default_re}"
 benchtime="${BENCHTIME:-$default_benchtime}"
+count="${COUNT:-$default_count}"
 out="${OUT:-$default_out}"
 host_cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc)"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench.sh: go test -bench '$bench_re' -benchtime $benchtime $pkgs ..." >&2
-go test -run '^$' -bench "$bench_re" -benchmem -benchtime "$benchtime" "$pkgs" | tee "$raw" >&2
+echo "bench.sh: go test -bench '$bench_re' -benchtime $benchtime -count $count $pkgs ..." >&2
+go test -run '^$' -bench "$bench_re" -benchmem -benchtime "$benchtime" -count "$count" "$pkgs" | tee "$raw" >&2
 
 # Benchmark lines are: name, iteration count, then value/unit pairs
-# (ns/op, B/op, allocs/op, and any b.ReportMetric custom metrics).
+# (ns/op, B/op, allocs/op, and any b.ReportMetric custom metrics); -count
+# repeats a line per sample. jq folds each benchmark's samples, in order of
+# first appearance, into one entry: the median of every metric (and of the
+# iteration count), its quartiles (linear interpolation between the sorted
+# samples) and the sample count.
 run_json=$(awk -v cpus="$host_cpus" '
 	/^pkg: / { pkg = $2 }
 	/^Benchmark/ {
@@ -79,13 +90,27 @@ run_json=$(awk -v cpus="$host_cpus" '
 		}
 		print "}}"
 	}
-' "$raw" | jq -s \
+' "$raw" | jq -s '
+	def q($p): sort | ((length - 1) * $p) as $h | ($h | floor) as $i
+		| if $i + 1 < length then .[$i] + ($h - $i) * (.[$i + 1] - .[$i]) else .[$i] end;
+	reduce .[] as $s ({order: [], by: {}};
+		($s.package + " " + $s.name) as $k
+		| if .by[$k] then .by[$k] += [$s] else .order += [$k] | .by[$k] = [$s] end)
+	| [.order[] as $k | .by[$k] as $all | $all[0]
+		| {name, package, host_cpus, samples: ($all | length),
+		   iterations: ([$all[].iterations] | q(0.5)),
+		   metrics: (reduce (.metrics | keys_unsorted[]) as $m ({};
+			.[$m] = ([$all[].metrics[$m]] | q(0.5)))),
+		   quartiles: (reduce (.metrics | keys_unsorted[]) as $m ({};
+			.[$m] = [([$all[].metrics[$m]] | q(0.25)), ([$all[].metrics[$m]] | q(0.75))]))}]
+' | jq \
 	--arg runlabel "$label" \
 	--arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	--arg go "$(go version | sed 's/^go version //')" \
 	--arg benchtime "$benchtime" \
+	--argjson count "$count" \
 	--argjson cpus "$host_cpus" \
-	'{"label": $runlabel, "date": $date, "go": $go, "benchtime": $benchtime, "host_cpus": $cpus, "benchmarks": .}')
+	'{"label": $runlabel, "date": $date, "go": $go, "benchtime": $benchtime, "count": $count, "host_cpus": $cpus, "benchmarks": .}')
 
 if [ "$(echo "$run_json" | jq '.benchmarks | length')" -eq 0 ]; then
 	echo "bench.sh: no benchmarks matched '$bench_re'" >&2
