@@ -343,7 +343,9 @@ func (n *Node) view() View {
 // absorb merges a remote view and fires OnChange if the ACTIVE set moved.
 // direct marks views received straight from their sender (proof the sender
 // is reachable, which clears a local suspicion without an incarnation
-// round-trip).
+// round-trip). A sender held dead stays dead: as in SWIM, only its
+// refutation at a higher incarnation (mergeLocked) brings it back, which
+// our answer — listing it dead — prompts.
 func (n *Node) absorb(v View, direct bool) {
 	now := time.Now()
 	n.mu.Lock()
@@ -351,18 +353,25 @@ func (n *Node) absorb(v View, direct bool) {
 		n.mergeLocked(m, now)
 	}
 	if from := Normalize(v.From); direct && from != "" && from != n.self {
-		if ms, ok := n.members[from]; ok && ms.Status != StatusLeft {
-			ms.lastOK = now
-			if ms.Status != StatusAlive {
-				ms.Status = StatusAlive
-			}
-		}
+		n.heardFromLocked(from, now)
 	}
 	cb := n.refreshLocked()
 	n.mu.Unlock()
 	if cb != nil {
 		cb()
 	}
+}
+
+// heardFromLocked records direct contact with addr: it restarts the
+// member's suspicion timer and clears a suspicion. A dead or departed
+// member is left as it is. Callers hold n.mu.
+func (n *Node) heardFromLocked(addr string, now time.Time) {
+	ms, ok := n.members[addr]
+	if !ok || ms.Status == StatusDead || ms.Status == StatusLeft {
+		return
+	}
+	ms.lastOK = now
+	ms.Status = StatusAlive
 }
 
 // Handler serves GossipPath: merge the poster's view, answer with ours.
@@ -456,14 +465,8 @@ func (n *Node) exchange(ctx context.Context, addr string) {
 		return
 	}
 	// Success: the peer answered, whoever it was.
-	now := time.Now()
 	n.mu.Lock()
-	if ms, ok := n.members[addr]; ok && ms.Status != StatusLeft {
-		ms.lastOK = now
-		if ms.Status == StatusSuspect {
-			ms.Status = StatusAlive
-		}
-	}
+	n.heardFromLocked(addr, time.Now())
 	n.mu.Unlock()
 	n.absorb(v, false)
 }

@@ -358,7 +358,11 @@ func threeStarted(t *testing.T) []*Node {
 		return activeEverywhere(nodes, 3, "")
 	})
 	// The views agree, but the last pushes may still be in flight: wait
-	// until no POST lands for 50 ms.
+	// until no POST lands for 50 ms. A late push would count as traffic in
+	// a quiet cluster, and a late push from a member a test then forges a
+	// rumour about hears the rumour in the answer and refutes it before the
+	// test looks. Without the wait, under -race, the first fails 30 runs
+	// in 30 and the second 7 in 30.
 	last, quietSince := totalPosts(nodes), time.Now()
 	within(t, time.Second, "no gossip for 50 ms", func() bool {
 		if p := totalPosts(nodes); p != last {
@@ -452,5 +456,58 @@ func TestConvergedClusterGoesQuiet(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	if after := totalPosts(nodes); after != before {
 		t.Errorf("a converged cluster served %d gossip POSTs in 300 ms, want 0", after-before)
+	}
+}
+
+// TestDirectPushKeepsDeadMemberDead: SWIM's incarnation rule. A holds B
+// dead at B's incarnation i; a push straight from B, still at i, must not
+// bring B back — it makes A's answer tell B of the rumour, B refutes at
+// i+1, and only B's next push revives it. A's epoch moves twice (B out, B
+// back in), never for a resurrection at i that another view's dead claim
+// would undo.
+func TestDirectPushKeepsDeadMemberDead(t *testing.T) {
+	cfg := NodeConfig{HeartbeatEvery: time.Hour}
+	a := startNode(t, cfg)
+	cfg.Seeds = []string{a.Self()}
+	b := startNode(t, cfg)
+	ctx := context.Background()
+	b.Sync(ctx)
+	if a.Len() != 2 || b.Len() != 2 {
+		t.Fatalf("join failed: a.Len %d, b.Len %d", a.Len(), b.Len())
+	}
+	entry := func(n *Node, addr string) Member {
+		for _, m := range n.MemberEntries() {
+			if m.Addr == addr {
+				return m
+			}
+		}
+		t.Fatalf("%s lists no %s", n.Self(), addr)
+		return Member{}
+	}
+	inc := entry(b, b.Self()).Incarnation
+	e0 := a.Epoch()
+	postView(t, a, View{From: "http://127.0.0.1:1", Members: []Member{{Addr: b.Self(), Incarnation: inc, Status: StatusDead}}})
+	if m := entry(a, b.Self()); m.Status != StatusDead || a.Epoch() != e0+1 {
+		t.Fatalf("forged death: A holds B %s at epoch %d, want dead at %d", m.Status, a.Epoch(), e0+1)
+	}
+
+	// B's own push, at incarnation i: A keeps B dead and says so.
+	postView(t, a, View{From: b.Self(), Members: []Member{{Addr: b.Self(), Incarnation: inc, Status: StatusAlive}}})
+	if m := entry(a, b.Self()); m.Status != StatusDead || a.Epoch() != e0+1 {
+		t.Fatalf("direct push at incarnation %d: A holds B %s at epoch %d, want dead at %d", inc, m.Status, a.Epoch(), e0+1)
+	}
+	// B's real push hears the rumour in A's answer and refutes at i+1 ...
+	b.Sync(ctx)
+	if m := entry(b, b.Self()); m.Incarnation != inc+1 || m.Status != StatusAlive {
+		t.Fatalf("B after hearing the rumour: %s at incarnation %d, want alive at %d", m.Status, m.Incarnation, inc+1)
+	}
+	if m := entry(a, b.Self()); m.Status != StatusDead {
+		t.Fatalf("A revived B (%s) before hearing its refutation", m.Status)
+	}
+	// ... which its next push carries to A.
+	b.Sync(ctx)
+	if m := entry(a, b.Self()); m.Status != StatusAlive || m.Incarnation != inc+1 || a.Epoch() != e0+2 {
+		t.Fatalf("refutation: A holds B %s at incarnation %d, epoch %d; want alive at %d, epoch %d",
+			m.Status, m.Incarnation, a.Epoch(), inc+1, e0+2)
 	}
 }

@@ -339,17 +339,22 @@ type Error struct {
 	Error string `json:"error"`
 }
 
-// ReadBody reads r to EOF, r being an HTTP body of declared length size (-1
-// when unknown). A known size of at most limit sizes the buffer once, where
-// io.ReadAll would start at 512 bytes and double its way up; any other size
-// reads through io.ReadAll. A body longer than declared is still read whole.
-func ReadBody(r io.Reader, size, limit int64) ([]byte, error) {
-	if size < 0 || size > limit {
-		return io.ReadAll(r)
-	}
+// ReadBody reads r to EOF into buf's storage, r being an HTTP body of
+// declared length size (-1 when unknown), and returns what it read. A known
+// size of at most limit is read into buf if it has the room, else into one
+// buffer allocated at that size, where io.ReadAll would start at 512 bytes
+// and double its way up. Only a body of unknown length (a chunked answer)
+// or one declared over limit still grows a buffer as it arrives, as
+// io.ReadAll does, from buf. A body longer than declared is still read
+// whole. Callers that recycle buf own the bytes returned until they pass
+// them back.
+func ReadBody(buf []byte, r io.Reader, size, limit int64) ([]byte, error) {
 	// ReadFrom grows a buffer with less than MinRead bytes free, so that
 	// much spare room lets the read that meets EOF land without a regrow.
-	b := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if size >= 0 && size <= limit && int64(cap(buf)) < size+bytes.MinRead {
+		buf = make([]byte, 0, size+bytes.MinRead)
+	}
+	b := bytes.NewBuffer(buf[:0])
 	_, err := b.ReadFrom(r)
 	return b.Bytes(), err
 }

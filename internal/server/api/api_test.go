@@ -39,8 +39,9 @@ func TestToRunSpecValidatesWorkloads(t *testing.T) {
 }
 
 // TestReadBody: a declared length within the limit is read into one buffer
-// of that size; an unknown, oversized or wrong declaration still reads the
-// whole body, and a reader's error is returned.
+// of that size, or into the caller's buffer when it has the room; an
+// unknown, oversized or wrong declaration still reads the whole body, and
+// a reader's error is returned.
 func TestReadBody(t *testing.T) {
 	body := bytes.Repeat([]byte("0123456789"), 10_000)
 	for _, c := range []struct {
@@ -57,19 +58,36 @@ func TestReadBody(t *testing.T) {
 		if c.name == "empty" {
 			want = nil
 		}
-		got, err := ReadBody(bytes.NewReader(want), c.size, c.limit)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s: read %d bytes, err %v; want %d bytes", c.name, len(got), err, len(want))
+		for _, buf := range [][]byte{nil, make([]byte, 7, 64), make([]byte, 0, len(body)+bytes.MinRead)} {
+			got, err := ReadBody(buf, bytes.NewReader(want), c.size, c.limit)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s, buffer of %d bytes: read %d bytes, err %v; want %d bytes",
+					c.name, cap(buf), len(got), err, len(want))
+			}
 		}
 	}
+	r := bytes.NewReader(body)
 	allocs := testing.AllocsPerRun(20, func() {
-		ReadBody(bytes.NewReader(body), int64(len(body)), 1<<20)
+		r.Reset(body)
+		ReadBody(nil, r, int64(len(body)), 1<<20)
 	})
-	if allocs > 2 { // the buffer, and the bytes.Reader the closure builds
-		t.Errorf("a declared body costs %v allocations, want at most 2", allocs)
+	if allocs > 1 {
+		t.Errorf("a declared body costs %v allocations, want 1 (the buffer)", allocs)
+	}
+	buf := make([]byte, 0, len(body)+bytes.MinRead)
+	for _, size := range []int64{int64(len(body)), -1} {
+		allocs = testing.AllocsPerRun(20, func() {
+			r.Reset(body)
+			if got, _ := ReadBody(buf, r, size, 1<<20); &got[0] != &buf[:1][0] {
+				t.Fatalf("size %d: the body was not read into the buffer given", size)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("size %d: a body that fits the buffer given costs %v allocations, want 0", size, allocs)
+		}
 	}
 	boom := errors.New("boom")
-	if _, err := ReadBody(io.MultiReader(bytes.NewReader(body[:5]), iotest.ErrReader(boom)), 10, 100); err != boom {
+	if _, err := ReadBody(nil, io.MultiReader(bytes.NewReader(body[:5]), iotest.ErrReader(boom)), 10, 100); err != boom {
 		t.Errorf("reader error = %v, want %v", err, boom)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +26,8 @@ import (
 // the POST /v1/replicate push that banks one record on a replica (the
 // receiving half of a K=2 replication write). Above them,
 // BenchmarkForwardedHit and BenchmarkBystanderHit are whole forwarded hops
-// over loopback sockets.
+// over loopback sockets, and BenchmarkBatchHit a figure's stored batch
+// through the client.
 
 func BenchmarkHandleRunsHit(b *testing.B) {
 	h, spec, _ := hitServer(b)
@@ -62,6 +64,49 @@ func BenchmarkReplicate(b *testing.B) {
 		var rr api.ReplicateResponse
 		return json.Unmarshal(resp, &rr) == nil && rr.Stored == 1 && rr.Rejected == 0
 	})
+}
+
+// BenchmarkBatchHit: the batch paperfigs -server sends for a figure the
+// cluster has run before — one POST /v1/runs of 64 stored specs through
+// client.Runs over a loopback socket, the client's encode and decode
+// included. The 64 records hold one run's statistics under 64 specs'
+// fingerprints: a hit reads and checks them, it never re-derives them.
+func BenchmarkBatchHit(b *testing.B) {
+	store, err := simstore.Open(b.TempDir(), simstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, _, stats, _ := tinyRecord(b)
+	specs := make([]api.Spec, 64)
+	for i := range specs {
+		specs[i] = tinySpec(fmt.Sprintf("batch-%d", i), int64(i+1))
+		run, err := specs[i].ToRunSpec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.Put(specFP(b, specs[i]), specs[i].Key, run, stats); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv, err := New(Config{Store: store, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	hs := httptest.NewServer(srv.Handler())
+	b.Cleanup(hs.Close)
+	c, req := client.New(hs.URL), api.RunRequest{Specs: specs}
+	resp, err := c.Runs(context.Background(), req, false)
+	if err != nil || len(resp.Results) != len(specs) ||
+		slices.ContainsFunc(resp.Results, func(r api.RunResult) bool { return !r.Cached }) {
+		b.Fatalf("the stored batch was not all hits: %v", err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Runs(context.Background(), req, false); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkForwardedHit: a POST /v1/runs to the member of a two-daemon

@@ -16,6 +16,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/jsonplan"
@@ -79,6 +80,16 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 // size its read buffer up front; a longer answer is read as it arrives.
 const maxSizedBody = 64 << 20
 
+// reads recycles the buffers answers are read into. An answer is decoded
+// before its buffer goes back, and nothing decoded aliases it: jsonplan
+// copies every string and raw message out, and its errors are
+// encoding/json's, which quote no input bytes by reference.
+var reads = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRead is the largest read buffer recycled: one huge batch answer
+// is left to the collector rather than kept alive.
+const maxPooledRead = 1 << 20
+
 // exchange is do that also returns the response's header.
 func (c *Client) exchange(ctx context.Context, method, path string, body, out any, hdr http.Header) (http.Header, error) {
 	var rdr io.Reader
@@ -106,7 +117,14 @@ func (c *Client) exchange(ctx context.Context, method, path string, body, out an
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := api.ReadBody(resp.Body, resp.ContentLength, maxSizedBody)
+	buf := reads.Get().(*[]byte)
+	data, err := api.ReadBody(*buf, resp.Body, resp.ContentLength, maxSizedBody)
+	defer func() {
+		if cap(data) <= maxPooledRead {
+			*buf = data[:0]
+			reads.Put(buf)
+		}
+	}()
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: read: %w", method, path, err)
 	}

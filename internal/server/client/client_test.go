@@ -436,3 +436,62 @@ func TestRawAnswersCheckStatsChecksums(t *testing.T) {
 		})
 	}
 }
+
+// TestAnswersOwnTheirBytes: answers are read into recycled buffers, so
+// nothing a call returns may alias one. Answer A is decoded, answer B of
+// the same length is read next (into A's buffer, once it is recycled), and
+// A's strings, raw statistics and checksums, and an error's message, are
+// still what A's body said.
+func TestAnswersOwnTheirBytes(t *testing.T) {
+	answer := func(c byte) (string, string) {
+		stats := fmt.Sprintf(`{"Cycles":%s}`, strings.Repeat(string(c), 6))
+		body := fmt.Sprintf(`{"results":[{"key":"%[1]s","fingerprint":"%[1]s","cached":true,"status":"done","stats":%s,"peer":"http://%[1]s"}]}`,
+			strings.Repeat(string(c), 8), stats)
+		return body, stats
+	}
+	bodyA, statsA := answer('1')
+	bodyB, _ := answer('2')
+	var calls atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := calls.Add(1)
+		if r.URL.Path != "/v1/runs" {
+			msg := map[bool]string{true: "first failure", false: "other failure"}[n%2 == 1]
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			fmt.Fprintf(w, `{"error":%q}`+"\n", msg)
+			return
+		}
+		body, stats := answer(map[bool]byte{true: '1', false: '2'}[n%2 == 1])
+		w.Header().Set(api.StatsCRCHeader, strconv.FormatUint(uint64(simstore.Checksum([]byte(stats))), 16))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		fmt.Fprint(w, body)
+	}))
+	defer hs.Close()
+	if len(bodyA) != len(bodyB) {
+		t.Fatalf("answers of %d and %d bytes; the test needs one length", len(bodyA), len(bodyB))
+	}
+	c, ctx := New(hs.URL), context.Background()
+	for round := 0; round < 5; round++ {
+		calls.Store(0)
+		a, err := c.ForwardRuns(ctx, api.RunRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ForwardRuns(ctx, api.RunRequest{}); err != nil {
+			t.Fatal(err)
+		}
+		r := a.Results[0]
+		if r.Key != "11111111" || r.Fingerprint != "11111111" || r.Peer != "http://11111111" ||
+			string(r.Stats) != statsA || r.StatsCRC != simstore.Checksum([]byte(statsA)) {
+			t.Fatalf("round %d: answer A changed when B was read: %+v (stats %s)", round, r, r.Stats)
+		}
+
+		calls.Store(0)
+		_, errA := c.Job(ctx, "j1")
+		_, errB := c.Job(ctx, "j2")
+		var se *StatusError
+		if !errors.As(errA, &se) || se.Msg != "first failure" || errB == nil {
+			t.Fatalf("round %d: error A read %v after error B (%v)", round, errA, errB)
+		}
+	}
+}

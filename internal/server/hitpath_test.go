@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/server/api"
@@ -203,5 +205,95 @@ func TestHandlerHitAllocs(t *testing.T) {
 	t.Logf("%.1f allocations a hit", allocs)
 	if allocs > budget {
 		t.Errorf("one handler hit allocates %.1f times, budget %d", allocs, budget)
+	}
+}
+
+// TestAnswersDeclareLength: every kind of JSON answer — a stored batch
+// longer than net/http's 2 KB write buffer, a lookup, a job status carrying
+// statistics, its timeline, errors, membership and health — declares a
+// Content-Length equal to its body, so none goes out chunked.
+func TestAnswersDeclareLength(t *testing.T) {
+	_, c := newTestServer(t, 1)
+	ctx := context.Background()
+	spec := tinySpec("declared", 1)
+	sub, err := c.Runs(ctx, api.RunRequest{Specs: []api.Spec{spec}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sub.Results[0].JobID
+	if _, err := c.WaitJob(ctx, id, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	fp := simstore.Hex(specFP(t, spec))
+	batch, _ := json.Marshal(api.RunRequest{Specs: []api.Spec{spec, spec}})
+	lookup, _ := json.Marshal(api.LookupRequest{Fingerprints: []string{fp}})
+	for _, a := range []struct {
+		name, method, path, body, has string
+		code                          int
+	}{
+		{"stored batch", http.MethodPost, "/v1/runs", string(batch), `"cached":true`, http.StatusOK},
+		{"lookup", http.MethodPost, "/v1/records/lookup", string(lookup), `"stats":{`, http.StatusOK},
+		{"job status", http.MethodGet, "/v1/runs/" + id, "", `"stats":{`, http.StatusOK},
+		{"timeline", http.MethodGet, "/v1/jobs/" + id + "/timeline", "", `"spans"`, http.StatusOK},
+		{"unknown job", http.MethodGet, "/v1/runs/j0000000000-1", "", `"error":`, http.StatusNotFound},
+		{"bad JSON", http.MethodPost, "/v1/runs", "{", `"error":`, http.StatusBadRequest},
+		{"membership", http.MethodGet, "/v1/cluster/membership", "", `"epoch"`, http.StatusOK},
+		{"health", http.MethodGet, "/healthz", "", `"status":"ok"`, http.StatusOK},
+	} {
+		req, _ := http.NewRequest(a.method, c.BaseURL+a.path, strings.NewReader(a.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch {
+		case err != nil || resp.StatusCode != a.code || !strings.Contains(string(body), a.has):
+			t.Errorf("%s: HTTP %d (%v), want %d with %s: %.300s", a.name, resp.StatusCode, err, a.code, a.has, body)
+		case resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0:
+			t.Errorf("%s: Content-Length %d, transfer encoding %v, for a body of %d bytes",
+				a.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		case !strings.HasSuffix(string(body), "}\n"):
+			t.Errorf("%s: body does not end as json.NewEncoder ends it: %q", a.name, body[max(0, len(body)-20):])
+		case a.name == "stored batch" && len(body) <= 2048:
+			t.Errorf("stored batch: %d bytes, want one longer than net/http's 2 KB write buffer", len(body))
+		}
+	}
+}
+
+// TestClientHitAllocs bounds what one cached hit costs the process over
+// loopback, client and daemon together: a Client.Runs of one stored spec.
+// While the daemon chunked the answer, the client grew its read buffer
+// from 512 bytes; now the answer declares its length and is read into a
+// recycled buffer.
+func TestClientHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	srv, c := newTestServer(t, 1)
+	spec, run, stats, fp := tinyRecord(t)
+	if err := srv.store.Put(fp, spec.Key, run, stats); err != nil {
+		t.Fatal(err)
+	}
+	req := api.RunRequest{Specs: []api.Spec{spec}}
+	hit := func() {
+		resp, err := c.Runs(context.Background(), req, false)
+		if err != nil || !resp.Results[0].Cached {
+			t.Fatalf("not a hit: %+v (%v)", resp, err)
+		}
+	}
+	hit()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, hit)
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("%.1f allocations, %.0f B a hit", allocs, bytesPer)
+	// Chunked: 164 allocations, ~28 KB a hit. Declared and recycled: 156,
+	// ~15 KB.
+	const allocBudget, byteBudget = 158, 20_000
+	if allocs > allocBudget || bytesPer > byteBudget {
+		t.Errorf("one loopback hit allocates %.1f times, %.0f B; budget %d, %d B", allocs, bytesPer, allocBudget, byteBudget)
 	}
 }

@@ -50,6 +50,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -278,10 +279,18 @@ func (s *Server) Close() {
 	s.queue.Close()
 }
 
+// writeJSON answers code with v encoded as json.NewEncoder encodes it,
+// trailing newline included, and its length declared (see body.go).
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	buf := bodies.Get().(*[]byte)
+	b := bytes.NewBuffer((*buf)[:0])
+	if err := json.NewEncoder(b).Encode(v); err != nil {
+		bodies.Put(buf)
+		writeError(w, http.StatusInternalServerError, "encode answer: %v", err)
+		return
+	}
+	*buf = b.Bytes()
+	writeBody(w, code, buf)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -295,7 +304,7 @@ const maxRequestBytes = 16 << 20
 // v. On failure it answers — 413 naming the limit for a longer body, 400
 // for an unreadable one or bad JSON — and returns false.
 func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
-	body, err := api.ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	body, err := api.ReadBody(nil, http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):

@@ -161,7 +161,14 @@ type Store struct {
 	bytes int64
 	blobs int // indexed blob entries
 	stats Stats
+	// read is the buffer Get reads record files into, reused under mu: a
+	// hit's key and statistics are decoded out of it as copies.
+	read []byte
 }
+
+// maxKeptRead is the largest record read buffer a Store keeps between
+// reads; a longer record (none is near it) is read into a buffer of its own.
+const maxKeptRead = 1 << 20
 
 // Open creates (if needed) and loads the store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
@@ -295,7 +302,7 @@ func (s *Store) Get(fp [32]byte) (Hit, bool) {
 		s.stats.Misses++
 		return Hit{}, false
 	}
-	data, err := os.ReadFile(s.path(key))
+	data, err := s.readLocked(key)
 	if err != nil {
 		// Index said yes but the file is gone (pruned externally): self-heal.
 		s.dropLocked(key, elem, false)
@@ -314,6 +321,31 @@ func (s *Store) Get(fp [32]byte) (Hit, bool) {
 	s.touchLocked(key, elem)
 	s.stats.Hits++
 	return Hit{Key: rec.Key, Stats: stats}, true
+}
+
+// readLocked reads the file of key into s.read, sized from the index's
+// recorded size so that neither a Stat nor a new buffer is needed. A file
+// that has grown since it was indexed is still read whole. The bytes are
+// valid until the next read. Callers hold s.mu.
+func (s *Store) readLocked(key fileKey) ([]byte, error) {
+	f, err := os.Open(s.path(key))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	// ReadFrom grows a buffer with less than MinRead bytes free, so that
+	// much spare room lets the read that meets EOF land without a regrow.
+	buf := s.read
+	if need := s.sizes[key] + bytes.MinRead; int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	_, err = b.ReadFrom(f)
+	data := b.Bytes()
+	if cap(data) <= maxKeptRead {
+		s.read = data[:0]
+	}
+	return data, err
 }
 
 // touchLocked refreshes an entry's LRU position and persists the recency as

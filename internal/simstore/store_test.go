@@ -601,3 +601,37 @@ func TestBlobCountMatchesIndex(t *testing.T) {
 	}
 	check(reopened, "a reopen")
 }
+
+// TestGetHitsOwnTheirBytes: Get reads every record into one buffer the
+// store reuses, so a hit must hold copies. Reading record B into the
+// buffer record A was read into leaves A's key and statistics as they
+// were read.
+func TestGetHitsOwnTheirBytes(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specA, specB := specFor(t, "VA", 1), specFor(t, "MM", 2)
+	fpA, fpB := mustFP(t, specA), mustFP(t, specB)
+	if err := st.Put(fpA, "record-a", specA, sampleStats(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(fpB, "record-b", specB, sampleStats(2)); err != nil {
+		t.Fatal(err)
+	}
+	wantA, _ := json.Marshal(sampleStats(1))
+	// The first two reads size the buffer for the longer record.
+	st.Get(fpA)
+	st.Get(fpB)
+	a, okA := st.Get(fpA)
+	b, okB := st.Get(fpB)
+	if !okA || !okB {
+		t.Fatalf("stored records missed: a %v, b %v", okA, okB)
+	}
+	if a.Key != "record-a" || string(a.Stats.JSON) != string(wantA) || !a.Stats.Intact() {
+		t.Errorf("record A changed when B was read: key %q, intact %v, stats\n%.200s", a.Key, a.Stats.Intact(), a.Stats.JSON)
+	}
+	if b.Key != "record-b" || !b.Stats.Intact() {
+		t.Errorf("record B read as key %q, intact %v", b.Key, b.Stats.Intact())
+	}
+}
