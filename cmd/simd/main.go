@@ -23,7 +23,8 @@
 //
 // Try it (scripts/simd_run.sh is submit-then-poll: POST /v1/runs answers a
 // miss with a job ID, GET /v1/runs/{id} is polled until it is done; no
-// request blocks on a simulation):
+// request blocks on a simulation, and a member asked about a job another
+// member holds answers a 307 to that member's advertised -self address):
 //
 //	curl -s localhost:8404/healthz
 //	scripts/simd_run.sh localhost:8404 '{"benchmarks":["VA"],"measure_cycles":20000}'

@@ -190,9 +190,8 @@ type JobStatus struct {
 	// DurationMs is the execution wall-clock of a finished job.
 	DurationMs int64 `json:"duration_ms,omitempty"`
 	// Peer is the cluster member the job lives on (set when answering
-	// through a cluster daemon; empty single-node). Poll or cancel against
-	// any member — the job ID names its owner, so a lookup elsewhere is
-	// proxied there in one hop.
+	// through a cluster daemon; empty single-node). Poll or cancel there —
+	// the job ID names its owner, so any other member answers a 307 to it.
 	Peer string `json:"peer,omitempty"`
 }
 

@@ -71,8 +71,8 @@ func (c *Client) httpClient() *http.Client {
 
 // do issues a request and decodes the JSON response into out; non-2xx
 // responses are returned as *StatusError carrying the server's message.
-func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr http.Header) error {
-	_, err := c.exchange(ctx, method, path, body, out, hdr)
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	_, err := c.exchange(ctx, method, path, body, out, false)
 	return err
 }
 
@@ -90,8 +90,9 @@ var reads = sync.Pool{New: func() any { return new([]byte) }}
 // is left to the collector rather than kept alive.
 const maxPooledRead = 1 << 20
 
-// exchange is do that also returns the response's header.
-func (c *Client) exchange(ctx context.Context, method, path string, body, out any, hdr http.Header) (http.Header, error) {
+// exchange is do that also returns the response's header; forwarded marks the
+// request api.ForwardedHeader.
+func (c *Client) exchange(ctx context.Context, method, path string, body, out any, forwarded bool) (http.Header, error) {
 	var rdr io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
@@ -107,10 +108,8 @@ func (c *Client) exchange(ctx context.Context, method, path string, body, out an
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
+	if forwarded {
+		req.Header.Set(api.ForwardedHeader, "1")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -176,7 +175,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Health checks the daemon's liveness.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 	var h api.Health
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h, nil); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
 		return nil, err
 	}
 	return &h, nil
@@ -184,11 +183,12 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 
 // Runs submits a batch of runs: store hits come back inline, misses as
 // queued job IDs. With wait set, every open job handle is then polled
-// (WaitJob) so the response carries final statuses and statistics for every
-// spec; the daemon itself never blocks a request on a simulation.
+// (WaitJob) at the member that holds it (at) so the response carries final
+// statuses and statistics for every spec; the daemon itself never blocks a
+// request on a simulation.
 func (c *Client) Runs(ctx context.Context, req api.RunRequest, wait bool) (*api.RunResponse, error) {
 	var resp api.RunResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/runs", req, &resp, nil); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/runs", req, &resp); err != nil {
 		return nil, err
 	}
 	if !wait {
@@ -199,7 +199,7 @@ func (c *Client) Runs(ctx context.Context, req api.RunRequest, wait bool) (*api.
 		if api.IsTerminal(r.Status) || r.JobID == "" {
 			continue
 		}
-		st, err := c.WaitJob(ctx, r.JobID, 0)
+		st, err := c.at(r.Peer).WaitJob(ctx, r.JobID, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +211,7 @@ func (c *Client) Runs(ctx context.Context, req api.RunRequest, wait bool) (*api.
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 	var st api.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id), nil, &st, nil); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id), nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -240,27 +240,24 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*a
 	}
 }
 
-// ForwardJob fetches a job's status marked as cluster-internal: the peer
-// answers from its own queue only, so a lookup proxied to the job's owner
-// stops there. Used by the server, not by ordinary clients (Job already
-// benefits from the server-side proxy).
-func (c *Client) ForwardJob(ctx context.Context, id string) (*api.JobStatus, error) {
+// Cancel cancels a queued job and returns the state the cancel left it in.
+func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) {
 	var st api.JobStatus
-	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	if err := c.do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id), nil, &st, hdr); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/cancel", nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// ForwardCancel is ForwardJob's cancellation counterpart.
-func (c *Client) ForwardCancel(ctx context.Context, id string) (*api.JobStatus, error) {
-	var st api.JobStatus
-	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/cancel", nil, &st, hdr); err != nil {
-		return nil, err
+// at returns a client for the member a result or status names as its Peer —
+// where the job lives, so a poll there is one request — sharing this client's
+// HTTPClient; c itself when peer is empty (a single-node daemon names none)
+// or is c's own daemon.
+func (c *Client) at(peer string) *Client {
+	if peer = strings.TrimRight(peer, "/"); peer == "" || peer == c.BaseURL {
+		return c
 	}
-	return &st, nil
+	return &Client{BaseURL: peer, HTTPClient: c.HTTPClient}
 }
 
 // ForwardRuns submits a batch marked as cluster-forwarded: the receiving
@@ -270,8 +267,7 @@ func (c *Client) ForwardCancel(ctx context.Context, id string) (*api.JobStatus, 
 // ordinary clients.
 func (c *Client) ForwardRuns(ctx context.Context, req api.RunRequest) (*api.RawRunResponse, error) {
 	var resp api.RawRunResponse
-	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	h, err := c.exchange(ctx, http.MethodPost, "/v1/runs", req, &resp, hdr)
+	h, err := c.exchange(ctx, http.MethodPost, "/v1/runs", req, &resp, true)
 	if err != nil {
 		return nil, err
 	}
@@ -289,8 +285,7 @@ func (c *Client) ForwardRuns(ctx context.Context, req api.RunRequest) (*api.RawR
 // fingerprints — no execution, no onward routing.
 func (c *Client) LookupRecords(ctx context.Context, req api.LookupRequest) (*api.LookupResponse, error) {
 	var resp api.LookupResponse
-	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	if err := c.do(ctx, http.MethodPost, "/v1/records/lookup", req, &resp, hdr); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/records/lookup", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -301,8 +296,7 @@ func (c *Client) LookupRecords(ctx context.Context, req api.LookupRequest) (*api
 // server's cluster layer to find warm replicas before re-executing anything.
 func (c *Client) ProbeRecords(ctx context.Context, req api.LookupRequest) (*api.RawLookupResponse, error) {
 	var resp api.RawLookupResponse
-	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	h, err := c.exchange(ctx, http.MethodPost, "/v1/records/lookup", req, &resp, hdr)
+	h, err := c.exchange(ctx, http.MethodPost, "/v1/records/lookup", req, &resp, false)
 	if err != nil {
 		return nil, err
 	}
@@ -321,8 +315,7 @@ func (c *Client) ProbeRecords(ctx context.Context, req api.LookupRequest) (*api.
 // ordinary clients.
 func (c *Client) Replicate(ctx context.Context, req api.ReplicateRequest) (*api.ReplicateResponse, error) {
 	var resp api.ReplicateResponse
-	hdr := http.Header{api.ForwardedHeader: []string{"1"}}
-	if err := c.do(ctx, http.MethodPost, "/v1/replicate", req, &resp, hdr); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/replicate", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

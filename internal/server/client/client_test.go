@@ -63,9 +63,18 @@ func TestWaitJobCancelMidPoll(t *testing.T) {
 
 // TestRunsWaitsByPollingHandles: a waited Runs is submit + poll. The POST
 // carries no wait parameter, inline store hits are taken as they are, and
-// every open job handle is polled on GET /v1/runs/{id} until terminal.
+// every open job handle is polled on GET /v1/runs/{id} until terminal, at
+// the member its result names as Peer: the entry serves no poll.
 func TestRunsWaitsByPollingHandles(t *testing.T) {
 	var polls atomic.Int64
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		st := api.JobStatus{ID: strings.TrimPrefix(r.URL.Path, "/v1/runs/"), Status: api.StatusRunning}
+		if polls.Add(1) >= 2 {
+			st.Status, st.Stats = api.StatusDone, &gpu.RunStats{Cycles: 2}
+		}
+		json.NewEncoder(w).Encode(st)
+	}))
+	defer owner.Close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Has("wait") {
@@ -73,20 +82,13 @@ func TestRunsWaitsByPollingHandles(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(api.RunResponse{Results: []api.RunResult{
 			{Key: "hit", Status: api.StatusDone, Cached: true, Stats: &gpu.RunStats{Cycles: 1}},
-			{Key: "miss", Status: api.StatusQueued, JobID: "job-1"},
+			{Key: "miss", Status: api.StatusQueued, JobID: "job-1", Peer: owner.URL},
 		}})
 	})
-	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st := api.JobStatus{ID: r.PathValue("id"), Status: api.StatusRunning}
-		if polls.Add(1) >= 2 {
-			st.Status, st.Stats = api.StatusDone, &gpu.RunStats{Cycles: 2}
-		}
-		json.NewEncoder(w).Encode(st)
-	})
-	hs := httptest.NewServer(mux)
-	defer hs.Close()
+	entry := httptest.NewServer(mux)
+	defer entry.Close()
 
-	resp, err := New(hs.URL).Runs(context.Background(), api.RunRequest{Specs: make([]api.Spec, 2)}, true)
+	resp, err := New(entry.URL).Runs(context.Background(), api.RunRequest{Specs: make([]api.Spec, 2)}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,42 @@ func TestRunsWaitsByPollingHandles(t *testing.T) {
 		t.Errorf("polled miss = %+v, want done with the job's statistics", miss)
 	}
 	if got := polls.Load(); got != 2 {
-		t.Errorf("job handle polled %d times, want 2 (the hit needs none)", got)
+		t.Errorf("job handle polled %d times at its owner, want 2 (the hit needs none)", got)
+	}
+}
+
+// TestOnlyForwardRunsIsMarkedForwarded: api.ForwardedHeader rides the one
+// request whose handler reads it, ForwardRuns, and no other call.
+func TestOnlyForwardRunsIsMarkedForwarded(t *testing.T) {
+	var mu sync.Mutex
+	var marked []string
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(api.ForwardedHeader) != "" {
+			mu.Lock()
+			marked = append(marked, r.Method+" "+r.URL.Path)
+			mu.Unlock()
+		}
+		fmt.Fprint(w, `{"status":"done"}`)
+	}))
+	defer hs.Close()
+	c, ctx := New(hs.URL), context.Background()
+	for name, call := range map[string]func() error{
+		"Health":        func() error { _, err := c.Health(ctx); return err },
+		"Runs":          func() error { _, err := c.Runs(ctx, api.RunRequest{}, true); return err },
+		"Job":           func() error { _, err := c.Job(ctx, "j1"); return err },
+		"WaitJob":       func() error { _, err := c.WaitJob(ctx, "j1", 0); return err },
+		"Cancel":        func() error { _, err := c.Cancel(ctx, "j1"); return err },
+		"ForwardRuns":   func() error { _, err := c.ForwardRuns(ctx, api.RunRequest{}); return err },
+		"LookupRecords": func() error { _, err := c.LookupRecords(ctx, api.LookupRequest{}); return err },
+		"ProbeRecords":  func() error { _, err := c.ProbeRecords(ctx, api.LookupRequest{}); return err },
+		"Replicate":     func() error { _, err := c.Replicate(ctx, api.ReplicateRequest{}); return err },
+	} {
+		if err := call(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if want := []string{"POST /v1/runs"}; !reflect.DeepEqual(marked, want) {
+		t.Errorf("requests marked %s: %v, want %v", api.ForwardedHeader, marked, want)
 	}
 }
 

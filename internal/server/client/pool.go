@@ -90,7 +90,7 @@ func (p *Pool) maybeRefresh(ctx context.Context) {
 	for _, peer := range p.Peers() {
 		rctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		var view api.MembershipView
-		err := New(peer).do(rctx, http.MethodGet, "/v1/cluster/membership", nil, &view, nil)
+		err := New(peer).do(rctx, http.MethodGet, "/v1/cluster/membership", nil, &view)
 		cancel()
 		if err != nil {
 			continue
@@ -160,7 +160,9 @@ func (p *Pool) tryPeers(ctx context.Context, label string, peers []string, attem
 
 // Run executes a declared batch on the cluster (sweep.Executor). The batch
 // goes out as one POST /v1/runs to an entry member; store hits come back
-// inline, and each job handle is polled at the entry until it ends. A handle
+// inline, and each job handle is polled until it ends at the member that
+// holds it (RunResult.Peer; the entry when a single-node daemon names none),
+// so a poll costs one request wherever the run was forwarded. A handle
 // that is lost — its owner died, someone cancelled the shared job, or no
 // member knows the ID any more — says nothing about the run, so the spec is
 // submitted again, and determinism makes whichever member executes it
@@ -205,7 +207,7 @@ func (p *Pool) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Result, 
 		for k, i := range todo {
 			r := resp.Results[k]
 			if !api.IsTerminal(r.Status) && r.JobID != "" {
-				st, err := entry.WaitJob(ctx, r.JobID, 0)
+				st, err := entry.at(r.Peer).WaitJob(ctx, r.JobID, 0)
 				if ctx.Err() != nil {
 					return results, ctx.Err()
 				}

@@ -5,11 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -363,17 +363,21 @@ func (tc *testCluster) jobHits() []uint64 {
 	return hits
 }
 
-// TestClusterJobLookupProxied: a forwarded async submission returns a job ID
-// living on the owner — polling, cancelling and asking for the timeline of
-// that ID at the entry daemon must still work, keeping every member a valid
-// entry point for the whole job lifecycle — and because the ID names its
-// owner, each costs one request to the owner and none to anyone else (the
-// timeline: a redirect and no request at all).
-func TestClusterJobLookupProxied(t *testing.T) {
+// noFollow is an HTTP client that hands a redirect back instead of
+// following it.
+var noFollow = &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+
+// TestJobRequestsRedirectToOwner: a forwarded async submission returns a job
+// ID living on the owner. Status, cancel and timeline requests for it at
+// another member each answer a 307 to the same path on the owner the ID
+// names, so nothing about a job travels server to server: followed, each
+// costs the owner exactly one request and a bystander none, and the answer
+// is the owner's.
+func TestJobRequestsRedirectToOwner(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
-	spec := tinySpec("proxied", 31)
+	spec := tinySpec("redirected", 31)
 	owner := tc.ownerIndex(t, spec)
 	entry, third := (owner+1)%3, (owner+2)%3
 
@@ -386,85 +390,72 @@ func TestClusterJobLookupProxied(t *testing.T) {
 	if r.JobID == "" || r.Peer != tc.urls[owner] {
 		t.Fatalf("async forwarded miss: job=%q peer=%q, want owner %s", r.JobID, r.Peer, tc.urls[owner])
 	}
+	if _, err := client.New(tc.urls[owner]).WaitJob(ctx, r.JobID, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 
-	// oneHop runs one request against the entry daemon and asserts what it
-	// cost inside the cluster.
-	oneHop := func(what string, wantOwner uint64, do func()) {
+	// redirected asks the entry daemon for path, first without following the
+	// redirect and then following it through follow, and asserts what the
+	// followed request cost inside the cluster.
+	redirected := func(what, method, path string, follow func()) {
 		t.Helper()
+		req, _ := http.NewRequest(method, tc.urls[entry]+path, nil)
+		resp, err := noFollow.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != tc.urls[owner]+path {
+			t.Errorf("%s via a non-owner = HTTP %d to %q, want a 307 to %s", what, resp.StatusCode, loc, tc.urls[owner]+path)
+		}
 		before := tc.jobHits()
-		do()
+		follow()
 		after := tc.jobHits()
-		if d := after[owner] - before[owner]; d != wantOwner {
-			t.Errorf("%s via a non-owner cost the owner %d requests, want %d", what, d, wantOwner)
+		if d := after[owner] - before[owner]; d != 1 {
+			t.Errorf("%s via a non-owner cost the owner %d requests, want 1", what, d)
 		}
 		if d := after[third] - before[third]; d != 0 {
 			t.Errorf("%s via a non-owner cost a bystander %d requests, want 0", what, d)
 		}
 	}
 
-	// Poll the owner's job ID via the entry daemon: proxied, not 404.
-	polls0 := atomic.LoadUint64(&tc.servers[entry].remotePolls)
-	oneHop("a status poll", 1, func() {
+	redirected("a status poll", http.MethodGet, "/v1/runs/"+r.JobID, func() {
 		st, err := entryClient.Job(ctx, r.JobID)
 		if err != nil {
 			t.Fatalf("polling a forwarded job via the entry daemon failed: %v", err)
 		}
-		if st.ID != r.JobID || st.Peer != tc.urls[owner] {
-			t.Errorf("proxied status = job %q on %q, want %q on %q", st.ID, st.Peer, r.JobID, tc.urls[owner])
+		if st.ID != r.JobID || st.Peer != tc.urls[owner] || st.Status != api.StatusDone || st.Stats == nil {
+			t.Errorf("redirected status = %+v, want job %q done on %q with stats", st, r.JobID, tc.urls[owner])
 		}
 	})
-	if d := atomic.LoadUint64(&tc.servers[entry].remotePolls) - polls0; d != 1 {
-		t.Errorf("entry counted %d remote polls for one proxied status, want 1", d)
-	}
-	st, err := entryClient.WaitJob(ctx, r.JobID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != api.StatusDone || st.Stats == nil {
-		t.Fatalf("proxied job status = %+v, want done with stats", st)
-	}
-
-	// Cancel of a terminal job reports its (terminal) state — via the entry
-	// daemon it exercises the cancel proxy.
-	oneHop("a cancel", 1, func() {
-		cst, err := cancelJob(entryClient, r.JobID)
+	redirected("a cancel", http.MethodPost, "/v1/jobs/"+r.JobID+"/cancel", func() {
+		st, err := entryClient.Cancel(ctx, r.JobID)
 		if err != nil {
 			t.Fatalf("cancelling a forwarded job via the entry daemon failed: %v", err)
 		}
-		if cst.Status != api.StatusDone {
-			t.Errorf("proxied cancel of a done job reports %q, want done", cst.Status)
+		if st.Status != api.StatusDone || st.Peer != tc.urls[owner] {
+			t.Errorf("redirected cancel of a done job = %q on %q, want done on %s", st.Status, st.Peer, tc.urls[owner])
 		}
 	})
-
-	// The timeline redirects to the owner without asking it anything.
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
 	path := "/v1/jobs/" + r.JobID + "/timeline"
-	oneHop("a timeline request", 0, func() {
-		resp, err := noFollow.Get(tc.urls[entry] + path)
+	redirected("a timeline request", http.MethodGet, path, func() {
+		tresp, err := http.Get(tc.urls[entry] + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != tc.urls[owner]+path {
-			t.Errorf("timeline via a non-owner = HTTP %d to %q, want a 307 to %s", resp.StatusCode, loc, tc.urls[owner]+path)
+		defer tresp.Body.Close()
+		var tl api.JobTimeline
+		if err := json.NewDecoder(tresp.Body).Decode(&tl); err != nil || tl.ID != r.JobID || tl.Peer != tc.urls[owner] || len(tl.Spans) == 0 {
+			t.Errorf("redirected timeline = %+v (%v), want the job's span tree on %s", tl, err, tc.urls[owner])
 		}
 	})
-	tresp, err := http.Get(tc.urls[entry] + path) // following the redirect
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tresp.Body.Close()
-	var tl api.JobTimeline
-	if err := json.NewDecoder(tresp.Body).Decode(&tl); err != nil || tl.ID != r.JobID || len(tl.Spans) == 0 {
-		t.Errorf("redirected timeline = %+v (%v), want the job's span tree", tl, err)
-	}
 }
 
 // TestUnknownJobIsNotSearchedFor: an ID nobody can hold — minted by no
 // current member, or evicted by the member that minted it — answers 404 at
-// no cluster-internal request, and with a member crashed an ID that member
-// minted fails as fast as its refused connection (no per-dead-peer probe
-// timeout to wait out).
+// no cluster-internal request. An ID a crashed member minted is redirected to
+// that member, also at no cluster-internal request, and following the
+// redirect fails as fast as its refused connection.
 func TestUnknownJobIsNotSearchedFor(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
@@ -491,29 +482,100 @@ func TestUnknownJobIsNotSearchedFor(t *testing.T) {
 		what  string
 		entry int
 		id    string
-		moved bool // the dead member's refused connection is not countable
+		code  int
 	}{
-		{"a malformed ID", 1, "j999999", false},
-		{"an ID no member minted", 1, "j00000000ffffffff-000001", false},
-		{"an evicted ID, at its owner", 0, evicted, false},
-		{"an ID the crashed member minted", 1, crashedID, true},
+		{"a malformed ID", 1, "j999999", http.StatusNotFound},
+		{"an ID no member minted", 1, "j00000000ffffffff-000001", http.StatusNotFound},
+		{"an evicted ID, at its owner", 0, evicted, http.StatusNotFound},
+		{"an ID the crashed member minted", 1, crashedID, http.StatusTemporaryRedirect},
 	} {
 		before := tc.jobHits()
-		start := time.Now()
-		_, err := client.New(tc.urls[c.entry]).Job(ctx, c.id)
-		elapsed := time.Since(start)
-		var se *client.StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusNotFound {
-			t.Errorf("%s: err = %v, want HTTP 404", c.what, err)
+		path := "/v1/runs/" + c.id
+		hresp, err := noFollow.Get(tc.urls[c.entry] + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if elapsed > time.Second {
-			t.Errorf("%s took %v to 404, want well under the old 2s dead-peer probe", c.what, elapsed)
+		hresp.Body.Close()
+		if hresp.StatusCode != c.code {
+			t.Errorf("%s: HTTP %d, want %d", c.what, hresp.StatusCode, c.code)
+		}
+		if loc := hresp.Header.Get("Location"); c.code == http.StatusTemporaryRedirect && loc != tc.urls[2]+path {
+			t.Errorf("%s: redirected to %q, want the crashed member's %s", c.what, loc, tc.urls[2]+path)
 		}
 		after := tc.jobHits()
 		after[c.entry]-- // the test's own request
-		if !c.moved && !reflect.DeepEqual(before, after) {
+		if !reflect.DeepEqual(before, after) {
 			t.Errorf("%s cost cluster-internal requests: per-daemon job hits %v -> %v", c.what, before, after)
 		}
+
+		start := time.Now()
+		_, err = client.New(tc.urls[c.entry]).Job(ctx, c.id)
+		elapsed := time.Since(start)
+		var se *client.StatusError
+		if c.code == http.StatusNotFound && !(errors.As(err, &se) && se.Code == http.StatusNotFound) {
+			t.Errorf("%s: err = %v, want HTTP 404", c.what, err)
+		}
+		if c.code != http.StatusNotFound && (err == nil || client.IsStatusError(err)) {
+			t.Errorf("%s: following the redirect errs %v, want the crashed member's refused connection", c.what, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s took %v to fail, want well under the old 2s dead-peer probe", c.what, elapsed)
+		}
+	}
+}
+
+// TestPoolPollsTheOwner: a batch whose runs the entry forwards to other
+// members is polled at those members, the ones RunResult.Peer names — each
+// poll one request — and the entry serves no job status request at all.
+func TestPoolPollsTheOwner(t *testing.T) {
+	tc := newDynamicCluster(t, 3, 1)
+	var specs []sweep.RunSpec
+	var entry int
+	for seed := int64(1); len(specs) < 2; seed++ {
+		if seed > 200 {
+			t.Fatal("no two specs owned off the entry in 200 seeds")
+		}
+		wire := tinySpec(fmt.Sprintf("polled-%d", seed), seed)
+		spec, err := wire.ToRunSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(specs) == 0 { // the first run picks the batch's entry
+			entry = tc.entryIndex(t, []sweep.RunSpec{spec})
+		}
+		if tc.ownerIndex(t, wire) != entry {
+			specs = append(specs, spec)
+		}
+	}
+
+	pool, err := client.NewPool(tc.urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := pool.Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != nil || r.Stats.Cycles == 0 {
+			t.Errorf("run %s: %+v", r.Key, r)
+		}
+	}
+	polls := func(i int) uint64 {
+		n := uint64(0)
+		for _, code := range []string{"200", "307", "404"} {
+			n += tc.servers[i].metrics.httpRequests.With("GET /v1/runs/{id}", "GET", code).Value()
+		}
+		return n
+	}
+	owners := uint64(0)
+	for i := range tc.servers {
+		if i != entry {
+			owners += polls(i)
+		}
+	}
+	if polls(entry) != 0 || owners < uint64(len(specs)) {
+		t.Errorf("the entry served %d job polls and the owners %d, want 0 and at least %d", polls(entry), owners, len(specs))
 	}
 }
 

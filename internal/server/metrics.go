@@ -122,8 +122,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		nil, "peer")
 	reg.CounterFunc("simd_cluster_replica_hits_total", "Reads served from a non-owner's warm replica.",
 		func() float64 { return float64(atomic.LoadUint64(&s.replicaHits)) })
-	reg.CounterFunc("simd_cluster_remote_polls_total", "Job status and cancel requests proxied to the member that owns the job.",
-		func() float64 { return float64(atomic.LoadUint64(&s.remotePolls)) })
 	reg.CounterFunc("simd_replication_pushed_total", "Records and checkpoint blobs pushed to replicas.",
 		func() float64 { return float64(atomic.LoadUint64(&s.replPushed)) })
 	reg.CounterFunc("simd_replication_received_total", "Records and checkpoint blobs accepted from peers.",

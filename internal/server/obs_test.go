@@ -255,7 +255,6 @@ func TestGrafanaDashboardMetricNamesExist(t *testing.T) {
 		"simd_membership_epoch",
 		"simd_cluster_failovers_total",
 		"simd_cluster_replica_hits_total",
-		"simd_cluster_remote_polls_total",
 		"simd_replication_pushed_total",
 		"simd_replication_received_total",
 		"simd_replication_lag_seconds",

@@ -104,7 +104,7 @@ func (s *Server) cancelOwn(batch []routedSpec) {
 	for i := range batch {
 		switch it := &batch[i]; {
 		case it.remote != "":
-			s.peerClient(it.remote).ForwardCancel(ctx, it.res.JobID) // best effort
+			s.peerClient(it.remote).Cancel(ctx, it.res.JobID) // best effort
 		case it.own:
 			s.queue.Cancel(it.res.JobID)
 		}
@@ -333,5 +333,6 @@ func (s *Server) failover(reason string, n int) {
 	s.metrics.failoverReasons.With(reason).Add(uint64(n))
 }
 
-// hopTimeout bounds one cluster-internal job status or cancel round-trip.
+// hopTimeout bounds cancelOwn's cancels of the handles a batch's forwards
+// opened.
 const hopTimeout = 5 * time.Second

@@ -37,10 +37,11 @@
 // /v1/runs hands it its whole batch, and clients route nothing — any member
 // is a valid entry point, one hop away. Cross-owner forwarding is
 // handle-based: the forwarder gets the owner's job ID back immediately and
-// hands it on to the client, who polls it — no request ever blocks for the
-// length of a simulation, and nothing on the server side waits for one. A
-// job ID names the member that minted it, so status, cancel and timeline
-// requests that land elsewhere reach the owner in one hop as well. Finished
+// hands it on to the client, who polls it at the owner — no request ever
+// blocks for the length of a simulation, and nothing on the server side
+// waits for one. A job ID names the member that minted it, so a status,
+// cancel or timeline request that lands elsewhere is answered with a 307 to
+// the owner (or a 404): nothing about a job travels server to server. Finished
 // jobs are retained in memory only per the Config.JobTTL/MaxJobs policy;
 // evicted job IDs answer 404 while their statistics remain in the store.
 //
@@ -58,7 +59,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -155,7 +155,6 @@ type Server struct {
 
 	forwarded   uint64 // atomic: specs sent to another ranked member
 	replicaHits uint64 // atomic: reads served from a non-owner's warm copy
-	remotePolls uint64 // atomic: status/cancel requests proxied to a job's owner
 	replPushed  uint64 // atomic: records+blobs pushed to replicas
 	replRecv    uint64 // atomic: records+blobs accepted from peers
 	replErrors  uint64 // atomic: failed replica pushes / rejected receipts
@@ -384,63 +383,58 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeRuns(w, results)
 }
 
-// jobOwners lists the members whose tag a job ID carries (jobIDBase): where
-// a job this daemon does not hold lives, if it lives anywhere. Normally one
-// member or none; two members whose address hashes collide in the tag are
-// both candidates, which costs a second hop, never a wrong answer. Empty
-// single-node, for IDs no current member minted, and for a forwarded request
-// — the one hop has been made.
-func (s *Server) jobOwners(r *http.Request, id string) []string {
-	if s.node == nil || len(id) < 9 || id[0] != 'j' || r.Header.Get(api.ForwardedHeader) != "" {
-		return nil
+// jobOwner is the member a job this daemon does not hold lives on, if it
+// lives anywhere: the one member whose tag the ID carries (jobIDBase). ""
+// single-node, for an ID no member minted, for this daemon's own tag (the job
+// is gone, and a redirect to itself would loop), and for two members whose
+// address hashes collide in the tag — which costs the handle, not a wrong
+// answer.
+func (s *Server) jobOwner(id string) string {
+	if s.node == nil || len(id) < 9 || id[0] != 'j' {
+		return ""
 	}
-	var owners []string
+	owner := ""
 	for _, m := range s.node.Members() {
-		if m != s.node.Self() && ownerTag(m) == id[1:9] {
-			owners = append(owners, m)
+		if ownerTag(m) != id[1:9] {
+			continue
 		}
+		if owner != "" || m == s.node.Self() {
+			return ""
+		}
+		owner = m
 	}
-	return owners
+	return owner
 }
 
-// askOwner proxies a status or cancel request for a job unknown locally to
-// the member its ID names, marked forwarded so that the owner answers from
-// its own queue only. Forwarded submissions hand out job IDs that live on
-// the owner daemon; proxying keeps every daemon a valid entry point for them.
-func (s *Server) askOwner(r *http.Request, id string, ask func(*client.Client, context.Context, string) (*api.JobStatus, error)) (*api.JobStatus, bool) {
-	for _, owner := range s.jobOwners(r, id) {
-		ctx, cancel := context.WithTimeout(r.Context(), hopTimeout)
-		st, err := ask(s.peerClient(owner), ctx, id)
-		cancel()
-		atomic.AddUint64(&s.remotePolls, 1)
-		if err == nil {
-			st.Peer = owner
-			return st, true
-		}
+// jobMiss answers a status, cancel or timeline request for a job this daemon
+// does not hold: a 307 to the same path on the member its ID names, at no
+// cluster-internal request, or a 404.
+func (s *Server) jobMiss(w http.ResponseWriter, r *http.Request, id string) {
+	if owner := s.jobOwner(id); owner != "" {
+		http.Redirect(w, r, owner+r.URL.EscapedPath(), http.StatusTemporaryRedirect)
+		return
 	}
-	return nil, false
+	writeError(w, http.StatusNotFound, "no job %q", id)
 }
 
 // serveJob answers a status or cancel request from the local queue, or else
-// from the job's owner.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, local func(string) (api.JobStatus, bool), ask func(*client.Client, context.Context, string) (*api.JobStatus, error)) {
+// with jobMiss.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, local func(string) (api.JobStatus, bool)) {
 	id := r.PathValue("id")
 	if st, ok := local(id); ok {
 		st.Peer = s.Self()
 		writeJSON(w, http.StatusOK, st)
-	} else if st, ok := s.askOwner(r, id, ask); ok {
-		writeJSON(w, http.StatusOK, st)
-	} else {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		return
 	}
+	s.jobMiss(w, r, id)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.serveJob(w, r, s.queue.Job, (*client.Client).ForwardJob)
+	s.serveJob(w, r, s.queue.Job)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.serveJob(w, r, s.queue.Cancel, (*client.Client).ForwardCancel)
+	s.serveJob(w, r, s.queue.Cancel)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -491,9 +485,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTimeline implements GET /v1/jobs/{id}/timeline: the span tree a
 // job's trace recorded (queue wait, checkpoint probe/restore, warmup,
-// kernel segments, measure window). A job living on another member redirects
-// to the owner its ID names rather than proxying the span tree — at no
-// cluster-internal request.
+// kernel segments, measure window), or jobMiss.
 func (s *Server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if tl, ok := s.queue.Timeline(id); ok {
@@ -501,14 +493,5 @@ func (s *Server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, tl)
 		return
 	}
-	if owners := s.jobOwners(r, id); len(owners) == 1 {
-		http.Redirect(w, r, owners[0]+"/v1/jobs/"+id+"/timeline", http.StatusTemporaryRedirect)
-		return
-	}
-	// Colliding owner tags: ask which of the candidates holds the job.
-	if st, ok := s.askOwner(r, id, (*client.Client).ForwardJob); ok {
-		http.Redirect(w, r, st.Peer+"/v1/jobs/"+id+"/timeline", http.StatusTemporaryRedirect)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no job %q", id)
+	s.jobMiss(w, r, id)
 }

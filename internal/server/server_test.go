@@ -5,11 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,21 +85,6 @@ func localFigure(t testing.TB, key string, scale exp.FigureOptions) string {
 		t.Fatal(err)
 	}
 	return text
-}
-
-// cancelJob is POST /v1/jobs/{id}/cancel on c's daemon: the status the
-// cancel left the job in.
-func cancelJob(c *client.Client, id string) (*api.JobStatus, error) {
-	resp, err := http.Post(c.BaseURL+"/v1/jobs/"+url.PathEscape(id)+"/cancel", "", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cancel %s: HTTP %d", id, resp.StatusCode)
-	}
-	var st api.JobStatus
-	return &st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
 func tinySpec(key string, seed int64) api.Spec {
@@ -242,7 +225,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	victim := resp.Results[1].JobID
 
-	st, err := cancelJob(c, victim)
+	st, err := c.Cancel(ctx, victim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,7 +302,8 @@ func (s *Store) Get(fp [32]byte) (Hit, bool) {
 		s.stats.Misses++
 		return Hit{}, false
 	}
-	data, err := s.readLocked(key)
+	path := s.path(key)
+	data, err := s.readLocked(key, path)
 	if err != nil {
 		// Index said yes but the file is gone (pruned externally): self-heal.
 		s.dropLocked(key, elem, false)
@@ -318,17 +319,17 @@ func (s *Store) Get(fp [32]byte) (Hit, bool) {
 		s.stats.Misses++
 		return Hit{}, false
 	}
-	s.touchLocked(key, elem)
+	s.touchLocked(path, elem)
 	s.stats.Hits++
 	return Hit{Key: rec.Key, Stats: stats}, true
 }
 
-// readLocked reads the file of key into s.read, sized from the index's
-// recorded size so that neither a Stat nor a new buffer is needed. A file
-// that has grown since it was indexed is still read whole. The bytes are
-// valid until the next read. Callers hold s.mu.
-func (s *Store) readLocked(key fileKey) ([]byte, error) {
-	f, err := os.Open(s.path(key))
+// readLocked reads the file of key, at path, into s.read, sized from the
+// index's recorded size so that neither a Stat nor a new buffer is needed. A
+// file that has grown since it was indexed is still read whole. The bytes
+// are valid until the next read. Callers hold s.mu.
+func (s *Store) readLocked(key fileKey, path string) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -349,11 +350,11 @@ func (s *Store) readLocked(key fileKey) ([]byte, error) {
 }
 
 // touchLocked refreshes an entry's LRU position and persists the recency as
-// an mtime bump (best-effort). Callers hold s.mu.
-func (s *Store) touchLocked(key fileKey, elem *list.Element) {
+// an mtime bump of its file at path (best-effort). Callers hold s.mu.
+func (s *Store) touchLocked(path string, elem *list.Element) {
 	s.lru.MoveToFront(elem)
 	now := time.Now()
-	os.Chtimes(s.path(key), now, now)
+	os.Chtimes(path, now, now)
 }
 
 // Put stores stats under fp, evicting least-recently-used entries if the
@@ -428,13 +429,14 @@ func (s *Store) GetBlob(fp [32]byte) ([]byte, bool) {
 		s.stats.BlobMisses++
 		return nil, false
 	}
-	data, err := os.ReadFile(s.path(key))
+	path := s.path(key)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.dropLocked(key, elem, false)
 		s.stats.BlobMisses++
 		return nil, false
 	}
-	s.touchLocked(key, elem)
+	s.touchLocked(path, elem)
 	s.stats.BlobHits++
 	return data, true
 }

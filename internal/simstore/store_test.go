@@ -635,3 +635,29 @@ func TestGetHitsOwnTheirBytes(t *testing.T) {
 		t.Errorf("record B read as key %q, intact %v", b.Key, b.Stats.Intact())
 	}
 }
+
+// TestGetHitAllocs bounds one record hit's allocations: the record's path is
+// built once, for the read and the mtime bump both, and nothing else on the
+// hit path allocates per call beyond the hit's own copies and the file
+// syscalls' arguments.
+func TestGetHitAllocs(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specFor(t, "MM", 1)
+	fp := mustFP(t, spec)
+	if err := st.Put(fp, "mm", spec, sampleStats(1)); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 12
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := st.Get(fp); !ok {
+			t.Fatal("the stored record missed")
+		}
+	})
+	t.Logf("%.0f allocations per hit", allocs)
+	if allocs > budget {
+		t.Errorf("a record hit allocates %.0f times, budget %d", allocs, budget)
+	}
+}

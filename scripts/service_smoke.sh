@@ -62,8 +62,9 @@ wait_url() {
 }
 
 # msum URL REGEX: sum every metric sample whose name matches (covers both
-# plain counters and labeled vecs like simd_cluster_failovers_total{reason=...}).
-msum() { curl -sf "$1/metrics" | awk "/^$2/ {s+=\$2} END {print s+0}"; }
+# plain counters and labeled vecs like simd_cluster_failovers_total{reason=...});
+# a sample's value is its last field, since a route label holds a space.
+msum() { curl -sf "$1/metrics" | awk "/^$2/ {s+=\$NF} END {print s+0}"; }
 
 ./smoke-simd -addr 127.0.0.1:0 -store "$store" > "$scratch/simd.log" 2>&1 &
 pids+=($!)
@@ -246,9 +247,9 @@ fp="$(jq -r '.results[0].fingerprint' "$scratch/drill.json")"
 jq -cS '.results[0].stats' "$scratch/drill.json" > "$scratch/drill.stats"
 echo "drill spec owned by $owner_url (fingerprint $fp)"
 
-echo "forwarded run polled a job handle instead of pinning a connection"
-[ "$(msum "$url_1" simd_cluster_remote_polls_total)" -ge 1 ] \
-  || { echo "entry daemon shows no remote job polls"; curl -s "$url_1/metrics" | grep simd_cluster || true; exit 1; }
+echo "forwarded run polled a job handle at its owner, redirected there by the entry"
+[ "$(msum "$url_1" 'simd_http_requests_total\{route="GET \/v1\/runs\/\{id\}".*code="307"')" -ge 1 ] \
+  || { echo "entry daemon redirected no job polls"; curl -s "$url_1/metrics" | grep 'simd_http_requests_total{route="GET /v1/runs' || true; exit 1; }
 
 echo "wait for the record to replicate to a warm peer"
 survivors=()
