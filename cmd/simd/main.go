@@ -33,10 +33,12 @@
 //	paperfigs -figure 2 -quick -server http://localhost:8404
 //
 // The second identical submission returns "cached": true with byte-identical
-// statistics inline, without simulating. The daemon serves runs, not
-// figures: cmd/paperfigs -server builds the figures itself and submits each
-// figure's runs as one batch to a running daemon (or a comma-separated list
-// of them).
+// statistics inline, without simulating. A submitted run is never cancelled:
+// two clients posting one spec share its job, so it always finishes into the
+// store, and its job stays pollable until -max-jobs newer jobs have finished.
+// The daemon serves runs, not figures: cmd/paperfigs -server builds the
+// figures itself and submits each figure's runs as one batch to a running
+// daemon (or a comma-separated list of them).
 package main
 
 import (
@@ -67,8 +69,7 @@ func run() int {
 		maxFlag     = flag.Int("max-entries", 0, "LRU bound on stored results and checkpoint blobs together (0 = unbounded)")
 		maxBytes    = flag.Int64("max-store-bytes", 0, "LRU bound on total store bytes, results plus checkpoint blobs (0 = unbounded)")
 		ckptFlag    = flag.Bool("checkpoints", false, "bank GPU state snapshots (warmup end, kernel boundaries) in the store and resume runs from matching prefixes; statistics stay byte-identical, only wall-clock time changes")
-		jobTTLFlag  = flag.Duration("job-ttl", server.DefaultJobTTL, "how long finished jobs stay pollable in memory (0 = forever; results persist in the store regardless)")
-		maxJobsFlag = flag.Int("max-jobs", server.DefaultMaxJobs, "max finished jobs retained in memory (0 = unbounded)")
+		maxJobsFlag = flag.Int("max-jobs", server.DefaultMaxJobs, "max finished jobs retained in memory: a job stays pollable until this many newer ones have finished (0 = unbounded; results persist in the store regardless)")
 		seedsFlag   = flag.String("seeds", "", "comma-separated base URLs of running cluster members to join through (gossip membership; pass -seeds \"\" to bootstrap the first daemon)")
 		replFlag    = flag.Int("replicas", 2, "replication factor in a cluster: each stored record and checkpoint blob is pushed to the top-K rendezvous-ranked members (<=1 disables replication)")
 		hbFlag      = flag.Duration("heartbeat", time.Second, "gossip heartbeat period; suspicion and death verdicts scale from it (4x and 12x)")
@@ -127,7 +128,6 @@ func run() int {
 	srv, err := server.New(server.Config{
 		Store:       store,
 		Workers:     *workersFlag,
-		JobTTL:      *jobTTLFlag,
 		MaxJobs:     *maxJobsFlag,
 		Checkpoints: *ckptFlag,
 		Self:        self,

@@ -142,18 +142,18 @@ const ForwardedHeader = "X-Simd-Forwarded"
 
 // Job states reported by the API.
 const (
-	StatusQueued    = "queued"
-	StatusRunning   = "running"
-	StatusDone      = "done"
-	StatusFailed    = "failed"
-	StatusCancelled = "cancelled"
+	StatusQueued  = "queued"
+	StatusRunning = "running"
+	StatusDone    = "done"
+	StatusFailed  = "failed"
 )
 
-// IsTerminal reports whether a job status is final. It is the one shared
-// predicate — the server's queue, the client pool and pollers must agree,
-// or a late-added status would leave one of them waiting forever.
+// IsTerminal reports whether a job status is final: done or failed, the two
+// ends of a job's queued → running life (no job is cancelled). It is the one
+// shared predicate — the server's queue, the client pool and pollers must
+// agree, or a late-added status would leave one of them waiting forever.
 func IsTerminal(status string) bool {
-	return status == StatusDone || status == StatusFailed || status == StatusCancelled
+	return status == StatusDone || status == StatusFailed
 }
 
 // RunResult is the per-spec outcome in a RunResponse. A store hit carries
@@ -190,7 +190,7 @@ type JobStatus struct {
 	// DurationMs is the execution wall-clock of a finished job.
 	DurationMs int64 `json:"duration_ms,omitempty"`
 	// Peer is the cluster member the job lives on (set when answering
-	// through a cluster daemon; empty single-node). Poll or cancel there —
+	// through a cluster daemon; empty single-node). Poll there —
 	// the job ID names its owner, so any other member answers a 307 to it.
 	Peer string `json:"peer,omitempty"`
 }

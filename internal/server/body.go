@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -30,7 +31,9 @@ import (
 // growing a buffer as the chunks arrive.
 
 // bodies recycles the buffers bodies are built in: a ResponseWriter's
-// Write copies or sends what it is given before it returns.
+// Write copies or sends what it is given before it returns. A collection
+// empties the pool, so each answer is sized before it is built: a buffer
+// the pool no longer holds costs one allocation, not a doubling series.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody is the largest body buffer recycled; a longer one, from a
@@ -44,7 +47,21 @@ func writeRuns(w http.ResponseWriter, results []api.RawRunResult) {
 		crcs = appendCRC(crcs, i, results[i].Stats, results[i].StatsCRC)
 	}
 	buf := bodies.Get().(*[]byte)
-	b := append((*buf)[:0], `{"results":[`...)
+	*buf = appendRuns((*buf)[:0], results)
+	w.Header().Set(api.StatsCRCHeader, string(crcs))
+	writeBody(w, http.StatusOK, buf)
+}
+
+// appendRuns appends the body answering results to b after making room for
+// all of it: only a string that needs escaping can grow b again.
+func appendRuns(b []byte, results []api.RawRunResult) []byte {
+	n := len(`{"results":[]}` + "\n")
+	for i := range results {
+		r := &results[i]
+		n += len(`{"key":"","fingerprint":"","cached":false,"status":"","job_id":"","stats":,"error":"","peer":""},`) +
+			len(r.Key) + len(r.Fingerprint) + len(r.Status) + len(r.JobID) + len(r.Stats) + len(r.Error) + len(r.Peer)
+	}
+	b = append(slices.Grow(b, n), `{"results":[`...)
 	for i := range results {
 		r := &results[i]
 		if i > 0 {
@@ -65,9 +82,7 @@ func writeRuns(w http.ResponseWriter, results []api.RawRunResult) {
 		b = appendOmitEmpty(b, `,"peer":`, r.Peer)
 		b = append(b, '}')
 	}
-	*buf = append(b, "]}\n"...)
-	w.Header().Set(api.StatsCRCHeader, string(crcs))
-	writeBody(w, http.StatusOK, buf)
+	return append(b, "]}\n"...)
 }
 
 // writeLookup answers a POST /v1/records/lookup with recs (their Spec is
@@ -78,7 +93,18 @@ func writeLookup(w http.ResponseWriter, recs []api.RawRecord) {
 		crcs = appendCRC(crcs, i, recs[i].Stats, recs[i].StatsCRC)
 	}
 	buf := bodies.Get().(*[]byte)
-	b := append((*buf)[:0], `{"records":[`...)
+	*buf = appendLookup((*buf)[:0], recs)
+	w.Header().Set(api.StatsCRCHeader, string(crcs))
+	writeBody(w, http.StatusOK, buf)
+}
+
+// appendLookup appends the body answering recs to b, sized as appendRuns's.
+func appendLookup(b []byte, recs []api.RawRecord) []byte {
+	n := len(`{"records":[]}` + "\n")
+	for i := range recs {
+		n += len(`{"fingerprint":"","key":"","stats":},`) + len(recs[i].Fingerprint) + len(recs[i].Key) + len(recs[i].Stats)
+	}
+	b = append(slices.Grow(b, n), `{"records":[`...)
 	for i := range recs {
 		r := &recs[i]
 		if i > 0 {
@@ -88,9 +114,7 @@ func writeLookup(w http.ResponseWriter, recs []api.RawRecord) {
 		b = appendOmitEmpty(b, `,"key":`, r.Key)
 		b = append(append(append(b, `,"stats":`...), r.Stats...), '}')
 	}
-	*buf = append(b, "]}\n"...)
-	w.Header().Set(api.StatsCRCHeader, string(crcs))
-	writeBody(w, http.StatusOK, buf)
+	return append(b, "]}\n"...)
 }
 
 // writeBody answers code with the JSON body in buf, its length declared,

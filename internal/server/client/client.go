@@ -240,15 +240,6 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*a
 	}
 }
 
-// Cancel cancels a queued job and returns the state the cancel left it in.
-func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) {
-	var st api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/cancel", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // at returns a client for the member a result or status names as its Peer —
 // where the job lives, so a poll there is one request — sharing this client's
 // HTTPClient; c itself when peer is empty (a single-node daemon names none)

@@ -124,7 +124,6 @@ func TestOnlyForwardRunsIsMarkedForwarded(t *testing.T) {
 		"Runs":          func() error { _, err := c.Runs(ctx, api.RunRequest{}, true); return err },
 		"Job":           func() error { _, err := c.Job(ctx, "j1"); return err },
 		"WaitJob":       func() error { _, err := c.WaitJob(ctx, "j1", 0); return err },
-		"Cancel":        func() error { _, err := c.Cancel(ctx, "j1"); return err },
 		"ForwardRuns":   func() error { _, err := c.ForwardRuns(ctx, api.RunRequest{}); return err },
 		"LookupRecords": func() error { _, err := c.LookupRecords(ctx, api.LookupRequest{}); return err },
 		"ProbeRecords":  func() error { _, err := c.ProbeRecords(ctx, api.LookupRequest{}); return err },

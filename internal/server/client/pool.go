@@ -163,12 +163,11 @@ func (p *Pool) tryPeers(ctx context.Context, label string, peers []string, attem
 // inline, and each job handle is polled until it ends at the member that
 // holds it (RunResult.Peer; the entry when a single-node daemon names none),
 // so a poll costs one request wherever the run was forwarded. A handle
-// that is lost — its owner died, someone cancelled the shared job, or no
-// member knows the ID any more — says nothing about the run, so the spec is
-// submitted again, and determinism makes whichever member executes it
-// byte-identical; a run whose job failed did fail, and is reported. Giving
-// up on the batch (ctx) stops the polling only: queued runs finish into the
-// stores, because cancelling a shared job would cancel it for every waiter.
+// that is lost — its owner died, or no member knows the ID any more — says
+// nothing about the run, so the spec is submitted again, and determinism
+// makes whichever member executes it byte-identical; a run whose job failed
+// did fail, and is reported. Giving up on the batch (ctx) stops the polling
+// only: no job is ever cancelled, so queued runs finish into the stores.
 // Results are positional; on failure the lowest-index error is returned with
 // them.
 func (p *Pool) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Result, error) {
@@ -210,9 +209,6 @@ func (p *Pool) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Result, 
 				st, err := entry.at(r.Peer).WaitJob(ctx, r.JobID, 0)
 				if ctx.Err() != nil {
 					return results, ctx.Err()
-				}
-				if err == nil && st.Status == api.StatusCancelled {
-					err = fmt.Errorf("job %s was cancelled", r.JobID)
 				}
 				switch {
 				case err == nil:

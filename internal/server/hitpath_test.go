@@ -208,6 +208,41 @@ func TestHandlerHitAllocs(t *testing.T) {
 	}
 }
 
+// TestBodiesGrowOnce: a hit or lookup answer built in an empty buffer — the
+// pool's after a collection — allocates its body once, at its full length,
+// for a figure-sized batch of stored results, job handles and a failure.
+func TestBodiesGrowOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	stats, err := simstore.EncodeStats(gpu.RunStats{Cycles: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []api.RawRunResult
+	var recs []api.RawRecord
+	for i := 0; i < 64; i++ {
+		key, fp := fmt.Sprintf("fig11-%02d", i), fmt.Sprintf("%064x", i)
+		results = append(results, api.RawRunResult{Key: key, Fingerprint: fp, Cached: true,
+			Status: api.StatusDone, Stats: stats.JSON, Peer: "http://127.0.0.1:8404"})
+		recs = append(recs, api.RawRecord{Fingerprint: fp, Key: key, Stats: stats.JSON})
+	}
+	results = append(results,
+		api.RawRunResult{Key: "queued", Fingerprint: strings.Repeat("f", 64), Status: api.StatusQueued, JobID: "j0a1b2c3d4e5f6a7b-000001"},
+		api.RawRunResult{Key: "failed", Status: api.StatusFailed, Error: "job queue full (4096 pending)"})
+	for _, c := range []struct {
+		what  string
+		build func() []byte
+	}{
+		{"hit", func() []byte { return appendRuns(nil, results) }},
+		{"lookup", func() []byte { return appendLookup(nil, recs) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { c.build() }); allocs != 1 {
+			t.Errorf("a %s answer of %d bytes built in an empty buffer allocates %.1f times, want 1", c.what, len(c.build()), allocs)
+		}
+	}
+}
+
 // TestAnswersDeclareLength: every kind of JSON answer — a stored batch
 // longer than net/http's 2 KB write buffer, a lookup, a job status carrying
 // statistics, its timeline, errors, membership and health — declares a

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -32,10 +31,6 @@ type Job struct {
 	started    time.Time
 	durationMs int64
 
-	// finished is set on entry to a terminal state; retention GC evicts
-	// terminal jobs by age.
-	finished time.Time
-
 	// Lifecycle trace, served by GET /v1/jobs/{id}/timeline. created is the
 	// submission instant (the queue-wait histogram's origin); spQueue is the
 	// open queue-wait span begin() ends.
@@ -43,8 +38,6 @@ type Job struct {
 	trace   *obs.Trace
 	spQueue *obs.Span
 }
-
-func terminal(state string) bool { return api.IsTerminal(state) }
 
 // QueueStats are the queue's observability counters (served by /metrics).
 type QueueStats struct {
@@ -55,26 +48,27 @@ type QueueStats struct {
 	Executed  uint64 // simulations actually run
 	Completed uint64
 	Failed    uint64
-	Cancelled uint64
 	DedupHits uint64 // submissions attached to an already-in-flight job
-	Evicted   uint64 // finished jobs dropped by the retention policy
+	Evicted   uint64 // finished jobs dropped by the retention cap
 }
 
 // Queue owns the jobs: a bounded worker pool executes run jobs, the store
 // absorbs their results, and an in-flight index deduplicates submissions so
-// two clients posting the same spec share one execution.
+// two clients posting the same spec share one execution. A job's life is
+// queued → running → done | failed: any job may be some other submitter's
+// too, so every admitted run finishes into the store.
 type Queue struct {
 	store   *simstore.Store
 	cp      sweep.Checkpointer // nil = cold execution only
 	workers int
-	ttl     time.Duration // evict terminal jobs older than this (0 = keep)
-	maxJobs int           // hard cap on retained jobs (0 = unbounded)
-	idBase  string        // job-ID prefix: cluster-unique, names this daemon (jobIDBase)
+	maxJobs int    // cap on retained finished jobs (0 = unbounded)
+	idBase  string // job-ID prefix: cluster-unique, names this daemon (jobIDBase)
 
 	mu       sync.Mutex
 	closed   bool
 	jobs     map[string]*Job
 	inflight map[string]*Job // fingerprint hex -> queued/running run job
+	finished []string        // retained finished job IDs, oldest first (maxJobs > 0 only)
 	seq      uint64
 	stats    QueueStats
 
@@ -119,7 +113,7 @@ func ownerTag(addr string) string {
 // cluster, not just within one daemon — forwarded submissions hand their
 // owner's IDs to clients, who may poll any member — and they name their
 // owner, so a member that does not hold a job finds the one that does
-// without asking around (Server.jobOwners):
+// without asking around (Server.jobOwner):
 //
 //	j <ownerTag(self)> <nonce> - <sequence>
 //
@@ -136,14 +130,13 @@ func jobIDBase(self string) string {
 }
 
 // NewQueue starts a queue with the given simulation worker count (0 uses
-// GOMAXPROCS) and finished-job retention policy: terminal jobs are evicted
-// once older than ttl, and whenever the job map exceeds maxJobs
-// (oldest-finished first). Zero disables the respective bound; in-flight
-// jobs are never evicted. A non-nil cp makes every executed run
-// checkpoint-assisted (resumed from stored state prefixes where possible;
-// statistics are unaffected). self is the daemon's advertised address ("" if
-// it has none), which the job IDs carry.
-func NewQueue(store *simstore.Store, workers int, ttl time.Duration, maxJobs int, cp sweep.Checkpointer, self string) *Queue {
+// GOMAXPROCS) and finished-job cap: a finished job stays pollable until
+// maxJobs newer jobs have finished (0 keeps every job). In-flight jobs
+// neither count toward the cap nor are evicted. A non-nil cp makes every
+// executed run checkpoint-assisted (resumed from stored state prefixes where
+// possible; statistics are unaffected). self is the daemon's advertised
+// address ("" if it has none), which the job IDs carry.
+func NewQueue(store *simstore.Store, workers int, maxJobs int, cp sweep.Checkpointer, self string) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -151,7 +144,6 @@ func NewQueue(store *simstore.Store, workers int, ttl time.Duration, maxJobs int
 		store:    store,
 		cp:       cp,
 		workers:  workers,
-		ttl:      ttl,
 		maxJobs:  maxJobs,
 		idBase:   jobIDBase(self),
 		jobs:     make(map[string]*Job),
@@ -162,19 +154,6 @@ func NewQueue(store *simstore.Store, workers int, ttl time.Duration, maxJobs int
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
 		go q.worker()
-	}
-	if ttl > 0 {
-		// The cap is enforced inline on job creation; the ticker exists for
-		// the TTL, which must fire even on an idle daemon.
-		interval := ttl / 4
-		if interval < time.Second {
-			interval = time.Second
-		}
-		if interval > time.Minute {
-			interval = time.Minute
-		}
-		q.wg.Add(1)
-		go q.gcLoop(interval)
 	}
 	return q
 }
@@ -194,66 +173,7 @@ func (q *Queue) Close() {
 	q.wg.Wait()
 }
 
-func (q *Queue) gcLoop(interval time.Duration) {
-	defer q.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-q.quit:
-			return
-		case <-t.C:
-			q.mu.Lock()
-			q.gcLocked(time.Now())
-			q.mu.Unlock()
-		}
-	}
-}
-
-// gcLocked evicts finished jobs per the retention policy. Only terminal
-// jobs are candidates: in-flight jobs always survive. Callers hold q.mu.
-func (q *Queue) gcLocked(now time.Time) {
-	var victims []*Job
-	for _, j := range q.jobs {
-		if terminal(j.state) {
-			victims = append(victims, j)
-		}
-	}
-	evict := func(j *Job) {
-		delete(q.jobs, j.ID)
-		q.stats.Evicted++
-	}
-	if q.ttl > 0 {
-		kept := victims[:0]
-		for _, j := range victims {
-			if now.Sub(j.finished) > q.ttl {
-				evict(j)
-			} else {
-				kept = append(kept, j)
-			}
-		}
-		victims = kept
-	}
-	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
-		sort.Slice(victims, func(i, k int) bool {
-			return victims[i].finished.Before(victims[k].finished)
-		})
-		for _, j := range victims {
-			if len(q.jobs) <= q.maxJobs {
-				break
-			}
-			evict(j)
-		}
-	}
-}
-
 func (q *Queue) newJobLocked() *Job {
-	// finishRun keeps the map at the cap in the steady state,
-	// so this fires only when terminal jobs accumulated without a finish
-	// (queued-job cancellations) — not on every submission.
-	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
-		q.gcLocked(time.Now())
-	}
 	q.seq++
 	j := &Job{
 		ID:    fmt.Sprintf("%s-%06d", q.idBase, q.seq),
@@ -271,9 +191,6 @@ type Submitted struct {
 	Cached      bool
 	Stats       simstore.EncodedStats
 	Job         *Job
-	// Shared marks a dedup hit: Job was created by an earlier submission,
-	// so this submitter must not cancel it on its own account.
-	Shared bool
 }
 
 // SubmitRun routes one run through the cache: a store hit returns
@@ -290,7 +207,7 @@ func (q *Queue) SubmitRun(key string, spec sweep.RunSpec, fp [32]byte) (Submitte
 	if j, ok := q.inflight[hexFP]; ok {
 		q.stats.DedupHits++
 		q.mu.Unlock()
-		return Submitted{Fingerprint: hexFP, Job: j, Shared: true}, nil
+		return Submitted{Fingerprint: hexFP, Job: j}, nil
 	}
 	// The unlocked store miss above races with a concurrent worker finishing
 	// this very spec (Put + inflight delete); re-check the store before
@@ -342,9 +259,7 @@ func (q *Queue) worker() {
 		case <-q.quit:
 			return
 		case j := <-q.pending:
-			if !q.begin(j) {
-				continue // cancelled while queued
-			}
+			q.begin(j)
 			runSp := j.trace.Start("run")
 			stats, err := executeSafely(j.spec, q.cp, runSp)
 			runSp.End()
@@ -370,27 +285,24 @@ func (q *Queue) worker() {
 	}
 }
 
-// begin moves a queued job to running; false means it was cancelled.
-func (q *Queue) begin(j *Job) bool {
+// begin moves a queued job to running.
+func (q *Queue) begin(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j.state != api.StatusQueued {
-		return false
-	}
 	j.state = api.StatusRunning
 	j.started = time.Now()
 	j.spQueue.End()
 	q.queueWait.Observe(time.Since(j.created).Seconds())
 	q.stats.Running++
-	return true
 }
 
+// finishRun settles a running job and retains it under the cap: past
+// maxJobs finished jobs, the oldest-finished one is evicted.
 func (q *Queue) finishRun(j *Job, stats gpu.RunStats, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.stats.Running--
 	q.stats.Executed++
-	j.finished = time.Now()
 	j.durationMs = time.Since(j.started).Milliseconds()
 	q.runDuration.Observe(time.Since(j.started).Seconds())
 	if err != nil {
@@ -403,29 +315,14 @@ func (q *Queue) finishRun(j *Job, stats gpu.RunStats, err error) {
 		q.stats.Completed++
 	}
 	delete(q.inflight, simstore.Hex(j.fp))
-	if q.maxJobs > 0 && len(q.jobs) > q.maxJobs {
-		q.gcLocked(time.Now())
+	if q.maxJobs > 0 {
+		q.finished = append(q.finished, j.ID)
+		if len(q.finished) > q.maxJobs {
+			delete(q.jobs, q.finished[0])
+			q.finished = q.finished[1:]
+			q.stats.Evicted++
+		}
 	}
-}
-
-// Cancel requests cancellation of a job. A queued job is terminated
-// immediately (note: a job shared by deduplicated submissions is cancelled
-// for all of them); a running job cannot be preempted (the simulator has no
-// internal preemption points) and reports its current state.
-func (q *Queue) Cancel(id string) (api.JobStatus, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return api.JobStatus{}, false
-	}
-	if j.state == api.StatusQueued {
-		j.state = api.StatusCancelled
-		j.finished = time.Now()
-		q.stats.Cancelled++
-		delete(q.inflight, simstore.Hex(j.fp))
-	}
-	return q.statusLocked(j), true
 }
 
 // Timeline returns the span tree a job's trace recorded so far, with the

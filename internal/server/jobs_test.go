@@ -3,19 +3,19 @@ package server
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/gpu"
+	"repro/internal/server/api"
 	"repro/internal/simstore"
 )
 
-func newTestQueue(t *testing.T, workers int, ttl time.Duration, maxJobs int) *Queue {
+func newTestQueue(t *testing.T, workers int, maxJobs int) *Queue {
 	t.Helper()
 	store, err := simstore.Open(t.TempDir(), simstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueue(store, workers, ttl, maxJobs, nil, "")
+	q := NewQueue(store, workers, maxJobs, nil, "")
 	t.Cleanup(q.Close)
 	return q
 }
@@ -23,7 +23,7 @@ func newTestQueue(t *testing.T, workers int, ttl time.Duration, maxJobs int) *Qu
 // TestJobIDsNameOwnerAndSurviveRestart: two queues built for the same
 // advertised address — a daemon and its restarted self — carry the same owner
 // tag but mint disjoint IDs, so a handle from before the restart can never
-// answer (or cancel) a job from after it.
+// answer for a job from after it.
 func TestJobIDsNameOwnerAndSurviveRestart(t *testing.T) {
 	const addr = "http://127.0.0.1:8404"
 	store, err := simstore.Open(t.TempDir(), simstore.Options{})
@@ -32,7 +32,7 @@ func TestJobIDsNameOwnerAndSurviveRestart(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for life := 0; life < 2; life++ {
-		q := NewQueue(store, 1, 0, 0, nil, addr)
+		q := NewQueue(store, 1, 0, nil, addr)
 		for i := 0; i < 3; i++ {
 			j := finishSyntheticRun(q)
 			if !strings.HasPrefix(j.ID, "j"+ownerTag(addr)) {
@@ -63,11 +63,12 @@ func finishSyntheticRun(q *Queue) *Job {
 }
 
 // TestJobRetentionBoundedUnderSoak is the unit-level soak for the finished-
-// job leak: 10k sequential submissions must never grow the job map past the
-// retention cap, while in-flight jobs always survive.
+// job leak: over 10k sequential runs at most maxJobs finished jobs are ever
+// retained, the evicted ones are exactly the oldest-finished, in finishing
+// order, and an in-flight job survives all of it.
 func TestJobRetentionBoundedUnderSoak(t *testing.T) {
-	const maxJobs = 100
-	q := newTestQueue(t, 1, time.Hour, maxJobs)
+	const maxJobs, runs = 100, 10_000
+	q := newTestQueue(t, 1, maxJobs)
 
 	// An in-flight job must survive any amount of churn.
 	q.mu.Lock()
@@ -75,42 +76,47 @@ func TestJobRetentionBoundedUnderSoak(t *testing.T) {
 	q.mu.Unlock()
 	q.begin(inflight)
 
-	for i := 0; i < 10_000; i++ {
-		finishSyntheticRun(q)
-		if n := q.Stats().Tracked; n > maxJobs+1 {
-			// +1: the cap is enforced on creation, so the map may briefly
-			// hold maxJobs plus the job being created.
-			t.Fatalf("after %d submissions the job map holds %d jobs, want <= %d", i+1, n, maxJobs+1)
+	retainedFinished := func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		n := 0
+		for _, j := range q.jobs {
+			if api.IsTerminal(j.state) {
+				n++
+			}
+		}
+		return n
+	}
+	var finished []string // every job finished, in finishing order
+	for i := 0; i < runs; i++ {
+		finished = append(finished, finishSyntheticRun(q).ID)
+		if n := retainedFinished(); n != min(i+1, maxJobs) {
+			t.Fatalf("after %d runs %d finished jobs are retained, want %d", i+1, n, min(i+1, maxJobs))
+		}
+		if i < maxJobs {
+			continue
+		}
+		// Each finish past the cap evicts the oldest-finished job, and only it.
+		if _, ok := q.Job(finished[i-maxJobs]); ok {
+			t.Fatalf("after %d runs the job that finished %d-th is still retained", i+1, i-maxJobs+1)
+		}
+		if _, ok := q.Job(finished[i-maxJobs+1]); !ok {
+			t.Fatalf("after %d runs the job that finished %d-th was evicted before its turn", i+1, i-maxJobs+2)
 		}
 	}
-	if n := q.Stats().Tracked; n > maxJobs {
-		t.Errorf("job map holds %d jobs after soak, want <= %d", n, maxJobs)
+	if got, want := q.Stats().Evicted, uint64(runs-maxJobs); got != want {
+		t.Errorf("evicted %d jobs, want %d", got, want)
 	}
-	if got := q.Stats().Evicted; got == 0 {
-		t.Error("no jobs were evicted during the soak")
+	for _, id := range finished[runs-maxJobs:] {
+		if _, ok := q.Job(id); !ok {
+			t.Errorf("job %s, among the %d newest finished, was evicted", id, maxJobs)
+		}
 	}
-
 	if _, ok := q.Job(inflight.ID); !ok {
 		t.Error("in-flight job was evicted by retention")
 	}
+	if n := q.Stats().Tracked; n != maxJobs+1 {
+		t.Errorf("tracking %d jobs, want the %d newest finished and the in-flight one", n, maxJobs)
+	}
 	q.finishRun(inflight, gpu.RunStats{}, nil) // let Close drain cleanly
-}
-
-// TestJobRetentionTTL: terminal jobs older than the TTL are evicted even
-// when the count cap is far away.
-func TestJobRetentionTTL(t *testing.T) {
-	q := newTestQueue(t, 1, 50*time.Millisecond, 0)
-	j := finishSyntheticRun(q)
-	if _, ok := q.Job(j.ID); !ok {
-		t.Fatal("finished job not queryable")
-	}
-	q.mu.Lock()
-	q.gcLocked(time.Now().Add(100 * time.Millisecond))
-	q.mu.Unlock()
-	if _, ok := q.Job(j.ID); ok {
-		t.Error("terminal job survived past its TTL")
-	}
-	if got := q.Stats().Evicted; got != 1 {
-		t.Errorf("evicted = %d, want 1", got)
-	}
 }

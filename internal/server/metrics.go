@@ -60,11 +60,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.queue.Stats().Completed) })
 	reg.CounterFunc("simd_jobs_failed_total", "Jobs finished with an error.",
 		func() float64 { return float64(s.queue.Stats().Failed) })
-	reg.CounterFunc("simd_jobs_cancelled_total", "Jobs cancelled before finishing.",
-		func() float64 { return float64(s.queue.Stats().Cancelled) })
 	reg.CounterFunc("simd_jobs_dedup_hits_total", "Submissions attached to an already-in-flight job.",
 		func() float64 { return float64(s.queue.Stats().DedupHits) })
-	reg.CounterFunc("simd_jobs_evicted_total", "Finished jobs dropped by the retention policy.",
+	reg.CounterFunc("simd_jobs_evicted_total", "Finished jobs dropped by the retention cap.",
 		func() float64 { return float64(s.queue.Stats().Evicted) })
 	reg.CounterFunc("simd_runs_executed_total", "Simulations actually executed (store misses).",
 		func() float64 { return float64(s.queue.Stats().Executed) })

@@ -43,13 +43,9 @@ type routedSpec struct {
 
 	// res is the answer once handled: a store or replica hit, a member's
 	// reply to a forward, or this daemon's own enqueue. A hit's statistics
-	// are the stored bytes, passed on undecoded. While res is an open job
-	// handle, remote names the member it lives on, or own marks a local job
-	// this submission created (not a dedup share of an earlier one's).
+	// are the stored bytes, passed on undecoded.
 	res     api.RawRunResult
 	handled bool
-	remote  string
-	own     bool
 }
 
 // newRouted fingerprints a validated spec: the one simstore.Fingerprint of
@@ -89,26 +85,8 @@ func (s *Server) enqueue(it *routedSpec) error {
 		Key: it.wire.Key, Fingerprint: sub.Fingerprint,
 		Status: api.StatusQueued, JobID: sub.Job.ID, Peer: s.Self(),
 	}
-	it.own, it.handled = !sub.Shared, true
+	it.handled = true
 	return nil
-}
-
-// cancelOwn cancels the simulations one submission started and nobody else
-// is waiting for — its own local jobs (not dedup-shared ones, which belong to
-// earlier submitters) and the handles its forwards opened on other members —
-// so an error answer leaves no orphans behind. Jobs already running finish:
-// the simulator has no preemption point.
-func (s *Server) cancelOwn(batch []routedSpec) {
-	ctx, cancel := context.WithTimeout(context.Background(), hopTimeout)
-	defer cancel()
-	for i := range batch {
-		switch it := &batch[i]; {
-		case it.remote != "":
-			s.peerClient(it.remote).Cancel(ctx, it.res.JobID) // best effort
-		case it.own:
-			s.queue.Cancel(it.res.JobID)
-		}
-	}
 }
 
 // resolver walks one batch down the read path against one membership
@@ -316,9 +294,6 @@ func (rv *resolver) forwardGroup(ctx context.Context, cand string, idxs []int) {
 			it.res.Peer = cand
 		}
 		it.handled = true
-		if !api.IsTerminal(it.res.Status) && it.res.JobID != "" {
-			it.remote = cand
-		}
 	}
 }
 
@@ -332,7 +307,3 @@ func (s *Server) topK(ranked []string) []string {
 func (s *Server) failover(reason string, n int) {
 	s.metrics.failoverReasons.With(reason).Add(uint64(n))
 }
-
-// hopTimeout bounds cancelOwn's cancels of the handles a batch's forwards
-// opened.
-const hopTimeout = 5 * time.Second

@@ -1,7 +1,9 @@
 // Package server exposes the simulator as a network service: an HTTP/JSON
 // API over the sweep engine, fronted by the content-addressed result store
 // (internal/simstore) and an asynchronous job queue with bounded simulation
-// workers, in-flight deduplication and per-job cancellation.
+// workers and in-flight deduplication. A job's life is queued → running →
+// done | failed: deduplication makes every queued job potentially shared, so
+// none is cancelled, and every admitted run finishes into the store.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -12,7 +14,6 @@
 //	GET  /v1/jobs/{id}/timeline  span tree of the job's lifecycle phases
 //	                         (queue wait, checkpoint probe/restore, warmup,
 //	                         kernel segments, measure window)
-//	POST /v1/jobs/{id}/cancel  cancel a queued run
 //	GET  /v1/cluster/membership  this daemon's gossip view (epoch + member
 //	                         statuses), no cross-member round-trips
 //	GET  /healthz            liveness + this daemon's store/queue summary
@@ -39,11 +40,11 @@
 // handle-based: the forwarder gets the owner's job ID back immediately and
 // hands it on to the client, who polls it at the owner — no request ever
 // blocks for the length of a simulation, and nothing on the server side
-// waits for one. A job ID names the member that minted it, so a status,
-// cancel or timeline request that lands elsewhere is answered with a 307 to
-// the owner (or a 404): nothing about a job travels server to server. Finished
-// jobs are retained in memory only per the Config.JobTTL/MaxJobs policy;
-// evicted job IDs answer 404 while their statistics remain in the store.
+// waits for one. A job ID names the member that minted it, so a status
+// or timeline request that lands elsewhere is answered with a 307 to the owner
+// (or a 404): nothing about a job travels server to server. A finished job
+// stays in memory until Config.MaxJobs newer jobs have finished; an evicted
+// job ID answers 404 while its statistics remain in the store.
 //
 // The daemon serves runs, not figures: paperfigs -server regenerates figures
 // locally and submits each figure's declared runs as one POST /v1/runs
@@ -71,16 +72,13 @@ import (
 	"repro/internal/sweep"
 )
 
-// Default finished-job retention policy (the cmd/simd flag defaults).
+// DefaultMaxJobs is the finished-job cap cmd/simd passes by default.
 // Finished jobs are kept in memory so clients can poll their results; an
 // unbounded map is a memory leak under sustained traffic, so the daemon
-// evicts terminal jobs after DefaultJobTTL and whenever more than
-// DefaultMaxJobs are retained. The statistics themselves live on in the
-// content-addressed store — eviction only forgets the job ID.
-const (
-	DefaultJobTTL  = 15 * time.Minute
-	DefaultMaxJobs = 1000
-)
+// evicts the oldest-finished job once more than DefaultMaxJobs have
+// finished. The statistics themselves live on in the content-addressed
+// store — eviction only forgets the job ID.
+const DefaultMaxJobs = 1000
 
 // Config assembles a Server.
 type Config struct {
@@ -89,10 +87,9 @@ type Config struct {
 	// Workers bounds concurrent simulations; 0 uses GOMAXPROCS.
 	Workers int
 
-	// JobTTL evicts finished jobs older than this (0 keeps them forever);
-	// MaxJobs caps the retained job count (0 = unbounded). cmd/simd passes
-	// DefaultJobTTL / DefaultMaxJobs unless overridden by flags.
-	JobTTL  time.Duration
+	// MaxJobs caps the finished jobs kept pollable, evicting the
+	// oldest-finished first (0 = unbounded); in-flight jobs never count.
+	// cmd/simd passes DefaultMaxJobs unless overridden by its flag.
 	MaxJobs int
 
 	// Checkpoints makes every executed run checkpoint-assisted: GPU state
@@ -179,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 		s.ckpt = checkpoint.NewManager(cfg.Store)
 		cp = s.ckpt
 	}
-	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.JobTTL, cfg.MaxJobs, cp, s.selfAddr)
+	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.MaxJobs, cp, s.selfAddr)
 	if len(cfg.Seeds) > 0 || cfg.Gossip {
 		ncfg := cluster.NodeConfig{
 			Self:           cfg.Self,
@@ -212,7 +209,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/replicate", s.handleReplicate)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleJobTimeline)
-	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/cluster/membership", s.handleMembership)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -359,9 +355,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	// Forwarded requests are always executed here (at most one hop).
 	// Forwards happen before any local enqueue, so a spec whose every
 	// remote candidate fails cleanly falls back to the local path below.
+	// Runs already admitted — by forwards, or by the enqueues below before
+	// one of them fails — finish into the stores whatever this request's
+	// answer: a resubmission then finds them in flight or stored.
 	if r.Header.Get(api.ForwardedHeader) == "" {
 		if s.resolve(r.Context(), batch); r.Context().Err() != nil {
-			s.cancelOwn(batch)
 			return // disconnected mid-forward; the response has no reader
 		}
 	}
@@ -371,9 +369,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		it := &batch[i]
 		if !it.handled { // else answered by a store or a ranked member
 			if err := s.enqueue(it); err != nil {
-				// An error response must not leave orphaned simulations
-				// behind, here or on the members the forwards reached.
-				s.cancelOwn(batch)
 				writeError(w, http.StatusServiceUnavailable, "spec %d: %v", i, err)
 				return
 			}
@@ -406,7 +401,7 @@ func (s *Server) jobOwner(id string) string {
 	return owner
 }
 
-// jobMiss answers a status, cancel or timeline request for a job this daemon
+// jobMiss answers a status or timeline request for a job this daemon
 // does not hold: a 307 to the same path on the member its ID names, at no
 // cluster-internal request, or a 404.
 func (s *Server) jobMiss(w http.ResponseWriter, r *http.Request, id string) {
@@ -417,24 +412,16 @@ func (s *Server) jobMiss(w http.ResponseWriter, r *http.Request, id string) {
 	writeError(w, http.StatusNotFound, "no job %q", id)
 }
 
-// serveJob answers a status or cancel request from the local queue, or else
-// with jobMiss.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, local func(string) (api.JobStatus, bool)) {
+// handleJob implements GET /v1/runs/{id}: the job's status from the local
+// queue, or jobMiss.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if st, ok := local(id); ok {
+	if st, ok := s.queue.Job(id); ok {
 		st.Peer = s.Self()
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
 	s.jobMiss(w, r, id)
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.serveJob(w, r, s.queue.Job)
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.serveJob(w, r, s.queue.Cancel)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

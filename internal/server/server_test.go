@@ -184,7 +184,8 @@ func TestBatchDedupSharesExecution(t *testing.T) {
 	}
 }
 
-// TestJobStatus covers GET /v1/runs/{id}.
+// TestJobStatus covers GET /v1/runs/{id}, and that no job can be cancelled:
+// the cancel route is gone.
 func TestJobStatus(t *testing.T) {
 	_, c := newTestServer(t, 1)
 	ctx := context.Background()
@@ -208,37 +209,13 @@ func TestJobStatus(t *testing.T) {
 	if _, err := c.Job(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown job error = %v, want HTTP 404", err)
 	}
-}
-
-// TestCancelQueuedJob: with one worker busy, a queued job can be cancelled
-// before it ever simulates.
-func TestCancelQueuedJob(t *testing.T) {
-	_, c := newTestServer(t, 1)
-	ctx := context.Background()
-
-	// A moderately long run occupies the only worker...
-	long := tinySpec("long", 1)
-	long.MeasureCycles = 60_000
-	resp, err := c.Runs(ctx, api.RunRequest{Specs: []api.Spec{long, tinySpec("victim", 2)}}, false)
+	cancel, err := http.Post(c.BaseURL+"/v1/jobs/"+id+"/cancel", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := resp.Results[1].JobID
-
-	st, err := c.Cancel(ctx, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != api.StatusCancelled {
-		t.Fatalf("cancelled queued job reports %q, want cancelled", st.Status)
-	}
-	// The long job is unaffected and completes.
-	final, err := c.WaitJob(ctx, resp.Results[0].JobID, 25*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != api.StatusDone {
-		t.Errorf("long job = %s, want done", final.Status)
+	cancel.Body.Close()
+	if cancel.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/jobs/{id}/cancel = HTTP %d, want 404: no job is cancelled", cancel.StatusCode)
 	}
 }
 

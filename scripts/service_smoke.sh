@@ -25,8 +25,10 @@
 #
 # Usage: scripts/service_smoke.sh [store-dir]
 #
-#   store-dir           where the daemons keep their result stores
-#                       (default: ./smoke-store; CI uploads it as an artifact)
+#   store-dir           where the daemons keep their result stores, all of
+#                       them under it; cleared at the start of every run, so
+#                       the first POST is a miss (default: ./smoke-store; CI
+#                       uploads it as an artifact)
 #
 # Response bodies, logs and other working files go to a temp scratch dir,
 # never the repo root.
@@ -36,6 +38,7 @@ cd "$(dirname "$0")/.."
 command -v jq >/dev/null || { echo "service_smoke.sh: jq is required" >&2; exit 1; }
 
 store="${1:-smoke-store}"
+rm -rf "$store"
 scratch="$(mktemp -d "${TMPDIR:-/tmp}/simd-smoke.XXXXXX")"
 spec='{"benchmarks":["VA"],"measure_cycles":20000,"warmup_cycles":8000}'
 

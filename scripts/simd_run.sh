@@ -16,10 +16,10 @@ command -v jq >/dev/null || { echo "simd_run.sh: jq is required" >&2; exit 1; }
 url=$1
 
 resp="$(curl -sf -X POST "$url/v1/runs" -d "$2")"
-for id in $(jq -r '.results[] | select(.job_id != null and .status != "done" and .status != "failed" and .status != "cancelled") | .job_id' <<<"$resp" | sort -u); do
+for id in $(jq -r '.results[] | select(.job_id != null and .status != "done" and .status != "failed") | .job_id' <<<"$resp" | sort -u); do
   while :; do
     st="$(curl -sfL "$url/v1/runs/$id")"
-    case "$(jq -r .status <<<"$st")" in done|failed|cancelled) break ;; esac
+    case "$(jq -r .status <<<"$st")" in done|failed) break ;; esac
     sleep 0.1
   done
   resp="$(jq --argjson st "$st" \
