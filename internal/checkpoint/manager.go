@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,9 +174,6 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 			// A decodable snapshot that does not fit the freshly built run
 			// (stale geometry under a key collision, a partially restored
 			// program) is as corrupt as an unparsable one.
-			if closer, ok := prog.(io.Closer); ok {
-				closer.Close()
-			}
 			m.store.DropBlob(c.key)
 			m.errors.Add(1)
 			restore.Annotate("error", err.Error())
