@@ -117,26 +117,30 @@ func cmdInfo(args []string) error {
 		if err != nil {
 			return err
 		}
-		st := snap.State
-		// Decode verifies length and checksum before it reads the payload.
+		o, err := snap.State.Outline()
+		if err != nil {
+			return err
+		}
+		// Decode verifies length, checksum and section table before Outline
+		// reads a section.
 		fmt.Printf("  checksum     ok\n")
-		sections, payload := st.Sections(), 0
-		for _, sec := range sections {
+		payload := 0
+		for _, sec := range o.Sections {
 			payload += sec.Bytes
 		}
 		fmt.Printf("  payload      %.1f KB\n", float64(payload)/1024)
-		for _, sec := range sections {
+		for _, sec := range o.Sections {
 			fmt.Printf("    %-10s %8.1f KB  %4.1f%%\n", sec.Name, float64(sec.Bytes)/1024, 100*float64(sec.Bytes)/float64(payload))
 		}
-		fmt.Printf("  llc mode     %s\n", st.Mode)
-		fmt.Printf("  geometry     %d SMs, %d LLC slices, %d MCs\n", len(st.SMs), len(st.Slices), len(st.MCs))
-		// AppModes is only populated for multi-program runs with per-app views.
-		if apps := len(st.AppModes); apps > 0 {
-			fmt.Printf("  programs     %d app(s)\n", apps)
+		fmt.Printf("  llc mode     %s\n", o.Mode)
+		fmt.Printf("  geometry     %d SMs, %d LLC slices, %d MCs\n", o.SMs, o.Slices, o.MCs)
+		// Per-app modes are only set for multi-program runs with per-app views.
+		if o.Apps > 0 {
+			fmt.Printf("  programs     %d app(s)\n", o.Apps)
 		}
-		fmt.Printf("  reconfigs    %d (%d stall cycles)\n", st.ReconfigCount, st.StallCycles)
+		fmt.Printf("  reconfigs    %d (%d stall cycles)\n", o.ReconfigCount, o.StallCycles)
 		// One synthetic generator per application.
-		draws, err := workload.StreamPositions(st.Prog)
+		draws, err := workload.StreamPositions(o.Prog)
 		if err != nil {
 			return err
 		}

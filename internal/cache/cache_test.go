@@ -40,28 +40,49 @@ func TestConfigValidate(t *testing.T) {
 
 // TestRestoreRejectsBadRecency: a snapshot whose valid lines do not rank
 // 0..n-1 once each in their set — a position repeated, or past the set's
-// valid lines — is refused before anything is overwritten.
+// valid lines — is refused.
 func TestRestoreRejectsBadRecency(t *testing.T) {
 	c := New(Config{SizeBytes: 4 * 4 * 128, Ways: 4, LineBytes: 128, Policy: WriteBack})
 	for a := uint64(0); a < 64; a++ {
 		c.Access(a<<7, Write, int(a%3))
 	}
 	good := snapshot(c)
-	if err := New(c.Config()).RestoreState(good); err != nil {
+	if err := restore(New(c.Config()), good); err != nil {
 		t.Fatal(err)
 	}
+	_, at := columns(t, good)
 	for name, forge := range map[string]func(r []uint8){
 		"repeated":     func(r []uint8) { r[1] = r[0] },
 		"out of range": func(r []uint8) { r[0] = 4 },
 		"past the set": func(r []uint8) { r[0] = 200 },
 	} {
-		st := snapshot(c)
-		forge(st.Recency)
-		if err := c.RestoreState(st); err == nil || !strings.Contains(err.Error(), "ranks") {
+		b := bytes.Clone(good)
+		forge(b[at:])
+		if err := restore(New(c.Config()), b); err == nil || !strings.Contains(err.Error(), "ranks") {
 			t.Errorf("%s: RestoreState = %v, want a ranking error", name, err)
 		}
-		if got := snapshot(c); !bytes.Equal(got.AppendTo(nil), good.AppendTo(nil)) {
-			t.Errorf("%s: a refused snapshot changed the cache", name)
+	}
+}
+
+// TestRestoreRejectsPaddingBits: the valid and dirty bit sets fill whole
+// bytes, and a snapshot that sets a bit past the slots, or past the valid
+// lines the dirty bits cover, is refused.
+func TestRestoreRejectsPaddingBits(t *testing.T) {
+	c := New(Config{SizeBytes: 6 * 128, Ways: 6, LineBytes: 128, Policy: WriteBack}) // one set of 6 slots
+	for a := uint64(0); a < 3; a++ {
+		c.Access(a<<7, Write, 0)
+	}
+	good := snapshot(c)
+	if err := restore(New(c.Config()), good); err != nil {
+		t.Fatal(err)
+	}
+	// The slot count is one byte, then one byte of valid bits and one of
+	// dirty bits for the 3 valid lines.
+	for at, want := range map[int]string{1: "valid beyond", 2: "dirty beyond"} {
+		b := bytes.Clone(good)
+		b[at] |= 0x80
+		if err := restore(New(c.Config()), b); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("bit 7 of byte %d set: RestoreState = %v, want an error containing %q", at, err, want)
 		}
 	}
 }

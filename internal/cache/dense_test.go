@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -166,82 +167,135 @@ func (c *rowScanCache) sharerHistogram() (h [5]int) {
 	return
 }
 
-// saveState lays the lines out as Cache.SaveStateInto does; a line's
-// recency position is how many valid lines of its set carry a later stamp.
-func (c *rowScanCache) saveState() State {
-	st := State{Slots: len(c.sets) * c.cfg.Ways}
-	st.Valid = make([]uint64, (st.Slots+63)/64)
-	var dirty []bool
-	var sharers []uint64
+// appendState writes the lines in the v7 layout Cache.AppendState writes,
+// laid out here by hand from the line structs: a line's recency position is
+// how many valid lines of its set carry a later stamp.
+func (c *rowScanCache) appendState(b []byte) []byte {
+	var valid, dirty []bool
+	var tags, sharers []uint64
+	var recency []byte
 	shared := false
-	for s, set := range c.sets {
-		for w, l := range set {
+	c.each(func(_ int, l *rowScanLine) {
+		valid = append(valid, l.valid)
+	})
+	for _, set := range c.sets {
+		for _, l := range set {
 			if !l.valid {
 				continue
 			}
-			slot := s*c.cfg.Ways + w
-			st.Valid[slot>>6] |= 1 << (slot & 63)
 			dirty = append(dirty, l.dirty)
-			st.Tags = append(st.Tags, l.tag)
-			rank := uint8(0)
+			tags = append(tags, l.tag)
+			rank := byte(0)
 			for _, o := range set {
 				if o.valid && o.lastUse > l.lastUse {
 					rank++
 				}
 			}
-			st.Recency = append(st.Recency, rank)
+			recency = append(recency, rank)
 			sharers = append(sharers, l.sharers)
 			shared = shared || l.sharers != 0
 		}
 	}
-	if shared {
-		st.Sharers = sharers
+	b = wire.AppendUvarint(b, uint64(len(valid)))
+	b = append(b, packBits(valid)...)
+	b = append(b, packBits(dirty)...)
+	for _, t := range tags {
+		b = wire.AppendUvarint(b, t)
 	}
-	st.Dirty = make([]uint64, (len(dirty)+63)/64)
-	for k, d := range dirty {
-		if d {
-			st.Dirty[k>>6] |= 1 << (k & 63)
+	b = append(b, recency...)
+	b = wire.AppendBool(b, shared)
+	for _, s := range sharers {
+		if shared {
+			b = wire.AppendUvarint(b, s)
 		}
 	}
-	return st
+	return b
 }
 
-// restoreState stamps each set's lines in their recency order, below a
-// clock advanced past every position.
-func (c *rowScanCache) restoreState(st State) {
+// packBits is bs as little-endian bytes, a bit each.
+func packBits(bs []bool) []byte {
+	p := make([]byte, (len(bs)+7)/8)
+	for i, v := range bs {
+		if v {
+			p[i/8] |= 1 << (i % 8)
+		}
+	}
+	return p
+}
+
+// restoreState reads the v7 layout back, stamping each set's lines in their
+// recency order below a clock advanced past every position.
+func (c *rowScanCache) restoreState(tb testing.TB, b []byte) {
+	tb.Helper()
+	r := wire.NewReader(b)
+	slots := int(r.Uvarint())
+	valid := r.Take((slots + 7) / 8)
+	n := 0
+	for i := 0; i < slots; i++ {
+		n += int(valid[i/8] >> (i % 8) & 1)
+	}
+	dirty := r.Take((n + 7) / 8)
+	tags := make([]uint64, n)
+	for k := range tags {
+		tags[k] = r.Uvarint()
+	}
+	recency := r.Take(n)
+	var sharers []uint64
+	if r.Bool() {
+		sharers = make([]uint64, n)
+		for k := range sharers {
+			sharers[k] = r.Uvarint()
+		}
+	}
+	if err := r.Done(); err != nil {
+		tb.Fatal(err)
+	}
 	c.clock += MaxWays
 	k := 0
 	c.each(func(slot int, l *rowScanLine) {
 		*l = rowScanLine{}
-		if st.Valid[slot>>6]>>(slot&63)&1 == 0 {
+		if valid[slot/8]>>(slot%8)&1 == 0 {
 			return
 		}
-		*l = rowScanLine{valid: true, dirty: st.Dirty[k>>6]>>(k&63)&1 != 0, tag: st.Tags[k],
-			lastUse: c.clock - uint64(st.Recency[k])}
-		if st.Sharers != nil {
-			l.sharers = st.Sharers[k]
+		*l = rowScanLine{valid: true, dirty: dirty[k/8]>>(k%8)&1 != 0, tag: tags[k],
+			lastUse: c.clock - uint64(recency[k])}
+		if sharers != nil {
+			l.sharers = sharers[k]
 		}
 		k++
 	})
 }
 
-// snapshot is c's state in a fresh State.
-func snapshot(c *Cache) State {
-	var st State
-	c.SaveStateInto(&st)
-	return st
+// snapshot is c's wire form.
+func snapshot(c *Cache) []byte { return c.AppendState(nil) }
+
+// restore reads b into c and returns the reader's verdict.
+func restore(c *Cache, b []byte) error {
+	r := wire.NewReader(b)
+	c.RestoreState(r)
+	return r.Done()
 }
 
-// throughWire is st after AppendTo and ReadFrom.
-func throughWire(tb testing.TB, st State) State {
+// columns returns where the tag and the recency columns of a Cache's wire
+// form start.
+func columns(tb testing.TB, b []byte) (tags, recency int) {
 	tb.Helper()
-	var out State
-	r := wire.NewReader(st.AppendTo(nil))
-	out.ReadFrom(r)
-	if err := r.Done(); err != nil {
+	r := wire.NewReader(b)
+	slots := r.Uvarint()
+	n := 0
+	for _, v := range r.Take(int(slots+7) / 8) {
+		n += bits.OnesCount8(v)
+	}
+	tags = len(wire.AppendUvarint(nil, slots)) + int(slots+7)/8 + (n+7)/8
+	recency = tags
+	r.Take((n + 7) / 8)
+	for i := 0; i < n; i++ {
+		recency += len(wire.AppendUvarint(nil, r.Uvarint()))
+	}
+	if err := r.Err(); err != nil {
 		tb.Fatal(err)
 	}
-	return out
+	return tags, recency
 }
 
 // The operations a twin drive applies to both sides.
@@ -253,7 +307,7 @@ const (
 	opResetSharers //
 	opFlush        //
 	opReset        // Reset, to the other write policy
-	opRoundTrip    // the Cache rebuilt from its own snapshot: Save → AppendTo → ReadFrom → Restore
+	opRoundTrip    // the Cache rebuilt from its own wire form
 	opRestoreCache // the Cache rebuilt from the reference's snapshot, through the wire
 	opRestoreRef   // the reference rebuilt from the Cache's snapshot, through the wire
 	numOps
@@ -317,17 +371,17 @@ func (w *twin) step(step, op int, a uint64, kind AccessKind, cluster int) {
 		c.Reset(p)
 		ref.reset(p)
 	case opRoundTrip, opRestoreCache:
-		st := snapshot(c)
+		b := snapshot(c)
 		if op == opRestoreCache {
-			st = ref.saveState()
+			b = ref.appendState(nil)
 		}
 		w.c = New(c.Config())
-		if err := w.c.RestoreState(throughWire(tb, st)); err != nil {
+		if err := restore(w.c, b); err != nil {
 			tb.Fatalf("step %d: %v", step, err)
 		}
 		w.restores++
 	case opRestoreRef:
-		ref.restoreState(throughWire(tb, snapshot(c)))
+		ref.restoreState(tb, snapshot(c))
 		w.restores++
 	}
 }
@@ -336,8 +390,8 @@ func (w *twin) step(step, op int, a uint64, kind AccessKind, cluster int) {
 // sharer histograms.
 func (w *twin) check(step int) {
 	w.tb.Helper()
-	if got, want := snapshot(w.c), w.ref.saveState(); !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
-		w.tb.Fatalf("step %d: snapshots differ:\n%+v\n%+v", step, got, want)
+	if got, want := snapshot(w.c), w.ref.appendState(nil); !bytes.Equal(got, want) {
+		w.tb.Fatalf("step %d: snapshots differ:\n%x\n%x", step, got, want)
 	}
 	one, two, threeFour, fivePlus, total := w.c.SharerHistogram()
 	if got, want := [5]int{one, two, threeFour, fivePlus, total}, w.ref.sharerHistogram(); got != want {
@@ -524,7 +578,7 @@ func TestTagWordAddressRange(t *testing.T) {
 		if res := c.Access(a^256, Read, 0); !res.Evicted || !res.WritebackReq || res.EvictedAddr != c.LineAddr(a) {
 			t.Fatalf("eviction of %#x reported %+v", a, res)
 		}
-		if err := New(c.Config()).RestoreState(snapshot(c)); err != nil {
+		if err := restore(New(c.Config()), snapshot(c)); err != nil {
 			t.Fatalf("snapshot holding the neighbours of %#x: %v", a, err)
 		}
 		c.FlushAll()
@@ -535,9 +589,10 @@ func TestTagWordAddressRange(t *testing.T) {
 	if !byteLines.Find(top-1).Hit() || byteLines.Find(top-2).Hit() || byteLines.ValidLines() != 1 {
 		t.Error("the last representable line number did not round-trip")
 	}
-	st := snapshot(byteLines)
-	st.Tags[0] = top // the one line number a tag word cannot hold
-	if err := byteLines.RestoreState(st); err == nil {
-		t.Error("a snapshot holding the all-ones line number was accepted")
+	b := snapshot(byteLines)
+	at, end := columns(t, b)
+	forged := append(wire.AppendUvarint(append([]byte(nil), b[:at]...), top), b[end:]...) // the one line number a tag word cannot hold
+	if err := restore(New(byteLines.Config()), forged); err == nil || !strings.Contains(err.Error(), "which a tag word cannot") {
+		t.Errorf("a snapshot holding the all-ones line number: %v, want it refused", err)
 	}
 }

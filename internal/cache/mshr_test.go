@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestMSHRBasicAllocateComplete(t *testing.T) {
@@ -233,8 +235,7 @@ func TestMSHRBoundedTableSizesListsOnce(t *testing.T) {
 	if got := fill(m); got != 3 {
 		t.Errorf("first fill of 8 entries x 32 merges allocated %d times, want 3", got)
 	}
-	var st MSHRState[int]
-	SaveMSHRs(m, &st, func(p int) int { return p })
+	st := m.AppendState(nil, func(b []byte, p int) []byte { return wire.AppendInt(b, p) })
 	drain(m)
 	if got := fill(m); got != 0 {
 		t.Errorf("second fill allocated %d times, want 0", got)
@@ -242,7 +243,9 @@ func TestMSHRBoundedTableSizesListsOnce(t *testing.T) {
 
 	fresh := NewMSHRTable[int](8, 0)
 	fresh.ExpectMerges(32)
-	if err := fresh.RestoreState(st); err != nil {
+	r := wire.NewReader(st)
+	fresh.RestoreState(r, 1, func(r *wire.Reader, _ int) int { return r.Int() })
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fresh.Complete(3); len(got) != 32 || got[31] != 31 {

@@ -90,9 +90,9 @@ func TestTouchedSetMatchesFullScan(t *testing.T) {
 			c.FlushAll()
 		default:
 			what = "restore"
-			st := snapshot(c)
+			b := snapshot(c)
 			c = New(c.Config())
-			if err := c.RestoreState(st); err != nil {
+			if err := restore(c, b); err != nil {
 				t.Fatal(err)
 			}
 		}

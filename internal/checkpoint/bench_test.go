@@ -76,18 +76,20 @@ func encodeStable(tb testing.TB, g *gpu.GPU) []byte {
 }
 
 // The ladder's checkpoint rungs (scripts/bench.sh --layers): the four steps
-// of one snapshot on the benchmark's two GPU workloads, on recycled scratch
-// as Manager.Checkpoint and Resume run them; MB/s is blob bytes.
+// of one snapshot on the benchmark's two GPU workloads — Save and Encode
+// into a recycled buffer, as Manager.Checkpoint writes, Decode and Restore as
+// a resume reads; MB/s is blob bytes.
 
 func BenchmarkSave(b *testing.B) {
 	for _, ref := range references[:2] {
 		b.Run(ref.String(), func(b *testing.B) {
 			g := ref.warm(b)
-			var snap Snapshot
+			var buf []byte
 			b.SetBytes(int64(len(encodeStable(b, g))))
 			b.ReportAllocs()
 			for b.Loop() {
-				if err := saveInto(g, &snap); err != nil {
+				var err error
+				if buf, err = g.AppendState(buf[:0]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -105,7 +107,7 @@ func BenchmarkEncode(b *testing.B) {
 			var buf []byte
 			b.ReportAllocs()
 			for b.Loop() {
-				if buf, err = appendSnapshot(buf[:0], snap); err != nil {
+				if buf, err = appendFile(buf[:0], snap.Header, func(b []byte) ([]byte, error) { return snap.State.AppendTo(b), nil }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,11 +120,10 @@ func BenchmarkDecode(b *testing.B) {
 	for _, ref := range references[:2] {
 		b.Run(ref.String(), func(b *testing.B) {
 			blob := ref.blob(b)
-			var snap Snapshot
 			b.SetBytes(int64(len(blob)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if err := decodeInto(blob, &snap); err != nil {
+				if _, err := Decode(blob); err != nil {
 					b.Fatal(err)
 				}
 			}

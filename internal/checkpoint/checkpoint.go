@@ -36,13 +36,12 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/simstore"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
 // FormatVersion versions the snapshot file: the frame below and the wire
 // form of gpu.State inside it. Any change to either — a field added to a
-// State type's AppendTo, a different column order — bumps it; snapshots with
+// component's AppendState, a different column order — bumps it; snapshots with
 // another version are rejected on decode (the store drops them and the run
 // falls back to a shorter prefix or cold execution), and no reader for old
 // versions is kept.
@@ -58,21 +57,28 @@ import (
 // stamp per line, so its snapshot carries each valid line's position in its
 // set's recency order where it carried the stamp and the store's clock; the
 // lines' last clusters and the generator's per-warp sweep positions, which
-// nothing read, leave the state.
-const FormatVersion = 7
+// nothing read, leave the state. Version 8: every component encodes and
+// restores its live fields with no mirror struct between, and the state
+// opens with a table of its seven section lengths, so a blob is checked
+// without a GPU configuration; each section keeps its v7 bytes.
+const FormatVersion = 8
 
 // A checkpoint file is
 //
-//	repro-checkpoint/7\n            magic line with the format version
-//	{"version":7,...}\n             Header as one JSON line
-//	<8 bytes>                       payload length, little-endian
+//	repro-checkpoint/8\n            magic line with the format version
+//	{"version":8,...}\n             Header as one JSON line
+//	<8 bytes>                       length of the rest, little-endian
 //	<4 bytes>                       CRC-32C, little-endian
-//	<payload>                       gpu.State.AppendTo
+//	<7 x 4 bytes>                   section table: each section's length
+//	<sections>                      machine, SMs, LLC, DRAM, NoC, controller,
+//	                                program, each written by its components
 //
-// The two text lines make a file self-describing (`checkpointtool info`
-// reads them alone). The checksum covers everything between the magic line
-// and the end of the file except itself — header line, length and payload —
-// and is verified, with the length, before a payload byte is interpreted.
+// The table and the sections are gpu.State.AppendTo's bytes. The two text
+// lines make a file self-describing (`checkpointtool info` reads them
+// alone). The checksum covers everything between the magic line and the end
+// of the file except itself — header line, length, table and sections — and
+// is verified, with the length and the table, before a section byte is
+// interpreted.
 const (
 	magicPrefix = "repro-checkpoint/"
 	frameBytes  = 8 + 4
@@ -96,7 +102,7 @@ type Header struct {
 }
 
 // Snapshot is a decoded checkpoint: the descriptor plus the complete GPU
-// state.
+// state in its wire form.
 type Snapshot struct {
 	Header Header
 	State  gpu.State
@@ -106,31 +112,29 @@ type Snapshot struct {
 // workload program driving g does not support checkpointing (every program in
 // this repository does).
 func Save(g *gpu.GPU) (*Snapshot, error) {
-	snap := new(Snapshot)
-	if err := saveInto(g, snap); err != nil {
-		return nil, err
+	st, err := g.SaveState()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return snap, nil
+	return &Snapshot{Header: newHeader(g), State: st}, nil
 }
 
-// saveInto is Save reusing the backing arrays snap.State already has.
-func saveInto(g *gpu.GPU, snap *Snapshot) error {
-	if err := g.SaveStateInto(&snap.State); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	snap.Header = Header{
+// newHeader describes a snapshot of g taken now.
+func newHeader(g *gpu.GPU) Header {
+	return Header{
 		Version:     FormatVersion,
 		SimVersion:  simstore.SimVersion,
-		Cycle:       snap.State.Cycle,
+		Cycle:       g.Cycle(),
 		SavedAtUnix: time.Now().Unix(),
 	}
-	return nil
 }
 
 // Restore builds a GPU from cfg and prog — which must be freshly constructed
 // from the same inputs as the checkpointed run — and restores the snapshot
-// onto it. The returned GPU continues the run exactly where the snapshot left
-// it; resumed statistics are byte-identical to the uninterrupted run's.
+// onto it, leaving the snapshot unchanged. The returned GPU continues the run
+// exactly where the snapshot left it; resumed statistics are byte-identical
+// to the uninterrupted run's. A snapshot whose sections do not parse, or do
+// not fit the GPU, is refused here.
 func Restore(cfg config.Config, prog workload.Program, snap *Snapshot) (*gpu.GPU, error) {
 	if snap.Header.Version != FormatVersion {
 		return nil, fmt.Errorf("checkpoint: snapshot format v%d, this simulator reads v%d", snap.Header.Version, FormatVersion)
@@ -145,12 +149,13 @@ func Restore(cfg config.Config, prog workload.Program, snap *Snapshot) (*gpu.GPU
 // Encode serializes a snapshot into a checkpoint file. The bytes are a pure
 // function of the header and the state.
 func Encode(snap *Snapshot) ([]byte, error) {
-	return appendSnapshot(nil, snap)
+	return appendFile(nil, snap.Header, func(b []byte) ([]byte, error) { return snap.State.AppendTo(b), nil })
 }
 
-// appendSnapshot is Encode appending to b.
-func appendSnapshot(b []byte, snap *Snapshot) ([]byte, error) {
-	hdr, err := json.Marshal(snap.Header)
+// appendFile appends a checkpoint file to b: the preamble holding hdr, the
+// frame, and the state body appends (gpu.State.AppendTo's bytes).
+func appendFile(b []byte, hdr Header, body func([]byte) ([]byte, error)) ([]byte, error) {
+	line, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode header: %w", err)
 	}
@@ -158,11 +163,13 @@ func appendSnapshot(b []byte, snap *Snapshot) ([]byte, error) {
 	b = strconv.AppendInt(b, FormatVersion, 10)
 	b = append(b, '\n')
 	covered := len(b)
-	b = append(b, hdr...)
+	b = append(b, line...)
 	b = append(b, '\n')
 	frame := len(b)
 	b = append(b, make([]byte, frameBytes)...)
-	b = snap.State.AppendTo(b)
+	if b, err = body(b); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
 	binary.LittleEndian.PutUint64(b[frame:], uint64(len(b)-frame-frameBytes))
 	sum := crc32.Update(0, castagnoli, b[covered:frame+8])
 	sum = crc32.Update(sum, castagnoli, b[frame+frameBytes:])
@@ -213,32 +220,22 @@ func parseHeader(line []byte) (Header, error) {
 	return hdr, nil
 }
 
-// Decode parses a checkpoint file. Any malformation — bad magic, version
-// skew, a length or checksum that does not match, a payload that does not
-// parse — is an error; callers holding the blob in a store drop it and fall
-// back to cold execution.
+// Decode parses a checkpoint file. Any malformation of the frame — bad
+// magic, version skew, a length, checksum or section table that does not
+// match — is an error; callers holding the blob in a store drop it and fall
+// back to cold execution. Whether the sections parse is Restore's question.
+// The snapshot's state keeps data (it is not copied), which must not change
+// while the snapshot is in use.
 func Decode(data []byte) (*Snapshot, error) {
-	snap := new(Snapshot)
-	if err := decodeInto(data, snap); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// decodeInto is Decode reusing the backing arrays snap.State already has.
-// On error snap holds nothing usable.
-func decodeInto(data []byte, snap *Snapshot) error {
 	hdr, payload, err := openFrame(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r := wire.NewReader(payload)
-	snap.State.ReadFrom(r)
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("checkpoint: decode state: %w", err)
+	st, err := gpu.ParseState(payload)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
 	}
-	snap.Header = hdr
-	return nil
+	return &Snapshot{Header: hdr, State: st}, nil
 }
 
 // openFrame validates everything around the payload — magic, header, length

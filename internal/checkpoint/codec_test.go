@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -60,10 +61,12 @@ func hostileLength(tb testing.TB) []byte {
 	return frameAround(tb, append(wire.AppendUvarint(nil, 1<<60), bytes.Repeat([]byte{0xFF}, 64)...))
 }
 
-// FuzzDecode: no input makes Decode panic or allocate beyond a small
-// multiple of its size. The checksum stops nearly every mutation at the
-// frame, so the bytes behind the preamble are also fed to the state decoder
-// directly, as a payload whose checksum happened to match.
+// FuzzDecode: no input makes Decode or a restore panic, or allocate beyond
+// a small multiple of its size. Every input that decodes is restored onto a
+// fresh micro GPU of the pinned snapshot's run. The checksum stops nearly
+// every mutation at the frame, so the bytes behind the preamble are also
+// taken as a state whose checksum happened to match, and restored when its
+// section table adds up.
 func FuzzDecode(f *testing.F) {
 	for _, ref := range references {
 		blob := ref.blob(f)
@@ -73,24 +76,31 @@ func FuzzDecode(f *testing.F) {
 	f.Add(hostileLength(f))
 	f.Add(pinnedBlob(f)) // small enough for the mutator to get somewhere
 	f.Add(forgedRecencyBlob(f))
+	restore := func(t *testing.T, st gpu.State, n int) {
+		g := pinnedGPU(t)
+		if got := allocated(func() { _ = g.RestoreState(st) }); got > allocBound(n) {
+			t.Errorf("RestoreState of %d bytes allocated %d", n, got)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got := allocated(func() {
-			if snap, err := Decode(data); err == nil && snap.Header.Version != FormatVersion {
+		var snap *Snapshot
+		var err error
+		if got := allocated(func() { snap, err = Decode(data) }); got > allocBound(len(data)) {
+			t.Errorf("Decode of %d bytes allocated %d", len(data), got)
+		}
+		if err == nil {
+			if snap.Header.Version != FormatVersion {
 				t.Errorf("decoded a v%d snapshot", snap.Header.Version)
 			}
-		}); got > allocBound(len(data)) {
-			t.Errorf("Decode of %d bytes allocated %d", len(data), got)
+			restore(t, snap.State, len(data))
 		}
 		payload := data
 		for i := 0; i < 2; i++ {
 			payload = payload[bytes.IndexByte(payload, '\n')+1:]
 		}
 		payload = payload[min(frameBytes, len(payload)):]
-		if got := allocated(func() {
-			var st gpu.State
-			st.ReadFrom(wire.NewReader(payload))
-		}); got > allocBound(len(payload)) {
-			t.Errorf("ReadFrom of %d bytes allocated %d", len(payload), got)
+		if st, err := gpu.ParseState(payload); err == nil {
+			restore(t, st, len(payload))
 		}
 	})
 }
@@ -147,20 +157,32 @@ func TestReferenceBlobBudget(t *testing.T) {
 // zeroed. Stores hold these bytes across builds, so a change that moves them
 // must bump FormatVersion, and only then update the hash. (A change to what
 // the simulator computes moves them too; that one bumps simstore.SimVersion,
-// which re-keys every stored blob.)
-const wireGolden = "23e12b803c91d46e73c0e945e905a088258d322112821cd424157cfbd597cb6f"
+// which re-keys every stored blob.) sectionsGolden pins the sections alone,
+// the bytes behind the section table, which are the v7 payload: v8 moved
+// only the frame around them.
+const (
+	wireGolden     = "4bbb6333b9ce59fef3ad55e8f7782e2a6e1c6dce355e4a0525d4cbb8c84c579f"
+	sectionsGolden = "c5e7fe2f6596ca4282a7e747b450c487d05f71bf7cce9ae0aac460382ff03ca4"
+)
 
 func TestWireFormatStable(t *testing.T) {
-	sum := sha256.Sum256(pinnedBlob(t))
+	blob := pinnedBlob(t)
+	sum := sha256.Sum256(blob)
 	if got := hex.EncodeToString(sum[:]); got != wireGolden {
 		t.Errorf("Encode of the pinned snapshot hashes to\n  %s, want\n  %s\nif the wire form changed: bump FormatVersion (stores hold v%d blobs), then update wireGolden",
 			got, wireGolden, FormatVersion)
 	}
+	snap, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(snap.State.Payload); hex.EncodeToString(sum[:]) != sectionsGolden {
+		t.Errorf("the pinned snapshot's sections hash to %x, want %s", sum, sectionsGolden)
+	}
 }
 
-// pinnedBlob encodes the snapshot wireGolden pins (a few KB, where the
-// reference snapshots are hundreds).
-func pinnedBlob(tb testing.TB) []byte {
+// pinnedGPU is the GPU of the snapshot wireGolden pins, built and warmed.
+func pinnedGPU(tb testing.TB) *gpu.GPU {
 	tb.Helper()
 	cfg := microCfg(config.LLCAdaptive)
 	spec, ok := workload.ByAbbr("BP")
@@ -171,30 +193,64 @@ func pinnedBlob(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return g
+}
+
+// pinnedBlob encodes the snapshot wireGolden pins (a few KB, where the
+// reference snapshots are hundreds).
+func pinnedBlob(tb testing.TB) []byte {
+	tb.Helper()
+	g := pinnedGPU(tb)
 	g.Warmup(1_500)
 	return encodeStable(tb, g)
 }
 
 // forgedRecencyBlob is the pinned snapshot with two valid lines of one L1
-// set given the same recency position: well framed, a payload that parses,
-// and a state no cache can be in.
+// set given the same recency position: well framed, sections that parse,
+// and a state no cache can be in. It walks SM 0's section of the pinned
+// snapshot to its L1's recency column, laid out as the SM and the cache
+// write it, and repeats the position of the first set that holds two lines.
 func forgedRecencyBlob(tb testing.TB) []byte {
 	tb.Helper()
-	cfg := microCfg(config.LLCAdaptive)
-	snap, err := Decode(pinnedBlob(tb))
+	ways := microCfg(config.LLCAdaptive).L1Ways
+	g := pinnedGPU(tb)
+	g.Warmup(1_500)
+	snap, err := Save(g)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l1 := &snap.State.SMs[0].L1
+	snap.Header.SavedAtUnix = 0
+	r := wire.NewReader(snap.State.Payload[snap.State.Lengths[0]:]) // the SMs section
+	r.Uvarint()                                                     // the SM count
+	for range 3 + 12 {                                              // cycle, request counter, app, statistics
+		r.Varint()
+	}
+	for range r.Uvarint() { // scheduler positions
+		r.Varint()
+	}
+	slots := int(r.Uvarint())
+	valid := r.Take((slots + 7) / 8) // the L1's valid set
+	n := 0
+	for _, v := range valid {
+		n += bits.OnesCount8(v)
+	}
+	r.Take((n + 7) / 8) // dirty bits
+	for range n {       // tags
+		r.Uvarint()
+	}
+	recency := r.Take(n) // aliases the payload
+	if err := r.Err(); err != nil {
+		tb.Fatal(err)
+	}
 	lastSet, k := -1, 0
-	for i := 0; i < l1.Slots; i++ {
-		if l1.Valid[i>>6]>>(i&63)&1 == 0 {
+	for i := 0; i < slots; i++ {
+		if valid[i/8]>>(i%8)&1 == 0 {
 			continue
 		}
-		if set := i / cfg.L1Ways; set != lastSet {
+		if set := i / ways; set != lastSet {
 			lastSet = set
 		} else {
-			l1.Recency[k] = l1.Recency[k-1]
+			recency[k] = recency[k-1]
 			blob, err := Encode(snap)
 			if err != nil {
 				tb.Fatal(err)
@@ -222,15 +278,15 @@ func TestRestoreRejectsForgedRecency(t *testing.T) {
 }
 
 // TestManagerBytesMatchSaveEncode: there is one path. What Manager.Checkpoint
-// banks — on recycled scratch, whatever it held before — is byte for byte
+// banks — into a recycled buffer, whatever it held before — is byte for byte
 // what Save + Encode produce for the same GPU and header, and what it
-// decodes on scratch restores like a fresh Decode.
+// resumes from the banked bytes saves the same state again.
 func TestManagerBytesMatchSaveEncode(t *testing.T) {
 	mgr, store := newManager(t)
 	var replicated []byte
 	mgr.OnSave(func(_ [32]byte, data []byte) { replicated = data })
 
-	// Dirty the scratch with a snapshot of another shape first.
+	// Dirty the recycled buffer with a snapshot of another shape first.
 	other := genRunSpec(t, config.LLCPrivate)
 	other.Workloads = []workload.Spec{benchSpec(t, "BP", 3), benchSpec(t, "VA", 3)}
 	for _, spec := range []sweep.RunSpec{other, genRunSpec(t, config.LLCAdaptive)} {
@@ -285,14 +341,14 @@ func TestManagerBytesMatchSaveEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fresh, snap.State) {
-			t.Errorf("%d-app run: a GPU resumed through scratch saves a different State", len(spec.Workloads))
+			t.Errorf("%d-app run: a GPU resumed from the banked bytes saves a different State", len(spec.Workloads))
 		}
 	}
 }
 
 // TestManagerScratchIsPerCall drives one manager from several goroutines, as
 // the sweep worker pool does: every banked blob must decode to its own run
-// (run under -race, this is also the gate on the scratch pool).
+// (run under -race, this is also the gate on the buffer pool).
 func TestManagerScratchIsPerCall(t *testing.T) {
 	mgr, store := newManager(t)
 	modes := []config.LLCMode{config.LLCShared, config.LLCPrivate, config.LLCAdaptive, config.LLCShared}

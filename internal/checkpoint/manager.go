@@ -39,16 +39,9 @@ type Manager struct {
 	// the blob key and encoded bytes (the cluster replication hook).
 	onSave func(key [32]byte, data []byte)
 
-	// scratch recycles the snapshot and the encode buffer a Checkpoint or a
-	// Resume works in (*scratch): the sweep worker pool shares one manager,
-	// and a State's backing arrays are worth more than the bytes they hold.
-	scratch sync.Pool
-}
-
-// scratch is one worker's reusable snapshot and encode buffer.
-type scratch struct {
-	snap Snapshot
-	buf  []byte
+	// buffers recycles the buffer a Checkpoint encodes into (*[]byte): the
+	// sweep worker pool shares one manager.
+	buffers sync.Pool
 }
 
 // OnSave registers a post-save hook. Set before the manager is handed to
@@ -59,7 +52,7 @@ var _ sweep.Checkpointer = (*Manager)(nil)
 
 // NewManager wraps a store with checkpoint semantics.
 func NewManager(store *simstore.Store) *Manager {
-	return &Manager{store: store, scratch: sync.Pool{New: func() any { return new(scratch) }}}
+	return &Manager{store: store, buffers: sync.Pool{New: func() any { return new([]byte) }}}
 }
 
 // Stats reports the manager's counters: resumed runs, stored snapshots, blob
@@ -138,17 +131,13 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 		m.probeSeconds.ObserveSince(probeStart)
 	}
 
-	cands := m.candidates(spec)
-	// RestoreState copies out of the snapshot, so the scratch it was decoded
-	// into goes back to the pool whichever way this returns.
-	sc := m.scratch.Get().(*scratch)
-	defer m.scratch.Put(sc)
-	for _, c := range cands {
+	for _, c := range m.candidates(spec) {
 		data, ok := m.store.GetBlob(c.key)
 		if !ok {
 			continue
 		}
-		if err := decodeInto(data, &sc.snap); err != nil {
+		snap, err := Decode(data)
+		if err != nil {
 			// Corrupt or truncated blob: self-heal and keep probing shorter
 			// prefixes.
 			m.store.DropBlob(c.key)
@@ -169,11 +158,11 @@ func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Pro
 			m.restoreSeconds.ObserveSince(restoreStart)
 			return nil, nil, 0, false
 		}
-		g, err := Restore(spec.Config, prog, &sc.snap)
+		g, err := Restore(spec.Config, prog, snap)
 		if err != nil {
-			// A decodable snapshot that does not fit the freshly built run
-			// (stale geometry under a key collision, a partially restored
-			// program) is as corrupt as an unparsable one.
+			// A snapshot whose sections do not parse, or do not fit the
+			// freshly built run (stale geometry under a key collision, a
+			// partially restored program), is as corrupt as an unframed one.
 			m.store.DropBlob(c.key)
 			m.errors.Add(1)
 			restore.Annotate("error", err.Error())
@@ -205,20 +194,16 @@ func (m *Manager) Checkpoint(spec sweep.RunSpec, g *gpu.GPU, atKernel int) {
 	}
 	saveStart := time.Now()
 	defer func() { m.saveSeconds.ObserveSince(saveStart) }()
-	sc := m.scratch.Get().(*scratch)
-	defer m.scratch.Put(sc)
-	if err := saveInto(g, &sc.snap); err != nil {
-		m.errors.Add(1)
-		return
-	}
-	sc.snap.Header.Key = spec.Key
-	sc.snap.Header.AtKernel = atKernel
-	data, err := appendSnapshot(sc.buf[:0], &sc.snap)
+	buf := m.buffers.Get().(*[]byte)
+	defer m.buffers.Put(buf)
+	hdr := newHeader(g)
+	hdr.Key, hdr.AtKernel = spec.Key, atKernel
+	data, err := appendFile((*buf)[:0], hdr, g.AppendState)
 	if err != nil {
 		m.errors.Add(1)
 		return
 	}
-	sc.buf = data
+	*buf = data
 	if err := m.store.PutBlob(key, data); err != nil {
 		m.errors.Add(1)
 		return

@@ -114,7 +114,7 @@ type queued struct {
 	// doneAt is the cycle the data transfer finishes once issued.
 	doneAt uint64
 	// seq is the arrival sequence number. FR-FCFS "oldest first", the order
-	// of same-cycle completions and SaveState's queue order all follow it.
+	// of same-cycle completions and AppendState's queue order all follow it.
 	seq uint64
 	// next links the slot into its bank's un-issued FIFO or the free list.
 	next int32

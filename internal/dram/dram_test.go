@@ -13,12 +13,8 @@ func testController() *Controller {
 	return NewController(0, cfg)
 }
 
-// snapshot is c's state in a fresh State.
-func snapshot(c *Controller) State {
-	var st State
-	c.SaveStateInto(&st)
-	return st
-}
+// snapshot is c's wire form.
+func snapshot(c *Controller) []byte { return c.AppendState(nil) }
 
 // run ticks the controller until all enqueued requests complete or the cycle
 // limit is reached, returning the completions in order and the cycle the last

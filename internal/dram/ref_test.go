@@ -1,11 +1,13 @@
 package dram
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 )
 
 // refController is the controller as it was before the per-bank rewrite: one
@@ -16,8 +18,8 @@ import (
 // older request owns this bank" marks cover every bank, not the first 64.
 type refController struct {
 	timing       config.GDDRTiming
-	banks        []BankState
-	queue        []QueuedState
+	banks        []refBank
+	queue        []refQueued
 	queueCap     int
 	burstCycles  int
 	lineBytes    int
@@ -35,7 +37,7 @@ func newRefController(cfg config.Config) *refController {
 	if burst < 1 {
 		burst = 1
 	}
-	banks := make([]BankState, cfg.BanksPerMC)
+	banks := make([]refBank, cfg.BanksPerMC)
 	for i := range banks {
 		banks[i].OpenRow = -1
 	}
@@ -55,7 +57,7 @@ func (c *refController) Enqueue(req Request) bool {
 		return false
 	}
 	req.Arrival = c.cycle
-	c.queue = append(c.queue, QueuedState{Req: req})
+	c.queue = append(c.queue, refQueued{Req: req})
 	c.stats.Requests++
 	if req.Write {
 		c.stats.Writes++
@@ -133,7 +135,7 @@ func (c *refController) issueOne() {
 	}
 }
 
-func (c *refController) issueColumn(q *QueuedState, b *BankState) {
+func (c *refController) issueColumn(q *refQueued, b *refBank) {
 	switch {
 	case q.Conflict:
 		c.stats.RowConflicts++
@@ -155,21 +157,82 @@ func (c *refController) issueColumn(q *QueuedState, b *BankState) {
 	c.stats.TotalQueueing += c.cycle - q.Req.Arrival
 }
 
-func (c *refController) saveState() State {
-	return State{
-		Banks:        append([]BankState{}, c.banks...),
-		Queue:        append([]QueuedState(nil), c.queue...), // nil when empty, as the controller saves it
-		BusFreeAt:    c.busFreeAt,
-		LastActCycle: c.lastActCycle,
-		Stats:        c.stats,
-		Cycle:        c.cycle,
-	}
+// refBank is one bank's timing state machine.
+type refBank struct {
+	OpenRow    int64
+	ReadyAt    uint64
+	ActAllowed uint64
+	PreAllowed uint64
 }
 
-func (c *refController) restoreState(st State) {
-	c.banks = append(c.banks[:0], st.Banks...)
-	c.queue = append(c.queue[:0], st.Queue...)
-	c.busFreeAt, c.lastActCycle, c.stats, c.cycle = st.BusFreeAt, st.LastActCycle, st.Stats, st.Cycle
+// refQueued is one queued (possibly issued) request.
+type refQueued struct {
+	Req       Request
+	Issued    bool
+	Conflict  bool
+	Activated bool
+	DoneAt    uint64
+}
+
+// appendState writes the reference in the v7 layout Controller.AppendState
+// writes, laid out here by hand: the counted banks, the counted queue, the
+// scalars and the statistics.
+func (c *refController) appendState(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(c.banks)))
+	for _, k := range c.banks {
+		b = wire.AppendUvarint(b, uint64(k.OpenRow+1))
+		b = wire.AppendUvarint(b, k.ReadyAt)
+		b = wire.AppendUvarint(b, k.ActAllowed)
+		b = wire.AppendUvarint(b, k.PreAllowed)
+	}
+	b = wire.AppendUvarint(b, uint64(len(c.queue)))
+	for _, q := range c.queue {
+		b = wire.AppendUvarint(b, q.Req.ID)
+		b = wire.AppendInt(b, q.Req.Bank)
+		b = wire.AppendUvarint(b, q.Req.Row)
+		b = wire.AppendBool(b, q.Req.Write)
+		b = wire.AppendUvarint(b, q.Req.Arrival)
+		b = wire.AppendInt(b, q.Req.Meta.Slice)
+		b = wire.AppendUvarint(b, q.Req.Meta.Addr)
+		b = wire.AppendBool(b, q.Req.Meta.Fill)
+		b = wire.AppendBool(b, q.Issued)
+		b = wire.AppendBool(b, q.Conflict)
+		b = wire.AppendBool(b, q.Activated)
+		b = wire.AppendUvarint(b, q.DoneAt)
+	}
+	b = wire.AppendUvarint(b, c.busFreeAt)
+	b = wire.AppendUvarint(b, c.lastActCycle)
+	b = wire.AppendUvarint(b, c.cycle)
+	s := &c.stats
+	for _, v := range []uint64{s.Requests, s.Reads, s.Writes, s.RowHits, s.RowMisses,
+		s.RowConflicts, s.BytesMoved, s.BusyCycles, s.TotalQueueing, s.Completed, s.StallsFull} {
+		b = wire.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// restoreState reads the v7 layout back into the reference.
+func (c *refController) restoreState(tb testing.TB, b []byte) {
+	tb.Helper()
+	r := wire.NewReader(b)
+	c.banks = make([]refBank, r.Uvarint())
+	for i := range c.banks {
+		c.banks[i] = refBank{OpenRow: int64(r.Uvarint()) - 1, ReadyAt: r.Uvarint(), ActAllowed: r.Uvarint(), PreAllowed: r.Uvarint()}
+	}
+	c.queue = make([]refQueued, r.Uvarint())
+	for i := range c.queue {
+		c.queue[i] = refQueued{Req: Request{ID: r.Uvarint(), Bank: r.Int(), Row: r.Uvarint(), Write: r.Bool(), Arrival: r.Uvarint(),
+			Meta: Meta{Slice: r.Int(), Addr: r.Uvarint(), Fill: r.Bool()}}, Issued: r.Bool(), Conflict: r.Bool(), Activated: r.Bool(), DoneAt: r.Uvarint()}
+	}
+	c.busFreeAt, c.lastActCycle, c.cycle = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	s := &c.stats
+	for _, p := range []*uint64{&s.Requests, &s.Reads, &s.Writes, &s.RowHits, &s.RowMisses,
+		&s.RowConflicts, &s.BytesMoved, &s.BusyCycles, &s.TotalQueueing, &s.Completed, &s.StallsFull} {
+		*p = r.Uvarint()
+	}
+	if err := r.Done(); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // trafficShape parameterises the randomized request stream of the
@@ -263,19 +326,20 @@ func TestControllerMatchesReference(t *testing.T) {
 					t.Fatalf("cycle %d: %d requests queued or in flight, reference %d", cyc, got.count, len(ref.queue))
 				}
 				if cyc%997 == 0 || cyc == cycles/2 {
-					if a, b := snapshot(got), ref.saveState(); !reflect.DeepEqual(a, b) {
-						t.Fatalf("cycle %d: snapshot\n got %+v\nwant %+v", cyc, a, b)
+					if a, b := snapshot(got), ref.appendState(nil); !bytes.Equal(a, b) {
+						t.Fatalf("cycle %d: snapshot\n got %x\nwant %x", cyc, a, b)
 					}
 				}
 				if cyc == cycles/2 {
 					// Continue on the used instance, restored from the
 					// snapshot, and put the reference through the same.
 					st := snapshot(got)
-					if err := used.RestoreState(st); err != nil {
-						t.Fatal(err)
+					r := wire.NewReader(st)
+					if used.RestoreState(r); r.Done() != nil {
+						t.Fatal(r.Err())
 					}
 					got, used = used, got
-					ref.restoreState(st)
+					ref.restoreState(t, st)
 				}
 			}
 			if got.Stats() != ref.stats {

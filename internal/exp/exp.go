@@ -30,10 +30,11 @@ import (
 // traces with a 50K-cycle profiling window and 1M-cycle epochs for the
 // adaptive controller. This harness runs synthetic workloads for tens of
 // thousands of cycles, so ProfileWindowCycles is scaled down proportionally
-// (2K at the default 60K-cycle measurement) while EpochCycles stays at the
-// paper's 1M — at harness scale an epoch therefore never expires mid-run and
-// adaptation is driven by the profiling window and kernel boundaries, which
-// is the regime the paper's figures probe. Scaling MeasureCycles up (e.g.
+// (2K at the default 60K-cycle measurement) while the epoch stays at the
+// paper's 1M (config.Baseline's EpochCycles) — at harness scale an epoch
+// therefore never expires mid-run and adaptation is driven by the profiling
+// window and kernel boundaries, which is the regime the paper's figures
+// probe. Scaling MeasureCycles up (e.g.
 // via paperfigs -cycles) moves the harness closer to the paper's operating
 // point at a linear cost in wall-clock time.
 type Options struct {
@@ -43,11 +44,10 @@ type Options struct {
 	WarmupCycles uint64
 	// Seed drives the workload generators.
 	Seed int64
-	// ProfileWindowCycles and EpochCycles configure the adaptive controller;
-	// they are scaled down together with the shortened simulations (the
-	// paper uses 50K/1M on billion-instruction runs; see the Options doc).
+	// ProfileWindowCycles configures the adaptive controller's profiling
+	// window, scaled down with the shortened simulations (the paper uses 50K
+	// on billion-instruction runs; see the Options doc).
 	ProfileWindowCycles int
-	EpochCycles         int
 
 	// Exec executes a figure's declared runs; nil means the zero
 	// sweep.Runner (see sweep.Executor). cmd/paperfigs hands in the one
@@ -96,7 +96,6 @@ func DefaultOptions() Options {
 		WarmupCycles:        20_000,
 		Seed:                1,
 		ProfileWindowCycles: 2_000,
-		EpochCycles:         1_000_000,
 	}
 }
 
@@ -113,7 +112,6 @@ func (o Options) baseConfig(mode config.LLCMode) config.Config {
 	cfg := config.Baseline()
 	cfg.LLCMode = mode
 	cfg.ProfileWindowCycles = o.ProfileWindowCycles
-	cfg.EpochCycles = o.EpochCycles
 	return cfg
 }
 

@@ -185,8 +185,6 @@ func New(cfg config.Config, prog workload.Program) (*GPU, error) {
 		}
 		g.ctrl = ctrl
 	}
-	noc.UseRestorePools(g.reqNet, &g.pktPool, g.reqPool)
-	noc.UseRestorePools(g.repNet, &g.pktPool, g.reqPool)
 	g.activateAll()
 	return g, nil
 }

@@ -151,8 +151,9 @@ func TestPeekingHandoffsMatchPopAndUnpop(t *testing.T) {
 // a reply the network had refused in the slice's queue with ReadyAt 0
 // ("still ready"), and snapshots banked by such a build carry that; the
 // peeking hand-off leaves ReadyAt alone. Any value in the past means the
-// same, so a snapshot rewritten the old way must resume to the statistics of
-// the uninterrupted run.
+// same, so a restored GPU whose matured head replies are handed back the old
+// way (PopReply + UnpopReply) must resume to the statistics of the
+// uninterrupted run.
 func TestParentStyleSnapshotResumesIdentically(t *testing.T) {
 	cfg := stateTestConfig(config.LLCShared)
 	cfg.NumSMs, cfg.NumClusters, cfg.SchedulersPerSM = 8, 2, 2
@@ -177,18 +178,15 @@ func TestParentStyleSnapshotResumesIdentically(t *testing.T) {
 	})
 	rewritten := 0
 	for _, st := range snaps {
-		st = wireRoundTrip(t, st) // a private copy to rewrite
-		for i := range st.Slices {
-			for j := range st.Slices[i].ReplyOut {
-				if r := &st.Slices[i].ReplyOut[j]; r.ReadyAt != 0 && r.ReadyAt <= st.Cycle {
-					r.ReadyAt = 0
-					rewritten++
-				}
-			}
-		}
 		resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), st)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, s := range resumed.slices {
+			if r, ok := s.PopReply(resumed.cycle); ok {
+				s.UnpopReply(r) // the parent's hand-off: back at the head, ready at 0
+				rewritten++
+			}
 		}
 		requireSameStats(t, cold, resumed.ResumeRun(stateMeasure, stateKernels, nil))
 	}

@@ -1,355 +1,290 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/llc"
-	"repro/internal/noc"
-	"repro/internal/sm"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// State is a complete snapshot of a GPU mid-simulation: every component's
+// State is a complete snapshot of a GPU mid-simulation — every component's
 // architectural and statistical state plus the top-level mode machinery and
-// collectors. Restoring it onto a freshly constructed GPU built from the same
-// configuration and workload inputs reproduces the remainder of the run
-// cycle-for-cycle, so an interrupted and a resumed run yield byte-identical
-// statistics.
+// collectors — in its wire form: Payload is the sections of sectionNames,
+// one after another, each written by its components straight from their
+// live fields, and Lengths says how many bytes each takes. Restoring it onto
+// a freshly constructed GPU built from the same configuration and workload
+// inputs reproduces the remainder of the run cycle-for-cycle, so an
+// interrupted and a resumed run yield byte-identical statistics.
 //
-// The snapshot holds only exported value types (no pointers except the
-// implicit ones inside slices). AppendTo / ReadFrom are its wire form, the
-// payload of a checkpoint file.
+// AppendTo writes the section table (a little-endian uint32 length per
+// section) and the payload, the bytes a checkpoint file holds; ParseState
+// reads them back. Restoring reads a State without changing it.
 type State struct {
-	Cycle    uint64
-	RunStart uint64
-
-	Mode     config.LLCMode
-	AppModes []config.LLCMode
-
-	// Reconfiguration state machine.
-	ReconfigActive  bool
-	ReconfigStarted uint64
-	StallUntil      uint64
-
-	// Collectors.
-	GatedCycles      uint64
-	StallCycles      uint64
-	ReconfigCount    uint64
-	SharerBuckets    [4]uint64
-	SharerTotal      uint64
-	SharerWindowEnd  uint64
-	KernelBoundaries []uint64
-	ModeCycles       [3]uint64
-
-	// Components.
-	SMs     []sm.State
-	Slices  []llc.SliceState
-	MCs     []dram.State
-	ReqNet  noc.NetState
-	RepNet  noc.NetState
-	HasCtrl bool
-	Ctrl    core.State
-	Prog    workload.ProgramState
+	Lengths [numSections]int
+	Payload []byte
 }
+
+// sectionNames lists the parts of a State in wire order.
+var sectionNames = [numSections]string{"machine", "SMs", "LLC", "DRAM", "NoC", "controller", "program"}
+
+// The sections' indices.
+const (
+	secMachine = iota
+	secSMs
+	secLLC
+	secDRAM
+	secNoC
+	secCtrl
+	secProgram
+	numSections
+)
+
+// tableBytes is the size of the section table in front of the payload.
+const tableBytes = 4 * numSections
+
+// section returns the bytes of section i.
+func (st *State) section(i int) []byte {
+	at := 0
+	for _, n := range st.Lengths[:i] {
+		at += n
+	}
+	return st.Payload[at : at+st.Lengths[i]]
+}
+
+// AppendTo appends the state's wire form, the section table and the
+// payload, to b.
+func (st *State) AppendTo(b []byte) []byte {
+	for _, n := range st.Lengths {
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	}
+	return append(b, st.Payload...)
+}
+
+// ParseState splits b, a section table and the payload behind it, into a
+// State that keeps b (it does not copy it). It checks only that the table
+// adds up to the payload: whether the sections fit a GPU is RestoreState's
+// question.
+func ParseState(b []byte) (State, error) {
+	var st State
+	if len(b) < tableBytes {
+		return st, fmt.Errorf("gpu: state of %d bytes holds no section table", len(b))
+	}
+	total := uint64(0)
+	for i := range st.Lengths {
+		n := binary.LittleEndian.Uint32(b[4*i:])
+		st.Lengths[i] = int(n)
+		total += uint64(n)
+	}
+	if st.Payload = b[tableBytes:]; total != uint64(len(st.Payload)) {
+		return State{}, fmt.Errorf("gpu: section table adds up to %d bytes, payload is %d", total, len(st.Payload))
+	}
+	return st, nil
+}
+
+// Cycle returns the current simulated cycle.
+func (g *GPU) Cycle() uint64 { return g.cycle }
 
 // SaveState captures the GPU's complete mutable state. It fails if the
 // workload program does not support checkpointing.
 func (g *GPU) SaveState() (State, error) {
-	var st State
-	err := g.SaveStateInto(&st)
-	return st, err
+	b, err := g.AppendState(nil)
+	if err != nil {
+		return State{}, err
+	}
+	return ParseState(b)
 }
 
-// SaveStateInto is SaveState reusing the backing arrays st already has, so
-// a caller that snapshots repeatedly pays for one State. On error st holds
-// nothing usable.
-func (g *GPU) SaveStateInto(st *State) error {
+// AppendState appends the GPU's state in its wire form — State.AppendTo's
+// bytes — to b, writing every section straight from the components. It
+// fails if the workload program does not support checkpointing.
+func (g *GPU) AppendState(b []byte) ([]byte, error) {
 	cp, ok := g.prog.(workload.Checkpointable)
 	if !ok {
-		return fmt.Errorf("gpu: program %T is not checkpointable", g.prog)
+		return nil, fmt.Errorf("gpu: program %T is not checkpointable", g.prog)
 	}
-	var err error
-	if st.Prog, err = cp.SaveProgState(); err != nil {
-		return fmt.Errorf("gpu: %w", err)
+	prog, err := cp.SaveProgState()
+	if err != nil {
+		return nil, fmt.Errorf("gpu: %w", err)
 	}
-
 	// What ticking every SM and slice every cycle would have left.
 	g.settleSMs(g.cycle)
 	for _, s := range g.slices {
 		s.SetCycle(g.cycle)
 	}
-	st.Cycle = g.cycle
-	st.RunStart = g.runStart
-	st.Mode = g.mode
-	st.AppModes = append(st.AppModes[:0], g.appModes...)
-	st.ReconfigActive = g.reconfigActive
-	st.ReconfigStarted = g.reconfigStarted
-	st.StallUntil = g.stallUntil
-	st.GatedCycles = g.gatedCycles
-	st.StallCycles = g.stallCycles
-	st.ReconfigCount = g.reconfigCount
-	st.SharerBuckets = g.sharerBuckets
-	st.SharerTotal = g.sharerTotal
-	st.SharerWindowEnd = g.sharerWindowEnd
-	st.KernelBoundaries = append(st.KernelBoundaries[:0], g.kernelBoundaries...)
-	st.ModeCycles = g.modeCycles
-
-	st.SMs = wire.Resize(st.SMs, len(g.sms))
-	for i, s := range g.sms {
-		s.SaveStateInto(&st.SMs[i])
+	table := len(b)
+	b = append(b, make([]byte, tableBytes)...)
+	for i := range numSections {
+		at := len(b)
+		switch i {
+		case secMachine:
+			b = g.appendMachine(b)
+		case secSMs:
+			b = wire.AppendUvarint(b, uint64(len(g.sms)))
+			for _, s := range g.sms {
+				b = s.AppendState(b)
+			}
+		case secLLC:
+			b = wire.AppendUvarint(b, uint64(len(g.slices)))
+			for _, s := range g.slices {
+				b = s.AppendState(b)
+			}
+		case secDRAM:
+			b = wire.AppendUvarint(b, uint64(len(g.mcs)))
+			for _, mc := range g.mcs {
+				b = mc.AppendState(b)
+			}
+		case secNoC:
+			b = g.repNet.AppendState(g.reqNet.AppendState(b))
+		case secCtrl:
+			b = wire.AppendBool(b, g.ctrl != nil)
+			if g.ctrl != nil {
+				b = g.ctrl.AppendState(b)
+			}
+		case secProgram:
+			b = prog.AppendTo(b)
+		}
+		binary.LittleEndian.PutUint32(b[table+4*i:], uint32(len(b)-at))
 	}
-	st.Slices = wire.Resize(st.Slices, len(g.slices))
-	for i, s := range g.slices {
-		s.SaveStateInto(&st.Slices[i])
-	}
-	st.MCs = wire.Resize(st.MCs, len(g.mcs))
-	for i, mc := range g.mcs {
-		mc.SaveStateInto(&st.MCs[i])
-	}
-	if err := noc.SaveStateInto(g.reqNet, &st.ReqNet); err != nil {
-		return fmt.Errorf("gpu: request net: %w", err)
-	}
-	if err := noc.SaveStateInto(g.repNet, &st.RepNet); err != nil {
-		return fmt.Errorf("gpu: reply net: %w", err)
-	}
-	st.HasCtrl = g.ctrl != nil
-	if g.ctrl != nil {
-		g.ctrl.SaveStateInto(&st.Ctrl)
-	} else {
-		st.Ctrl = core.State{}
-	}
-	return nil
-}
-
-// Section is one part of a State's wire form.
-type Section struct {
-	Name  string
-	Bytes int
-}
-
-type section struct {
-	name   string
-	append func([]byte) []byte
-	read   func(*wire.Reader)
-}
-
-// sections lists the parts of the wire form in the order they are written:
-// AppendTo, ReadFrom and Sections all walk this one list. The element counts
-// are validated against the fewest bytes an element can encode to (a byte
-// per field, roughly), which keeps what a forged count can make ReadFrom
-// allocate within a small multiple of the input.
-func (st *State) sections() []section {
-	return []section{
-		{"machine", st.appendMachine, st.readMachine},
-		{"SMs", func(b []byte) []byte { return appendEach(b, st.SMs) }, func(r *wire.Reader) { st.SMs = readEach(r, st.SMs, 32) }},
-		{"LLC", func(b []byte) []byte { return appendEach(b, st.Slices) }, func(r *wire.Reader) { st.Slices = readEach(r, st.Slices, 32) }},
-		{"DRAM", func(b []byte) []byte { return appendEach(b, st.MCs) }, func(r *wire.Reader) { st.MCs = readEach(r, st.MCs, 16) }},
-		{"NoC", func(b []byte) []byte { return st.RepNet.AppendTo(st.ReqNet.AppendTo(b)) }, func(r *wire.Reader) { st.ReqNet.ReadFrom(r); st.RepNet.ReadFrom(r) }},
-		{"controller", st.appendCtrl, st.readCtrl},
-		{"program", st.Prog.AppendTo, st.Prog.ReadFrom},
-	}
-}
-
-// appendEach appends a counted run of component states.
-func appendEach[T any, P interface {
-	*T
-	AppendTo([]byte) []byte
-}](b []byte, xs []T) []byte {
-	b = wire.AppendUvarint(b, uint64(len(xs)))
-	for i := range xs {
-		b = P(&xs[i]).AppendTo(b)
-	}
-	return b
-}
-
-// readEach reads a counted run of component states, each at least minBytes
-// on the wire, into xs's backing array.
-func readEach[T any, P interface {
-	*T
-	ReadFrom(*wire.Reader)
-}](r *wire.Reader, xs []T, minBytes int) []T {
-	xs = wire.Resize(xs, r.Count(minBytes))
-	for i := range xs {
-		P(&xs[i]).ReadFrom(r)
-	}
-	return xs
-}
-
-// AppendTo appends the state's wire form to b. The state must be consistent
-// (parallel columns of equal length), as SaveState and ReadFrom leave it.
-func (st *State) AppendTo(b []byte) []byte {
-	for _, s := range st.sections() {
-		b = s.append(b)
-	}
-	return b
-}
-
-// ReadFrom overwrites the state with the one in r, reusing the backing
-// arrays it already has; a failure is left in r (check r.Done or r.Err). It
-// checks the input only as far as decoding safely requires; whether the
-// state fits a GPU is RestoreState's question.
-func (st *State) ReadFrom(r *wire.Reader) {
-	for _, s := range st.sections() {
-		s.read(r)
-	}
-}
-
-// Sections returns the encoded size of each part of the state, in wire
-// order ("why is this blob big").
-func (st *State) Sections() []Section {
-	var out []Section
-	var buf []byte
-	for _, s := range st.sections() {
-		buf = s.append(buf[:0])
-		out = append(out, Section{Name: s.name, Bytes: len(buf)})
-	}
-	return out
+	return b, nil
 }
 
 // appendMachine writes the top-level scalars: clocks, the mode and
 // reconfiguration state machine, and the collectors.
-func (st *State) appendMachine(b []byte) []byte {
-	b = wire.AppendUvarint(b, st.Cycle)
-	b = wire.AppendUvarint(b, st.RunStart)
-	b = wire.AppendInt(b, int(st.Mode))
-	b = wire.AppendUvarint(b, uint64(len(st.AppModes)))
-	for _, m := range st.AppModes {
+func (g *GPU) appendMachine(b []byte) []byte {
+	b = wire.AppendUvarint(b, g.cycle)
+	b = wire.AppendUvarint(b, g.runStart)
+	b = wire.AppendInt(b, int(g.mode))
+	b = wire.AppendUvarint(b, uint64(len(g.appModes)))
+	for _, m := range g.appModes {
 		b = wire.AppendInt(b, int(m))
 	}
-	b = wire.AppendBool(b, st.ReconfigActive)
-	b = wire.AppendUvarint(b, st.ReconfigStarted)
-	b = wire.AppendUvarint(b, st.StallUntil)
-	b = wire.AppendUvarint(b, st.GatedCycles)
-	b = wire.AppendUvarint(b, st.StallCycles)
-	b = wire.AppendUvarint(b, st.ReconfigCount)
-	b = wire.AppendUvarints(b, st.SharerBuckets[:])
-	b = wire.AppendUvarint(b, st.SharerTotal)
-	b = wire.AppendUvarint(b, st.SharerWindowEnd)
-	b = wire.AppendUvarint(b, uint64(len(st.KernelBoundaries)))
-	b = wire.AppendUvarints(b, st.KernelBoundaries)
-	return wire.AppendUvarints(b, st.ModeCycles[:])
+	b = wire.AppendBool(b, g.reconfigActive)
+	b = wire.AppendUvarint(b, g.reconfigStarted)
+	b = wire.AppendUvarint(b, g.stallUntil)
+	b = wire.AppendUvarint(b, g.gatedCycles)
+	b = wire.AppendUvarint(b, g.stallCycles)
+	b = wire.AppendUvarint(b, g.reconfigCount)
+	b = wire.AppendUvarints(b, g.sharerBuckets[:])
+	b = wire.AppendUvarint(b, g.sharerTotal)
+	b = wire.AppendUvarint(b, g.sharerWindowEnd)
+	b = wire.AppendUvarint(b, uint64(len(g.kernelBoundaries)))
+	b = wire.AppendUvarints(b, g.kernelBoundaries)
+	return wire.AppendUvarints(b, g.modeCycles[:])
 }
 
-func (st *State) readMachine(r *wire.Reader) {
-	st.Cycle = r.Uvarint()
-	st.RunStart = r.Uvarint()
-	st.Mode = config.LLCMode(r.Int())
-	st.AppModes = wire.Resize(st.AppModes, r.Count(1))
-	for i := range st.AppModes {
-		st.AppModes[i] = config.LLCMode(r.Int())
+func (g *GPU) readMachine(r *wire.Reader) {
+	g.cycle = r.Uvarint()
+	g.runStart = r.Uvarint()
+	g.mode = config.LLCMode(r.Int())
+	g.appModes = nil
+	for range r.Count(1) {
+		g.appModes = append(g.appModes, config.LLCMode(r.Int()))
 	}
-	st.ReconfigActive = r.Bool()
-	st.ReconfigStarted = r.Uvarint()
-	st.StallUntil = r.Uvarint()
-	st.GatedCycles = r.Uvarint()
-	st.StallCycles = r.Uvarint()
-	st.ReconfigCount = r.Uvarint()
-	for i := range st.SharerBuckets {
-		st.SharerBuckets[i] = r.Uvarint()
+	g.reconfigActive = r.Bool()
+	g.reconfigStarted = r.Uvarint()
+	g.stallUntil = r.Uvarint()
+	g.gatedCycles = r.Uvarint()
+	g.stallCycles = r.Uvarint()
+	g.reconfigCount = r.Uvarint()
+	for i := range g.sharerBuckets {
+		g.sharerBuckets[i] = r.Uvarint()
 	}
-	st.SharerTotal = r.Uvarint()
-	st.SharerWindowEnd = r.Uvarint()
-	st.KernelBoundaries = r.Uvarints(st.KernelBoundaries, r.Count(1))
-	for i := range st.ModeCycles {
-		st.ModeCycles[i] = r.Uvarint()
+	g.sharerTotal = r.Uvarint()
+	g.sharerWindowEnd = r.Uvarint()
+	g.kernelBoundaries = nil
+	for range r.Count(1) {
+		g.kernelBoundaries = append(g.kernelBoundaries, r.Uvarint())
+	}
+	for i := range g.modeCycles {
+		g.modeCycles[i] = r.Uvarint()
 	}
 }
 
-func (st *State) appendCtrl(b []byte) []byte {
-	b = wire.AppendBool(b, st.HasCtrl)
-	if st.HasCtrl {
-		b = st.Ctrl.AppendTo(b)
+// count reads a component count, which the configuration fixes.
+func count(r *wire.Reader, what string, want int) bool {
+	if n := r.Uvarint(); n != uint64(want) {
+		r.Fail("gpu: snapshot has %d %s, GPU has %d", n, what, want)
+		return false
 	}
-	return b
-}
-
-func (st *State) readCtrl(r *wire.Reader) {
-	st.HasCtrl = r.Bool()
-	if st.HasCtrl {
-		st.Ctrl.ReadFrom(r)
-	} else {
-		st.Ctrl = core.State{}
-	}
+	return true
 }
 
 // RestoreState overwrites the GPU's mutable state with a snapshot taken from
-// a GPU built under the same configuration and workload inputs. Mode-derived
+// a GPU built under the same configuration and workload inputs, and leaves
+// the snapshot as it was. The program is restored first, then the sections
+// in wire order, each read straight into its components. Mode-derived
 // physical state (slice write policies, NoC bypass) comes back through the
-// component snapshots, so no SetAppModes/applyMode side effects are replayed.
+// component sections, so no SetAppModes/applyMode side effects are replayed.
+// On an error the GPU holds nothing usable and must be thrown away, as
+// Restore does.
 func (g *GPU) RestoreState(st State) error {
-	if len(st.SMs) != len(g.sms) {
-		return fmt.Errorf("gpu: snapshot has %d SMs, GPU has %d", len(st.SMs), len(g.sms))
-	}
-	if len(st.Slices) != len(g.slices) {
-		return fmt.Errorf("gpu: snapshot has %d LLC slices, GPU has %d", len(st.Slices), len(g.slices))
-	}
-	if len(st.MCs) != len(g.mcs) {
-		return fmt.Errorf("gpu: snapshot has %d memory controllers, GPU has %d", len(st.MCs), len(g.mcs))
-	}
-	if st.HasCtrl != (g.ctrl != nil) {
-		return fmt.Errorf("gpu: snapshot controller presence (%v) does not match configuration (%v)", st.HasCtrl, g.ctrl != nil)
-	}
 	cp, ok := g.prog.(workload.Checkpointable)
 	if !ok {
 		return fmt.Errorf("gpu: program %T is not checkpointable", g.prog)
 	}
-	if err := cp.RestoreProgState(st.Prog); err != nil {
+	var prog workload.ProgramState
+	r := wire.NewReader(st.section(secProgram))
+	prog.ReadFrom(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("gpu: program section: %w", err)
+	}
+	if err := cp.RestoreProgState(prog); err != nil {
 		return fmt.Errorf("gpu: %w", err)
 	}
-
-	for i, s := range g.sms {
-		if err := s.RestoreState(st.SMs[i]); err != nil {
-			return fmt.Errorf("gpu: %w", err)
+	for i := range secProgram {
+		r := wire.NewReader(st.section(i))
+		switch i {
+		case secMachine:
+			g.readMachine(r)
+			// The cycle loop indexes by the mode, and a live GPU is organized
+			// shared or private whatever its configuration.
+			foreign := func(m config.LLCMode) bool { return m != config.LLCShared && m != config.LLCPrivate }
+			if foreign(g.mode) || slices.ContainsFunc(g.appModes, foreign) {
+				r.Fail("gpu: snapshot organizes the LLC other than shared or private")
+			}
+		case secSMs:
+			if count(r, "SMs", len(g.sms)) {
+				for _, s := range g.sms {
+					s.RestoreState(r)
+				}
+			}
+		case secLLC:
+			if count(r, "LLC slices", len(g.slices)) {
+				for _, s := range g.slices {
+					s.RestoreState(r)
+				}
+			}
+		case secDRAM:
+			if count(r, "memory controllers", len(g.mcs)) {
+				for _, mc := range g.mcs {
+					mc.RestoreState(r)
+				}
+			}
+		case secNoC:
+			g.reqNet.RestoreState(r, &g.pktPool, g.reqPool)
+			g.repNet.RestoreState(r, &g.pktPool, g.reqPool)
+		case secCtrl:
+			if has := r.Bool(); has != (g.ctrl != nil) {
+				r.Fail("gpu: snapshot controller presence (%v) does not match configuration (%v)", has, g.ctrl != nil)
+			} else if has {
+				g.ctrl.RestoreState(r)
+			}
+		}
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("gpu: %s section: %w", sectionNames[i], err)
 		}
 	}
-	for i, s := range g.slices {
-		if err := s.RestoreState(st.Slices[i]); err != nil {
-			return fmt.Errorf("gpu: %w", err)
-		}
-	}
-	for i, mc := range g.mcs {
-		if err := mc.RestoreState(st.MCs[i]); err != nil {
-			return fmt.Errorf("gpu: %w", err)
-		}
-	}
-	if err := noc.RestoreState(g.reqNet, st.ReqNet); err != nil {
-		return fmt.Errorf("gpu: request net: %w", err)
-	}
-	if err := noc.RestoreState(g.repNet, st.RepNet); err != nil {
-		return fmt.Errorf("gpu: reply net: %w", err)
-	}
-	if g.ctrl != nil {
-		if err := g.ctrl.RestoreState(st.Ctrl); err != nil {
-			return fmt.Errorf("gpu: %w", err)
-		}
-	}
-
-	g.cycle = st.Cycle
-	g.runStart = st.RunStart
-	g.mode = st.Mode
-	g.appModes = append([]config.LLCMode(nil), st.AppModes...)
-	g.reconfigActive = st.ReconfigActive
-	g.reconfigStarted = st.ReconfigStarted
-	g.stallUntil = st.StallUntil
-	g.gatedCycles = st.GatedCycles
-	g.stallCycles = st.StallCycles
-	g.reconfigCount = st.ReconfigCount
-	g.sharerBuckets = st.SharerBuckets
-	g.sharerTotal = st.SharerTotal
-	g.sharerWindowEnd = st.SharerWindowEnd
-	g.kernelBoundaries = append([]uint64(nil), st.KernelBoundaries...)
-	g.modeCycles = st.ModeCycles
 	g.activateAll()
 	return nil
 }
 
 // Restore builds a GPU from cfg and prog (which must be freshly constructed
 // from the same inputs as the checkpointed run) and overwrites its state with
-// the snapshot.
+// the snapshot, which it leaves unchanged: one snapshot restores any number
+// of times.
 func Restore(cfg config.Config, prog workload.Program, st State) (*GPU, error) {
 	g, err := New(cfg, prog)
 	if err != nil {
@@ -359,4 +294,51 @@ func Restore(cfg config.Config, prog workload.Program, st State) (*GPU, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// Section is one part of a State's wire form.
+type Section struct {
+	Name  string
+	Bytes int
+}
+
+// Outline is what a State says about the run it was taken from, read
+// without a GPU to restore it onto ("why is this blob big", "where was the
+// run").
+type Outline struct {
+	Sections         []Section
+	Mode             config.LLCMode
+	Apps             int // per-application modes (multi-program runs only)
+	ReconfigCount    uint64
+	StallCycles      uint64
+	SMs, Slices, MCs int
+	Prog             workload.ProgramState
+}
+
+// Outline reads the outline from the machine and program sections and the
+// counts each component section starts with.
+func (st *State) Outline() (Outline, error) {
+	var o Outline
+	for i, name := range sectionNames {
+		o.Sections = append(o.Sections, Section{Name: name, Bytes: st.Lengths[i]})
+	}
+	var g GPU
+	r := wire.NewReader(st.section(secMachine))
+	g.readMachine(r)
+	if err := r.Done(); err != nil {
+		return o, fmt.Errorf("gpu: machine section: %w", err)
+	}
+	o.Mode, o.Apps, o.ReconfigCount, o.StallCycles = g.mode, len(g.appModes), g.reconfigCount, g.stallCycles
+	for i, n := range []*int{&o.SMs, &o.Slices, &o.MCs} {
+		r := wire.NewReader(st.section(secSMs + i))
+		if *n = int(r.Uvarint()); r.Err() != nil {
+			return o, fmt.Errorf("gpu: %s section: %w", sectionNames[secSMs+i], r.Err())
+		}
+	}
+	r = wire.NewReader(st.section(secProgram))
+	o.Prog.ReadFrom(r)
+	if err := r.Done(); err != nil {
+		return o, fmt.Errorf("gpu: program section: %w", err)
+	}
+	return o, nil
 }

@@ -2,10 +2,10 @@ package gpu
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -54,10 +54,8 @@ func stateTestSpec(t *testing.T) workload.Spec {
 // just in-memory copying.
 func wireRoundTrip(t *testing.T, st State) State {
 	t.Helper()
-	r := wire.NewReader(st.AppendTo(nil))
-	var out State
-	out.ReadFrom(r)
-	if err := r.Done(); err != nil {
+	out, err := ParseState(st.AppendTo(nil))
+	if err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
 	return out
@@ -196,18 +194,45 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	refused := func(what string, cfg config.Config, seed int64, want string) {
+		t.Helper()
+		if _, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, seed), st); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("restore onto %s = %v, want an error containing %q", what, err, want)
+		}
+	}
 	bigger := cfg
 	bigger.NumSMs = 8
 	bigger.NumClusters = 4
-	if _, err := Restore(bigger, workload.MustNewGenerator(spec, bigger, stateSeed), st); err == nil {
-		t.Error("restore onto a different geometry must fail")
+	refused("a different geometry", bigger, stateSeed, "16 warps")
+	refused("a different workload seed", cfg, stateSeed+1, "seed")
+	refused("an adaptive GPU", stateTestConfig(config.LLCAdaptive), stateSeed, "controller presence")
+	if _, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), st); err != nil {
+		t.Errorf("the refusals changed the snapshot: %v", err)
 	}
-	if _, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed+1), st); err == nil {
-		t.Error("restore onto a different workload seed must fail")
-	}
+}
 
-	adaptive := stateTestConfig(config.LLCAdaptive)
-	if _, err := Restore(adaptive, workload.MustNewGenerator(spec, adaptive, stateSeed), st); err == nil {
-		t.Error("restore of a non-adaptive snapshot onto an adaptive GPU must fail")
+// TestRestoreRejectsForeignMode: a snapshot whose GPU or per-application
+// organization is neither shared nor private is refused, not left to index
+// past the mode counters on the first cycle.
+func TestRestoreRejectsForeignMode(t *testing.T) {
+	spec := stateTestSpec(t)
+	cfg := stateTestConfig(config.LLCShared)
+	for name, forge := range map[string]func(g *GPU){
+		"gpu mode": func(g *GPU) { g.mode = 5 },
+		"app mode": func(g *GPU) { g.appModes = []config.LLCMode{config.LLCShared, -1} },
+	} {
+		g, err := New(cfg, workload.MustNewGenerator(spec, cfg, stateSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Warmup(200)
+		forge(g)
+		st, err := g.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), st); err == nil || !strings.Contains(err.Error(), "other than shared or private") {
+			t.Errorf("%s: Restore = %v, want the organization refused", name, err)
+		}
 	}
 }

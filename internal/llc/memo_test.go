@@ -1,8 +1,8 @@
 package llc
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -125,10 +125,7 @@ func TestMemoisedSliceMatchesUnmemoised(t *testing.T) {
 			t.Fatalf("cycle %d: stats\n memo  %+v\n plain %+v", cyc, memo.Stats(), plain.Stats())
 		}
 	}
-	var a, b SliceState
-	memo.SaveStateInto(&a)
-	plain.SaveStateInto(&b)
-	if !reflect.DeepEqual(a, b) {
+	if !bytes.Equal(memo.AppendState(nil), plain.AppendState(nil)) {
 		t.Fatal("snapshots differ")
 	}
 	if st := memo.Stats(); st.MSHRStalls == 0 || parkedCycles < st.MSHRStalls/2 {

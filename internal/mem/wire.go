@@ -1,10 +1,14 @@
 package mem
 
-import "repro/internal/wire"
+import (
+	"repro/internal/pool"
+	"repro/internal/ring"
+	"repro/internal/wire"
+)
 
 // Requests and replies sit in queues all over a checkpointed GPU (SM out
 // queues, LLC MSHRs, NoC packets), so their wire form lives here, next to
-// the types, for every State codec to share.
+// the types, for every component's codec to share.
 
 // RequestWireMin and ReplyWireMin are the fewest bytes a Request or Reply
 // encodes to (one per field), for wire.Reader.Count.
@@ -13,8 +17,8 @@ const (
 	ReplyWireMin   = 8
 )
 
-// AppendTo appends the request's wire form to b.
-func (q *Request) AppendTo(b []byte) []byte {
+// AppendRequest appends q's wire form to b.
+func AppendRequest(b []byte, q *Request) []byte {
 	b = wire.AppendUvarint(b, q.ID)
 	b = wire.AppendUvarint(b, q.Addr)
 	b = wire.AppendBool(b, q.Write)
@@ -37,26 +41,29 @@ func (q *Request) ReadFrom(r *wire.Reader) {
 	q.AppID = r.Int()
 }
 
-// AppendRequests appends a counted run of requests.
-func AppendRequests(b []byte, qs []Request) []byte {
-	b = wire.AppendUvarint(b, uint64(len(qs)))
-	for i := range qs {
-		b = qs[i].AppendTo(b)
+// AppendQueue appends the requests of q as a counted run.
+func AppendQueue(b []byte, q *ring.Deque[*Request]) []byte {
+	b = wire.AppendUvarint(b, uint64(q.Len()))
+	for i := 0; i < q.Len(); i++ {
+		b = AppendRequest(b, q.At(i))
 	}
 	return b
 }
 
-// ReadRequests reads a counted run of requests into dst's backing array.
-func ReadRequests(r *wire.Reader, dst []Request) []Request {
-	dst = wire.Resize(dst, r.Count(RequestWireMin))
-	for i := range dst {
-		dst[i].ReadFrom(r)
+// ReadQueue refills q with the next counted run of requests in r, each taken
+// from p: the single-container ownership invariant makes a request read back
+// equivalent to the one written.
+func ReadQueue(r *wire.Reader, q *ring.Deque[*Request], p *pool.FreeList[Request]) {
+	q.Clear()
+	for range r.Count(RequestWireMin) {
+		req := p.Get()
+		req.ReadFrom(r)
+		q.PushBack(req)
 	}
-	return dst
 }
 
-// AppendTo appends the reply's wire form to b.
-func (p *Reply) AppendTo(b []byte) []byte {
+// AppendReply appends p's wire form to b.
+func AppendReply(b []byte, p *Reply) []byte {
 	b = wire.AppendUvarint(b, p.ReqID)
 	b = wire.AppendUvarint(b, p.Addr)
 	b = wire.AppendInt(b, p.SM)

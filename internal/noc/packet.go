@@ -28,6 +28,8 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 // Packet is one network transaction: a memory request (1 flit) or a data
@@ -134,6 +136,14 @@ type Net interface {
 	SetBypass(enabled bool) error
 	// Bypassed reports whether the second stage is currently bypassed.
 	Bypassed() bool
+	// AppendState appends the network's wire form (see state.go).
+	AppendState(b []byte) []byte
+	// RestoreState overwrites the network's state with the next one in r,
+	// written by a network built with the same parameters and direction,
+	// taking packets and the requests they carry from the given pools. The
+	// network must be freshly built (empty). On a failure, recorded in r,
+	// it holds nothing usable.
+	RestoreState(r *wire.Reader, pkts *pool.FreeList[Packet], reqs *pool.FreeList[mem.Request])
 }
 
 // ErrBypassUnsupported is returned by SetBypass(true) on topologies without

@@ -1,12 +1,16 @@
 package noc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/mem"
+	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 // refTick is xbarNet.Tick as it was before the due set and the calendar:
@@ -170,25 +174,23 @@ func TestActivePortTickMatchesReference(t *testing.T) {
 					t.Fatalf("cycle %d: stats\n got %+v\nwant %+v", cyc, got.Stats(), ref.Stats())
 				}
 				if cyc%1999 == 0 || cyc == cycles/2 {
-					var a, b NetState
-					saveXbar(got, &a)
-					saveXbar(ref, &b)
-					if !reflect.DeepEqual(a, b) {
+					if !bytes.Equal(got.AppendState(nil), ref.AppendState(nil)) {
 						t.Fatalf("cycle %d: snapshots differ", cyc)
 					}
 				}
 				if cyc == cycles/2 {
 					drain(t, used, 100000)
-					var st NetState
-					saveXbar(got, &st)
-					if err := restoreXbar(used, st); err != nil {
-						t.Fatal(err)
+					st := got.AppendState(nil)
+					restore := func(n *xbarNet) {
+						r := wire.NewReader(st)
+						if n.RestoreState(r, &pool.FreeList[Packet]{}, &pool.FreeList[mem.Request]{}); r.Done() != nil {
+							t.Fatal(r.Err())
+						}
 					}
+					restore(used)
 					got, used = used, got
 					fresh := build()
-					if err := restoreXbar(fresh, st); err != nil {
-						t.Fatal(err)
-					}
+					restore(fresh)
 					ref = fresh
 				}
 			}

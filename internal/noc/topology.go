@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/mem"
-	"repro/internal/pool"
 )
 
 // Direction selects which of the GPU's two unidirectional networks is built.
@@ -360,10 +358,6 @@ type idealNet struct {
 	stats    Stats
 	inflight []inflightPkt
 	out      []*Packet
-
-	// Restore-path free-lists (see UseRestorePools); nil means allocate.
-	restorePkts *pool.FreeList[Packet]
-	restoreReqs *pool.FreeList[mem.Request]
 }
 
 func newIdeal(p Params, dir Direction) *idealNet {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/mem"
-	"repro/internal/pool"
 	"repro/internal/ring"
 	"repro/internal/wire"
 )
@@ -197,10 +195,6 @@ type xbarNet struct {
 	// RouterCycles and GatedRouterCycles.
 	poweredRouters, gatedRouters uint64
 	visits                       uint64 // ports visited (PortVisits)
-
-	// Restore-path free-lists (see UseRestorePools); nil means allocate.
-	restorePkts *pool.FreeList[Packet]
-	restoreReqs *pool.FreeList[mem.Request]
 }
 
 // Inject implements Net.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/ring"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -56,11 +56,14 @@ func testCfg() config.Config { return config.Baseline().Normalize() }
 // ipc is instructions per cycle over st.
 func ipc(st Stats) float64 { return float64(st.Instructions) / float64(st.Cycles) }
 
-// snapshot is s's state in a fresh State.
-func snapshot(s *SM) State {
-	var st State
-	s.SaveStateInto(&st)
-	return st
+// snapshot is s's wire form.
+func snapshot(s *SM) []byte { return s.AppendState(nil) }
+
+// restore reads b into s and returns the reader's verdict.
+func restore(s *SM, b []byte) error {
+	r := wire.NewReader(b)
+	s.RestoreState(r)
+	return r.Done()
 }
 
 func TestALUOnlyIPC(t *testing.T) {
@@ -276,64 +279,83 @@ func TestCompleteLoadUnknownLinePanics(t *testing.T) {
 
 // TestRestoreRejectsBadMergeLists: a snapshot whose L1 MSHR merge lists
 // disagree with its asleep warps is refused by RestoreState, rather than
-// left to panic (or wake the wrong warps) at a later reply.
+// left to panic (or wake the wrong warps) at a later reply. Each case
+// corrupts the lists of a live SM, encodes it and restores it into a fresh
+// one.
 func TestRestoreRejectsBadMergeLists(t *testing.T) {
 	cfg := testCfg()
-	src := New(0, 0, cfg)
 	// Warps 0 and 2 (scheduler 0) and 1 (scheduler 1) go to sleep: 0 and 1 on
 	// line 0x1000, 2 on line 0x2000. Every other warp stays awake.
-	prog := &scriptProgram{ops: map[[2]int][]workload.Op{
-		{0, 0}: {{IsMem: true, Addr: 0x1000}},
-		{0, 1}: {{IsMem: true, Addr: 0x1000}},
-		{0, 2}: {{IsMem: true, Addr: 0x2000}},
-	}}
-	src.Tick(1, prog)
-	src.Tick(2, prog)
-	entry := func(st *State, line uint64) int {
-		i := slices.Index(st.MSHRs.Lines, line)
-		if i < 0 {
-			t.Fatalf("line %#x is not outstanding: %+v", line, st.MSHRs)
+	build := func() *SM {
+		src := New(0, 0, cfg)
+		prog := &scriptProgram{ops: map[[2]int][]workload.Op{
+			{0, 0}: {{IsMem: true, Addr: 0x1000}},
+			{0, 1}: {{IsMem: true, Addr: 0x1000}},
+			{0, 2}: {{IsMem: true, Addr: 0x2000}},
+		}}
+		src.Tick(1, prog)
+		src.Tick(2, prog)
+		return src
+	}
+	// list takes line's merge list out of the table.
+	list := func(s *SM, line uint64) []uint64 { return slices.Clone(s.mshrs.Complete(line)) }
+	// merge puts warps on line's list.
+	merge := func(s *SM, line uint64, ws ...uint64) {
+		for _, w := range ws {
+			if _, ok := s.mshrs.Allocate(line, w); !ok {
+				t.Fatalf("merge of warp %d on line %#x refused", w, line)
+			}
 		}
-		return i
 	}
-	good := snapshot(src)
-	if l := good.MSHRs.Payloads[entry(&good, 0x1000)]; len(l) != 2 || good.Wake[2] != asleep {
-		t.Fatalf("set-up: merge list %v, wake %v", l, good.Wake[:4])
+	src := build()
+	if l := list(src, 0x1000); len(l) != 2 || src.wake[2] != asleep {
+		t.Fatalf("set-up: merge list %v, wake %v", l, src.wake[:4])
 	}
-	if err := New(0, 0, cfg).RestoreState(good); err != nil {
+	if err := restore(New(0, 0, cfg), snapshot(build())); err != nil {
 		t.Fatalf("the uncorrupted snapshot: %v", err)
 	}
 	cases := []struct {
 		name    string
-		corrupt func(st *State)
+		corrupt func(s *SM)
 		want    string
 	}{
-		{"payload-beyond-the-warps", func(st *State) {
-			i := entry(st, 0x2000)
-			st.MSHRs.Payloads[i] = append(st.MSHRs.Payloads[i], uint64(cfg.MaxWarpsPerSM))
-		}, "lists warp"},
-		{"listed-warp-awake", func(st *State) {
-			i := entry(st, 0x2000)
-			st.MSHRs.Payloads[i] = append(st.MSHRs.Payloads[i], 5)
-		}, "not asleep"},
-		{"asleep-warp-in-no-list", func(st *State) {
-			i := entry(st, 0x1000)
-			st.MSHRs.Payloads[i] = st.MSHRs.Payloads[i][:1]
-		}, "in no MSHR entry"},
-		{"asleep-warp-in-two-lists", func(st *State) {
-			i := entry(st, 0x2000)
-			st.MSHRs.Payloads[i] = append(st.MSHRs.Payloads[i], st.MSHRs.Payloads[entry(st, 0x1000)][0])
+		{"payload-beyond-the-warps", func(s *SM) { merge(s, 0x2000, uint64(cfg.MaxWarpsPerSM)) }, "lists warp"},
+		{"listed-warp-awake", func(s *SM) { merge(s, 0x2000, 5) }, "not asleep"},
+		{"asleep-warp-in-no-list", func(s *SM) { merge(s, 0x1000, list(s, 0x1000)[:1]...) }, "in no MSHR entry"},
+		{"asleep-warp-in-two-lists", func(s *SM) {
+			ws := list(s, 0x1000)
+			merge(s, 0x1000, ws...)
+			merge(s, 0x2000, ws[0])
 		}, "twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st := snapshot(src)
-			tc.corrupt(&st)
-			err := New(0, 0, cfg).RestoreState(st)
+			s := build()
+			tc.corrupt(s)
+			err := restore(New(0, 0, cfg), snapshot(s))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("RestoreState = %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsAsleepPaddingBits: the asleep bits fill whole bytes, and
+// a snapshot that sets one past the SM's warps is refused.
+func TestRestoreRejectsAsleepPaddingBits(t *testing.T) {
+	cfg := testCfg()
+	cfg.MaxWarpsPerSM = 60
+	good := snapshot(New(0, 0, cfg))
+	if err := restore(New(0, 0, cfg), good); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh SM's wire form ends with its warp columns: the 8 bytes of
+	// asleep bits, a one-byte zero wake delta per warp and no pending
+	// operation.
+	b := bytes.Clone(good)
+	b[len(b)-1-cfg.MaxWarpsPerSM-1] |= 0x80
+	if err := restore(New(0, 0, cfg), b); err == nil || !strings.Contains(err.Error(), "asleep beyond") {
+		t.Errorf("RestoreState = %v, want an error containing %q", err, "asleep beyond")
 	}
 }
 
@@ -596,10 +618,10 @@ func refCompleteLoad(s *SM, blocked []uint64, r mem.Reply, cycle uint64) {
 // clear: loads of those skip the MSHR probe.
 func settledLines(s *SM) int {
 	n := 0
-	var tags cache.State
-	s.l1.SaveStateInto(&tags)
-	for k, valid := range tags.Valid {
-		n += bits.OnesCount64(valid &^ s.inflight[k])
+	r := wire.NewReader(s.l1.AppendState(nil))
+	slots := int(r.Uvarint())
+	for i, v := range r.Take((slots + 7) / 8) {
+		n += bits.OnesCount8(v &^ byte(s.inflight[i/8]>>(8*(i%8))))
 	}
 	return n
 }
@@ -621,7 +643,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 	memFast, memPlain := &delayedMemory{rng: rand.New(rand.NewSource(4))}, &delayedMemory{rng: rand.New(rand.NewSource(4))}
 	blocked := make([]uint64, cfg.MaxWarpsPerSM)
 	memPlain.complete = func(r mem.Reply, cycle uint64) { refCompleteLoad(plain, blocked, r, cycle) }
-	digest := func(s *SM) []byte { st := snapshot(s); return st.AppendTo(nil) }
+	digest := snapshot
 
 	parked, cyc, settled := uint64(0), uint64(0), 0
 	for i := 1; i <= d.ticks; i++ {
@@ -640,7 +662,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 			restored.CompleteLoad(mem.Reply{Addr: 0x5000, IssuedAt: 1}, 21)
 			restored.Tick(22, oneLine) // every warp now parked for 1<<20 cycles
 			before := digest(fast)
-			if err := restored.RestoreState(snapshot(fast)); err != nil {
+			if err := restore(restored, snapshot(fast)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(before, digest(restored)) {
@@ -685,7 +707,7 @@ func (d pickDrive) run(t *testing.T) (Stats, uint64, int) {
 		if !slices.Equal(fast.ready, plain.ready) || !slices.Equal(fast.cal, plain.cal) || fast.calBusy != plain.calBusy || fast.farMin != plain.farMin {
 			t.Fatalf("tick %d cycle %d: incrementally filed sets differ from rebuilt ones", i, cyc)
 		}
-		if i%1000 == 0 && !reflect.DeepEqual(snapshot(fast), snapshot(plain)) {
+		if i%1000 == 0 && !bytes.Equal(snapshot(fast), snapshot(plain)) {
 			t.Fatalf("tick %d: memoised SM diverged from the full-path SM", i)
 		}
 	}
@@ -808,13 +830,12 @@ func TestSkipToMatchesTicking(t *testing.T) {
 		replied = replied || skip.Stats().RepliesReceived != before
 		if cyc%1000 == 0 {
 			skip.SkipTo(cyc)
-			if !reflect.DeepEqual(snapshot(every), snapshot(skip)) {
+			if !bytes.Equal(snapshot(every), snapshot(skip)) {
 				t.Fatalf("cycle %d: the skipping SM diverged:\nticked:  %+v\nskipped: %+v", cyc, every.Stats(), skip.Stats())
 			}
 		}
 	}
-	a, b := snapshot(every), snapshot(skip)
-	if !bytes.Equal(a.AppendTo(nil), b.AppendTo(nil)) {
+	if !bytes.Equal(snapshot(every), snapshot(skip)) {
 		t.Fatal("final wire forms differ")
 	}
 	t.Logf("%d of 20000 ticks skipped, %d frozen with a far wake", skipped, far)

@@ -1,12 +1,14 @@
 // Package wire is the byte-level vocabulary of the checkpoint state codec:
-// append helpers for the handful of primitive encodings the State types use,
+// append helpers for the handful of primitive encodings the components use,
 // and a bounds-checked Reader for the way back.
 //
 // Integers are varints (unsigned as is, signed zig-zag), floats and the RNG
 // register are fixed eight little-endian bytes, bit sets are packed
-// little-endian bytes. There are no field tags and no lengths other than
-// explicit element counts: the layout is whatever order a type's AppendTo
-// writes, and any change to it is a checkpoint.FormatVersion bump.
+// little-endian bytes (a component reserves them and sets bits in place;
+// Reader.Take hands them back). There are no field tags and no lengths other
+// than explicit element counts: the layout is whatever order a component's
+// AppendState writes, and any change to it is a checkpoint.FormatVersion
+// bump.
 //
 // The Reader is built for hostile input. Its error is sticky — after the
 // first failure every read returns zero, so a decoder is straight-line code
@@ -84,15 +86,6 @@ func Drain(set, cal []uint64, i int) {
 	}
 }
 
-// AppendBits appends the low n bits of words as ceil(n/8) bytes.
-func AppendBits(b []byte, words []uint64, n int) []byte {
-	nbytes := (n + 7) / 8
-	for i := 0; i < nbytes; i++ {
-		b = append(b, byte(words[i/8]>>(8*(i%8))))
-	}
-	return b
-}
-
 // Resize returns s with length n, reusing its backing array when that is
 // large enough. The elements are whatever the array held: callers overwrite
 // all of them.
@@ -132,8 +125,9 @@ func (r *Reader) Done() error {
 	return r.err
 }
 
-// take returns the next n bytes, or nil (and fails) if fewer remain.
-func (r *Reader) take(n int) []byte {
+// Take returns the next n bytes, which it does not copy, or nil (and fails)
+// if fewer remain.
+func (r *Reader) Take(n int) []byte {
 	if n < 0 || n > len(r.buf) {
 		r.Fail("wire: truncated input (need %d bytes, have %d)", n, len(r.buf))
 		return nil
@@ -178,7 +172,7 @@ func (r *Reader) Int() int {
 
 // Bool reads one byte, which must be 0 or 1.
 func (r *Reader) Bool() bool {
-	p := r.take(1)
+	p := r.Take(1)
 	if p == nil {
 		return false
 	}
@@ -190,7 +184,7 @@ func (r *Reader) Bool() bool {
 
 // Uint64 reads eight little-endian bytes.
 func (r *Reader) Uint64() uint64 {
-	p := r.take(8)
+	p := r.Take(8)
 	if p == nil {
 		return 0
 	}
@@ -212,17 +206,6 @@ func (r *Reader) Count(minBytes int) int {
 	return int(n)
 }
 
-// BitCount reads the size of a bit set and validates that the bytes holding
-// that many bits remain.
-func (r *Reader) BitCount() int {
-	n := r.Uvarint()
-	if n > 8*uint64(len(r.buf)) {
-		r.Fail("wire: %d bits exceed the %d bytes remaining", n, len(r.buf))
-		return 0
-	}
-	return int(n)
-}
-
 // Need validates a count the caller derived (from a bit set's population,
 // say) the way Count validates one it reads.
 func (r *Reader) Need(n, minBytes int) bool {
@@ -235,50 +218,8 @@ func (r *Reader) Need(n, minBytes int) bool {
 
 // Bytes reads a length-prefixed byte string into dst's backing array.
 func (r *Reader) Bytes(dst []byte) []byte {
-	return append(dst[:0], r.take(r.Count(1))...)
+	return append(dst[:0], r.Take(r.Count(1))...)
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.take(r.Count(1))) }
-
-// Uvarints reads a column of n unsigned varints into dst's backing array.
-// The caller has validated n (Count or Need).
-func (r *Reader) Uvarints(dst []uint64, n int) []uint64 {
-	dst = Resize(dst, n)
-	for i := range dst {
-		dst[i] = r.Uvarint()
-	}
-	return dst
-}
-
-// Uint8s reads a column of n bytes into dst's backing array.
-func (r *Reader) Uint8s(dst []uint8, n int) []uint8 {
-	return append(dst[:0], r.take(n)...)
-}
-
-// Ints reads a column of n zig-zag varints into dst's backing array. The
-// caller has validated n.
-func (r *Reader) Ints(dst []int, n int) []int {
-	dst = Resize(dst, n)
-	for i := range dst {
-		dst[i] = r.Int()
-	}
-	return dst
-}
-
-// Bits reads a set of n bits written by AppendBits into dst's backing
-// array. Set bits at or beyond n are an error.
-func (r *Reader) Bits(dst []uint64, n int) []uint64 {
-	if !r.Need((n+7)/8, 1) {
-		return dst[:0]
-	}
-	dst = Resize(dst, BitWords(n))
-	clear(dst)
-	for i, c := range r.take((n + 7) / 8) {
-		dst[i/8] |= uint64(c) << (8 * (i % 8))
-	}
-	if n%64 != 0 && dst[len(dst)-1]>>(n%64) != 0 {
-		r.Fail("wire: bits set beyond the %d the set holds", n)
-	}
-	return dst
-}
+func (r *Reader) String() string { return string(r.Take(r.Count(1))) }

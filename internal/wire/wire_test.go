@@ -11,7 +11,7 @@ import (
 func TestRoundTrip(t *testing.T) {
 	col := []uint64{0, 1, 127, 128, 1 << 35, math.MaxUint64}
 	ints := []int{0, -1, 1, -64, 64, math.MinInt, math.MaxInt}
-	bits := []uint64{0xDEADBEEF_00C0FFEE, 0x1FF}
+	bits := []byte{0xEE, 0xFF, 0x01}
 
 	b := AppendUvarint(nil, 300)
 	b = AppendInt(b, -7)
@@ -26,8 +26,7 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendUvarint(b, uint64(len(col)))
 	b = AppendUvarints(b, col)
 	b = AppendInts(b, ints)
-	b = AppendUvarint(b, 73)
-	b = AppendBits(b, bits, 73)
+	b = append(b, bits...)
 
 	r := NewReader(b)
 	if v := r.Uvarint(); v != 300 {
@@ -57,14 +56,18 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Bytes(nil); !slices.Equal(v, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", v)
 	}
-	if v := r.Uvarints(nil, r.Count(1)); !slices.Equal(v, col) {
-		t.Errorf("Uvarints = %v", v)
+	for i := range r.Count(1) {
+		if v := r.Uvarint(); v != col[i] {
+			t.Errorf("column entry %d = %d", i, v)
+		}
 	}
-	if v := r.Ints(nil, len(ints)); !slices.Equal(v, ints) {
-		t.Errorf("Ints = %v", v)
+	for i := range ints {
+		if v := r.Int(); v != ints[i] {
+			t.Errorf("int column entry %d = %d", i, v)
+		}
 	}
-	if v := r.Bits(nil, r.BitCount()); !slices.Equal(v, bits) {
-		t.Errorf("Bits = %#x", v)
+	if v := r.Take(len(bits)); !slices.Equal(v, bits) {
+		t.Errorf("Take = %#x", v)
 	}
 	if err := r.Done(); err != nil {
 		t.Errorf("Done: %v", err)
@@ -84,8 +87,7 @@ func TestReaderRejects(t *testing.T) {
 		"short word":        {[]byte{1, 2, 3}, func(r *Reader) { r.Uint64() }},
 		"count past end":    {AppendUvarint(nil, 1<<40), func(r *Reader) { r.Count(1) }},
 		"count times size":  {append(AppendUvarint(nil, 3), 0, 0, 0, 0), func(r *Reader) { r.Count(2) }},
-		"bit count":         {append(AppendUvarint(nil, 17), 0, 0), func(r *Reader) { r.BitCount() }},
-		"bits beyond n":     {[]byte{0xFF, 0x03}, func(r *Reader) { r.Bits(nil, 9) }},
+		"take past end":     {[]byte{0xFF, 0x03}, func(r *Reader) { r.Take(3) }},
 		"string past end":   {append(AppendUvarint(nil, 9), "short"...), func(r *Reader) { _ = r.String() }},
 		"derived count":     {[]byte{0, 0, 0}, func(r *Reader) { r.Need(2, 2) }},
 		"trailing bytes":    {[]byte{1, 0}, func(r *Reader) { r.Uvarint(); r.Done() }},
@@ -111,14 +113,13 @@ func TestReaderRejects(t *testing.T) {
 		t.Errorf("Int of one byte = %d, %v", v, r.Err())
 	}
 	r = NewReader(AppendUvarint(nil, 1<<50))
-	if col := r.Uvarints(nil, r.Count(8)); len(col) != 0 || !strings.Contains(r.Err().Error(), "exceeds") {
-		t.Errorf("a forged count sized a column of %d: %v", len(col), r.Err())
+	if n := r.Count(8); n != 0 || !strings.Contains(r.Err().Error(), "exceeds") {
+		t.Errorf("a forged count read as %d: %v", n, r.Err())
 	}
 }
 
 // TestResizeReuses: Resize keeps a large-enough backing array and leaves nil
-// nil at zero length, which the State types rely on for DeepEqual-stable
-// snapshots.
+// nil at zero length.
 func TestResizeReuses(t *testing.T) {
 	s := make([]int, 2, 8)
 	if got := Resize(s, 5); &got[0] != &s[0] || len(got) != 5 {

@@ -76,7 +76,8 @@ type Checkpointable interface {
 const progKindGenerator = "workload.Generator"
 
 // A Generator's execution position goes on the wire straight from its
-// fields, with no mirror struct between: the RNG stream position first (so
+// fields, with no mirror struct between — the rule every checkpointed
+// component follows: the RNG stream position first (so
 // StreamPositions reads it and stops), the seed and the scalars, the RNG
 // register as a flat run of fixed words — random bits gain nothing from
 // varints, and storing the register whole makes restoring a copy whose cost
